@@ -53,6 +53,7 @@ from .geometry import (
 from .poly import Polynomial, a3_counterexample, pm_membership
 from .potential import (
     RadialField,
+    _ring_closed,
     kernel_matrix,
     make_grid,
     potential_apply,
@@ -100,7 +101,7 @@ config JSON fields (schema_version 1):
                   (default [0.25, 0.5, 0.75, 1.0])
   v_schedule      optional volume continuation stages ending at volume
   quad_order      Gauss-Legendre order per interval for the kernel
-                  product table (default 12)
+                  moments (default 12)
 
 hard gates applied by `solve` after convergence:
   pde residual <= 5e-3, |volume - V|/V <= 5e-3, Pohozaev defect <= 1e-2
@@ -178,7 +179,7 @@ def _load_config(path: str) -> SolverConfig:
 # ----------------------------------------------------------------------
 # solve
 # ----------------------------------------------------------------------
-def run_solve(config_path: str, out_dir: str, cache_dir: str | None = None) -> int:
+def run_solve(config_path: str, out_dir: str) -> int:
     try:
         config = _load_config(config_path)
     except (ConfigError, PolynomialFormatError) as exc:
@@ -186,9 +187,8 @@ def run_solve(config_path: str, out_dir: str, cache_dir: str | None = None) -> i
         return EXIT_CONFIG
 
     os.makedirs(out_dir, exist_ok=True)
-    cache = cache_dir if cache_dir is not None else os.path.join(out_dir, "kernel-cache")
     try:
-        record = solve_continuation(config, cache_dir=cache)
+        record = solve_continuation(config)
     except (SolverDivergence, NormalizationOverflow) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -334,8 +334,8 @@ def _suite_kernel() -> list[tuple[str, bool, str]]:
     checks.append(("ring-mean-n2-vs-logmax", worst <= 1e-6, f"max dev {worst:.3e}"))
 
     grid = make_grid(2, 5.0, 128)
-    kernel = kernel_matrix(grid)
-    asym = float(np.max(np.abs(kernel.entries - kernel.entries.T)))
+    closed = _ring_closed(4, grid.nodes[:, None], grid.nodes[None, :])
+    asym = float(np.max(np.abs(closed - closed.T)))
     checks.append(("kernel-symmetry(m=2)", asym == 0.0, f"max asym {asym:.3e}"))
 
     sample = np.linspace(0.2, 4.5, 12)
@@ -346,7 +346,7 @@ def _suite_kernel() -> list[tuple[str, bool, str]]:
             if i == j or i == 0 or j == 0:
                 continue
             direct = ring_kernel_mean(4, float(grid.nodes[i]), float(grid.nodes[j]))
-            worst4 = max(worst4, abs(direct - kernel.entries[i, j]))
+            worst4 = max(worst4, abs(direct - closed[i, j]))
     checks.append(
         ("ring-mean-n4-vs-closed-form", worst4 <= 1e-8, f"max dev {worst4:.3e}")
     )
@@ -599,18 +599,13 @@ exit codes:
     )
     p_solve.add_argument("--config", required=True, help="path to config JSON")
     p_solve.add_argument("--out", required=True, help="output directory")
-    p_solve.add_argument(
-        "--cache",
-        default=None,
-        help="kernel matrix cache directory (default: <out>/kernel-cache)",
-    )
 
     p_verify = sub.add_parser(
         "verify",
         help="run a self-check suite and print a pass/fail table",
         description="Suites: oracles (spherical solution residual/volume, "
         "scaling covariance, u0 mass, normalization shift), kernel (ring "
-        "kernel against the n=2 closed form and the n=4 assembly, matrix "
+        "kernel quadrature against the n=2 and n=4 closed forms, closed-form "
         "symmetry, log-potential oracle), kelvin (inversion identity "
         "residuals), poly (admissibility fixtures).",
     )
@@ -656,7 +651,7 @@ exit codes:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "solve":
-        return run_solve(args.config, args.out, args.cache)
+        return run_solve(args.config, args.out)
     if args.command == "verify":
         return run_verify(args.suite, args.out)
     if args.command == "poly-check":

@@ -9,7 +9,7 @@ density amounts to integrating the density against the spherical mean of
 
 This module provides the radial grids (nodes plus quadrature weights for
 the measure ``omega_{n-1} r^{n-1} dr``), the ring kernel ``Lambda_n``, its
-dense matrix on a grid, and the potential application
+semi-separable form on a grid, and the potential application
 
     (potential f)(r_i) = -(1/gamma_m) * integral Lambda_n(r_i, rho) f(rho) dmu(rho).
 
@@ -17,32 +17,30 @@ Quadrature design
 -----------------
 Grid weights integrate the piecewise-linear interpolant of the integrand
 against the exact measure, so they are strictly positive and reproduce
-``vol(B_R)`` exactly on constants.  The kernel matrix stores the point
-values ``Lambda_n(r_i, r_j)`` (exactly symmetric), but the potential is
-applied through a companion table of hat-basis integrals
+``vol(B_R)`` exactly on constants.  The potential integrates the kernel
+against the same piecewise-linear interpolant of the density, per
+interval by Gauss-Legendre.  The kernel has a curvature kink on the
+diagonal ``s = r``; integrating it against the basis that defines the
+weights keeps that kink's quadrature error at the level of the
+interpolation error instead of letting a point rule's local error survive
+into the applied potential, where repeated differencing would amplify it.
 
-    A[i][j] = integral phi_j(rho) Lambda_n(r_i, rho) dmu(rho),
-
-computed per interval by Gauss-Legendre at assembly time.  The kernel has
-a curvature kink on the diagonal ``s = r``; integrating it against the
-same piecewise-linear basis that defines the weights keeps that kink's
-quadrature error at the level of the interpolation error instead of
-letting the point rule's local error survive into the applied potential,
-where repeated differencing would amplify it.
+The closed form ``Lambda_n(s, rho) = log max - sum_j c_j (min/max)^{2j}``
+separates into a function of ``s`` times a function of ``rho`` on either
+side of the diagonal, with rank <= m.  Every node is an interval
+endpoint, so each interval lies wholly below or wholly above a node, and
+the potential is a prefix sum of per-interval moments below ``r_i`` plus
+a suffix sum above it, in O(N m) work and memory.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import GridMismatch
-
-_KERNEL_CACHE_TAG = b"qcurv-kernel-v1"
 
 
 def sphere_area(n: int) -> float:
@@ -57,17 +55,23 @@ def ball_volume(n: int, radius: float) -> float:
 # ----------------------------------------------------------------------
 # grids
 # ----------------------------------------------------------------------
+def _hat_interval_weights(a, b, n: int):
+    """Integrals of the falling and rising hat pieces over ``[a, b]``
+    against ``omega_{n-1} r^{n-1} dr``, in closed form: ``(down, up)``.
+    Works elementwise on arrays of interval endpoints."""
+    om = sphere_area(n)
+    i0 = (b**n - a**n) / n
+    i1 = (b ** (n + 1) - a ** (n + 1)) / (n + 1)
+    return om * (b * i0 - i1) / (b - a), om * (i1 - a * i0) / (b - a)
+
+
 def _hat_weights(nodes: np.ndarray, n: int) -> np.ndarray:
     """Quadrature weights integrating the piecewise-linear interpolant
     against the measure omega_{n-1} r^{n-1} dr, exactly per interval."""
-    om = sphere_area(n)
-    a, b = nodes[:-1], nodes[1:]
-    h = b - a
-    i0 = (b**n - a**n) / n
-    i1 = (b ** (n + 1) - a ** (n + 1)) / (n + 1)
+    down, up = _hat_interval_weights(nodes[:-1], nodes[1:], n)
     w = np.zeros_like(nodes)
-    w[:-1] += om * (b * i0 - i1) / h
-    w[1:] += om * (i1 - a * i0) / h
+    w[:-1] += down
+    w[1:] += up
     return w
 
 
@@ -147,25 +151,13 @@ class RadialGrid:
             return w
         w[: index + 1] = self.quad_weights[: index + 1]
         if index < len(self.nodes) - 1:
-            om = sphere_area(self.n)
             a, b = float(self.nodes[index]), float(self.nodes[index + 1])
-            i0 = (b**self.n - a**self.n) / self.n
-            i1 = (b ** (self.n + 1) - a ** (self.n + 1)) / (self.n + 1)
-            w[index] -= om * (b * i0 - i1) / (b - a)
+            w[index] -= _hat_interval_weights(a, b, self.n)[0]
         return w
 
     def weights_beyond(self, index: int) -> np.ndarray:
         """Exact complement of :meth:`weights_within` (annulus rule)."""
         return self.quad_weights - self.weights_within(index)
-
-    def structure_key(self) -> str:
-        """Hash of everything the kernel matrix depends on besides the
-        quadrature order; used for cache file naming."""
-        h = hashlib.sha256()
-        h.update(_KERNEL_CACHE_TAG)
-        h.update(self.n.to_bytes(4, "little"))
-        h.update(self.nodes.tobytes())
-        return h.hexdigest()
 
 
 def make_grid(
@@ -327,7 +319,7 @@ def _ring_panel_rule(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
 def ring_kernel_mean(n: int, s: float, r: float, quad_order: int = 64) -> float:
     """Spherical mean of ``log|x - y|`` for ``|x| = s``, ``|y| = r``,
     by numerical angular quadrature (the independent route against the
-    closed form used for matrix assembly).
+    closed form behind :func:`potential_apply`).
 
     Evaluates ``c_n * integral_0^pi log sqrt((s-r)^2 + 4 s r sin^2(t/2))
     sin^{n-2} t dt`` on dyadic Gauss-Legendre panels (order
@@ -353,106 +345,76 @@ def ring_kernel_mean(n: int, s: float, r: float, quad_order: int = 64) -> float:
 
 
 # ----------------------------------------------------------------------
-# kernel matrix
+# semi-separable potential
 # ----------------------------------------------------------------------
 @dataclass(frozen=True, eq=False)
 class KernelMatrix:
-    """Dense ring-kernel data on a grid.
+    """The ring kernel on a grid, in semi-separable form.
 
-    ``entries[i][j] = Lambda_n(r_i, r_j)`` (exactly symmetric; the
-    singular ``(0,0)`` pair is stored as 0 — its quadrature weight is 0
-    so it never contributes).  ``apply_table`` holds the hat-basis
-    integrals of the kernel used by :func:`potential_apply`; see the
-    module docstring for why application does not contract ``entries``
-    directly.
+    On either side of the diagonal the closed form factors as
+
+        rho <= s:  Lambda_n(s, rho) = log s   - sum_j c_j s^{-2j} rho^{2j},
+        rho >= s:  Lambda_n(s, rho) = log rho - sum_j c_j s^{2j} rho^{-2j},
+
+    for j = 1..m-1.  ``moments[h, p, k]`` integrates hat piece ``h`` of
+    interval ``k`` (0: falling from its left node, 1: rising to its right
+    node) against ``dmu`` times moment function ``p``, ordered
+    ``1, rho^2, ..., rho^{2(m-1)}`` (used below a node) then
+    ``log rho, rho^{-2}, ..., rho^{-2(m-1)}`` (used above it).
+    ``node_factors[p, i]`` is the matching function of ``s = r_i``:
+    ``log r_i, -c_j r_i^{-2j}`` then ``1, -c_j r_i^{2j}``.  The origin row
+    has no intervals below it, so its below factors are 0 and it reduces
+    to ``Lambda_n(0, rho) = log rho``.
     """
 
     grid: RadialGrid
     quad_order: int
-    entries: np.ndarray
-    apply_table: np.ndarray
+    moments: np.ndarray
+    node_factors: np.ndarray
 
     def __post_init__(self):
-        for name in ("entries", "apply_table"):
+        rank = 2 * self.grid.m
+        shapes = {
+            "moments": (2, rank, self.grid.n_intervals),
+            "node_factors": (rank, len(self.grid.nodes)),
+        }
+        for name, shape in shapes.items():
             arr = np.asarray(getattr(self, name), dtype=float)
-            size = len(self.grid.nodes)
-            if arr.shape != (size, size):
+            if arr.shape != shape:
                 raise GridMismatch(f"{name} shape does not match the grid")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
 
-def _point_entries(nodes: np.ndarray, n: int, block: int = 512) -> np.ndarray:
-    size = len(nodes)
-    g = np.empty((size, size))
-    for lo in range(0, size, block):
-        hi = min(lo + block, size)
-        g[lo:hi] = _ring_closed(n, nodes[lo:hi, None], nodes[None, :])
-    g[0, 0] = 0.0
-    return np.tril(g) + np.tril(g, -1).T
-
-
-def _hat_product_table(
-    nodes: np.ndarray, n: int, quad_order: int, block: int = 64
-) -> np.ndarray:
-    """A[i][j] = integral of phi_j(rho) * Lambda_n(r_i, rho) dmu(rho),
-    with phi_j the hat basis of the grid and per-interval Gauss-Legendre
-    of the given order in rho."""
-    om = sphere_area(n)
-    size = len(nodes)
-    xg, wg = np.polynomial.legendre.leggauss(quad_order)
-    a, b = nodes[:-1], nodes[1:]
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    rho = mid[:, None] + half[:, None] * xg[None, :]
-    meas = om * rho ** (n - 1) * (half[:, None] * wg[None, :])
-    down = (b[:, None] - rho) / (b - a)[:, None]
-    up = (rho - a[:, None]) / (b - a)[:, None]
-    mdown = meas * down
-    mup = meas * up
-    table = np.zeros((size, size))
-    rho_flat = rho.ravel()
-    for lo in range(0, size, block):
-        hi = min(lo + block, size)
-        lam = _ring_closed(n, nodes[lo:hi, None], rho_flat[None, :])
-        lam = lam.reshape(hi - lo, size - 1, quad_order)
-        table[lo:hi, :-1] += np.einsum("ikq,kq->ik", lam, mdown)
-        table[lo:hi, 1:] += np.einsum("ikq,kq->ik", lam, mup)
-    return table
-
-
-def kernel_matrix(
-    grid: RadialGrid, quad_order: int = 12, cache_dir: str | None = None
-) -> KernelMatrix:
-    """Assemble (or load from cache) the kernel data for a grid.
+def kernel_matrix(grid: RadialGrid, quad_order: int = 12) -> KernelMatrix:
+    """Per-interval kernel moments for a grid, in O(N m) time and memory.
 
     ``quad_order`` is the per-interval Gauss-Legendre order of the
-    hat-basis integrals.  When ``cache_dir`` is given, the matrix pair is
-    stored in a flat ``.npy`` keyed by (dimension, node layout,
-    quad_order); a cache hit is bit-identical to recomputation.
+    hat-basis moments.
     """
     if quad_order < 4:
         raise GridMismatch("quad_order must be >= 4")
-    cache_path = None
-    if cache_dir is not None:
-        key = f"{grid.structure_key()[:32]}-q{quad_order}"
-        cache_path = os.path.join(cache_dir, f"kernel-{key}.npy")
-        if os.path.exists(cache_path):
-            stacked = np.load(cache_path)
-            return KernelMatrix(
-                grid=grid,
-                quad_order=quad_order,
-                entries=stacked[0],
-                apply_table=stacked[1],
-            )
-    entries = _point_entries(grid.nodes, grid.n)
-    table = _hat_product_table(grid.nodes, grid.n, quad_order)
-    if cache_path is not None:
-        os.makedirs(cache_dir, exist_ok=True)
-        tmp = cache_path + f".tmp{os.getpid()}.npy"
-        np.save(tmp, np.stack([entries, table]))
-        os.replace(tmp, cache_path)
+    n, m, nodes = grid.n, grid.m, grid.nodes
+    xg, wg = np.polynomial.legendre.leggauss(quad_order)
+    a, b = nodes[:-1, None], nodes[1:, None]
+    half = 0.5 * (b - a)
+    rho = 0.5 * (a + b) + half * xg
+    meas = sphere_area(n) * rho ** (n - 1) * (half * wg)
+    hats = np.stack([meas * ((b - rho) / (b - a)), meas * ((rho - a) / (b - a))])
+    rho2 = rho**2
+    funcs = [rho2**j for j in range(m)] + [np.log(rho)]
+    funcs += [rho2 ** (-j) for j in range(1, m)]
+    moments = np.einsum("hkq,pkq->hpk", hats, np.stack(funcs))
+
+    coefs = _ring_closed_coeffs(n)
+    factors = np.zeros((2 * m, len(nodes)))
+    factors[0, 1:] = np.log(nodes[1:])
+    factors[m] = 1.0
+    for j in range(1, m):
+        factors[j, 1:] = -coefs[2 * j] * nodes[1:] ** (-2 * j)
+        factors[m + j] = -coefs[2 * j] * nodes ** (2 * j)
     return KernelMatrix(
-        grid=grid, quad_order=quad_order, entries=entries, apply_table=table
+        grid=grid, quad_order=quad_order, moments=moments, node_factors=factors
     )
 
 
@@ -460,17 +422,29 @@ def potential_apply(kernel: KernelMatrix, density: RadialField, constants) -> Ra
     """Potential of a radial density:
     ``out_i = -(1/gamma_m) * integral Lambda_n(r_i, rho) density(rho) dmu``.
 
-    The integral is the kernel's hat-basis table contracted with the node
-    values, i.e. the exact potential of the density's piecewise-linear
-    interpolant up to the per-interval Gauss-Legendre error.  The caller
-    is responsible for the density's discrete mass: a nonzero mass ``mu``
-    produces a ``-(mu/gamma_m) log r`` tail, which is faithfully
-    reproduced, not corrected.
+    The integral is taken against the density's piecewise-linear
+    interpolant, i.e. it is exact up to the per-interval Gauss-Legendre
+    error.  Moments of intervals below ``r_i`` are summed outward and
+    those above it inward, so the growing ``rho^{2j}`` and the decaying
+    ``rho^{-2j}`` terms are each accumulated smallest first and no sum is
+    formed as a total minus a partial sum.  The caller is responsible for
+    the density's discrete mass: a nonzero mass ``mu`` produces a
+    ``-(mu/gamma_m) log r`` tail, which is faithfully reproduced, not
+    corrected.
     """
     if constants.n != kernel.grid.n:
         raise GridMismatch(
             f"constants are for dimension {constants.n}, kernel for {kernel.grid.n}"
         )
     kernel.grid.ensure_same(density.grid)
-    values = -(kernel.apply_table @ density.values) / constants.gamma_m
+    f = density.values
+    per_interval = kernel.moments[0] * f[:-1] + kernel.moments[1] * f[1:]
+    m = kernel.grid.m
+    below_factors, above_factors = kernel.node_factors[:m], kernel.node_factors[m:]
+    below = np.zeros_like(below_factors)
+    above = np.zeros_like(above_factors)
+    below[:, 1:] = np.cumsum(per_interval[:m], axis=1)
+    above[:, :-1] = np.cumsum(per_interval[m:, ::-1], axis=1)[:, ::-1]
+    values = np.sum(below_factors * below, axis=0) + np.sum(above_factors * above, axis=0)
+    values /= -constants.gamma_m
     return RadialField(grid=density.grid, values=values)

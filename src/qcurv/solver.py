@@ -542,9 +542,7 @@ def _assemble_record(
     )
 
 
-def solve_continuation(
-    config: SolverConfig, cache_dir: str | None = None
-) -> SolutionRecord:
+def solve_continuation(config: SolverConfig) -> SolutionRecord:
     """Damped Picard iteration over the continuation schedules.
 
     For each stage volume (default: just the target) and each t in
@@ -560,7 +558,7 @@ def solve_continuation(
     """
     config.validate()
     grid = build_grid(config)
-    kernel = kernel_matrix(grid, config.quad_order, cache_dir)
+    kernel = kernel_matrix(grid, config.quad_order)
     u0_density = u0_density_field(config.u0_profile, grid)
 
     v_values = np.zeros_like(grid.nodes)

@@ -1,7 +1,7 @@
-"""Shared fixtures: the two reference solves reused across test modules.
+"""Shared fixtures: the reference solves reused across test modules.
 
-Both run at full resolution once per session; the kernel matrix cache is
-shared so the second solve reuses the first one's assembly.
+Each runs once per session: the two benchmarks at full resolution and a
+coarse positive solve for unit tests that only need a converged record.
 """
 
 import pytest
@@ -12,39 +12,34 @@ SQUARE_PROFILE_4D = "1.0 * x1^2 + 1.0 * x2^2 + 1.0 * x3^2 + 1.0 * x4^2"
 
 
 @pytest.fixture(scope="session")
-def kernel_cache(tmp_path_factory) -> str:
-    return str(tmp_path_factory.mktemp("kernel-cache"))
-
-
-@pytest.fixture(scope="session")
 def square_profile_4d() -> Polynomial:
     return Polynomial.from_text(SQUARE_PROFILE_4D)
 
 
 @pytest.fixture(scope="session")
-def benchmark_positive(kernel_cache, square_profile_4d):
+def benchmark_positive(square_profile_4d):
     """Converged m = 2 solve with positive curvature at half the critical
     volume, on the default grid."""
     cs = constants(2)
     config = SolverConfig(
         m=2, sign=1, volume=0.5 * cs.vol_sphere, profile=square_profile_4d
     )
-    return solve_continuation(config, cache_dir=kernel_cache)
+    return solve_continuation(config)
 
 
 @pytest.fixture(scope="session")
-def benchmark_negative(kernel_cache, square_profile_4d):
+def benchmark_negative(square_profile_4d):
     """Converged m = 2 solve with negative curvature at twice the
     critical volume (supercritical), on the default grid."""
     cs = constants(2)
     config = SolverConfig(
         m=2, sign=-1, volume=2.0 * cs.vol_sphere, profile=square_profile_4d
     )
-    return solve_continuation(config, cache_dir=kernel_cache)
+    return solve_continuation(config)
 
 
 @pytest.fixture(scope="session")
-def quick_positive(kernel_cache, square_profile_4d):
+def quick_positive(square_profile_4d):
     """Coarse (N = 512) version of the positive benchmark for unit tests
     that need a converged record but not full accuracy."""
     cs = constants(2)
@@ -55,4 +50,4 @@ def quick_positive(kernel_cache, square_profile_4d):
         profile=square_profile_4d,
         n_intervals=512,
     )
-    return solve_continuation(config, cache_dir=kernel_cache)
+    return solve_continuation(config)

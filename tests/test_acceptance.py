@@ -96,13 +96,13 @@ def test_ring_kernel_matches_log_closed_form_in_dimension_two():
     print(f"PASS ring kernel n=2: max dev {worst:.3e} (gate 1e-6), {elapsed:.2f}s")
 
 
-def test_log_potential_reproduces_spherical_solution(kernel_cache):
+def test_log_potential_reproduces_spherical_solution():
     """Applying the log-potential operator to the spherical curvature
     density 6 e^{4u} returns u up to an additive constant (m = 2,
     N = 2048): node-wise std of the difference <= 1e-3 on r <= r_max/2."""
     start = time.perf_counter()
     grid = make_grid(2, 40.0, 2048)
-    kernel = kernel_matrix(grid, cache_dir=kernel_cache)
+    kernel = kernel_matrix(grid)
     u_sph = spherical_solution(2, 1.0, grid.nodes)
     density = RadialField(grid=grid, values=6.0 * np.exp(4.0 * u_sph))
     pot = potential_apply(kernel, density, constants(2))
@@ -226,9 +226,7 @@ def test_admissibility_accepts_quadratics_and_rejects_quartic_family():
     )
 
 
-def test_normalization_shift_mass_identity_and_determinism(
-    kernel_cache, square_profile_4d
-):
+def test_normalization_shift_mass_identity_and_determinism(square_profile_4d):
     """The invariants every solve relies on: shifting the correction by s
     shifts c_v by -s exactly; the normalized curvature mass equals
     sign (2m-1)! V at every Picard iterate; reruns are bit-identical."""
@@ -242,7 +240,7 @@ def test_normalization_shift_mass_identity_and_determinism(
     grid = build_grid(config)
     K = build_K(config, grid)
     u0_density = u0_density_field(config.u0_profile, grid)
-    kernel = kernel_matrix(grid, config.quad_order, kernel_cache)
+    kernel = kernel_matrix(grid, config.quad_order)
 
     rng = np.random.default_rng(29)
     v = RadialField(grid=grid, values=rng.uniform(-0.5, 0.5, len(grid.nodes)))
@@ -269,8 +267,8 @@ def test_normalization_shift_mass_identity_and_determinism(
         )
     assert worst_mass <= 1e-10
 
-    first = solve_continuation(config, cache_dir=kernel_cache)
-    second = solve_continuation(config, cache_dir=kernel_cache)
+    first = solve_continuation(config)
+    second = solve_continuation(config)
     assert np.array_equal(first.u.values, second.u.values)
     assert np.array_equal(first.v.values, second.v.values)
     assert first.c_v == second.c_v

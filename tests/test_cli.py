@@ -3,8 +3,7 @@
 Every subcommand is driven in-process through ``main(argv)`` so exit
 codes, stdout tables, and written files can be asserted directly; one
 subprocess test checks the module is runnable as ``python -m qcurv.cli``.
-The solve fixtures reuse the session kernel cache, so the whole module
-runs in seconds.
+The solve fixtures run at N <= 512, so the whole module runs in seconds.
 """
 
 import contextlib
@@ -72,28 +71,24 @@ def write_config(directory, drop=(), **overrides) -> str:
 
 
 @pytest.fixture(scope="module")
-def solved_ok(tmp_path_factory, kernel_cache):
+def solved_ok(tmp_path_factory):
     """A full `solve` run that converges and passes all gates (N = 512)."""
     base = tmp_path_factory.mktemp("cli-solve-ok")
     config_path = write_config(base)
     out_dir = base / "run"
-    code, out, err = run_cli(
-        ["solve", "--config", config_path, "--out", str(out_dir), "--cache", kernel_cache]
-    )
+    code, out, err = run_cli(["solve", "--config", config_path, "--out", str(out_dir)])
     return types.SimpleNamespace(
         code=code, out=out, err=err, path=out_dir, config_path=config_path
     )
 
 
 @pytest.fixture(scope="module")
-def solved_gate_fail(tmp_path_factory, kernel_cache):
+def solved_gate_fail(tmp_path_factory):
     """A `solve` run that converges but trips the residual gate (N = 256)."""
     base = tmp_path_factory.mktemp("cli-solve-coarse")
     config_path = write_config(base, n_intervals=256)
     out_dir = base / "run"
-    code, out, err = run_cli(
-        ["solve", "--config", config_path, "--out", str(out_dir), "--cache", kernel_cache]
-    )
+    code, out, err = run_cli(["solve", "--config", config_path, "--out", str(out_dir)])
     return types.SimpleNamespace(
         code=code, out=out, err=err, path=out_dir, config_path=config_path
     )
@@ -186,7 +181,7 @@ def test_solve_success_prints_gate_table(solved_ok):
 
 
 def test_solve_success_writes_complete_directory(solved_ok):
-    assert {p.name for p in solved_ok.path.iterdir() if p.is_file()} == SOLVE_FILES
+    assert {p.name for p in solved_ok.path.iterdir()} == SOLVE_FILES
     with open(solved_ok.path / "solution.csv", encoding="utf-8") as handle:
         header = handle.readline().strip()
     assert header == "r,v,u,K,density"
@@ -218,7 +213,7 @@ def test_solve_success_report_and_manifest_contents(solved_ok):
 def test_solve_gate_failure_keeps_full_record(solved_gate_fail):
     assert solved_gate_fail.code == 3
     assert "FAIL" in solved_gate_fail.out
-    assert {p.name for p in solved_gate_fail.path.iterdir() if p.is_file()} == SOLVE_FILES
+    assert {p.name for p in solved_gate_fail.path.iterdir()} == SOLVE_FILES
     report = json.loads((solved_gate_fail.path / "report.json").read_text())
     gates = report["gates"]
     assert gates["pde_residual"]["passed"] is False
@@ -227,16 +222,14 @@ def test_solve_gate_failure_keeps_full_record(solved_gate_fail):
     assert gates["pohozaev_defect"]["passed"] is True
 
 
-def test_solve_nonconvergence_records_partial_outputs(tmp_path, kernel_cache):
+def test_solve_nonconvergence_records_partial_outputs(tmp_path):
     path = write_config(tmp_path, n_intervals=256, max_iter=2)
     out_dir = tmp_path / "run"
-    code, out, err = run_cli(
-        ["solve", "--config", path, "--out", str(out_dir), "--cache", kernel_cache]
-    )
+    code, out, err = run_cli(["solve", "--config", path, "--out", str(out_dir)])
     assert code == 2
     assert "not converged" in err
     assert "max_iter = 2 exhausted" in err
-    names = {p.name for p in out_dir.iterdir() if p.is_file()}
+    names = {p.name for p in out_dir.iterdir()}
     assert names == SOLVE_FILES - {"report.csv"}
     report = json.loads((out_dir / "report.json").read_text())
     assert report["diagnostics"] == "skipped: solver did not converge"
@@ -245,12 +238,10 @@ def test_solve_nonconvergence_records_partial_outputs(tmp_path, kernel_cache):
     assert meta["result"]["converged"] is False
 
 
-def test_solve_reruns_are_byte_identical(tmp_path, kernel_cache, solved_gate_fail):
+def test_solve_reruns_are_byte_identical(tmp_path, solved_gate_fail):
     path = write_config(tmp_path, n_intervals=256)
     out_dir = tmp_path / "run"
-    code, _, _ = run_cli(
-        ["solve", "--config", path, "--out", str(out_dir), "--cache", kernel_cache]
-    )
+    code, _, _ = run_cli(["solve", "--config", path, "--out", str(out_dir)])
     assert code == solved_gate_fail.code
     for name in ("solution.csv", "meta.json", "report.json", "report.csv"):
         assert (out_dir / name).read_bytes() == (solved_gate_fail.path / name).read_bytes()
@@ -260,15 +251,6 @@ def test_solve_reruns_are_byte_identical(tmp_path, kernel_cache, solved_gate_fai
     for key in ("config_path", "output_dir"):
         ours.pop(key), theirs.pop(key)
     assert ours == theirs
-
-
-def test_solve_default_cache_lives_inside_output_dir(tmp_path):
-    path = write_config(tmp_path, n_intervals=128)
-    out_dir = tmp_path / "run"
-    code, _, _ = run_cli(["solve", "--config", path, "--out", str(out_dir)])
-    assert code == 3  # N = 128 converges but is too coarse for the residual gate
-    cached = list((out_dir / "kernel-cache").glob("kernel-*-q12.npy"))
-    assert len(cached) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Tests for the radial grid, quadrature, ring kernel, and potential."""
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from qcurv import (
     sphere_area,
     spherical_solution,
 )
+from qcurv.potential import _ring_closed
 
 
 @pytest.fixture(scope="module")
@@ -217,44 +217,62 @@ def test_ring_kernel_validates_inputs():
 
 
 # ----------------------------------------------------------------------
-# kernel matrix assembly and cache
+# closed-form ring kernel
 # ----------------------------------------------------------------------
-def test_kernel_matrix_is_exactly_symmetric_with_zero_origin_pair():
+def test_ring_closed_is_exactly_symmetric_with_zero_origin_pair():
     grid = make_grid(m=2, r_max=5.0, n_intervals=128)
-    kern = kernel_matrix(grid)
-    np.testing.assert_array_equal(kern.entries, kern.entries.T)
-    assert kern.entries[0, 0] == 0.0
-    assert kern.quad_order == 12
+    closed = _ring_closed(4, grid.nodes[:, None], grid.nodes[None, :])
+    np.testing.assert_array_equal(closed, closed.T)
+    assert closed[0, 0] == 0.0
 
 
-def test_kernel_matrix_entries_match_quadrature_route():
+def test_ring_closed_matches_quadrature_route():
     grid = make_grid(m=3, r_max=5.0, n_intervals=128)
-    kern = kernel_matrix(grid)
     idx = [1, 7, 40, 90, 128]
     for i in idx:
         for j in idx:
-            direct = ring_kernel_mean(
-                6, float(grid.nodes[i]), float(grid.nodes[j])
-            )
-            assert kern.entries[i, j] == pytest.approx(direct, abs=1e-8)
+            s, r = float(grid.nodes[i]), float(grid.nodes[j])
+            direct = ring_kernel_mean(6, s, r)
+            assert float(_ring_closed(6, s, r)) == pytest.approx(direct, abs=1e-8)
 
 
-def test_kernel_matrix_cache_roundtrip_is_bit_identical(tmp_path):
-    grid = make_grid(m=2, r_max=5.0, n_intervals=128)
-    cache = str(tmp_path / "cache")
-    fresh = kernel_matrix(grid, cache_dir=cache)
-    files = os.listdir(cache)
-    assert len(files) == 1 and files[0].startswith("kernel-")
-    cached = kernel_matrix(grid, cache_dir=cache)
-    np.testing.assert_array_equal(fresh.entries, cached.entries)
-    np.testing.assert_array_equal(fresh.apply_table, cached.apply_table)
-    # A different quadrature order is a different cache entry.
-    kernel_matrix(grid, quad_order=8, cache_dir=cache)
-    assert len(os.listdir(cache)) == 2
+# ----------------------------------------------------------------------
+# semi-separable potential against a brute-force reference
+# ----------------------------------------------------------------------
+def _brute_force_potential(grid, f, quad_order=12):
+    """-(1/gamma_m) sum_k sum_q Lambda_n(r_i, rho_kq) meas_kq fhat(rho_kq),
+    with fhat the piecewise-linear interpolant of f and Gauss-Legendre
+    points rho_kq on every interval: the dense contraction, row by row."""
+    xg, wg = np.polynomial.legendre.leggauss(quad_order)
+    a, b = grid.nodes[:-1, None], grid.nodes[1:, None]
+    rho = 0.5 * (a + b) + 0.5 * (b - a) * xg
+    meas = sphere_area(grid.n) * rho ** (grid.n - 1) * (0.5 * (b - a) * wg)
+    lam = _ring_closed(grid.n, grid.nodes[:, None], rho.ravel()[None, :])
+    integrand = (meas * np.interp(rho, grid.nodes, f)).ravel()
+    return -(lam @ integrand) / constants(grid.m).gamma_m
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_potential_apply_matches_brute_force_reference(m):
+    grid = make_grid(m=m, r_max=40.0, n_intervals=128)
+    kern = kernel_matrix(grid)
+    r = grid.nodes
+    densities = {
+        "gaussian": np.exp(-(r**2)),
+        "random": np.random.default_rng(2014 + m).standard_normal(r.shape),
+        "algebraic": (1.0 + r**2) ** (-2.0 * m),
+    }
+    for name, f in densities.items():
+        got = potential_apply(kern, RadialField(grid=grid, values=f), constants(m))
+        ref = _brute_force_potential(grid, f)
+        # Every row, the r = 0 row (Lambda = log rho) included.
+        dev = np.max(np.abs(got.values - ref)) / np.max(np.abs(ref))
+        assert dev <= 1e-13, f"{name}: relative deviation {dev:.3e}"
 
 
 def test_kernel_matrix_validates_quad_order():
     grid = make_grid(m=2, r_max=5.0, n_intervals=128)
+    assert kernel_matrix(grid).quad_order == 12
     with pytest.raises(GridMismatch):
         kernel_matrix(grid, quad_order=2)
 
@@ -262,12 +280,12 @@ def test_kernel_matrix_validates_quad_order():
 # ----------------------------------------------------------------------
 # potential operator
 # ----------------------------------------------------------------------
-def test_potential_reproduces_explicit_solution(kernel_cache):
+def test_potential_reproduces_explicit_solution():
     # The curvature density of the explicit spherical solution, pushed
     # through the potential operator, must reproduce the solution itself
     # up to an additive constant (checked as a standard deviation).
     grid = make_grid(m=2, r_max=40.0, n_intervals=1024)
-    kern = kernel_matrix(grid, cache_dir=kernel_cache)
+    kern = kernel_matrix(grid)
     u = spherical_solution(2, 1.0, grid.nodes)
     density = RadialField(grid=grid, values=6.0 * np.exp(4.0 * u))
     pot = potential_apply(kern, density, constants(2))

@@ -318,10 +318,10 @@ def test_source_term_has_zero_discrete_mass():
     assert abs(mass) < 1e-10 * constants(2).gamma_m
 
 
-def test_potential_of_source_decays_in_the_tail(kernel_cache):
+def test_potential_of_source_decays_in_the_tail():
     cfg = quick_config()
     grid = build_grid(cfg)
-    kern = kernel_matrix(grid, cfg.quad_order, kernel_cache)
+    kern = kernel_matrix(grid, cfg.quad_order)
     K = build_K(cfg, grid)
     u0d = u0_density_field(cfg.u0_profile, grid)
     v = RadialField(grid=grid, values=np.zeros_like(grid.nodes))
@@ -333,9 +333,9 @@ def test_potential_of_source_decays_in_the_tail(kernel_cache):
 # ----------------------------------------------------------------------
 # the full solve
 # ----------------------------------------------------------------------
-def test_solve_converges_and_reconstructs_solution(kernel_cache):
+def test_solve_converges_and_reconstructs_solution():
     cfg = quick_config()
-    rec = solve_continuation(cfg, cache_dir=kernel_cache)
+    rec = solve_continuation(cfg)
     assert rec.converged
     assert rec.failure_reason is None
     assert rec.final_update <= cfg.tol
@@ -355,61 +355,61 @@ def test_solve_converges_and_reconstructs_solution(kernel_cache):
     assert set(stages) == set(cfg.t_schedule)
 
 
-def test_solve_lands_on_the_fixed_point(kernel_cache):
+def test_solve_lands_on_the_fixed_point():
     cfg = quick_config()
-    rec = solve_continuation(cfg, cache_dir=kernel_cache)
-    kern = kernel_matrix(rec.grid, cfg.quad_order, kernel_cache)
+    rec = solve_continuation(cfg)
+    kern = kernel_matrix(rec.grid, cfg.quad_order)
     K = build_K(cfg, rec.grid)
     u0d = u0_density_field(cfg.u0_profile, rec.grid)
     tv = map_T(rec.v, cfg, kern, K, u0d)
     assert float(np.max(np.abs(tv.values - rec.v.values))) < 2e-8
 
 
-def test_solve_is_deterministic(kernel_cache):
+def test_solve_is_deterministic():
     cfg = quick_config()
-    a = solve_continuation(cfg, cache_dir=kernel_cache)
-    b = solve_continuation(cfg, cache_dir=kernel_cache)
+    a = solve_continuation(cfg)
+    b = solve_continuation(cfg)
     np.testing.assert_array_equal(a.u.values, b.u.values)
     np.testing.assert_array_equal(a.v.values, b.v.values)
     assert a.c_v == b.c_v
     assert a.history == b.history
 
 
-def test_solve_volume_schedule_reaches_the_same_solution(kernel_cache):
+def test_solve_volume_schedule_reaches_the_same_solution():
     cs = constants(2)
     cfg = quick_config()
     staged = replace(
         cfg, v_schedule=(0.25 * cs.vol_sphere, 0.5 * cs.vol_sphere)
     )
-    direct = solve_continuation(cfg, cache_dir=kernel_cache)
-    via = solve_continuation(staged, cache_dir=kernel_cache)
+    direct = solve_continuation(cfg)
+    via = solve_continuation(staged)
     assert via.converged
     # The final stage forgets its starting point entirely: the trajectory
     # difference decays below one ulp and the runs merge.
     assert float(np.max(np.abs(via.u.values - direct.u.values))) < 1e-12
 
 
-def test_solve_reports_iteration_exhaustion_as_failed_record(kernel_cache):
+def test_solve_reports_iteration_exhaustion_as_failed_record():
     cfg = quick_config(max_iter=3)
-    rec = solve_continuation(cfg, cache_dir=kernel_cache)
+    rec = solve_continuation(cfg)
     assert not rec.converged
     assert "max_iter = 3 exhausted" in rec.failure_reason
     assert rec.iterations == len(rec.history)
     assert np.all(np.isfinite(rec.u.values))
 
 
-def test_solve_validates_before_working(kernel_cache):
+def test_solve_validates_before_working():
     cfg = quick_config(theta=0.0)
     with pytest.raises(ConfigError):
-        solve_continuation(cfg, cache_dir=kernel_cache)
+        solve_continuation(cfg)
 
 
-def test_solve_background_profile_independence(quick_positive, kernel_cache):
+def test_solve_background_profile_independence(quick_positive):
     # The assembled u must not depend on which background carries the
     # log-singularity: smooth-global and compact-blend solves agree to the
     # level of the quadrature difference between their densities.
     cfg = replace(quick_positive.config, u0_profile=compact_blend(2))
-    other = solve_continuation(cfg, cache_dir=kernel_cache)
+    other = solve_continuation(cfg)
     assert other.converged
     dev = float(np.max(np.abs(other.u.values - quick_positive.u.values)))
     assert dev < 1e-3
