@@ -6,10 +6,11 @@ The library solves the radial reduction of
     (-Delta)^m u = sign * (2m-1)! * e^{2mu}   on R^{2m},
     integral e^{2mu} dx = V,
 
-for prescribed volume V and polynomial asymptotic profile P, by a damped
-Picard iteration on a logarithmic-potential fixed-point formulation, and
-certifies the result with independent diagnostics (stencil PDE residual,
-quadrature volume, asymptotic fit, Pohozaev balance).
+for prescribed volume V and polynomial asymptotic profile P, by an
+Anderson-accelerated iteration on a logarithmic-potential fixed-point
+formulation, and certifies the result with independent diagnostics
+(stencil PDE residual, quadrature volume, asymptotic fit, Pohozaev
+balance).
 """
 
 from .errors import (
@@ -19,7 +20,6 @@ from .errors import (
     NormalizationOverflow,
     PolynomialFormatError,
     QcurvError,
-    SolverDivergence,
     TailNotNegligible,
 )
 from .poly import (
@@ -35,6 +35,7 @@ from .geometry import (
     Constants,
     U0Profile,
     constants,
+    eval_radial_profile,
     kelvin_identity_residual,
     kelvin_pullback,
     compact_blend,
@@ -60,9 +61,6 @@ from .solver import (
     SolverConfig,
     build_K,
     build_grid,
-    eval_radial_profile,
-    map_S,
-    map_T,
     normalization_cv,
     radial_profile_coeffs,
     solve_continuation,
@@ -96,7 +94,6 @@ __all__ = [
     "GridMismatch",
     "ConfigError",
     "TailNotNegligible",
-    "SolverDivergence",
     "NormalizationOverflow",
     # polynomials
     "Polynomial",
@@ -117,6 +114,7 @@ __all__ = [
     "kelvin_pullback",
     "kelvin_identity_residual",
     "radial_polyharmonic",
+    "eval_radial_profile",
     # potential
     "RadialGrid",
     "RadialField",
@@ -137,10 +135,7 @@ __all__ = [
     "u0_density_field",
     "normalization_cv",
     "source_with_normalization",
-    "map_S",
-    "map_T",
     "radial_profile_coeffs",
-    "eval_radial_profile",
     # diagnostics
     "pde_residual",
     "conformal_volume",

@@ -1,6 +1,6 @@
 """Batch command-line front end.
 
-Four subcommands: ``solve`` (run the continuation solver on a JSON
+Four subcommands: ``solve`` (run the fixed-point solver on a JSON
 config and write a solution directory), ``verify`` (run a named
 self-check suite and print a pass/fail table), ``poly-check`` (classify
 a polynomial's admissibility), and ``pohozaev`` (re-evaluate the
@@ -35,14 +35,7 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import build_report, pde_residual, pohozaev_terms
-from .errors import (
-    ConfigError,
-    NormalizationOverflow,
-    PolynomialFormatError,
-    QcurvError,
-    SolverDivergence,
-    TailNotNegligible,
-)
+from .errors import ConfigError, PolynomialFormatError, QcurvError, TailNotNegligible
 from .geometry import (
     constants,
     kelvin_identity_residual,
@@ -79,8 +72,9 @@ GATE_VOLUME_REL = 5e-3
 GATE_POHOZAEV = 1e-2
 
 _CONFIG_FIELD_DOC = """\
-config JSON fields (schema_version 1):
-  schema_version  int, must be 1
+config JSON fields (schema_version 2):
+  schema_version  int, 2 (1 still loads; its theta, t_schedule and
+                  v_schedule keys are ignored)
   m               int in [2, 6]: half the dimension (m = 1 is rejected,
                   the admissible profile class is empty there)
   sign            +1 or -1: sign of the prescribed curvature
@@ -94,12 +88,9 @@ config JSON fields (schema_version 1):
   n_intervals     radial intervals, >= 64 (default 2048)
   map_kind        "sinh-clustered" (default) or "uniform" node placement
   sinh_strength   clustering strength for sinh-clustered grids (default 3)
-  theta           Picard damping in (0, 1] (default 0.5)
-  tol             sup-norm update tolerance (default 1e-8)
-  max_iter        iteration cap per continuation stage (default 600)
-  t_schedule      increasing homotopy stages ending at 1.0
-                  (default [0.25, 0.5, 0.75, 1.0])
-  v_schedule      optional volume continuation stages ending at volume
+  tol             bound on the fixed-point residual |T v - v|_inf at
+                  which the solve stops (default 1e-8)
+  max_iter        cap on the total iterations (default 600)
   quad_order      Gauss-Legendre order per interval for the kernel
                   moments (default 12)
 
@@ -160,7 +151,7 @@ def _meta_dict(config: SolverConfig, record) -> dict:
             "alpha": record.alpha,
             "final_update": record.final_update,
             "failure_reason": record.failure_reason,
-            "history": [[t, upd, cv] for (t, upd, cv) in record.history],
+            "history": [list(entry) for entry in record.history],
         },
     }
 
@@ -189,9 +180,6 @@ def run_solve(config_path: str, out_dir: str) -> int:
     os.makedirs(out_dir, exist_ok=True)
     try:
         record = solve_continuation(config)
-    except (SolverDivergence, NormalizationOverflow) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -589,7 +577,7 @@ exit codes:
 
     p_solve = sub.add_parser(
         "solve",
-        help="run the continuation solver on a config and write a solution dir",
+        help="run the fixed-point solver on a config and write a solution dir",
         description="Solve one configuration and write solution.csv "
         "(columns r, v, u, K, density: the correction, the assembled "
         "solution, the curvature factor, and the u0 driving density), "

@@ -15,10 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch, TailNotNegligible
-from .geometry import _lap_radial, constants, radial_polyharmonic
+from .geometry import (
+    _lap_radial,
+    constants,
+    eval_radial_profile,
+    radial_polyharmonic,
+)
 from .poly import Polynomial
 from .potential import RadialField, sphere_area
-from .solver import SolutionRecord, eval_radial_profile, radial_profile_coeffs
+from .solver import SolutionRecord, radial_profile_coeffs
 
 # A solution profile whose values all sit below this level is treated as
 # degenerate (volume at underflow scale): the tail-decay certificate is

@@ -38,47 +38,6 @@ class TailNotNegligible(QcurvError):
     neglected tail is below the requested tolerance."""
 
 
-class SolverDivergence(QcurvError):
-    """The fixed-point iteration produced an update larger than the
-    divergence guard.
-
-    Attributes
-    ----------
-    stage_t : float
-        Continuation parameter of the stage that diverged.
-    stage_volume : float
-        Target volume of the stage that diverged.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        stage_t: float = float("nan"),
-        stage_volume: float = float("nan"),
-    ):
-        super().__init__(message)
-        self.stage_t = stage_t
-        self.stage_volume = stage_volume
-
-
 class NormalizationOverflow(QcurvError):
     """The normalization constant could not be evaluated because the
-    exponential moment overflowed.
-
-    Attributes
-    ----------
-    stage_t : float
-        Continuation parameter of the stage that overflowed.
-    stage_volume : float
-        Target volume of the stage that overflowed.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        stage_t: float = float("nan"),
-        stage_volume: float = float("nan"),
-    ):
-        super().__init__(message)
-        self.stage_t = stage_t
-        self.stage_volume = stage_volume
+    exponential moment overflowed."""

@@ -95,8 +95,10 @@ def _power_laplacian_coeffs(coeffs: tuple[float, ...], n: int) -> tuple[float, .
     return tuple(out)
 
 
-def _eval_even_poly(coeffs: tuple[float, ...], r: np.ndarray) -> np.ndarray:
-    s = r * r
+def eval_radial_profile(coeffs, r) -> np.ndarray:
+    """sum_i coeffs[i] r^{2i}, by Horner's rule in r^2."""
+    rr = np.asarray(r, dtype=float)
+    s = rr * rr
     out = np.zeros_like(s)
     for c in reversed(coeffs):
         out = out * s + c
@@ -182,11 +184,11 @@ def u0_eval(profile: U0Profile, r):
         inside = rr < 1.0
         value = np.where(
             inside,
-            _eval_even_poly(profile.blend_coeffs, rr),
+            eval_radial_profile(profile.blend_coeffs, rr),
             np.log(np.maximum(rr, 1.0)),
         )
         density = np.where(
-            inside, _eval_even_poly(profile.density_coeffs, rr), 0.0
+            inside, eval_radial_profile(profile.density_coeffs, rr), 0.0
         )
     else:
         raise DimensionMismatch(f"unknown profile kind {profile.kind!r}")

@@ -18,15 +18,15 @@ where the normalization constant c_v (:func:`normalization_cv`) makes the
 curvature integral match the prescribed volume, which is exactly the
 condition that S(v) has zero discrete mass, so its potential decays.
 
-The fixed point is reached by damped Picard iteration with a homotopy
-continuation in t (solving v = t T v for an increasing schedule ending at
-t = 1), optionally preceded by a volume continuation.  Convergence is
-empirical; non-convergence is a first-class reported outcome, never
-silent.
+The fixed point is reached by Anderson-accelerated iteration on v -> T v
+(Walker & Ni, SIAM J. Numer. Anal. 49, 2011), stopped on the undamped
+residual ||T v - v||_inf.  Convergence is empirical; non-convergence is a
+first-class reported outcome, never silent.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -38,12 +38,10 @@ from .errors import (
     DimensionMismatch,
     NormalizationOverflow,
     PolynomialFormatError,
-    SolverDivergence,
 )
-from .geometry import U0Profile, constants, u0_eval
+from .geometry import U0Profile, constants, eval_radial_profile, u0_eval
 from .poly import Polynomial, pm_membership
 from .potential import (
-    KernelMatrix,
     RadialField,
     RadialGrid,
     kernel_matrix,
@@ -52,8 +50,12 @@ from .potential import (
 )
 
 _DIVERGENCE_GUARD = 1e3
-_DAMPING_FLOOR_FACTOR = 64.0
-_SCHEMA_VERSION = 1
+_ANDERSON_DEPTH = 6
+_ANDERSON_MIX = 0.5
+_SCHEMA_VERSION = 2
+# Schema-v1 keys that chose the iteration path rather than the problem;
+# v1 files still load, with these dropped.
+_V1_ITERATION_KEYS = frozenset({"theta", "t_schedule", "v_schedule"})
 
 
 # ----------------------------------------------------------------------
@@ -102,14 +104,6 @@ def radial_profile_coeffs(P: Polynomial) -> np.ndarray | None:
     return cand
 
 
-def eval_radial_profile(coeffs: np.ndarray, r: np.ndarray) -> np.ndarray:
-    s = np.asarray(r, dtype=float) ** 2
-    out = np.zeros_like(s)
-    for c in reversed(coeffs):
-        out = out * s + c
-    return out
-
-
 # ----------------------------------------------------------------------
 # configuration
 # ----------------------------------------------------------------------
@@ -120,9 +114,8 @@ class SolverConfig:
     ``volume`` is the prescribed conformal volume V; ``profile`` the
     asymptotic polynomial P (must be a function of |x|^2 and pass the
     admissibility screen); ``u0_profile`` defaults to the smooth-global
-    background; ``theta`` the Picard damping; ``t_schedule`` the homotopy
-    schedule ending at 1; ``v_schedule`` an optional volume continuation
-    ending at ``volume``.
+    background; ``tol`` bounds the fixed-point residual ||T v - v||_inf
+    at which the solve stops; ``max_iter`` caps the total iterations.
     """
 
     m: int
@@ -134,11 +127,8 @@ class SolverConfig:
     n_intervals: int = 2048
     map_kind: str = "sinh-clustered"
     sinh_strength: float = 3.0
-    theta: float = 0.5
     tol: float = 1e-8
     max_iter: int = 600
-    t_schedule: tuple[float, ...] = (0.25, 0.5, 0.75, 1.0)
-    v_schedule: tuple[float, ...] | None = None
     quad_order: int = 12
 
     def __post_init__(self) -> None:
@@ -152,9 +142,6 @@ class SolverConfig:
     @property
     def alpha(self) -> float:
         return self.sign * 2.0 * self.volume / constants(self.m).vol_sphere
-
-    def stage_alpha(self, volume: float) -> float:
-        return self.sign * 2.0 * volume / constants(self.m).vol_sphere
 
     def validate(self) -> None:
         """Raise ConfigError naming the violated rule, or return None."""
@@ -196,38 +183,10 @@ class SolverConfig:
             raise ConfigError(
                 f"u0 profile was built for m = {self.u0_profile.m}, config has m = {self.m}"
             )
-        if not 0.0 < self.theta <= 1.0:
-            raise ConfigError(f"theta must be in (0, 1], got {self.theta}")
         if not self.tol > 0:
             raise ConfigError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
-        ts = self.t_schedule
-        if (
-            not ts
-            or any(not 0.0 < t <= 1.0 for t in ts)
-            or any(b <= a for a, b in zip(ts, ts[1:]))
-            or ts[-1] != 1.0
-        ):
-            raise ConfigError(
-                "t_schedule must increase within (0, 1] and end at 1"
-            )
-        if self.v_schedule is not None:
-            vs = self.v_schedule
-            if (
-                not vs
-                or any(not v > 0 for v in vs)
-                or any(b <= a for a, b in zip(vs, vs[1:]))
-                or vs[-1] != self.volume
-            ):
-                raise ConfigError(
-                    "v_schedule must be positive, increasing, and end at volume"
-                )
-            if self.sign == 1 and vs[-1] >= cs.vol_sphere:
-                raise ConfigError(
-                    "v_schedule stages must respect V ∈ (0, vol(S^{2m})) "
-                    "for sign = +1"
-                )
         if not self.r_max > 1:
             raise ConfigError(f"r_max must exceed 1, got {self.r_max}")
         if self.n_intervals < 64:
@@ -239,99 +198,65 @@ class SolverConfig:
 
     # ------------------------------------------------------------------
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": _SCHEMA_VERSION,
-            "m": self.m,
-            "sign": self.sign,
-            "volume": self.volume,
-            "profile": self.profile.to_json_dict(),
-            "u0_profile": self.u0_profile.kind,
-            "r_max": self.r_max,
-            "n_intervals": self.n_intervals,
-            "map_kind": self.map_kind,
-            "sinh_strength": self.sinh_strength,
-            "theta": self.theta,
-            "tol": self.tol,
-            "max_iter": self.max_iter,
-            "t_schedule": list(self.t_schedule),
-            "v_schedule": None if self.v_schedule is None else list(self.v_schedule),
-            "quad_order": self.quad_order,
-        }
+        data = {"schema_version": _SCHEMA_VERSION}
+        for f in dataclasses.fields(self):
+            data[f.name] = getattr(self, f.name)
+        data["profile"] = self.profile.to_json_dict()
+        data["u0_profile"] = self.u0_profile.kind
+        return data
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SolverConfig":
+        """Load a schema-v2 dict, or a v1 dict with its iteration-path keys
+        dropped; the known keys and defaults are the dataclass fields."""
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
         version = data.get("schema_version")
-        if version != _SCHEMA_VERSION:
+        if version not in (1, _SCHEMA_VERSION):
             raise ConfigError(
-                f"schema_version must be {_SCHEMA_VERSION}, got {version!r}"
+                f"schema_version must be 1 or {_SCHEMA_VERSION}, got {version!r}"
             )
-        known = {
-            "schema_version",
-            "m",
-            "sign",
-            "volume",
-            "profile",
-            "u0_profile",
-            "r_max",
-            "n_intervals",
-            "map_kind",
-            "sinh_strength",
-            "theta",
-            "tol",
-            "max_iter",
-            "t_schedule",
-            "v_schedule",
-            "quad_order",
-        }
+        fields = {f.name: f for f in dataclasses.fields(cls)}
+        known = set(fields) | {"schema_version"}
+        if version == 1:
+            known |= _V1_ITERATION_KEYS
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for required in ("m", "sign", "volume", "profile"):
-            if required not in data:
-                raise ConfigError(f"config is missing the {required!r} key")
+        values = {}
+        for name, f in fields.items():
+            if name in data:
+                values[name] = data[name]
+            elif f.default is dataclasses.MISSING:
+                raise ConfigError(f"config is missing the {name!r} key")
+        for name, value in values.items():
+            convert = {"int": int, "float": float}.get(fields[name].type)
+            if convert is not None:
+                try:
+                    values[name] = convert(value)
+                except (TypeError, ValueError):
+                    raise ConfigError(
+                        f"{name} must be of type {fields[name].type}, got {value!r}"
+                    ) from None
+        m = values["m"]
         try:
-            m = int(data["m"])
-        except (TypeError, ValueError):
-            raise ConfigError(f"m must be an integer, got {data['m']!r}")
-        try:
-            if isinstance(data["profile"], str):
-                profile = Polynomial.from_text(data["profile"], dim=2 * m)
+            if isinstance(values["profile"], str):
+                values["profile"] = Polynomial.from_text(values["profile"], dim=2 * m)
             else:
-                profile = Polynomial.from_json_dict(data["profile"])
+                values["profile"] = Polynomial.from_json_dict(values["profile"])
         except (PolynomialFormatError, DimensionMismatch) as exc:
             raise ConfigError(f"profile: {exc}") from exc
-        u0_kind = data.get("u0_profile", "smooth-global")
-        if u0_kind == "smooth-global":
-            u0_profile = U0Profile.smooth_global(m) if 1 <= m <= 6 else None
-        elif u0_kind == "compact-blend":
-            u0_profile = U0Profile.compact_blend(m) if 1 <= m <= 6 else None
-        else:
+        u0_kind = values.get("u0_profile", "smooth-global")
+        build_u0 = {
+            "smooth-global": U0Profile.smooth_global,
+            "compact-blend": U0Profile.compact_blend,
+        }.get(u0_kind)
+        if build_u0 is None:
             raise ConfigError(f"unknown u0_profile {u0_kind!r}")
-        if u0_profile is None:
+        if not 1 <= m <= 6:
             raise ConfigError(f"m must be in 1..6 to build u0, got {m}")
-        cfg = cls(
-            m=m,
-            sign=int(data["sign"]),
-            volume=float(data["volume"]),
-            profile=profile,
-            u0_profile=u0_profile,
-            r_max=float(data.get("r_max", 40.0)),
-            n_intervals=int(data.get("n_intervals", 2048)),
-            map_kind=data.get("map_kind", "sinh-clustered"),
-            sinh_strength=float(data.get("sinh_strength", 3.0)),
-            theta=float(data.get("theta", 0.5)),
-            tol=float(data.get("tol", 1e-8)),
-            max_iter=int(data.get("max_iter", 600)),
-            t_schedule=tuple(data.get("t_schedule", (0.25, 0.5, 0.75, 1.0))),
-            v_schedule=(
-                None
-                if data.get("v_schedule") is None
-                else tuple(data["v_schedule"])
-            ),
-            quad_order=int(data.get("quad_order", 12)),
-        )
+        values["u0_profile"] = build_u0(m)
+        cfg = cls(**values)
         cfg.validate()
         return cfg
 
@@ -366,17 +291,14 @@ def u0_density_field(profile: U0Profile, grid: RadialGrid) -> RadialField:
     return RadialField(grid=grid, values=dens * (-cs.gamma_m / mass))
 
 
-def _build_stage_K(
-    config: SolverConfig, grid: RadialGrid, volume: float
-) -> RadialField:
+def _curvature_factor(config: SolverConfig, grid: RadialGrid) -> RadialField:
     cs = constants(config.m)
-    alpha = config.stage_alpha(volume)
     coeffs = radial_profile_coeffs(config.profile)
     if coeffs is None:
         raise ConfigError("profile must be radial (a polynomial in |x|^2)")
     p_vals = eval_radial_profile(coeffs, grid.nodes)
     u0_vals, _ = u0_eval(config.u0_profile, grid.nodes)
-    exponent = -2.0 * config.m * (p_vals + alpha * u0_vals)
+    exponent = -2.0 * config.m * (p_vals + config.alpha * u0_vals)
     if float(np.max(exponent)) > 700.0:
         raise ConfigError(
             "curvature kernel overflows double precision; reduce the "
@@ -396,15 +318,10 @@ def build_K(config: SolverConfig, grid: RadialGrid) -> RadialField:
     """K = sign (2m-1)! e^{-2m P - 2m alpha u0} on the grid's nodes,
     with a guard that the weighted tail value is below 1e-12 of max|K|."""
     config.validate()
-    return _build_stage_K(config, grid, config.volume)
+    return _curvature_factor(config, grid)
 
 
-def normalization_cv(
-    K: RadialField,
-    v: RadialField,
-    config: SolverConfig,
-    volume: float | None = None,
-) -> float:
+def normalization_cv(K: RadialField, v: RadialField, config: SolverConfig) -> float:
     """c_v = -(1/2m) log[ (sum_i w_i |K_i| e^{2m v_i}) / ((2m-1)! V) ].
 
     With this constant the discrete curvature integral
@@ -413,36 +330,19 @@ def normalization_cv(
     """
     K.grid.ensure_same(v.grid)
     cs = constants(config.m)
-    target = config.volume if volume is None else volume
     two_m = 2.0 * config.m
     exponent = two_m * v.values
     if float(np.max(exponent)) > 700.0:
         raise NormalizationOverflow(
             "e^{2mv} overflows double precision in the normalization integral"
         )
-    integral = float(K.grid.quad_weights @ (np.abs(K.values) * np.exp(exponent)))
+    with np.errstate(over="ignore"):
+        integral = float(K.grid.quad_weights @ (np.abs(K.values) * np.exp(exponent)))
     if not (integral > 0 and math.isfinite(integral)):
         raise NormalizationOverflow(
             f"normalization integral is not a positive finite number: {integral}"
         )
-    return -math.log(integral / (cs.factorial_2m_minus_1 * target)) / two_m
-
-
-def map_S(
-    v: RadialField,
-    config: SolverConfig,
-    K: RadialField,
-    u0_density: RadialField,
-    volume: float | None = None,
-) -> RadialField:
-    """S(v) = K e^{2m(v + c_v)} + alpha * (-Delta)^m u0 (rescaled density).
-
-    Zero discrete mass by construction: the K term integrates to
-    +alpha*gamma_m through the c_v normalization, the density term to
-    -alpha*gamma_m through its rescaling.
-    """
-    field_S, _ = source_with_normalization(v, config, K, u0_density, volume)
-    return field_S
+    return -math.log(integral / (cs.factorial_2m_minus_1 * config.volume)) / two_m
 
 
 def source_with_normalization(
@@ -450,32 +350,22 @@ def source_with_normalization(
     config: SolverConfig,
     K: RadialField,
     u0_density: RadialField,
-    volume: float | None = None,
 ) -> tuple[RadialField, float]:
-    """S(v) together with the c_v that produced it (they must be paired
-    for the mass identity to hold exactly)."""
+    """S(v) = K e^{2m(v + c_v)} + alpha (-Delta)^m u0 (rescaled density),
+    together with the c_v that produced it (they must be paired for the
+    mass identity to hold exactly).
+
+    Zero discrete mass by construction: the K term integrates to
+    +alpha*gamma_m through the c_v normalization, the density term to
+    -alpha*gamma_m through its rescaling, so the potential T v of S(v)
+    decays at the tail.
+    """
     K.grid.ensure_same(v.grid)
     K.grid.ensure_same(u0_density.grid)
-    target = config.volume if volume is None else volume
-    cv = normalization_cv(K, v, config, target)
-    alpha = config.stage_alpha(target)
+    cv = normalization_cv(K, v, config)
     values = K.values * np.exp(2.0 * config.m * (v.values + cv))
-    values = values + alpha * u0_density.values
+    values = values + config.alpha * u0_density.values
     return RadialField(grid=v.grid, values=values), cv
-
-
-def map_T(
-    v: RadialField,
-    config: SolverConfig,
-    kernel: KernelMatrix,
-    K: RadialField,
-    u0_density: RadialField,
-    volume: float | None = None,
-) -> RadialField:
-    """T v = potential of S(v); decays at the tail because S has zero
-    discrete mass."""
-    S = map_S(v, config, K, u0_density, volume)
-    return potential_apply(kernel, S, constants(config.m))
 
 
 # ----------------------------------------------------------------------
@@ -486,9 +376,10 @@ class SolutionRecord:
     """Everything a solve produced.
 
     ``u`` reconstructs exactly as -alpha*u0 - P + v + c_v at every node.
-    ``history`` holds per-iteration triples (t, sup-update, c_v);
-    ``failure_reason`` is None for converged runs and a human-readable
-    stage report otherwise.
+    ``history`` holds per-iteration pairs (residual ||T v - v||_inf, c_v);
+    ``final_update`` is the residual of the recorded ``v``;
+    ``failure_reason`` is None for converged runs and names the cause
+    (max_iter, divergence guard or normalization overflow) otherwise.
     """
 
     config: SolverConfig
@@ -500,146 +391,103 @@ class SolutionRecord:
     u0_density: RadialField
     alpha: float
     iterations: int
-    history: tuple[tuple[float, float, float], ...]
+    history: tuple[tuple[float, float], ...]
     converged: bool
     final_update: float
     failure_reason: str | None = None
 
 
-def _assemble_record(
-    config: SolverConfig,
-    grid: RadialGrid,
-    v_values: np.ndarray,
-    K: RadialField,
-    u0_density: RadialField,
-    iterations: int,
-    history: list[tuple[float, float, float]],
-    converged: bool,
-    final_update: float,
-    failure_reason: str | None,
-) -> SolutionRecord:
-    v_field = RadialField(grid=grid, values=v_values)
-    cv = normalization_cv(K, v_field, config)
-    alpha = config.alpha
-    u0_vals, _ = u0_eval(config.u0_profile, grid.nodes)
-    coeffs = radial_profile_coeffs(config.profile)
-    p_vals = eval_radial_profile(coeffs, grid.nodes)
-    u_vals = -alpha * u0_vals - p_vals + v_values + cv
-    return SolutionRecord(
-        config=config,
-        grid=grid,
-        v=v_field,
-        c_v=cv,
-        u=RadialField(grid=grid, values=u_vals),
-        K=K,
-        u0_density=u0_density,
-        alpha=alpha,
-        iterations=iterations,
-        history=tuple(history),
-        converged=converged,
-        final_update=final_update,
-        failure_reason=failure_reason,
-    )
-
-
 def solve_continuation(config: SolverConfig) -> SolutionRecord:
-    """Damped Picard iteration over the continuation schedules.
+    """Anderson-accelerated fixed-point iteration on v -> T v from v = 0.
 
-    For each stage volume (default: just the target) and each t in
-    ``t_schedule``, iterate  v <- (1-theta) v + theta * t * T v  from the
-    previous stage's answer until the sup-norm update is below tol.  The
-    damping adapts: it halves when the update grows, and doubles back
-    toward the configured value after three consecutive decreases.
+    Each iteration evaluates f = T v - v and stops once the undamped
+    residual ||f||_inf is at most ``tol``; the record keeps that iterate.
+    Otherwise the next iterate mixes the last ``_ANDERSON_DEPTH``
+    differences of f and of g = T v (Walker & Ni 2011) with the fixed
+    damping beta = ``_ANDERSON_MIX``:
 
-    Divergence (update above 1e3) and normalization overflow raise
-    :class:`SolverDivergence` / :class:`NormalizationOverflow` tagged
-    with the stage; exhausting max_iter returns a record with
-    ``converged = False`` and the stage in ``failure_reason``.
+        v <- g - dG gamma - (1 - beta) (f - dF gamma),
+        gamma = argmin ||f - dF gamma||_2.
+
+    Exhausting ``max_iter`` iterations, a residual above the divergence
+    guard and a normalization overflow all return a record with
+    ``converged = False`` and the cause in ``failure_reason``, assembled
+    from the last iterate whose normalization succeeded.  A K whose
+    normalization overflows already at v = 0 raises :class:`ConfigError`.
     """
     config.validate()
     grid = build_grid(config)
     kernel = kernel_matrix(grid, config.quad_order)
     u0_density = u0_density_field(config.u0_profile, grid)
+    K = _curvature_factor(config, grid)
+    cs = constants(config.m)
 
     v_values = np.zeros_like(grid.nodes)
-    history: list[tuple[float, float, float]] = []
-    iterations = 0
-    final_update = math.inf
-    volumes = config.v_schedule if config.v_schedule is not None else (config.volume,)
+    history: list[tuple[float, float]] = []
+    f_prev = g_prev = None
+    d_f: list[np.ndarray] = []
+    d_g: list[np.ndarray] = []
+    failure_reason = None
+    for _ in range(config.max_iter):
+        v_field = RadialField(grid=grid, values=v_values)
+        try:
+            source, cv = source_with_normalization(v_field, config, K, u0_density)
+        except NormalizationOverflow as exc:
+            if not history:
+                # v = 0 normalizes K itself, so the config is at fault.
+                raise ConfigError(
+                    f"curvature kernel cannot be normalized at v = 0: {exc}"
+                ) from None
+            failure_reason = (
+                f"normalization overflow after {len(history)} iterations: {exc}"
+            )
+            break
+        g = potential_apply(kernel, source, cs).values
+        f = g - v_values
+        residual = float(np.max(np.abs(f)))
+        history.append((residual, cv))
+        v_kept = v_values
+        if residual <= config.tol:
+            break
+        if not residual <= _DIVERGENCE_GUARD:
+            failure_reason = (
+                f"residual {residual:.3e} exceeded the divergence guard "
+                f"{_DIVERGENCE_GUARD:g} at iteration {len(history)}"
+            )
+            break
+        if f_prev is not None:
+            d_f.append(f - f_prev)
+            d_g.append(g - g_prev)
+            del d_f[:-_ANDERSON_DEPTH], d_g[:-_ANDERSON_DEPTH]
+        f_prev, g_prev = f, g
+        if d_f:
+            f_diffs = np.column_stack(d_f)
+            gamma = np.linalg.lstsq(f_diffs, f, rcond=None)[0]
+            g = g - np.column_stack(d_g) @ gamma
+            f = f - f_diffs @ gamma
+        v_values = g - (1.0 - _ANDERSON_MIX) * f
+    else:
+        failure_reason = (
+            f"max_iter = {config.max_iter} exhausted "
+            f"(last residual {history[-1][0]:.3e})"
+        )
+    residual, cv = history[-1]
 
-    K = None
-    for stage_volume in volumes:
-        K = _build_stage_K(config, grid, stage_volume)
-        for t in config.t_schedule:
-            theta = config.theta
-            theta_floor = config.theta / _DAMPING_FLOOR_FACTOR
-            prev_update = math.inf
-            decrease_streak = 0
-            stage_converged = False
-            for _ in range(config.max_iter):
-                v_field = RadialField(grid=grid, values=v_values)
-                try:
-                    source, cv = source_with_normalization(
-                        v_field, config, K, u0_density, stage_volume
-                    )
-                except NormalizationOverflow as exc:
-                    raise NormalizationOverflow(
-                        f"{exc} (stage t = {t}, V = {stage_volume:.6g})",
-                        stage_t=t,
-                        stage_volume=stage_volume,
-                    ) from None
-                t_v = potential_apply(kernel, source, constants(config.m))
-                new_values = (1.0 - theta) * v_values + theta * t * t_v.values
-                update = float(np.max(np.abs(new_values - v_values)))
-                history.append((t, update, cv))
-                iterations += 1
-                v_values = new_values
-                final_update = update
-                if update > _DIVERGENCE_GUARD:
-                    raise SolverDivergence(
-                        f"iteration update {update:.3e} exceeded the "
-                        f"divergence guard (stage t = {t}, V = {stage_volume:.6g})",
-                        stage_t=t,
-                        stage_volume=stage_volume,
-                    )
-                if update <= config.tol:
-                    stage_converged = True
-                    break
-                if update > prev_update:
-                    theta = max(theta / 2.0, theta_floor)
-                    decrease_streak = 0
-                else:
-                    decrease_streak += 1
-                    if decrease_streak >= 3 and theta < config.theta:
-                        theta = min(2.0 * theta, config.theta)
-                        decrease_streak = 0
-                prev_update = update
-            if not stage_converged:
-                return _assemble_record(
-                    config,
-                    grid,
-                    v_values,
-                    _build_stage_K(config, grid, config.volume),
-                    u0_density,
-                    iterations,
-                    history,
-                    converged=False,
-                    final_update=final_update,
-                    failure_reason=(
-                        f"max_iter = {config.max_iter} exhausted at stage "
-                        f"t = {t}, V = {stage_volume:.6g} "
-                        f"(last update {final_update:.3e})"
-                    ),
-                )
-    return _assemble_record(
-        config,
-        grid,
-        v_values,
-        K,
-        u0_density,
-        iterations,
-        history,
-        converged=True,
-        final_update=final_update,
-        failure_reason=None,
+    u0_vals, _ = u0_eval(config.u0_profile, grid.nodes)
+    p_vals = eval_radial_profile(radial_profile_coeffs(config.profile), grid.nodes)
+    u_vals = -config.alpha * u0_vals - p_vals + v_kept + cv
+    return SolutionRecord(
+        config=config,
+        grid=grid,
+        v=RadialField(grid=grid, values=v_kept),
+        c_v=cv,
+        u=RadialField(grid=grid, values=u_vals),
+        K=K,
+        u0_density=u0_density,
+        alpha=config.alpha,
+        iterations=len(history),
+        history=tuple(history),
+        converged=failure_reason is None,
+        final_update=residual,
+        failure_reason=failure_reason,
     )

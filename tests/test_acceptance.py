@@ -26,7 +26,6 @@ from qcurv import (
     kelvin_identity_residual,
     kernel_matrix,
     make_grid,
-    map_T,
     normalization_cv,
     pde_residual,
     pm_membership,
@@ -35,6 +34,7 @@ from qcurv import (
     record_pohozaev_terms,
     ring_kernel_mean,
     solve_continuation,
+    source_with_normalization,
     spherical_solution,
     u0_density_field,
 )
@@ -229,7 +229,8 @@ def test_admissibility_accepts_quadratics_and_rejects_quartic_family():
 def test_normalization_shift_mass_identity_and_determinism(square_profile_4d):
     """The invariants every solve relies on: shifting the correction by s
     shifts c_v by -s exactly; the normalized curvature mass equals
-    sign (2m-1)! V at every Picard iterate; reruns are bit-identical."""
+    sign (2m-1)! V at every iterate of a half-damped fixed-point loop;
+    reruns are bit-identical."""
     config = SolverConfig(
         m=2,
         sign=1,
@@ -259,11 +260,10 @@ def test_normalization_shift_mass_identity_and_determinism(square_profile_4d):
             grid.quad_weights @ (K.values * np.exp(4.0 * (iterate.values + c_v)))
         )
         worst_mass = max(worst_mass, abs(mass - target) / abs(target))
-        step = map_T(iterate, config, kernel, K, u0_density)
+        source, _ = source_with_normalization(iterate, config, K, u0_density)
+        step = potential_apply(kernel, source, constants(2))
         iterate = RadialField(
-            grid=grid,
-            values=(1.0 - config.theta) * iterate.values
-            + config.theta * step.values,
+            grid=grid, values=0.5 * iterate.values + 0.5 * step.values
         )
     assert worst_mass <= 1e-10
 

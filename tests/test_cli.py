@@ -238,6 +238,28 @@ def test_solve_nonconvergence_records_partial_outputs(tmp_path):
     assert meta["result"]["converged"] is False
 
 
+def test_solve_overflow_records_partial_outputs(tmp_path):
+    # m = 6, sign -1, V = 30 vol(S^12), P = 2|x|^2: the first mixed step
+    # overflows the normalization integral.
+    profile = " + ".join(f"2.0 * x{i}^2" for i in range(1, 13))
+    path = write_config(
+        tmp_path,
+        m=6,
+        sign=-1,
+        volume=30.0 * constants(6).vol_sphere,
+        profile=profile,
+        n_intervals=1024,
+    )
+    out_dir = tmp_path / "run"
+    code, _, err = run_cli(["solve", "--config", path, "--out", str(out_dir)])
+    assert code == 2
+    assert "normalization overflow" in err
+    assert {p.name for p in out_dir.iterdir()} == SOLVE_FILES - {"report.csv"}
+    meta = json.loads((out_dir / "meta.json").read_text())
+    assert meta["result"]["converged"] is False
+    assert "normalization overflow" in meta["result"]["failure_reason"]
+
+
 def test_solve_reruns_are_byte_identical(tmp_path, solved_gate_fail):
     path = write_config(tmp_path, n_intervals=256)
     out_dir = tmp_path / "run"

@@ -1,4 +1,4 @@
-"""Tests for configuration validation and the continuation solver."""
+"""Tests for configuration validation and the fixed-point solver."""
 
 import math
 from dataclasses import replace
@@ -19,12 +19,12 @@ from qcurv import (
     eval_many,
     eval_radial_profile,
     kernel_matrix,
-    map_S,
-    map_T,
     normalization_cv,
     compact_blend,
+    potential_apply,
     radial_profile_coeffs,
     solve_continuation,
+    source_with_normalization,
     u0_density_field,
     u0_eval,
 )
@@ -148,13 +148,13 @@ def test_config_rejects_inadmissible_profiles():
         (dict(m=7), "m must be"),
         (dict(sign=0), "sign"),
         (dict(volume=-1.0), "volume must be positive"),
-        (dict(theta=0.0), "theta"),
-        (dict(theta=1.5), "theta"),
+        (dict(tol=float("nan")), "tol"),
+        (dict(tol=-1.0), "tol"),
         (dict(tol=0.0), "tol"),
         (dict(max_iter=0), "max_iter"),
-        (dict(t_schedule=(0.5, 0.75)), "t_schedule"),
-        (dict(t_schedule=(0.75, 0.5, 1.0)), "t_schedule"),
-        (dict(t_schedule=()), "t_schedule"),
+        (dict(r_max=1.0), "r_max"),
+        (dict(n_intervals=63), "n_intervals"),
+        (dict(quad_order=3), "quad_order"),
         (dict(r_max=0.5), "r_max"),
         (dict(n_intervals=32), "n_intervals"),
         (dict(map_kind="log"), "map_kind"),
@@ -171,18 +171,6 @@ def test_config_rejects_bad_parameters(overrides, fragment):
         quick_config(**overrides).validate()
 
 
-def test_config_validates_volume_schedule():
-    cs = constants(2)
-    V = 0.5 * cs.vol_sphere
-    quick_config(v_schedule=(0.25 * V, V)).validate()
-    with pytest.raises(ConfigError, match="v_schedule"):
-        quick_config(v_schedule=(0.25 * V, 0.9 * V)).validate()
-    with pytest.raises(ConfigError, match="v_schedule"):
-        quick_config(v_schedule=(V, 0.5 * V, V)).validate()
-    with pytest.raises(ConfigError, match="v_schedule"):
-        quick_config(v_schedule=(-1.0, V)).validate()
-
-
 def test_config_rejects_mismatched_u0_profile():
     cfg = quick_config(u0_profile=U0Profile.smooth_global(3))
     with pytest.raises(ConfigError, match="u0 profile"):
@@ -193,17 +181,34 @@ def test_config_rejects_mismatched_u0_profile():
 # JSON round-trip
 # ----------------------------------------------------------------------
 def test_config_json_roundtrip_preserves_everything():
-    cs = constants(2)
     cfg = quick_config(
         u0_profile=compact_blend(2),
-        v_schedule=(0.25 * cs.vol_sphere, 0.5 * cs.vol_sphere),
-        theta=0.4,
-        t_schedule=(0.5, 1.0),
+        r_max=30.0,
+        map_kind="uniform",
+        sinh_strength=2.5,
+        tol=1e-9,
+        max_iter=50,
+        quad_order=8,
     )
     data = cfg.to_json_dict()
-    assert data["schema_version"] == 1
+    assert data["schema_version"] == 2
     assert data["u0_profile"] == "compact-blend"
     assert SolverConfig.from_json_dict(data) == cfg
+
+
+def test_config_v1_iteration_keys_are_dropped_on_load():
+    v2 = quick_config().to_json_dict()
+    v1 = dict(
+        v2,
+        schema_version=1,
+        theta=0.4,
+        t_schedule=[0.5, 1.0],
+        v_schedule=None,
+    )
+    assert SolverConfig.from_json_dict(v1) == SolverConfig.from_json_dict(v2)
+    for key, value in (("theta", 0.4), ("t_schedule", [1.0]), ("v_schedule", None)):
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            SolverConfig.from_json_dict(dict(v2, **{key: value}))
 
 
 def test_config_from_json_accepts_profile_text():
@@ -229,8 +234,10 @@ def test_config_from_json_is_strict():
         SolverConfig.from_json_dict(dict(good, u0_profile="mystery"))
     # Validation runs on load: a config that parses but violates a rule
     # is rejected.
-    with pytest.raises(ConfigError, match="theta"):
-        SolverConfig.from_json_dict(dict(good, theta=2.0))
+    with pytest.raises(ConfigError, match="tol"):
+        SolverConfig.from_json_dict(dict(good, tol=-1.0))
+    with pytest.raises(ConfigError, match="r_max must be of type float"):
+        SolverConfig.from_json_dict(dict(good, r_max="far"))
 
 
 # ----------------------------------------------------------------------
@@ -313,7 +320,7 @@ def test_source_term_has_zero_discrete_mass():
     u0d = u0_density_field(cfg.u0_profile, grid)
     rng = np.random.default_rng(6)
     v = RadialField(grid=grid, values=0.05 * rng.normal(size=grid.nodes.shape))
-    S = map_S(v, cfg, K, u0d)
+    S, _ = source_with_normalization(v, cfg, K, u0d)
     mass = float(grid.quad_weights @ S.values)
     assert abs(mass) < 1e-10 * constants(2).gamma_m
 
@@ -325,7 +332,8 @@ def test_potential_of_source_decays_in_the_tail():
     K = build_K(cfg, grid)
     u0d = u0_density_field(cfg.u0_profile, grid)
     v = RadialField(grid=grid, values=np.zeros_like(grid.nodes))
-    tv = map_T(v, cfg, kern, K, u0d)
+    S, _ = source_with_normalization(v, cfg, K, u0d)
+    tv = potential_apply(kern, S, constants(2))
     # Zero discrete mass kills the log tail; what remains decays.
     assert abs(tv.values[-1]) < 0.02 * float(np.max(np.abs(tv.values)))
 
@@ -347,12 +355,10 @@ def test_solve_converges_and_reconstructs_solution():
     )
     expected_u = -rec.alpha * u0_vals - p_vals + rec.v.values + rec.c_v
     np.testing.assert_array_equal(rec.u.values, expected_u)
-    # The recorded c_v is the normalization of the recorded v.
+    # The recorded c_v is the normalization of the recorded v, and the
+    # history ends on that iterate's (residual, c_v).
     assert rec.c_v == normalization_cv(rec.K, rec.v, cfg)
-    # The history walks the homotopy schedule in order.
-    stages = [t for t, _, _ in rec.history]
-    assert stages == sorted(stages)
-    assert set(stages) == set(cfg.t_schedule)
+    assert rec.history[-1] == (rec.final_update, rec.c_v)
 
 
 def test_solve_lands_on_the_fixed_point():
@@ -361,8 +367,10 @@ def test_solve_lands_on_the_fixed_point():
     kern = kernel_matrix(rec.grid, cfg.quad_order)
     K = build_K(cfg, rec.grid)
     u0d = u0_density_field(cfg.u0_profile, rec.grid)
-    tv = map_T(rec.v, cfg, kern, K, u0d)
-    assert float(np.max(np.abs(tv.values - rec.v.values))) < 2e-8
+    S, _ = source_with_normalization(rec.v, cfg, K, u0d)
+    tv = potential_apply(kern, S, constants(2))
+    residual = float(np.max(np.abs(tv.values - rec.v.values)))
+    assert residual == rec.final_update <= cfg.tol
 
 
 def test_solve_is_deterministic():
@@ -375,20 +383,6 @@ def test_solve_is_deterministic():
     assert a.history == b.history
 
 
-def test_solve_volume_schedule_reaches_the_same_solution():
-    cs = constants(2)
-    cfg = quick_config()
-    staged = replace(
-        cfg, v_schedule=(0.25 * cs.vol_sphere, 0.5 * cs.vol_sphere)
-    )
-    direct = solve_continuation(cfg)
-    via = solve_continuation(staged)
-    assert via.converged
-    # The final stage forgets its starting point entirely: the trajectory
-    # difference decays below one ulp and the runs merge.
-    assert float(np.max(np.abs(via.u.values - direct.u.values))) < 1e-12
-
-
 def test_solve_reports_iteration_exhaustion_as_failed_record():
     cfg = quick_config(max_iter=3)
     rec = solve_continuation(cfg)
@@ -398,8 +392,72 @@ def test_solve_reports_iteration_exhaustion_as_failed_record():
     assert np.all(np.isfinite(rec.u.values))
 
 
+def test_solve_reports_divergence_as_failed_record(monkeypatch):
+    monkeypatch.setattr("qcurv.solver._DIVERGENCE_GUARD", 1e-3)
+    rec = solve_continuation(quick_config())
+    assert not rec.converged
+    assert "divergence guard" in rec.failure_reason
+    assert rec.iterations == len(rec.history) == 1
+    assert rec.final_update == rec.history[0][0] > 1e-3
+
+
+def test_solve_reports_normalization_overflow_as_failed_record():
+    # The first mixed step v = 0 + 0.5 (T 0) overflows the normalization
+    # integral.
+    cfg = SolverConfig(
+        m=6,
+        sign=-1,
+        volume=30.0 * constants(6).vol_sphere,
+        profile=Polynomial.from_text(
+            " + ".join(f"2.0 * x{i}^2" for i in range(1, 13))
+        ),
+        n_intervals=1024,
+    )
+    rec = solve_continuation(cfg)
+    assert not rec.converged
+    assert "normalization overflow" in rec.failure_reason
+    # The record holds the last iterate whose normalization succeeded.
+    assert rec.iterations == len(rec.history) >= 1
+    assert (rec.final_update, rec.c_v) == rec.history[-1]
+    assert math.isfinite(rec.c_v)
+    assert np.all(np.isfinite(rec.u.values))
+
+
+def test_solve_rejects_a_curvature_kernel_that_cannot_be_normalized():
+    # K stays finite, but its weighted integral at v = 0 overflows, so no
+    # iterate exists to record.
+    cfg = SolverConfig(
+        m=6,
+        sign=-1,
+        volume=31.5 * constants(6).vol_sphere,
+        profile=Polynomial.from_text(
+            " + ".join(f"2.0 * x{i}^2" for i in range(1, 13))
+        ),
+        n_intervals=256,
+    )
+    with pytest.raises(ConfigError, match="cannot be normalized at v = 0"):
+        solve_continuation(cfg)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_solve_converges_near_the_critical_volume(m):
+    # V = 0.99 vol(S^{2m}) with sign +1, P = |x|^2.
+    cfg = SolverConfig(
+        m=m,
+        sign=1,
+        volume=0.99 * constants(m).vol_sphere,
+        profile=Polynomial.from_text(
+            " + ".join(f"1.0 * x{i}^2" for i in range(1, 2 * m + 1))
+        ),
+        n_intervals=1024,
+    )
+    rec = solve_continuation(cfg)
+    assert rec.converged, rec.failure_reason
+    assert rec.final_update <= cfg.tol
+
+
 def test_solve_validates_before_working():
-    cfg = quick_config(theta=0.0)
+    cfg = quick_config(tol=0.0)
     with pytest.raises(ConfigError):
         solve_continuation(cfg)
 
