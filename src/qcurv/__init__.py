@@ -17,7 +17,6 @@ from .errors import (
     ConfigError,
     DimensionMismatch,
     GridMismatch,
-    NormalizationOverflow,
     PolynomialFormatError,
     QcurvError,
     TailNotNegligible,
@@ -76,7 +75,6 @@ from .diagnostics import (
     conformal_volume,
     exp_integrability_probe,
     pde_residual,
-    pohozaev_defect,
     pohozaev_terms,
     record_pohozaev_terms,
     tail_curvature_mass,
@@ -94,7 +92,6 @@ __all__ = [
     "GridMismatch",
     "ConfigError",
     "TailNotNegligible",
-    "NormalizationOverflow",
     # polynomials
     "Polynomial",
     "AdmissibilityVerdict",
@@ -142,7 +139,6 @@ __all__ = [
     "asymptotic_profile",
     "PohozaevTerms",
     "pohozaev_terms",
-    "pohozaev_defect",
     "record_pohozaev_terms",
     "tail_curvature_mass",
     "weighted_norm",

@@ -17,7 +17,7 @@ Exit codes
    checks passed; poly-check: Accepted; pohozaev: defect within gate)
 1  invalid configuration or input, message names the violated rule
    (for poly-check this code instead means: Rejected)
-2  solver failure: divergence, overflow, or max_iter without converging
+2  solver failure: max_iter exhausted or divergence guard
 3  solve converged but a hard diagnostic gate failed (also: pohozaev
    defect above its gate)
 4  poly-check input that cannot be parsed as a polynomial
@@ -30,6 +30,7 @@ import json
 import math
 import os
 import sys
+import textwrap
 
 import numpy as np
 
@@ -55,6 +56,7 @@ from .potential import (
 )
 from .solver import (
     SolverConfig,
+    _curvature_factor,
     build_grid,
     normalization_cv,
     solve_continuation,
@@ -70,6 +72,11 @@ EXIT_UNPARSEABLE = 4
 GATE_PDE_RESIDUAL = 5e-3
 GATE_VOLUME_REL = 5e-3
 GATE_POHOZAEV = 1e-2
+
+# The exit-code table of the module docstring, reused by `qcurv --help`.
+_EXIT_CODE_TABLE = textwrap.indent(
+    (__doc__ or "").partition("Exit codes\n----------\n")[2], "  "
+)
 
 _CONFIG_FIELD_DOC = """\
 config JSON fields (schema_version 2):
@@ -124,7 +131,7 @@ def _manifest_dict(command: str, config_path: str, out_dir: str) -> dict:
 
 
 def _solution_csv_text(record) -> str:
-    lines = ["r,v,u,K,density"]
+    lines = ["r,v,u,log_abs_K,density"]
     for i in range(len(record.grid.nodes)):
         lines.append(
             ",".join(
@@ -133,7 +140,7 @@ def _solution_csv_text(record) -> str:
                     record.grid.nodes[i],
                     record.v.values[i],
                     record.u.values[i],
-                    record.K.values[i],
+                    record.log_K.values[i],
                     record.u0_density.values[i],
                 )
             )
@@ -297,14 +304,12 @@ def _suite_oracles() -> list[tuple[str, bool, str]]:
         r_max=20.0,
         n_intervals=256,
     )
-    k_field = RadialField(
-        grid=(g := build_grid(config)), values=np.exp(-(g.nodes**2))
-    )
+    log_k = RadialField(grid=(g := build_grid(config)), values=-(g.nodes**2))
     v0 = RadialField(grid=g, values=np.zeros_like(g.nodes))
     vs = RadialField(grid=g, values=np.full_like(g.nodes, 0.37))
     shift = abs(
-        normalization_cv(k_field, vs, config)
-        - (normalization_cv(k_field, v0, config) - 0.37)
+        normalization_cv(log_k, vs, config)
+        - (normalization_cv(log_k, v0, config) - 0.37)
     )
     checks.append(("normalization-shift", shift <= 1e-12, f"abs dev {shift:.3e}"))
     return checks
@@ -519,6 +524,9 @@ def run_pohozaev(solution_dir: str, radius: float) -> int:
         config = SolverConfig.from_json_dict(meta["config"])
         result = meta["result"]
         grid = build_grid(config)
+        # log|K| comes from the validated config, not from the table: older
+        # solution directories hold K itself in the fourth column.
+        log_k = _curvature_factor(config, grid)
     except (KeyError, ConfigError, PolynomialFormatError) as exc:
         print(f"invalid solution metadata: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -531,11 +539,12 @@ def run_pohozaev(solution_dir: str, radius: float) -> int:
     c_v = float(result["c_v"])
     alpha = float(result["alpha"])
     v = RadialField(grid=grid, values=table[:, 1].copy())
-    k_field = RadialField(grid=grid, values=table[:, 3].copy())
     u0_density = RadialField(grid=grid, values=table[:, 4].copy())
     wbar = RadialField(grid=grid, values=table[:, 1] + c_v)
     try:
-        terms = pohozaev_terms(wbar, k_field, v, u0_density, 1.0, alpha, radius)
+        terms = pohozaev_terms(
+            wbar, log_k, v, u0_density, config.sign, alpha, radius
+        )
     except QcurvError as exc:
         print(f"cannot evaluate balance: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -559,15 +568,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "Construct and verify radial finite-volume solutions of the "
             "constant Q-curvature equation (-Delta)^m u = sign (2m-1)! e^{2mu}."
         ),
-        epilog=_CONFIG_FIELD_DOC
-        + """
-exit codes:
-  0  success / Accepted / all checks passed
-  1  invalid configuration or input (poly-check: Rejected)
-  2  solver failed to converge
-  3  converged but a hard diagnostic gate failed (pohozaev: defect high)
-  4  poly-check input that cannot be parsed
-""",
+        epilog=_CONFIG_FIELD_DOC + "\nexit codes:\n" + _EXIT_CODE_TABLE,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument(
@@ -579,8 +580,9 @@ exit codes:
         "solve",
         help="run the fixed-point solver on a config and write a solution dir",
         description="Solve one configuration and write solution.csv "
-        "(columns r, v, u, K, density: the correction, the assembled "
-        "solution, the curvature factor, and the u0 driving density), "
+        "(columns r, v, u, log_abs_K, density: the correction, the "
+        "assembled solution, log|K| of the curvature factor "
+        "K = sign e^{log_abs_K}, and the u0 driving density), "
         "meta.json, report.json, report.csv, and manifest.json.",
         epilog=_CONFIG_FIELD_DOC,
         formatter_class=argparse.RawDescriptionHelpFormatter,

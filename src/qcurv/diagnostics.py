@@ -196,7 +196,7 @@ class PohozaevTerms:
     Volume terms (over B_R):
       t1 = integral (x . grad K) e^{2m wbar},
       t2 = 2m integral K e^{2m wbar},
-      t3 = -2m t alpha integral (x . grad wbar) density_u0;
+      t3 = -2m alpha integral (x . grad wbar) density_u0;
     boundary terms (over the sphere of radius R):
       b1 = R * surface integral of K e^{2m wbar},
       b2 = -m R * surface integral of |Delta^{m/2} wbar|^2,
@@ -244,24 +244,27 @@ class PohozaevTerms:
 
 def pohozaev_terms(
     wbar: RadialField,
-    K: RadialField,
+    log_K: RadialField,
     v: RadialField,
     u0_density: RadialField,
-    t: float,
+    sign: int,
     alpha: float,
     R: float,
 ) -> PohozaevTerms:
     """Evaluate the six terms of the Pohozaev balance at the grid node
     nearest to R (the radius is snapped to the grid).
 
-    ``x . grad K`` is computed as r K'(r) by stencil differentiation;
-    ``x . grad wbar`` as r v'(r) (wbar and v differ by a constant).  For
+    The curvature factor enters as log|K| with K = sign e^{log_K}, so
+    K e^{2m wbar} is formed as sign e^{log_K + 2m wbar} and
+    ``x . grad K`` e^{2m wbar} as r (log_K)'(r) times that term, by
+    stencil differentiation of log_K;
+    ``x . grad wbar`` is r v'(r) (wbar and v differ by a constant).  For
     radial fields every tensor contraction in the boundary cross term
     reduces to products of radial derivatives of Laplacian iterates,
     assembled here for any m.
     """
     grid = wbar.grid
-    for other in (K, v, u0_density):
+    for other in (log_K, v, u0_density):
         grid.ensure_same(other.grid)
     m, n = grid.m, grid.n
     idx = grid.nearest_index(R)
@@ -275,12 +278,12 @@ def pohozaev_terms(
     two_m = 2.0 * m
     om = sphere_area(n)
 
-    e_w = np.exp(two_m * wbar.values)
-    x_grad_k = nodes * _d1(nodes, K.values)
+    k_e_w = sign * np.exp(log_K.values + two_m * wbar.values)
+    x_grad_log_k = nodes * _d1(nodes, log_K.values)
     x_grad_w = nodes * _d1(nodes, v.values)
-    t1 = float(w_in @ (x_grad_k * e_w))
-    t2 = float(two_m * (w_in @ (K.values * e_w)))
-    t3 = float(-two_m * t * alpha * (w_in @ (x_grad_w * u0_density.values)))
+    t1 = float(w_in @ (x_grad_log_k * k_e_w))
+    t2 = float(two_m * (w_in @ k_e_w))
+    t3 = float(-two_m * alpha * (w_in @ (x_grad_w * u0_density.values)))
 
     # Laplacian iterates of wbar and of g = x . grad wbar, plus their
     # radial derivatives, all evaluated at the snapped radius.
@@ -294,7 +297,7 @@ def pohozaev_terms(
     w_prime = [_d1(nodes, arr) for arr in w_iter]
     g_prime = [_d1(nodes, arr) for arr in g_iter]
 
-    b1 = float(om * r_snap**n * K.values[idx] * e_w[idx])
+    b1 = float(om * r_snap**n * k_e_w[idx])
     if m % 2 == 0:
         half_power = w_iter[m // 2][idx]
     else:
@@ -313,34 +316,17 @@ def pohozaev_terms(
     return PohozaevTerms(radius=r_snap, t1=t1, t2=t2, t3=t3, b1=b1, b2=b2, b3=b3)
 
 
-def pohozaev_defect(
-    wbar: RadialField,
-    K: RadialField,
-    v: RadialField,
-    u0_density: RadialField,
-    t: float,
-    alpha: float,
-    R: float,
-) -> float:
-    """Relative defect |LHS - RHS| / (|LHS| + |RHS| + floor) of the
-    Pohozaev balance; the floor is the sum of all six term magnitudes,
-    which keeps the measure meaningful when LHS and RHS are both nearly
-    zero (as they are at large R, where every term decays)."""
-    return pohozaev_terms(wbar, K, v, u0_density, t, alpha, R).defect
-
-
 def record_pohozaev_terms(record: SolutionRecord, R: float) -> PohozaevTerms:
-    """Pohozaev terms of a finished solve at radius R: wbar = v + c_v
-    (t = 1, so the log t shift vanishes)."""
+    """Pohozaev terms of a finished solve at radius R, with wbar = v + c_v."""
     wbar = RadialField(
         grid=record.grid, values=record.v.values + record.c_v
     )
     return pohozaev_terms(
         wbar,
-        record.K,
+        record.log_K,
         record.v,
         record.u0_density,
-        1.0,
+        record.config.sign,
         record.alpha,
         R,
     )
@@ -349,13 +335,14 @@ def record_pohozaev_terms(record: SolutionRecord, R: float) -> PohozaevTerms:
 # ----------------------------------------------------------------------
 # tail curvature mass
 # ----------------------------------------------------------------------
-def tail_curvature_mass(K: RadialField, wbar: RadialField, R: float) -> float:
-    """Quadrature of |K| e^{2m wbar} over the annulus r > R (R snapped to
-    the nearest node); exactly non-increasing in R."""
-    grid = K.grid
+def tail_curvature_mass(log_K: RadialField, wbar: RadialField, R: float) -> float:
+    """Quadrature of |K| e^{2m wbar} = e^{log_K + 2m wbar} over the
+    annulus r > R (R snapped to the nearest node); exactly non-increasing
+    in R."""
+    grid = log_K.grid
     grid.ensure_same(wbar.grid)
     w_out = grid.weights_beyond(grid.nearest_index(R))
-    return float(w_out @ (np.abs(K.values) * np.exp(2 * grid.m * wbar.values)))
+    return float(w_out @ np.exp(log_K.values + 2 * grid.m * wbar.values))
 
 
 # ----------------------------------------------------------------------
@@ -539,7 +526,7 @@ def build_report(
         x for x in (0.0, grid.r_max / 8, grid.r_max / 4, grid.r_max / 2, 0.75 * grid.r_max)
     ]
     tail = tuple(
-        (float(grid.nodes[grid.nearest_index(x)]), tail_curvature_mass(record.K, wbar, x))
+        (float(grid.nodes[grid.nearest_index(x)]), tail_curvature_mass(record.log_K, wbar, x))
         for x in radii
     )
 
@@ -552,7 +539,7 @@ def build_report(
     source_mass_l1 = float(
         grid.quad_weights
         @ np.abs(
-            record.K.values * np.exp(2 * config.m * (record.v.values + record.c_v))
+            config.sign * np.exp(record.log_K.values + 2 * config.m * wbar.values)
             + record.alpha * record.u0_density.values
         )
     )

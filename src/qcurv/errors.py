@@ -36,8 +36,3 @@ class ConfigError(QcurvError):
 class TailNotNegligible(QcurvError):
     """A quadrature over the truncated domain cannot certify that the
     neglected tail is below the requested tolerance."""
-
-
-class NormalizationOverflow(QcurvError):
-    """The normalization constant could not be evaluated because the
-    exponential moment overflowed."""

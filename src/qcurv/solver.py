@@ -11,12 +11,16 @@ Writing u = -alpha u0 - P + v + c_v, with u0 the background profile of
 correction v:
 
     v = T v,      T v = potential of  S(v),
-    S(v) = K e^{2m (v + c_v)} + alpha (-Delta)^m u0,
-    K = sign (2m-1)! e^{-2m P - 2m alpha u0},
+    S(v) = sign e^{log|K| + 2m (v + c_v)} + alpha (-Delta)^m u0,
+    log|K| = log (2m-1)! - 2m P - 2m alpha u0,
 
 where the normalization constant c_v (:func:`normalization_cv`) makes the
 curvature integral match the prescribed volume, which is exactly the
 condition that S(v) has zero discrete mass, so its potential decays.
+The curvature factor is held as log|K| and c_v is taken by log-sum-exp:
+for sign -1, |K| grows like (1 + r^2)^{m |alpha|} and leaves double
+precision at large V, while every normalized term of S(v) stays bounded
+by (2m-1)! V over its quadrature weight.
 
 The fixed point is reached by Anderson-accelerated iteration on v -> T v
 (Walker & Ni, SIAM J. Numer. Anal. 49, 2011), stopped on the undamped
@@ -33,12 +37,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DimensionMismatch,
-    NormalizationOverflow,
-    PolynomialFormatError,
-)
+from .errors import ConfigError, DimensionMismatch, PolynomialFormatError
 from .geometry import U0Profile, constants, eval_radial_profile, u0_eval
 from .poly import Polynomial, pm_membership
 from .potential import (
@@ -298,72 +297,69 @@ def _curvature_factor(config: SolverConfig, grid: RadialGrid) -> RadialField:
         raise ConfigError("profile must be radial (a polynomial in |x|^2)")
     p_vals = eval_radial_profile(coeffs, grid.nodes)
     u0_vals, _ = u0_eval(config.u0_profile, grid.nodes)
-    exponent = -2.0 * config.m * (p_vals + config.alpha * u0_vals)
-    if float(np.max(exponent)) > 700.0:
+    log_k = math.log(cs.factorial_2m_minus_1) - 2.0 * config.m * (
+        p_vals + config.alpha * u0_vals
+    )
+    log_tail = log_k[-1] + math.log(grid.quad_weights[-1])
+    log_peak = float(np.max(log_k))
+    if not log_tail < math.log(1e-12) + log_peak:
         raise ConfigError(
-            "curvature kernel overflows double precision; reduce the "
-            "volume magnitude or strengthen the profile"
+            "curvature kernel tail is not negligible at r_max (weighted "
+            f"tail e^{log_tail - log_peak:.3f} of max|K|); enlarge r_max"
         )
-    k_vals = config.sign * cs.factorial_2m_minus_1 * np.exp(exponent)
-    tail = abs(k_vals[-1]) * grid.quad_weights[-1]
-    if tail >= 1e-12 * float(np.max(np.abs(k_vals))):
-        raise ConfigError(
-            "curvature kernel tail is not negligible at r_max "
-            f"(weighted tail {tail:.3e}); enlarge r_max"
-        )
-    return RadialField(grid=grid, values=k_vals)
+    return RadialField(grid=grid, values=log_k)
 
 
 def build_K(config: SolverConfig, grid: RadialGrid) -> RadialField:
-    """K = sign (2m-1)! e^{-2m P - 2m alpha u0} on the grid's nodes,
-    with a guard that the weighted tail value is below 1e-12 of max|K|."""
+    """log|K| = log (2m-1)! - 2m P - 2m alpha u0 on the grid's nodes; K
+    itself is sign e^{log|K|}.  Always finite.  Guards that the weighted
+    tail value |K_N| w_N is below 1e-12 of max|K|."""
     config.validate()
     return _curvature_factor(config, grid)
 
 
-def normalization_cv(K: RadialField, v: RadialField, config: SolverConfig) -> float:
-    """c_v = -(1/2m) log[ (sum_i w_i |K_i| e^{2m v_i}) / ((2m-1)! V) ].
+def normalization_cv(
+    log_K: RadialField, v: RadialField, config: SolverConfig
+) -> float:
+    """c_v = (log((2m-1)! V) - LSE_i(log w_i + log|K_i| + 2m v_i)) / 2m.
 
     With this constant the discrete curvature integral
     sum w_i K_i e^{2m(v_i + c_v)} equals alpha * gamma_m exactly (same
     quadrature, exact arithmetic) — the zero-mass condition for S(v).
+    The log-sum-exp shifts by the largest log|K_i| + 2m v_i, so the
+    weighted sum it takes the log of lies in [min w, sum w] and c_v is
+    finite for every finite log|K| and v.
     """
-    K.grid.ensure_same(v.grid)
+    log_K.grid.ensure_same(v.grid)
     cs = constants(config.m)
     two_m = 2.0 * config.m
-    exponent = two_m * v.values
-    if float(np.max(exponent)) > 700.0:
-        raise NormalizationOverflow(
-            "e^{2mv} overflows double precision in the normalization integral"
-        )
-    with np.errstate(over="ignore"):
-        integral = float(K.grid.quad_weights @ (np.abs(K.values) * np.exp(exponent)))
-    if not (integral > 0 and math.isfinite(integral)):
-        raise NormalizationOverflow(
-            f"normalization integral is not a positive finite number: {integral}"
-        )
-    return -math.log(integral / (cs.factorial_2m_minus_1 * config.volume)) / two_m
+    exponent = log_K.values + two_m * v.values
+    top = float(np.max(exponent))
+    log_integral = top + math.log(
+        float(log_K.grid.quad_weights @ np.exp(exponent - top))
+    )
+    return (math.log(cs.factorial_2m_minus_1 * config.volume) - log_integral) / two_m
 
 
 def source_with_normalization(
     v: RadialField,
     config: SolverConfig,
-    K: RadialField,
+    log_K: RadialField,
     u0_density: RadialField,
 ) -> tuple[RadialField, float]:
-    """S(v) = K e^{2m(v + c_v)} + alpha (-Delta)^m u0 (rescaled density),
-    together with the c_v that produced it (they must be paired for the
-    mass identity to hold exactly).
+    """S(v) = sign e^{log|K| + 2m(v + c_v)} + alpha (-Delta)^m u0
+    (rescaled density), together with the c_v that produced it (they
+    must be paired for the mass identity to hold exactly).
 
     Zero discrete mass by construction: the K term integrates to
     +alpha*gamma_m through the c_v normalization, the density term to
     -alpha*gamma_m through its rescaling, so the potential T v of S(v)
     decays at the tail.
     """
-    K.grid.ensure_same(v.grid)
-    K.grid.ensure_same(u0_density.grid)
-    cv = normalization_cv(K, v, config)
-    values = K.values * np.exp(2.0 * config.m * (v.values + cv))
+    log_K.grid.ensure_same(v.grid)
+    log_K.grid.ensure_same(u0_density.grid)
+    cv = normalization_cv(log_K, v, config)
+    values = config.sign * np.exp(log_K.values + 2.0 * config.m * (v.values + cv))
     values = values + config.alpha * u0_density.values
     return RadialField(grid=v.grid, values=values), cv
 
@@ -378,8 +374,9 @@ class SolutionRecord:
     ``u`` reconstructs exactly as -alpha*u0 - P + v + c_v at every node.
     ``history`` holds per-iteration pairs (residual ||T v - v||_inf, c_v);
     ``final_update`` is the residual of the recorded ``v``;
+    ``log_K`` is log|K| (K = sign e^{log_K});
     ``failure_reason`` is None for converged runs and names the cause
-    (max_iter, divergence guard or normalization overflow) otherwise.
+    (max_iter or the divergence guard) otherwise.
     """
 
     config: SolverConfig
@@ -387,7 +384,7 @@ class SolutionRecord:
     v: RadialField
     c_v: float
     u: RadialField
-    K: RadialField
+    log_K: RadialField
     u0_density: RadialField
     alpha: float
     iterations: int
@@ -409,17 +406,16 @@ def solve_continuation(config: SolverConfig) -> SolutionRecord:
         v <- g - dG gamma - (1 - beta) (f - dF gamma),
         gamma = argmin ||f - dF gamma||_2.
 
-    Exhausting ``max_iter`` iterations, a residual above the divergence
-    guard and a normalization overflow all return a record with
-    ``converged = False`` and the cause in ``failure_reason``, assembled
-    from the last iterate whose normalization succeeded.  A K whose
-    normalization overflows already at v = 0 raises :class:`ConfigError`.
+    Exhausting ``max_iter`` iterations and a residual above the
+    divergence guard both return a record with ``converged = False`` and
+    the cause in ``failure_reason``, assembled from the last evaluated
+    iterate.
     """
     config.validate()
     grid = build_grid(config)
     kernel = kernel_matrix(grid, config.quad_order)
     u0_density = u0_density_field(config.u0_profile, grid)
-    K = _curvature_factor(config, grid)
+    log_K = _curvature_factor(config, grid)
     cs = constants(config.m)
 
     v_values = np.zeros_like(grid.nodes)
@@ -430,18 +426,7 @@ def solve_continuation(config: SolverConfig) -> SolutionRecord:
     failure_reason = None
     for _ in range(config.max_iter):
         v_field = RadialField(grid=grid, values=v_values)
-        try:
-            source, cv = source_with_normalization(v_field, config, K, u0_density)
-        except NormalizationOverflow as exc:
-            if not history:
-                # v = 0 normalizes K itself, so the config is at fault.
-                raise ConfigError(
-                    f"curvature kernel cannot be normalized at v = 0: {exc}"
-                ) from None
-            failure_reason = (
-                f"normalization overflow after {len(history)} iterations: {exc}"
-            )
-            break
+        source, cv = source_with_normalization(v_field, config, log_K, u0_density)
         g = potential_apply(kernel, source, cs).values
         f = g - v_values
         residual = float(np.max(np.abs(f)))
@@ -482,7 +467,7 @@ def solve_continuation(config: SolverConfig) -> SolutionRecord:
         v=RadialField(grid=grid, values=v_kept),
         c_v=cv,
         u=RadialField(grid=grid, values=u_vals),
-        K=K,
+        log_K=log_K,
         u0_density=u0_density,
         alpha=config.alpha,
         iterations=len(history),

@@ -239,7 +239,7 @@ def test_normalization_shift_mass_identity_and_determinism(square_profile_4d):
         n_intervals=256,
     )
     grid = build_grid(config)
-    K = build_K(config, grid)
+    log_K = build_K(config, grid)
     u0_density = u0_density_field(config.u0_profile, grid)
     kernel = kernel_matrix(grid, config.quad_order)
 
@@ -247,7 +247,8 @@ def test_normalization_shift_mass_identity_and_determinism(square_profile_4d):
     v = RadialField(grid=grid, values=rng.uniform(-0.5, 0.5, len(grid.nodes)))
     shifted = RadialField(grid=grid, values=v.values + 0.37)
     shift_dev = abs(
-        normalization_cv(K, shifted, config) - (normalization_cv(K, v, config) - 0.37)
+        normalization_cv(log_K, shifted, config)
+        - (normalization_cv(log_K, v, config) - 0.37)
     )
     assert shift_dev <= 1e-12
 
@@ -255,12 +256,13 @@ def test_normalization_shift_mass_identity_and_determinism(square_profile_4d):
     iterate = RadialField(grid=grid, values=np.zeros_like(grid.nodes))
     worst_mass = 0.0
     for _ in range(30):
-        c_v = normalization_cv(K, iterate, config)
+        c_v = normalization_cv(log_K, iterate, config)
         mass = float(
-            grid.quad_weights @ (K.values * np.exp(4.0 * (iterate.values + c_v)))
+            grid.quad_weights
+            @ (config.sign * np.exp(log_K.values + 4.0 * (iterate.values + c_v)))
         )
         worst_mass = max(worst_mass, abs(mass - target) / abs(target))
-        source, _ = source_with_normalization(iterate, config, K, u0_density)
+        source, _ = source_with_normalization(iterate, config, log_K, u0_density)
         step = potential_apply(kernel, source, constants(2))
         iterate = RadialField(
             grid=grid, values=0.5 * iterate.values + 0.5 * step.values

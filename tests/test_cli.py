@@ -14,6 +14,7 @@ import re
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from qcurv import Polynomial, __version__, a3_counterexample, constants
 from qcurv.cli import main
 
 SOLVE_FILES = {"solution.csv", "meta.json", "report.json", "report.csv", "manifest.json"}
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 # |x|^4 on R^4: radial, so it passes the shape check, but its degree is
 # above the admissible bound for m = 2.
@@ -184,7 +186,7 @@ def test_solve_success_writes_complete_directory(solved_ok):
     assert {p.name for p in solved_ok.path.iterdir()} == SOLVE_FILES
     with open(solved_ok.path / "solution.csv", encoding="utf-8") as handle:
         header = handle.readline().strip()
-    assert header == "r,v,u,K,density"
+    assert header == "r,v,u,log_abs_K,density"
     table = np.loadtxt(solved_ok.path / "solution.csv", delimiter=",", skiprows=1)
     assert table.shape == (513, 5)
     assert np.isfinite(table).all()
@@ -238,26 +240,62 @@ def test_solve_nonconvergence_records_partial_outputs(tmp_path):
     assert meta["result"]["converged"] is False
 
 
-def test_solve_overflow_records_partial_outputs(tmp_path):
-    # m = 6, sign -1, V = 30 vol(S^12), P = 2|x|^2: the first mixed step
-    # overflows the normalization integral.
+def test_solve_writes_converged_record_for_large_negative_volume(tmp_path):
+    # m = 6, sign -1, V = 31.7 vol(S^12), P = 2|x|^2: max|K| overflows
+    # double precision, so this once escaped as a traceback.  In log form
+    # it converges; the PDE and Pohozaev gates fail at m = 6 (exit 3).
     profile = " + ".join(f"2.0 * x{i}^2" for i in range(1, 13))
     path = write_config(
         tmp_path,
         m=6,
         sign=-1,
-        volume=30.0 * constants(6).vol_sphere,
+        volume=31.7 * constants(6).vol_sphere,
         profile=profile,
         n_intervals=1024,
     )
     out_dir = tmp_path / "run"
-    code, _, err = run_cli(["solve", "--config", path, "--out", str(out_dir)])
-    assert code == 2
-    assert "normalization overflow" in err
-    assert {p.name for p in out_dir.iterdir()} == SOLVE_FILES - {"report.csv"}
+    code, out, err = run_cli(["solve", "--config", path, "--out", str(out_dir)])
+    assert code == 3
+    assert "Traceback" not in err
+    assert {p.name for p in out_dir.iterdir()} == SOLVE_FILES
     meta = json.loads((out_dir / "meta.json").read_text())
-    assert meta["result"]["converged"] is False
-    assert "normalization overflow" in meta["result"]["failure_reason"]
+    assert meta["result"]["converged"] is True
+    assert meta["result"]["iterations"] == 15
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["gates"]["volume_rel_error"]["passed"] is True
+    table = np.loadtxt(out_dir / "solution.csv", delimiter=",", skiprows=1)
+    assert np.isfinite(table).all()
+
+
+def _readme_solve_example():
+    """The config and the printed lines of the README's `qcurv solve`
+    example."""
+    text = README.read_text(encoding="utf-8")
+    config = json.loads(re.search(r"```json\n(.*?)```", text, re.S).group(1))
+    block = re.search(r"```\n\$ qcurv solve [^\n]*\n(.*?)```", text, re.S).group(1)
+    return config, block.splitlines()
+
+
+def test_readme_solve_example_matches_the_cli(tmp_path):
+    config, expected = _readme_solve_example()
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code, out, err = run_cli(["solve", "--config", str(path), "--out", str(tmp_path / "run")])
+    assert (code, err) == (0, "")
+    printed = out.splitlines()
+    assert len(printed) == len(expected) == 4
+    gate_line = re.compile(r"(PASS|FAIL)  (\w+) +(\S+) \(gate (\S+)\)")
+    for got, want in zip(printed[:3], expected[:3]):
+        got_match, want_match = gate_line.fullmatch(got), gate_line.fullmatch(want)
+        assert got_match.group(1, 2, 4) == want_match.group(1, 2, 4)
+        value, documented = float(got_match.group(3)), float(want_match.group(3))
+        if got_match.group(2) == "volume_rel_error":
+            # Rounding-level: the solver's own quadrature fixes c_v.
+            assert abs(value - documented) <= 1e-12
+        else:
+            assert value == pytest.approx(documented, rel=1e-6)
+    # Iteration count, c_v and alpha exactly as printed.
+    assert printed[3] == expected[3]
 
 
 def test_solve_reruns_are_byte_identical(tmp_path, solved_gate_fail):
@@ -390,7 +428,7 @@ def test_pohozaev_gate_failure_on_tilted_solution(solved_ok, tmp_path):
     # defect must cross the gate even though the table still parses.
     table = np.loadtxt(solved_ok.path / "solution.csv", delimiter=",", skiprows=1)
     table[:, 1] += 0.2 * table[:, 0]
-    lines = ["r,v,u,K,density"]
+    lines = ["r,v,u,log_abs_K,density"]
     lines += [",".join(f"{x:.17g}" for x in row) for row in table]
     (tmp_path / "solution.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     (tmp_path / "meta.json").write_bytes((solved_ok.path / "meta.json").read_bytes())
@@ -399,6 +437,24 @@ def test_pohozaev_gate_failure_on_tilted_solution(solved_ok, tmp_path):
     assert code == 3
     defect = float(out.split("defect:")[1].split()[0])
     assert defect > 1e-2
+
+
+def test_pohozaev_reads_the_linear_K_column_format(solved_ok, tmp_path):
+    # Directories written before log|K| replaced K in solution.csv hold
+    # sign e^{log|K|} in the fourth column; pohozaev rebuilds log|K| from
+    # meta.json, so it prints the same balance for both formats.
+    table = np.loadtxt(solved_ok.path / "solution.csv", delimiter=",", skiprows=1)
+    table[:, 3] = np.exp(table[:, 3])
+    lines = ["r,v,u,K,density"]
+    lines += [",".join(f"{x:.17g}" for x in row) for row in table]
+    (tmp_path / "solution.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (tmp_path / "meta.json").write_bytes((solved_ok.path / "meta.json").read_bytes())
+
+    argv = ["pohozaev", "--radius", "10.0", "--solution"]
+    fresh = run_cli(argv + [str(solved_ok.path)])
+    old_format = run_cli(argv + [str(tmp_path)])
+    assert fresh[0] == 0
+    assert old_format == fresh
 
 
 def test_pohozaev_rejects_missing_directory(tmp_path):

@@ -166,25 +166,25 @@ def test_asymptotic_profile_validates_window():
 def _spherical_balance_pieces(m: int):
     """The exact solution arranged as the solver decomposition with
     P = 0, V = vol(S^{2m}), alpha = 2: wbar = u + 2 u0 and
-    K = (2m-1)! e^{-4m u0}."""
+    log K = log (2m-1)! - 4m u0."""
     cs = constants(m)
     grid = make_grid(m, 10.0, 2048, map_kind="uniform")
     u = spherical_solution(m, 1.0, grid.nodes)
     u0_vals, _ = u0_eval(smooth_global(m), grid.nodes)
     wbar = RadialField(grid=grid, values=u + 2.0 * u0_vals)
-    K = RadialField(
+    log_K = RadialField(
         grid=grid,
-        values=cs.factorial_2m_minus_1 * np.exp(-2 * m * 2.0 * u0_vals),
+        values=math.log(cs.factorial_2m_minus_1) - 2 * m * 2.0 * u0_vals,
     )
     u0d = u0_density_field(smooth_global(m), grid)
-    return wbar, K, u0d
+    return wbar, log_K, u0d
 
 
 @pytest.mark.parametrize("m, tol", [(2, 2e-4), (3, 1e-3)])
 def test_pohozaev_balance_on_explicit_solution(m, tol):
-    wbar, K, u0d = _spherical_balance_pieces(m)
+    wbar, log_K, u0d = _spherical_balance_pieces(m)
     for R in (3.0, 5.0):
-        terms = pohozaev_terms(wbar, K, wbar, u0d, 1.0, 2.0, R)
+        terms = pohozaev_terms(wbar, log_K, wbar, u0d, 1, 2.0, R)
         assert terms.defect < tol
         # Both sides are genuinely nonzero at these radii: the identity
         # is balancing something, not comparing zeros.
@@ -196,18 +196,18 @@ def test_pohozaev_balance_detects_non_solutions():
     # Tilting the solution field breaks the balance by three orders of
     # magnitude: the identity is a property of solutions, not of the
     # quadrature.
-    wbar, K, u0d = _spherical_balance_pieces(2)
+    wbar, log_K, u0d = _spherical_balance_pieces(2)
     tilted = RadialField(grid=wbar.grid, values=wbar.values + 0.05 * wbar.grid.nodes)
-    terms = pohozaev_terms(tilted, K, tilted, u0d, 1.0, 2.0, 5.0)
+    terms = pohozaev_terms(tilted, log_K, tilted, u0d, 1, 2.0, 5.0)
     assert terms.defect > 1e-2
 
 
 def test_pohozaev_terms_validate_radius():
-    wbar, K, u0d = _spherical_balance_pieces(2)
+    wbar, log_K, u0d = _spherical_balance_pieces(2)
     with pytest.raises(GridMismatch, match="too close"):
-        pohozaev_terms(wbar, K, wbar, u0d, 1.0, 2.0, 0.001)
+        pohozaev_terms(wbar, log_K, wbar, u0d, 1, 2.0, 0.001)
     with pytest.raises(GridMismatch, match="too close"):
-        pohozaev_terms(wbar, K, wbar, u0d, 1.0, 2.0, 10.0)
+        pohozaev_terms(wbar, log_K, wbar, u0d, 1, 2.0, 10.0)
 
 
 def test_pohozaev_on_benchmark_record(benchmark_positive):
@@ -224,11 +224,12 @@ def test_tail_curvature_mass_monotone_and_total(benchmark_positive):
     rec = benchmark_positive
     cs = constants(2)
     wbar = RadialField(grid=rec.grid, values=rec.v.values + rec.c_v)
-    total = tail_curvature_mass(rec.K, wbar, 0.0)
+    total = tail_curvature_mass(rec.log_K, wbar, 0.0)
     # The normalization pins the full-space curvature integral exactly.
     assert total == pytest.approx(rec.alpha * cs.gamma_m, rel=1e-12)
-    # Restrict to radii where K has not underflowed (K ~ e^{-4 r^2}).
-    masses = [tail_curvature_mass(rec.K, wbar, R) for R in (0.0, 2.0, 4.0, 6.0, 8.0)]
+    # Restrict to radii where e^{log K + 4 wbar} has not underflowed
+    # (K ~ e^{-4 r^2}).
+    masses = [tail_curvature_mass(rec.log_K, wbar, R) for R in (0.0, 2.0, 4.0, 6.0, 8.0)]
     assert all(a > b for a, b in zip(masses, masses[1:]))
     assert masses[-1] > 0
 

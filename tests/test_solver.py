@@ -8,7 +8,6 @@ import pytest
 
 from qcurv import (
     ConfigError,
-    NormalizationOverflow,
     Polynomial,
     RadialField,
     SolverConfig,
@@ -253,18 +252,19 @@ def test_u0_density_field_has_exact_discrete_mass():
 
 
 def test_build_K_matches_closed_form():
-    cfg = quick_config()
-    grid = build_grid(cfg)
-    K = build_K(cfg, grid)
-    u0_vals, _ = u0_eval(cfg.u0_profile, grid.nodes)
-    expected = 6.0 * np.exp(-4.0 * (grid.nodes**2 + cfg.alpha * u0_vals))
-    np.testing.assert_allclose(K.values, expected, rtol=1e-13)
-    # Positive near the origin; the far tail underflows to exactly 0.
-    assert np.all(K.values >= 0) and K.values[0] == 6.0
-    # Negative curvature flips the sign of every entry.
-    cfg_neg = quick_config(sign=-1, volume=2.0 * constants(2).vol_sphere)
-    K_neg = build_K(cfg_neg, build_grid(cfg_neg))
-    assert np.all(K_neg.values <= 0) and K_neg.values[0] == -6.0
+    # build_K returns log|K| = log 6 - 4 (P + alpha u0) for m = 2; the
+    # sign of K is the config's sign.
+    for cfg in (
+        quick_config(),
+        quick_config(sign=-1, volume=2.0 * constants(2).vol_sphere),
+    ):
+        grid = build_grid(cfg)
+        log_K = build_K(cfg, grid)
+        u0_vals, _ = u0_eval(cfg.u0_profile, grid.nodes)
+        expected = math.log(6.0) - 4.0 * (grid.nodes**2 + cfg.alpha * u0_vals)
+        np.testing.assert_allclose(log_K.values, expected, rtol=1e-14, atol=1e-14)
+        # P and u0 vanish at the origin, so |K(0)| = 3! = 6 exactly.
+        assert log_K.values[0] == math.log(6.0)
 
 
 def test_build_K_guards_against_non_negligible_tail():
@@ -278,49 +278,59 @@ def test_build_K_guards_against_non_negligible_tail():
         build_K(cfg, build_grid(cfg))
 
 
-def test_build_K_guards_against_overflow():
-    # A hugely negative alpha turns -2m alpha u0 into an overflowing
-    # exponent at large radii.
+def test_build_K_stays_finite_at_large_negative_volume():
+    # alpha = -300 makes |K| grow like (1 + r^2)^{600} before the
+    # e^{-4 r^2} decay takes over: max|K| = e^{2412} has no double, but
+    # log|K| does, and the solve converges.
     cs = constants(2)
     cfg = quick_config(sign=-1, volume=150.0 * cs.vol_sphere)
-    with pytest.raises(ConfigError, match="overflow"):
-        build_K(cfg, build_grid(cfg))
+    log_K = build_K(cfg, build_grid(cfg))
+    assert np.all(np.isfinite(log_K.values))
+    assert float(np.max(log_K.values)) == pytest.approx(2412.16, abs=0.01)
+    rec = solve_continuation(cfg)
+    assert rec.converged, rec.failure_reason
+    assert rec.iterations == 35
 
 
 def test_normalization_constant_pins_curvature_integral():
     cfg = quick_config()
     grid = build_grid(cfg)
-    K = build_K(cfg, grid)
+    log_K = build_K(cfg, grid)
     rng = np.random.default_rng(5)
     v = RadialField(
         grid=grid, values=0.1 * rng.normal(size=grid.nodes.shape)
     )
-    cv = normalization_cv(K, v, cfg)
+    cv = normalization_cv(log_K, v, cfg)
     integral = float(
-        grid.quad_weights @ (K.values * np.exp(4.0 * (v.values + cv)))
+        grid.quad_weights @ (cfg.sign * np.exp(log_K.values + 4.0 * (v.values + cv)))
     )
     assert integral == pytest.approx(
         cfg.sign * 6.0 * cfg.volume, rel=1e-13
     )
 
 
-def test_normalization_overflow_is_reported():
+def test_normalization_is_shift_covariant_at_large_v():
+    # e^{2m v} = e^{1200} has no double; the log-sum-exp normalization
+    # still gives c_v(300) = c_v(0) - 300.
     cfg = quick_config()
     grid = build_grid(cfg)
-    K = build_K(cfg, grid)
+    log_K = build_K(cfg, grid)
+    zero = RadialField(grid=grid, values=np.zeros_like(grid.nodes))
     huge = RadialField(grid=grid, values=np.full_like(grid.nodes, 300.0))
-    with pytest.raises(NormalizationOverflow):
-        normalization_cv(K, huge, cfg)
+    shift_dev = normalization_cv(log_K, huge, cfg) - (
+        normalization_cv(log_K, zero, cfg) - 300.0
+    )
+    assert abs(shift_dev) <= 1e-12
 
 
 def test_source_term_has_zero_discrete_mass():
     cfg = quick_config()
     grid = build_grid(cfg)
-    K = build_K(cfg, grid)
+    log_K = build_K(cfg, grid)
     u0d = u0_density_field(cfg.u0_profile, grid)
     rng = np.random.default_rng(6)
     v = RadialField(grid=grid, values=0.05 * rng.normal(size=grid.nodes.shape))
-    S, _ = source_with_normalization(v, cfg, K, u0d)
+    S, _ = source_with_normalization(v, cfg, log_K, u0d)
     mass = float(grid.quad_weights @ S.values)
     assert abs(mass) < 1e-10 * constants(2).gamma_m
 
@@ -329,10 +339,10 @@ def test_potential_of_source_decays_in_the_tail():
     cfg = quick_config()
     grid = build_grid(cfg)
     kern = kernel_matrix(grid, cfg.quad_order)
-    K = build_K(cfg, grid)
+    log_K = build_K(cfg, grid)
     u0d = u0_density_field(cfg.u0_profile, grid)
     v = RadialField(grid=grid, values=np.zeros_like(grid.nodes))
-    S, _ = source_with_normalization(v, cfg, K, u0d)
+    S, _ = source_with_normalization(v, cfg, log_K, u0d)
     tv = potential_apply(kern, S, constants(2))
     # Zero discrete mass kills the log tail; what remains decays.
     assert abs(tv.values[-1]) < 0.02 * float(np.max(np.abs(tv.values)))
@@ -357,7 +367,7 @@ def test_solve_converges_and_reconstructs_solution():
     np.testing.assert_array_equal(rec.u.values, expected_u)
     # The recorded c_v is the normalization of the recorded v, and the
     # history ends on that iterate's (residual, c_v).
-    assert rec.c_v == normalization_cv(rec.K, rec.v, cfg)
+    assert rec.c_v == normalization_cv(rec.log_K, rec.v, cfg)
     assert rec.history[-1] == (rec.final_update, rec.c_v)
 
 
@@ -365,9 +375,9 @@ def test_solve_lands_on_the_fixed_point():
     cfg = quick_config()
     rec = solve_continuation(cfg)
     kern = kernel_matrix(rec.grid, cfg.quad_order)
-    K = build_K(cfg, rec.grid)
+    log_K = build_K(cfg, rec.grid)
     u0d = u0_density_field(cfg.u0_profile, rec.grid)
-    S, _ = source_with_normalization(rec.v, cfg, K, u0d)
+    S, _ = source_with_normalization(rec.v, cfg, log_K, u0d)
     tv = potential_apply(kern, S, constants(2))
     residual = float(np.max(np.abs(tv.values - rec.v.values)))
     assert residual == rec.final_update <= cfg.tol
@@ -401,42 +411,48 @@ def test_solve_reports_divergence_as_failed_record(monkeypatch):
     assert rec.final_update == rec.history[0][0] > 1e-3
 
 
-def test_solve_reports_normalization_overflow_as_failed_record():
-    # The first mixed step v = 0 + 0.5 (T 0) overflows the normalization
-    # integral.
-    cfg = SolverConfig(
-        m=6,
+def _negative_curvature_config(m, volume_ratio, c, n_intervals):
+    """sign -1, V = volume_ratio vol(S^{2m}), P = c |x|^2."""
+    return SolverConfig(
+        m=m,
         sign=-1,
-        volume=30.0 * constants(6).vol_sphere,
+        volume=volume_ratio * constants(m).vol_sphere,
         profile=Polynomial.from_text(
-            " + ".join(f"2.0 * x{i}^2" for i in range(1, 13))
+            " + ".join(f"{c} * x{i}^2" for i in range(1, 2 * m + 1))
         ),
-        n_intervals=1024,
+        n_intervals=n_intervals,
     )
-    rec = solve_continuation(cfg)
-    assert not rec.converged
-    assert "normalization overflow" in rec.failure_reason
-    # The record holds the last iterate whose normalization succeeded.
-    assert rec.iterations == len(rec.history) >= 1
+
+
+def _assert_converged_record(rec):
+    assert rec.converged, rec.failure_reason
+    assert rec.final_update <= rec.config.tol
     assert (rec.final_update, rec.c_v) == rec.history[-1]
-    assert math.isfinite(rec.c_v)
     assert np.all(np.isfinite(rec.u.values))
 
 
-def test_solve_rejects_a_curvature_kernel_that_cannot_be_normalized():
-    # K stays finite, but its weighted integral at v = 0 overflows, so no
-    # iterate exists to record.
-    cfg = SolverConfig(
-        m=6,
-        sign=-1,
-        volume=31.5 * constants(6).vol_sphere,
-        profile=Polynomial.from_text(
-            " + ".join(f"2.0 * x{i}^2" for i in range(1, 13))
-        ),
-        n_intervals=256,
-    )
-    with pytest.raises(ConfigError, match="cannot be normalized at v = 0"):
-        solve_continuation(cfg)
+def test_solve_converges_where_the_first_step_overflowed():
+    # In linear space the first mixed step v = 0.5 (T 0) overflowed the
+    # normalization integral.
+    rec = solve_continuation(_negative_curvature_config(6, 30.0, 2.0, 1024))
+    _assert_converged_record(rec)
+    assert rec.iterations == 14
+
+
+def test_solve_converges_where_K_could_not_be_normalized():
+    # In linear space K was finite but its weighted integral at v = 0
+    # overflowed.
+    rec = solve_continuation(_negative_curvature_config(6, 31.5, 2.0, 256))
+    _assert_converged_record(rec)
+    assert rec.iterations == 14
+
+
+@pytest.mark.parametrize("volume_ratio", [60.0, 100.0])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_solve_converges_at_large_negative_volume(m, volume_ratio):
+    # Every one of these K's overflowed double precision in linear space.
+    rec = solve_continuation(_negative_curvature_config(m, volume_ratio, 1.0, 512))
+    _assert_converged_record(rec)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
