@@ -16,11 +16,12 @@ Exit codes
 0  success (solve: converged and all hard gates passed; verify: all
    checks passed; poly-check: Accepted; pohozaev: defect within gate)
 1  invalid configuration or input, message names the violated rule
-   (for poly-check this code instead means: Rejected)
-2  solver failure: max_iter exhausted or divergence guard
-3  solve converged but a hard diagnostic gate failed (also: pohozaev
-   defect above its gate)
-4  poly-check input that cannot be parsed as a polynomial
+   (verify: a check failed; poly-check: Rejected)
+2  solver failure: max_iter exhausted or divergence guard, partial
+   outputs are still written (poly-check: Inconclusive)
+3  solve converged but a hard diagnostic gate failed (pohozaev: defect
+   above its gate)
+4  poly-check input that cannot be parsed or classified as a polynomial
 """
 
 from __future__ import annotations

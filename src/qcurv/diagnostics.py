@@ -152,11 +152,15 @@ def asymptotic_profile(
     P: Polynomial | None,
     fit_window: tuple[float, float] | None = None,
 ) -> tuple[float, float, float]:
-    """Least-squares fit of u(r) + P(r) against -alpha log r + C over a
-    radius window (default [R_max/4, R_max/2]).
+    """Least-squares fit of u(r) + P(r) against
+    -alpha log r + C + sum_{j=1}^{m-1} a_j r^{-2j} over a radius window
+    (default [R_max/4, R_max/2]).
 
-    Returns (alpha_fitted, C_fitted, deviation) with deviation the sup of
-    the fit residual over the window.  P must be radial (or None for 0).
+    The r^{-2j} terms are the far field of the log-potential of a
+    zero-mass radial density (and of u0 = log(1 + r^2) / 2); leaving
+    them out biases alpha at large |alpha|.  Returns (alpha_fitted,
+    C_fitted, deviation) with deviation the sup of the fit residual over
+    the window.  P must be radial (or None for 0).
     """
     grid = u.grid
     if fit_window is None:
@@ -180,7 +184,12 @@ def asymptotic_profile(
         if coeffs is None:
             raise GridMismatch("asymptotic fit requires a radial polynomial")
         target += eval_radial_profile(coeffs, r)
-    design = np.column_stack([-np.log(r), np.ones_like(r)])
+    # Far-field columns are scaled to 1 at the window's start, so the
+    # least-squares design stays well conditioned up to r^{-2(m-1)}.
+    decay = (r_lo / r) ** 2
+    design = np.column_stack(
+        [-np.log(r), np.ones_like(r)] + [decay**j for j in range(1, grid.m)]
+    )
     coef, *_ = np.linalg.lstsq(design, target, rcond=None)
     deviation = float(np.max(np.abs(design @ coef - target)))
     return float(coef[0]), float(coef[1]), deviation

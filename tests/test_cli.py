@@ -13,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 import types
 from pathlib import Path
 
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 
 from conftest import SQUARE_PROFILE_4D
+import qcurv.cli
 from qcurv import Polynomial, __version__, a3_counterexample, constants
 from qcurv.cli import main
 
@@ -486,6 +488,55 @@ def test_pohozaev_rejects_radius_outside_stencil_range(solved_ok):
 # ---------------------------------------------------------------------------
 # module execution
 # ---------------------------------------------------------------------------
+def test_exit_code_tables_agree():
+    """The README table and the cli docstring list the same exit codes
+    with the same meanings."""
+    readme = README.read_text(encoding="utf-8")
+    section = readme.partition("### Exit codes")[2].partition("\n#")[0]
+    from_readme = dict(re.findall(r"^\| (\d+) \| (.+?) \|$", section, re.MULTILINE))
+    table = (qcurv.cli.__doc__ or "").partition("Exit codes\n----------\n")[2]
+    from_doc = {
+        code: " ".join(text.split())
+        for code, text in re.findall(
+            r"^(\d+)  (.+?)(?=^\d+  |\Z)", table, re.MULTILINE | re.DOTALL
+        )
+    }
+    assert from_readme, "README has no exit-code table"
+    assert from_readme == from_doc
+
+
+def test_runs_without_scipy():
+    """The library, a solve and the poly verify suite need no scipy."""
+    script = textwrap.dedent(
+        f"""
+        import sys
+        sys.modules["scipy"] = None
+        from qcurv import Polynomial, SolverConfig, constants, solve_continuation
+        from qcurv.cli import main
+        config = SolverConfig(
+            m=2,
+            sign=1,
+            volume=0.5 * constants(2).vol_sphere,
+            profile=Polynomial.from_text({SQUARE_PROFILE_4D!r}),
+            n_intervals=256,
+        )
+        assert solve_continuation(config).converged
+        sys.exit(main(["verify", "--suite", "poly"]))
+        """
+    )
+    src = str(Path(qcurv.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert "poly: " in result.stdout and "checks passed" in result.stdout
+
+
 def test_module_is_runnable_as_subprocess():
     result = subprocess.run(
         [sys.executable, "-m", "qcurv.cli", "verify", "--suite", "kelvin"],

@@ -12,6 +12,7 @@ from qcurv import (
     GridMismatch,
     Polynomial,
     RadialField,
+    SolverConfig,
     TailNotNegligible,
     asymptotic_profile,
     build_report,
@@ -23,6 +24,7 @@ from qcurv import (
     pohozaev_terms,
     record_pohozaev_terms,
     smooth_global,
+    solve_continuation,
     sphere_area,
     spherical_solution,
     tail_curvature_mass,
@@ -132,6 +134,30 @@ def test_asymptotic_profile_recovers_synthetic_expansion():
     # An explicit window works too.
     alpha, _, _ = asymptotic_profile(u, P, fit_window=(8.0, 30.0))
     assert alpha == pytest.approx(1.5, abs=1e-10)
+    # A far-field r^{-2} term (j < m = 2) is fitted, not folded into alpha.
+    far = RadialField(grid=grid, values=values + 40.0 / r**2)
+    alpha, c, dev = asymptotic_profile(far, P)
+    assert alpha == pytest.approx(1.5, abs=1e-10)
+    assert c == pytest.approx(0.7, abs=1e-10)
+    assert dev < 1e-10
+
+
+def test_asymptotic_profile_at_large_negative_volume():
+    # sign -1, V = 100 vol(S^4), P = 0.5 |x|^2: a fit of -alpha log r + C
+    # alone is off by 26 % here, the r^{-2} far field of the solution.
+    config = SolverConfig(
+        m=2,
+        sign=-1,
+        volume=100.0 * constants(2).vol_sphere,
+        profile=Polynomial.from_text(
+            "0.5 * x1^2 + 0.5 * x2^2 + 0.5 * x3^2 + 0.5 * x4^2"
+        ),
+        n_intervals=1024,
+    )
+    record = solve_continuation(config)
+    assert record.converged
+    alpha, _, _ = asymptotic_profile(record.u, config.profile)
+    assert abs(alpha - config.alpha) / abs(config.alpha) <= 1e-3
 
 
 def test_asymptotic_profile_with_no_polynomial():

@@ -2,9 +2,13 @@
 
 import math
 from dataclasses import replace
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
+
+import qcurv.poly
+import qcurv.solver
 
 from qcurv import (
     ConfigError,
@@ -139,6 +143,77 @@ def test_config_rejects_inadmissible_profiles():
     # Wrong ambient dimension.
     with pytest.raises(ConfigError, match="dim"):
         quick_config(profile=Polynomial.from_text("x1^2 + x2^2")).validate()
+
+
+def radial_polynomial(dim: int, coeffs) -> Polynomial:
+    """sum_i coeffs[i] |x|^{2i} in ``dim`` variables, by multinomial expansion."""
+    terms: dict[tuple[int, ...], float] = {}
+    for i, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        for combo in combinations_with_replacement(range(dim), i):
+            counts = [combo.count(j) for j in range(dim)]
+            weight = math.factorial(i)
+            for cnt in counts:
+                weight //= math.factorial(cnt)
+            key = tuple(2 * cnt for cnt in counts)
+            terms[key] = terms.get(key, 0.0) + c * weight
+    return Polynomial.from_terms(dim, list(terms.items()))
+
+
+@pytest.fixture
+def no_sampling_screen(monkeypatch):
+    """Make any call into the sampling screen fail the test."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("validate must not run the sampling screen")
+
+    monkeypatch.setattr(qcurv.solver, "pm_membership", refuse, raising=False)
+    monkeypatch.setattr(qcurv.poly, "pm_membership", refuse)
+    monkeypatch.setattr(qcurv.poly, "_radial_many", refuse)
+
+
+def admissibility_cases(m: int):
+    """(coefficients of P in |x|^2, error fragment or None if admissible)."""
+    top = m - 1  # highest admissible power of |x|^2
+    cases = [
+        ([0.0, 0.5], None),
+        ([2.0] + [0.0] * (top - 1) + [1.0], None),
+        ([0.0] * top + [-1.0], f"leading coefficient -1 of |x|^{2 * top}"),
+        ([3.0], "constant polynomial"),
+        ([0.0], "constant polynomial"),
+        ([0.0] * (top + 1) + [1.0], f"degree {2 * m} exceeds the admissible bound"),
+        ([0.0, 1.0] + [0.0] * (top - 1) + [1e-6], f"degree {2 * m} exceeds"),
+    ]
+    if top > 1:
+        # Lower terms of either sign do not decide the verdict.
+        cases.append(([0.0, -1.0] + [0.0] * (top - 2) + [1e-3], None))
+        cases.append(([0.0, 1.0] + [0.0] * (top - 2) + [-1e-9], "is not positive"))
+    return cases
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_validate_decides_radial_admissibility_in_closed_form(m, no_sampling_screen):
+    for coeffs, fragment in admissibility_cases(m):
+        profile = radial_polynomial(2 * m, coeffs)
+        cfg = quick_config(
+            m=m, volume=0.5 * constants(m).vol_sphere, profile=profile, u0_profile=None
+        )
+        if fragment is None:
+            cfg.validate()
+            continue
+        with pytest.raises(ConfigError, match="admissibility screen") as info:
+            cfg.validate()
+        assert fragment in str(info.value), (coeffs, str(info.value))
+
+
+def test_validate_accepts_an_eventually_coercive_profile(no_sampling_screen):
+    # r^4 - 1e6 r^2 at m = 3 is negative up to r = 1000, so the sampling
+    # screen (radii up to 256) rejects it, yet x . grad P -> +infinity.
+    profile = radial_polynomial(6, [0.0, -1e6, 1.0])
+    quick_config(
+        m=3, volume=0.5 * constants(3).vol_sphere, profile=profile, u0_profile=None
+    ).validate()
 
 
 @pytest.mark.parametrize(
