@@ -26,10 +26,10 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.special import ndtri
 
 from .errors import DimensionMismatch, PolynomialFormatError
 
@@ -302,8 +302,7 @@ def _direction_set(dim: int, count: int) -> np.ndarray:
     alphas = np.sqrt(np.array(_PRIMES[:dim], dtype=float))
     k = np.arange(1, n_extra + 1)[:, None]
     u = np.mod(k * alphas[None, :] + 0.5, 1.0)
-    inv_cdf = NormalDist().inv_cdf
-    z = np.vectorize(inv_cdf, otypes=[float])(np.clip(u, 1e-12, 1.0 - 1e-12))
+    z = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
     norms = np.linalg.norm(z, axis=1, keepdims=True)
     return np.vstack([axes, z / norms])
 

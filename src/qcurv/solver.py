@@ -39,9 +39,8 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, PolynomialFormatError
 from .geometry import U0Profile, constants, eval_radial_profile, u0_eval
-# validate decides admissibility in closed form and never calls the
-# sampling screen; the name stays importable here because perfbench
-# counts its calls per op through qcurv.solver.pm_membership.
+# Not called here: perfbench counts sampling-screen calls through
+# qcurv.solver.pm_membership (now 0 per op).
 from .poly import Polynomial, pm_membership  # noqa: F401
 from .potential import (
     RadialField,
@@ -106,18 +105,22 @@ def radial_profile_coeffs(P: Polynomial) -> np.ndarray | None:
     return cand
 
 
-def _radial_admissibility_violation(coeffs: np.ndarray, m: int) -> str | None:
-    """Decide admissibility of the radial profile P = sum_i c_i s^i, s = |x|^2,
-    exactly; return the violated rule, or None if P is admissible.
+def _radial_admissibility_violation(
+    degree: int, coeffs: np.ndarray, m: int
+) -> str | None:
+    """Decide admissibility of a radial profile P of total degree ``degree``
+    with P = sum_i c_i s^i, s = |x|^2, exactly; return the violated rule,
+    or None if P is admissible.
 
-    x . grad P = sum_i 2 i c_i s^i is a polynomial in s, so with k the
-    index of the last nonzero coefficient it tends to +infinity iff
-    k >= 1 and c_k > 0; the degree bound reads 2k <= 2m - 2.
+    The degree bound deg P <= 2m - 2 is read off P itself, so that terms
+    below the radial fit's tolerance still count.  x . grad P =
+    sum_i 2 i c_i s^i is a polynomial in s, so with k the index of the last
+    nonzero coefficient it tends to +infinity iff k >= 1 and c_k > 0.
     """
+    if degree > 2 * m - 2:
+        return f"degree {degree} exceeds the admissible bound 2m - 2 = {2 * m - 2}"
     nonzero = np.flatnonzero(coeffs)
     k = int(nonzero[-1]) if nonzero.size else 0
-    if 2 * k > 2 * m - 2:
-        return f"degree {2 * k} exceeds the admissible bound 2m - 2 = {2 * m - 2}"
     if k == 0:
         return "x . grad P vanishes identically (constant polynomial)"
     if not coeffs[k] > 0:
@@ -197,7 +200,9 @@ class SolverConfig:
                 "profile must be radial (a polynomial in |x|^2) for the "
                 "one-dimensional solver"
             )
-        rule = _radial_admissibility_violation(coeffs, self.m)
+        rule = _radial_admissibility_violation(
+            self.profile.degree(), coeffs, self.m
+        )
         if rule is not None:
             raise ConfigError(f"profile rejected by the admissibility screen: {rule}")
         if self.u0_profile is None:

@@ -13,7 +13,6 @@ import os
 import re
 import subprocess
 import sys
-import textwrap
 import types
 from pathlib import Path
 
@@ -503,38 +502,6 @@ def test_exit_code_tables_agree():
     }
     assert from_readme, "README has no exit-code table"
     assert from_readme == from_doc
-
-
-def test_runs_without_scipy():
-    """The library, a solve and the poly verify suite need no scipy."""
-    script = textwrap.dedent(
-        f"""
-        import sys
-        sys.modules["scipy"] = None
-        from qcurv import Polynomial, SolverConfig, constants, solve_continuation
-        from qcurv.cli import main
-        config = SolverConfig(
-            m=2,
-            sign=1,
-            volume=0.5 * constants(2).vol_sphere,
-            profile=Polynomial.from_text({SQUARE_PROFILE_4D!r}),
-            n_intervals=256,
-        )
-        assert solve_continuation(config).converged
-        sys.exit(main(["verify", "--suite", "poly"]))
-        """
-    )
-    src = str(Path(qcurv.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env=dict(os.environ, PYTHONPATH=path),
-    )
-    assert result.returncode == 0, result.stderr[-2000:]
-    assert "poly: " in result.stdout and "checks passed" in result.stdout
 
 
 def test_module_is_runnable_as_subprocess():

@@ -168,13 +168,14 @@ def no_sampling_screen(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("validate must not run the sampling screen")
 
-    monkeypatch.setattr(qcurv.solver, "pm_membership", refuse, raising=False)
+    monkeypatch.setattr(qcurv.solver, "pm_membership", refuse)
     monkeypatch.setattr(qcurv.poly, "pm_membership", refuse)
     monkeypatch.setattr(qcurv.poly, "_radial_many", refuse)
 
 
 def admissibility_cases(m: int):
-    """(coefficients of P in |x|^2, error fragment or None if admissible)."""
+    """(P, error fragment or None if admissible)."""
+    dim = 2 * m
     top = m - 1  # highest admissible power of |x|^2
     cases = [
         ([0.0, 0.5], None),
@@ -189,13 +190,23 @@ def admissibility_cases(m: int):
         # Lower terms of either sign do not decide the verdict.
         cases.append(([0.0, -1.0] + [0.0] * (top - 2) + [1e-3], None))
         cases.append(([0.0, 1.0] + [0.0] * (top - 2) + [-1e-9], "is not positive"))
+    cases = [(radial_polynomial(dim, coeffs), fragment) for coeffs, fragment in cases]
+    # |x|^2 + 1e-13 x1^2 x2^{2m-2} passes as radial (the extra term is below
+    # the radial fit's tolerance), but its degree 2m is still too high.
+    tiny = ((2, 2 * m - 2) + (0,) * (dim - 2), 1e-13)
+    square = radial_polynomial(dim, [0.0, 1.0])
+    cases.append(
+        (
+            Polynomial.from_terms(dim, list(square.terms) + [tiny]),
+            f"degree {2 * m} exceeds",
+        )
+    )
     return cases
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_validate_decides_radial_admissibility_in_closed_form(m, no_sampling_screen):
-    for coeffs, fragment in admissibility_cases(m):
-        profile = radial_polynomial(2 * m, coeffs)
+    for profile, fragment in admissibility_cases(m):
         cfg = quick_config(
             m=m, volume=0.5 * constants(m).vol_sphere, profile=profile, u0_profile=None
         )
@@ -204,7 +215,7 @@ def test_validate_decides_radial_admissibility_in_closed_form(m, no_sampling_scr
             continue
         with pytest.raises(ConfigError, match="admissibility screen") as info:
             cfg.validate()
-        assert fragment in str(info.value), (coeffs, str(info.value))
+        assert fragment in str(info.value), (profile.to_text(), str(info.value))
 
 
 def test_validate_accepts_an_eventually_coercive_profile(no_sampling_screen):
