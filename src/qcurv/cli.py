@@ -57,7 +57,7 @@ from .potential import (
 )
 from .solver import (
     SolverConfig,
-    _curvature_factor,
+    build_K,
     build_grid,
     normalization_cv,
     solve_continuation,
@@ -527,7 +527,7 @@ def run_pohozaev(solution_dir: str, radius: float) -> int:
         grid = build_grid(config)
         # log|K| comes from the validated config, not from the table: older
         # solution directories hold K itself in the fourth column.
-        log_k = _curvature_factor(config, grid)
+        log_k = build_K(config, grid)
     except (KeyError, ConfigError, PolynomialFormatError) as exc:
         print(f"invalid solution metadata: {exc}", file=sys.stderr)
         return EXIT_CONFIG

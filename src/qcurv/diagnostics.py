@@ -22,7 +22,7 @@ from .geometry import (
     radial_polyharmonic,
 )
 from .poly import Polynomial
-from .potential import RadialField, sphere_area
+from .potential import RadialField, gauss_legendre, sphere_area
 from .solver import SolutionRecord, radial_profile_coeffs
 
 # A solution profile whose values all sit below this level is treated as
@@ -413,7 +413,7 @@ def weighted_norm(f: RadialField, k: int, delta: float, p: float) -> float:
     mixed = float(b_p * (w_radial @ (weight2 * np.abs(aniso) ** p)))
     norm += (n * (n - 1) / 2.0) * mixed ** (1.0 / p)
 
-    x_gl, w_gl = np.polynomial.legendre.leggauss(64)
+    x_gl, w_gl = gauss_legendre(64)
     theta = 0.5 * math.pi * (x_gl + 1.0)
     cos2 = np.cos(theta) ** 2
     sin_pow = np.sin(theta) ** (n - 2)

@@ -40,6 +40,9 @@ COEF_DROP_TOL = 1e-14
 # A fitted growth exponent below this value is too flat to certify growth.
 _MIN_GROWTH_EXPONENT = 0.05
 
+# Points per block in _radial_many, bounding its cached coordinate powers.
+_RADIAL_BLOCK = 1 << 16
+
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 
@@ -260,14 +263,31 @@ def radial_derivative(P: Polynomial, x) -> float:
 
 
 def _radial_many(P: Polynomial, x) -> np.ndarray:
+    """``x . grad P`` at an array of points of shape ``(..., dim)``.
+
+    Points are taken in blocks of ``_RADIAL_BLOCK``; within a block each
+    coordinate power ``x_j^e`` is formed once and shared by every term
+    that uses it, and a term multiplies only its nonzero-exponent factors.
+    """
     pts = _as_points(P, x)
-    out = np.zeros(pts.shape[:-1])
-    for exps, coef in P.terms:
-        d = sum(exps)
-        if d == 0:
-            continue
-        out += d * coef * np.prod(pts ** np.asarray(exps), axis=-1)
-    return out
+    flat = pts.reshape(-1, P.dim)
+    out = np.zeros(len(flat))
+    terms = [(exps, sum(exps) * coef) for exps, coef in P.terms if sum(exps) > 0]
+    for start in range(0, len(flat), _RADIAL_BLOCK):
+        cols = np.ascontiguousarray(flat[start : start + _RADIAL_BLOCK].T)
+        powers: dict[tuple[int, int], np.ndarray] = {}
+        acc = out[start : start + _RADIAL_BLOCK]
+        for exps, weight in terms:
+            monomial = None
+            for j, e in enumerate(exps):
+                if e == 0:
+                    continue
+                factor = powers.get((j, e))
+                if factor is None:
+                    factor = powers[(j, e)] = cols[j] ** e
+                monomial = factor if monomial is None else monomial * factor
+            acc += weight * monomial
+    return out.reshape(pts.shape[:-1])
 
 
 # ----------------------------------------------------------------------

@@ -35,6 +35,7 @@ a suffix sum above it, in O(N m) work and memory.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -287,19 +288,24 @@ def _ring_closed(n: int, s, r) -> np.ndarray:
     return out
 
 
-_RING_PANEL_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
+@functools.lru_cache(maxsize=16)
+def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per
+    order and shared read-only."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
+@functools.lru_cache(maxsize=16)
 def _ring_panel_rule(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre rule on [0, pi] over dyadic panels
     [pi/2^{k+1}, pi/2^k] refined toward theta = 0, where the integrand
     develops its (integrable, logarithmic) singularity on the diagonal
-    s = r.  Returns (theta, weights, sin(theta), sin^2(theta/2))."""
-    try:
-        return _RING_PANEL_CACHE[order]
-    except KeyError:
-        pass
-    x, w = np.polynomial.legendre.leggauss(order)
+    s = r.  Returns (theta, weights, sin(theta), sin^2(theta/2)), computed
+    once per order and shared read-only."""
+    x, w = gauss_legendre(order)
     thetas = []
     weights = []
     hi = math.pi
@@ -312,7 +318,8 @@ def _ring_panel_rule(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     theta = np.concatenate(thetas)
     wts = np.concatenate(weights)
     rule = (theta, wts, np.sin(theta), np.sin(0.5 * theta) ** 2)
-    _RING_PANEL_CACHE[order] = rule
+    for arr in rule:
+        arr.flags.writeable = False
     return rule
 
 
@@ -395,7 +402,7 @@ def kernel_matrix(grid: RadialGrid, quad_order: int = 12) -> KernelMatrix:
     if quad_order < 4:
         raise GridMismatch("quad_order must be >= 4")
     n, m, nodes = grid.n, grid.m, grid.nodes
-    xg, wg = np.polynomial.legendre.leggauss(quad_order)
+    xg, wg = gauss_legendre(quad_order)
     a, b = nodes[:-1, None], nodes[1:, None]
     half = 0.5 * (b - a)
     rho = 0.5 * (a + b) + half * xg

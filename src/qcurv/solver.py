@@ -31,6 +31,7 @@ first-class reported outcome, never silent.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -43,6 +44,7 @@ from .geometry import U0Profile, constants, eval_radial_profile, u0_eval
 # qcurv.solver.pm_membership (now 0 per op).
 from .poly import Polynomial, pm_membership  # noqa: F401
 from .potential import (
+    KernelMatrix,
     RadialField,
     RadialGrid,
     kernel_matrix,
@@ -54,6 +56,8 @@ _DIVERGENCE_GUARD = 1e3
 _ANDERSON_DEPTH = 6
 _ANDERSON_MIX = 0.5
 _SCHEMA_VERSION = 2
+# Grids whose discretization solve_continuation keeps for reuse.
+_DISCRETIZATION_CACHE_SIZE = 8
 # Schema-v1 keys that chose the iteration path rather than the problem;
 # v1 files still load, with these dropped.
 _V1_ITERATION_KEYS = frozenset({"theta", "t_schedule", "v_schedule"})
@@ -170,6 +174,15 @@ class SolverConfig:
     def alpha(self) -> float:
         return self.sign * 2.0 * self.volume / constants(self.m).vol_sphere
 
+    @functools.cached_property
+    def radial_coeffs(self) -> np.ndarray | None:
+        """:func:`radial_profile_coeffs` of ``profile``, read-only and
+        computed once per config."""
+        coeffs = radial_profile_coeffs(self.profile)
+        if coeffs is not None:
+            coeffs.flags.writeable = False
+        return coeffs
+
     def validate(self) -> None:
         """Raise ConfigError naming the violated rule, or return None."""
         if self.m == 1:
@@ -194,7 +207,7 @@ class SolverConfig:
             raise ConfigError(
                 f"profile has dim {self.profile.dim}, expected {2 * self.m}"
             )
-        coeffs = radial_profile_coeffs(self.profile)
+        coeffs = self.radial_coeffs
         if coeffs is None:
             raise ConfigError(
                 "profile must be radial (a polynomial in |x|^2) for the "
@@ -319,13 +332,34 @@ def u0_density_field(profile: U0Profile, grid: RadialGrid) -> RadialField:
     return RadialField(grid=grid, values=dens * (-cs.gamma_m / mass))
 
 
-def _curvature_factor(config: SolverConfig, grid: RadialGrid) -> RadialField:
+@functools.lru_cache(maxsize=_DISCRETIZATION_CACHE_SIZE, typed=True)
+def _discretization(
+    m: int,
+    r_max: float,
+    n_intervals: int,
+    map_kind: str,
+    sinh_strength: float,
+    quad_order: int,
+    u0_profile: U0Profile,
+) -> tuple[RadialGrid, KernelMatrix, RadialField, np.ndarray]:
+    """The grid, its kernel moments, the u0 density and the u0 node values,
+    shared read-only by every solve on the same grid.  Nothing here depends
+    on V, the sign or P."""
+    grid = make_grid(m, r_max, n_intervals, map_kind, sinh_strength)
+    kernel = kernel_matrix(grid, quad_order)
+    u0_density = u0_density_field(u0_profile, grid)
+    u0_vals, _ = u0_eval(u0_profile, grid.nodes)
+    u0_vals.flags.writeable = False
+    return grid, kernel, u0_density, u0_vals
+
+
+def _curvature_factor(
+    config: SolverConfig,
+    grid: RadialGrid,
+    p_vals: np.ndarray,
+    u0_vals: np.ndarray,
+) -> RadialField:
     cs = constants(config.m)
-    coeffs = radial_profile_coeffs(config.profile)
-    if coeffs is None:
-        raise ConfigError("profile must be radial (a polynomial in |x|^2)")
-    p_vals = eval_radial_profile(coeffs, grid.nodes)
-    u0_vals, _ = u0_eval(config.u0_profile, grid.nodes)
     log_k = math.log(cs.factorial_2m_minus_1) - 2.0 * config.m * (
         p_vals + config.alpha * u0_vals
     )
@@ -344,7 +378,9 @@ def build_K(config: SolverConfig, grid: RadialGrid) -> RadialField:
     itself is sign e^{log|K|}.  Always finite.  Guards that the weighted
     tail value |K_N| w_N is below 1e-12 of max|K|."""
     config.validate()
-    return _curvature_factor(config, grid)
+    p_vals = eval_radial_profile(config.radial_coeffs, grid.nodes)
+    u0_vals, _ = u0_eval(config.u0_profile, grid.nodes)
+    return _curvature_factor(config, grid, p_vals, u0_vals)
 
 
 def normalization_cv(
@@ -439,12 +475,27 @@ def solve_continuation(config: SolverConfig) -> SolutionRecord:
     divergence guard both return a record with ``converged = False`` and
     the cause in ``failure_reason``, assembled from the last evaluated
     iterate.
+
+    Solves on the same grid share its discretization: the grid, the
+    kernel moments, the u0 density and the u0 node values depend only on
+    (m, r_max, n_intervals, map_kind, sinh_strength, quad_order,
+    u0_profile), not on V, the sign or P, and are built once per such key.
+    The last ``_DISCRETIZATION_CACHE_SIZE`` = 8 keys are kept, read-only,
+    at most about 2.6 MB each (m = 6, N = 8192).  log|K| is built per
+    config.
     """
     config.validate()
-    grid = build_grid(config)
-    kernel = kernel_matrix(grid, config.quad_order)
-    u0_density = u0_density_field(config.u0_profile, grid)
-    log_K = _curvature_factor(config, grid)
+    grid, kernel, u0_density, u0_vals = _discretization(
+        config.m,
+        config.r_max,
+        config.n_intervals,
+        config.map_kind,
+        config.sinh_strength,
+        config.quad_order,
+        config.u0_profile,
+    )
+    p_vals = eval_radial_profile(config.radial_coeffs, grid.nodes)
+    log_K = _curvature_factor(config, grid, p_vals, u0_vals)
     cs = constants(config.m)
 
     v_values = np.zeros_like(grid.nodes)
@@ -487,8 +538,6 @@ def solve_continuation(config: SolverConfig) -> SolutionRecord:
         )
     residual, cv = history[-1]
 
-    u0_vals, _ = u0_eval(config.u0_profile, grid.nodes)
-    p_vals = eval_radial_profile(radial_profile_coeffs(config.profile), grid.nodes)
     u_vals = -config.alpha * u0_vals - p_vals + v_kept + cv
     return SolutionRecord(
         config=config,

@@ -1,9 +1,13 @@
 """Tests for sparse polynomials and the coercivity screen."""
 
 import json
+import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
+
+import qcurv.poly
 
 from qcurv import (
     DimensionMismatch,
@@ -192,6 +196,34 @@ def test_radial_derivative_matches_gradient_dot_product():
         assert radial_derivative(P, x) == pytest.approx(
             float(x @ grad), rel=1e-13
         )
+
+
+@pytest.mark.parametrize("block", [qcurv.poly._RADIAL_BLOCK, 7])
+def test_radial_many_matches_the_termwise_formula(block, monkeypatch):
+    # |x|^4 in R^6 plus odd, mixed and constant terms, on points in the
+    # positive orthant so that every term is positive and no sum cancels.
+    terms = {}
+    for combo in combinations_with_replacement(range(6), 2):
+        counts = [combo.count(j) for j in range(6)]
+        weight = math.factorial(2) // math.prod(map(math.factorial, counts))
+        terms[tuple(2 * c for c in counts)] = float(weight)
+    terms[(1, 3, 0, 0, 0, 0)] = 0.7
+    terms[(0, 0, 1, 1, 1, 0)] = 0.3
+    terms[(0,) * 6] = 2.0
+    P = Polynomial.from_terms(6, terms.items())
+    pts = np.random.default_rng(44).uniform(0.1, 3.0, size=(5, 11, 6))
+    termwise = np.zeros(pts.shape[:-1])
+    for exps, coef in P.terms:
+        d = sum(exps)
+        if d:
+            termwise += d * coef * np.prod(pts ** np.asarray(exps), axis=-1)
+    monkeypatch.setattr(qcurv.poly, "_RADIAL_BLOCK", block)
+    got = qcurv.poly._radial_many(P, pts)
+    assert got.shape == termwise.shape
+    np.testing.assert_allclose(got, termwise, rtol=1e-14, atol=0.0)
+    assert radial_derivative(P, pts[2, 3]) == pytest.approx(
+        termwise[2, 3], rel=1e-14, abs=0.0
+    )
 
 
 # ----------------------------------------------------------------------

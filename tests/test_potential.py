@@ -19,7 +19,7 @@ from qcurv import (
     sphere_area,
     spherical_solution,
 )
-from qcurv.potential import _ring_closed
+from qcurv.potential import _ring_closed, _ring_panel_rule, gauss_legendre
 
 
 @pytest.fixture(scope="module")
@@ -332,3 +332,15 @@ def test_potential_apply_validates_dimensions(wide_grid, wide_kernel):
             RadialField(grid=other, values=np.zeros_like(other.nodes)),
             constants(2),
         )
+
+
+def test_quadrature_tables_are_shared_and_read_only():
+    x, w = gauss_legendre(12)
+    assert gauss_legendre(12)[0] is x
+    ref_x, ref_w = np.polynomial.legendre.leggauss(12)
+    np.testing.assert_array_equal(x, ref_x)
+    np.testing.assert_array_equal(w, ref_w)
+    rule = _ring_panel_rule(16)
+    assert _ring_panel_rule(16) is rule
+    for arr in (x, w) + rule:
+        assert not arr.flags.writeable

@@ -573,3 +573,117 @@ def test_solve_background_profile_independence(quick_positive):
     assert other.converged
     dev = float(np.max(np.abs(other.u.values - quick_positive.u.values)))
     assert dev < 1e-3
+
+
+# ----------------------------------------------------------------------
+# the shared discretization
+# ----------------------------------------------------------------------
+_DISCRETIZATION_KEY = (
+    "m", "r_max", "n_intervals", "map_kind", "sinh_strength", "quad_order",
+    "u0_profile",
+)
+
+
+@pytest.fixture
+def kernel_builds(monkeypatch):
+    """Empty the discretization cache and record every kernel assembly."""
+    qcurv.solver._discretization.cache_clear()
+    calls = []
+    build = qcurv.solver.kernel_matrix
+
+    def counted(grid, quad_order):
+        calls.append(grid)
+        return build(grid, quad_order)
+
+    monkeypatch.setattr(qcurv.solver, "kernel_matrix", counted)
+    yield calls
+    qcurv.solver._discretization.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"volume": 0.3 * constants(2).vol_sphere},
+        {"sign": -1},
+        {"profile": Polynomial.from_text(SQUARE_PROFILE_4D.replace("1.0", "2.0"))},
+    ],
+    ids=["volume", "sign", "profile"],
+)
+def test_solves_on_one_grid_share_its_discretization(change, kernel_builds):
+    first = solve_continuation(quick_config())
+    second = solve_continuation(quick_config(**change))
+    assert len(kernel_builds) == 1
+    assert second.grid is first.grid
+    assert second.u0_density is first.u0_density
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"m": 3, "profile": Polynomial.from_text(
+            " + ".join(f"1.0 * x{i}^2" for i in range(1, 7)))},
+        {"r_max": 30.0},
+        {"n_intervals": 320},
+        {"map_kind": "uniform"},
+        {"sinh_strength": 2.5},
+        {"quad_order": 8},
+        {"u0_profile": compact_blend(2)},
+    ],
+    ids=lambda change: next(iter(change)),
+)
+def test_each_key_field_gets_its_own_discretization(change, kernel_builds):
+    first = solve_continuation(quick_config())
+    cfg = quick_config(**change)
+    second = solve_continuation(cfg)
+    assert len(kernel_builds) == 2
+    assert second.grid is not first.grid
+    fresh = build_grid(cfg)
+    np.testing.assert_array_equal(second.grid.nodes, fresh.nodes)
+    np.testing.assert_array_equal(second.grid.quad_weights, fresh.quad_weights)
+    np.testing.assert_array_equal(
+        second.u0_density.values, u0_density_field(cfg.u0_profile, fresh).values
+    )
+
+
+def test_warm_solve_is_bit_identical_to_cold(kernel_builds):
+    cfg = quick_config()
+    cold = solve_continuation(cfg)
+    solve_continuation(quick_config(sign=-1, volume=2.0 * constants(2).vol_sphere))
+    warm = solve_continuation(cfg)
+    assert len(kernel_builds) == 1
+    for name in ("v", "u", "log_K", "u0_density"):
+        np.testing.assert_array_equal(
+            getattr(warm, name).values, getattr(cold, name).values
+        )
+    assert (warm.c_v, warm.iterations, warm.history) == (
+        cold.c_v, cold.iterations, cold.history
+    )
+
+
+def test_shared_discretization_is_read_only(kernel_builds):
+    cfg = quick_config()
+    grid, kernel, u0_density, u0_vals = qcurv.solver._discretization(
+        *(getattr(cfg, name) for name in _DISCRETIZATION_KEY)
+    )
+    shared = (
+        grid.nodes, grid.quad_weights, kernel.moments, kernel.node_factors,
+        u0_density.values, u0_vals, cfg.radial_coeffs,
+    )
+    for arr in shared:
+        assert not arr.flags.writeable
+    assert solve_continuation(cfg).grid is grid
+
+
+def test_profile_coefficients_are_read_once_per_config(monkeypatch):
+    calls = []
+    read = qcurv.solver.radial_profile_coeffs
+
+    def counted(P):
+        calls.append(P)
+        return read(P)
+
+    monkeypatch.setattr(qcurv.solver, "radial_profile_coeffs", counted)
+    cfg = SolverConfig.from_json_dict(quick_config().to_json_dict())
+    solve_continuation(cfg)
+    build_K(cfg, build_grid(cfg))
+    assert len(calls) == 1
