@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import GridMismatch, TailNotNegligible
 from .geometry import (
-    _lap_radial,
+    _lap_interior,
     constants,
     eval_radial_profile,
     radial_polyharmonic,
@@ -295,31 +295,44 @@ def pohozaev_terms(
     t3 = float(-two_m * alpha * (w_in @ (x_grad_w * u0_density.values)))
 
     # Laplacian iterates of wbar and of g = x . grad wbar, plus their
-    # radial derivatives, all evaluated at the snapped radius.
-    w_iter = [wbar.values.copy()]
+    # radial derivatives, at the snapped radius.  No chain applies more
+    # than m + 1 three-point stencils, so they run on the window of m + 2
+    # nodes either side of it: the window's end values are wrong, but the
+    # error moves in by one node per stencil and never reaches its center.
+    lo = idx - (m + 2)
+    window = slice(lo, idx + m + 3)
+    centre = idx - lo
+    w_nodes = nodes[window]
+    w_iter = [wbar.values[window]]
     for _ in range(m):
-        w_iter.append(_lap_radial(nodes, w_iter[-1], n))
-    g0 = nodes * _d1(nodes, wbar.values)
+        w_iter.append(_lap_interior(w_nodes, w_iter[-1], n))
+    g0 = w_nodes * _d1(w_nodes, w_iter[0])
     g_iter = [g0]
     for _ in range((m - 1) // 2 + 1):
-        g_iter.append(_lap_radial(nodes, g_iter[-1], n))
-    w_prime = [_d1(nodes, arr) for arr in w_iter]
-    g_prime = [_d1(nodes, arr) for arr in g_iter]
+        g_iter.append(_lap_interior(w_nodes, g_iter[-1], n))
+    w_prime = [_d1(w_nodes, arr) for arr in w_iter]
+    g_prime = [_d1(w_nodes, arr) for arr in g_iter]
 
     b1 = float(om * r_snap**n * k_e_w[idx])
     if m % 2 == 0:
-        half_power = w_iter[m // 2][idx]
+        half_power = w_iter[m // 2][centre]
     else:
-        half_power = w_prime[(m - 1) // 2][idx]
+        half_power = w_prime[(m - 1) // 2][centre]
     b2 = float(-m * om * r_snap**n * half_power**2)
 
     cross = 0.0
     for j in range(m):
         parity_sign = (-1.0) ** (m + j)
         if j % 2 == 0:
-            cross += parity_sign * g_iter[j // 2][idx] * w_prime[m - 1 - j // 2][idx]
+            cross += (
+                parity_sign * g_iter[j // 2][centre] * w_prime[m - 1 - j // 2][centre]
+            )
         else:
-            cross += parity_sign * g_prime[(j - 1) // 2][idx] * w_iter[m - (j + 1) // 2][idx]
+            cross += (
+                parity_sign
+                * g_prime[(j - 1) // 2][centre]
+                * w_iter[m - (j + 1) // 2][centre]
+            )
     b3 = float(-two_m * om * r_snap ** (n - 1) * cross)
 
     return PohozaevTerms(radius=r_snap, t1=t1, t2=t2, t3=t3, b1=b1, b2=b2, b3=b3)
@@ -382,6 +395,12 @@ def weighted_norm(f: RadialField, k: int, delta: float, p: float) -> float:
     """
     if k not in (0, 1, 2):
         raise GridMismatch(f"k must be 0, 1, or 2, got {k}")
+    return _weighted_norms(f, k, delta, p)[k]
+
+
+def _weighted_norms(f: RadialField, k: int, delta: float, p: float) -> list[float]:
+    """``weighted_norm(f, j, delta, p)`` for j = 0..k in one pass: the
+    norm of order j is that of order j - 1 plus its own blocks."""
     if not 1.0 <= p < math.inf:
         raise GridMismatch(f"p must be in [1, inf), got {p}")
     grid = f.grid
@@ -390,17 +409,17 @@ def weighted_norm(f: RadialField, k: int, delta: float, p: float) -> float:
     w_full = grid.quad_weights  # includes the omega_{n-1} r^{n-1} factor
     w_radial = w_full / sphere_area(n)
     weight0 = (1.0 + nodes**2) ** (delta * p / 2.0)
-    norm = float(w_full @ (weight0 * np.abs(f.values) ** p)) ** (1.0 / p)
+    norms = [float(w_full @ (weight0 * np.abs(f.values) ** p)) ** (1.0 / p)]
     if k == 0:
-        return norm
+        return norms
 
     f1 = _d1(nodes, f.values)
     weight1 = (1.0 + nodes**2) ** ((delta + 1.0) * p / 2.0)
     a_p = _angular_moment(n, (p,))
     block1 = float(a_p * (w_radial @ (weight1 * np.abs(f1) ** p)))
-    norm += n * block1 ** (1.0 / p)
+    norms.append(norms[-1] + n * block1 ** (1.0 / p))
     if k == 1:
-        return norm
+        return norms
 
     f2 = _d2(nodes, f.values)
     ratio = np.empty_like(f1)
@@ -411,19 +430,20 @@ def weighted_norm(f: RadialField, k: int, delta: float, p: float) -> float:
 
     b_p = _angular_moment(n, (p, p))
     mixed = float(b_p * (w_radial @ (weight2 * np.abs(aniso) ** p)))
-    norm += (n * (n - 1) / 2.0) * mixed ** (1.0 / p)
+    norm = norms[-1] + (n * (n - 1) / 2.0) * mixed ** (1.0 / p)
 
     x_gl, w_gl = gauss_legendre(64)
     theta = 0.5 * math.pi * (x_gl + 1.0)
     cos2 = np.cos(theta) ** 2
     sin_pow = np.sin(theta) ** (n - 2)
     ring = sphere_area(n - 1) * 0.5 * math.pi * w_gl * sin_pow
-    pure_angular = (
-        np.abs(aniso[:, None] * cos2[None, :] + ratio[:, None]) ** p
-    ) @ ring
-    pure = float(w_radial @ (weight2 * pure_angular))
-    norm += n * pure ** (1.0 / p)
-    return norm
+    angular = aniso[:, None] * cos2[None, :]
+    angular += ratio[:, None]
+    np.abs(angular, out=angular)
+    angular **= p
+    pure = float(w_radial @ (weight2 * (angular @ ring)))
+    norms.append(norm + n * pure ** (1.0 / p))
+    return norms
 
 
 # ----------------------------------------------------------------------
@@ -530,28 +550,24 @@ def build_report(
         pohozaev_radius = min(20.0, grid.r_max / 2.0)
     terms = record_pohozaev_terms(record, pohozaev_radius)
 
-    wbar = RadialField(grid=grid, values=record.v.values + record.c_v)
-    radii = [
-        x for x in (0.0, grid.r_max / 8, grid.r_max / 4, grid.r_max / 2, 0.75 * grid.r_max)
-    ]
-    tail = tuple(
-        (float(grid.nodes[grid.nearest_index(x)]), tail_curvature_mass(record.log_K, wbar, x))
-        for x in radii
-    )
-
-    norms = {}
-    for k, delta, p in ((0, -3.0, 2.0), (1, -3.0, 2.0), (2, -3.0, 2.0)):
-        norms[f"k={k},delta={delta:g},p={p:g}"] = weighted_norm(
-            record.v, k, delta, p
+    # |K| e^{2m wbar}, shared by the tail masses and the source's L^1 mass.
+    curvature = np.exp(record.log_K.values + 2 * config.m * (record.v.values + record.c_v))
+    tail = []
+    for x in (0.0, grid.r_max / 8, grid.r_max / 4, grid.r_max / 2, 0.75 * grid.r_max):
+        index = grid.nearest_index(x)
+        tail.append(
+            (float(grid.nodes[index]), float(grid.weights_beyond(index) @ curvature))
         )
 
-    source_mass_l1 = float(
-        grid.quad_weights
-        @ np.abs(
-            config.sign * np.exp(record.log_K.values + 2 * config.m * wbar.values)
-            + record.alpha * record.u0_density.values
-        )
-    )
+    delta, p = -3.0, 2.0
+    norms = {
+        f"k={k},delta={delta:g},p={p:g}": norm
+        for k, norm in enumerate(_weighted_norms(record.v, 2, delta, p))
+    }
+
+    curvature *= config.sign
+    curvature += record.alpha * record.u0_density.values
+    source_mass_l1 = float(grid.quad_weights @ np.abs(curvature))
     probes = {}
     for scale in (0.5, 1.0):
         p_probe = scale * cs.gamma_m / source_mass_l1
@@ -571,7 +587,7 @@ def build_report(
         asymptotic_deviation=deviation,
         pohozaev_defect_rel=terms.defect,
         pohozaev_radius=terms.radius,
-        tail_mass=tail,
+        tail_mass=tuple(tail),
         weighted_norms=norms,
         exp_integrability=probes,
     )

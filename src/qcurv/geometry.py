@@ -14,6 +14,7 @@ integral (-Delta)^m u0 = -gamma_m, where gamma_m is the Green constant of
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -45,8 +46,10 @@ class Constants:
     factorial_2m_minus_1: float
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def constants(m: int) -> Constants:
-    """Constants for dimension n = 2m, valid for 1 <= m <= 6."""
+    """Constants for dimension n = 2m, valid for 1 <= m <= 6; built once
+    per m and shared (the dataclass is frozen)."""
     if not isinstance(m, int) or m < 1 or m > 6:
         raise DimensionMismatch(f"m must be an integer in 1..6, got {m}")
     n = 2 * m

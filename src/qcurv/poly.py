@@ -327,19 +327,15 @@ def _direction_set(dim: int, count: int) -> np.ndarray:
     return np.vstack([axes, z / norms])
 
 
-def _curve_points(
-    dim: int, degree: int, radii: np.ndarray
-) -> tuple[np.ndarray, list[tuple[int, int, int, float]]]:
-    """Sample points along the curve family  x_i = c t^k, x_j = t,
+def _curve_family(
+    dim: int, degree: int
+) -> list[tuple[int, int, int, float]]:
+    """Descriptors (i, j, k, c) of the curve family  x_i = c t^k, x_j = t,
     other coordinates zero, for all ordered pairs (i, j), bend exponents
-    k = 2..max(2, degree) and a coefficient grid c = 0.05..4.00.
-
-    Returns points of shape (n_radii, n_curves, dim) plus the curve
-    descriptors (i, j, k, c).
-    """
+    k = 2..max(2, degree) and a coefficient grid c = 0.05..4.00."""
     ks = range(2, max(2, degree) + 1)
     cs = 0.05 * np.arange(1, 81)
-    descriptors = [
+    return [
         (i, j, k, float(c))
         for i in range(dim)
         for j in range(dim)
@@ -347,11 +343,22 @@ def _curve_points(
         for k in ks
         for c in cs
     ]
-    pts = np.zeros((len(radii), len(descriptors), dim))
-    for q, (i, j, k, c) in enumerate(descriptors):
-        pts[:, q, i] = c * radii**k
-        pts[:, q, j] = radii
-    return pts, descriptors
+
+
+def _curve_points(
+    dim: int, descriptors: list[tuple[int, int, int, float]], radii: np.ndarray
+):
+    """The points of the curve family at each radius t, one
+    ``(n_curves, dim)`` array per radius, so that only one radius's points
+    are held at a time."""
+    i, j, k, c = (np.array(col) for col in zip(*descriptors))
+    rows = np.arange(len(descriptors))
+    powers = np.array([radii**e for e in range(k.max() + 1)])
+    for slot, t in enumerate(radii):
+        pts = np.zeros((len(descriptors), dim))
+        pts[rows, i] = c * powers[k, slot]
+        pts[rows, j] = t
+        yield pts
 
 
 def pm_membership(
@@ -411,13 +418,20 @@ def pm_membership(
         )
 
     dirs = _direction_set(P.dim, direction_count)
-    ray_pts = radii_arr[:, None, None] * dirs[None, :, :]
-    curve_pts, curve_desc = _curve_points(P.dim, degree, radii_arr)
-    pts = np.concatenate([ray_pts, curve_pts], axis=1)
+    curve_desc = _curve_family(P.dim, degree)
     n_rays = dirs.shape[0]
-
-    values = _radial_many(P, pts)  # (n_radii, n_samples)
-    norms = np.linalg.norm(pts, axis=-1)
+    # Rays then curves, one radius at a time: only the values and norms
+    # of the whole sample set are kept, never its points.
+    values = np.empty((len(radii_arr), n_rays + len(curve_desc)))
+    norms = np.empty_like(values)
+    curves = _curve_points(P.dim, curve_desc, radii_arr)
+    for slot, curve_pts in enumerate(curves):
+        for pts, cols in (
+            (radii_arr[slot] * dirs, slice(None, n_rays)),
+            (curve_pts, slice(n_rays, None)),
+        ):
+            values[slot, cols] = _radial_many(P, pts)
+            norms[slot, cols] = np.linalg.norm(pts, axis=-1)
     samples_used = values.size
 
     def describe(slot: int, idx: int) -> str:

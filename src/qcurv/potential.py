@@ -223,7 +223,7 @@ class RadialField:
         values = np.asarray(self.values, dtype=float)
         if values.shape != self.grid.nodes.shape:
             raise GridMismatch("field values do not match the grid size")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise GridMismatch("field values must be finite")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -445,13 +445,15 @@ def potential_apply(kernel: KernelMatrix, density: RadialField, constants) -> Ra
         )
     kernel.grid.ensure_same(density.grid)
     f = density.values
-    per_interval = kernel.moments[0] * f[:-1] + kernel.moments[1] * f[1:]
+    per_interval = kernel.moments[0] * f[:-1]
+    per_interval += kernel.moments[1] * f[1:]
     m = kernel.grid.m
-    below_factors, above_factors = kernel.node_factors[:m], kernel.node_factors[m:]
-    below = np.zeros_like(below_factors)
-    above = np.zeros_like(above_factors)
-    below[:, 1:] = np.cumsum(per_interval[:m], axis=1)
-    above[:, :-1] = np.cumsum(per_interval[m:, ::-1], axis=1)[:, ::-1]
-    values = np.sum(below_factors * below, axis=0) + np.sum(above_factors * above, axis=0)
+    # Rows :m hold the sums below each node, rows m: those above it.
+    sums = np.zeros(kernel.node_factors.shape)
+    per_interval[:m].cumsum(axis=1, out=sums[:m, 1:])
+    per_interval[m:, ::-1].cumsum(axis=1, out=sums[m:, -2::-1])
+    sums *= kernel.node_factors
+    values = sums[:m].sum(axis=0)
+    values += sums[m:].sum(axis=0)
     values /= -constants.gamma_m
     return RadialField(grid=density.grid, values=values)

@@ -24,8 +24,13 @@ by (2m-1)! V over its quadrature weight.
 
 The fixed point is reached by Anderson-accelerated iteration on v -> T v
 (Walker & Ni, SIAM J. Numer. Anal. 49, 2011), stopped on the undamped
-residual ||T v - v||_inf.  Convergence is empirical; non-convergence is a
-first-class reported outcome, never silent.
+residual ||T v - v||_inf.  The mixing coefficients solve the 6 x 6 normal
+equations of a Gram matrix updated one row per iteration; once a mixed
+iterate meets the tolerance, the solve takes the plain step v <- T v and
+keeps that iterate if its own residual does, so a converged record is
+one evaluation of T.  Divergence is judged relative to the first
+residual, which grows like V.  Convergence is empirical; non-convergence
+is a first-class reported outcome, never silent.
 """
 
 from __future__ import annotations
@@ -398,11 +403,12 @@ def normalization_cv(
     log_K.grid.ensure_same(v.grid)
     cs = constants(config.m)
     two_m = 2.0 * config.m
-    exponent = log_K.values + two_m * v.values
-    top = float(np.max(exponent))
-    log_integral = top + math.log(
-        float(log_K.grid.quad_weights @ np.exp(exponent - top))
-    )
+    exponent = two_m * v.values
+    exponent += log_K.values
+    top = float(exponent.max())
+    exponent -= top
+    np.exp(exponent, out=exponent)
+    log_integral = top + math.log(float(log_K.grid.quad_weights @ exponent))
     return (math.log(cs.factorial_2m_minus_1 * config.volume) - log_integral) / two_m
 
 
@@ -424,8 +430,12 @@ def source_with_normalization(
     log_K.grid.ensure_same(v.grid)
     log_K.grid.ensure_same(u0_density.grid)
     cv = normalization_cv(log_K, v, config)
-    values = config.sign * np.exp(log_K.values + 2.0 * config.m * (v.values + cv))
-    values = values + config.alpha * u0_density.values
+    values = v.values + cv
+    values *= 2.0 * config.m
+    values += log_K.values
+    np.exp(values, out=values)
+    values *= config.sign
+    values += config.alpha * u0_density.values
     return RadialField(grid=v.grid, values=values), cv
 
 
@@ -437,8 +447,13 @@ class SolutionRecord:
     """Everything a solve produced.
 
     ``u`` reconstructs exactly as -alpha*u0 - P + v + c_v at every node.
-    ``history`` holds per-iteration pairs (residual ||T v - v||_inf, c_v);
-    ``final_update`` is the residual of the recorded ``v``;
+    ``history`` holds per-iteration pairs (residual ||T v - v||_inf, c_v),
+    one per evaluation of T, the closing image step included;
+    ``final_update`` is the residual of the recorded ``v`` and
+    ``history[-1] == (final_update, c_v)``.  A converged ``v`` is T of the
+    previous entry's iterate (or v = 0 if T 0 already met ``tol``): one
+    potential evaluation, paired with its own c_v, never an Anderson
+    extrapolation.
     ``log_K`` is log|K| (K = sign e^{log_K});
     ``failure_reason`` is None for converged runs and names the cause
     (max_iter or the divergence guard) otherwise.
@@ -459,22 +474,114 @@ class SolutionRecord:
     failure_reason: str | None = None
 
 
+class _AndersonHistory:
+    """The last ``_ANDERSON_DEPTH`` differences of f = T v - v and of
+    g = T v between consecutive iterates, kept in place.
+
+    ``d_f`` and ``d_g`` are ring buffers of rows; ``gram`` holds the dot
+    products of the ``d_f`` rows, one row and column refreshed per push,
+    so the least-squares problem min ||f - d_f^T gamma||_2 is solved
+    through its ``count`` x ``count`` normal equations instead of an
+    (N+1) x ``count`` factorization.  Row order does not matter: gamma
+    weights each stored difference by its slot.
+    """
+
+    def __init__(self, size: int) -> None:
+        self.d_f = np.empty((_ANDERSON_DEPTH, size))
+        self.d_g = np.empty((_ANDERSON_DEPTH, size))
+        self.gram = np.empty((_ANDERSON_DEPTH, _ANDERSON_DEPTH))
+        self.count = 0
+        self._next = 0
+        self._f_prev = self._g_prev = None
+
+    def push(self, f: np.ndarray, g: np.ndarray) -> None:
+        """Store the differences to the previous (f, g), overwriting the
+        oldest pair once the buffers are full; f and g are kept, not
+        copied, so the caller must not modify them afterwards."""
+        if self._f_prev is not None:
+            slot = self._next
+            np.subtract(f, self._f_prev, out=self.d_f[slot])
+            np.subtract(g, self._g_prev, out=self.d_g[slot])
+            self._next = (slot + 1) % _ANDERSON_DEPTH
+            self.count = min(self.count + 1, _ANDERSON_DEPTH)
+            row = self.d_f[: self.count] @ self.d_f[slot]
+            self.gram[slot, : self.count] = row
+            self.gram[: self.count, slot] = row
+        self._f_prev, self._g_prev = f, g
+
+    def restart(self) -> None:
+        """Drop every stored difference; the next push starts afresh from
+        the last (f, g)."""
+        self.count = 0
+        self._next = 0
+
+    def coefficients(self, f: np.ndarray) -> np.ndarray | None:
+        """gamma = argmin ||f - d_f^T gamma||_2 from the normal equations
+        scaled by the Gram diagonal (Jacobi, so their diagonal is 1 up to
+        rounding), or None after restarting the history when they are
+        singular: a zero or repeated difference."""
+        k = self.count
+        if k == 0:
+            return None
+        gram = self.gram[:k, :k]
+        diag = gram.diagonal()
+        if not diag.min() > 0:
+            self.restart()
+            return None
+        scale = 1.0 / np.sqrt(diag)
+        try:
+            gamma = np.linalg.solve(
+                gram * np.outer(scale, scale), (self.d_f[:k] @ f) * scale
+            )
+        except np.linalg.LinAlgError:
+            self.restart()
+            return None
+        gamma *= scale
+        return gamma
+
+    def mix(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """The next iterate g - d_g^T gamma - (1 - beta)(f - d_f^T gamma),
+        beta = ``_ANDERSON_MIX``; the damped Picard step with no usable
+        history."""
+        gamma = self.coefficients(f)
+        if gamma is None:
+            return g - (1.0 - _ANDERSON_MIX) * f
+        k = self.count
+        f_mixed = f - gamma @ self.d_f[:k]
+        f_mixed *= 1.0 - _ANDERSON_MIX
+        v = g - gamma @ self.d_g[:k]
+        v -= f_mixed
+        return v
+
+
 def solve_continuation(config: SolverConfig) -> SolutionRecord:
     """Anderson-accelerated fixed-point iteration on v -> T v from v = 0.
 
-    Each iteration evaluates f = T v - v and stops once the undamped
-    residual ||f||_inf is at most ``tol``; the record keeps that iterate.
-    Otherwise the next iterate mixes the last ``_ANDERSON_DEPTH``
-    differences of f and of g = T v (Walker & Ni 2011) with the fixed
-    damping beta = ``_ANDERSON_MIX``:
+    Each iteration evaluates g = T v and f = g - v.  The next iterate
+    mixes the last ``_ANDERSON_DEPTH`` differences of f and of g
+    (Walker & Ni 2011) with the fixed damping beta = ``_ANDERSON_MIX``:
 
         v <- g - dG gamma - (1 - beta) (f - dF gamma),
-        gamma = argmin ||f - dF gamma||_2.
+        gamma = argmin ||f - dF gamma||_2,
 
-    Exhausting ``max_iter`` iterations and a residual above the
-    divergence guard both return a record with ``converged = False`` and
-    the cause in ``failure_reason``, assembled from the last evaluated
-    iterate.
+    where gamma solves the Jacobi-scaled 6 x 6 normal equations on a
+    running Gram matrix of the f-differences (:class:`_AndersonHistory`);
+    a singular system (a repeated difference) restarts the history and
+    takes the damped step.
+
+    The stop test is the undamped residual ||f||_inf <= ``tol``.  When a
+    mixed iterate meets it, the solve takes the undamped step v <- T v
+    and tests that iterate's own residual, so the recorded v is a single
+    potential evaluation paired with its own c_v rather than an
+    extrapolation that multiplies rounding by |gamma|; if the image
+    misses ``tol``, iteration continues from it.  Every evaluation of T,
+    the image step included, counts as one iteration.
+
+    Exhausting ``max_iter`` iterations and a residual above
+    ``_DIVERGENCE_GUARD`` times the first residual both return a record
+    with ``converged = False`` and the cause in ``failure_reason``,
+    assembled from the last evaluated iterate.  The guard is relative
+    because the first residual grows like V.
 
     Solves on the same grid share its discretization: the grid, the
     kernel moments, the u0 density and the u0 node values depend only on
@@ -500,37 +607,29 @@ def solve_continuation(config: SolverConfig) -> SolutionRecord:
 
     v_values = np.zeros_like(grid.nodes)
     history: list[tuple[float, float]] = []
-    f_prev = g_prev = None
-    d_f: list[np.ndarray] = []
-    d_g: list[np.ndarray] = []
+    anderson = _AndersonHistory(len(grid.nodes))
+    mixed = False
     failure_reason = None
     for _ in range(config.max_iter):
         v_field = RadialField(grid=grid, values=v_values)
         source, cv = source_with_normalization(v_field, config, log_K, u0_density)
         g = potential_apply(kernel, source, cs).values
         f = g - v_values
-        residual = float(np.max(np.abs(f)))
+        residual = float(np.abs(f).max())
         history.append((residual, cv))
         v_kept = v_values
-        if residual <= config.tol:
+        if residual <= config.tol and not mixed:
             break
-        if not residual <= _DIVERGENCE_GUARD:
+        if not residual <= _DIVERGENCE_GUARD * history[0][0]:
             failure_reason = (
                 f"residual {residual:.3e} exceeded the divergence guard "
-                f"{_DIVERGENCE_GUARD:g} at iteration {len(history)}"
+                f"{_DIVERGENCE_GUARD:g} x the first residual "
+                f"{history[0][0]:.3e} at iteration {len(history)}"
             )
             break
-        if f_prev is not None:
-            d_f.append(f - f_prev)
-            d_g.append(g - g_prev)
-            del d_f[:-_ANDERSON_DEPTH], d_g[:-_ANDERSON_DEPTH]
-        f_prev, g_prev = f, g
-        if d_f:
-            f_diffs = np.column_stack(d_f)
-            gamma = np.linalg.lstsq(f_diffs, f, rcond=None)[0]
-            g = g - np.column_stack(d_g) @ gamma
-            f = f - f_diffs @ gamma
-        v_values = g - (1.0 - _ANDERSON_MIX) * f
+        anderson.push(f, g)
+        mixed = residual > config.tol
+        v_values = anderson.mix(f, g) if mixed else g
     else:
         failure_reason = (
             f"max_iter = {config.max_iter} exhausted "

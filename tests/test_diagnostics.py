@@ -32,7 +32,9 @@ from qcurv import (
     u0_eval,
     weighted_norm,
 )
-from qcurv.diagnostics import _angular_moment
+from qcurv.diagnostics import _angular_moment, _d1, _d2
+from qcurv.geometry import _lap_radial
+from qcurv.potential import gauss_legendre
 
 
 # ----------------------------------------------------------------------
@@ -450,3 +452,133 @@ def test_report_serializes_to_json_and_csv(quick_positive):
     assert len(names) == len(values) == 8
     assert names[0] == "pde_residual_max_rel"
     assert float(values[0]) == report.pde_residual_max_rel
+
+
+# ----------------------------------------------------------------------
+# the report's shared and windowed evaluations against full-grid formulas
+# ----------------------------------------------------------------------
+def _boundary_terms_on_the_full_grid(wbar, r_snap, idx):
+    """b1's curvature factor aside, the Pohozaev boundary terms with every
+    stencil applied to the whole grid, as first written."""
+    grid = wbar.grid
+    m, n, nodes = grid.m, grid.n, grid.nodes
+    om = sphere_area(n)
+    w_iter = [wbar.values.copy()]
+    for _ in range(m):
+        w_iter.append(_lap_radial(nodes, w_iter[-1], n))
+    g_iter = [nodes * _d1(nodes, wbar.values)]
+    for _ in range((m - 1) // 2 + 1):
+        g_iter.append(_lap_radial(nodes, g_iter[-1], n))
+    w_prime = [_d1(nodes, arr) for arr in w_iter]
+    g_prime = [_d1(nodes, arr) for arr in g_iter]
+    if m % 2 == 0:
+        half_power = w_iter[m // 2][idx]
+    else:
+        half_power = w_prime[(m - 1) // 2][idx]
+    b2 = float(-m * om * r_snap**n * half_power**2)
+    cross = 0.0
+    for j in range(m):
+        parity_sign = (-1.0) ** (m + j)
+        if j % 2 == 0:
+            cross += parity_sign * g_iter[j // 2][idx] * w_prime[m - 1 - j // 2][idx]
+        else:
+            cross += parity_sign * g_prime[(j - 1) // 2][idx] * w_iter[m - (j + 1) // 2][idx]
+    return b2, float(-2.0 * m * om * r_snap ** (n - 1) * cross)
+
+
+def _weighted_norm_formula(f, k, delta, p):
+    """weighted_norm as first written: each order recomputes the lower
+    ones, and the angular integrand is formed out of place."""
+    grid = f.grid
+    n, nodes = grid.n, grid.nodes
+    w_full = grid.quad_weights
+    w_radial = w_full / sphere_area(n)
+    weight0 = (1.0 + nodes**2) ** (delta * p / 2.0)
+    norm = float(w_full @ (weight0 * np.abs(f.values) ** p)) ** (1.0 / p)
+    if k == 0:
+        return norm
+    f1 = _d1(nodes, f.values)
+    weight1 = (1.0 + nodes**2) ** ((delta + 1.0) * p / 2.0)
+    block1 = float(_angular_moment(n, (p,)) * (w_radial @ (weight1 * np.abs(f1) ** p)))
+    norm += n * block1 ** (1.0 / p)
+    if k == 1:
+        return norm
+    f2 = _d2(nodes, f.values)
+    ratio = np.empty_like(f1)
+    ratio[1:] = f1[1:] / nodes[1:]
+    ratio[0] = f2[0]
+    aniso = f2 - ratio
+    weight2 = (1.0 + nodes**2) ** ((delta + 2.0) * p / 2.0)
+    mixed = float(
+        _angular_moment(n, (p, p)) * (w_radial @ (weight2 * np.abs(aniso) ** p))
+    )
+    norm += (n * (n - 1) / 2.0) * mixed ** (1.0 / p)
+    x_gl, w_gl = gauss_legendre(64)
+    theta = 0.5 * math.pi * (x_gl + 1.0)
+    cos2 = np.cos(theta) ** 2
+    ring = sphere_area(n - 1) * 0.5 * math.pi * w_gl * np.sin(theta) ** (n - 2)
+    pure_angular = (np.abs(aniso[:, None] * cos2[None, :] + ratio[:, None]) ** p) @ ring
+    pure = float(w_radial @ (weight2 * pure_angular))
+    return norm + n * pure ** (1.0 / p)
+
+
+@pytest.fixture(scope="module")
+def report_records():
+    """Solves for m = 2..6 and both signs at N = 512."""
+    return [
+        solve_continuation(
+            SolverConfig(
+                m=m,
+                sign=sign,
+                volume=(0.6 if sign == 1 else 2.5) * constants(m).vol_sphere,
+                profile=Polynomial.from_text(
+                    " + ".join(f"1.2 * x{i}^2" for i in range(1, 2 * m + 1))
+                ),
+                n_intervals=512,
+            )
+        )
+        for m in (2, 3, 4, 5, 6)
+        for sign in (1, -1)
+    ]
+
+
+def test_report_matches_its_full_grid_formulas(report_records):
+    for rec in report_records:
+        config, grid = rec.config, rec.grid
+        report = build_report(rec)
+        wbar = RadialField(grid=grid, values=rec.v.values + rec.c_v)
+        # Tail masses: one tail_curvature_mass per radius.
+        for r_snap, mass in report.tail_mass:
+            assert mass == tail_curvature_mass(rec.log_K, wbar, r_snap)
+        # The probes' exponents come from the source's L^1 mass.
+        source_mass_l1 = float(
+            grid.quad_weights
+            @ np.abs(
+                config.sign * np.exp(rec.log_K.values + 2 * config.m * wbar.values)
+                + rec.alpha * rec.u0_density.values
+            )
+        )
+        expected_probes = {}
+        for scale in (0.5, 1.0):
+            p_probe = scale * constants(config.m).gamma_m / source_mass_l1
+            probe = exp_integrability_probe(rec.v, p_probe, grid.r_max / 2.0)
+            expected_probes[f"p={p_probe:.6g}"] = {
+                "finite": probe.finite,
+                "value": probe.value,
+                "ratio": probe.ratio,
+            }
+        assert report.exp_integrability == expected_probes
+        # Weighted norms of order 0, 1, 2 from one pass.
+        for k in (0, 1, 2):
+            expected = _weighted_norm_formula(rec.v, k, -3.0, 2.0)
+            assert report.weighted_norms[f"k={k},delta=-3,p=2"] == expected
+            assert weighted_norm(rec.v, k, 0.5, 1.5) == _weighted_norm_formula(
+                rec.v, k, 0.5, 1.5
+            )
+        # Pohozaev boundary terms from the windowed stencils.
+        for R in (3.0, 7.5, 20.0, 30.0):
+            terms = record_pohozaev_terms(rec, R)
+            idx = grid.nearest_index(R)
+            assert (terms.b2, terms.b3) == _boundary_terms_on_the_full_grid(
+                wbar, terms.radius, idx
+            )

@@ -359,3 +359,19 @@ def test_counterexample_below_critical_coupling_is_accepted():
     verdict = pm_membership(a3_counterexample(1.0), m=3)
     assert verdict.status == "Accepted"
     assert verdict.constant > 0
+
+
+@pytest.mark.parametrize("dim, degree", [(4, 2), (6, 4), (8, 6)])
+def test_curve_points_are_the_sample_array_one_radius_at_a_time(dim, degree):
+    # pm_membership holds one radius's curve points at a time; each slice
+    # equals the whole (n_radii, n_curves, dim) array built the direct way.
+    radii = np.array([1.0, 1.7, 4.0, 9.3])
+    family = qcurv.poly._curve_family(dim, degree)
+    whole = np.zeros((len(radii), len(family), dim))
+    for q, (i, j, k, c) in enumerate(family):
+        whole[:, q, i] = c * radii**k
+        whole[:, q, j] = radii
+    slices = list(qcurv.poly._curve_points(dim, family, radii))
+    assert len(slices) == len(radii)
+    for slot, pts in enumerate(slices):
+        np.testing.assert_array_equal(pts, whole[slot])

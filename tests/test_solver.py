@@ -375,7 +375,7 @@ def test_build_K_stays_finite_at_large_negative_volume():
     assert float(np.max(log_K.values)) == pytest.approx(2412.16, abs=0.01)
     rec = solve_continuation(cfg)
     assert rec.converged, rec.failure_reason
-    assert rec.iterations == 35
+    assert rec.iterations == 40
 
 
 def test_normalization_constant_pins_curvature_integral():
@@ -522,7 +522,7 @@ def test_solve_converges_where_the_first_step_overflowed():
     # normalization integral.
     rec = solve_continuation(_negative_curvature_config(6, 30.0, 2.0, 1024))
     _assert_converged_record(rec)
-    assert rec.iterations == 14
+    assert rec.iterations == 16
 
 
 def test_solve_converges_where_K_could_not_be_normalized():
@@ -530,13 +530,16 @@ def test_solve_converges_where_K_could_not_be_normalized():
     # overflowed.
     rec = solve_continuation(_negative_curvature_config(6, 31.5, 2.0, 256))
     _assert_converged_record(rec)
-    assert rec.iterations == 14
+    assert rec.iterations == 17
 
 
-@pytest.mark.parametrize("volume_ratio", [60.0, 100.0])
+@pytest.mark.parametrize("volume_ratio", [60.0, 100.0, 200.0, 1000.0])
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_solve_converges_at_large_negative_volume(m, volume_ratio):
     # Every one of these K's overflowed double precision in linear space.
+    # The first residual grows like V (about 1e3 at 200 vol(S^{2m}), 7e3
+    # at 1000), so an absolute divergence guard stopped these at
+    # iteration 1.
     rec = solve_continuation(_negative_curvature_config(m, volume_ratio, 1.0, 512))
     _assert_converged_record(rec)
 
@@ -687,3 +690,145 @@ def test_profile_coefficients_are_read_once_per_config(monkeypatch):
     solve_continuation(cfg)
     build_K(cfg, build_grid(cfg))
     assert len(calls) == 1
+
+
+# ----------------------------------------------------------------------
+# the Anderson history and the closing image step
+# ----------------------------------------------------------------------
+def _pushed_history(pairs):
+    history = qcurv.solver._AndersonHistory(len(pairs[0][0]))
+    for f, g in pairs:
+        history.push(f, g)
+    return history
+
+
+@pytest.mark.parametrize("pushes", [3, 6, 7, 10])
+def test_gram_coefficients_match_least_squares(pushes):
+    # Random differences of length 257 are well conditioned; the ring
+    # keeps the last 6 (or all, before it fills) at slot i % 6.
+    rng = np.random.default_rng(pushes)
+    pairs = [(rng.normal(size=257), rng.normal(size=257)) for _ in range(pushes)]
+    history = _pushed_history(pairs)
+    diffs = [b[0] - a[0] for a, b in zip(pairs, pairs[1:])]
+    kept = range(max(0, len(diffs) - 6), len(diffs))
+    assert history.count == len(kept)
+    f = rng.normal(size=257)
+    expected = np.linalg.lstsq(
+        np.column_stack([diffs[i] for i in kept]), f, rcond=None
+    )[0]
+    gamma = history.coefficients(f)
+    np.testing.assert_allclose(gamma[[i % 6 for i in kept]], expected, rtol=1e-8)
+    # The running Gram matrix is the Gram matrix of the stored rows.
+    stored = history.d_f[: history.count]
+    np.testing.assert_allclose(
+        history.gram[: history.count, : history.count], stored @ stored.T, rtol=1e-12
+    )
+
+
+def test_repeated_difference_restarts_the_history():
+    # Integer entries make every dot product exact, so the rows d, -d, d
+    # give an exactly singular system whatever the BLAS summation order.
+    rng = np.random.default_rng(3)
+    x0 = rng.integers(-3, 4, size=129).astype(float)
+    d = rng.integers(-3, 4, size=129).astype(float)
+    history = _pushed_history([(x, 2.0 * x) for x in (x0, x0 + d, x0, x0 + d)])
+    assert history.count == 3
+    f, g = rng.normal(size=129), rng.normal(size=129)
+    # The mixed step falls back to the damped Picard step and empties the
+    # history; the next push starts again from the last pair.
+    np.testing.assert_array_equal(history.mix(f, g), g - 0.5 * f)
+    assert history.count == 0
+    history.push(x0, x0)
+    assert history.count == 1
+
+
+def test_zero_difference_restarts_the_history():
+    x = np.linspace(-1.0, 1.0, 65)
+    history = _pushed_history([(x, x), (x + 1.0, x), (x + 1.0, x)])
+    assert history.count == 2
+    assert history.coefficients(x) is None
+    assert history.count == 0
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        quick_config(),
+        quick_config(sign=-1, volume=3.0 * constants(2).vol_sphere),
+        _negative_curvature_config(6, 30.0, 2.0, 512),
+    ],
+    ids=["m=2,+1", "m=2,-1", "m=6,-1"],
+)
+def test_converged_v_is_the_image_of_the_previous_iterate(monkeypatch, config):
+    images = []
+    apply = qcurv.solver.potential_apply
+
+    def recording(kernel, density, cs):
+        out = apply(kernel, density, cs)
+        images.append(out.values)
+        return out
+
+    monkeypatch.setattr(qcurv.solver, "potential_apply", recording)
+    rec = solve_continuation(config)
+    _assert_converged_record(rec)
+    assert len(images) == rec.iterations
+    # An Anderson iterate met tol; the record holds T of it, evaluated once
+    # more for its own residual and c_v.
+    assert rec.history[-2][0] <= config.tol
+    np.testing.assert_array_equal(rec.v.values, images[-2])
+    assert rec.final_update == float(np.max(np.abs(images[-1] - rec.v.values)))
+    assert rec.c_v == normalization_cv(rec.log_K, rec.v, config)
+
+
+def _source_formula(v, config, log_K, u0_density):
+    """The source S(v) and c_v as first written, one temporary per
+    operation."""
+    two_m = 2.0 * config.m
+    exponent = log_K.values + two_m * v.values
+    top = float(np.max(exponent))
+    log_integral = top + math.log(
+        float(log_K.grid.quad_weights @ np.exp(exponent - top))
+    )
+    cv = (
+        math.log(constants(config.m).factorial_2m_minus_1 * config.volume)
+        - log_integral
+    ) / two_m
+    values = config.sign * np.exp(log_K.values + 2.0 * config.m * (v.values + cv))
+    return values + config.alpha * u0_density.values, cv
+
+
+def _potential_formula(kernel, f, gamma_m):
+    """The semi-separable potential as first written."""
+    per_interval = kernel.moments[0] * f[:-1] + kernel.moments[1] * f[1:]
+    m = kernel.grid.m
+    below_factors, above_factors = kernel.node_factors[:m], kernel.node_factors[m:]
+    below = np.zeros_like(below_factors)
+    above = np.zeros_like(above_factors)
+    below[:, 1:] = np.cumsum(per_interval[:m], axis=1)
+    above[:, :-1] = np.cumsum(per_interval[m:, ::-1], axis=1)[:, ::-1]
+    values = np.sum(below_factors * below, axis=0) + np.sum(above_factors * above, axis=0)
+    values /= -gamma_m
+    return values
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_fixed_point_map_is_bit_identical_to_its_formulas(m, sign):
+    cfg = _negative_curvature_config(m, 3.0, 1.3, 512)
+    if sign == 1:
+        cfg = replace(cfg, sign=1, volume=0.6 * constants(m).vol_sphere)
+    grid = build_grid(cfg)
+    kern = kernel_matrix(grid, cfg.quad_order)
+    log_K = build_K(cfg, grid)
+    u0d = u0_density_field(cfg.u0_profile, grid)
+    rng = np.random.default_rng(m)
+    for scale in (1e-3, 0.1, 3.0):
+        v = RadialField(grid=grid, values=scale * rng.normal(size=grid.nodes.shape))
+        source, cv = source_with_normalization(v, cfg, log_K, u0d)
+        expected, expected_cv = _source_formula(v, cfg, log_K, u0d)
+        assert cv == expected_cv
+        np.testing.assert_array_equal(source.values, expected)
+        np.testing.assert_array_equal(
+            potential_apply(kern, source, constants(m)).values,
+            _potential_formula(kern, expected, constants(m).gamma_m),
+        )
