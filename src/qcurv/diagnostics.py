@@ -22,7 +22,7 @@ from .geometry import (
     radial_polyharmonic,
 )
 from .poly import Polynomial
-from .potential import RadialField, gauss_legendre, sphere_area
+from .potential import RadialField, RadialGrid, gauss_legendre, sphere_area
 from .solver import SolutionRecord, radial_profile_coeffs
 
 # A solution profile whose values all sit below this level is treated as
@@ -361,10 +361,19 @@ def tail_curvature_mass(log_K: RadialField, wbar: RadialField, R: float) -> floa
     """Quadrature of |K| e^{2m wbar} = e^{log_K + 2m wbar} over the
     annulus r > R (R snapped to the nearest node); exactly non-increasing
     in R."""
-    grid = log_K.grid
-    grid.ensure_same(wbar.grid)
-    w_out = grid.weights_beyond(grid.nearest_index(R))
-    return float(w_out @ np.exp(log_K.values + 2 * grid.m * wbar.values))
+    log_K.grid.ensure_same(wbar.grid)
+    return _tail_mass(log_K.grid, _curvature_density(log_K, wbar.values), R)
+
+
+def _curvature_density(log_K: RadialField, wbar_values: np.ndarray) -> np.ndarray:
+    """|K| e^{2m wbar} = e^{log_K + 2m wbar} at the nodes."""
+    return np.exp(log_K.values + 2 * log_K.grid.m * wbar_values)
+
+
+def _tail_mass(grid: RadialGrid, density: np.ndarray, R: float) -> float:
+    """Quadrature of the node values ``density`` over r > R, R snapped
+    to the nearest node."""
+    return float(grid.weights_beyond(grid.nearest_index(R)) @ density)
 
 
 # ----------------------------------------------------------------------
@@ -551,13 +560,11 @@ def build_report(
     terms = record_pohozaev_terms(record, pohozaev_radius)
 
     # |K| e^{2m wbar}, shared by the tail masses and the source's L^1 mass.
-    curvature = np.exp(record.log_K.values + 2 * config.m * (record.v.values + record.c_v))
-    tail = []
-    for x in (0.0, grid.r_max / 8, grid.r_max / 4, grid.r_max / 2, 0.75 * grid.r_max):
-        index = grid.nearest_index(x)
-        tail.append(
-            (float(grid.nodes[index]), float(grid.weights_beyond(index) @ curvature))
-        )
+    curvature = _curvature_density(record.log_K, record.v.values + record.c_v)
+    tail = [
+        (float(grid.nodes[grid.nearest_index(x)]), _tail_mass(grid, curvature, x))
+        for x in (0.0, grid.r_max / 8, grid.r_max / 4, grid.r_max / 2, 0.75 * grid.r_max)
+    ]
 
     delta, p = -3.0, 2.0
     norms = {

@@ -350,7 +350,11 @@ def _curve_points(
 ):
     """The points of the curve family at each radius t, one
     ``(n_curves, dim)`` array per radius, so that only one radius's points
-    are held at a time."""
+    are held at a time.  An empty family (dim 1 has no pair i != j)
+    gives an empty array per radius."""
+    if not descriptors:
+        yield from (np.zeros((0, dim)) for _ in radii)
+        return
     i, j, k, c = (np.array(col) for col in zip(*descriptors))
     rows = np.arange(len(descriptors))
     powers = np.array([radii**e for e in range(k.max() + 1)])

@@ -25,10 +25,11 @@ by (2m-1)! V over its quadrature weight.
 The fixed point is reached by Anderson-accelerated iteration on v -> T v
 (Walker & Ni, SIAM J. Numer. Anal. 49, 2011), stopped on the undamped
 residual ||T v - v||_inf.  The mixing coefficients solve the 6 x 6 normal
-equations of a Gram matrix updated one row per iteration; once a mixed
-iterate meets the tolerance, the solve takes the plain step v <- T v and
-keeps that iterate if its own residual does, so a converged record is
-one evaluation of T.  Divergence is judged relative to the first
+equations of a Gram matrix updated one row per iteration, and a
+(nearly) singular Gram matrix restarts the history; once a mixed iterate
+meets the tolerance, the solve takes the plain step v <- T v and keeps
+that iterate if its own residual does, so a converged record is one
+evaluation of T.  Divergence is judged relative to the first
 residual, which grows like V.  Convergence is empirical; non-convergence
 is a first-class reported outcome, never silent.
 """
@@ -60,6 +61,8 @@ from .potential import (
 _DIVERGENCE_GUARD = 1e3
 _ANDERSON_DEPTH = 6
 _ANDERSON_MIX = 0.5
+# Smallest reciprocal condition of the scaled Gram matrix kept for gamma.
+_GRAM_RCOND = 1e-12
 _SCHEMA_VERSION = 2
 # Grids whose discretization solve_continuation keeps for reuse.
 _DISCRETIZATION_CACHE_SIZE = 8
@@ -452,8 +455,10 @@ class SolutionRecord:
     ``final_update`` is the residual of the recorded ``v`` and
     ``history[-1] == (final_update, c_v)``.  A converged ``v`` is T of the
     previous entry's iterate (or v = 0 if T 0 already met ``tol``): one
-    potential evaluation, paired with its own c_v, never an Anderson
-    extrapolation.
+    potential evaluation, paired with its own c_v, not an Anderson
+    extrapolation.  The one exception is a mixed iterate that meets
+    ``tol`` on iteration ``max_iter``: with no evaluation left for its
+    image, it is recorded as it is, converged.
     ``log_K`` is log|K| (K = sign e^{log_K});
     ``failure_reason`` is None for converged runs and names the cause
     (max_iter or the divergence guard) otherwise.
@@ -519,7 +524,10 @@ class _AndersonHistory:
         """gamma = argmin ||f - d_f^T gamma||_2 from the normal equations
         scaled by the Gram diagonal (Jacobi, so their diagonal is 1 up to
         rounding), or None after restarting the history when they are
-        singular: a zero or repeated difference."""
+        singular or nearly so: a zero or repeated difference, or a
+        history whose scaled Gram matrix has reciprocal condition below
+        ``_GRAM_RCOND``.  The normal equations square the condition of
+        d_f, so such a history would give gamma dominated by rounding."""
         k = self.count
         if k == 0:
             return None
@@ -529,11 +537,15 @@ class _AndersonHistory:
             self.restart()
             return None
         scale = 1.0 / np.sqrt(diag)
+        scaled = gram * np.outer(scale, scale)
         try:
-            gamma = np.linalg.solve(
-                gram * np.outer(scale, scale), (self.d_f[:k] @ f) * scale
-            )
+            eig = np.linalg.eigvalsh(scaled)
+            gamma = None
+            if eig[0] >= _GRAM_RCOND * eig[-1]:
+                gamma = np.linalg.solve(scaled, (self.d_f[:k] @ f) * scale)
         except np.linalg.LinAlgError:
+            gamma = None
+        if gamma is None:
             self.restart()
             return None
         gamma *= scale
@@ -566,8 +578,9 @@ def solve_continuation(config: SolverConfig) -> SolutionRecord:
 
     where gamma solves the Jacobi-scaled 6 x 6 normal equations on a
     running Gram matrix of the f-differences (:class:`_AndersonHistory`);
-    a singular system (a repeated difference) restarts the history and
-    takes the damped step.
+    a singular or nearly singular system (a repeated or nearly collinear
+    difference, reciprocal condition below ``_GRAM_RCOND`` = 1e-12)
+    restarts the history and takes the damped step.
 
     The stop test is the undamped residual ||f||_inf <= ``tol``.  When a
     mixed iterate meets it, the solve takes the undamped step v <- T v
@@ -575,7 +588,8 @@ def solve_continuation(config: SolverConfig) -> SolutionRecord:
     potential evaluation paired with its own c_v rather than an
     extrapolation that multiplies rounding by |gamma|; if the image
     misses ``tol``, iteration continues from it.  Every evaluation of T,
-    the image step included, counts as one iteration.
+    the image step included, counts as one iteration; a mixed iterate
+    that meets ``tol`` on iteration ``max_iter`` is kept as converged.
 
     Exhausting ``max_iter`` iterations and a residual above
     ``_DIVERGENCE_GUARD`` times the first residual both return a record
@@ -618,7 +632,11 @@ def solve_continuation(config: SolverConfig) -> SolutionRecord:
         residual = float(np.abs(f).max())
         history.append((residual, cv))
         v_kept = v_values
-        if residual <= config.tol and not mixed:
+        # A mixed iterate that meets tol is followed by its image, unless
+        # the cap leaves no evaluation for it.
+        if residual <= config.tol and (
+            not mixed or len(history) == config.max_iter
+        ):
             break
         if not residual <= _DIVERGENCE_GUARD * history[0][0]:
             failure_reason = (

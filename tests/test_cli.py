@@ -361,6 +361,13 @@ def test_poly_check_accepts_radial_square():
     assert "samples_used:" in out
 
 
+def test_poly_check_screens_a_one_dimensional_polynomial():
+    code, out, _ = run_cli(["poly-check", "--poly", "x1^2", "--m", "2"])
+    assert code == 0
+    assert "status: Accepted" in out
+    assert "growth_exponent: 2" in out
+
+
 def test_poly_check_accepts_json_object_argument():
     payload = json.dumps(Polynomial.from_text(SQUARE_PROFILE_4D).to_json_dict())
     code, out, _ = run_cli(["poly-check", "--poly", payload])

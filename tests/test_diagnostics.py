@@ -547,8 +547,11 @@ def test_report_matches_its_full_grid_formulas(report_records):
         config, grid = rec.config, rec.grid
         report = build_report(rec)
         wbar = RadialField(grid=grid, values=rec.v.values + rec.c_v)
-        # Tail masses: one tail_curvature_mass per radius.
+        # Tail masses: e^{log_K + 2m wbar} integrated beyond each radius.
         for r_snap, mass in report.tail_mass:
+            w_out = grid.weights_beyond(grid.nearest_index(r_snap))
+            curvature = np.exp(rec.log_K.values + 2 * config.m * wbar.values)
+            assert mass == float(w_out @ curvature)
             assert mass == tail_curvature_mass(rec.log_K, wbar, r_snap)
         # The probes' exponents come from the source's L^1 mass.
         source_mass_l1 = float(

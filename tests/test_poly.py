@@ -305,6 +305,23 @@ def test_membership_odd_dimension_requires_explicit_m():
     assert pm_membership(P, m=2).status == "Rejected"  # indefinite at x2, x3
 
 
+@pytest.mark.parametrize(
+    "text, m, status, witness",
+    [
+        ("x1^2", 2, "Accepted", None),
+        ("x1^4", 3, "Accepted", None),
+        ("-x1^2", 2, "Rejected", "ray through (1.0000) at r = 256: x . grad P = -131072"),
+        ("x1", 2, "Rejected", "ray through (-1.0000) at r = 256: x . grad P = -256"),
+    ],
+)
+def test_membership_screens_one_dimensional_polynomials(text, m, status, witness):
+    # dim 1 has no bent-path family (no pair i != j): only rays are sampled.
+    verdict = pm_membership(Polynomial.from_text(text), m=m)
+    assert verdict.status == status
+    assert verdict.witness == witness
+    assert verdict.samples_used == 64 * 9  # 64 ray directions, 9 radii
+
+
 def test_membership_validates_sampling_parameters():
     P = Polynomial.from_terms(2, [((2, 0), 1.0), ((0, 2), 1.0)])
     with pytest.raises(PolynomialFormatError):

@@ -522,7 +522,7 @@ def test_solve_converges_where_the_first_step_overflowed():
     # normalization integral.
     rec = solve_continuation(_negative_curvature_config(6, 30.0, 2.0, 1024))
     _assert_converged_record(rec)
-    assert rec.iterations == 16
+    assert rec.iterations == 15
 
 
 def test_solve_converges_where_K_could_not_be_normalized():
@@ -530,7 +530,7 @@ def test_solve_converges_where_K_could_not_be_normalized():
     # overflowed.
     rec = solve_continuation(_negative_curvature_config(6, 31.5, 2.0, 256))
     _assert_converged_record(rec)
-    assert rec.iterations == 17
+    assert rec.iterations == 15
 
 
 @pytest.mark.parametrize("volume_ratio", [60.0, 100.0, 200.0, 1000.0])
@@ -725,6 +725,29 @@ def test_gram_coefficients_match_least_squares(pushes):
     )
 
 
+@pytest.mark.parametrize("tilt, kept", [(1e-3, True), (1e-9, False)])
+def test_nearly_collinear_history(tilt, kept):
+    # The third difference is the first one tilted by `tilt`: the scaled
+    # Gram matrix has reciprocal condition about tilt^2 / 4.  Above
+    # _GRAM_RCOND = 1e-12 gamma still matches least squares; below it the
+    # normal equations carry no digits of gamma and the history restarts.
+    rng = np.random.default_rng(11)
+    d1, d2, noise = (rng.normal(size=257) for _ in range(3))
+    x0 = rng.normal(size=257)
+    xs = np.cumsum([x0, d1, d2, d1 + tilt * noise], axis=0)
+    history = _pushed_history([(x, 2.0 * x) for x in xs])
+    assert history.count == 3
+    f = rng.normal(size=257)
+    gamma = history.coefficients(f)
+    if kept:
+        expected = np.linalg.lstsq(history.d_f[:3].T, f, rcond=None)[0]
+        np.testing.assert_allclose(gamma, expected, rtol=1e-8)
+        assert history.count == 3
+    else:
+        assert gamma is None
+        assert history.count == 0
+
+
 def test_repeated_difference_restarts_the_history():
     # Integer entries make every dot product exact, so the rows d, -d, d
     # give an exactly singular system whatever the BLAS summation order.
@@ -748,6 +771,27 @@ def test_zero_difference_restarts_the_history():
     assert history.count == 2
     assert history.coefficients(x) is None
     assert history.count == 0
+
+
+@pytest.mark.parametrize(
+    "config",
+    [quick_config(), _negative_curvature_config(6, 30.0, 2.0, 512)],
+    ids=["m=2,+1", "m=6,-1"],
+)
+def test_mixed_iterate_meeting_tol_on_the_last_iteration_converges(config):
+    # With no evaluation left for the image step, the mixed iterate that
+    # met tol is the record: converged, with its own residual and c_v.
+    full = solve_continuation(config)
+    first = next(i for i, (res, _) in enumerate(full.history) if res <= config.tol)
+    assert 0 < first < full.iterations - 1
+    rec = solve_continuation(replace(config, max_iter=first + 1))
+    _assert_converged_record(rec)
+    assert rec.iterations == first + 1
+    assert rec.history == full.history[: first + 1]
+    # One more allowed evaluation and the record is that iterate's image.
+    rec = solve_continuation(replace(config, max_iter=first + 2))
+    _assert_converged_record(rec)
+    assert rec.iterations == first + 2
 
 
 @pytest.mark.parametrize(
