@@ -149,7 +149,7 @@ def conformal_volume(u: RadialField, m: int) -> tuple[float, float]:
 # ----------------------------------------------------------------------
 def asymptotic_profile(
     u: RadialField,
-    P: Polynomial | None,
+    P: Polynomial | np.ndarray | None,
     fit_window: tuple[float, float] | None = None,
 ) -> tuple[float, float, float]:
     """Least-squares fit of u(r) + P(r) against
@@ -160,7 +160,9 @@ def asymptotic_profile(
     zero-mass radial density (and of u0 = log(1 + r^2) / 2); leaving
     them out biases alpha at large |alpha|.  Returns (alpha_fitted,
     C_fitted, deviation) with deviation the sup of the fit residual over
-    the window.  P must be radial (or None for 0).
+    the window.  P must be radial (or None for 0); it may also be given as
+    its coefficients in |x|^2 (:func:`radial_profile_coeffs`, cached as
+    ``SolverConfig.radial_coeffs``), which skips re-deriving them.
     """
     grid = u.grid
     if fit_window is None:
@@ -179,10 +181,10 @@ def asymptotic_profile(
         )
     r = grid.nodes[select]
     target = u.values[select].copy()
-    if P is not None and not P.is_zero:
-        coeffs = radial_profile_coeffs(P)
-        if coeffs is None:
-            raise GridMismatch("asymptotic fit requires a radial polynomial")
+    coeffs = radial_profile_coeffs(P) if isinstance(P, Polynomial) else P
+    if coeffs is None and P is not None:
+        raise GridMismatch("asymptotic fit requires a radial polynomial")
+    if coeffs is not None:
         target += eval_radial_profile(coeffs, r)
     # Far-field columns are scaled to 1 at the window's start, so the
     # least-squares design stays well conditioned up to r^{-2(m-1)}.
@@ -553,7 +555,7 @@ def build_report(
     residual = pde_residual(record.u, config.m, config.sign)
     volume, _tail = conformal_volume(record.u, config.m)
     alpha_fit, c_fit, deviation = asymptotic_profile(
-        record.u, config.profile, fit_window
+        record.u, config.radial_coeffs, fit_window
     )
     if pohozaev_radius is None:
         pohozaev_radius = min(20.0, grid.r_max / 2.0)

@@ -234,6 +234,18 @@ class RadialField:
             valid.flags.writeable = False
             object.__setattr__(self, "valid", valid)
 
+    @classmethod
+    def _unchecked(cls, grid: RadialGrid, values: np.ndarray) -> "RadialField":
+        """A field holding the float array ``values`` as it is, without the
+        shape and finiteness checks, for the solver's per-iteration fields
+        whose shape is the grid's by construction and whose finiteness is
+        checked once per iteration elsewhere.  ``values`` becomes
+        read-only."""
+        values.flags.writeable = False
+        field = object.__new__(cls)
+        field.__dict__.update(grid=grid, values=values, valid=None)
+        return field
+
     def valid_mask(self) -> np.ndarray:
         if self.valid is None:
             return np.ones_like(self.values, dtype=bool)

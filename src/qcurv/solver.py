@@ -22,16 +22,17 @@ for sign -1, |K| grows like (1 + r^2)^{m |alpha|} and leaves double
 precision at large V, while every normalized term of S(v) stays bounded
 by (2m-1)! V over its quadrature weight.
 
-The fixed point is reached by Anderson-accelerated iteration on v -> T v
-(Walker & Ni, SIAM J. Numer. Anal. 49, 2011), stopped on the undamped
-residual ||T v - v||_inf.  The mixing coefficients solve the 6 x 6 normal
-equations of a Gram matrix updated one row per iteration, and a
-(nearly) singular Gram matrix restarts the history; once a mixed iterate
-meets the tolerance, the solve takes the plain step v <- T v and keeps
-that iterate if its own residual does, so a converged record is one
-evaluation of T.  Divergence is judged relative to the first
-residual, which grows like V.  Convergence is empirical; non-convergence
-is a first-class reported outcome, never silent.
+The fixed point is reached by undamped Anderson acceleration of depth 3
+on v -> T v (Walker & Ni, SIAM J. Numer. Anal. 49, 2011; local
+convergence for contractive maps: Toth & Kelley, SIAM J. Numer. Anal. 53,
+2015), stopped on the residual ||T v - v||_inf.  The mixing coefficients
+solve the 3 x 3 normal equations of a Gram matrix updated one row per
+iteration, and a (nearly) singular Gram matrix restarts the history;
+once a mixed iterate meets the tolerance, the solve takes the plain step
+v <- T v and keeps that iterate if its own residual does, so a converged
+record is one evaluation of T.  Divergence is judged relative to the
+first residual, which grows like V.  Convergence is empirical;
+non-convergence is a first-class reported outcome, never silent.
 """
 
 from __future__ import annotations
@@ -59,8 +60,7 @@ from .potential import (
 )
 
 _DIVERGENCE_GUARD = 1e3
-_ANDERSON_DEPTH = 6
-_ANDERSON_MIX = 0.5
+_ANDERSON_DEPTH = 3
 # Smallest reciprocal condition of the scaled Gram matrix kept for gamma.
 _GRAM_RCOND = 1e-12
 _SCHEMA_VERSION = 2
@@ -428,7 +428,9 @@ def source_with_normalization(
     Zero discrete mass by construction: the K term integrates to
     +alpha*gamma_m through the c_v normalization, the density term to
     -alpha*gamma_m through its rescaling, so the potential T v of S(v)
-    decays at the tail.
+    decays at the tail.  For finite v every term is bounded, by
+    (2m-1)! V over its quadrature weight, so S(v) is not re-checked for
+    finiteness; a non-finite v gives a non-finite S(v).
     """
     log_K.grid.ensure_same(v.grid)
     log_K.grid.ensure_same(u0_density.grid)
@@ -439,7 +441,7 @@ def source_with_normalization(
     np.exp(values, out=values)
     values *= config.sign
     values += config.alpha * u0_density.values
-    return RadialField(grid=v.grid, values=values), cv
+    return RadialField._unchecked(v.grid, values), cv
 
 
 # ----------------------------------------------------------------------
@@ -552,38 +554,33 @@ class _AndersonHistory:
         return gamma
 
     def mix(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """The next iterate g - d_g^T gamma - (1 - beta)(f - d_f^T gamma),
-        beta = ``_ANDERSON_MIX``; the damped Picard step with no usable
-        history."""
+        """The next iterate g - d_g^T gamma; the image g itself, not a
+        copy, with no usable history."""
         gamma = self.coefficients(f)
         if gamma is None:
-            return g - (1.0 - _ANDERSON_MIX) * f
-        k = self.count
-        f_mixed = f - gamma @ self.d_f[:k]
-        f_mixed *= 1.0 - _ANDERSON_MIX
-        v = g - gamma @ self.d_g[:k]
-        v -= f_mixed
-        return v
+            return g
+        return g - gamma @ self.d_g[: self.count]
 
 
 def solve_continuation(config: SolverConfig) -> SolutionRecord:
     """Anderson-accelerated fixed-point iteration on v -> T v from v = 0.
 
     Each iteration evaluates g = T v and f = g - v.  The next iterate
-    mixes the last ``_ANDERSON_DEPTH`` differences of f and of g
-    (Walker & Ni 2011) with the fixed damping beta = ``_ANDERSON_MIX``:
+    mixes the last ``_ANDERSON_DEPTH`` = 3 differences of f and of g,
+    undamped (Walker & Ni 2011, Toth & Kelley 2015):
 
-        v <- g - dG gamma - (1 - beta) (f - dF gamma),
+        v <- g - dG gamma,
         gamma = argmin ||f - dF gamma||_2,
 
-    where gamma solves the Jacobi-scaled 6 x 6 normal equations on a
-    running Gram matrix of the f-differences (:class:`_AndersonHistory`);
-    a singular or nearly singular system (a repeated or nearly collinear
-    difference, reciprocal condition below ``_GRAM_RCOND`` = 1e-12)
-    restarts the history and takes the damped step.
+    where gamma solves the Jacobi-scaled 3 x 3 normal equations on a
+    running Gram matrix of the f-differences (:class:`_AndersonHistory`).
+    With no usable history, on the first step and whenever a singular or
+    nearly singular system (a repeated or nearly collinear difference,
+    reciprocal condition below ``_GRAM_RCOND`` = 1e-12) restarts it, the
+    step is the plain image v <- g.
 
-    The stop test is the undamped residual ||f||_inf <= ``tol``.  When a
-    mixed iterate meets it, the solve takes the undamped step v <- T v
+    The stop test is the residual ||f||_inf <= ``tol``.  When a mixed
+    iterate meets it, the solve takes the plain step v <- T v
     and tests that iterate's own residual, so the recorded v is a single
     potential evaluation paired with its own c_v rather than an
     extrapolation that multiplies rounding by |gamma|; if the image
@@ -625,7 +622,10 @@ def solve_continuation(config: SolverConfig) -> SolutionRecord:
     mixed = False
     failure_reason = None
     for _ in range(config.max_iter):
-        v_field = RadialField(grid=grid, values=v_values)
+        # RadialField's checks run once per iteration, on T v's field; a
+        # non-finite iterate (possible only by overflow) still ends the
+        # solve with GridMismatch, there or when the record is built.
+        v_field = RadialField._unchecked(grid, v_values)
         source, cv = source_with_normalization(v_field, config, log_K, u0_density)
         g = potential_apply(kernel, source, cs).values
         f = g - v_values

@@ -261,7 +261,7 @@ def test_solve_writes_converged_record_for_large_negative_volume(tmp_path):
     assert {p.name for p in out_dir.iterdir()} == SOLVE_FILES
     meta = json.loads((out_dir / "meta.json").read_text())
     assert meta["result"]["converged"] is True
-    assert meta["result"]["iterations"] == 15
+    assert meta["result"]["iterations"] == 16
     report = json.loads((out_dir / "report.json").read_text())
     assert report["gates"]["volume_rel_error"]["passed"] is True
     table = np.loadtxt(out_dir / "solution.csv", delimiter=",", skiprows=1)

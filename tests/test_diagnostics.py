@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import qcurv.diagnostics
+import qcurv.solver
 from qcurv import (
     GridMismatch,
     Polynomial,
@@ -585,3 +587,44 @@ def test_report_matches_its_full_grid_formulas(report_records):
             assert (terms.b2, terms.b3) == _boundary_terms_on_the_full_grid(
                 wbar, terms.radius, idx
             )
+
+
+def _sweep_design_configs():
+    """The benchmark's ``sweep`` batch: one config per m = 2..6 and sign
+    at N = 2048, V/vol(S^{2m}) and c of P = c |x|^2 at the centres of a
+    5 x 5 Latin square over [0.3, 0.7] (sign +1) or [1, 3] (sign -1) and
+    c in [0.5, 2]."""
+    designs = {1: ((0.3, 0.7), (0, 2, 1, 4, 3)), -1: ((1.0, 3.0), (0, 3, 1, 4, 2))}
+    for sign, ((lo, hi), strata) in designs.items():
+        for i, (m, k) in enumerate(zip(range(2, 7), strata)):
+            c = 0.5 + 1.5 * ((k + 0.5) / 5)
+            yield {
+                "schema_version": 2,
+                "m": m,
+                "sign": sign,
+                "volume": (lo + (hi - lo) * ((i + 0.5) / 5)) * constants(m).vol_sphere,
+                "profile": " + ".join(f"{c!r} * x{j}^2" for j in range(1, 2 * m + 1)),
+                "n_intervals": 2048,
+            }
+
+
+def test_report_fit_reuses_the_cached_profile_coefficients(monkeypatch):
+    # Loading, solving and reporting derive P's coefficients once; the
+    # fit from them equals the fit that re-derives them from P.
+    calls = []
+    read = qcurv.solver.radial_profile_coeffs
+
+    def counted(P):
+        calls.append(P)
+        return read(P)
+
+    for module in (qcurv.solver, qcurv.diagnostics):
+        monkeypatch.setattr(module, "radial_profile_coeffs", counted)
+    for data in _sweep_design_configs():
+        calls.clear()
+        config = SolverConfig.from_json_dict(data)
+        record = solve_continuation(config)
+        report = build_report(record)
+        assert len(calls) == 1
+        fit = (report.alpha_fitted, report.C_fitted, report.asymptotic_deviation)
+        assert fit == asymptotic_profile(record.u, config.profile)

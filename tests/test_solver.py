@@ -1,5 +1,6 @@
 """Tests for configuration validation and the fixed-point solver."""
 
+import contextlib
 import math
 from dataclasses import replace
 from itertools import combinations_with_replacement
@@ -12,6 +13,7 @@ import qcurv.solver
 
 from qcurv import (
     ConfigError,
+    GridMismatch,
     Polynomial,
     RadialField,
     SolverConfig,
@@ -375,7 +377,7 @@ def test_build_K_stays_finite_at_large_negative_volume():
     assert float(np.max(log_K.values)) == pytest.approx(2412.16, abs=0.01)
     rec = solve_continuation(cfg)
     assert rec.converged, rec.failure_reason
-    assert rec.iterations == 40
+    assert rec.iterations == 33
 
 
 def test_normalization_constant_pins_curvature_integral():
@@ -522,7 +524,7 @@ def test_solve_converges_where_the_first_step_overflowed():
     # normalization integral.
     rec = solve_continuation(_negative_curvature_config(6, 30.0, 2.0, 1024))
     _assert_converged_record(rec)
-    assert rec.iterations == 15
+    assert rec.iterations == 16
 
 
 def test_solve_converges_where_K_could_not_be_normalized():
@@ -530,7 +532,7 @@ def test_solve_converges_where_K_could_not_be_normalized():
     # overflowed.
     rec = solve_continuation(_negative_curvature_config(6, 31.5, 2.0, 256))
     _assert_converged_record(rec)
-    assert rec.iterations == 15
+    assert rec.iterations == 16
 
 
 @pytest.mark.parametrize("volume_ratio", [60.0, 100.0, 200.0, 1000.0])
@@ -559,6 +561,33 @@ def test_solve_converges_near_the_critical_volume(m):
     rec = solve_continuation(cfg)
     assert rec.converged, rec.failure_reason
     assert rec.final_update <= cfg.tol
+
+
+# V / vol(S^{2m}) from far inside to the edge of each sign's range.
+REGIME_VOLUMES = {
+    1: (0.05, 0.5, 0.9, 0.99, 0.999, 0.9999),
+    -1: (0.5, 2.0, 8.0, 100.0, 300.0, 1000.0),
+}
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_solve_converges_across_the_volume_range(m, sign):
+    # P = c |x|^2, c in {0.5, 2}, N = 512.  At V = 1000 vol(S^{2m}) the
+    # weak profile leaves |K| too large at r_max, which the tail guard
+    # rejects before any iteration.
+    for c in (0.5, 2.0):
+        for ratio in REGIME_VOLUMES[sign]:
+            cfg = replace(
+                _negative_curvature_config(m, ratio, c, 512), sign=sign
+            )
+            if ratio == 1000.0 and c == 0.5:
+                with pytest.raises(ConfigError, match="tail is not negligible"):
+                    solve_continuation(cfg)
+                continue
+            rec = solve_continuation(cfg)
+            assert rec.converged, (c, ratio, rec.failure_reason)
+            assert rec.final_update <= cfg.tol
 
 
 def test_solve_validates_before_working():
@@ -695,6 +724,9 @@ def test_profile_coefficients_are_read_once_per_config(monkeypatch):
 # ----------------------------------------------------------------------
 # the Anderson history and the closing image step
 # ----------------------------------------------------------------------
+DEPTH = qcurv.solver._ANDERSON_DEPTH
+
+
 def _pushed_history(pairs):
     history = qcurv.solver._AndersonHistory(len(pairs[0][0]))
     for f, g in pairs:
@@ -702,22 +734,30 @@ def _pushed_history(pairs):
     return history
 
 
-@pytest.mark.parametrize("pushes", [3, 6, 7, 10])
-def test_gram_coefficients_match_least_squares(pushes):
+@pytest.mark.parametrize(
+    "differences",
+    [DEPTH - 1, DEPTH, DEPTH + 1, 2 * DEPTH + 1],
+    ids=["below", "full", "wrapped", "wrapped-twice"],
+)
+def test_gram_coefficients_match_least_squares(differences):
     # Random differences of length 257 are well conditioned; the ring
-    # keeps the last 6 (or all, before it fills) at slot i % 6.
-    rng = np.random.default_rng(pushes)
-    pairs = [(rng.normal(size=257), rng.normal(size=257)) for _ in range(pushes)]
+    # keeps the last DEPTH (or all, before it fills) at slot i % DEPTH.
+    rng = np.random.default_rng(differences)
+    pairs = [
+        (rng.normal(size=257), rng.normal(size=257)) for _ in range(differences + 1)
+    ]
     history = _pushed_history(pairs)
     diffs = [b[0] - a[0] for a, b in zip(pairs, pairs[1:])]
-    kept = range(max(0, len(diffs) - 6), len(diffs))
+    kept = range(max(0, len(diffs) - DEPTH), len(diffs))
     assert history.count == len(kept)
     f = rng.normal(size=257)
     expected = np.linalg.lstsq(
         np.column_stack([diffs[i] for i in kept]), f, rcond=None
     )[0]
     gamma = history.coefficients(f)
-    np.testing.assert_allclose(gamma[[i % 6 for i in kept]], expected, rtol=1e-8)
+    np.testing.assert_allclose(
+        gamma[[i % DEPTH for i in kept]], expected, rtol=1e-8
+    )
     # The running Gram matrix is the Gram matrix of the stored rows.
     stored = history.d_f[: history.count]
     np.testing.assert_allclose(
@@ -757,12 +797,60 @@ def test_repeated_difference_restarts_the_history():
     history = _pushed_history([(x, 2.0 * x) for x in (x0, x0 + d, x0, x0 + d)])
     assert history.count == 3
     f, g = rng.normal(size=129), rng.normal(size=129)
-    # The mixed step falls back to the damped Picard step and empties the
+    # The mixed step falls back to the plain image g and empties the
     # history; the next push starts again from the last pair.
-    np.testing.assert_array_equal(history.mix(f, g), g - 0.5 * f)
+    np.testing.assert_array_equal(history.mix(f, g), g)
     assert history.count == 0
     history.push(x0, x0)
     assert history.count == 1
+
+
+def test_first_iterate_after_zero_is_the_image_of_zero(monkeypatch):
+    # With no history the step is undamped: the second evaluation of T
+    # is at T 0 itself, bit for bit.
+    cfg = quick_config()
+    iterates = []
+    source = qcurv.solver.source_with_normalization
+
+    def recording(v, *args):
+        iterates.append(v.values)
+        return source(v, *args)
+
+    monkeypatch.setattr(qcurv.solver, "source_with_normalization", recording)
+    rec = solve_continuation(cfg)
+    assert rec.iterations > 2
+    grid = build_grid(cfg)
+    zero = RadialField(grid=grid, values=np.zeros_like(grid.nodes))
+    S, _ = source_with_normalization(
+        zero, cfg, build_K(cfg, grid), u0_density_field(cfg.u0_profile, grid)
+    )
+    t_zero = potential_apply(kernel_matrix(grid, cfg.quad_order), S, constants(2))
+    np.testing.assert_array_equal(iterates[0], zero.values)
+    np.testing.assert_array_equal(iterates[1], t_zero.values)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_iterate_raises_grid_mismatch(monkeypatch, bad):
+    # The iterate and S(v) skip RadialField's checks; T v's field keeps
+    # them, so a non-finite iterate still ends the solve with GridMismatch
+    # (after a log-sum-exp warning for +inf), not with a record.
+    mix = qcurv.solver._AndersonHistory.mix
+    calls = []
+
+    def poisoned(self, f, g):
+        calls.append(None)
+        v = mix(self, f, g).copy()
+        if len(calls) == 3:
+            v[7] = bad
+        return v
+
+    monkeypatch.setattr(qcurv.solver._AndersonHistory, "mix", poisoned)
+    expect_warning = (
+        pytest.warns(RuntimeWarning) if bad == math.inf else contextlib.nullcontext()
+    )
+    with expect_warning, pytest.raises(GridMismatch, match="must be finite"):
+        solve_continuation(quick_config())
+    assert len(calls) == 3
 
 
 def test_zero_difference_restarts_the_history():
