@@ -734,18 +734,17 @@ def _pushed_history(pairs):
     return history
 
 
+# Push counts: the fixed 3, 6, 7, 10 plus, whatever the depth, a ring
+# one short of full, exactly full, wrapped once and wrapped twice
+# (pushes - 1 differences = DEPTH - 1, DEPTH, DEPTH + 1, 2 * DEPTH + 1).
 @pytest.mark.parametrize(
-    "differences",
-    [DEPTH - 1, DEPTH, DEPTH + 1, 2 * DEPTH + 1],
-    ids=["below", "full", "wrapped", "wrapped-twice"],
+    "pushes", sorted({3, 6, 7, 10, DEPTH, DEPTH + 1, DEPTH + 2, 2 * DEPTH + 2})
 )
-def test_gram_coefficients_match_least_squares(differences):
+def test_gram_coefficients_match_least_squares(pushes):
     # Random differences of length 257 are well conditioned; the ring
     # keeps the last DEPTH (or all, before it fills) at slot i % DEPTH.
-    rng = np.random.default_rng(differences)
-    pairs = [
-        (rng.normal(size=257), rng.normal(size=257)) for _ in range(differences + 1)
-    ]
+    rng = np.random.default_rng(pushes)
+    pairs = [(rng.normal(size=257), rng.normal(size=257)) for _ in range(pushes)]
     history = _pushed_history(pairs)
     diffs = [b[0] - a[0] for a, b in zip(pairs, pairs[1:])]
     kept = range(max(0, len(diffs) - DEPTH), len(diffs))
