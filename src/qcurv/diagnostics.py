@@ -5,6 +5,12 @@ from finite-difference stencils, volumes from quadrature, the Pohozaev
 identity from its own integration-by-parts terms.  A solution that
 passes these checks is certified by computations independent of the one
 that produced it.
+
+The 3-point stencils read their node-only factors from the grid's
+:class:`~qcurv.potential.StencilTable`, built once per grid.  The
+weighted norms integrate every angular factor in closed form at p = 2
+(the report's exponent); only the pure-second-derivative block at
+p != 2 uses a 64-node angular rule.
 """
 
 from __future__ import annotations
@@ -22,7 +28,13 @@ from .geometry import (
     radial_polyharmonic,
 )
 from .poly import Polynomial
-from .potential import RadialField, RadialGrid, gauss_legendre, sphere_area
+from .potential import (
+    RadialField,
+    RadialGrid,
+    StencilTable,
+    gauss_legendre,
+    sphere_area,
+)
 from .solver import SolutionRecord, radial_profile_coeffs
 
 # A solution profile whose values all sit below this level is treated as
@@ -34,34 +46,26 @@ _DEGENERATE_LEVEL = -50.0
 # ----------------------------------------------------------------------
 # derivative helpers
 # ----------------------------------------------------------------------
-def _d1(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
+def _d1(st: StencilTable, values: np.ndarray) -> np.ndarray:
     """First radial derivative: 3-point non-uniform centered differences
     in the interior, even-extension zero at the origin, first-order
     backward at the last node."""
     out = np.empty_like(values)
-    hm = nodes[1:-1] - nodes[:-2]
-    hp = nodes[2:] - nodes[1:-1]
     fm, f0, fp = values[:-2], values[1:-1], values[2:]
-    out[1:-1] = (hm**2 * fp - hp**2 * fm + (hp**2 - hm**2) * f0) / (
-        hm * hp * (hm + hp)
-    )
+    out[1:-1] = (st.hm2 * fp - st.hp2 * fm + st.hd2 * f0) / st.denom
     out[0] = 0.0
-    out[-1] = (values[-1] - values[-2]) / (nodes[-1] - nodes[-2])
+    out[-1] = (values[-1] - values[-2]) / st.hp[-1]
     return out
 
 
-def _d2(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
+def _d2(st: StencilTable, values: np.ndarray) -> np.ndarray:
     """Second radial derivative, counterpart of :func:`_d1`; the origin
     uses the even-extension secant (exact for quadratics), the last node
     copies its neighbor."""
     out = np.empty_like(values)
-    hm = nodes[1:-1] - nodes[:-2]
-    hp = nodes[2:] - nodes[1:-1]
     fm, f0, fp = values[:-2], values[1:-1], values[2:]
-    out[1:-1] = 2.0 * (hm * fp + hp * fm - (hm + hp) * f0) / (
-        hm * hp * (hm + hp)
-    )
-    out[0] = 2.0 * (values[1] - values[0]) / nodes[1] ** 2
+    out[1:-1] = 2.0 * (st.hm * fp + st.hp * fm - st.hs * f0) / st.denom
+    out[0] = 2.0 * (values[1] - values[0]) / st.nodes[1] ** 2
     out[-1] = out[-2]
     return out
 
@@ -284,14 +288,14 @@ def pohozaev_terms(
             f"radius {R} too close to the grid ends for the boundary stencils"
         )
     r_snap = float(grid.nodes[idx])
-    nodes = grid.nodes
+    nodes, st = grid.nodes, grid.stencil
     w_in = grid.weights_within(idx)
     two_m = 2.0 * m
     om = sphere_area(n)
 
     k_e_w = sign * np.exp(log_K.values + two_m * wbar.values)
-    x_grad_log_k = nodes * _d1(nodes, log_K.values)
-    x_grad_w = nodes * _d1(nodes, v.values)
+    x_grad_log_k = nodes * _d1(st, log_K.values)
+    x_grad_w = nodes * _d1(st, v.values)
     t1 = float(w_in @ (x_grad_log_k * k_e_w))
     t2 = float(two_m * (w_in @ k_e_w))
     t3 = float(-two_m * alpha * (w_in @ (x_grad_w * u0_density.values)))
@@ -301,19 +305,18 @@ def pohozaev_terms(
     # than m + 1 three-point stencils, so they run on the window of m + 2
     # nodes either side of it: the window's end values are wrong, but the
     # error moves in by one node per stencil and never reaches its center.
-    lo = idx - (m + 2)
-    window = slice(lo, idx + m + 3)
+    lo, hi = idx - (m + 2), idx + m + 3
     centre = idx - lo
-    w_nodes = nodes[window]
-    w_iter = [wbar.values[window]]
+    w_st = st.window(lo, hi)
+    w_iter = [wbar.values[lo:hi]]
     for _ in range(m):
-        w_iter.append(_lap_interior(w_nodes, w_iter[-1], n))
-    g0 = w_nodes * _d1(w_nodes, w_iter[0])
+        w_iter.append(_lap_interior(w_st, w_iter[-1]))
+    g0 = w_st.nodes * _d1(w_st, w_iter[0])
     g_iter = [g0]
     for _ in range((m - 1) // 2 + 1):
-        g_iter.append(_lap_interior(w_nodes, g_iter[-1], n))
-    w_prime = [_d1(w_nodes, arr) for arr in w_iter]
-    g_prime = [_d1(w_nodes, arr) for arr in g_iter]
+        g_iter.append(_lap_interior(w_st, g_iter[-1]))
+    w_prime = [_d1(w_st, arr) for arr in w_iter]
+    g_prime = [_d1(w_st, arr) for arr in g_iter]
 
     b1 = float(om * r_snap**n * k_e_w[idx])
     if m % 2 == 0:
@@ -363,8 +366,10 @@ def tail_curvature_mass(log_K: RadialField, wbar: RadialField, R: float) -> floa
     """Quadrature of |K| e^{2m wbar} = e^{log_K + 2m wbar} over the
     annulus r > R (R snapped to the nearest node); exactly non-increasing
     in R."""
-    log_K.grid.ensure_same(wbar.grid)
-    return _tail_mass(log_K.grid, _curvature_density(log_K, wbar.values), R)
+    grid = log_K.grid
+    grid.ensure_same(wbar.grid)
+    density = _curvature_density(log_K, wbar.values)
+    return _tail_mass(grid, density, grid.nearest_index(R))
 
 
 def _curvature_density(log_K: RadialField, wbar_values: np.ndarray) -> np.ndarray:
@@ -372,10 +377,9 @@ def _curvature_density(log_K: RadialField, wbar_values: np.ndarray) -> np.ndarra
     return np.exp(log_K.values + 2 * log_K.grid.m * wbar_values)
 
 
-def _tail_mass(grid: RadialGrid, density: np.ndarray, R: float) -> float:
-    """Quadrature of the node values ``density`` over r > R, R snapped
-    to the nearest node."""
-    return float(grid.weights_beyond(grid.nearest_index(R)) @ density)
+def _tail_mass(grid: RadialGrid, density: np.ndarray, index: int) -> float:
+    """Quadrature of the node values ``density`` over r > nodes[index]."""
+    return float(grid.weights_beyond(index) @ density)
 
 
 # ----------------------------------------------------------------------
@@ -399,10 +403,12 @@ def weighted_norm(f: RadialField, k: int, delta: float, p: float) -> float:
 
     Radial reduction: first derivatives are f'(r) omega_i, second
     derivatives (f'' - f'/r) omega_i omega_j + delta_ij f'/r, so each
-    multi-index block is a 1-D integral times an exact angular moment;
-    the pure-second-derivative blocks, whose angular integrand
-    |A cos^2 + B|^p does not factor, integrate the angle by
-    Gauss-Legendre.
+    multi-index block is a 1-D integral times an exact angular moment.
+    The pure-second-derivative blocks have the angular integrand
+    |A omega_1^2 + B|^p.  At p = 2 it expands to
+    A^2 omega_1^4 + 2AB omega_1^2 + B^2 and integrates in closed form;
+    for p != 2 it does not factor, and the angle is integrated by
+    64-node Gauss-Legendre.
     """
     if k not in (0, 1, 2):
         raise GridMismatch(f"k must be 0, 1, or 2, got {k}")
@@ -424,7 +430,7 @@ def _weighted_norms(f: RadialField, k: int, delta: float, p: float) -> list[floa
     if k == 0:
         return norms
 
-    f1 = _d1(nodes, f.values)
+    f1 = _d1(grid.stencil, f.values)
     weight1 = (1.0 + nodes**2) ** ((delta + 1.0) * p / 2.0)
     a_p = _angular_moment(n, (p,))
     block1 = float(a_p * (w_radial @ (weight1 * np.abs(f1) ** p)))
@@ -432,7 +438,7 @@ def _weighted_norms(f: RadialField, k: int, delta: float, p: float) -> list[floa
     if k == 1:
         return norms
 
-    f2 = _d2(nodes, f.values)
+    f2 = _d2(grid.stencil, f.values)
     ratio = np.empty_like(f1)
     ratio[1:] = f1[1:] / nodes[1:]
     ratio[0] = f2[0]  # limit of f'/r at the origin
@@ -443,16 +449,23 @@ def _weighted_norms(f: RadialField, k: int, delta: float, p: float) -> list[floa
     mixed = float(b_p * (w_radial @ (weight2 * np.abs(aniso) ** p)))
     norm = norms[-1] + (n * (n - 1) / 2.0) * mixed ** (1.0 / p)
 
-    x_gl, w_gl = gauss_legendre(64)
-    theta = 0.5 * math.pi * (x_gl + 1.0)
-    cos2 = np.cos(theta) ** 2
-    sin_pow = np.sin(theta) ** (n - 2)
-    ring = sphere_area(n - 1) * 0.5 * math.pi * w_gl * sin_pow
-    angular = aniso[:, None] * cos2[None, :]
-    angular += ratio[:, None]
-    np.abs(angular, out=angular)
-    angular **= p
-    pure = float(w_radial @ (weight2 * (angular @ ring)))
+    if p == 2.0:
+        # (A w1^2 + B)^2 = A^2 w1^4 + 2AB w1^2 + B^2, termwise exact.
+        angular = _angular_moment(n, (4.0,)) * aniso**2
+        angular += 2.0 * _angular_moment(n, (2.0,)) * aniso * ratio
+        angular += _angular_moment(n, ()) * ratio**2
+    else:
+        x_gl, w_gl = gauss_legendre(64)
+        theta = 0.5 * math.pi * (x_gl + 1.0)
+        cos2 = np.cos(theta) ** 2
+        sin_pow = np.sin(theta) ** (n - 2)
+        ring = sphere_area(n - 1) * 0.5 * math.pi * w_gl * sin_pow
+        grid_angular = aniso[:, None] * cos2[None, :]
+        grid_angular += ratio[:, None]
+        np.abs(grid_angular, out=grid_angular)
+        grid_angular **= p
+        angular = grid_angular @ ring
+    pure = float(w_radial @ (weight2 * angular))
     norms.append(norm + n * pure ** (1.0 / p))
     return norms
 
@@ -563,10 +576,11 @@ def build_report(
 
     # |K| e^{2m wbar}, shared by the tail masses and the source's L^1 mass.
     curvature = _curvature_density(record.log_K, record.v.values + record.c_v)
-    tail = [
-        (float(grid.nodes[grid.nearest_index(x)]), _tail_mass(grid, curvature, x))
+    snapped = [
+        grid.nearest_index(x)
         for x in (0.0, grid.r_max / 8, grid.r_max / 4, grid.r_max / 2, 0.75 * grid.r_max)
     ]
+    tail = [(float(grid.nodes[i]), _tail_mass(grid, curvature, i)) for i in snapped]
 
     delta, p = -3.0, 2.0
     norms = {

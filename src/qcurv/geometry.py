@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, GridMismatch
-from .potential import RadialField, sphere_area
+from .potential import RadialField, StencilTable, sphere_area, stencil_table
 
 # ----------------------------------------------------------------------
 # constants
@@ -217,22 +217,19 @@ def kelvin_pullback(u, R: float, x) -> float:
 # ----------------------------------------------------------------------
 # radial stencils
 # ----------------------------------------------------------------------
-def _lap_interior(nodes: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+def _lap_interior(st: StencilTable, values: np.ndarray) -> np.ndarray:
     """Radial Laplacian  f'' + (n-1)/r f'  on the interior nodes of a
     (possibly non-uniform) grid by 3-point differences; both end entries
     are returned as 0 and must be treated as invalid by the caller."""
     out = np.zeros_like(values)
-    hm = nodes[1:-1] - nodes[:-2]
-    hp = nodes[2:] - nodes[1:-1]
     fm, f0, fp = values[:-2], values[1:-1], values[2:]
-    denom = hm * hp * (hm + hp)
-    d2 = 2.0 * (hm * fp + hp * fm - (hm + hp) * f0) / denom
-    d1 = (hm**2 * fp - hp**2 * fm + (hp**2 - hm**2) * f0) / denom
-    out[1:-1] = d2 + (n - 1) / nodes[1:-1] * d1
+    d2 = 2.0 * (st.hm * fp + st.hp * fm - st.hs * f0) / st.denom
+    d1 = (st.hm2 * fp - st.hp2 * fm + st.hd2 * f0) / st.denom
+    out[1:-1] = d2 + st.radial * d1
     return out
 
 
-def _lap_radial(nodes: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+def _lap_radial(st: StencilTable, values: np.ndarray) -> np.ndarray:
     """Radial Laplacian including the origin node.
 
     At r = 0 a regular radial function is even, so Delta f(0) = n f''(0);
@@ -242,10 +239,10 @@ def _lap_radial(nodes: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     operator near the origin.  The last node is zeroed (no right
     neighbor) and must be flagged invalid by the caller.
     """
-    out = _lap_interior(nodes, values, n)
-    a = 2.0 * (values[1] - values[0]) / nodes[1] ** 2
-    b = 2.0 * (values[2] - values[0]) / nodes[2] ** 2
-    out[0] = n * a + (n - 1) / 3.0 * (b - a)
+    out = _lap_interior(st, values)
+    a = 2.0 * (values[1] - values[0]) / st.nodes[1] ** 2
+    b = 2.0 * (values[2] - values[0]) / st.nodes[2] ** 2
+    out[0] = st.n * a + (st.n - 1) / 3.0 * (b - a)
     return out
 
 
@@ -269,7 +266,7 @@ def radial_polyharmonic(f: RadialField, k: int) -> RadialField:
     values = f.values.copy()
     valid = f.valid_mask().copy()
     for _ in range(k):
-        values = -_lap_radial(grid.nodes, values, grid.n)
+        values = -_lap_radial(grid.stencil, values)
         spread = np.empty_like(valid)
         spread[1:-1] = valid[:-2] & valid[1:-1] & valid[2:]
         spread[0] = valid[0] & valid[1] & valid[2]
@@ -312,8 +309,9 @@ def _iterated_lap_center(
     offsets = np.arange(-k, k + 1, dtype=float)
     nodes = rho0 + step * offsets
     vals = np.array([func(x) for x in nodes], dtype=float)
+    st = stencil_table(nodes, n)
     for _ in range(k):
-        vals = _lap_interior(nodes, vals, n)
+        vals = _lap_interior(st, vals)
     return float(vals[k])
 
 

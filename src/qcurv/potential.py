@@ -66,6 +66,58 @@ def _hat_interval_weights(a, b, n: int):
     return om * (b * i0 - i1) / (b - a), om * (i1 - a * i0) / (b - a)
 
 
+@dataclass(frozen=True, eq=False)
+class StencilTable:
+    """The node-only factors of the 3-point non-uniform difference
+    formulas, for the interior nodes ``nodes[1:-1]`` in dimension ``n``:
+    with ``hm = r_i - r_{i-1}`` and ``hp = r_{i+1} - r_i``,
+
+        f'  ~ (hm2 fp - hp2 fm + hd2 f0) / denom,
+        f'' ~ 2 (hm fp + hp fm - hs f0) / denom,
+
+    where ``hs = hm + hp``, ``denom = hm hp hs``, ``hm2 = hm^2``,
+    ``hp2 = hp^2``, ``hd2 = hp2 - hm2``, and ``radial = (n - 1) / r`` is the
+    radial Laplacian's first-derivative factor.  The factors are read-only.
+    """
+
+    n: int
+    nodes: np.ndarray
+    hm: np.ndarray
+    hp: np.ndarray
+    hs: np.ndarray
+    denom: np.ndarray
+    hm2: np.ndarray
+    hp2: np.ndarray
+    hd2: np.ndarray
+    radial: np.ndarray
+
+    def window(self, lo: int, hi: int) -> "StencilTable":
+        """The table of ``nodes[lo:hi]``, as views of this one."""
+        inner = slice(lo, hi - 2)
+        return StencilTable(
+            self.n,
+            self.nodes[lo:hi],
+            *(getattr(self, name)[inner] for name in _STENCIL_FACTORS),
+        )
+
+
+_STENCIL_FACTORS = ("hm", "hp", "hs", "denom", "hm2", "hp2", "hd2", "radial")
+
+
+def stencil_table(nodes: np.ndarray, n: int) -> StencilTable:
+    """The 3-point :class:`StencilTable` of ``nodes`` in dimension ``n``."""
+    hm = nodes[1:-1] - nodes[:-2]
+    hp = nodes[2:] - nodes[1:-1]
+    hs = hm + hp
+    hm2, hp2 = hm**2, hp**2
+    table = StencilTable(
+        n, nodes, hm, hp, hs, hm * hp * hs, hm2, hp2, hp2 - hm2, (n - 1) / nodes[1:-1]
+    )
+    for name in _STENCIL_FACTORS:
+        getattr(table, name).flags.writeable = False
+    return table
+
+
 def _hat_weights(nodes: np.ndarray, n: int) -> np.ndarray:
     """Quadrature weights integrating the piecewise-linear interpolant
     against the measure omega_{n-1} r^{n-1} dr, exactly per interval."""
@@ -132,11 +184,24 @@ class RadialGrid:
         ):
             raise GridMismatch("fields live on different radial grids")
 
+    @functools.cached_property
+    def stencil(self) -> StencilTable:
+        """The grid's 3-point :class:`StencilTable`, built on first use."""
+        return stencil_table(self.nodes, self.n)
+
     def nearest_index(self, r: float) -> int:
-        """Index of the node closest to radius ``r``."""
+        """Index of the node closest to radius ``r``, the lower one on an
+        exact tie (as ``argmin(|nodes - r|)``), found by bisection."""
         if not 0.0 <= r <= self.r_max:
             raise GridMismatch(f"radius {r} outside [0, {self.r_max}]")
-        return int(np.argmin(np.abs(self.nodes - r)))
+        nodes = self.nodes
+        hi = int(np.searchsorted(nodes, r))
+        if hi == 0:
+            return 0
+        # nodes[hi - 1] < r <= nodes[hi]: the nearest node is one of the two.
+        if abs(nodes[hi] - r) < abs(nodes[hi - 1] - r):
+            return hi
+        return hi - 1
 
     def weights_within(self, index: int) -> np.ndarray:
         """Weights of the same piecewise-linear rule restricted to the
@@ -157,8 +222,19 @@ class RadialGrid:
         return w
 
     def weights_beyond(self, index: int) -> np.ndarray:
-        """Exact complement of :meth:`weights_within` (annulus rule)."""
-        return self.quad_weights - self.weights_within(index)
+        """Exact complement of :meth:`weights_within` (annulus rule):
+        entry by entry ``quad_weights`` minus it, 0 below ``index``."""
+        w = self.quad_weights.copy()
+        if index == 0:
+            return w
+        w[:index] = 0.0
+        if index < len(self.nodes) - 1:
+            a, b = float(self.nodes[index]), float(self.nodes[index + 1])
+            q = w[index]
+            w[index] = q - (q - _hat_interval_weights(a, b, self.n)[0])
+        else:
+            w[index] = 0.0
+        return w
 
 
 def make_grid(

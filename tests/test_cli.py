@@ -299,6 +299,24 @@ def test_readme_solve_example_matches_the_cli(tmp_path):
     assert printed[3] == expected[3]
 
 
+def test_readme_library_example_prints_its_documented_line():
+    text = README.read_text(encoding="utf-8")
+    library = text[text.index("## Library") :]
+    code = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    documented = re.search(r"prints\n\n```\n(.*?)\n```", library, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    printed = out.getvalue().splitlines()
+    assert len(printed) == 1
+    got, want = printed[0].split(), documented.split()
+    assert len(got) == len(want) == 3
+    # The documented digits, up to the rounding that BLAS kernels and
+    # vectorized exp/log may move between CPUs.
+    for value, shown in zip(got, want):
+        assert float(value) == pytest.approx(float(shown), rel=1e-9, abs=0.0)
+
+
 def test_solve_reruns_are_byte_identical(tmp_path, solved_gate_fail):
     path = write_config(tmp_path, n_intervals=256)
     out_dir = tmp_path / "run"

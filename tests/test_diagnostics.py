@@ -463,16 +463,16 @@ def _boundary_terms_on_the_full_grid(wbar, r_snap, idx):
     """b1's curvature factor aside, the Pohozaev boundary terms with every
     stencil applied to the whole grid, as first written."""
     grid = wbar.grid
-    m, n, nodes = grid.m, grid.n, grid.nodes
+    m, n, st = grid.m, grid.n, grid.stencil
     om = sphere_area(n)
     w_iter = [wbar.values.copy()]
     for _ in range(m):
-        w_iter.append(_lap_radial(nodes, w_iter[-1], n))
-    g_iter = [nodes * _d1(nodes, wbar.values)]
+        w_iter.append(_lap_radial(st, w_iter[-1]))
+    g_iter = [grid.nodes * _d1(st, wbar.values)]
     for _ in range((m - 1) // 2 + 1):
-        g_iter.append(_lap_radial(nodes, g_iter[-1], n))
-    w_prime = [_d1(nodes, arr) for arr in w_iter]
-    g_prime = [_d1(nodes, arr) for arr in g_iter]
+        g_iter.append(_lap_radial(st, g_iter[-1]))
+    w_prime = [_d1(st, arr) for arr in w_iter]
+    g_prime = [_d1(st, arr) for arr in g_iter]
     if m % 2 == 0:
         half_power = w_iter[m // 2][idx]
     else:
@@ -488,9 +488,28 @@ def _boundary_terms_on_the_full_grid(wbar, r_snap, idx):
     return b2, float(-2.0 * m * om * r_snap ** (n - 1) * cross)
 
 
-def _weighted_norm_formula(f, k, delta, p):
+def _pure_block_by_angular_rule(aniso, ratio, n, p):
+    """The angular integral of |aniso w1^2 + ratio|^p over S^{n-1} by the
+    64-node rule, formed out of place."""
+    x_gl, w_gl = gauss_legendre(64)
+    theta = 0.5 * math.pi * (x_gl + 1.0)
+    cos2 = np.cos(theta) ** 2
+    ring = sphere_area(n - 1) * 0.5 * math.pi * w_gl * np.sin(theta) ** (n - 2)
+    return (np.abs(aniso[:, None] * cos2[None, :] + ratio[:, None]) ** p) @ ring
+
+
+def _pure_block_in_closed_form(aniso, ratio, n, p):
+    """The same integral at p = 2 from the moments of w1^4, w1^2 and 1."""
+    assert p == 2.0
+    angular = _angular_moment(n, (4.0,)) * aniso**2
+    angular += 2.0 * _angular_moment(n, (2.0,)) * aniso * ratio
+    angular += _angular_moment(n, ()) * ratio**2
+    return angular
+
+
+def _weighted_norm_formula(f, k, delta, p, pure_block=_pure_block_by_angular_rule):
     """weighted_norm as first written: each order recomputes the lower
-    ones, and the angular integrand is formed out of place."""
+    ones, and the pure-second-derivative block is ``pure_block``."""
     grid = f.grid
     n, nodes = grid.n, grid.nodes
     w_full = grid.quad_weights
@@ -499,13 +518,13 @@ def _weighted_norm_formula(f, k, delta, p):
     norm = float(w_full @ (weight0 * np.abs(f.values) ** p)) ** (1.0 / p)
     if k == 0:
         return norm
-    f1 = _d1(nodes, f.values)
+    f1 = _d1(grid.stencil, f.values)
     weight1 = (1.0 + nodes**2) ** ((delta + 1.0) * p / 2.0)
     block1 = float(_angular_moment(n, (p,)) * (w_radial @ (weight1 * np.abs(f1) ** p)))
     norm += n * block1 ** (1.0 / p)
     if k == 1:
         return norm
-    f2 = _d2(nodes, f.values)
+    f2 = _d2(grid.stencil, f.values)
     ratio = np.empty_like(f1)
     ratio[1:] = f1[1:] / nodes[1:]
     ratio[0] = f2[0]
@@ -515,12 +534,7 @@ def _weighted_norm_formula(f, k, delta, p):
         _angular_moment(n, (p, p)) * (w_radial @ (weight2 * np.abs(aniso) ** p))
     )
     norm += (n * (n - 1) / 2.0) * mixed ** (1.0 / p)
-    x_gl, w_gl = gauss_legendre(64)
-    theta = 0.5 * math.pi * (x_gl + 1.0)
-    cos2 = np.cos(theta) ** 2
-    ring = sphere_area(n - 1) * 0.5 * math.pi * w_gl * np.sin(theta) ** (n - 2)
-    pure_angular = (np.abs(aniso[:, None] * cos2[None, :] + ratio[:, None]) ** p) @ ring
-    pure = float(w_radial @ (weight2 * pure_angular))
+    pure = float(w_radial @ (weight2 * pure_block(aniso, ratio, n, p)))
     return norm + n * pure ** (1.0 / p)
 
 
@@ -573,9 +587,12 @@ def test_report_matches_its_full_grid_formulas(report_records):
                 "ratio": probe.ratio,
             }
         assert report.exp_integrability == expected_probes
-        # Weighted norms of order 0, 1, 2 from one pass.
+        # Weighted norms of order 0, 1, 2 from one pass; at p = 2 the pure
+        # block is in closed form, at any other p by the angular rule.
         for k in (0, 1, 2):
-            expected = _weighted_norm_formula(rec.v, k, -3.0, 2.0)
+            expected = _weighted_norm_formula(
+                rec.v, k, -3.0, 2.0, pure_block=_pure_block_in_closed_form
+            )
             assert report.weighted_norms[f"k={k},delta=-3,p=2"] == expected
             assert weighted_norm(rec.v, k, 0.5, 1.5) == _weighted_norm_formula(
                 rec.v, k, 0.5, 1.5
@@ -587,6 +604,27 @@ def test_report_matches_its_full_grid_formulas(report_records):
             assert (terms.b2, terms.b3) == _boundary_terms_on_the_full_grid(
                 wbar, terms.radius, idx
             )
+
+
+def test_pure_block_in_closed_form_agrees_with_the_angular_rule(report_records):
+    # At p = 2 the pure-second-derivative block is integrated over the
+    # sphere in closed form; the 64-node rule it replaces agrees to 1e-13.
+    for rec in report_records:
+        grid, v = rec.grid, rec.v
+        for delta in (-3.0, 0.5):
+            closed = _weighted_norm_formula(v, 2, delta, 2.0, _pure_block_in_closed_form)
+            by_rule = _weighted_norm_formula(v, 2, delta, 2.0)
+            assert weighted_norm(v, 2, delta, 2.0) == closed
+            assert closed == pytest.approx(by_rule, rel=1e-13, abs=0.0)
+        f1, f2 = _d1(grid.stencil, v.values), _d2(grid.stencil, v.values)
+        ratio = np.append(f2[0], f1[1:] / grid.nodes[1:])
+        aniso = f2 - ratio
+        weight = grid.quad_weights * (1.0 + grid.nodes**2) ** -1.0
+        blocks = [
+            float(weight @ pure(aniso, ratio, grid.n, 2.0))
+            for pure in (_pure_block_in_closed_form, _pure_block_by_angular_rule)
+        ]
+        assert blocks[0] == pytest.approx(blocks[1], rel=1e-13, abs=0.0)
 
 
 def _sweep_design_configs():

@@ -19,7 +19,12 @@ from qcurv import (
     sphere_area,
     spherical_solution,
 )
-from qcurv.potential import _ring_closed, _ring_panel_rule, gauss_legendre
+from qcurv.potential import (
+    _hat_interval_weights,
+    _ring_closed,
+    _ring_panel_rule,
+    gauss_legendre,
+)
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +126,35 @@ def test_nearest_index_snaps_and_validates():
         grid.nearest_index(10.5)
     with pytest.raises(GridMismatch):
         grid.nearest_index(-0.1)
+
+
+@pytest.mark.parametrize("map_kind", ["uniform", "sinh-clustered"])
+def test_nearest_index_agrees_with_argmin_including_ties(map_kind):
+    grid = make_grid(m=2, r_max=10.0, n_intervals=256, map_kind=map_kind)
+    nodes = grid.nodes
+    midpoints = 0.5 * (nodes[:-1] + nodes[1:])
+    if map_kind == "uniform":
+        # Dyadic spacing: every midpoint is an exact tie, which argmin
+        # gives to the lower node.
+        assert np.array_equal(midpoints - nodes[:-1], nodes[1:] - midpoints)
+    rng = np.random.default_rng(5)
+    radii = np.concatenate([nodes, midpoints, rng.uniform(0.0, 10.0, 500), [0.0, 10.0]])
+    for r in radii:
+        assert grid.nearest_index(float(r)) == int(np.argmin(np.abs(nodes - r)))
+
+
+def test_partial_ball_weights_equal_their_complement_formula():
+    grid = make_grid(m=3, r_max=10.0, n_intervals=256)
+    q, last = grid.quad_weights, len(grid.nodes) - 1
+    for idx in (0, 1, 2, 100, last - 1, last):
+        within = np.zeros_like(q)
+        if idx > 0:
+            within[: idx + 1] = q[: idx + 1]
+            if idx < last:
+                a, b = float(grid.nodes[idx]), float(grid.nodes[idx + 1])
+                within[idx] -= _hat_interval_weights(a, b, grid.n)[0]
+        np.testing.assert_array_equal(grid.weights_within(idx), within)
+        np.testing.assert_array_equal(grid.weights_beyond(idx), q - within)
 
 
 def test_ensure_same_accepts_equal_layout_and_rejects_others():
