@@ -82,7 +82,9 @@ _EXIT_CODE_TABLE = textwrap.indent(
 _CONFIG_FIELD_DOC = """\
 config JSON fields (schema_version 2):
   schema_version  int, 2 (1 still loads; its theta, t_schedule and
-                  v_schedule keys are ignored)
+                  v_schedule keys are ignored).  The removed keys map_kind
+                  and quad_order load only at "sinh-clustered" and 12,
+                  and are dropped
   m               int in [2, 6]: half the dimension (m = 1 is rejected,
                   the admissible profile class is empty there)
   sign            +1 or -1: sign of the prescribed curvature
@@ -94,13 +96,11 @@ config JSON fields (schema_version 2):
   u0_profile      "smooth-global" (default) or "compact-blend"
   r_max           grid radius, > 1 (default 40)
   n_intervals     radial intervals, >= 64 (default 2048)
-  map_kind        "sinh-clustered" (default) or "uniform" node placement
-  sinh_strength   clustering strength for sinh-clustered grids (default 3)
+  sinh_strength   clustering strength of the sinh node map, > 0
+                  (default 3)
   tol             bound on the fixed-point residual |T v - v|_inf at
                   which the solve stops (default 1e-8)
   max_iter        cap on the total iterations (default 600)
-  quad_order      Gauss-Legendre order per interval for the kernel
-                  moments (default 12)
 
 hard gates applied by `solve` after convergence:
   pde residual <= 5e-3, |volume - V|/V <= 5e-3, Pohozaev defect <= 1e-2
@@ -215,21 +215,12 @@ def run_solve(config_path: str, out_dir: str) -> int:
         else:
             volume_rel = abs(report.volume_achieved - config.volume) / config.volume
             gates = {
-                "pde_residual": {
-                    "value": report.pde_residual_max_rel,
-                    "threshold": GATE_PDE_RESIDUAL,
-                    "passed": report.pde_residual_max_rel <= GATE_PDE_RESIDUAL,
-                },
-                "volume_rel_error": {
-                    "value": volume_rel,
-                    "threshold": GATE_VOLUME_REL,
-                    "passed": volume_rel <= GATE_VOLUME_REL,
-                },
-                "pohozaev_defect": {
-                    "value": report.pohozaev_defect_rel,
-                    "threshold": GATE_POHOZAEV,
-                    "passed": report.pohozaev_defect_rel <= GATE_POHOZAEV,
-                },
+                name: {"value": value, "threshold": gate, "passed": value <= gate}
+                for name, value, gate in (
+                    ("pde_residual", report.pde_residual_max_rel, GATE_PDE_RESIDUAL),
+                    ("volume_rel_error", volume_rel, GATE_VOLUME_REL),
+                    ("pohozaev_defect", report.pohozaev_defect_rel, GATE_POHOZAEV),
+                )
             }
             report_obj = {"gates": gates, "report": report.to_json_dict()}
             header, row = report.csv_header_and_row()

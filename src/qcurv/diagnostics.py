@@ -6,7 +6,7 @@ identity from its own integration-by-parts terms.  A solution that
 passes these checks is certified by computations independent of the one
 that produced it.
 
-The 3-point stencils read their node-only factors from the grid's
+The 3-point stencils are the methods of the grid's
 :class:`~qcurv.potential.StencilTable`, built once per grid.  The
 weighted norms integrate every angular factor in closed form at p = 2
 (the report's exponent); only the pure-second-derivative block at
@@ -21,53 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch, TailNotNegligible
-from .geometry import (
-    _lap_interior,
-    constants,
-    eval_radial_profile,
-    radial_polyharmonic,
-)
+from .geometry import constants, eval_radial_profile, radial_polyharmonic
 from .poly import Polynomial
-from .potential import (
-    RadialField,
-    RadialGrid,
-    StencilTable,
-    gauss_legendre,
-    sphere_area,
-)
+from .potential import RadialField, RadialGrid, gauss_legendre, sphere_area
 from .solver import SolutionRecord, radial_profile_coeffs
 
 # A solution profile whose values all sit below this level is treated as
 # degenerate (volume at underflow scale): the tail-decay certificate is
 # skipped because there is no meaningful tail to certify.
 _DEGENERATE_LEVEL = -50.0
-
-
-# ----------------------------------------------------------------------
-# derivative helpers
-# ----------------------------------------------------------------------
-def _d1(st: StencilTable, values: np.ndarray) -> np.ndarray:
-    """First radial derivative: 3-point non-uniform centered differences
-    in the interior, even-extension zero at the origin, first-order
-    backward at the last node."""
-    out = np.empty_like(values)
-    fm, f0, fp = values[:-2], values[1:-1], values[2:]
-    out[1:-1] = (st.hm2 * fp - st.hp2 * fm + st.hd2 * f0) / st.denom
-    out[0] = 0.0
-    out[-1] = (values[-1] - values[-2]) / st.hp[-1]
-    return out
-
-
-def _d2(st: StencilTable, values: np.ndarray) -> np.ndarray:
-    """Second radial derivative, counterpart of :func:`_d1`; the origin
-    uses the even-extension secant (exact for quadratics), the last node
-    copies its neighbor."""
-    out = np.empty_like(values)
-    fm, f0, fp = values[:-2], values[1:-1], values[2:]
-    out[1:-1] = 2.0 * (st.hm * fp + st.hp * fm - st.hs * f0) / st.denom
-    out[0] = 2.0 * (values[1] - values[0]) / st.nodes[1] ** 2
-    out[-1] = out[-2]
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -294,8 +256,8 @@ def pohozaev_terms(
     om = sphere_area(n)
 
     k_e_w = sign * np.exp(log_K.values + two_m * wbar.values)
-    x_grad_log_k = nodes * _d1(st, log_K.values)
-    x_grad_w = nodes * _d1(st, v.values)
+    x_grad_log_k = nodes * st.d1(log_K.values)
+    x_grad_w = nodes * st.d1(v.values)
     t1 = float(w_in @ (x_grad_log_k * k_e_w))
     t2 = float(two_m * (w_in @ k_e_w))
     t3 = float(-two_m * alpha * (w_in @ (x_grad_w * u0_density.values)))
@@ -310,13 +272,13 @@ def pohozaev_terms(
     w_st = st.window(lo, hi)
     w_iter = [wbar.values[lo:hi]]
     for _ in range(m):
-        w_iter.append(_lap_interior(w_st, w_iter[-1]))
-    g0 = w_st.nodes * _d1(w_st, w_iter[0])
+        w_iter.append(w_st.laplacian(w_iter[-1]))
+    g0 = w_st.nodes * w_st.d1(w_iter[0])
     g_iter = [g0]
     for _ in range((m - 1) // 2 + 1):
-        g_iter.append(_lap_interior(w_st, g_iter[-1]))
-    w_prime = [_d1(w_st, arr) for arr in w_iter]
-    g_prime = [_d1(w_st, arr) for arr in g_iter]
+        g_iter.append(w_st.laplacian(g_iter[-1]))
+    w_prime = [w_st.d1(arr) for arr in w_iter]
+    g_prime = [w_st.d1(arr) for arr in g_iter]
 
     b1 = float(om * r_snap**n * k_e_w[idx])
     if m % 2 == 0:
@@ -430,7 +392,7 @@ def _weighted_norms(f: RadialField, k: int, delta: float, p: float) -> list[floa
     if k == 0:
         return norms
 
-    f1 = _d1(grid.stencil, f.values)
+    f1 = grid.stencil.d1(f.values)
     weight1 = (1.0 + nodes**2) ** ((delta + 1.0) * p / 2.0)
     a_p = _angular_moment(n, (p,))
     block1 = float(a_p * (w_radial @ (weight1 * np.abs(f1) ** p)))
@@ -438,7 +400,7 @@ def _weighted_norms(f: RadialField, k: int, delta: float, p: float) -> list[floa
     if k == 1:
         return norms
 
-    f2 = _d2(grid.stencil, f.values)
+    f2 = grid.stencil.d2(f.values)
     ratio = np.empty_like(f1)
     ratio[1:] = f1[1:] / nodes[1:]
     ratio[0] = f2[0]  # limit of f'/r at the origin

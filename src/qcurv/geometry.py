@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, GridMismatch
-from .potential import RadialField, StencilTable, sphere_area, stencil_table
+from .potential import RadialField, sphere_area, stencil_table
 
 # ----------------------------------------------------------------------
 # constants
@@ -217,35 +217,6 @@ def kelvin_pullback(u, R: float, x) -> float:
 # ----------------------------------------------------------------------
 # radial stencils
 # ----------------------------------------------------------------------
-def _lap_interior(st: StencilTable, values: np.ndarray) -> np.ndarray:
-    """Radial Laplacian  f'' + (n-1)/r f'  on the interior nodes of a
-    (possibly non-uniform) grid by 3-point differences; both end entries
-    are returned as 0 and must be treated as invalid by the caller."""
-    out = np.zeros_like(values)
-    fm, f0, fp = values[:-2], values[1:-1], values[2:]
-    d2 = 2.0 * (st.hm * fp + st.hp * fm - st.hs * f0) / st.denom
-    d1 = (st.hm2 * fp - st.hp2 * fm + st.hd2 * f0) / st.denom
-    out[1:-1] = d2 + st.radial * d1
-    return out
-
-
-def _lap_radial(st: StencilTable, values: np.ndarray) -> np.ndarray:
-    """Radial Laplacian including the origin node.
-
-    At r = 0 a regular radial function is even, so Delta f(0) = n f''(0);
-    the second derivative is estimated from the two leading secants
-    2(f_i - f_0)/r_i^2 (exact for quadratics) with a Richardson-style
-    correction that restores second-order accuracy of the composed
-    operator near the origin.  The last node is zeroed (no right
-    neighbor) and must be flagged invalid by the caller.
-    """
-    out = _lap_interior(st, values)
-    a = 2.0 * (values[1] - values[0]) / st.nodes[1] ** 2
-    b = 2.0 * (values[2] - values[0]) / st.nodes[2] ** 2
-    out[0] = st.n * a + (st.n - 1) / 3.0 * (b - a)
-    return out
-
-
 def radial_polyharmonic(f: RadialField, k: int) -> RadialField:
     """Apply (-Delta)^k to a radial field by composing the second-order
     radial stencil k times.
@@ -266,7 +237,7 @@ def radial_polyharmonic(f: RadialField, k: int) -> RadialField:
     values = f.values.copy()
     valid = f.valid_mask().copy()
     for _ in range(k):
-        values = -_lap_radial(grid.stencil, values)
+        values = -grid.stencil.laplacian(values, origin=True)
         spread = np.empty_like(valid)
         spread[1:-1] = valid[:-2] & valid[1:-1] & valid[2:]
         spread[0] = valid[0] & valid[1] & valid[2]
@@ -311,7 +282,7 @@ def _iterated_lap_center(
     vals = np.array([func(x) for x in nodes], dtype=float)
     st = stencil_table(nodes, n)
     for _ in range(k):
-        vals = _lap_interior(st, vals)
+        vals = st.laplacian(vals)
     return float(vals[k])
 
 

@@ -78,6 +78,8 @@ class StencilTable:
     where ``hs = hm + hp``, ``denom = hm hp hs``, ``hm2 = hm^2``,
     ``hp2 = hp^2``, ``hd2 = hp2 - hm2``, and ``radial = (n - 1) / r`` is the
     radial Laplacian's first-derivative factor.  The factors are read-only.
+    At the origin a regular radial function is even, and its second
+    derivative is read from the secants 2 (f_i - f_0) / r_i^2.
     """
 
     n: int
@@ -90,6 +92,51 @@ class StencilTable:
     hp2: np.ndarray
     hd2: np.ndarray
     radial: np.ndarray
+
+    def _interior_d1(self, values: np.ndarray) -> np.ndarray:
+        fm, f0, fp = values[:-2], values[1:-1], values[2:]
+        return (self.hm2 * fp - self.hp2 * fm + self.hd2 * f0) / self.denom
+
+    def _interior_d2(self, values: np.ndarray) -> np.ndarray:
+        fm, f0, fp = values[:-2], values[1:-1], values[2:]
+        return 2.0 * (self.hm * fp + self.hp * fm - self.hs * f0) / self.denom
+
+    def _origin_secant(self, values: np.ndarray, i: int) -> float:
+        return 2.0 * (values[i] - values[0]) / self.nodes[i] ** 2
+
+    def d1(self, values: np.ndarray) -> np.ndarray:
+        """First radial derivative: the interior formula, even-extension
+        zero at the origin, first-order backward at the last node."""
+        out = np.empty_like(values)
+        out[1:-1] = self._interior_d1(values)
+        out[0] = 0.0
+        out[-1] = (values[-1] - values[-2]) / self.hp[-1]
+        return out
+
+    def d2(self, values: np.ndarray) -> np.ndarray:
+        """Second radial derivative: the interior formula, the first
+        secant at the origin (exact for quadratics), and the last node
+        copying its neighbor."""
+        out = np.empty_like(values)
+        out[1:-1] = self._interior_d2(values)
+        out[0] = self._origin_secant(values, 1)
+        out[-1] = out[-2]
+        return out
+
+    def laplacian(self, values: np.ndarray, origin: bool = False) -> np.ndarray:
+        """Radial Laplacian f'' + (n-1)/r f' on the interior nodes; the
+        end entries are 0 and invalid.  With ``origin``, Delta f(0) =
+        n f''(0) is set from the two leading secants a, b as
+        n a + (n-1)/3 (b - a), a Richardson-style correction that restores
+        second-order accuracy of the composed operator near the origin."""
+        out = np.zeros_like(values)
+        out[1:-1] = self._interior_d2(values)
+        out[1:-1] += self.radial * self._interior_d1(values)
+        if origin:
+            a = self._origin_secant(values, 1)
+            b = self._origin_secant(values, 2)
+            out[0] = self.n * a + (self.n - 1) / 3.0 * (b - a)
+        return out
 
     def window(self, lo: int, hi: int) -> "StencilTable":
         """The table of ``nodes[lo:hi]``, as views of this one."""
@@ -138,10 +185,8 @@ class RadialGrid:
     """
 
     m: int
-    map_kind: str
     nodes: np.ndarray
     quad_weights: np.ndarray
-    sinh_strength: float = 3.0
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -258,29 +303,29 @@ def make_grid(
     """
     if m < 1 or m > 6:
         raise GridMismatch(f"m must be in 1..6, got {m}")
-    if not r_max > 1.0:
-        raise GridMismatch(f"r_max must exceed 1, got {r_max}")
+    if not 1.0 < r_max < math.inf:
+        raise GridMismatch(f"r_max must exceed 1 and be finite, got {r_max}")
     if n_intervals < 64:
         raise GridMismatch(f"need n_intervals >= 64, got {n_intervals}")
     if map_kind not in ("uniform", "sinh-clustered"):
         raise GridMismatch(f"unknown map_kind {map_kind!r}")
-    if not sinh_strength > 0:
-        raise GridMismatch("sinh_strength must be positive")
+    if not 0.0 < sinh_strength < math.inf:
+        raise GridMismatch(
+            f"sinh_strength must be positive and finite, got {sinh_strength}"
+        )
     xi = np.linspace(0.0, 1.0, n_intervals + 1)
     if map_kind == "uniform":
         nodes = r_max * xi
     else:
-        nodes = r_max * np.sinh(sinh_strength * xi) / math.sinh(sinh_strength)
+        try:
+            top = math.sinh(sinh_strength)
+        except OverflowError:
+            raise GridMismatch(f"sinh({sinh_strength}) overflows") from None
+        nodes = r_max * np.sinh(sinh_strength * xi) / top
     nodes[0], nodes[-1] = 0.0, r_max
     weights = _hat_weights(nodes, 2 * m)
     weights *= ball_volume(2 * m, r_max) / weights.sum()
-    return RadialGrid(
-        m=m,
-        map_kind=map_kind,
-        nodes=nodes,
-        quad_weights=weights,
-        sinh_strength=float(sinh_strength),
-    )
+    return RadialGrid(m=m, nodes=nodes, quad_weights=weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -442,6 +487,11 @@ def ring_kernel_mean(n: int, s: float, r: float, quad_order: int = 64) -> float:
 # ----------------------------------------------------------------------
 # semi-separable potential
 # ----------------------------------------------------------------------
+# Gauss-Legendre order of the kernel moments per interval: orders 6 to 32
+# all move u by under 1e-8, far below the discretization error.
+_KERNEL_QUAD_ORDER = 12
+
+
 @dataclass(frozen=True, eq=False)
 class KernelMatrix:
     """The ring kernel on a grid, in semi-separable form.
@@ -463,7 +513,6 @@ class KernelMatrix:
     """
 
     grid: RadialGrid
-    quad_order: int
     moments: np.ndarray
     node_factors: np.ndarray
 
@@ -481,16 +530,11 @@ class KernelMatrix:
             object.__setattr__(self, name, arr)
 
 
-def kernel_matrix(grid: RadialGrid, quad_order: int = 12) -> KernelMatrix:
-    """Per-interval kernel moments for a grid, in O(N m) time and memory.
-
-    ``quad_order`` is the per-interval Gauss-Legendre order of the
-    hat-basis moments.
-    """
-    if quad_order < 4:
-        raise GridMismatch("quad_order must be >= 4")
+def kernel_matrix(grid: RadialGrid) -> KernelMatrix:
+    """Per-interval kernel moments for a grid, in O(N m) time and memory,
+    by ``_KERNEL_QUAD_ORDER``-point Gauss-Legendre per interval."""
     n, m, nodes = grid.n, grid.m, grid.nodes
-    xg, wg = gauss_legendre(quad_order)
+    xg, wg = gauss_legendre(_KERNEL_QUAD_ORDER)
     a, b = nodes[:-1, None], nodes[1:, None]
     half = 0.5 * (b - a)
     rho = 0.5 * (a + b) + half * xg
@@ -508,9 +552,7 @@ def kernel_matrix(grid: RadialGrid, quad_order: int = 12) -> KernelMatrix:
     for j in range(1, m):
         factors[j, 1:] = -coefs[2 * j] * nodes[1:] ** (-2 * j)
         factors[m + j] = -coefs[2 * j] * nodes ** (2 * j)
-    return KernelMatrix(
-        grid=grid, quad_order=quad_order, moments=moments, node_factors=factors
-    )
+    return KernelMatrix(grid=grid, moments=moments, node_factors=factors)
 
 
 def potential_apply(kernel: KernelMatrix, density: RadialField, constants) -> RadialField:

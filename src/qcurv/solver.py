@@ -45,7 +45,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, PolynomialFormatError
+from .errors import ConfigError, DimensionMismatch, GridMismatch, PolynomialFormatError
 from .geometry import U0Profile, constants, eval_radial_profile, u0_eval
 # Not called here: perfbench counts sampling-screen calls through
 # qcurv.solver.pm_membership (now 0 per op).
@@ -69,6 +69,9 @@ _DISCRETIZATION_CACHE_SIZE = 8
 # Schema-v1 keys that chose the iteration path rather than the problem;
 # v1 files still load, with these dropped.
 _V1_ITERATION_KEYS = frozenset({"theta", "t_schedule", "v_schedule"})
+# Removed discretization settings and the one value (the old default) each
+# still loads at; any other value would change the discretization silently.
+_REMOVED_KEYS = {"map_kind": "sinh-clustered", "quad_order": 12}
 
 
 # ----------------------------------------------------------------------
@@ -164,11 +167,9 @@ class SolverConfig:
     u0_profile: U0Profile | None = None
     r_max: float = 40.0
     n_intervals: int = 2048
-    map_kind: str = "sinh-clustered"
     sinh_strength: float = 3.0
     tol: float = 1e-8
     max_iter: int = 600
-    quad_order: int = 12
 
     def __post_init__(self) -> None:
         if (
@@ -204,8 +205,8 @@ class SolverConfig:
         if self.sign not in (1, -1):
             raise ConfigError(f"sign must be +1 or -1, got {self.sign}")
         cs = constants(self.m)
-        if not self.volume > 0:
-            raise ConfigError(f"volume must be positive, got {self.volume}")
+        if not 0 < self.volume < math.inf:
+            raise ConfigError(f"volume must be positive and finite, got {self.volume}")
         if self.sign == 1 and self.volume >= cs.vol_sphere:
             raise ConfigError(
                 "sign = +1 requires V ∈ (0, vol(S^{2m})) = "
@@ -236,14 +237,14 @@ class SolverConfig:
             raise ConfigError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not self.r_max > 1:
-            raise ConfigError(f"r_max must exceed 1, got {self.r_max}")
+        if not 1 < self.r_max < math.inf:
+            raise ConfigError(f"r_max must exceed 1 and be finite, got {self.r_max}")
         if self.n_intervals < 64:
             raise ConfigError(f"n_intervals must be >= 64, got {self.n_intervals}")
-        if self.map_kind not in ("uniform", "sinh-clustered"):
-            raise ConfigError(f"unknown map_kind {self.map_kind!r}")
-        if self.quad_order < 4:
-            raise ConfigError(f"quad_order must be >= 4, got {self.quad_order}")
+        if not 0 < self.sinh_strength < math.inf:
+            raise ConfigError(
+                f"sinh_strength must be positive and finite, got {self.sinh_strength}"
+            )
 
     # ------------------------------------------------------------------
     def to_json_dict(self) -> dict:
@@ -257,7 +258,9 @@ class SolverConfig:
     @classmethod
     def from_json_dict(cls, data: dict) -> "SolverConfig":
         """Load a schema-v2 dict, or a v1 dict with its iteration-path keys
-        dropped; the known keys and defaults are the dataclass fields."""
+        dropped; the known keys and defaults are the dataclass fields.  A
+        removed setting's key is dropped if it holds the value the solver
+        uses and refused otherwise."""
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
         version = data.get("schema_version")
@@ -266,12 +269,18 @@ class SolverConfig:
                 f"schema_version must be 1 or {_SCHEMA_VERSION}, got {version!r}"
             )
         fields = {f.name: f for f in dataclasses.fields(cls)}
-        known = set(fields) | {"schema_version"}
+        known = set(fields) | {"schema_version"} | set(_REMOVED_KEYS)
         if version == 1:
             known |= _V1_ITERATION_KEYS
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for name, kept in _REMOVED_KEYS.items():
+            if name in data and data[name] != kept:
+                raise ConfigError(
+                    f"the {name} setting was removed; a config may hold it "
+                    f"only at {kept!r}, got {data[name]!r}"
+                )
         values = {}
         for name, f in fields.items():
             if name in data:
@@ -314,13 +323,16 @@ class SolverConfig:
 # pieces of the fixed-point map
 # ----------------------------------------------------------------------
 def build_grid(config: SolverConfig) -> RadialGrid:
-    return make_grid(
-        config.m,
-        config.r_max,
-        config.n_intervals,
-        config.map_kind,
-        config.sinh_strength,
-    )
+    return _grid(config.m, config.r_max, config.n_intervals, config.sinh_strength)
+
+
+def _grid(m: int, r_max: float, n_intervals: int, sinh_strength: float) -> RadialGrid:
+    """The sinh-clustered grid of a config's fields; settings that build
+    none are a ConfigError."""
+    try:
+        return make_grid(m, r_max, n_intervals, sinh_strength=sinh_strength)
+    except GridMismatch as exc:
+        raise ConfigError(f"cannot build the grid: {exc}") from exc
 
 
 def u0_density_field(profile: U0Profile, grid: RadialGrid) -> RadialField:
@@ -345,16 +357,14 @@ def _discretization(
     m: int,
     r_max: float,
     n_intervals: int,
-    map_kind: str,
     sinh_strength: float,
-    quad_order: int,
     u0_profile: U0Profile,
 ) -> tuple[RadialGrid, KernelMatrix, RadialField, np.ndarray]:
     """The grid, its kernel moments, the u0 density and the u0 node values,
     shared read-only by every solve on the same grid.  Nothing here depends
     on V, the sign or P."""
-    grid = make_grid(m, r_max, n_intervals, map_kind, sinh_strength)
-    kernel = kernel_matrix(grid, quad_order)
+    grid = _grid(m, r_max, n_intervals, sinh_strength)
+    kernel = kernel_matrix(grid)
     u0_density = u0_density_field(u0_profile, grid)
     u0_vals, _ = u0_eval(u0_profile, grid.nodes)
     u0_vals.flags.writeable = False
@@ -596,20 +606,18 @@ def solve_continuation(config: SolverConfig) -> SolutionRecord:
 
     Solves on the same grid share its discretization: the grid, the
     kernel moments, the u0 density and the u0 node values depend only on
-    (m, r_max, n_intervals, map_kind, sinh_strength, quad_order,
-    u0_profile), not on V, the sign or P, and are built once per such key.
-    The last ``_DISCRETIZATION_CACHE_SIZE`` = 8 keys are kept, read-only,
-    at most about 2.6 MB each (m = 6, N = 8192).  log|K| is built per
-    config.
+    (m, r_max, n_intervals, sinh_strength, u0_profile), not on V, the
+    sign or P, and are built once per such key.  The last
+    ``_DISCRETIZATION_CACHE_SIZE`` = 8 keys are kept, read-only, at most
+    about 3.1 MB each (m = 6, N = 8192, the grid's stencil table
+    included).  log|K| is built per config.
     """
     config.validate()
     grid, kernel, u0_density, u0_vals = _discretization(
         config.m,
         config.r_max,
         config.n_intervals,
-        config.map_kind,
         config.sinh_strength,
-        config.quad_order,
         config.u0_profile,
     )
     p_vals = eval_radial_profile(config.radial_coeffs, grid.nodes)

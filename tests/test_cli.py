@@ -7,6 +7,7 @@ The solve fixtures run at N <= 512, so the whole module runs in seconds.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -21,7 +22,7 @@ import pytest
 
 from conftest import SQUARE_PROFILE_4D
 import qcurv.cli
-from qcurv import Polynomial, __version__, a3_counterexample, constants
+from qcurv import Polynomial, SolverConfig, __version__, a3_counterexample, constants
 from qcurv.cli import main
 
 SOLVE_FILES = {"solution.csv", "meta.json", "report.json", "report.csv", "manifest.json"}
@@ -160,6 +161,12 @@ def test_solve_rejects_malformed_json(tmp_path):
         ((), {"profile": "1.0 * x1^2 - 1.0 * x2^2"}, "must be radial"),
         ((), {"profile": RADIAL_QUARTIC_4D}, "admissibility screen"),
         ((), {"profile": "1.0 * x7^2"}, "profile:"),
+        ((), {"sinh_strength": 0.0}, "sinh_strength must be positive and finite"),
+        ((), {"sinh_strength": float("nan")}, "sinh_strength must be positive"),
+        ((), {"r_max": float("inf")}, "r_max must exceed 1 and be finite"),
+        ((), {"sign": -1, "volume": float("inf")}, "volume must be positive and"),
+        ((), {"sinh_strength": 800.0}, "cannot build the grid: sinh(800.0) overflows"),
+        ((), {"sinh_strength": 250.0, "n_intervals": 2048}, "cannot build the grid"),
     ],
 )
 def test_solve_rejects_invalid_config_values(tmp_path, drop, overrides, fragment):
@@ -168,6 +175,20 @@ def test_solve_rejects_invalid_config_values(tmp_path, drop, overrides, fragment
     assert code == 1
     assert "config error:" in err
     assert fragment in err
+
+
+def test_solve_process_reports_a_grid_it_cannot_build_in_one_line(tmp_path):
+    path = write_config(tmp_path, sinh_strength=800.0)
+    result = subprocess.run(
+        [sys.executable, "-m", "qcurv.cli", "solve", "--config", path,
+         "--out", str(tmp_path / "run")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("config error: cannot build the grid")
+    assert "Traceback" not in result.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +504,23 @@ def test_pohozaev_reads_the_linear_K_column_format(solved_ok, tmp_path):
     assert old_format == fresh
 
 
+def test_pohozaev_reads_a_meta_json_holding_the_removed_keys(solved_ok, tmp_path):
+    # Directories written while map_kind and quad_order were settings hold
+    # both at the values the solver still uses; they print the same balance.
+    meta = json.loads((solved_ok.path / "meta.json").read_text(encoding="utf-8"))
+    assert "map_kind" not in meta["config"] and "quad_order" not in meta["config"]
+    meta["config"].update(map_kind="sinh-clustered", quad_order=12)
+    (tmp_path / "meta.json").write_text(json.dumps(meta, indent=2), encoding="utf-8")
+    (tmp_path / "solution.csv").write_bytes(
+        (solved_ok.path / "solution.csv").read_bytes()
+    )
+    argv = ["pohozaev", "--radius", "10.0", "--solution"]
+    fresh = run_cli(argv + [str(solved_ok.path)])
+    older = run_cli(argv + [str(tmp_path)])
+    assert fresh[0] == 0
+    assert older == fresh
+
+
 def test_pohozaev_rejects_missing_directory(tmp_path):
     code, _, err = run_cli(
         ["pohozaev", "--solution", str(tmp_path / "nope"), "--radius", "10.0"]
@@ -499,6 +537,20 @@ def test_pohozaev_rejects_table_grid_mismatch(solved_ok, tmp_path):
     code, _, err = run_cli(["pohozaev", "--solution", str(tmp_path), "--radius", "10.0"])
     assert code == 1
     assert "does not match the grid" in err
+
+
+def test_pohozaev_rejects_a_config_that_builds_no_grid(solved_ok, tmp_path):
+    # The config loads, but at N = 2048 the innermost quadrature weights
+    # of sinh_strength 250 underflow, so no grid can be built for it.
+    meta = json.loads((solved_ok.path / "meta.json").read_text(encoding="utf-8"))
+    meta["config"].update(sinh_strength=250.0, n_intervals=2048)
+    (tmp_path / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+    (tmp_path / "solution.csv").write_bytes(
+        (solved_ok.path / "solution.csv").read_bytes()
+    )
+    code, _, err = run_cli(["pohozaev", "--solution", str(tmp_path), "--radius", "10.0"])
+    assert code == 1
+    assert "cannot build the grid" in err
 
 
 def test_pohozaev_rejects_radius_outside_stencil_range(solved_ok):
@@ -527,6 +579,31 @@ def test_exit_code_tables_agree():
     }
     assert from_readme, "README has no exit-code table"
     assert from_readme == from_doc
+
+
+def test_config_field_doc_matches_the_dataclass():
+    """The config field list of `qcurv --help` names each SolverConfig
+    field once, in order, with its default."""
+    section = qcurv.cli._CONFIG_FIELD_DOC.partition("\n\n")[0]
+    entries = re.findall(r"^  (\w+) +(.+(?:\n {18}.+)*)", section, re.MULTILINE)
+    fields = dataclasses.fields(SolverConfig)
+    assert [name for name, _ in entries] == ["schema_version"] + [
+        f.name for f in fields
+    ]
+    doc = {name: " ".join(text.split()) for name, text in entries}
+    background = SolverConfig(
+        m=2, sign=1, volume=1.0, profile=Polynomial.from_text(SQUARE_PROFILE_4D)
+    ).u0_profile.kind
+    for f in fields:
+        text = doc[f.name]
+        if f.default is dataclasses.MISSING:
+            assert "default" not in text, f.name
+        elif f.default is None:
+            # Filled in from m after construction.
+            assert f'"{background}" (default)' in text
+        else:
+            (value,) = re.findall(r"\(default ([^)]+)\)", text)
+            assert float(value) == f.default, f.name
 
 
 def test_module_is_runnable_as_subprocess():

@@ -34,8 +34,7 @@ from qcurv import (
     u0_eval,
     weighted_norm,
 )
-from qcurv.diagnostics import _angular_moment, _d1, _d2
-from qcurv.geometry import _lap_radial
+from qcurv.diagnostics import _angular_moment
 from qcurv.potential import gauss_legendre
 
 
@@ -467,12 +466,12 @@ def _boundary_terms_on_the_full_grid(wbar, r_snap, idx):
     om = sphere_area(n)
     w_iter = [wbar.values.copy()]
     for _ in range(m):
-        w_iter.append(_lap_radial(st, w_iter[-1]))
-    g_iter = [grid.nodes * _d1(st, wbar.values)]
+        w_iter.append(st.laplacian(w_iter[-1], origin=True))
+    g_iter = [grid.nodes * st.d1(wbar.values)]
     for _ in range((m - 1) // 2 + 1):
-        g_iter.append(_lap_radial(st, g_iter[-1]))
-    w_prime = [_d1(st, arr) for arr in w_iter]
-    g_prime = [_d1(st, arr) for arr in g_iter]
+        g_iter.append(st.laplacian(g_iter[-1], origin=True))
+    w_prime = [st.d1(arr) for arr in w_iter]
+    g_prime = [st.d1(arr) for arr in g_iter]
     if m % 2 == 0:
         half_power = w_iter[m // 2][idx]
     else:
@@ -518,13 +517,13 @@ def _weighted_norm_formula(f, k, delta, p, pure_block=_pure_block_by_angular_rul
     norm = float(w_full @ (weight0 * np.abs(f.values) ** p)) ** (1.0 / p)
     if k == 0:
         return norm
-    f1 = _d1(grid.stencil, f.values)
+    f1 = grid.stencil.d1(f.values)
     weight1 = (1.0 + nodes**2) ** ((delta + 1.0) * p / 2.0)
     block1 = float(_angular_moment(n, (p,)) * (w_radial @ (weight1 * np.abs(f1) ** p)))
     norm += n * block1 ** (1.0 / p)
     if k == 1:
         return norm
-    f2 = _d2(grid.stencil, f.values)
+    f2 = grid.stencil.d2(f.values)
     ratio = np.empty_like(f1)
     ratio[1:] = f1[1:] / nodes[1:]
     ratio[0] = f2[0]
@@ -616,7 +615,7 @@ def test_pure_block_in_closed_form_agrees_with_the_angular_rule(report_records):
             by_rule = _weighted_norm_formula(v, 2, delta, 2.0)
             assert weighted_norm(v, 2, delta, 2.0) == closed
             assert closed == pytest.approx(by_rule, rel=1e-13, abs=0.0)
-        f1, f2 = _d1(grid.stencil, v.values), _d2(grid.stencil, v.values)
+        f1, f2 = grid.stencil.d1(v.values), grid.stencil.d2(v.values)
         ratio = np.append(f2[0], f1[1:] / grid.nodes[1:])
         aniso = f2 - ratio
         weight = grid.quad_weights * (1.0 + grid.nodes**2) ** -1.0

@@ -91,6 +91,16 @@ def test_make_grid_validates_inputs():
         make_grid(m=2, r_max=10.0, n_intervals=128, map_kind="chebyshev")
     with pytest.raises(GridMismatch):
         make_grid(m=2, r_max=10.0, n_intervals=128, sinh_strength=0.0)
+    with pytest.raises(GridMismatch, match="r_max"):
+        make_grid(m=2, r_max=math.inf, n_intervals=128)
+    with pytest.raises(GridMismatch, match="sinh_strength"):
+        make_grid(m=2, r_max=10.0, n_intervals=128, sinh_strength=math.nan)
+    # sinh(800) overflows a double; sinh_strength 250 at N = 2048 leaves
+    # the innermost weights below the smallest double.
+    with pytest.raises(GridMismatch, match="overflows"):
+        make_grid(m=2, r_max=10.0, n_intervals=128, sinh_strength=800.0)
+    with pytest.raises(GridMismatch, match="weights"):
+        make_grid(m=2, r_max=40.0, n_intervals=2048, sinh_strength=250.0)
 
 
 def test_quadrature_against_closed_form_integrals():
@@ -302,13 +312,6 @@ def test_potential_apply_matches_brute_force_reference(m):
         # Every row, the r = 0 row (Lambda = log rho) included.
         dev = np.max(np.abs(got.values - ref)) / np.max(np.abs(ref))
         assert dev <= 1e-13, f"{name}: relative deviation {dev:.3e}"
-
-
-def test_kernel_matrix_validates_quad_order():
-    grid = make_grid(m=2, r_max=5.0, n_intervals=128)
-    assert kernel_matrix(grid).quad_order == 12
-    with pytest.raises(GridMismatch):
-        kernel_matrix(grid, quad_order=2)
 
 
 # ----------------------------------------------------------------------

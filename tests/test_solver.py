@@ -241,11 +241,13 @@ def test_validate_accepts_an_eventually_coercive_profile(no_sampling_screen):
         (dict(max_iter=0), "max_iter"),
         (dict(r_max=1.0), "r_max"),
         (dict(n_intervals=63), "n_intervals"),
-        (dict(quad_order=3), "quad_order"),
+        (dict(sinh_strength=0.0), "sinh_strength"),
         (dict(r_max=0.5), "r_max"),
         (dict(n_intervals=32), "n_intervals"),
-        (dict(map_kind="log"), "map_kind"),
-        (dict(quad_order=2), "quad_order"),
+        (dict(sinh_strength=-1.0), "sinh_strength"),
+        (dict(sinh_strength=float("nan")), "sinh_strength"),
+        (dict(r_max=float("inf")), "r_max must exceed 1 and be finite"),
+        (dict(sign=-1, volume=float("inf")), "volume must be positive and finite"),
     ],
 )
 def test_config_rejects_bad_parameters(overrides, fragment):
@@ -271,11 +273,9 @@ def test_config_json_roundtrip_preserves_everything():
     cfg = quick_config(
         u0_profile=compact_blend(2),
         r_max=30.0,
-        map_kind="uniform",
         sinh_strength=2.5,
         tol=1e-9,
         max_iter=50,
-        quad_order=8,
     )
     data = cfg.to_json_dict()
     assert data["schema_version"] == 2
@@ -295,6 +295,20 @@ def test_config_v1_iteration_keys_are_dropped_on_load():
     assert SolverConfig.from_json_dict(v1) == SolverConfig.from_json_dict(v2)
     for key, value in (("theta", 0.4), ("t_schedule", [1.0]), ("v_schedule", None)):
         with pytest.raises(ConfigError, match="unknown config keys"):
+            SolverConfig.from_json_dict(dict(v2, **{key: value}))
+
+
+def test_config_removed_keys_load_only_at_the_value_the_solver_uses():
+    v2 = quick_config().to_json_dict()
+    assert "map_kind" not in v2 and "quad_order" not in v2
+    removed = {"map_kind": "sinh-clustered", "quad_order": 12}
+    for version in (1, 2):
+        without = dict(v2, schema_version=version)
+        assert SolverConfig.from_json_dict(
+            dict(without, **removed)
+        ) == SolverConfig.from_json_dict(without)
+    for key, value in (("map_kind", "uniform"), ("quad_order", 8)):
+        with pytest.raises(ConfigError, match=f"the {key} setting was removed"):
             SolverConfig.from_json_dict(dict(v2, **{key: value}))
 
 
@@ -426,7 +440,7 @@ def test_source_term_has_zero_discrete_mass():
 def test_potential_of_source_decays_in_the_tail():
     cfg = quick_config()
     grid = build_grid(cfg)
-    kern = kernel_matrix(grid, cfg.quad_order)
+    kern = kernel_matrix(grid)
     log_K = build_K(cfg, grid)
     u0d = u0_density_field(cfg.u0_profile, grid)
     v = RadialField(grid=grid, values=np.zeros_like(grid.nodes))
@@ -462,7 +476,7 @@ def test_solve_converges_and_reconstructs_solution():
 def test_solve_lands_on_the_fixed_point():
     cfg = quick_config()
     rec = solve_continuation(cfg)
-    kern = kernel_matrix(rec.grid, cfg.quad_order)
+    kern = kernel_matrix(rec.grid)
     log_K = build_K(cfg, rec.grid)
     u0d = u0_density_field(cfg.u0_profile, rec.grid)
     S, _ = source_with_normalization(rec.v, cfg, log_K, u0d)
@@ -610,10 +624,7 @@ def test_solve_background_profile_independence(quick_positive):
 # ----------------------------------------------------------------------
 # the shared discretization
 # ----------------------------------------------------------------------
-_DISCRETIZATION_KEY = (
-    "m", "r_max", "n_intervals", "map_kind", "sinh_strength", "quad_order",
-    "u0_profile",
-)
+_DISCRETIZATION_KEY = ("m", "r_max", "n_intervals", "sinh_strength", "u0_profile")
 
 
 @pytest.fixture
@@ -623,9 +634,9 @@ def kernel_builds(monkeypatch):
     calls = []
     build = qcurv.solver.kernel_matrix
 
-    def counted(grid, quad_order):
+    def counted(grid):
         calls.append(grid)
-        return build(grid, quad_order)
+        return build(grid)
 
     monkeypatch.setattr(qcurv.solver, "kernel_matrix", counted)
     yield calls
@@ -656,9 +667,7 @@ def test_solves_on_one_grid_share_its_discretization(change, kernel_builds):
             " + ".join(f"1.0 * x{i}^2" for i in range(1, 7)))},
         {"r_max": 30.0},
         {"n_intervals": 320},
-        {"map_kind": "uniform"},
         {"sinh_strength": 2.5},
-        {"quad_order": 8},
         {"u0_profile": compact_blend(2)},
     ],
     ids=lambda change: next(iter(change)),
@@ -823,7 +832,7 @@ def test_first_iterate_after_zero_is_the_image_of_zero(monkeypatch):
     S, _ = source_with_normalization(
         zero, cfg, build_K(cfg, grid), u0_density_field(cfg.u0_profile, grid)
     )
-    t_zero = potential_apply(kernel_matrix(grid, cfg.quad_order), S, constants(2))
+    t_zero = potential_apply(kernel_matrix(grid), S, constants(2))
     np.testing.assert_array_equal(iterates[0], zero.values)
     np.testing.assert_array_equal(iterates[1], t_zero.values)
 
@@ -949,7 +958,7 @@ def test_fixed_point_map_is_bit_identical_to_its_formulas(m, sign):
     if sign == 1:
         cfg = replace(cfg, sign=1, volume=0.6 * constants(m).vol_sphere)
     grid = build_grid(cfg)
-    kern = kernel_matrix(grid, cfg.quad_order)
+    kern = kernel_matrix(grid)
     log_K = build_K(cfg, grid)
     u0d = u0_density_field(cfg.u0_profile, grid)
     rng = np.random.default_rng(m)

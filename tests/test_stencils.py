@@ -19,8 +19,7 @@ from qcurv import (
     radial_polyharmonic,
     solve_continuation,
 )
-from qcurv.diagnostics import _d1, _d2
-from qcurv.geometry import _iterated_lap_center, _lap_interior
+from qcurv.geometry import _iterated_lap_center
 from qcurv.potential import _STENCIL_FACTORS, stencil_table
 
 GRIDS = [(m, kind) for m in range(2, 7) for kind in ("uniform", "sinh-clustered")]
@@ -83,10 +82,13 @@ def _grid_and_values(m, kind):
 def test_stencils_on_the_full_grid_match_their_inline_formulas(m, kind):
     grid, values = _grid_and_values(m, kind)
     nodes, n, st = grid.nodes, grid.n, grid.stencil
-    np.testing.assert_array_equal(_d1(st, values), _d1_inline(nodes, values))
-    np.testing.assert_array_equal(_d2(st, values), _d2_inline(nodes, values))
+    np.testing.assert_array_equal(st.d1(values), _d1_inline(nodes, values))
+    np.testing.assert_array_equal(st.d2(values), _d2_inline(nodes, values))
     np.testing.assert_array_equal(
-        _lap_interior(st, values), _lap_interior_inline(nodes, values, n)
+        st.laplacian(values), _lap_interior_inline(nodes, values, n)
+    )
+    np.testing.assert_array_equal(
+        st.laplacian(values, origin=True), _lap_radial_inline(nodes, values, n)
     )
     field = RadialField(grid=grid, values=values)
     expected = values
@@ -107,10 +109,10 @@ def test_stencils_on_the_pohozaev_window_match_their_inline_formulas(m, kind, R)
     window = grid.stencil.window(lo, hi)
     nodes, part = grid.nodes[lo:hi], values[lo:hi]
     np.testing.assert_array_equal(window.nodes, nodes)
-    np.testing.assert_array_equal(_d1(window, part), _d1_inline(nodes, part))
-    np.testing.assert_array_equal(_d2(window, part), _d2_inline(nodes, part))
+    np.testing.assert_array_equal(window.d1(part), _d1_inline(nodes, part))
+    np.testing.assert_array_equal(window.d2(part), _d2_inline(nodes, part))
     np.testing.assert_array_equal(
-        _lap_interior(window, part), _lap_interior_inline(nodes, part, grid.n)
+        window.laplacian(part), _lap_interior_inline(nodes, part, grid.n)
     )
 
 
@@ -125,7 +127,7 @@ def test_stencils_on_a_kelvin_line_match_their_inline_formulas(m):
         nodes = rho0 + step * np.arange(-k, k + 1, dtype=float)
         values = np.array([func(x) for x in nodes])
         np.testing.assert_array_equal(
-            _lap_interior(stencil_table(nodes, n), values),
+            stencil_table(nodes, n).laplacian(values),
             _lap_interior_inline(nodes, values, n),
         )
         expected = values
