@@ -32,14 +32,11 @@ from .poly import (
 )
 from .geometry import (
     Constants,
-    U0Profile,
     constants,
     eval_radial_profile,
     kelvin_identity_residual,
     kelvin_pullback,
-    compact_blend,
     radial_polyharmonic,
-    smooth_global,
     spherical_solution,
     u0_eval,
 )
@@ -104,9 +101,6 @@ __all__ = [
     "Constants",
     "constants",
     "spherical_solution",
-    "U0Profile",
-    "smooth_global",
-    "compact_blend",
     "u0_eval",
     "kelvin_pullback",
     "kelvin_identity_residual",

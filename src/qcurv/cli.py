@@ -36,15 +36,15 @@ import textwrap
 import numpy as np
 
 from . import __version__
-from .diagnostics import build_report, pde_residual, pohozaev_terms
-from .errors import ConfigError, PolynomialFormatError, QcurvError, TailNotNegligible
-from .geometry import (
-    constants,
-    kelvin_identity_residual,
-    smooth_global,
-    spherical_solution,
-    u0_eval,
+from .diagnostics import build_report, check_report_grid, pde_residual, pohozaev_terms
+from .errors import (
+    ConfigError,
+    GridMismatch,
+    PolynomialFormatError,
+    QcurvError,
+    TailNotNegligible,
 )
+from .geometry import constants, kelvin_identity_residual, spherical_solution
 from .poly import Polynomial, a3_counterexample, pm_membership
 from .potential import (
     RadialField,
@@ -82,9 +82,10 @@ _EXIT_CODE_TABLE = textwrap.indent(
 _CONFIG_FIELD_DOC = """\
 config JSON fields (schema_version 2):
   schema_version  int, 2 (1 still loads; its theta, t_schedule and
-                  v_schedule keys are ignored).  The removed keys map_kind
-                  and quad_order load only at "sinh-clustered" and 12,
-                  and are dropped
+                  v_schedule keys are ignored).  The removed keys load
+                  only at one value each, and are dropped: map_kind at
+                  "sinh-clustered", quad_order at 12 and u0_profile at
+                  "smooth-global"
   m               int in [2, 6]: half the dimension (m = 1 is rejected,
                   the admissible profile class is empty there)
   sign            +1 or -1: sign of the prescribed curvature
@@ -93,7 +94,6 @@ config JSON fields (schema_version 2):
   profile         the polynomial P, as canonical text ("1.0 * x1^2 + ...")
                   or as a {"dim": d, "terms": [...]} object; must pass
                   the admissibility check (radial, for the solver)
-  u0_profile      "smooth-global" (default) or "compact-blend"
   r_max           grid radius, > 1 (default 40)
   n_intervals     radial intervals, >= 64 (default 2048)
   sinh_strength   clustering strength of the sinh node map, > 0
@@ -104,6 +104,11 @@ config JSON fields (schema_version 2):
 
 hard gates applied by `solve` after convergence:
   pde residual <= 5e-3, |volume - V|/V <= 5e-3, Pohozaev defect <= 1e-2
+
+grids `solve` refuses before iterating (exit 1):
+  any on which the report cannot place its alpha-fit window
+  [r_max/4, r_max/2] (it must start at r >= 5 and hold >= 20 nodes) or
+  its Pohozaev radius min(20, r_max/2)
 """
 
 
@@ -181,7 +186,8 @@ def _load_config(path: str) -> SolverConfig:
 def run_solve(config_path: str, out_dir: str) -> int:
     try:
         config = _load_config(config_path)
-    except (ConfigError, PolynomialFormatError) as exc:
+        check_report_grid(build_grid(config))
+    except (ConfigError, GridMismatch, PolynomialFormatError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -282,7 +288,7 @@ def _suite_oracles() -> list[tuple[str, bool, str]]:
     checks.append(("lambda-covariance", cov <= 1e-12, f"max dev {cov:.3e}"))
 
     mass_grid = make_grid(2, 40.0, 1024)
-    density = u0_density_field(smooth_global(2), mass_grid)
+    density = u0_density_field(mass_grid)
     mass_err = abs(float(mass_grid.quad_weights @ density.values) + cs.gamma_m)
     checks.append(
         ("u0-mass-normalization(m=2)", mass_err <= 1e-10 * cs.gamma_m, f"abs err {mass_err:.3e}")

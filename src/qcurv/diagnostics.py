@@ -113,6 +113,30 @@ def conformal_volume(u: RadialField, m: int) -> tuple[float, float]:
 # ----------------------------------------------------------------------
 # asymptotic profile fit
 # ----------------------------------------------------------------------
+def _default_fit_window(grid: RadialGrid) -> tuple[float, float]:
+    return (grid.r_max / 4.0, grid.r_max / 2.0)
+
+
+def _fit_window_nodes(
+    grid: RadialGrid, fit_window: tuple[float, float]
+) -> np.ndarray:
+    """The mask of the nodes in an alpha-fit window; GridMismatch names
+    the rule a window breaks."""
+    r_lo, r_hi = float(fit_window[0]), float(fit_window[1])
+    if r_lo < 5.0:
+        raise GridMismatch(f"fit window must start at r >= 5, got {r_lo}")
+    if r_hi > grid.r_max:
+        raise GridMismatch(f"fit window exceeds r_max = {grid.r_max}")
+    if r_hi <= r_lo:
+        raise GridMismatch("fit window is empty")
+    select = (grid.nodes >= r_lo) & (grid.nodes <= r_hi)
+    if int(select.sum()) < 20:
+        raise GridMismatch(
+            f"fit window contains {int(select.sum())} nodes, need >= 20"
+        )
+    return select
+
+
 def asymptotic_profile(
     u: RadialField,
     P: Polynomial | np.ndarray | None,
@@ -132,19 +156,9 @@ def asymptotic_profile(
     """
     grid = u.grid
     if fit_window is None:
-        fit_window = (grid.r_max / 4.0, grid.r_max / 2.0)
-    r_lo, r_hi = float(fit_window[0]), float(fit_window[1])
-    if r_lo < 5.0:
-        raise GridMismatch(f"fit window must start at r >= 5, got {r_lo}")
-    if r_hi > grid.r_max:
-        raise GridMismatch(f"fit window exceeds r_max = {grid.r_max}")
-    if r_hi <= r_lo:
-        raise GridMismatch("fit window is empty")
-    select = (grid.nodes >= r_lo) & (grid.nodes <= r_hi)
-    if int(select.sum()) < 20:
-        raise GridMismatch(
-            f"fit window contains {int(select.sum())} nodes, need >= 20"
-        )
+        fit_window = _default_fit_window(grid)
+    select = _fit_window_nodes(grid, fit_window)
+    r_lo = float(fit_window[0])
     r = grid.nodes[select]
     target = u.values[select].copy()
     coeffs = radial_profile_coeffs(P) if isinstance(P, Polynomial) else P
@@ -219,6 +233,16 @@ class PohozaevTerms:
         return abs(self.t1 + self.t2 + self.t3) / scale
 
 
+def _pohozaev_index(grid: RadialGrid, R: float) -> int:
+    """The node R snaps to, if the boundary stencils fit either side."""
+    idx = grid.nearest_index(R)
+    if idx < 2 * grid.m + 1 or len(grid.nodes) - 1 - idx < 2 * grid.m + 1:
+        raise GridMismatch(
+            f"radius {R} too close to the grid ends for the boundary stencils"
+        )
+    return idx
+
+
 def pohozaev_terms(
     wbar: RadialField,
     log_K: RadialField,
@@ -244,11 +268,7 @@ def pohozaev_terms(
     for other in (log_K, v, u0_density):
         grid.ensure_same(other.grid)
     m, n = grid.m, grid.n
-    idx = grid.nearest_index(R)
-    if idx < 2 * m + 1 or len(grid.nodes) - 1 - idx < 2 * m + 1:
-        raise GridMismatch(
-            f"radius {R} too close to the grid ends for the boundary stencils"
-        )
+    idx = _pohozaev_index(grid, R)
     r_snap = float(grid.nodes[idx])
     nodes, st = grid.nodes, grid.stencil
     w_in = grid.weights_within(idx)
@@ -518,6 +538,22 @@ class DiagnosticsReport:
         return header, row
 
 
+def _default_pohozaev_radius(grid: RadialGrid) -> float:
+    return min(20.0, grid.r_max / 2.0)
+
+
+def check_report_grid(grid: RadialGrid) -> None:
+    """Raise GridMismatch naming the rule if :func:`build_report` cannot
+    place its default alpha-fit window [r_max/4, r_max/2] or its default
+    Pohozaev radius min(20, r_max/2) on ``grid``.  Both depend on the
+    grid alone, so a solve can be refused before it iterates."""
+    try:
+        _fit_window_nodes(grid, _default_fit_window(grid))
+        _pohozaev_index(grid, _default_pohozaev_radius(grid))
+    except GridMismatch as exc:
+        raise GridMismatch(f"the report cannot use this grid: {exc}") from None
+
+
 def build_report(
     record: SolutionRecord,
     fit_window: tuple[float, float] | None = None,
@@ -533,7 +569,7 @@ def build_report(
         record.u, config.radial_coeffs, fit_window
     )
     if pohozaev_radius is None:
-        pohozaev_radius = min(20.0, grid.r_max / 2.0)
+        pohozaev_radius = _default_pohozaev_radius(grid)
     terms = record_pohozaev_terms(record, pohozaev_radius)
 
     # |K| e^{2m wbar}, shared by the tail masses and the source's L^1 mass.

@@ -84,20 +84,6 @@ def spherical_solution(m: int, lam: float, r) -> np.ndarray | float:
     return float(out) if np.isscalar(r) else out
 
 
-# ----------------------------------------------------------------------
-# background profile u0
-# ----------------------------------------------------------------------
-def _power_laplacian_coeffs(coeffs: tuple[float, ...], n: int) -> tuple[float, ...]:
-    """One radial Laplacian applied to sum_a c_a r^{2a}, termwise exact:
-    Delta r^{2a} = 2a (2a + n - 2) r^{2a-2}."""
-    out = [0.0] * max(len(coeffs) - 1, 1)
-    for a, c in enumerate(coeffs):
-        if a == 0 or c == 0.0:
-            continue
-        out[a - 1] += c * (2 * a) * (2 * a + n - 2)
-    return tuple(out)
-
-
 def eval_radial_profile(coeffs, r) -> np.ndarray:
     """sum_i coeffs[i] r^{2i}, by Horner's rule in r^2."""
     rr = np.asarray(r, dtype=float)
@@ -108,93 +94,28 @@ def eval_radial_profile(coeffs, r) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class U0Profile:
-    """Background profile with u0(r) = log r + o(1) at infinity.
+# ----------------------------------------------------------------------
+# background profile u0
+# ----------------------------------------------------------------------
+def u0_eval(m: int, r):
+    """Value and polyharmonic density of the background profile
+    u0 = (1/2) log(1 + r^2), which is smooth and equals log r + o(1) at
+    infinity.
 
-    ``smooth-global``: u0 = (1/2) log(1 + r^2), smooth everywhere, with
-    the closed-form density (-Delta)^m u0 = -(1/2)(2m-1)! (2/(1+r^2))^{2m}
-    of total mass exactly -gamma_m.
-
-    ``compact-blend``: u0 = log r exactly for r >= 1 and a degree-2m
-    polynomial in r^2 inside, the truncated Taylor expansion of
-    (1/2) log(r^2) around r^2 = 1, which matches log r to order 2m at
-    r = 1 (class C^{2m}).  Its density is the termwise-exact polyharmonic
-    of the interior polynomial for r < 1 and exactly 0 for r >= 1.
+    Returns ``(u0(r), ((-Delta)^m u0)(r))``, vectorized over ``r``; the
+    density -(1/2)(2m-1)! (2/(1+r^2))^{2m} has total mass exactly -gamma_m.
     """
-
-    kind: str
-    m: int
-    blend_coeffs: tuple[float, ...] | None = None
-    density_coeffs: tuple[float, ...] | None = None
-
-    @classmethod
-    def smooth_global(cls, m: int) -> "U0Profile":
-        if m < 1 or m > 6:
-            raise DimensionMismatch(f"m must be in 1..6, got {m}")
-        return cls(kind="smooth-global", m=m)
-
-    @classmethod
-    def compact_blend(cls, m: int) -> "U0Profile":
-        if m < 1 or m > 6:
-            raise DimensionMismatch(f"m must be in 1..6, got {m}")
-        # (1/2) sum_{j=1..2m} (-1)^{j-1} (s-1)^j / j  expanded in powers of s.
-        coeffs = [0.0] * (2 * m + 1)
-        for j in range(1, 2 * m + 1):
-            base = 0.5 * (-1.0) ** (j - 1) / j
-            for a in range(j + 1):
-                coeffs[a] += base * math.comb(j, a) * (-1.0) ** (j - a)
-        dens = tuple(coeffs)
-        for _ in range(m):
-            dens = _power_laplacian_coeffs(dens, 2 * m)
-        dens = tuple((-1.0) ** m * c for c in dens)
-        return cls(
-            kind="compact-blend",
-            m=m,
-            blend_coeffs=tuple(coeffs),
-            density_coeffs=dens,
-        )
-
-
-def smooth_global(m: int) -> U0Profile:
-    """The u0 = (1/2) log(1 + r^2) background profile."""
-    return U0Profile.smooth_global(m)
-
-
-def compact_blend(m: int) -> U0Profile:
-    """The background profile equal to log r exactly for r >= 1."""
-    return U0Profile.compact_blend(m)
-
-
-def u0_eval(profile: U0Profile, r):
-    """Value and polyharmonic density of the background profile.
-
-    Returns ``(u0(r), ((-Delta)^m u0)(r))``, vectorized over ``r``; at the
-    blend's matching radius r = 1 the density takes its outside value 0.
-    """
+    if m < 1 or m > 6:
+        raise DimensionMismatch(f"m must be in 1..6, got {m}")
     rr = np.asarray(r, dtype=float)
     if np.any(rr < 0):
         raise DimensionMismatch("radius must be nonnegative")
-    m = profile.m
-    if profile.kind == "smooth-global":
-        value = 0.5 * np.log1p(rr * rr)
-        density = (
-            -0.5
-            * math.factorial(2 * m - 1)
-            * (2.0 / (1.0 + rr * rr)) ** (2 * m)
-        )
-    elif profile.kind == "compact-blend":
-        inside = rr < 1.0
-        value = np.where(
-            inside,
-            eval_radial_profile(profile.blend_coeffs, rr),
-            np.log(np.maximum(rr, 1.0)),
-        )
-        density = np.where(
-            inside, eval_radial_profile(profile.density_coeffs, rr), 0.0
-        )
-    else:
-        raise DimensionMismatch(f"unknown profile kind {profile.kind!r}")
+    value = 0.5 * np.log1p(rr * rr)
+    density = (
+        -0.5
+        * math.factorial(2 * m - 1)
+        * (2.0 / (1.0 + rr * rr)) ** (2 * m)
+    )
     if np.isscalar(r):
         return float(value), float(density)
     return value, density

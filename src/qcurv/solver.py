@@ -40,13 +40,14 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, GridMismatch, PolynomialFormatError
-from .geometry import U0Profile, constants, eval_radial_profile, u0_eval
+from .geometry import constants, eval_radial_profile, u0_eval
 # Not called here: perfbench counts sampling-screen calls through
 # qcurv.solver.pm_membership (now 0 per op).
 from .poly import Polynomial, pm_membership  # noqa: F401
@@ -69,9 +70,13 @@ _DISCRETIZATION_CACHE_SIZE = 8
 # Schema-v1 keys that chose the iteration path rather than the problem;
 # v1 files still load, with these dropped.
 _V1_ITERATION_KEYS = frozenset({"theta", "t_schedule", "v_schedule"})
-# Removed discretization settings and the one value (the old default) each
-# still loads at; any other value would change the discretization silently.
-_REMOVED_KEYS = {"map_kind": "sinh-clustered", "quad_order": 12}
+# Removed settings of the method and the one value (the old default) each
+# still loads at; any other value would change the solve silently.
+_REMOVED_KEYS = {
+    "map_kind": "sinh-clustered",
+    "quad_order": 12,
+    "u0_profile": "smooth-global",
+}
 
 
 # ----------------------------------------------------------------------
@@ -149,35 +154,41 @@ def _radial_admissibility_violation(
 # ----------------------------------------------------------------------
 # configuration
 # ----------------------------------------------------------------------
+def _json_number(name: str, kind: str, value) -> int | float:
+    """A config number as its field's type: an ``int`` field takes an
+    integer or an integral float such as 2.0, a ``float`` field any
+    number.  Bools, strings and non-integral values for an ``int`` field
+    are refused, never coerced into a different problem."""
+    ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if ok and kind == "float":
+        return float(value)
+    if ok and (isinstance(value, numbers.Integral) or float(value).is_integer()):
+        return int(value)
+    raise ConfigError(f"{name} must be of type {kind}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Validated description of one solve.
 
     ``volume`` is the prescribed conformal volume V; ``profile`` the
     asymptotic polynomial P (must be a function of |x|^2 and pass the
-    admissibility screen); ``u0_profile`` defaults to the smooth-global
-    background; ``tol`` bounds the fixed-point residual ||T v - v||_inf
-    at which the solve stops; ``max_iter`` caps the total iterations.
+    admissibility screen); ``r_max``, ``n_intervals`` and
+    ``sinh_strength`` fix the grid; ``tol`` bounds the fixed-point
+    residual ||T v - v||_inf at which the solve stops; ``max_iter`` caps
+    the total iterations.  The background u0 = (1/2) log(1 + r^2) is
+    fixed by m.
     """
 
     m: int
     sign: int
     volume: float
     profile: Polynomial
-    u0_profile: U0Profile | None = None
     r_max: float = 40.0
     n_intervals: int = 2048
     sinh_strength: float = 3.0
     tol: float = 1e-8
     max_iter: int = 600
-
-    def __post_init__(self) -> None:
-        if (
-            self.u0_profile is None
-            and isinstance(self.m, int)
-            and 1 <= self.m <= 6
-        ):
-            object.__setattr__(self, "u0_profile", U0Profile.smooth_global(self.m))
 
     @property
     def alpha(self) -> float:
@@ -227,12 +238,6 @@ class SolverConfig:
         )
         if rule is not None:
             raise ConfigError(f"profile rejected by the admissibility screen: {rule}")
-        if self.u0_profile is None:
-            raise ConfigError(f"no u0 profile could be built for m = {self.m}")
-        if self.u0_profile.m != self.m:
-            raise ConfigError(
-                f"u0 profile was built for m = {self.u0_profile.m}, config has m = {self.m}"
-            )
         if not self.tol > 0:
             raise ConfigError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
@@ -252,7 +257,6 @@ class SolverConfig:
         for f in dataclasses.fields(self):
             data[f.name] = getattr(self, f.name)
         data["profile"] = self.profile.to_json_dict()
-        data["u0_profile"] = self.u0_profile.kind
         return data
 
     @classmethod
@@ -288,14 +292,9 @@ class SolverConfig:
             elif f.default is dataclasses.MISSING:
                 raise ConfigError(f"config is missing the {name!r} key")
         for name, value in values.items():
-            convert = {"int": int, "float": float}.get(fields[name].type)
-            if convert is not None:
-                try:
-                    values[name] = convert(value)
-                except (TypeError, ValueError):
-                    raise ConfigError(
-                        f"{name} must be of type {fields[name].type}, got {value!r}"
-                    ) from None
+            kind = fields[name].type
+            if kind in ("int", "float"):
+                values[name] = _json_number(name, kind, value)
         m = values["m"]
         try:
             if isinstance(values["profile"], str):
@@ -304,16 +303,6 @@ class SolverConfig:
                 values["profile"] = Polynomial.from_json_dict(values["profile"])
         except (PolynomialFormatError, DimensionMismatch) as exc:
             raise ConfigError(f"profile: {exc}") from exc
-        u0_kind = values.get("u0_profile", "smooth-global")
-        build_u0 = {
-            "smooth-global": U0Profile.smooth_global,
-            "compact-blend": U0Profile.compact_blend,
-        }.get(u0_kind)
-        if build_u0 is None:
-            raise ConfigError(f"unknown u0_profile {u0_kind!r}")
-        if not 1 <= m <= 6:
-            raise ConfigError(f"m must be in 1..6 to build u0, got {m}")
-        values["u0_profile"] = build_u0(m)
         cfg = cls(**values)
         cfg.validate()
         return cfg
@@ -335,20 +324,19 @@ def _grid(m: int, r_max: float, n_intervals: int, sinh_strength: float) -> Radia
         raise ConfigError(f"cannot build the grid: {exc}") from exc
 
 
-def u0_density_field(profile: U0Profile, grid: RadialGrid) -> RadialField:
-    """The polyharmonic density of u0 on the grid, rescaled so its
-    discrete mass is exactly -gamma_m.
+def u0_density_field(grid: RadialGrid) -> RadialField:
+    """The polyharmonic density of u0 = (1/2) log(1 + r^2) on the grid,
+    rescaled so its discrete mass is exactly -gamma_m.
 
     The analytic mass is -gamma_m; truncation at R_max and quadrature
     leave a relative defect ~1e-6 that would otherwise reappear as a
     spurious log drift in the potential's tail, so the rescaling pins the
-    discrete mass instead.
+    discrete mass instead.  The density is negative at every node and the
+    weights are positive, so the rescaling factor is always positive.
     """
     cs = constants(grid.m)
-    _, dens = u0_eval(profile, grid.nodes)
+    _, dens = u0_eval(grid.m, grid.nodes)
     mass = float(grid.quad_weights @ dens)
-    if mass >= 0:
-        raise ConfigError("u0 density has nonnegative discrete mass")
     return RadialField(grid=grid, values=dens * (-cs.gamma_m / mass))
 
 
@@ -358,15 +346,14 @@ def _discretization(
     r_max: float,
     n_intervals: int,
     sinh_strength: float,
-    u0_profile: U0Profile,
 ) -> tuple[RadialGrid, KernelMatrix, RadialField, np.ndarray]:
     """The grid, its kernel moments, the u0 density and the u0 node values,
     shared read-only by every solve on the same grid.  Nothing here depends
     on V, the sign or P."""
     grid = _grid(m, r_max, n_intervals, sinh_strength)
     kernel = kernel_matrix(grid)
-    u0_density = u0_density_field(u0_profile, grid)
-    u0_vals, _ = u0_eval(u0_profile, grid.nodes)
+    u0_density = u0_density_field(grid)
+    u0_vals, _ = u0_eval(m, grid.nodes)
     u0_vals.flags.writeable = False
     return grid, kernel, u0_density, u0_vals
 
@@ -397,7 +384,7 @@ def build_K(config: SolverConfig, grid: RadialGrid) -> RadialField:
     tail value |K_N| w_N is below 1e-12 of max|K|."""
     config.validate()
     p_vals = eval_radial_profile(config.radial_coeffs, grid.nodes)
-    u0_vals, _ = u0_eval(config.u0_profile, grid.nodes)
+    u0_vals, _ = u0_eval(config.m, grid.nodes)
     return _curvature_factor(config, grid, p_vals, u0_vals)
 
 
@@ -606,8 +593,8 @@ def solve_continuation(config: SolverConfig) -> SolutionRecord:
 
     Solves on the same grid share its discretization: the grid, the
     kernel moments, the u0 density and the u0 node values depend only on
-    (m, r_max, n_intervals, sinh_strength, u0_profile), not on V, the
-    sign or P, and are built once per such key.  The last
+    (m, r_max, n_intervals, sinh_strength), not on V, the sign or P, and
+    are built once per such key.  The last
     ``_DISCRETIZATION_CACHE_SIZE`` = 8 keys are kept, read-only, at most
     about 3.1 MB each (m = 6, N = 8192, the grid's stencil table
     included).  log|K| is built per config.
@@ -618,7 +605,6 @@ def solve_continuation(config: SolverConfig) -> SolutionRecord:
         config.r_max,
         config.n_intervals,
         config.sinh_strength,
-        config.u0_profile,
     )
     p_vals = eval_radial_profile(config.radial_coeffs, grid.nodes)
     log_K = _curvature_factor(config, grid, p_vals, u0_vals)

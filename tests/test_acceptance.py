@@ -240,7 +240,7 @@ def test_normalization_shift_mass_identity_and_determinism(square_profile_4d):
     )
     grid = build_grid(config)
     log_K = build_K(config, grid)
-    u0_density = u0_density_field(config.u0_profile, grid)
+    u0_density = u0_density_field(grid)
     kernel = kernel_matrix(grid)
 
     rng = np.random.default_rng(29)

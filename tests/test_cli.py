@@ -22,6 +22,7 @@ import pytest
 
 from conftest import SQUARE_PROFILE_4D
 import qcurv.cli
+import qcurv.solver
 from qcurv import Polynomial, SolverConfig, __version__, a3_counterexample, constants
 from qcurv.cli import main
 
@@ -189,6 +190,38 @@ def test_solve_process_reports_a_grid_it_cannot_build_in_one_line(tmp_path):
     assert result.returncode == 1
     assert result.stderr.startswith("config error: cannot build the grid")
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "overrides, fragment",
+    [
+        ({"n_intervals": 64}, "fit window contains 14 nodes, need >= 20"),
+        ({"r_max": 12.0}, "fit window must start at r >= 5, got 3.0"),
+        (
+            {"sinh_strength": 100.0, "n_intervals": 2048},
+            "fit window contains 14 nodes, need >= 20",
+        ),
+    ],
+    ids=["n_intervals", "r_max", "sinh_strength"],
+)
+def test_solve_refuses_a_grid_the_report_cannot_use(tmp_path, overrides, fragment):
+    # Each grid builds, but build_report could not fit alpha on it: solve
+    # refuses it before iterating instead of failing after convergence.
+    path = write_config(tmp_path, **overrides)
+    out_dir = tmp_path / "run"
+    result = subprocess.run(
+        [sys.executable, "-m", "qcurv.cli", "solve", "--config", path,
+         "--out", str(out_dir)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 1
+    assert result.stderr == (
+        f"config error: the report cannot use this grid: {fragment}\n"
+    )
+    assert "Traceback" not in result.stderr
+    assert not out_dir.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -505,11 +538,13 @@ def test_pohozaev_reads_the_linear_K_column_format(solved_ok, tmp_path):
 
 
 def test_pohozaev_reads_a_meta_json_holding_the_removed_keys(solved_ok, tmp_path):
-    # Directories written while map_kind and quad_order were settings hold
-    # both at the values the solver still uses; they print the same balance.
+    # Directories written while map_kind, quad_order and u0_profile were
+    # settings hold them at the values the solver still uses; they print
+    # the same balance.
     meta = json.loads((solved_ok.path / "meta.json").read_text(encoding="utf-8"))
-    assert "map_kind" not in meta["config"] and "quad_order" not in meta["config"]
-    meta["config"].update(map_kind="sinh-clustered", quad_order=12)
+    removed = dict(map_kind="sinh-clustered", quad_order=12, u0_profile="smooth-global")
+    assert not set(removed) & set(meta["config"])
+    meta["config"].update(removed)
     (tmp_path / "meta.json").write_text(json.dumps(meta, indent=2), encoding="utf-8")
     (tmp_path / "solution.csv").write_bytes(
         (solved_ok.path / "solution.csv").read_bytes()
@@ -581,6 +616,21 @@ def test_exit_code_tables_agree():
     assert from_readme == from_doc
 
 
+def test_removed_keys_are_documented():
+    """`qcurv --help` and the README's config paragraph name each removed
+    config key with the one value it still loads at."""
+    readme = README.read_text(encoding="utf-8")
+    paragraph = readme.partition("(`volume` here is")[2].partition("\n\n")[0]
+    texts = {
+        "--help": " ".join(qcurv.cli._CONFIG_FIELD_DOC.split()),
+        "README": " ".join(paragraph.replace("`", "").split()),
+    }
+    assert qcurv.solver._REMOVED_KEYS
+    for name, value in qcurv.solver._REMOVED_KEYS.items():
+        for where, text in texts.items():
+            assert f"{name} at {json.dumps(value)}" in text, (where, name)
+
+
 def test_config_field_doc_matches_the_dataclass():
     """The config field list of `qcurv --help` names each SolverConfig
     field once, in order, with its default."""
@@ -591,16 +641,10 @@ def test_config_field_doc_matches_the_dataclass():
         f.name for f in fields
     ]
     doc = {name: " ".join(text.split()) for name, text in entries}
-    background = SolverConfig(
-        m=2, sign=1, volume=1.0, profile=Polynomial.from_text(SQUARE_PROFILE_4D)
-    ).u0_profile.kind
     for f in fields:
         text = doc[f.name]
         if f.default is dataclasses.MISSING:
             assert "default" not in text, f.name
-        elif f.default is None:
-            # Filled in from m after construction.
-            assert f'"{background}" (default)' in text
         else:
             (value,) = re.findall(r"\(default ([^)]+)\)", text)
             assert float(value) == f.default, f.name

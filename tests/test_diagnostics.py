@@ -25,7 +25,6 @@ from qcurv import (
     pde_residual,
     pohozaev_terms,
     record_pohozaev_terms,
-    smooth_global,
     solve_continuation,
     sphere_area,
     spherical_solution,
@@ -199,13 +198,13 @@ def _spherical_balance_pieces(m: int):
     cs = constants(m)
     grid = make_grid(m, 10.0, 2048, map_kind="uniform")
     u = spherical_solution(m, 1.0, grid.nodes)
-    u0_vals, _ = u0_eval(smooth_global(m), grid.nodes)
+    u0_vals, _ = u0_eval(m, grid.nodes)
     wbar = RadialField(grid=grid, values=u + 2.0 * u0_vals)
     log_K = RadialField(
         grid=grid,
         values=math.log(cs.factorial_2m_minus_1) - 2 * m * 2.0 * u0_vals,
     )
-    u0d = u0_density_field(smooth_global(m), grid)
+    u0d = u0_density_field(grid)
     return wbar, log_K, u0d
 
 

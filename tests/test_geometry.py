@@ -1,4 +1,4 @@
-"""Tests for dimension constants, model solutions, background profiles,
+"""Tests for dimension constants, model solutions, the background profile,
 radial stencils, and the inversion-covariance residual."""
 
 import math
@@ -10,14 +10,11 @@ from qcurv import (
     DimensionMismatch,
     GridMismatch,
     RadialField,
-    U0Profile,
     constants,
     kelvin_identity_residual,
     kelvin_pullback,
     make_grid,
-    compact_blend,
     radial_polyharmonic,
-    smooth_global,
     spherical_solution,
     u0_eval,
 )
@@ -93,12 +90,11 @@ def test_spherical_solution_validates_inputs():
 
 
 # ----------------------------------------------------------------------
-# background profiles
+# background profile
 # ----------------------------------------------------------------------
 def test_smooth_global_value_and_density_closed_forms():
-    prof = smooth_global(2)
     r = np.array([0.0, 0.5, 1.0, 10.0])
-    value, density = u0_eval(prof, r)
+    value, density = u0_eval(2, r)
     np.testing.assert_allclose(value, 0.5 * np.log1p(r**2), rtol=1e-15)
     # (-Delta)^2 u0 at the origin is -(1/2) * 3! * 2^4 = -48.
     assert density[0] == pytest.approx(-48.0, rel=1e-15)
@@ -113,44 +109,21 @@ def test_smooth_global_density_mass_is_minus_gamma():
     # up to the tail of the r^{-4m} integrand.
     cs = constants(2)
     grid = make_grid(m=2, r_max=40.0, n_intervals=2048)
-    _, density = u0_eval(smooth_global(2), grid.nodes)
+    _, density = u0_eval(2, grid.nodes)
     mass = float(grid.quad_weights @ density)
     assert mass == pytest.approx(-cs.gamma_m, rel=2e-4)
 
 
-def test_compact_blend_matches_log_at_the_seam():
-    prof = compact_blend(2)
-    # Value: log r outside, Taylor polynomial inside, continuous at 1.
-    value, density = u0_eval(prof, 1.0)
-    assert value == 0.0 and density == 0.0
-    inner, _ = u0_eval(prof, 1.0 - 1e-9)
-    assert inner == pytest.approx(-1e-9, abs=1e-15)
-    # First derivative is continuous too (log' = 1 at r = 1).
-    h = 1e-6
-    slope = (u0_eval(prof, 1.0 + h)[0] - u0_eval(prof, 1.0 - h)[0]) / (2 * h)
-    assert slope == pytest.approx(1.0, abs=1e-9)
-
-
-def test_compact_blend_density_vanishes_outside_unit_ball():
-    prof = compact_blend(3)
-    r = np.array([1.0, 1.5, 8.0])
-    value, density = u0_eval(prof, r)
-    np.testing.assert_allclose(value, np.log(r), rtol=1e-15)
-    assert np.all(density == 0.0)
-
-
-@pytest.mark.parametrize("m", [2, 3])
-@pytest.mark.parametrize("kind", ["smooth-global", "compact-blend"])
-def test_profile_density_agrees_with_stencil_polyharmonic(m, kind):
-    # Independent check of the closed-form densities: apply the
+# The ids name the profile, as they did when a second one existed.
+@pytest.mark.parametrize("m", [2, 3], ids=lambda m: f"smooth-global-{m}")
+def test_profile_density_agrees_with_stencil_polyharmonic(m):
+    # Independent check of the closed-form density: apply the
     # finite-difference (-Delta)^m to the profile values and compare on a
-    # window away from the origin flags and the blend seam.  The grid
-    # resolution balances truncation against rounding amplification in
-    # the 2m-th derivative.
-    prof = smooth_global(m) if kind == "smooth-global" else compact_blend(m)
+    # window away from the origin flags.  The grid resolution balances
+    # truncation against rounding amplification in the 2m-th derivative.
     n_intervals = 2048 if m == 2 else 512
     grid = make_grid(m=m, r_max=2.0, n_intervals=n_intervals, map_kind="uniform")
-    value, density = u0_eval(prof, grid.nodes)
+    value, density = u0_eval(m, grid.nodes)
     stencil = radial_polyharmonic(RadialField(grid=grid, values=value), k=m)
     window = stencil.valid & (grid.nodes > 0.2) & (grid.nodes < 0.9)
     assert window.sum() > 50
@@ -160,14 +133,11 @@ def test_profile_density_agrees_with_stencil_polyharmonic(m, kind):
 
 
 def test_u0_eval_validates_inputs():
-    with pytest.raises(DimensionMismatch):
-        u0_eval(smooth_global(2), -1.0)
-    with pytest.raises(DimensionMismatch):
-        u0_eval(U0Profile(kind="mystery", m=2), 1.0)
-    with pytest.raises(DimensionMismatch):
-        smooth_global(0)
-    with pytest.raises(DimensionMismatch):
-        compact_blend(7)
+    with pytest.raises(DimensionMismatch, match="radius"):
+        u0_eval(2, -1.0)
+    for m in (0, 7):
+        with pytest.raises(DimensionMismatch, match="m must be in 1..6"):
+            u0_eval(m, 1.0)
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,6 @@ from qcurv import (
     Polynomial,
     RadialField,
     SolverConfig,
-    U0Profile,
     build_K,
     build_grid,
     constants,
@@ -25,7 +24,6 @@ from qcurv import (
     eval_radial_profile,
     kernel_matrix,
     normalization_cv,
-    compact_blend,
     potential_apply,
     radial_profile_coeffs,
     solve_continuation,
@@ -99,13 +97,6 @@ def test_eval_radial_profile_matches_pointwise_evaluation():
 # ----------------------------------------------------------------------
 # configuration validation
 # ----------------------------------------------------------------------
-def test_config_defaults_resolve_u0_profile():
-    cfg = quick_config()
-    assert cfg.u0_profile is not None
-    assert cfg.u0_profile.kind == "smooth-global"
-    cfg.validate()
-
-
 def test_config_alpha_is_twice_normalized_volume():
     cs = constants(2)
     assert quick_config().alpha == pytest.approx(1.0, rel=1e-15)
@@ -210,7 +201,7 @@ def admissibility_cases(m: int):
 def test_validate_decides_radial_admissibility_in_closed_form(m, no_sampling_screen):
     for profile, fragment in admissibility_cases(m):
         cfg = quick_config(
-            m=m, volume=0.5 * constants(m).vol_sphere, profile=profile, u0_profile=None
+            m=m, volume=0.5 * constants(m).vol_sphere, profile=profile
         )
         if fragment is None:
             cfg.validate()
@@ -225,7 +216,7 @@ def test_validate_accepts_an_eventually_coercive_profile(no_sampling_screen):
     # screen (radii up to 256) rejects it, yet x . grad P -> +infinity.
     profile = radial_polynomial(6, [0.0, -1e6, 1.0])
     quick_config(
-        m=3, volume=0.5 * constants(3).vol_sphere, profile=profile, u0_profile=None
+        m=3, volume=0.5 * constants(3).vol_sphere, profile=profile
     ).validate()
 
 
@@ -260,18 +251,11 @@ def test_config_rejects_bad_parameters(overrides, fragment):
         quick_config(**overrides).validate()
 
 
-def test_config_rejects_mismatched_u0_profile():
-    cfg = quick_config(u0_profile=U0Profile.smooth_global(3))
-    with pytest.raises(ConfigError, match="u0 profile"):
-        cfg.validate()
-
-
 # ----------------------------------------------------------------------
 # JSON round-trip
 # ----------------------------------------------------------------------
 def test_config_json_roundtrip_preserves_everything():
     cfg = quick_config(
-        u0_profile=compact_blend(2),
         r_max=30.0,
         sinh_strength=2.5,
         tol=1e-9,
@@ -279,7 +263,6 @@ def test_config_json_roundtrip_preserves_everything():
     )
     data = cfg.to_json_dict()
     assert data["schema_version"] == 2
-    assert data["u0_profile"] == "compact-blend"
     assert SolverConfig.from_json_dict(data) == cfg
 
 
@@ -300,14 +283,24 @@ def test_config_v1_iteration_keys_are_dropped_on_load():
 
 def test_config_removed_keys_load_only_at_the_value_the_solver_uses():
     v2 = quick_config().to_json_dict()
-    assert "map_kind" not in v2 and "quad_order" not in v2
-    removed = {"map_kind": "sinh-clustered", "quad_order": 12}
+    removed = {
+        "map_kind": "sinh-clustered",
+        "quad_order": 12,
+        "u0_profile": "smooth-global",
+    }
+    assert not set(removed) & set(v2)
     for version in (1, 2):
         without = dict(v2, schema_version=version)
-        assert SolverConfig.from_json_dict(
-            dict(without, **removed)
-        ) == SolverConfig.from_json_dict(without)
-    for key, value in (("map_kind", "uniform"), ("quad_order", 8)):
+        expected = SolverConfig.from_json_dict(without)
+        assert SolverConfig.from_json_dict(dict(without, **removed)) == expected
+        for key, value in removed.items():
+            assert SolverConfig.from_json_dict(dict(without, **{key: value})) == expected
+    for key, value in (
+        ("map_kind", "uniform"),
+        ("quad_order", 8),
+        ("u0_profile", "compact-blend"),
+        ("u0_profile", "mystery"),
+    ):
         with pytest.raises(ConfigError, match=f"the {key} setting was removed"):
             SolverConfig.from_json_dict(dict(v2, **{key: value}))
 
@@ -331,14 +324,42 @@ def test_config_from_json_is_strict():
     stale = dict(good, schema_version=99)
     with pytest.raises(ConfigError, match="schema_version"):
         SolverConfig.from_json_dict(stale)
-    with pytest.raises(ConfigError, match="u0_profile"):
-        SolverConfig.from_json_dict(dict(good, u0_profile="mystery"))
     # Validation runs on load: a config that parses but violates a rule
     # is rejected.
     with pytest.raises(ConfigError, match="tol"):
         SolverConfig.from_json_dict(dict(good, tol=-1.0))
     with pytest.raises(ConfigError, match="r_max must be of type float"):
         SolverConfig.from_json_dict(dict(good, r_max="far"))
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("m", 2.5),
+        ("sign", 1.7),
+        ("n_intervals", 512.9),
+        ("max_iter", True),
+        ("tol", True),
+        ("volume", "13.1"),
+        ("n_intervals", "512"),
+        ("m", float("inf")),
+    ],
+)
+def test_config_from_json_rejects_a_number_it_would_have_to_coerce(key, value):
+    good = quick_config().to_json_dict()
+    with pytest.raises(ConfigError, match=f"{key} must be of type"):
+        SolverConfig.from_json_dict(dict(good, **{key: value}))
+
+
+def test_config_from_json_loads_integral_floats_as_ints_and_ints_as_floats():
+    good = quick_config().to_json_dict()
+    loaded = SolverConfig.from_json_dict(
+        dict(good, m=2.0, sign=1.0, n_intervals=256.0, max_iter=600.0, r_max=40)
+    )
+    assert loaded == SolverConfig.from_json_dict(good)
+    for name in ("m", "sign", "n_intervals", "max_iter"):
+        assert type(getattr(loaded, name)) is int
+    assert type(loaded.r_max) is float
 
 
 # ----------------------------------------------------------------------
@@ -348,7 +369,7 @@ def test_u0_density_field_has_exact_discrete_mass():
     cfg = quick_config()
     grid = build_grid(cfg)
     cs = constants(2)
-    dens = u0_density_field(cfg.u0_profile, grid)
+    dens = u0_density_field(grid)
     mass = float(grid.quad_weights @ dens.values)
     assert mass == pytest.approx(-cs.gamma_m, rel=1e-14)
 
@@ -362,7 +383,7 @@ def test_build_K_matches_closed_form():
     ):
         grid = build_grid(cfg)
         log_K = build_K(cfg, grid)
-        u0_vals, _ = u0_eval(cfg.u0_profile, grid.nodes)
+        u0_vals, _ = u0_eval(cfg.m, grid.nodes)
         expected = math.log(6.0) - 4.0 * (grid.nodes**2 + cfg.alpha * u0_vals)
         np.testing.assert_allclose(log_K.values, expected, rtol=1e-14, atol=1e-14)
         # P and u0 vanish at the origin, so |K(0)| = 3! = 6 exactly.
@@ -429,7 +450,7 @@ def test_source_term_has_zero_discrete_mass():
     cfg = quick_config()
     grid = build_grid(cfg)
     log_K = build_K(cfg, grid)
-    u0d = u0_density_field(cfg.u0_profile, grid)
+    u0d = u0_density_field(grid)
     rng = np.random.default_rng(6)
     v = RadialField(grid=grid, values=0.05 * rng.normal(size=grid.nodes.shape))
     S, _ = source_with_normalization(v, cfg, log_K, u0d)
@@ -442,7 +463,7 @@ def test_potential_of_source_decays_in_the_tail():
     grid = build_grid(cfg)
     kern = kernel_matrix(grid)
     log_K = build_K(cfg, grid)
-    u0d = u0_density_field(cfg.u0_profile, grid)
+    u0d = u0_density_field(grid)
     v = RadialField(grid=grid, values=np.zeros_like(grid.nodes))
     S, _ = source_with_normalization(v, cfg, log_K, u0d)
     tv = potential_apply(kern, S, constants(2))
@@ -461,7 +482,7 @@ def test_solve_converges_and_reconstructs_solution():
     assert rec.final_update <= cfg.tol
     assert rec.iterations == len(rec.history)
     # u is assembled from its parts exactly.
-    u0_vals, _ = u0_eval(cfg.u0_profile, rec.grid.nodes)
+    u0_vals, _ = u0_eval(cfg.m, rec.grid.nodes)
     p_vals = eval_radial_profile(
         radial_profile_coeffs(cfg.profile), rec.grid.nodes
     )
@@ -478,7 +499,7 @@ def test_solve_lands_on_the_fixed_point():
     rec = solve_continuation(cfg)
     kern = kernel_matrix(rec.grid)
     log_K = build_K(cfg, rec.grid)
-    u0d = u0_density_field(cfg.u0_profile, rec.grid)
+    u0d = u0_density_field(rec.grid)
     S, _ = source_with_normalization(rec.v, cfg, log_K, u0d)
     tv = potential_apply(kern, S, constants(2))
     residual = float(np.max(np.abs(tv.values - rec.v.values)))
@@ -610,21 +631,10 @@ def test_solve_validates_before_working():
         solve_continuation(cfg)
 
 
-def test_solve_background_profile_independence(quick_positive):
-    # The assembled u must not depend on which background carries the
-    # log-singularity: smooth-global and compact-blend solves agree to the
-    # level of the quadrature difference between their densities.
-    cfg = replace(quick_positive.config, u0_profile=compact_blend(2))
-    other = solve_continuation(cfg)
-    assert other.converged
-    dev = float(np.max(np.abs(other.u.values - quick_positive.u.values)))
-    assert dev < 1e-3
-
-
 # ----------------------------------------------------------------------
 # the shared discretization
 # ----------------------------------------------------------------------
-_DISCRETIZATION_KEY = ("m", "r_max", "n_intervals", "sinh_strength", "u0_profile")
+_DISCRETIZATION_KEY = ("m", "r_max", "n_intervals", "sinh_strength")
 
 
 @pytest.fixture
@@ -668,7 +678,6 @@ def test_solves_on_one_grid_share_its_discretization(change, kernel_builds):
         {"r_max": 30.0},
         {"n_intervals": 320},
         {"sinh_strength": 2.5},
-        {"u0_profile": compact_blend(2)},
     ],
     ids=lambda change: next(iter(change)),
 )
@@ -682,7 +691,7 @@ def test_each_key_field_gets_its_own_discretization(change, kernel_builds):
     np.testing.assert_array_equal(second.grid.nodes, fresh.nodes)
     np.testing.assert_array_equal(second.grid.quad_weights, fresh.quad_weights)
     np.testing.assert_array_equal(
-        second.u0_density.values, u0_density_field(cfg.u0_profile, fresh).values
+        second.u0_density.values, u0_density_field(fresh).values
     )
 
 
@@ -830,7 +839,7 @@ def test_first_iterate_after_zero_is_the_image_of_zero(monkeypatch):
     grid = build_grid(cfg)
     zero = RadialField(grid=grid, values=np.zeros_like(grid.nodes))
     S, _ = source_with_normalization(
-        zero, cfg, build_K(cfg, grid), u0_density_field(cfg.u0_profile, grid)
+        zero, cfg, build_K(cfg, grid), u0_density_field(grid)
     )
     t_zero = potential_apply(kernel_matrix(grid), S, constants(2))
     np.testing.assert_array_equal(iterates[0], zero.values)
@@ -960,7 +969,7 @@ def test_fixed_point_map_is_bit_identical_to_its_formulas(m, sign):
     grid = build_grid(cfg)
     kern = kernel_matrix(grid)
     log_K = build_K(cfg, grid)
-    u0d = u0_density_field(cfg.u0_profile, grid)
+    u0d = u0_density_field(grid)
     rng = np.random.default_rng(m)
     for scale in (1e-3, 0.1, 3.0):
         v = RadialField(grid=grid, values=scale * rng.normal(size=grid.nodes.shape))
