@@ -31,8 +31,6 @@ from .poly import (
     radial_derivative,
 )
 from .geometry import (
-    Constants,
-    constants,
     eval_radial_profile,
     kelvin_identity_residual,
     kelvin_pullback,
@@ -41,10 +39,12 @@ from .geometry import (
     u0_eval,
 )
 from .potential import (
+    Constants,
     KernelMatrix,
     RadialField,
     RadialGrid,
     ball_volume,
+    constants,
     field_to_csv,
     kernel_matrix,
     make_grid,
@@ -98,8 +98,6 @@ __all__ = [
     "pm_membership",
     "a3_counterexample",
     # geometry
-    "Constants",
-    "constants",
     "spherical_solution",
     "u0_eval",
     "kelvin_pullback",
@@ -107,6 +105,8 @@ __all__ = [
     "radial_polyharmonic",
     "eval_radial_profile",
     # potential
+    "Constants",
+    "constants",
     "RadialGrid",
     "RadialField",
     "KernelMatrix",

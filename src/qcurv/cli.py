@@ -44,16 +44,16 @@ from .errors import (
     QcurvError,
     TailNotNegligible,
 )
-from .geometry import constants, kelvin_identity_residual, spherical_solution
+from .geometry import kelvin_identity_residual, spherical_solution
 from .poly import Polynomial, a3_counterexample, pm_membership
 from .potential import (
     RadialField,
     _ring_closed,
+    constants,
     kernel_matrix,
     make_grid,
     potential_apply,
     ring_kernel_mean,
-    sphere_area,
 )
 from .solver import (
     SolverConfig,
@@ -92,8 +92,9 @@ config JSON fields (schema_version 2):
   volume          target conformal volume V > 0; for sign = +1 it must
                   satisfy V in (0, vol(S^{2m}))
   profile         the polynomial P, as canonical text ("1.0 * x1^2 + ...")
-                  or as a {"dim": d, "terms": [...]} object; must pass
-                  the admissibility check (radial, for the solver)
+                  or as a {"dim": d, "terms": [...]} object (integer dim
+                  and exponents, finite coefficients); must pass the
+                  admissibility check (radial, for the solver)
   r_max           grid radius, > 1 (default 40)
   n_intervals     radial intervals, >= 64 (default 2048)
   sinh_strength   clustering strength of the sinh node map, > 0
@@ -346,7 +347,7 @@ def _suite_kernel() -> list[tuple[str, bool, str]]:
     pot_kernel = kernel_matrix(pot_grid)
     u_sph = spherical_solution(2, 1.0, pot_grid.nodes)
     density = RadialField(grid=pot_grid, values=6.0 * np.exp(4.0 * u_sph))
-    pot = potential_apply(pot_kernel, density, constants(2))
+    pot = potential_apply(pot_kernel, density)
     window = pot_grid.nodes <= 20.0
     std = float(np.std(pot.values[window] - u_sph[window]))
     checks.append(("log-potential-oracle(m=2)", std <= 1e-3, f"node std {std:.3e}"))
@@ -486,7 +487,7 @@ def _parse_poly_argument(text: str) -> Polynomial:
 def run_poly_check(poly_arg: str, m: int | None) -> int:
     try:
         poly = _parse_poly_argument(poly_arg)
-    except (PolynomialFormatError, json.JSONDecodeError, OSError) as exc:
+    except (QcurvError, json.JSONDecodeError, OSError) as exc:
         print(f"cannot parse polynomial: {exc}", file=sys.stderr)
         return EXIT_UNPARSEABLE
     try:
@@ -610,7 +611,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exit code is the verdict: 0 Accepted, 1 Rejected, "
         "2 Inconclusive, 4 unparseable input.  The polynomial may be given "
         "inline (canonical text like '1.0 * x1^2 + 1.0 * x2^2', or a JSON "
-        "object) or as a path to a file containing either form.",
+        "object) or as a path to a file containing either form, in at most "
+        "16 variables.",
     )
     p_poly.add_argument(
         "--poly", required=True, help="polynomial text/JSON or file path"

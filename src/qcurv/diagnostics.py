@@ -1,10 +1,12 @@
-"""Independent checks of candidate solutions.
+"""Checks of candidate solutions.
 
 Nothing here reuses the solver's fixed-point machinery: residuals come
-from finite-difference stencils, volumes from quadrature, the Pohozaev
-identity from its own integration-by-parts terms.  A solution that
-passes these checks is certified by computations independent of the one
-that produced it.
+from finite-difference stencils, the Pohozaev identity from its own
+integration-by-parts terms.  The volume check is the exception: it
+integrates with the grid's ``quad_weights``, the rule the solver
+normalizes c_v with, so its error is 0 to 1e-15 on every solve and
+shows only that the normalization was applied, not the quadrature
+error (ROADMAP item 1 replaces it with an independent rule).
 
 The 3-point stencils are the methods of the grid's
 :class:`~qcurv.potential.StencilTable`, built once per grid.  The
@@ -21,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch, TailNotNegligible
-from .geometry import constants, eval_radial_profile, radial_polyharmonic
+from .geometry import eval_radial_profile, radial_polyharmonic
 from .poly import Polynomial
-from .potential import RadialField, RadialGrid, gauss_legendre, sphere_area
+from .potential import RadialField, RadialGrid, constants, gauss_legendre, sphere_area
 from .solver import SolutionRecord, radial_profile_coeffs
 
 # A solution profile whose values all sit below this level is treated as
@@ -67,6 +69,11 @@ def pde_residual(u: RadialField, m: int, sign: int) -> float:
 def conformal_volume(u: RadialField, m: int) -> tuple[float, float]:
     """Quadrature of e^{2mu} plus an analytic estimate of the neglected
     tail beyond R_max (returned as an error bar).
+
+    The quadrature uses ``grid.quad_weights``, the rule by which the
+    solver's c_v matches the prescribed volume, so on a solve's own u it
+    returns that volume to rounding: it is not an independent check of
+    the quadrature error (ROADMAP item 1).
 
     The tail is certified from the last quarter of the grid: the
     integrand's log-log slope q must satisfy q < -2m (integrability),
@@ -538,39 +545,36 @@ class DiagnosticsReport:
         return header, row
 
 
-def _default_pohozaev_radius(grid: RadialGrid) -> float:
+def _report_pohozaev_radius(grid: RadialGrid) -> float:
     return min(20.0, grid.r_max / 2.0)
 
 
 def check_report_grid(grid: RadialGrid) -> None:
     """Raise GridMismatch naming the rule if :func:`build_report` cannot
-    place its default alpha-fit window [r_max/4, r_max/2] or its default
-    Pohozaev radius min(20, r_max/2) on ``grid``.  Both depend on the
-    grid alone, so a solve can be refused before it iterates."""
+    place its alpha-fit window [r_max/4, r_max/2] or its Pohozaev radius
+    min(20, r_max/2) on ``grid``.  Both depend on the grid alone, so a
+    solve can be refused before it iterates."""
     try:
         _fit_window_nodes(grid, _default_fit_window(grid))
-        _pohozaev_index(grid, _default_pohozaev_radius(grid))
+        _pohozaev_index(grid, _report_pohozaev_radius(grid))
     except GridMismatch as exc:
         raise GridMismatch(f"the report cannot use this grid: {exc}") from None
 
 
-def build_report(
-    record: SolutionRecord,
-    fit_window: tuple[float, float] | None = None,
-    pohozaev_radius: float | None = None,
-) -> DiagnosticsReport:
-    """Run the full diagnostic battery on a finished solve."""
+def build_report(record: SolutionRecord) -> DiagnosticsReport:
+    """Run the full diagnostic battery on a finished solve.
+
+    The layout is fixed by the grid: the alpha fit runs over
+    [r_max/4, r_max/2] and the Pohozaev balance is taken at
+    min(20, r_max/2), the two placements :func:`check_report_grid`
+    checks."""
     config = record.config
     grid = record.grid
     cs = constants(config.m)
     residual = pde_residual(record.u, config.m, config.sign)
     volume, _tail = conformal_volume(record.u, config.m)
-    alpha_fit, c_fit, deviation = asymptotic_profile(
-        record.u, config.radial_coeffs, fit_window
-    )
-    if pohozaev_radius is None:
-        pohozaev_radius = _default_pohozaev_radius(grid)
-    terms = record_pohozaev_terms(record, pohozaev_radius)
+    alpha_fit, c_fit, deviation = asymptotic_profile(record.u, config.radial_coeffs)
+    terms = record_pohozaev_terms(record, _report_pohozaev_radius(grid))
 
     # |K| e^{2m wbar}, shared by the tail masses and the source's L^1 mass.
     curvature = _curvature_density(record.log_K, record.v.values + record.c_v)

@@ -1,5 +1,5 @@
-"""Dimension constants, closed-form reference solutions, the background
-profile u0, the Kelvin inversion, and radial polyharmonic stencils.
+"""Closed-form reference solutions, the background profile u0, the
+Kelvin inversion, and radial polyharmonic stencils.
 
 The equation under study lives on R^{2m}:
 
@@ -9,61 +9,18 @@ whose explicit "spherical" solutions log(2*lambda) - log(1 + lambda^2 r^2)
 serve as the exact oracle for every discretization in the package.  The
 background profile u0 behaves like log r at infinity and satisfies
 integral (-Delta)^m u0 = -gamma_m, where gamma_m is the Green constant of
-(-Delta)^m log(1/|x|).
+(-Delta)^m log(1/|x|), one of the dimension constants of
+:mod:`qcurv.potential`.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, GridMismatch
-from .potential import RadialField, sphere_area, stencil_table
-
-# ----------------------------------------------------------------------
-# constants
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Constants:
-    """Closed-form dimension constants for R^{2m}.
-
-    ``gamma_m = (2m-1)!/2 * vol(S^{2m})`` is the Green constant of the
-    polyharmonic log kernel; ``lambda_1 = (2m-1)! * vol(S^{2m}) =
-    2 * gamma_m`` is the curvature quantization level.
-    """
-
-    m: int
-    n: int
-    vol_sphere: float
-    gamma_m: float
-    omega: float
-    lambda_1: float
-    factorial_2m_minus_1: float
-
-
-@functools.lru_cache(maxsize=None, typed=True)
-def constants(m: int) -> Constants:
-    """Constants for dimension n = 2m, valid for 1 <= m <= 6; built once
-    per m and shared (the dataclass is frozen)."""
-    if not isinstance(m, int) or m < 1 or m > 6:
-        raise DimensionMismatch(f"m must be an integer in 1..6, got {m}")
-    n = 2 * m
-    vol_sphere = sphere_area(n + 1)  # area of S^{2m} inside R^{2m+1}
-    fact = float(math.factorial(2 * m - 1))
-    return Constants(
-        m=m,
-        n=n,
-        vol_sphere=vol_sphere,
-        gamma_m=fact / 2.0 * vol_sphere,
-        omega=sphere_area(n),  # area of S^{2m-1} inside R^{2m}
-        lambda_1=fact * vol_sphere,
-        factorial_2m_minus_1=fact,
-    )
+from .potential import RadialField, stencil_table
 
 
 def spherical_solution(m: int, lam: float, r) -> np.ndarray | float:
@@ -207,9 +164,11 @@ def _iterated_lap_center(
     return float(vals[k])
 
 
-def kelvin_identity_residual(
-    u, k: int, n: int, sample_points, step: float = 1e-3
-) -> float:
+# Node spacing of kelvin_identity_residual's finite-difference lines.
+_KELVIN_STEP = 1e-3
+
+
+def kelvin_identity_residual(u, k: int, n: int, sample_points) -> float:
     """Residual of the inversion covariance of the polyharmonic operator:
 
         Delta^k ( |x|^{2k-n} u(x/|x|^2) )  =  |x|^{-(n+2k)} (Delta^k u)(x/|x|^2)
@@ -218,7 +177,7 @@ def kelvin_identity_residual(
     dict ``{exponent: coefficient}`` describing a sum of radial power
     laws; the dict route differentiates termwise exactly (rounding-level
     residual), the callable route uses local finite-difference lines of
-    the given step on both sides independently.  Returns the max over
+    spacing 1e-3 on both sides independently.  Returns the max over
     samples of |L - R| / (|L| + |R| + floor) with a floor of 1e-12 times
     the largest magnitude seen.
     """
@@ -227,7 +186,8 @@ def kelvin_identity_residual(
     if k < 0 or k > n // 2:
         raise DimensionMismatch(f"k must be in 0..{n // 2}, got {k}")
     radii = np.atleast_1d(np.asarray(sample_points, dtype=float))
-    if np.any(radii - k * step <= 0) or np.any(1.0 / radii - k * step <= 0):
+    reach = k * _KELVIN_STEP
+    if np.any(radii - reach <= 0) or np.any(1.0 / radii - reach <= 0):
         raise DimensionMismatch(
             "sample points too close to the inversion singularity for the stencil"
         )
@@ -248,7 +208,7 @@ def kelvin_identity_residual(
         lhs = np.array(
             [
                 _iterated_lap_center(
-                    rho, lambda x: x ** (2.0 * k - n) * u(1.0 / x), k, n, step
+                    rho, lambda x: x ** (2.0 * k - n) * u(1.0 / x), k, n, _KELVIN_STEP
                 )
                 for rho in radii
             ]
@@ -256,7 +216,7 @@ def kelvin_identity_residual(
         rhs = np.array(
             [
                 radii[i] ** (-(n + 2.0 * k))
-                * _iterated_lap_center(1.0 / radii[i], u, k, n, step)
+                * _iterated_lap_center(1.0 / radii[i], u, k, n, _KELVIN_STEP)
                 for i in range(len(radii))
             ]
         )

@@ -24,6 +24,7 @@ reproduces it bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -31,7 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import DimensionMismatch, PolynomialFormatError
+from .errors import DimensionMismatch, PolynomialFormatError, QcurvError
 
 # Coefficients whose magnitude falls below this threshold are treated as
 # exact zeros when terms are canonicalized.
@@ -43,7 +44,31 @@ _MIN_GROWTH_EXPONENT = 0.05
 # Points per block in _radial_many, bounding its cached coordinate powers.
 _RADIAL_BLOCK = 1 << 16
 
+# Ray directions per radius of the sampling screen, and its radii.  The
+# directions spiral over the square roots of one prime per coordinate, so
+# the screen covers at most len(_PRIMES) dimensions.
+_DIRECTION_COUNT = 64
+_SAMPLE_RADII = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+
+
+def json_number(
+    name: str, kind: str, value, error: type[QcurvError] = PolynomialFormatError
+) -> int | float:
+    """A JSON number as ``kind``: an ``int`` takes an integer or an
+    integral float such as 2.0, a ``float`` any number a float can hold.
+    Bools, strings, non-integral values for an ``int`` and integers too
+    large for a ``float`` raise ``error`` naming ``name``; they are never
+    coerced into a different value."""
+    ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        if ok and kind == "float":
+            return float(value)
+        if ok and (isinstance(value, numbers.Integral) or float(value).is_integer()):
+            return int(value)
+    except OverflowError:
+        pass
+    raise error(f"{name} must be of type {kind}, got {value!r}")
 
 
 def _canonical_terms(
@@ -60,7 +85,10 @@ def _canonical_terms(
             )
         if any(v < 0 for v in e):
             raise PolynomialFormatError(f"negative exponent in {e}")
-        acc[e] = acc.get(e, 0.0) + float(coef)
+        c = float(coef)
+        if not math.isfinite(c):
+            raise PolynomialFormatError(f"coefficient of {e} is {c!r}")
+        acc[e] = acc.get(e, 0.0) + c
     kept = [(e, c) for e, c in acc.items() if abs(c) >= COEF_DROP_TOL]
     kept.sort(key=lambda t: (sum(t[0]), t[0]))
     return tuple(kept)
@@ -200,9 +228,19 @@ class Polynomial:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Polynomial":
+        """Load the form of :meth:`to_json_dict`.  ``dim`` and each
+        exponent take an integer or an integral float, each coefficient a
+        number (:func:`json_number`)."""
+        items = []
         try:
-            dim = int(data["dim"])
-            items = [(t["exps"], t["coef"]) for t in data["terms"]]
+            dim = json_number("dim", "int", data["dim"])
+            for i, term in enumerate(data["terms"]):
+                exps = [
+                    json_number(f"terms[{i}].exps[{j}]", "int", e)
+                    for j, e in enumerate(term["exps"])
+                ]
+                coef = json_number(f"terms[{i}].coef", "float", term["coef"])
+                items.append((exps, coef))
         except (KeyError, TypeError) as exc:
             raise PolynomialFormatError(f"malformed polynomial JSON: {exc}")
         return cls.from_terms(dim, items)
@@ -312,15 +350,13 @@ class AdmissibilityVerdict:
     constant: float | None = None
 
 
-def _direction_set(dim: int, count: int) -> np.ndarray:
+def _direction_set(dim: int) -> np.ndarray:
     """Deterministic, roughly equidistributed unit directions: the 2*dim
-    signed coordinate axes plus a low-discrepancy Gaussian spiral."""
+    signed coordinate axes plus a low-discrepancy Gaussian spiral, 64 in
+    all for dim <= 16."""
     axes = np.vstack([np.eye(dim), -np.eye(dim)])
-    n_extra = max(count - 2 * dim, 0)
-    if n_extra == 0:
-        return axes
     alphas = np.sqrt(np.array(_PRIMES[:dim], dtype=float))
-    k = np.arange(1, n_extra + 1)[:, None]
+    k = np.arange(1, _DIRECTION_COUNT - 2 * dim + 1)[:, None]
     u = np.mod(k * alphas[None, :] + 0.5, 1.0)
     z = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
     norms = np.linalg.norm(z, axis=1, keepdims=True)
@@ -365,24 +401,21 @@ def _curve_points(
         yield pts
 
 
-def pm_membership(
-    P: Polynomial,
-    direction_count: int = 64,
-    radii: Sequence[float] = (1, 2, 4, 8, 16, 32, 64, 128, 256),
-    m: int | None = None,
-) -> AdmissibilityVerdict:
+def pm_membership(P: Polynomial, m: int | None = None) -> AdmissibilityVerdict:
     """Screen ``P`` for membership in the admissible profile class.
 
     ``m`` defaults to ``P.dim // 2`` (the dimension must then be even);
     passing ``m`` explicitly lets low-dimensional polynomials be screened
-    against the degree bound of a larger context.
+    against the degree bound of a larger context.  ``P.dim`` may be at
+    most 16.
 
-    The test evaluates ``x . grad P`` along straight rays (a signed-axis
-    plus low-discrepancy direction set) and along the bent-path family
-    ``x_i = c t^k, x_j = t``, which catches polynomials whose radial
-    derivative is coercive on every ray yet unbounded below along a
-    curved path.  The minimum over all samples at each radius must be
-    positive and growing; a power law is then fitted to certify
+    The test evaluates ``x . grad P`` at the radii 1, 2, 4, ..., 256 along
+    64 straight rays (the signed axes plus a low-discrepancy direction
+    set) and along the bent-path family ``x_i = c t^k, x_j = t``, which
+    catches polynomials whose radial derivative is coercive on every ray
+    yet unbounded below along a curved path.  The minimum over all
+    samples at each radius must be positive and growing; a power law is
+    then fitted over the last four radii to certify
     ``x . grad P >= c |x|^a`` on the sampled set.
     """
     if m is None:
@@ -394,14 +427,10 @@ def pm_membership(
         m = P.dim // 2
     if m < 1:
         raise DimensionMismatch(f"m must be >= 1, got {m}")
-    radii_arr = np.asarray(radii, dtype=float)
-    if radii_arr.ndim != 1 or len(radii_arr) < 2:
-        raise PolynomialFormatError("radii must be a 1-d sequence, length >= 2")
-    if np.any(radii_arr < 1.0) or np.any(np.diff(radii_arr) <= 0):
-        raise PolynomialFormatError("radii must be increasing and all >= 1")
-    if direction_count < 2 * P.dim:
-        raise PolynomialFormatError(
-            f"direction_count must be >= {2 * P.dim} for dim {P.dim}"
+    if P.dim > len(_PRIMES):
+        raise DimensionMismatch(
+            f"dim = {P.dim} exceeds {len(_PRIMES)}, the largest dimension "
+            "the sampling screen covers"
         )
 
     degree = P.degree()
@@ -421,7 +450,8 @@ def pm_membership(
             samples_used=0,
         )
 
-    dirs = _direction_set(P.dim, direction_count)
+    radii_arr = np.asarray(_SAMPLE_RADII)
+    dirs = _direction_set(P.dim)
     curve_desc = _curve_family(P.dim, degree)
     n_rays = dirs.shape[0]
     # Rays then curves, one radius at a time: only the values and norms
@@ -476,9 +506,8 @@ def pm_membership(
             samples_used=samples_used,
         )
 
-    window = min(4, len(radii_arr))
-    tail_min = minima[-window:]
-    tail_r = radii_arr[-window:]
+    tail_min = minima[-4:]
+    tail_r = radii_arr[-4:]
     if np.any(tail_min <= 0.0):
         return AdmissibilityVerdict(
             status="Inconclusive",
@@ -499,7 +528,7 @@ def pm_membership(
             samples_used=samples_used,
         )
     # Largest constant making  x . grad P >= c |x|^slope  hold on every
-    # sample (norms are >= 1 by the radii precondition, never zero).
+    # sample (norms are >= 1 because the radii are, never zero).
     ratios = values / norms**slope
     c_bound = float(ratios.min())
     if c_bound <= 0.0:

@@ -7,8 +7,9 @@ density amounts to integrating the density against the spherical mean of
 
     Lambda_n(s, r) = mean over |y| = r of log|s e - y|,  |e| = 1.
 
-This module provides the radial grids (nodes plus quadrature weights for
-the measure ``omega_{n-1} r^{n-1} dr``), the ring kernel ``Lambda_n``, its
+This module provides the dimension constants (among them gamma_m), the
+radial grids (nodes plus quadrature weights for the measure
+``omega_{n-1} r^{n-1} dr``), the ring kernel ``Lambda_n``, its
 semi-separable form on a grid, and the potential application
 
     (potential f)(r_i) = -(1/gamma_m) * integral Lambda_n(r_i, rho) f(rho) dmu(rho).
@@ -37,11 +38,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch
+from .errors import DimensionMismatch, GridMismatch
 
 
 def sphere_area(n: int) -> float:
@@ -51,6 +52,41 @@ def sphere_area(n: int) -> float:
 
 def ball_volume(n: int, radius: float) -> float:
     return sphere_area(n) * radius**n / n
+
+
+@dataclass(frozen=True)
+class Constants:
+    """Closed-form dimension constants for R^{2m}.
+
+    ``gamma_m = (2m-1)!/2 * vol(S^{2m})`` is the Green constant of the
+    polyharmonic log kernel; ``lambda_1 = (2m-1)! * vol(S^{2m}) =
+    2 * gamma_m`` is the curvature quantization level.
+    """
+
+    m: int
+    n: int
+    vol_sphere: float
+    gamma_m: float
+    lambda_1: float
+    factorial_2m_minus_1: float
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def constants(m: int) -> Constants:
+    """Constants for dimension n = 2m, valid for 1 <= m <= 6; built once
+    per m and shared (the dataclass is frozen)."""
+    if not isinstance(m, int) or m < 1 or m > 6:
+        raise DimensionMismatch(f"m must be an integer in 1..6, got {m}")
+    vol_sphere = sphere_area(2 * m + 1)  # area of S^{2m} inside R^{2m+1}
+    fact = float(math.factorial(2 * m - 1))
+    return Constants(
+        m=m,
+        n=2 * m,
+        vol_sphere=vol_sphere,
+        gamma_m=fact / 2.0 * vol_sphere,
+        lambda_1=fact * vol_sphere,
+        factorial_2m_minus_1=fact,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -269,17 +305,7 @@ class RadialGrid:
     def weights_beyond(self, index: int) -> np.ndarray:
         """Exact complement of :meth:`weights_within` (annulus rule):
         entry by entry ``quad_weights`` minus it, 0 below ``index``."""
-        w = self.quad_weights.copy()
-        if index == 0:
-            return w
-        w[:index] = 0.0
-        if index < len(self.nodes) - 1:
-            a, b = float(self.nodes[index]), float(self.nodes[index + 1])
-            q = w[index]
-            w[index] = q - (q - _hat_interval_weights(a, b, self.n)[0])
-        else:
-            w[index] = 0.0
-        return w
+        return self.quad_weights - self.weights_within(index)
 
 
 def make_grid(
@@ -456,27 +482,24 @@ def _ring_panel_rule(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     return rule
 
 
-def ring_kernel_mean(n: int, s: float, r: float, quad_order: int = 64) -> float:
+def ring_kernel_mean(n: int, s: float, r: float) -> float:
     """Spherical mean of ``log|x - y|`` for ``|x| = s``, ``|y| = r``,
     by numerical angular quadrature (the independent route against the
     closed form behind :func:`potential_apply`).
 
     Evaluates ``c_n * integral_0^pi log sqrt((s-r)^2 + 4 s r sin^2(t/2))
-    sin^{n-2} t dt`` on dyadic Gauss-Legendre panels (order
-    ``max(12, quad_order // 4)`` each) clustered toward ``t = 0``; the
-    stabilized radicand keeps the diagonal ``s = r``, where the plain
-    form ``s^2 + r^2 - 2 s r cos t`` cancels catastrophically, accurate
-    down to below 1e-12.
+    sin^{n-2} t dt`` on dyadic Gauss-Legendre panels of order 16 clustered
+    toward ``t = 0``; the stabilized radicand keeps the diagonal
+    ``s = r``, where the plain form ``s^2 + r^2 - 2 s r cos t`` cancels
+    catastrophically, accurate down to below 1e-12.
     """
     if n < 2 or n % 2 != 0:
         raise GridMismatch(f"dimension must be even and >= 2, got {n}")
-    if quad_order < 32:
-        raise GridMismatch("quad_order must be >= 32")
     if s < 0 or r < 0:
         raise GridMismatch("radii must be nonnegative")
     if s == 0.0 and r == 0.0:
         raise GridMismatch("ring kernel undefined at the origin pair")
-    _, wts, sin_theta, sin_half_sq = _ring_panel_rule(max(12, quad_order // 4))
+    _, wts, sin_theta, sin_half_sq = _ring_panel_rule(16)
     cn = math.gamma(n / 2.0) / (math.sqrt(math.pi) * math.gamma((n - 1) / 2.0))
     vals = 0.5 * np.log((s - r) ** 2 + 4.0 * s * r * sin_half_sq)
     if n > 2:
@@ -555,7 +578,7 @@ def kernel_matrix(grid: RadialGrid) -> KernelMatrix:
     return KernelMatrix(grid=grid, moments=moments, node_factors=factors)
 
 
-def potential_apply(kernel: KernelMatrix, density: RadialField, constants) -> RadialField:
+def potential_apply(kernel: KernelMatrix, density: RadialField) -> RadialField:
     """Potential of a radial density:
     ``out_i = -(1/gamma_m) * integral Lambda_n(r_i, rho) density(rho) dmu``.
 
@@ -564,15 +587,11 @@ def potential_apply(kernel: KernelMatrix, density: RadialField, constants) -> Ra
     error.  Moments of intervals below ``r_i`` are summed outward and
     those above it inward, so the growing ``rho^{2j}`` and the decaying
     ``rho^{-2j}`` terms are each accumulated smallest first and no sum is
-    formed as a total minus a partial sum.  The caller is responsible for
-    the density's discrete mass: a nonzero mass ``mu`` produces a
-    ``-(mu/gamma_m) log r`` tail, which is faithfully reproduced, not
-    corrected.
+    formed as a total minus a partial sum.  gamma_m is that of the
+    kernel's own m.  The caller is responsible for the density's discrete
+    mass: a nonzero mass ``mu`` produces a ``-(mu/gamma_m) log r`` tail,
+    which is faithfully reproduced, not corrected.
     """
-    if constants.n != kernel.grid.n:
-        raise GridMismatch(
-            f"constants are for dimension {constants.n}, kernel for {kernel.grid.n}"
-        )
     kernel.grid.ensure_same(density.grid)
     f = density.values
     per_interval = kernel.moments[0] * f[:-1]
@@ -585,5 +604,5 @@ def potential_apply(kernel: KernelMatrix, density: RadialField, constants) -> Ra
     sums *= kernel.node_factors
     values = sums[:m].sum(axis=0)
     values += sums[m:].sum(axis=0)
-    values /= -constants.gamma_m
+    values /= -constants(m).gamma_m
     return RadialField(grid=density.grid, values=values)

@@ -40,21 +40,21 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, GridMismatch, PolynomialFormatError
-from .geometry import constants, eval_radial_profile, u0_eval
+from .geometry import eval_radial_profile, u0_eval
 # Not called here: perfbench counts sampling-screen calls through
 # qcurv.solver.pm_membership (now 0 per op).
-from .poly import Polynomial, pm_membership  # noqa: F401
+from .poly import Polynomial, json_number, pm_membership  # noqa: F401
 from .potential import (
     KernelMatrix,
     RadialField,
     RadialGrid,
+    constants,
     kernel_matrix,
     make_grid,
     potential_apply,
@@ -154,19 +154,6 @@ def _radial_admissibility_violation(
 # ----------------------------------------------------------------------
 # configuration
 # ----------------------------------------------------------------------
-def _json_number(name: str, kind: str, value) -> int | float:
-    """A config number as its field's type: an ``int`` field takes an
-    integer or an integral float such as 2.0, a ``float`` field any
-    number.  Bools, strings and non-integral values for an ``int`` field
-    are refused, never coerced into a different problem."""
-    ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if ok and kind == "float":
-        return float(value)
-    if ok and (isinstance(value, numbers.Integral) or float(value).is_integer()):
-        return int(value)
-    raise ConfigError(f"{name} must be of type {kind}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Validated description of one solve.
@@ -294,7 +281,7 @@ class SolverConfig:
         for name, value in values.items():
             kind = fields[name].type
             if kind in ("int", "float"):
-                values[name] = _json_number(name, kind, value)
+                values[name] = json_number(name, kind, value, ConfigError)
         m = values["m"]
         try:
             if isinstance(values["profile"], str):
@@ -608,7 +595,6 @@ def solve_continuation(config: SolverConfig) -> SolutionRecord:
     )
     p_vals = eval_radial_profile(config.radial_coeffs, grid.nodes)
     log_K = _curvature_factor(config, grid, p_vals, u0_vals)
-    cs = constants(config.m)
 
     v_values = np.zeros_like(grid.nodes)
     history: list[tuple[float, float]] = []
@@ -621,7 +607,7 @@ def solve_continuation(config: SolverConfig) -> SolutionRecord:
         # solve with GridMismatch, there or when the record is built.
         v_field = RadialField._unchecked(grid, v_values)
         source, cv = source_with_normalization(v_field, config, log_K, u0_density)
-        g = potential_apply(kernel, source, cs).values
+        g = potential_apply(kernel, source).values
         f = g - v_values
         residual = float(np.abs(f).max())
         history.append((residual, cv))

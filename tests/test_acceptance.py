@@ -105,7 +105,7 @@ def test_log_potential_reproduces_spherical_solution():
     kernel = kernel_matrix(grid)
     u_sph = spherical_solution(2, 1.0, grid.nodes)
     density = RadialField(grid=grid, values=6.0 * np.exp(4.0 * u_sph))
-    pot = potential_apply(kernel, density, constants(2))
+    pot = potential_apply(kernel, density)
     window = grid.nodes <= 20.0
     std = float(np.std(pot.values[window] - u_sph[window]))
     elapsed = time.perf_counter() - start
@@ -263,7 +263,7 @@ def test_normalization_shift_mass_identity_and_determinism(square_profile_4d):
         )
         worst_mass = max(worst_mass, abs(mass - target) / abs(target))
         source, _ = source_with_normalization(iterate, config, log_K, u0_density)
-        step = potential_apply(kernel, source, constants(2))
+        step = potential_apply(kernel, source)
         iterate = RadialField(
             grid=grid, values=0.5 * iterate.values + 0.5 * step.values
         )

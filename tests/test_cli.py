@@ -472,7 +472,16 @@ def test_poly_check_inconclusive_exit_code():
     assert "changes sign at small radii" in out
 
 
-@pytest.mark.parametrize("bad", ["x1^2 + frog", '{"dim": 2', ""])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "x1^2 + frog",
+        '{"dim": 2',
+        "",
+        '{"dim": 2, "terms": [{"exps": [2], "coef": 1.0}]}',
+        '{"dim": 0, "terms": []}',
+    ],
+)
 def test_poly_check_unparseable_input(bad):
     code, _, err = run_cli(["poly-check", "--poly", bad])
     assert code == 4
@@ -484,6 +493,47 @@ def test_poly_check_odd_dimension_needs_explicit_m():
     code, _, err = run_cli(["poly-check", "--poly", poly])
     assert code == 4
     assert "cannot classify polynomial" in err
+
+
+def test_poly_check_refuses_a_dimension_above_16_in_one_line():
+    result = subprocess.run(
+        [sys.executable, "-m", "qcurv.cli", "poly-check", "--poly", "x18^2"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 4
+    assert result.stdout == ""
+    assert result.stderr == (
+        "cannot classify polynomial: dim = 18 exceeds 16, the largest "
+        "dimension the sampling screen covers\n"
+    )
+
+
+def test_poly_check_refuses_a_json_exponent_it_would_have_to_coerce():
+    # x1^2.5 + x2^2 used to load as x1^2 + x2^2 and be Accepted.
+    poly = Polynomial.from_text("x1^2 + x2^2").to_json_dict()
+    poly["terms"][0]["exps"][0] = 2.5
+    payload = json.dumps(poly)
+    code, out, err = run_cli(["poly-check", "--poly", payload, "--m", "2"])
+    assert code == 4
+    assert out == ""
+    assert err == (
+        "cannot parse polynomial: terms[0].exps[0] must be of type int, got 2.5\n"
+    )
+
+
+def test_solve_refuses_a_json_profile_it_would_have_to_coerce(tmp_path):
+    profile = Polynomial.from_text(SQUARE_PROFILE_4D).to_json_dict()
+    profile["terms"][0]["coef"] = "a"
+    path = write_config(tmp_path, profile=profile)
+    out_dir = tmp_path / "run"
+    code, _, err = run_cli(["solve", "--config", path, "--out", str(out_dir)])
+    assert code == 1
+    assert err == (
+        "config error: profile: terms[0].coef must be of type float, got 'a'\n"
+    )
+    assert not out_dir.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -255,10 +255,6 @@ def test_kelvin_identity_validates_inputs():
     with pytest.raises(DimensionMismatch):
         kelvin_identity_residual({2: 1.0}, k=3, n=4, sample_points=[1.0])
     with pytest.raises(DimensionMismatch):
-        kelvin_identity_residual(
-            lambda r: r, k=1, n=4, sample_points=[5e-4], step=1e-3
-        )
+        kelvin_identity_residual(lambda r: r, k=1, n=4, sample_points=[5e-4])
     with pytest.raises(DimensionMismatch):
-        kelvin_identity_residual(
-            lambda r: r, k=1, n=4, sample_points=[5000.0], step=1e-3
-        )
+        kelvin_identity_residual(lambda r: r, k=1, n=4, sample_points=[5000.0])

@@ -111,7 +111,9 @@ def test_from_text_dim_override_pads_or_rejects():
         Polynomial.from_text("x3^2", dim=2)
 
 
-@pytest.mark.parametrize("bad", ["", "  ", "x0^2", "x1^2 + frog", "x1^2.5"])
+@pytest.mark.parametrize(
+    "bad", ["", "  ", "x0^2", "x1^2 + frog", "x1^2.5", "1e999 * x1^2 + x2^2"]
+)
 def test_from_text_rejects_malformed_input(bad):
     with pytest.raises(PolynomialFormatError):
         Polynomial.from_text(bad)
@@ -128,6 +130,53 @@ def test_from_json_dict_rejects_malformed_payloads():
         Polynomial.from_json_dict({"dim": 2})
     with pytest.raises(PolynomialFormatError):
         Polynomial.from_json_dict({"dim": 2, "terms": [{"coef": 1.0}]})
+
+
+def _square_json(dim=2, exps=(2, 0), coef=1.0):
+    return {
+        "dim": dim,
+        "terms": [{"exps": list(exps), "coef": coef}, {"exps": [0, 2], "coef": 1.0}],
+    }
+
+
+@pytest.mark.parametrize(
+    "payload, fragment",
+    [
+        (_square_json(exps=(2.5, 0)), "terms[0].exps[0] must be of type int, got 2.5"),
+        (_square_json(exps=(True, 0)), "terms[0].exps[0] must be of type int, got True"),
+        (_square_json(exps=("x", 0)), "terms[0].exps[0] must be of type int, got 'x'"),
+        (_square_json(exps=("2", 0)), "terms[0].exps[0] must be of type int, got '2'"),
+        (_square_json(coef=True), "terms[0].coef must be of type float, got True"),
+        (_square_json(coef="a"), "terms[0].coef must be of type float, got 'a'"),
+        (_square_json(coef=float("nan")), "coefficient of (2, 0) is nan"),
+        (_square_json(dim=2.9), "dim must be of type int, got 2.9"),
+        (_square_json(dim="four"), "dim must be of type int, got 'four'"),
+        (_square_json(dim=True), "dim must be of type int, got True"),
+    ],
+    ids=[
+        "fractional-exponent",
+        "bool-exponent",
+        "string-exponent",
+        "numeric-string-exponent",
+        "bool-coef",
+        "string-coef",
+        "nan-coef",
+        "fractional-dim",
+        "string-dim",
+        "bool-dim",
+    ],
+)
+def test_from_json_dict_refuses_a_value_it_would_have_to_coerce(payload, fragment):
+    with pytest.raises(PolynomialFormatError) as info:
+        Polynomial.from_json_dict(payload)
+    assert str(info.value) == fragment
+
+
+def test_from_json_dict_loads_integral_floats_and_integer_coefficients():
+    P = Polynomial.from_json_dict(_square_json(dim=2.0, exps=(2.0, 0), coef=3))
+    assert P == Polynomial.from_terms(2, [((2, 0), 3.0), ((0, 2), 1.0)])
+    assert all(type(e) is int for exps, _ in P.terms for e in exps)
+    assert all(type(c) is float for _, c in P.terms)
 
 
 # ----------------------------------------------------------------------
@@ -324,16 +373,24 @@ def test_membership_screens_one_dimensional_polynomials(text, m, status, witness
 
 def test_membership_validates_sampling_parameters():
     P = Polynomial.from_terms(2, [((2, 0), 1.0), ((0, 2), 1.0)])
-    with pytest.raises(PolynomialFormatError):
-        pm_membership(P, m=2, radii=(1.0,))
-    with pytest.raises(PolynomialFormatError):
-        pm_membership(P, m=2, radii=(0.5, 2.0, 4.0))
-    with pytest.raises(PolynomialFormatError):
-        pm_membership(P, m=2, radii=(1.0, 4.0, 2.0))
-    with pytest.raises(PolynomialFormatError):
-        pm_membership(P, m=2, direction_count=2)
     with pytest.raises(DimensionMismatch):
         pm_membership(P, m=0)
+
+
+@pytest.mark.parametrize("dim, m", [(17, 3), (18, None)], ids=["dim17-m3", "dim18"])
+def test_membership_refuses_dimensions_beyond_the_direction_set(dim, m):
+    # The ray directions take one prime per coordinate from a 16-entry
+    # table; a larger dimension is refused by name, not by a crash.
+    P = Polynomial.from_text(f"x{dim}^2", dim=dim)
+    with pytest.raises(DimensionMismatch, match="exceeds 16"):
+        pm_membership(P, m=m)
+
+
+def test_membership_screens_the_largest_covered_dimension():
+    P = Polynomial.from_text(" + ".join(f"x{i}^2" for i in range(1, 17)))
+    verdict = pm_membership(P)
+    assert verdict.status == "Accepted"
+    assert verdict.exponent == pytest.approx(2.0, abs=0.1)
 
 
 # ----------------------------------------------------------------------

@@ -256,8 +256,6 @@ def test_ring_kernel_validates_inputs():
         ring_kernel_mean(4, -1.0, 2.0)
     with pytest.raises(GridMismatch):
         ring_kernel_mean(4, 0.0, 0.0)
-    with pytest.raises(GridMismatch):
-        ring_kernel_mean(4, 1.0, 2.0, quad_order=16)
 
 
 # ----------------------------------------------------------------------
@@ -307,7 +305,7 @@ def test_potential_apply_matches_brute_force_reference(m):
         "algebraic": (1.0 + r**2) ** (-2.0 * m),
     }
     for name, f in densities.items():
-        got = potential_apply(kern, RadialField(grid=grid, values=f), constants(m))
+        got = potential_apply(kern, RadialField(grid=grid, values=f))
         ref = _brute_force_potential(grid, f)
         # Every row, the r = 0 row (Lambda = log rho) included.
         dev = np.max(np.abs(got.values - ref)) / np.max(np.abs(ref))
@@ -325,7 +323,7 @@ def test_potential_reproduces_explicit_solution():
     kern = kernel_matrix(grid)
     u = spherical_solution(2, 1.0, grid.nodes)
     density = RadialField(grid=grid, values=6.0 * np.exp(4.0 * u))
-    pot = potential_apply(kern, density, constants(2))
+    pot = potential_apply(kern, density)
     window = grid.nodes <= 20.0
     assert float(np.std((pot.values - u)[window])) < 1e-3
 
@@ -336,7 +334,7 @@ def test_potential_tail_slope_matches_density_mass(wide_grid, wide_kernel):
     cs = constants(2)
     dens = RadialField(grid=wide_grid, values=np.exp(-wide_grid.nodes**2))
     mu = float(wide_grid.quad_weights @ dens.values)
-    pot = potential_apply(wide_kernel, dens, cs)
+    pot = potential_apply(wide_kernel, dens)
     i1 = wide_grid.nearest_index(30.0)
     i2 = wide_grid.nearest_index(55.0)
     slope = (pot.values[i2] - pot.values[i1]) / (
@@ -350,7 +348,7 @@ def test_polyharmonic_of_potential_recovers_density(wide_grid, wide_kernel):
     # operator to the potential of a smooth compact density returns that
     # density on the interior.
     dens = RadialField(grid=wide_grid, values=np.exp(-wide_grid.nodes**2))
-    pot = potential_apply(wide_kernel, dens, constants(2))
+    pot = potential_apply(wide_kernel, dens)
     back = radial_polyharmonic(pot, k=2)
     window = back.valid & (wide_grid.nodes > 0.3) & (wide_grid.nodes < 2.0)
     assert window.sum() > 30
@@ -359,15 +357,10 @@ def test_polyharmonic_of_potential_recovers_density(wide_grid, wide_kernel):
 
 
 def test_potential_apply_validates_dimensions(wide_grid, wide_kernel):
-    dens = RadialField(grid=wide_grid, values=np.exp(-wide_grid.nodes**2))
-    with pytest.raises(GridMismatch):
-        potential_apply(wide_kernel, dens, constants(3))
     other = make_grid(m=2, r_max=60.0, n_intervals=512)
     with pytest.raises(GridMismatch):
         potential_apply(
-            wide_kernel,
-            RadialField(grid=other, values=np.zeros_like(other.nodes)),
-            constants(2),
+            wide_kernel, RadialField(grid=other, values=np.zeros_like(other.nodes))
         )
 
 

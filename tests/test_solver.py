@@ -343,6 +343,7 @@ def test_config_from_json_is_strict():
         ("volume", "13.1"),
         ("n_intervals", "512"),
         ("m", float("inf")),
+        pytest.param("volume", 10**400, id="volume-beyond-float-range"),
     ],
 )
 def test_config_from_json_rejects_a_number_it_would_have_to_coerce(key, value):
@@ -466,7 +467,7 @@ def test_potential_of_source_decays_in_the_tail():
     u0d = u0_density_field(grid)
     v = RadialField(grid=grid, values=np.zeros_like(grid.nodes))
     S, _ = source_with_normalization(v, cfg, log_K, u0d)
-    tv = potential_apply(kern, S, constants(2))
+    tv = potential_apply(kern, S)
     # Zero discrete mass kills the log tail; what remains decays.
     assert abs(tv.values[-1]) < 0.02 * float(np.max(np.abs(tv.values)))
 
@@ -501,7 +502,7 @@ def test_solve_lands_on_the_fixed_point():
     log_K = build_K(cfg, rec.grid)
     u0d = u0_density_field(rec.grid)
     S, _ = source_with_normalization(rec.v, cfg, log_K, u0d)
-    tv = potential_apply(kern, S, constants(2))
+    tv = potential_apply(kern, S)
     residual = float(np.max(np.abs(tv.values - rec.v.values)))
     assert residual == rec.final_update <= cfg.tol
 
@@ -841,7 +842,7 @@ def test_first_iterate_after_zero_is_the_image_of_zero(monkeypatch):
     S, _ = source_with_normalization(
         zero, cfg, build_K(cfg, grid), u0_density_field(grid)
     )
-    t_zero = potential_apply(kernel_matrix(grid), S, constants(2))
+    t_zero = potential_apply(kernel_matrix(grid), S)
     np.testing.assert_array_equal(iterates[0], zero.values)
     np.testing.assert_array_equal(iterates[1], t_zero.values)
 
@@ -912,8 +913,8 @@ def test_converged_v_is_the_image_of_the_previous_iterate(monkeypatch, config):
     images = []
     apply = qcurv.solver.potential_apply
 
-    def recording(kernel, density, cs):
-        out = apply(kernel, density, cs)
+    def recording(kernel, density):
+        out = apply(kernel, density)
         images.append(out.values)
         return out
 
@@ -978,6 +979,6 @@ def test_fixed_point_map_is_bit_identical_to_its_formulas(m, sign):
         assert cv == expected_cv
         np.testing.assert_array_equal(source.values, expected)
         np.testing.assert_array_equal(
-            potential_apply(kern, source, constants(m)).values,
+            potential_apply(kern, source).values,
             _potential_formula(kern, expected, constants(m).gamma_m),
         )
