@@ -42,7 +42,6 @@ from .errors import (
     GridMismatch,
     PolynomialFormatError,
     QcurvError,
-    TailNotNegligible,
 )
 from .geometry import kelvin_identity_residual, spherical_solution
 from .poly import Polynomial, a3_counterexample, pm_membership
@@ -176,7 +175,9 @@ def _load_config(path: str) -> SolverConfig:
             raw = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, UnicodeDecodeError and an integer literal over
+        # the int-conversion digit limit are all ValueErrors.
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     return SolverConfig.from_json_dict(raw)
 
@@ -215,7 +216,7 @@ def run_solve(config_path: str, out_dir: str) -> int:
     else:
         try:
             report = build_report(record)
-        except (TailNotNegligible, QcurvError) as exc:
+        except QcurvError as exc:
             report_obj = {"diagnostics_error": str(exc)}
             print(f"diagnostics error: {exc}", file=sys.stderr)
             status = EXIT_DIAGNOSTICS
@@ -487,7 +488,7 @@ def _parse_poly_argument(text: str) -> Polynomial:
 def run_poly_check(poly_arg: str, m: int | None) -> int:
     try:
         poly = _parse_poly_argument(poly_arg)
-    except (QcurvError, json.JSONDecodeError, OSError) as exc:
+    except (QcurvError, ValueError, OSError) as exc:
         print(f"cannot parse polynomial: {exc}", file=sys.stderr)
         return EXIT_UNPARSEABLE
     try:
@@ -516,7 +517,7 @@ def run_pohozaev(solution_dir: str, radius: float) -> int:
         with open(meta_path, "r", encoding="utf-8") as handle:
             meta = json.load(handle)
         table = np.loadtxt(csv_path, delimiter=",", skiprows=1)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"cannot read solution directory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:

@@ -10,23 +10,23 @@ error (ROADMAP item 1 replaces it with an independent rule).
 
 The 3-point stencils are the methods of the grid's
 :class:`~qcurv.potential.StencilTable`, built once per grid.  The
-weighted norms integrate every angular factor in closed form at p = 2
-(the report's exponent); only the pure-second-derivative block at
-p != 2 uses a 64-node angular rule.
+weighted norms are L^2 norms, so every angular factor integrates in
+closed form.  The alpha fit reads the pieces the solver combined,
+-alpha u0 + v + c_v, which equal u + P without forming that difference.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GridMismatch, TailNotNegligible
-from .geometry import eval_radial_profile, radial_polyharmonic
-from .poly import Polynomial
-from .potential import RadialField, RadialGrid, constants, gauss_legendre, sphere_area
-from .solver import SolutionRecord, radial_profile_coeffs
+from .geometry import _polyharmonic_valid_nodes, radial_polyharmonic, u0_eval
+from .potential import RadialField, RadialGrid, constants, sphere_area
+from .solver import SolutionRecord
 
 # A solution profile whose values all sit below this level is treated as
 # degenerate (volume at underflow scale): the tail-decay certificate is
@@ -46,20 +46,19 @@ def pde_residual(u: RadialField, m: int, sign: int) -> float:
     the composed stencil's rounding error is amplified like h^{-2m}, so
     a pointwise-relative measure out there would report pure rounding
     noise; the peak scale is the one on which the equation lives.
-    Boundary-flagged nodes are excluded.
+    Only the nodes on which the composed stencil is trusted
+    (:func:`~qcurv.geometry.radial_polyharmonic`) are compared.
     """
     grid = u.grid
     if grid.m != m:
         raise GridMismatch(f"field grid is for m = {grid.m}, requested m = {m}")
     if sign not in (1, -1):
         raise GridMismatch(f"sign must be +1 or -1, got {sign}")
-    lhs = radial_polyharmonic(u, m)
-    rhs = sign * math.factorial(2 * m - 1) * np.exp(2 * m * u.values)
-    mask = lhs.valid_mask() & u.valid_mask()
-    if not np.any(mask):
-        raise GridMismatch("no valid nodes remain for the residual")
-    floor = max(float(np.max(np.abs(rhs[mask]))), 1e-300)
-    rel = np.abs(lhs.values - rhs)[mask] / (np.abs(rhs[mask]) + floor)
+    keep = _polyharmonic_valid_nodes(len(grid.nodes), m)
+    lhs = radial_polyharmonic(u, m).values[keep]
+    rhs = sign * math.factorial(2 * m - 1) * np.exp(2 * m * u.values[keep])
+    floor = max(float(np.max(np.abs(rhs))), 1e-300)
+    rel = np.abs(lhs - rhs) / (np.abs(rhs) + floor)
     return float(np.max(rel))
 
 
@@ -145,34 +144,28 @@ def _fit_window_nodes(
 
 
 def asymptotic_profile(
-    u: RadialField,
-    P: Polynomial | np.ndarray | None,
-    fit_window: tuple[float, float] | None = None,
+    w: RadialField, fit_window: tuple[float, float] | None = None
 ) -> tuple[float, float, float]:
-    """Least-squares fit of u(r) + P(r) against
+    """Least-squares fit of w(r) against
     -alpha log r + C + sum_{j=1}^{m-1} a_j r^{-2j} over a radius window
     (default [R_max/4, R_max/2]).
 
+    For a solution u with profile P, w is u + P; :func:`build_report`
+    passes -alpha u0 + v + c_v, the same field without the cancelling
+    difference, which for a top-degree P loses every digit of alpha.
     The r^{-2j} terms are the far field of the log-potential of a
     zero-mass radial density (and of u0 = log(1 + r^2) / 2); leaving
     them out biases alpha at large |alpha|.  Returns (alpha_fitted,
     C_fitted, deviation) with deviation the sup of the fit residual over
-    the window.  P must be radial (or None for 0); it may also be given as
-    its coefficients in |x|^2 (:func:`radial_profile_coeffs`, cached as
-    ``SolverConfig.radial_coeffs``), which skips re-deriving them.
+    the window.
     """
-    grid = u.grid
+    grid = w.grid
     if fit_window is None:
         fit_window = _default_fit_window(grid)
     select = _fit_window_nodes(grid, fit_window)
     r_lo = float(fit_window[0])
     r = grid.nodes[select]
-    target = u.values[select].copy()
-    coeffs = radial_profile_coeffs(P) if isinstance(P, Polynomial) else P
-    if coeffs is None and P is not None:
-        raise GridMismatch("asymptotic fit requires a radial polynomial")
-    if coeffs is not None:
-        target += eval_radial_profile(coeffs, r)
+    target = w.values[select]
     # Far-field columns are scaled to 1 at the window's start, so the
     # least-squares design stays well conditioned up to r^{-2(m-1)}.
     decay = (r_lo / r) ** 2
@@ -385,45 +378,40 @@ def _angular_moment(n: int, exponents: tuple[float, ...]) -> float:
     return value / math.gamma((n + total) / 2.0)
 
 
-def weighted_norm(f: RadialField, k: int, delta: float, p: float) -> float:
+def weighted_norm(f: RadialField, k: int, delta: float) -> float:
     """Decay-weighted Sobolev norm
-    sum_{|beta| <= k} || (1+|x|^2)^{(delta+|beta|)/2} D^beta f ||_{L^p}
+    sum_{|beta| <= k} || (1+|x|^2)^{(delta+|beta|)/2} D^beta f ||_{L^2}
     for radial f, with k <= 2.
 
     Radial reduction: first derivatives are f'(r) omega_i, second
     derivatives (f'' - f'/r) omega_i omega_j + delta_ij f'/r, so each
     multi-index block is a 1-D integral times an exact angular moment.
     The pure-second-derivative blocks have the angular integrand
-    |A omega_1^2 + B|^p.  At p = 2 it expands to
-    A^2 omega_1^4 + 2AB omega_1^2 + B^2 and integrates in closed form;
-    for p != 2 it does not factor, and the angle is integrated by
-    64-node Gauss-Legendre.
+    (A omega_1^2 + B)^2 = A^2 omega_1^4 + 2AB omega_1^2 + B^2, which
+    integrates termwise in closed form.
     """
     if k not in (0, 1, 2):
         raise GridMismatch(f"k must be 0, 1, or 2, got {k}")
-    return _weighted_norms(f, k, delta, p)[k]
+    return _weighted_norms(f, k, delta)[k]
 
 
-def _weighted_norms(f: RadialField, k: int, delta: float, p: float) -> list[float]:
-    """``weighted_norm(f, j, delta, p)`` for j = 0..k in one pass: the
-    norm of order j is that of order j - 1 plus its own blocks."""
-    if not 1.0 <= p < math.inf:
-        raise GridMismatch(f"p must be in [1, inf), got {p}")
+def _weighted_norms(f: RadialField, k: int, delta: float) -> list[float]:
+    """``weighted_norm(f, j, delta)`` for j = 0..k in one pass: the norm
+    of order j is that of order j - 1 plus its own blocks."""
     grid = f.grid
     n = grid.n
     nodes = grid.nodes
     w_full = grid.quad_weights  # includes the omega_{n-1} r^{n-1} factor
     w_radial = w_full / sphere_area(n)
-    weight0 = (1.0 + nodes**2) ** (delta * p / 2.0)
-    norms = [float(w_full @ (weight0 * np.abs(f.values) ** p)) ** (1.0 / p)]
+    weight0 = (1.0 + nodes**2) ** delta
+    norms = [float(w_full @ (weight0 * f.values**2)) ** 0.5]
     if k == 0:
         return norms
 
     f1 = grid.stencil.d1(f.values)
-    weight1 = (1.0 + nodes**2) ** ((delta + 1.0) * p / 2.0)
-    a_p = _angular_moment(n, (p,))
-    block1 = float(a_p * (w_radial @ (weight1 * np.abs(f1) ** p)))
-    norms.append(norms[-1] + n * block1 ** (1.0 / p))
+    weight1 = (1.0 + nodes**2) ** (delta + 1.0)
+    block1 = float(_angular_moment(n, (2.0,)) * (w_radial @ (weight1 * f1**2)))
+    norms.append(norms[-1] + n * block1**0.5)
     if k == 1:
         return norms
 
@@ -432,30 +420,17 @@ def _weighted_norms(f: RadialField, k: int, delta: float, p: float) -> list[floa
     ratio[1:] = f1[1:] / nodes[1:]
     ratio[0] = f2[0]  # limit of f'/r at the origin
     aniso = f2 - ratio  # coefficient of omega_i omega_j in D^2 f
-    weight2 = (1.0 + nodes**2) ** ((delta + 2.0) * p / 2.0)
+    weight2 = (1.0 + nodes**2) ** (delta + 2.0)
 
-    b_p = _angular_moment(n, (p, p))
-    mixed = float(b_p * (w_radial @ (weight2 * np.abs(aniso) ** p)))
-    norm = norms[-1] + (n * (n - 1) / 2.0) * mixed ** (1.0 / p)
+    mixed = float(_angular_moment(n, (2.0, 2.0)) * (w_radial @ (weight2 * aniso**2)))
+    norm = norms[-1] + (n * (n - 1) / 2.0) * mixed**0.5
 
-    if p == 2.0:
-        # (A w1^2 + B)^2 = A^2 w1^4 + 2AB w1^2 + B^2, termwise exact.
-        angular = _angular_moment(n, (4.0,)) * aniso**2
-        angular += 2.0 * _angular_moment(n, (2.0,)) * aniso * ratio
-        angular += _angular_moment(n, ()) * ratio**2
-    else:
-        x_gl, w_gl = gauss_legendre(64)
-        theta = 0.5 * math.pi * (x_gl + 1.0)
-        cos2 = np.cos(theta) ** 2
-        sin_pow = np.sin(theta) ** (n - 2)
-        ring = sphere_area(n - 1) * 0.5 * math.pi * w_gl * sin_pow
-        grid_angular = aniso[:, None] * cos2[None, :]
-        grid_angular += ratio[:, None]
-        np.abs(grid_angular, out=grid_angular)
-        grid_angular **= p
-        angular = grid_angular @ ring
+    # (A w1^2 + B)^2 = A^2 w1^4 + 2AB w1^2 + B^2, termwise exact.
+    angular = _angular_moment(n, (4.0,)) * aniso**2
+    angular += 2.0 * _angular_moment(n, (2.0,)) * aniso * ratio
+    angular += _angular_moment(n, ()) * ratio**2
     pure = float(w_radial @ (weight2 * angular))
-    norms.append(norm + n * pure ** (1.0 / p))
+    norms.append(norm + n * pure**0.5)
     return norms
 
 
@@ -514,34 +489,17 @@ class DiagnosticsReport:
     exp_integrability: dict[str, dict]
 
     def to_json_dict(self) -> dict:
-        return {
-            "pde_residual_max_rel": self.pde_residual_max_rel,
-            "volume_achieved": self.volume_achieved,
-            "volume_target": self.volume_target,
-            "alpha_fitted": self.alpha_fitted,
-            "C_fitted": self.C_fitted,
-            "asymptotic_deviation": self.asymptotic_deviation,
-            "pohozaev_defect_rel": self.pohozaev_defect_rel,
-            "pohozaev_radius": self.pohozaev_radius,
-            "tail_mass": [[r, mass] for r, mass in self.tail_mass],
-            "weighted_norms": dict(self.weighted_norms),
-            "exp_integrability": dict(self.exp_integrability),
-        }
+        return dataclasses.asdict(self)
 
     def csv_header_and_row(self) -> tuple[str, str]:
+        """The scalar fields, in field order, as a CSV header and row."""
         names = [
-            "pde_residual_max_rel",
-            "volume_achieved",
-            "volume_target",
-            "alpha_fitted",
-            "C_fitted",
-            "asymptotic_deviation",
-            "pohozaev_defect_rel",
-            "pohozaev_radius",
+            f.name
+            for f in dataclasses.fields(self)
+            if isinstance(getattr(self, f.name), (int, float))
         ]
-        values = [getattr(self, name) for name in names]
         header = ",".join(names)
-        row = ",".join(f"{value:.17g}" for value in values)
+        row = ",".join(f"{getattr(self, name):.17g}" for name in names)
         return header, row
 
 
@@ -573,21 +531,25 @@ def build_report(record: SolutionRecord) -> DiagnosticsReport:
     cs = constants(config.m)
     residual = pde_residual(record.u, config.m, config.sign)
     volume, _tail = conformal_volume(record.u, config.m)
-    alpha_fit, c_fit, deviation = asymptotic_profile(record.u, config.radial_coeffs)
+    wbar = record.v.values + record.c_v
+    u0, _ = u0_eval(config.m, grid.nodes)
+    alpha_fit, c_fit, deviation = asymptotic_profile(
+        RadialField(grid=grid, values=wbar - record.alpha * u0)
+    )
     terms = record_pohozaev_terms(record, _report_pohozaev_radius(grid))
 
     # |K| e^{2m wbar}, shared by the tail masses and the source's L^1 mass.
-    curvature = _curvature_density(record.log_K, record.v.values + record.c_v)
+    curvature = _curvature_density(record.log_K, wbar)
     snapped = [
         grid.nearest_index(x)
         for x in (0.0, grid.r_max / 8, grid.r_max / 4, grid.r_max / 2, 0.75 * grid.r_max)
     ]
     tail = [(float(grid.nodes[i]), _tail_mass(grid, curvature, i)) for i in snapped]
 
-    delta, p = -3.0, 2.0
+    delta = -3.0
     norms = {
-        f"k={k},delta={delta:g},p={p:g}": norm
-        for k, norm in enumerate(_weighted_norms(record.v, 2, delta, p))
+        f"k={k},delta={delta:g},p=2": norm
+        for k, norm in enumerate(_weighted_norms(record.v, 2, delta))
     }
 
     curvature *= config.sign

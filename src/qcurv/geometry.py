@@ -95,15 +95,22 @@ def kelvin_pullback(u, R: float, x) -> float:
 # ----------------------------------------------------------------------
 # radial stencils
 # ----------------------------------------------------------------------
+def _polyharmonic_valid_nodes(node_count: int, k: int) -> slice:
+    """The nodes on which k compositions of the radial stencil are
+    trusted: k - 1 ... node_count - 1 - k.
+
+    Each composition loses the outermost node, and for k >= 2 the first
+    k - 1 nodes go as well, because composing the origin rule k times
+    leaves an O(1) truncation remnant there (observed empirically; the
+    interior is clean second order)."""
+    return slice(k - 1, node_count - k)
+
+
 def radial_polyharmonic(f: RadialField, k: int) -> RadialField:
     """Apply (-Delta)^k to a radial field by composing the second-order
     radial stencil k times.
 
-    The returned field carries a validity mask: each composition loses
-    the outermost node, and for k >= 2 the first k-1 nodes are flagged as
-    well, because composing the origin rule k times leaves an O(1)
-    truncation remnant on those nodes (observed empirically; the interior
-    is clean second order).  Invalid entries are stored as 0.
+    Values outside :func:`_polyharmonic_valid_nodes` are stored as 0.
     """
     grid = f.grid
     if k < 1 or k > grid.m:
@@ -112,19 +119,13 @@ def radial_polyharmonic(f: RadialField, k: int) -> RadialField:
         raise GridMismatch(
             f"grid too small for k = {k}: need >= {4 * k + 1} nodes"
         )
-    values = f.values.copy()
-    valid = f.valid_mask().copy()
+    values = f.values
     for _ in range(k):
         values = -grid.stencil.laplacian(values, origin=True)
-        spread = np.empty_like(valid)
-        spread[1:-1] = valid[:-2] & valid[1:-1] & valid[2:]
-        spread[0] = valid[0] & valid[1] & valid[2]
-        spread[-1] = False
-        valid = spread
-    if k >= 2:
-        valid[: k - 1] = False
-    values = np.where(valid, values, 0.0)
-    return RadialField(grid=grid, values=values, valid=valid)
+    keep = _polyharmonic_valid_nodes(len(values), k)
+    out = np.zeros_like(values)
+    out[keep] = values[keep]
+    return RadialField(grid=grid, values=out)
 
 
 # ----------------------------------------------------------------------

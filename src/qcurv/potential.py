@@ -356,15 +356,11 @@ def make_grid(
 
 @dataclass(frozen=True, eq=False)
 class RadialField:
-    """Values of a radial function on a grid's nodes.
-
-    ``valid`` optionally masks nodes whose values are artifacts of
-    finite-difference boundary handling; ``None`` means all nodes valid.
-    """
+    """Values of a radial function on a grid's nodes: a read-only float
+    array of the grid's shape, finite at every node."""
 
     grid: RadialGrid
     values: np.ndarray
-    valid: np.ndarray | None = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -374,12 +370,6 @@ class RadialField:
             raise GridMismatch("field values must be finite")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-        if self.valid is not None:
-            valid = np.asarray(self.valid, dtype=bool)
-            if valid.shape != values.shape:
-                raise GridMismatch("validity mask does not match the grid size")
-            valid.flags.writeable = False
-            object.__setattr__(self, "valid", valid)
 
     @classmethod
     def _unchecked(cls, grid: RadialGrid, values: np.ndarray) -> "RadialField":
@@ -390,13 +380,8 @@ class RadialField:
         read-only."""
         values.flags.writeable = False
         field = object.__new__(cls)
-        field.__dict__.update(grid=grid, values=values, valid=None)
+        field.__dict__.update(grid=grid, values=values)
         return field
-
-    def valid_mask(self) -> np.ndarray:
-        if self.valid is None:
-            return np.ones_like(self.values, dtype=bool)
-        return self.valid
 
 
 def field_to_csv(field: RadialField, path: str) -> None:

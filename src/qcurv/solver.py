@@ -125,20 +125,15 @@ def radial_profile_coeffs(P: Polynomial) -> np.ndarray | None:
     return cand
 
 
-def _radial_admissibility_violation(
-    degree: int, coeffs: np.ndarray, m: int
-) -> str | None:
-    """Decide admissibility of a radial profile P of total degree ``degree``
-    with P = sum_i c_i s^i, s = |x|^2, exactly; return the violated rule,
+def _radial_admissibility_violation(coeffs: np.ndarray) -> str | None:
+    """Decide admissibility of a radial profile P = sum_i c_i s^i,
+    s = |x|^2, within the degree bound, exactly; return the violated rule,
     or None if P is admissible.
 
-    The degree bound deg P <= 2m - 2 is read off P itself, so that terms
-    below the radial fit's tolerance still count.  x . grad P =
-    sum_i 2 i c_i s^i is a polynomial in s, so with k the index of the last
-    nonzero coefficient it tends to +infinity iff k >= 1 and c_k > 0.
+    x . grad P = sum_i 2 i c_i s^i is a polynomial in s, so with k the
+    index of the last nonzero coefficient it tends to +infinity iff
+    k >= 1 and c_k > 0.
     """
-    if degree > 2 * m - 2:
-        return f"degree {degree} exceeds the admissible bound 2m - 2 = {2 * m - 2}"
     nonzero = np.flatnonzero(coeffs)
     k = int(nonzero[-1]) if nonzero.size else 0
     if k == 0:
@@ -214,15 +209,22 @@ class SolverConfig:
             raise ConfigError(
                 f"profile has dim {self.profile.dim}, expected {2 * self.m}"
             )
+        # The degree bound is read off P itself, before the radial
+        # re-expansion, whose cost grows combinatorially with the degree;
+        # terms below the radial fit's tolerance still count.
+        degree = self.profile.degree()
+        if degree > 2 * self.m - 2:
+            raise ConfigError(
+                "profile rejected by the admissibility screen: degree "
+                f"{degree} exceeds the admissible bound 2m - 2 = {2 * self.m - 2}"
+            )
         coeffs = self.radial_coeffs
         if coeffs is None:
             raise ConfigError(
                 "profile must be radial (a polynomial in |x|^2) for the "
                 "one-dimensional solver"
             )
-        rule = _radial_admissibility_violation(
-            self.profile.degree(), coeffs, self.m
-        )
+        rule = _radial_admissibility_violation(coeffs)
         if rule is not None:
             raise ConfigError(f"profile rejected by the admissibility screen: {rule}")
         if not self.tol > 0:

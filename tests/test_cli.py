@@ -536,6 +536,47 @@ def test_solve_refuses_a_json_profile_it_would_have_to_coerce(tmp_path):
     assert not out_dir.exists()
 
 
+# Input files that no JSON reader accepts; each is a ValueError on reading.
+UNREADABLE_JSON = {
+    "integer-beyond-the-digit-limit": ('{"volume": 1' + "0" * 5000 + "}").encode(),
+    "not-utf-8": b'\xff\xfe{"m": 2}',
+}
+
+
+def _run_process(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "qcurv.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE_JSON))
+def test_solve_refuses_an_unreadable_config_in_one_line(tmp_path, name):
+    path = tmp_path / "config.json"
+    path.write_bytes(UNREADABLE_JSON[name])
+    out_dir = tmp_path / "run"
+    result = _run_process("solve", "--config", str(path), "--out", str(out_dir))
+    assert result.returncode == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("config error: config file is not valid JSON: ")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE_JSON))
+def test_poly_check_refuses_an_unreadable_file_in_one_line(tmp_path, name):
+    path = tmp_path / "poly.json"
+    path.write_bytes(UNREADABLE_JSON[name])
+    result = _run_process("poly-check", "--poly", str(path))
+    assert result.returncode == 4
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("cannot parse polynomial: ")
+
+
 # ---------------------------------------------------------------------------
 # pohozaev
 # ---------------------------------------------------------------------------

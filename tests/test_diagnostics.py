@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-import qcurv.diagnostics
 import qcurv.solver
 from qcurv import (
     GridMismatch,
@@ -35,6 +34,7 @@ from qcurv import (
 )
 from qcurv.diagnostics import _angular_moment
 from qcurv.potential import gauss_legendre
+from test_solver import radial_polynomial
 
 
 # ----------------------------------------------------------------------
@@ -120,25 +120,31 @@ def test_conformal_volume_checks_grid_dimension():
 # ----------------------------------------------------------------------
 # asymptotic fit
 # ----------------------------------------------------------------------
+def _fit_field(record):
+    """u + P of a solve, as build_report forms it: -alpha u0 + v + c_v."""
+    u0, _ = u0_eval(record.config.m, record.grid.nodes)
+    return RadialField(
+        grid=record.grid, values=record.v.values + record.c_v - record.alpha * u0
+    )
+
+
 def test_asymptotic_profile_recovers_synthetic_expansion():
     grid = make_grid(2, 40.0, 1024)
-    P = Polynomial.from_text(
-        "1.0 * x1^2 + 1.0 * x2^2 + 1.0 * x3^2 + 1.0 * x4^2"
-    )
     r = grid.nodes.copy()
     r[0] = 1.0  # keep the origin value finite; it is far from the window
-    values = -1.5 * np.log(r) - grid.nodes**2 + 0.7
-    u = RadialField(grid=grid, values=values)
-    alpha, c, dev = asymptotic_profile(u, P)
+    # u = -1.5 log r - P + 0.7 with P = |x|^2: the fit reads u + P.
+    u = -1.5 * np.log(r) - grid.nodes**2 + 0.7
+    w = RadialField(grid=grid, values=u + grid.nodes**2)
+    alpha, c, dev = asymptotic_profile(w)
     assert alpha == pytest.approx(1.5, abs=1e-10)
     assert c == pytest.approx(0.7, abs=1e-10)
     assert dev < 1e-10
     # An explicit window works too.
-    alpha, _, _ = asymptotic_profile(u, P, fit_window=(8.0, 30.0))
+    alpha, _, _ = asymptotic_profile(w, fit_window=(8.0, 30.0))
     assert alpha == pytest.approx(1.5, abs=1e-10)
     # A far-field r^{-2} term (j < m = 2) is fitted, not folded into alpha.
-    far = RadialField(grid=grid, values=values + 40.0 / r**2)
-    alpha, c, dev = asymptotic_profile(far, P)
+    far = RadialField(grid=grid, values=w.values + 40.0 / r**2)
+    alpha, c, dev = asymptotic_profile(far)
     assert alpha == pytest.approx(1.5, abs=1e-10)
     assert c == pytest.approx(0.7, abs=1e-10)
     assert dev < 1e-10
@@ -158,8 +164,25 @@ def test_asymptotic_profile_at_large_negative_volume():
     )
     record = solve_continuation(config)
     assert record.converged
-    alpha, _, _ = asymptotic_profile(record.u, config.profile)
+    alpha, _, _ = asymptotic_profile(_fit_field(record))
     assert abs(alpha - config.alpha) / abs(config.alpha) <= 1e-3
+
+
+@pytest.mark.parametrize("fraction", [0.5, 0.95])
+@pytest.mark.parametrize("m", [5, 6])
+def test_alpha_fit_holds_for_top_degree_profiles(m, fraction):
+    # P = |x|^{2m-2} reaches 1e10-1e13 in the fit window, so a fit of
+    # u + P formed from u would cancel every digit of alpha (1.308 for 1
+    # at m = 6); the report fits the solver's own pieces instead.
+    config = SolverConfig(
+        m=m,
+        sign=1,
+        volume=fraction * constants(m).vol_sphere,
+        profile=radial_polynomial(2 * m, [0.0] * (m - 1) + [1.0]),
+    )
+    record = solve_continuation(config)
+    assert record.converged
+    assert build_report(record).alpha_fitted == pytest.approx(config.alpha, abs=1e-8)
 
 
 def test_asymptotic_profile_with_no_polynomial():
@@ -167,7 +190,7 @@ def test_asymptotic_profile_with_no_polynomial():
     r = grid.nodes.copy()
     r[0] = 1.0
     u = RadialField(grid=grid, values=2.0 * np.log(r) - 1.0)
-    alpha, c, dev = asymptotic_profile(u, None)
+    alpha, c, dev = asymptotic_profile(u)
     assert alpha == pytest.approx(-2.0, abs=1e-10)
     assert c == pytest.approx(-1.0, abs=1e-10)
 
@@ -176,16 +199,13 @@ def test_asymptotic_profile_validates_window():
     grid = make_grid(2, 40.0, 1024)
     u = RadialField(grid=grid, values=np.zeros_like(grid.nodes))
     with pytest.raises(GridMismatch, match="r >= 5"):
-        asymptotic_profile(u, None, fit_window=(2.0, 20.0))
+        asymptotic_profile(u, fit_window=(2.0, 20.0))
     with pytest.raises(GridMismatch, match="exceeds r_max"):
-        asymptotic_profile(u, None, fit_window=(10.0, 50.0))
+        asymptotic_profile(u, fit_window=(10.0, 50.0))
     with pytest.raises(GridMismatch, match="empty"):
-        asymptotic_profile(u, None, fit_window=(20.0, 10.0))
+        asymptotic_profile(u, fit_window=(20.0, 10.0))
     with pytest.raises(GridMismatch, match="need >= 20"):
-        asymptotic_profile(u, None, fit_window=(20.0, 20.2))
-    aniso = Polynomial.from_text("x1^2", dim=4)
-    with pytest.raises(GridMismatch, match="radial"):
-        asymptotic_profile(u, aniso)
+        asymptotic_profile(u, fit_window=(20.0, 20.2))
 
 
 # ----------------------------------------------------------------------
@@ -273,7 +293,7 @@ def norm_grid():
 def test_weighted_norm_order_zero_oracle(norm_grid):
     om = sphere_area(4)
     f = RadialField(grid=norm_grid, values=np.exp(-norm_grid.nodes**2))
-    got = weighted_norm(f, 0, -1.0, 2.0)
+    got = weighted_norm(f, 0, -1.0)
     exact = math.sqrt(
         quad(
             lambda r: (1 + r * r) ** (-1.0) * math.exp(-2 * r * r) * om * r**3,
@@ -287,7 +307,7 @@ def test_weighted_norm_order_zero_oracle(norm_grid):
 def test_weighted_norm_order_one_oracle(norm_grid):
     om = sphere_area(4)
     f = RadialField(grid=norm_grid, values=np.exp(-norm_grid.nodes**2))
-    got = weighted_norm(f, 1, -3.0, 2.0)
+    got = weighted_norm(f, 1, -3.0)
     t0 = math.sqrt(
         quad(
             lambda r: (1 + r * r) ** (-3.0) * math.exp(-2 * r * r) * om * r**3,
@@ -315,7 +335,7 @@ def test_weighted_norm_order_two_oracle(norm_grid):
     # quadrature (an independent integration route).
     om = sphere_area(4)
     f = RadialField(grid=norm_grid, values=norm_grid.nodes**4)
-    got = weighted_norm(f, 2, -7.0, 2.0)
+    got = weighted_norm(f, 2, -7.0)
     w0 = math.sqrt(
         quad(lambda r: (1 + r * r) ** (-7.0) * r**8 * om * r**3, 0, 40)[0]
     )
@@ -353,8 +373,8 @@ def test_weighted_norm_is_absolutely_homogeneous(norm_grid):
     f = RadialField(grid=norm_grid, values=np.exp(-norm_grid.nodes**2))
     g = RadialField(grid=norm_grid, values=2.5 * f.values)
     for k in (0, 1, 2):
-        assert weighted_norm(g, k, -3.0, 2.0) == pytest.approx(
-            2.5 * weighted_norm(f, k, -3.0, 2.0), rel=1e-12
+        assert weighted_norm(g, k, -3.0) == pytest.approx(
+            2.5 * weighted_norm(f, k, -3.0), rel=1e-12
         )
 
 
@@ -363,18 +383,16 @@ def test_weighted_norm_satisfies_triangle_inequality(norm_grid):
     a = RadialField(grid=norm_grid, values=rng.normal(size=norm_grid.nodes.shape))
     b = RadialField(grid=norm_grid, values=rng.normal(size=norm_grid.nodes.shape))
     s = RadialField(grid=norm_grid, values=a.values + b.values)
-    for k, p in ((0, 2.0), (1, 3.0), (2, 2.0)):
-        assert weighted_norm(s, k, -3.0, p) <= (
-            weighted_norm(a, k, -3.0, p) + weighted_norm(b, k, -3.0, p)
+    for k in (0, 1, 2):
+        assert weighted_norm(s, k, -3.0) <= (
+            weighted_norm(a, k, -3.0) + weighted_norm(b, k, -3.0)
         ) * (1 + 1e-12)
 
 
 def test_weighted_norm_validates_inputs(norm_grid):
     f = RadialField(grid=norm_grid, values=np.zeros_like(norm_grid.nodes))
     with pytest.raises(GridMismatch):
-        weighted_norm(f, 3, -3.0, 2.0)
-    with pytest.raises(GridMismatch):
-        weighted_norm(f, 0, -3.0, 0.5)
+        weighted_norm(f, 3, -3.0)
 
 
 # ----------------------------------------------------------------------
@@ -585,16 +603,13 @@ def test_report_matches_its_full_grid_formulas(report_records):
                 "ratio": probe.ratio,
             }
         assert report.exp_integrability == expected_probes
-        # Weighted norms of order 0, 1, 2 from one pass; at p = 2 the pure
-        # block is in closed form, at any other p by the angular rule.
+        # Weighted norms of order 0, 1, 2 from one pass, with the pure
+        # block in closed form.
         for k in (0, 1, 2):
             expected = _weighted_norm_formula(
                 rec.v, k, -3.0, 2.0, pure_block=_pure_block_in_closed_form
             )
             assert report.weighted_norms[f"k={k},delta=-3,p=2"] == expected
-            assert weighted_norm(rec.v, k, 0.5, 1.5) == _weighted_norm_formula(
-                rec.v, k, 0.5, 1.5
-            )
         # Pohozaev boundary terms from the windowed stencils.
         for R in (3.0, 7.5, 20.0, 30.0):
             terms = record_pohozaev_terms(rec, R)
@@ -612,7 +627,7 @@ def test_pure_block_in_closed_form_agrees_with_the_angular_rule(report_records):
         for delta in (-3.0, 0.5):
             closed = _weighted_norm_formula(v, 2, delta, 2.0, _pure_block_in_closed_form)
             by_rule = _weighted_norm_formula(v, 2, delta, 2.0)
-            assert weighted_norm(v, 2, delta, 2.0) == closed
+            assert weighted_norm(v, 2, delta) == closed
             assert closed == pytest.approx(by_rule, rel=1e-13, abs=0.0)
         f1, f2 = grid.stencil.d1(v.values), grid.stencil.d2(v.values)
         ratio = np.append(f2[0], f1[1:] / grid.nodes[1:])
@@ -645,8 +660,8 @@ def _sweep_design_configs():
 
 
 def test_report_fit_reuses_the_cached_profile_coefficients(monkeypatch):
-    # Loading, solving and reporting derive P's coefficients once; the
-    # fit from them equals the fit that re-derives them from P.
+    # Loading and solving derive P's coefficients once, and the report
+    # not at all: its fit reads the record's pieces -alpha u0 + v + c_v.
     calls = []
     read = qcurv.solver.radial_profile_coeffs
 
@@ -654,13 +669,13 @@ def test_report_fit_reuses_the_cached_profile_coefficients(monkeypatch):
         calls.append(P)
         return read(P)
 
-    for module in (qcurv.solver, qcurv.diagnostics):
-        monkeypatch.setattr(module, "radial_profile_coeffs", counted)
+    monkeypatch.setattr(qcurv.solver, "radial_profile_coeffs", counted)
     for data in _sweep_design_configs():
         calls.clear()
         config = SolverConfig.from_json_dict(data)
         record = solve_continuation(config)
+        assert len(calls) == 1
         report = build_report(record)
         assert len(calls) == 1
         fit = (report.alpha_fitted, report.C_fitted, report.asymptotic_deviation)
-        assert fit == asymptotic_profile(record.u, config.profile)
+        assert fit == asymptotic_profile(_fit_field(record))

@@ -190,19 +190,6 @@ def test_radial_field_is_immutable_and_validated():
     bad[3] = np.nan
     with pytest.raises(GridMismatch):
         RadialField(grid=grid, values=bad)
-    with pytest.raises(GridMismatch):
-        RadialField(
-            grid=grid,
-            values=np.zeros_like(grid.nodes),
-            valid=np.ones(5, dtype=bool),
-        )
-
-
-def test_radial_field_default_mask_is_all_valid():
-    grid = make_grid(m=2, r_max=10.0, n_intervals=128)
-    f = RadialField(grid=grid, values=np.zeros_like(grid.nodes))
-    assert f.valid is None
-    assert f.valid_mask().all()
 
 
 def test_field_csv_roundtrip(tmp_path):
@@ -350,7 +337,7 @@ def test_polyharmonic_of_potential_recovers_density(wide_grid, wide_kernel):
     dens = RadialField(grid=wide_grid, values=np.exp(-wide_grid.nodes**2))
     pot = potential_apply(wide_kernel, dens)
     back = radial_polyharmonic(pot, k=2)
-    window = back.valid & (wide_grid.nodes > 0.3) & (wide_grid.nodes < 2.0)
+    window = (wide_grid.nodes > 0.3) & (wide_grid.nodes < 2.0)
     assert window.sum() > 30
     dev = np.abs(back.values[window] - dens.values[window])
     assert dev.max() / dens.values.max() < 5e-3

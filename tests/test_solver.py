@@ -133,6 +133,23 @@ def test_config_rejects_inadmissible_profiles():
     aniso = Polynomial.from_text("x1^2 + x2^2 + x3^2 + 2.0 * x4^2")
     with pytest.raises(ConfigError, match="radial"):
         quick_config(profile=aniso).validate()
+
+
+def test_validate_applies_the_degree_bound_before_the_radial_fit(monkeypatch):
+    # x1^6 + x2^2 + x3^2 + x4^2 is neither radial nor of admissible degree
+    # at m = 2; the degree decides.  A profile of high degree never reaches
+    # the radial re-expansion, whose cost grows combinatorially with it.
+    profile = Polynomial.from_text("x1^6 + x2^2 + x3^2 + x4^2")
+    with pytest.raises(ConfigError, match="degree 6 exceeds the admissible bound"):
+        quick_config(profile=profile).validate()
+
+    def refuse(P):
+        raise AssertionError("the radial fit ran on an over-degree profile")
+
+    monkeypatch.setattr(qcurv.solver, "radial_profile_coeffs", refuse)
+    steep = Polynomial.from_text("x1^400 + x2^2 + x3^2 + x4^2")
+    with pytest.raises(ConfigError, match="degree 400 exceeds"):
+        quick_config(profile=steep).validate()
     # Wrong ambient dimension.
     with pytest.raises(ConfigError, match="dim"):
         quick_config(profile=Polynomial.from_text("x1^2 + x2^2")).validate()

@@ -19,7 +19,7 @@ from qcurv import (
     radial_polyharmonic,
     solve_continuation,
 )
-from qcurv.geometry import _iterated_lap_center
+from qcurv.geometry import _iterated_lap_center, _polyharmonic_valid_nodes
 from qcurv.potential import _STENCIL_FACTORS, stencil_table
 
 GRIDS = [(m, kind) for m in range(2, 7) for kind in ("uniform", "sinh-clustered")]
@@ -69,6 +69,21 @@ def _lap_radial_inline(nodes, values, n):
     return out
 
 
+def _valid_after_spreading(node_count, k):
+    """The nodes a k-fold composition keeps, by spreading an all-valid
+    mask one stencil at a time: each step loses the outermost node, and
+    k >= 2 also drops the first k - 1 nodes."""
+    valid = np.ones(node_count, dtype=bool)
+    for _ in range(k):
+        spread = np.empty_like(valid)
+        spread[1:-1] = valid[:-2] & valid[1:-1] & valid[2:]
+        spread[0] = valid[0] & valid[1] & valid[2]
+        spread[-1] = False
+        valid = spread
+    valid[: k - 1] = False
+    return valid
+
+
 def _grid_and_values(m, kind):
     grid = make_grid(m, 40.0, 256, map_kind=kind)
     values = np.random.default_rng(m).normal(size=grid.nodes.shape)
@@ -95,9 +110,12 @@ def test_stencils_on_the_full_grid_match_their_inline_formulas(m, kind):
     for k in range(1, m + 1):
         expected = -_lap_radial_inline(nodes, expected, n)
         got = radial_polyharmonic(field, k)
-        np.testing.assert_array_equal(
-            got.values, np.where(got.valid_mask(), expected, 0.0)
-        )
+        keep = np.zeros(len(nodes), dtype=bool)
+        keep[_polyharmonic_valid_nodes(len(nodes), k)] = True
+        np.testing.assert_array_equal(keep, _valid_after_spreading(len(nodes), k))
+        # The zeroed ends are exactly the complement of the kept nodes.
+        np.testing.assert_array_equal(got.values == 0.0, ~keep)
+        np.testing.assert_array_equal(got.values[keep], expected[keep])
 
 
 @pytest.mark.parametrize("R", [3.0, 20.0])
