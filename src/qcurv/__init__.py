@@ -32,8 +32,6 @@ from .poly import (
 )
 from .geometry import (
     eval_radial_profile,
-    kelvin_identity_residual,
-    kelvin_pullback,
     radial_polyharmonic,
     spherical_solution,
     u0_eval,
@@ -100,8 +98,6 @@ __all__ = [
     # geometry
     "spherical_solution",
     "u0_eval",
-    "kelvin_pullback",
-    "kelvin_identity_residual",
     "radial_polyharmonic",
     "eval_radial_profile",
     # potential

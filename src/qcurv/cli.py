@@ -43,7 +43,7 @@ from .errors import (
     PolynomialFormatError,
     QcurvError,
 )
-from .geometry import kelvin_identity_residual, spherical_solution
+from .geometry import spherical_solution
 from .poly import Polynomial, a3_counterexample, pm_membership
 from .potential import (
     RadialField,
@@ -182,6 +182,16 @@ def _load_config(path: str) -> SolverConfig:
     return SolverConfig.from_json_dict(raw)
 
 
+def _make_output_dir(out_dir: str) -> bool:
+    """Create ``out_dir``, or print one line naming it and return False."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot create output directory: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 # ----------------------------------------------------------------------
 # solve
 # ----------------------------------------------------------------------
@@ -193,7 +203,8 @@ def run_solve(config_path: str, out_dir: str) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    os.makedirs(out_dir, exist_ok=True)
+    if not _make_output_dir(out_dir):
+        return EXIT_CONFIG
     try:
         record = solve_continuation(config)
     except ConfigError as exc:
@@ -355,18 +366,6 @@ def _suite_kernel() -> list[tuple[str, bool, str]]:
     return checks
 
 
-def _suite_kelvin() -> list[tuple[str, bool, str]]:
-    checks = []
-    points = np.linspace(0.5, 2.0, 25)
-    r0 = kelvin_identity_residual({2: 1.0}, 0, 4, points)
-    checks.append(("kelvin-k0-trivial", r0 <= 1e-12, f"residual {r0:.3e}"))
-    r1 = kelvin_identity_residual(lambda rho: np.exp(-(rho**2)), 1, 4, points)
-    checks.append(("kelvin-k1-gaussian(n=4)", r1 <= 1e-4, f"residual {r1:.3e}"))
-    r2 = kelvin_identity_residual({2: 1.0}, 2, 4, points)
-    checks.append(("kelvin-k2-square(n=4)", r2 <= 1e-6, f"residual {r2:.3e}"))
-    return checks
-
-
 def _radial_square_profile(dim: int) -> Polynomial:
     exps = []
     for i in range(dim):
@@ -436,16 +435,12 @@ def _suite_poly() -> list[tuple[str, bool, str]]:
 _SUITES = {
     "oracles": (_suite_oracles, "verify-oracles"),
     "kernel": (_suite_kernel, "kernel-test"),
-    "kelvin": (_suite_kelvin, "verify-oracles"),
     "poly": (_suite_poly, "poly-check"),
 }
 
 
 def run_verify(suite: str, out_dir: str | None = None) -> int:
-    if suite not in _SUITES:
-        print(
-            f"unknown suite '{suite}'; choose from {sorted(_SUITES)}", file=sys.stderr
-        )
+    if out_dir is not None and not _make_output_dir(out_dir):
         return EXIT_CONFIG
     runner, manifest_command = _SUITES[suite]
     checks = runner()
@@ -454,7 +449,6 @@ def run_verify(suite: str, out_dir: str | None = None) -> int:
     all_passed = all(passed for _, passed, _ in checks)
     print(f"{suite}: {sum(p for _, p, _ in checks)}/{len(checks)} checks passed")
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         payload = {
             "suite": suite,
             "checks": [
@@ -523,11 +517,13 @@ def run_pohozaev(solution_dir: str, radius: float) -> int:
     try:
         config = SolverConfig.from_json_dict(meta["config"])
         result = meta["result"]
+        c_v = float(result["c_v"])
+        alpha = float(result["alpha"])
         grid = build_grid(config)
         # log|K| comes from the validated config, not from the table: older
         # solution directories hold K itself in the fourth column.
         log_k = build_K(config, grid)
-    except (KeyError, ConfigError, PolynomialFormatError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigError, PolynomialFormatError) as exc:
         print(f"invalid solution metadata: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if table.shape != (len(grid.nodes), 5) or not np.allclose(
@@ -535,12 +531,13 @@ def run_pohozaev(solution_dir: str, radius: float) -> int:
     ):
         print("solution.csv does not match the grid in meta.json", file=sys.stderr)
         return EXIT_CONFIG
-
-    c_v = float(result["c_v"])
-    alpha = float(result["alpha"])
-    v = RadialField(grid=grid, values=table[:, 1].copy())
-    u0_density = RadialField(grid=grid, values=table[:, 4].copy())
-    wbar = RadialField(grid=grid, values=table[:, 1] + c_v)
+    try:
+        v = RadialField(grid=grid, values=table[:, 1].copy())
+        u0_density = RadialField(grid=grid, values=table[:, 4].copy())
+        wbar = RadialField(grid=grid, values=table[:, 1] + c_v)
+    except GridMismatch as exc:
+        print(f"cannot read solution directory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         terms = pohozaev_terms(
             wbar, log_k, v, u0_density, config.sign, alpha, radius
@@ -596,8 +593,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Suites: oracles (spherical solution residual/volume, "
         "scaling covariance, u0 mass, normalization shift), kernel (ring "
         "kernel quadrature against the n=2 and n=4 closed forms, closed-form "
-        "symmetry, log-potential oracle), kelvin (inversion identity "
-        "residuals), poly (admissibility fixtures).",
+        "symmetry, log-potential oracle), poly (admissibility fixtures).",
     )
     p_verify.add_argument(
         "--suite", required=True, choices=sorted(_SUITES), help="suite name"

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch, TailNotNegligible
-from .geometry import _polyharmonic_valid_nodes, radial_polyharmonic, u0_eval
+from .geometry import _polyharmonic_valid_nodes, radial_polyharmonic
 from .potential import RadialField, RadialGrid, constants, sphere_area
 from .solver import SolutionRecord
 
@@ -532,9 +532,8 @@ def build_report(record: SolutionRecord) -> DiagnosticsReport:
     residual = pde_residual(record.u, config.m, config.sign)
     volume, _tail = conformal_volume(record.u, config.m)
     wbar = record.v.values + record.c_v
-    u0, _ = u0_eval(config.m, grid.nodes)
     alpha_fit, c_fit, deviation = asymptotic_profile(
-        RadialField(grid=grid, values=wbar - record.alpha * u0)
+        RadialField(grid=grid, values=wbar - record.alpha * record.u0.values)
     )
     terms = record_pohozaev_terms(record, _report_pohozaev_radius(grid))
 

@@ -448,6 +448,7 @@ class SolutionRecord:
     ``tol`` on iteration ``max_iter``: with no evaluation left for its
     image, it is recorded as it is, converged.
     ``log_K`` is log|K| (K = sign e^{log_K});
+    ``u0`` holds the background's node values, shared by the grid's solves;
     ``failure_reason`` is None for converged runs and names the cause
     (max_iter or the divergence guard) otherwise.
     """
@@ -459,6 +460,7 @@ class SolutionRecord:
     u: RadialField
     log_K: RadialField
     u0_density: RadialField
+    u0: RadialField
     alpha: float
     iterations: int
     history: tuple[tuple[float, float], ...]
@@ -646,6 +648,7 @@ def solve_continuation(config: SolverConfig) -> SolutionRecord:
         u=RadialField(grid=grid, values=u_vals),
         log_K=log_K,
         u0_density=u0_density,
+        u0=RadialField(grid=grid, values=u0_vals),
         alpha=config.alpha,
         iterations=len(history),
         history=tuple(history),

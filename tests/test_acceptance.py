@@ -3,8 +3,9 @@
 Nine checks, each printing one summary line (visible with ``pytest -s``):
 closed-form spherical oracles across dimensions and scales, kernel and
 potential exactness, the two benchmark solves with their hard diagnostic
-gates, the inversion identity, the Pohozaev limit, the admissible-profile
-fixtures, and the invariance/determinism properties every run relies on.
+gates, the solver's second-order convergence on those two configs, the
+Pohozaev limit, the admissible-profile fixtures, and the
+invariance/determinism properties every run relies on.
 Tolerances are fixed; a failure here means the library regressed.
 """
 
@@ -23,7 +24,6 @@ from qcurv import (
     build_report,
     conformal_volume,
     constants,
-    kelvin_identity_residual,
     kernel_matrix,
     make_grid,
     normalization_cv,
@@ -155,15 +155,35 @@ def test_negative_curvature_supercritical_benchmark_passes_all_gates(
     )
 
 
-def test_inversion_identity_holds_for_low_order_laplacians():
-    """The inversion pullback commutes with the Laplacian iterates on the
-    stated radial probes (k = 1 gaussian, k = 2 square), n = 4."""
-    points = np.linspace(0.5, 2.0, 25)
-    r1 = kelvin_identity_residual(lambda rho: np.exp(-(rho**2)), 1, 4, points)
-    r2 = kelvin_identity_residual({2: 1.0}, 2, 4, points)
-    assert r1 <= 1e-3
-    assert r2 <= 1e-3
-    print(f"PASS inversion identity: k=1 residual {r1:.3e}, k=2 residual {r2:.3e}")
+def test_solver_converges_at_second_order(square_profile_4d):
+    """u(0) and the fitted C converge at second order on both benchmark
+    configs: over N = 512, 1024, 2048 and 4096 the observed order
+    log2(d_i / d_{i+1}) of successive differences d_i is 2 +- 0.1."""
+    start = time.perf_counter()
+    orders = []
+    for sign, volume_ratio in ((1, 0.5), (-1, 2.0)):
+        samples = []
+        for n_intervals in (512, 1024, 2048, 4096):
+            config = SolverConfig(
+                m=2,
+                sign=sign,
+                volume=volume_ratio * constants(2).vol_sphere,
+                profile=square_profile_4d,
+                n_intervals=n_intervals,
+            )
+            record = solve_continuation(config)
+            assert record.converged
+            samples.append((record.u.values[0], build_report(record).C_fitted))
+        d = np.diff(np.array(samples), axis=0)
+        order = np.log2(d[:-1] / d[1:])
+        assert np.all(np.abs(order - 2.0) <= 0.1), f"sign {sign}: orders {order}"
+        orders.extend(order.ravel())
+    elapsed = time.perf_counter() - start
+    print(
+        f"PASS second-order convergence: observed orders "
+        f"{min(orders):.4f}..{max(orders):.4f} (gate 2 +- 0.1) for u(0) and C, "
+        f"{elapsed:.2f}s"
+    )
 
 
 def test_pohozaev_volume_terms_balance_at_large_radius(benchmark_positive):

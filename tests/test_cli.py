@@ -390,12 +390,14 @@ def test_solve_reruns_are_byte_identical(tmp_path, solved_gate_fail):
 # verify
 # ---------------------------------------------------------------------------
 def test_verify_unknown_suite_is_rejected():
-    code, _, err = run_cli(["verify", "--suite", "frogs"])
-    assert code == 2  # argparse choices reject it before the runner
-    assert "frogs" in err
+    # kelvin was a suite once; it is refused like any other name.
+    for suite in ("frogs", "kelvin"):
+        code, _, err = run_cli(["verify", "--suite", suite])
+        assert code == 2  # argparse choices reject it before the runner
+        assert suite in err
 
 
-@pytest.mark.parametrize("suite", ["oracles", "kernel", "kelvin", "poly"])
+@pytest.mark.parametrize("suite", ["oracles", "kernel", "poly"])
 def test_verify_suites_all_pass(suite):
     code, out, _ = run_cli(["verify", "--suite", suite])
     assert code == 0
@@ -408,7 +410,7 @@ def test_verify_suites_all_pass(suite):
 
 @pytest.mark.parametrize(
     "suite, manifest_command",
-    [("kelvin", "verify-oracles"), ("kernel", "kernel-test"), ("poly", "poly-check")],
+    [("oracles", "verify-oracles"), ("kernel", "kernel-test"), ("poly", "poly-check")],
 )
 def test_verify_writes_table_and_manifest(tmp_path, suite, manifest_command):
     out_dir = tmp_path / suite
@@ -577,6 +579,23 @@ def test_poly_check_refuses_an_unreadable_file_in_one_line(tmp_path, name):
     assert lines[0].startswith("cannot parse polynomial: ")
 
 
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_an_out_path_held_by_a_file_is_refused_in_one_line(tmp_path, command):
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    argv = {
+        "solve": ["solve", "--config", write_config(tmp_path)],
+        "verify": ["verify", "--suite", "oracles"],
+    }[command]
+    code, out, err = run_cli(argv + ["--out", str(taken)])
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("cannot create output directory: ")
+    assert str(taken) in lines[0]
+
+
 # ---------------------------------------------------------------------------
 # pohozaev
 # ---------------------------------------------------------------------------
@@ -679,6 +698,48 @@ def test_pohozaev_rejects_a_config_that_builds_no_grid(solved_ok, tmp_path):
     assert "cannot build the grid" in err
 
 
+def _nan_in_the_v_column(meta, csv_text):
+    header, first, *rest = csv_text.splitlines()
+    cells = first.split(",")
+    cells[1] = "nan"
+    return meta, "\n".join([header, ",".join(cells), *rest]) + "\n"
+
+
+def _with_result(**changes):
+    def corrupt(meta, csv_text):
+        meta["result"].update(changes)
+        return meta, csv_text
+
+    return corrupt
+
+
+SOLUTION_CORRUPTIONS = {
+    "nan-in-solution-csv": _nan_in_the_v_column,
+    "nan-c_v": _with_result(c_v=float("nan")),
+    "text-c_v": _with_result(c_v="abc"),
+    "null-result": lambda meta, csv_text: ({**meta, "result": None}, csv_text),
+    "meta-is-a-list": lambda meta, csv_text: ([meta], csv_text),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLUTION_CORRUPTIONS))
+def test_pohozaev_refuses_a_malformed_solution_in_one_line(solved_ok, tmp_path, name):
+    meta, csv_text = SOLUTION_CORRUPTIONS[name](
+        json.loads((solved_ok.path / "meta.json").read_text(encoding="utf-8")),
+        (solved_ok.path / "solution.csv").read_text(encoding="utf-8"),
+    )
+    (tmp_path / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+    (tmp_path / "solution.csv").write_text(csv_text, encoding="utf-8")
+    result = _run_process("pohozaev", "--solution", str(tmp_path), "--radius", "10")
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(
+        ("invalid solution metadata: ", "cannot read solution directory: ")
+    )
+
+
 def test_pohozaev_rejects_radius_outside_stencil_range(solved_ok):
     code, _, err = run_cli(
         ["pohozaev", "--solution", str(solved_ok.path), "--radius", "39.9"]
@@ -743,10 +804,10 @@ def test_config_field_doc_matches_the_dataclass():
 
 def test_module_is_runnable_as_subprocess():
     result = subprocess.run(
-        [sys.executable, "-m", "qcurv.cli", "verify", "--suite", "kelvin"],
+        [sys.executable, "-m", "qcurv.cli", "verify", "--suite", "oracles"],
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert result.returncode == 0
-    assert "kelvin: 3/3 checks passed" in result.stdout
+    assert "oracles: 5/5 checks passed" in result.stdout

@@ -1,5 +1,5 @@
 """Tests for dimension constants, model solutions, the background profile,
-radial stencils, and the inversion-covariance residual."""
+and radial stencils."""
 
 import math
 
@@ -11,8 +11,6 @@ from qcurv import (
     GridMismatch,
     RadialField,
     constants,
-    kelvin_identity_residual,
-    kelvin_pullback,
     make_grid,
     radial_polyharmonic,
     spherical_solution,
@@ -141,29 +139,6 @@ def test_u0_eval_validates_inputs():
 
 
 # ----------------------------------------------------------------------
-# Kelvin inversion
-# ----------------------------------------------------------------------
-def test_kelvin_pullback_fixtures():
-    # Constants are inversion-invariant.
-    assert kelvin_pullback(lambda y: 5.0, 1.0, [2.0, 0.0]) == 5.0
-    # Points on the sphere of radius sqrt(R) are fixed.
-    u = lambda y: float(np.linalg.norm(y))
-    assert kelvin_pullback(u, 4.0, [2.0, 0.0]) == pytest.approx(2.0)
-    # log|x| picks up a sign flip plus log R.
-    w = lambda y: float(np.log(np.linalg.norm(y)))
-    for r in (0.5, 3.0):
-        got = kelvin_pullback(w, 2.0, [r, 0.0, 0.0, 0.0])
-        assert got == pytest.approx(math.log(2.0) - math.log(r), rel=1e-14)
-
-
-def test_kelvin_pullback_validates_inputs():
-    with pytest.raises(DimensionMismatch):
-        kelvin_pullback(lambda y: 0.0, 1.0, [0.0, 0.0])
-    with pytest.raises(DimensionMismatch):
-        kelvin_pullback(lambda y: 0.0, 0.0, [1.0, 0.0])
-
-
-# ----------------------------------------------------------------------
 # radial polyharmonic stencils
 # ----------------------------------------------------------------------
 def test_polyharmonic_of_quadratic_is_exact():
@@ -215,43 +190,3 @@ def test_polyharmonic_validates_order():
         radial_polyharmonic(f, k=0)
     with pytest.raises(GridMismatch):
         radial_polyharmonic(f, k=3)
-
-
-# ----------------------------------------------------------------------
-# inversion covariance of the polyharmonic operator
-# ----------------------------------------------------------------------
-def test_kelvin_identity_order_zero_is_exact():
-    res = kelvin_identity_residual(
-        lambda r: math.exp(-(r**2)), k=0, n=4, sample_points=[0.5, 1.0, 2.0]
-    )
-    assert res == 0.0
-
-
-def test_kelvin_identity_power_law_dict_route():
-    # Termwise-exact differentiation on both sides: rounding-level only.
-    res = kelvin_identity_residual(
-        {2: 1.0}, k=2, n=4, sample_points=[0.5, 0.8, 1.25, 2.0]
-    )
-    assert res < 1e-12
-    res = kelvin_identity_residual(
-        {0: 1.0, 2: -0.3, 4: 0.01}, k=1, n=6, sample_points=[0.5, 1.5, 3.0]
-    )
-    assert res < 1e-10
-
-
-def test_kelvin_identity_gaussian_callable_route():
-    res = kelvin_identity_residual(
-        lambda r: math.exp(-(r**2)), k=1, n=4, sample_points=[0.6, 1.0, 1.8]
-    )
-    assert res < 1e-4
-
-
-def test_kelvin_identity_validates_inputs():
-    with pytest.raises(DimensionMismatch):
-        kelvin_identity_residual({2: 1.0}, k=1, n=3, sample_points=[1.0])
-    with pytest.raises(DimensionMismatch):
-        kelvin_identity_residual({2: 1.0}, k=3, n=4, sample_points=[1.0])
-    with pytest.raises(DimensionMismatch):
-        kelvin_identity_residual(lambda r: r, k=1, n=4, sample_points=[5e-4])
-    with pytest.raises(DimensionMismatch):
-        kelvin_identity_residual(lambda r: r, k=1, n=4, sample_points=[5000.0])

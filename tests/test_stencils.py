@@ -1,6 +1,6 @@
 """The per-grid 3-point stencil table: every formula that reads it against
 the same formula written inline on the nodes, on the full grid, on the
-Pohozaev window and on a Kelvin line; the table's sharing across reports;
+Pohozaev window and on a uniform line; the table's sharing across reports;
 and reports that do not depend on whether the table existed already."""
 
 import json
@@ -19,7 +19,7 @@ from qcurv import (
     radial_polyharmonic,
     solve_continuation,
 )
-from qcurv.geometry import _iterated_lap_center, _polyharmonic_valid_nodes
+from qcurv.geometry import _polyharmonic_valid_nodes
 from qcurv.potential import _STENCIL_FACTORS, stencil_table
 
 GRIDS = [(m, kind) for m in range(2, 7) for kind in ("uniform", "sinh-clustered")]
@@ -135,23 +135,20 @@ def test_stencils_on_the_pohozaev_window_match_their_inline_formulas(m, kind, R)
 
 
 @pytest.mark.parametrize("m", range(2, 7))
-def test_stencils_on_a_kelvin_line_match_their_inline_formulas(m):
+def test_stencils_on_a_uniform_line_match_their_inline_formulas(m):
     n, step, rho0 = 2 * m, 1e-3, 0.7
-
-    def func(x):
-        return np.exp(-x * x) + x**3
-
     for k in range(1, m + 1):
         nodes = rho0 + step * np.arange(-k, k + 1, dtype=float)
-        values = np.array([func(x) for x in nodes])
+        values = np.exp(-nodes * nodes) + nodes**3
+        table = stencil_table(nodes, n)
         np.testing.assert_array_equal(
-            stencil_table(nodes, n).laplacian(values),
-            _lap_interior_inline(nodes, values, n),
+            table.laplacian(values), _lap_interior_inline(nodes, values, n)
         )
-        expected = values
+        composed, expected = values, values
         for _ in range(k):
+            composed = table.laplacian(composed)
             expected = _lap_interior_inline(nodes, expected, n)
-        assert _iterated_lap_center(rho0, func, k, n, step) == float(expected[k])
+        assert composed[k] == expected[k]
 
 
 # ----------------------------------------------------------------------
