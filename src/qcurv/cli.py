@@ -518,7 +518,14 @@ def run_pohozaev(solution_dir: str, radius: float) -> int:
         config = SolverConfig.from_json_dict(meta["config"])
         result = meta["result"]
         c_v = float(result["c_v"])
-        alpha = float(result["alpha"])
+        # alpha = sign 2V / vol(S^{2m}) is fixed by the config; the stored
+        # copy is only checked against it.
+        alpha = config.alpha
+        if float(result["alpha"]) != alpha:
+            raise ValueError(
+                f"result.alpha = {result['alpha']!r} is not the config's "
+                f"alpha = {alpha!r}"
+            )
         grid = build_grid(config)
         # log|K| comes from the validated config, not from the table: older
         # solution directories hold K itself in the fourth column.

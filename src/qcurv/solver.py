@@ -20,19 +20,24 @@ condition that S(v) has zero discrete mass, so its potential decays.
 The curvature factor is held as log|K| and c_v is taken by log-sum-exp:
 for sign -1, |K| grows like (1 + r^2)^{m |alpha|} and leaves double
 precision at large V, while every normalized term of S(v) stays bounded
-by (2m-1)! V over its quadrature weight.
+by (2m-1)! V over its quadrature weight.  The log-sum-exp's shifted
+exponentials are the curvature term up to a scalar, so S(v) costs one
+exponential.
 
 The fixed point is reached by undamped Anderson acceleration of depth 3
 on v -> T v (Walker & Ni, SIAM J. Numer. Anal. 49, 2011; local
 convergence for contractive maps: Toth & Kelley, SIAM J. Numer. Anal. 53,
 2015), stopped on the residual ||T v - v||_inf.  The mixing coefficients
 solve the 3 x 3 normal equations of a Gram matrix updated one row per
-iteration, and a (nearly) singular Gram matrix restarts the history;
-once a mixed iterate meets the tolerance, the solve takes the plain step
-v <- T v and keeps that iterate if its own residual does, so a converged
-record is one evaluation of T.  Divergence is judged relative to the
-first residual, which grows like V.  Convergence is empirical;
-non-convergence is a first-class reported outcome, never silent.
+iteration, in Python floats: its extreme eigenvalues in closed form
+(trigonometric for the largest, the pivots' determinant for the
+smallest) and a Cholesky factorization.  A (nearly) singular Gram
+matrix restarts the history; once a mixed iterate meets the tolerance,
+the solve takes the plain step v <- T v and keeps that iterate if its
+own residual does, so a converged record is one evaluation of T.
+Divergence is judged relative to the first residual, which grows like V.
+Convergence is empirical; non-convergence is a first-class reported
+outcome, never silent.
 """
 
 from __future__ import annotations
@@ -62,6 +67,10 @@ from .potential import (
 
 _DIVERGENCE_GUARD = 1e3
 _ANDERSON_DEPTH = 3
+# _gram_solve solves the normal equations of at most 3 differences: its
+# eigenvalues are in closed form for a 3 x 3 matrix.
+if not 1 <= _ANDERSON_DEPTH <= 3:
+    raise ValueError(f"_ANDERSON_DEPTH must be 1, 2 or 3, got {_ANDERSON_DEPTH}")
 # Smallest reciprocal condition of the scaled Gram matrix kept for gamma.
 _GRAM_RCOND = 1e-12
 _SCHEMA_VERSION = 2
@@ -172,9 +181,18 @@ class SolverConfig:
     tol: float = 1e-8
     max_iter: int = 600
 
-    @property
+    @functools.cached_property
     def alpha(self) -> float:
         return self.sign * 2.0 * self.volume / constants(self.m).vol_sphere
+
+    @functools.cached_property
+    def _curvature_mass(self) -> float:
+        """(2m-1)! V, the curvature integral sum w |K| e^{2m(v + c_v)}."""
+        return constants(self.m).factorial_2m_minus_1 * self.volume
+
+    @functools.cached_property
+    def _log_curvature_mass(self) -> float:
+        return math.log(self._curvature_mass)
 
     @functools.cached_property
     def radial_coeffs(self) -> np.ndarray | None:
@@ -377,6 +395,27 @@ def build_K(config: SolverConfig, grid: RadialGrid) -> RadialField:
     return _curvature_factor(config, grid, p_vals, u0_vals)
 
 
+def _shifted_exponentials(
+    log_K: RadialField, v: RadialField, two_m: float
+) -> tuple[np.ndarray, float, float]:
+    """e_i = exp(log|K_i| + 2m v_i - top), with top the largest exponent,
+    together with top and the weighted sum sum w_i e_i, which lies in
+    [min w, sum w]; e is a fresh array."""
+    log_K.grid.ensure_same(v.grid)
+    e = two_m * v.values
+    e += log_K.values
+    top = float(e.max())
+    e -= top
+    np.exp(e, out=e)
+    return e, top, float(log_K.grid.quad_weights @ e)
+
+
+def _cv(log_mass: float, top: float, total: float, two_m: float) -> float:
+    """c_v from log((2m-1)! V) and the log-sum-exp pieces top and
+    sum w e."""
+    return (log_mass - (top + math.log(total))) / two_m
+
+
 def normalization_cv(
     log_K: RadialField, v: RadialField, config: SolverConfig
 ) -> float:
@@ -387,18 +426,12 @@ def normalization_cv(
     quadrature, exact arithmetic) — the zero-mass condition for S(v).
     The log-sum-exp shifts by the largest log|K_i| + 2m v_i, so the
     weighted sum it takes the log of lies in [min w, sum w] and c_v is
-    finite for every finite log|K| and v.
+    finite for every finite log|K| and v.  :func:`source_with_normalization`
+    takes its c_v from the same arithmetic, bit for bit.
     """
-    log_K.grid.ensure_same(v.grid)
-    cs = constants(config.m)
     two_m = 2.0 * config.m
-    exponent = two_m * v.values
-    exponent += log_K.values
-    top = float(exponent.max())
-    exponent -= top
-    np.exp(exponent, out=exponent)
-    log_integral = top + math.log(float(log_K.grid.quad_weights @ exponent))
-    return (math.log(cs.factorial_2m_minus_1 * config.volume) - log_integral) / two_m
+    _, top, total = _shifted_exponentials(log_K, v, two_m)
+    return _cv(config._log_curvature_mass, top, total, two_m)
 
 
 def source_with_normalization(
@@ -411,23 +444,28 @@ def source_with_normalization(
     (rescaled density), together with the c_v that produced it (they
     must be paired for the mass identity to hold exactly).
 
-    Zero discrete mass by construction: the K term integrates to
-    +alpha*gamma_m through the c_v normalization, the density term to
-    -alpha*gamma_m through its rescaling, so the potential T v of S(v)
-    decays at the tail.  For finite v every term is bounded, by
-    (2m-1)! V over its quadrature weight, so S(v) is not re-checked for
+    The curvature term is formed from the log-sum-exp's own shifted
+    exponentials e_i = exp(log|K_i| + 2m v_i - top): since
+    e^{2m c_v} = (2m-1)! V / (e^top sum w e),
+
+        S(v) = sign e ((2m-1)! V / sum w e) + alpha (-Delta)^m u0,
+
+    one exponential per evaluation.  Zero discrete mass by construction:
+    the K term integrates to +alpha*gamma_m through the normalization, the
+    density term to -alpha*gamma_m through its rescaling, so the potential
+    T v of S(v) decays at the tail.  For finite v every term is bounded,
+    by (2m-1)! V over its quadrature weight, so S(v) is not re-checked for
     finiteness; a non-finite v gives a non-finite S(v).
     """
-    log_K.grid.ensure_same(v.grid)
     log_K.grid.ensure_same(u0_density.grid)
-    cv = normalization_cv(log_K, v, config)
-    values = v.values + cv
-    values *= 2.0 * config.m
-    values += log_K.values
-    np.exp(values, out=values)
-    values *= config.sign
+    two_m = 2.0 * config.m
+    values, top, total = _shifted_exponentials(log_K, v, two_m)
+    values *= config.sign * config._curvature_mass / total
     values += config.alpha * u0_density.values
-    return RadialField._unchecked(v.grid, values), cv
+    return (
+        RadialField._unchecked(v.grid, values),
+        _cv(config._log_curvature_mass, top, total, two_m),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -469,22 +507,103 @@ class SolutionRecord:
     failure_reason: str | None = None
 
 
+def _gram_solve(
+    gram: list[list[float]], rhs: list[float]
+) -> tuple[float, float, float] | None:
+    """gamma with G gamma = rhs for a 3 x 3 Gram matrix G = ``gram``, in
+    Python floats; None when the Jacobi-scaled matrix
+    A = D^{-1/2} G D^{-1/2} (D = diag G, so diag A is 1 up to rounding) is
+    singular or nearly so.
+
+    A is factored as L diag(d) L^T, Cholesky without square roots; a pivot
+    d_i that is not positive means A is not numerically positive definite.
+    Otherwise G is kept when lambda_min(A) >= ``_GRAM_RCOND`` lambda_max(A),
+    with both eigenvalues in closed form.  lambda_max comes from the
+    trigonometric formula for a symmetric 3 x 3 matrix (Smith, Comm. ACM 4,
+    1961).  The two smaller eigenvalues are the roots of x^2 - s x + P with
+    s = tr A - lambda_max and P = det A / lambda_max, det A being the
+    product of the pivots, and lambda_min is the smaller root
+    2P / (s + sqrt(s^2 - 4P)).  Taking lambda_min from det A rather than
+    from the trigonometric formula keeps its error near eps ||A||, as in a
+    LAPACK eigensolver, also where the two smaller eigenvalues nearly
+    coincide and arccos would lose half their digits.
+
+    A history of k < 3 differences is passed padded with the identity and
+    with zeros in ``rhs``: tr A = k puts lambda_min <= 1 <= lambda_max, so
+    the padding's unit eigenvalues move neither extreme, and gamma's
+    padded entries come out 0.
+    """
+    (g00, g01, g02), (_, g11, g12), (_, _, g22) = gram
+    if not (g00 > 0 and g11 > 0 and g22 > 0):
+        return None
+    s0, s1, s2 = 1.0 / math.sqrt(g00), 1.0 / math.sqrt(g11), 1.0 / math.sqrt(g22)
+    a00, a11, a22 = g00 * (s0 * s0), g11 * (s1 * s1), g22 * (s2 * s2)
+    a01, a02, a12 = g01 * (s0 * s1), g02 * (s0 * s2), g12 * (s1 * s2)
+    l10 = a01 / a00
+    l20 = a02 / a00
+    d1 = a11 - l10 * a01
+    if not d1 > 0:
+        return None
+    c21 = a12 - l20 * a01
+    l21 = c21 / d1
+    d2 = a22 - l20 * a02 - l21 * c21
+    if not d2 > 0:
+        return None
+    trace = a00 + a11 + a22
+    q = trace / 3.0
+    b00, b11, b22 = a00 - q, a11 - q, a22 - q
+    p = math.sqrt(
+        (b00 * b00 + b11 * b11 + b22 * b22 + 2.0 * (a01 * a01 + a02 * a02 + a12 * a12))
+        / 6.0
+    )
+    lam_max = q
+    if p > 0:
+        det_b = (
+            b00 * (b11 * b22 - a12 * a12)
+            - a01 * (a01 * b22 - a12 * a02)
+            + a02 * (a01 * a12 - b11 * a02)
+        )
+        # det(A - qI) / (2 p^3), divided step by step so p^3 cannot underflow.
+        r = min(1.0, max(-1.0, det_b / (2.0 * p) / p / p))
+        lam_max += 2.0 * p * math.cos(math.acos(r) / 3.0)
+    s = trace - lam_max
+    prod = a00 * d1 * d2 / lam_max
+    denom = s + math.sqrt(max(s * s - 4.0 * prod, 0.0))
+    if not (denom > 0 and 2.0 * prod / denom >= _GRAM_RCOND * lam_max):
+        return None
+    y0, y1, y2 = rhs[0] * s0, rhs[1] * s1, rhs[2] * s2
+    z1 = y1 - l10 * y0
+    x2 = (y2 - l20 * y0 - l21 * z1) / d2
+    x1 = z1 / d1 - l21 * x2
+    x0 = y0 / a00 - l10 * x1 - l20 * x2
+    return x0 * s0, x1 * s1, x2 * s2
+
+
+# The Gram matrix of an empty history, padded to order 3 (see _gram_solve).
+_EMPTY_GRAM = np.eye(3)
+_EMPTY_GRAM.flags.writeable = False
+
+
 class _AndersonHistory:
     """The last ``_ANDERSON_DEPTH`` differences of f = T v - v and of
     g = T v between consecutive iterates, kept in place.
 
-    ``d_f`` and ``d_g`` are ring buffers of rows; ``gram`` holds the dot
-    products of the ``d_f`` rows, one row and column refreshed per push,
-    so the least-squares problem min ||f - d_f^T gamma||_2 is solved
-    through its ``count`` x ``count`` normal equations instead of an
-    (N+1) x ``count`` factorization.  Row order does not matter: gamma
-    weights each stored difference by its slot.
+    ``d_f`` and ``d_g`` are ring buffers of rows; ``gram[:count, :count]``
+    holds the dot products of the ``d_f`` rows, one row and column
+    refreshed per push, and the rest of the 3 x 3 ``gram`` is the
+    identity.  So the least-squares problem min ||f - d_f^T gamma||_2 is
+    solved through its ``count`` x ``count`` normal equations instead of
+    an (N+1) x ``count`` factorization, and those are scaled, tested and
+    solved in Python floats by :func:`_gram_solve`: closed-form extreme
+    eigenvalues and a Cholesky factorization, with no LAPACK call.  Row
+    order does not matter: gamma weights each stored difference by its
+    slot.
     """
 
     def __init__(self, size: int) -> None:
         self.d_f = np.empty((_ANDERSON_DEPTH, size))
         self.d_g = np.empty((_ANDERSON_DEPTH, size))
-        self.gram = np.empty((_ANDERSON_DEPTH, _ANDERSON_DEPTH))
+        self.gram = _EMPTY_GRAM.copy()
         self.count = 0
         self._next = 0
         self._f_prev = self._g_prev = None
@@ -509,37 +628,26 @@ class _AndersonHistory:
         the last (f, g)."""
         self.count = 0
         self._next = 0
+        self.gram[...] = _EMPTY_GRAM
 
     def coefficients(self, f: np.ndarray) -> np.ndarray | None:
         """gamma = argmin ||f - d_f^T gamma||_2 from the normal equations
         scaled by the Gram diagonal (Jacobi, so their diagonal is 1 up to
         rounding), or None after restarting the history when they are
         singular or nearly so: a zero or repeated difference, or a
-        history whose scaled Gram matrix has reciprocal condition below
-        ``_GRAM_RCOND``.  The normal equations square the condition of
-        d_f, so such a history would give gamma dominated by rounding."""
+        history whose scaled Gram matrix has reciprocal condition
+        lambda_min / lambda_max below ``_GRAM_RCOND``.  The normal
+        equations square the condition of d_f, so such a history would
+        give gamma dominated by rounding."""
         k = self.count
         if k == 0:
             return None
-        gram = self.gram[:k, :k]
-        diag = gram.diagonal()
-        if not diag.min() > 0:
-            self.restart()
-            return None
-        scale = 1.0 / np.sqrt(diag)
-        scaled = gram * np.outer(scale, scale)
-        try:
-            eig = np.linalg.eigvalsh(scaled)
-            gamma = None
-            if eig[0] >= _GRAM_RCOND * eig[-1]:
-                gamma = np.linalg.solve(scaled, (self.d_f[:k] @ f) * scale)
-        except np.linalg.LinAlgError:
-            gamma = None
+        rhs = (self.d_f[:k] @ f).tolist() + [0.0] * (3 - k)
+        gamma = _gram_solve(self.gram.tolist(), rhs)
         if gamma is None:
             self.restart()
             return None
-        gamma *= scale
-        return gamma
+        return np.array(gamma[:k])
 
     def mix(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
         """The next iterate g - d_g^T gamma; the image g itself, not a
@@ -561,7 +669,8 @@ def solve_continuation(config: SolverConfig) -> SolutionRecord:
         gamma = argmin ||f - dF gamma||_2,
 
     where gamma solves the Jacobi-scaled 3 x 3 normal equations on a
-    running Gram matrix of the f-differences (:class:`_AndersonHistory`).
+    running Gram matrix of the f-differences (:class:`_AndersonHistory`,
+    in closed form by :func:`_gram_solve`).
     With no usable history, on the first step and whenever a singular or
     nearly singular system (a repeated or nearly collinear difference,
     reciprocal condition below ``_GRAM_RCOND`` = 1e-12) restarts it, the

@@ -12,6 +12,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import types
@@ -738,6 +739,24 @@ def test_pohozaev_refuses_a_malformed_solution_in_one_line(solved_ok, tmp_path, 
     assert lines[0].startswith(
         ("invalid solution metadata: ", "cannot read solution directory: ")
     )
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), 7.0])
+def test_pohozaev_refuses_a_result_alpha_other_than_the_configs(
+    solved_ok, tmp_path, alpha
+):
+    # alpha is the config's; a stored alpha that is non-finite or differs
+    # from it is refused, not used in the balance.
+    meta = json.loads((solved_ok.path / "meta.json").read_text(encoding="utf-8"))
+    meta["result"]["alpha"] = alpha
+    (tmp_path / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+    shutil.copy(solved_ok.path / "solution.csv", tmp_path / "solution.csv")
+    result = _run_process("pohozaev", "--solution", str(tmp_path), "--radius", "10")
+    assert result.returncode == 1
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("invalid solution metadata: result.alpha = ")
 
 
 def test_pohozaev_rejects_radius_outside_stencil_range(solved_ok):

@@ -840,6 +840,91 @@ def test_repeated_difference_restarts_the_history():
     assert history.count == 1
 
 
+# Decisions of the closed-form rule are compared with LAPACK's outside
+# this factor around _GRAM_RCOND; eigvalsh itself places lambda_min to
+# about eps ||A||, some 2e-4 of the threshold there.
+GRAM_RCOND_BAND = 1.1
+
+
+def _lapack_reciprocal_condition(history):
+    """lambda_min / lambda_max of the Jacobi-scaled Gram matrix by
+    np.linalg.eigvalsh; 0 for a zero difference."""
+    gram = history.gram[: history.count, : history.count]
+    diag = gram.diagonal()
+    if not diag.min() > 0:
+        return 0.0
+    scale = 1.0 / np.sqrt(diag)
+    eig = np.linalg.eigvalsh(gram * np.outer(scale, scale))
+    return eig[0] / eig[-1]
+
+
+def _gram_cases(rng, k, n):
+    """Seeded difference rows for a history of k: random, nearly collinear
+    (one row, and for k = 3 also two rows, tilted off the first by 1e-2
+    ... 1e-8 in half decades), exactly singular (integer rows, so every
+    dot product is exact), and random at scales 1e-100 and 1e100.  With
+    two tilted rows the two smaller eigenvalues are both small, where the
+    trigonometric formula alone misplaces lambda_min by up to 1e-8: at
+    tilts 3e-6 to 3e-5 that flipped the restart decision in 7 of 16
+    seeded draws, so each such tilt takes three draws."""
+    yield [rng.normal(size=n) for _ in range(k)]
+    for scale in (1e-100, 1e100):
+        yield [scale * rng.normal(size=n) for _ in range(k)]
+    integers = [rng.integers(-3, 4, size=n).astype(float) for _ in range(2)]
+    d, e = integers
+    yield {1: [0.0 * d], 2: [d, -d], 3: [d, e, d + e]}[k]
+    if k == 3:
+        yield [d, -d, d]
+    if k == 1:
+        return
+    for tilt in 10.0 ** -np.arange(2.0, 8.5, 0.5):
+        base = rng.normal(size=n)
+        others = [rng.normal(size=n) for _ in range(k - 2)]
+        yield [base, *others, 2.0 * base + tilt * rng.normal(size=n)]
+        for _ in range(3 if k == 3 else 0):
+            yield [base] + [
+                rng.uniform(-2.0, 2.0) * base + tilt * rng.normal(size=n)
+                for _ in range(2)
+            ]
+
+
+@pytest.mark.parametrize("k", range(1, DEPTH + 1))
+def test_closed_form_gram_algebra_matches_lapack(k):
+    # The history's restart rule and gamma, computed in Python floats,
+    # against eigvalsh for the rule and lstsq for gamma.  Where the
+    # scaled Gram matrix has reciprocal condition above about 2e-4 the
+    # normal equations carry 8 digits of gamma; below that they carry
+    # about eps / rcond, as LAPACK's solve of the same equations does
+    # (measured: at most 5e3 eps / rcond, for both).
+    rng = np.random.default_rng(k)
+    n = 257
+    kept = restarted = 0
+    for rows in _gram_cases(rng, k, n):
+        xs = np.cumsum([np.zeros(n), *rows], axis=0)
+        history = _pushed_history([(x, 2.0 * x) for x in xs])
+        assert history.count == k
+        stored = history.d_f[:k].copy()
+        ratio = _lapack_reciprocal_condition(history)
+        f = rng.normal(size=n)
+        gamma = history.coefficients(f)
+        outside_band = not (
+            qcurv.solver._GRAM_RCOND / GRAM_RCOND_BAND
+            < ratio
+            < qcurv.solver._GRAM_RCOND * GRAM_RCOND_BAND
+        )
+        if outside_band:
+            assert (gamma is not None) == (ratio >= qcurv.solver._GRAM_RCOND), ratio
+        if gamma is None:
+            assert history.count == 0
+            restarted += 1
+            continue
+        expected = np.linalg.lstsq(stored.T, f, rcond=None)[0]
+        rtol = max(1e-8, 1e4 * np.finfo(float).eps / ratio)
+        assert np.max(np.abs(gamma - expected)) <= rtol * np.max(np.abs(expected))
+        kept += 1
+    assert kept >= 3 and restarted >= 1
+
+
 def test_first_iterate_after_zero_is_the_image_of_zero(monkeypatch):
     # With no history the step is undamped: the second evaluation of T
     # is at T 0 itself, bit for bit.
@@ -947,9 +1032,53 @@ def test_converged_v_is_the_image_of_the_previous_iterate(monkeypatch, config):
     assert rec.c_v == normalization_cv(rec.log_K, rec.v, config)
 
 
+@pytest.mark.parametrize(
+    "config",
+    [quick_config(), quick_config(sign=-1, volume=3.0 * constants(2).vol_sphere)],
+    ids=["m=2,+1", "m=2,-1"],
+)
+def test_each_iteration_calls_source_and_potential_once_through_the_module(
+    monkeypatch, config
+):
+    # The benchmark's tracer counts these two calls where the solve looks
+    # them up, in qcurv.solver's namespace, so the loop must make them
+    # there, once per evaluation of T.
+    calls = {"source_with_normalization": 0, "potential_apply": 0}
+
+    def counted(name):
+        original = getattr(qcurv.solver, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(qcurv.solver, name, counted(name))
+    rec = solve_continuation(config)
+    _assert_converged_record(rec)
+    assert rec.iterations > 3
+    assert calls == dict.fromkeys(calls, rec.iterations)
+
+
 def _source_formula(v, config, log_K, u0_density):
-    """The source S(v) and c_v as first written, one temporary per
-    operation."""
+    """The source S(v) and c_v from one set of shifted exponentials, one
+    temporary per operation."""
+    two_m = 2.0 * config.m
+    exponent = log_K.values + two_m * v.values
+    top = float(np.max(exponent))
+    shifted = np.exp(exponent - top)
+    weighted = float(log_K.grid.quad_weights @ shifted)
+    mass = constants(config.m).factorial_2m_minus_1 * config.volume
+    cv = (math.log(mass) - (top + math.log(weighted))) / two_m
+    values = shifted * (config.sign * mass / weighted)
+    return values + config.alpha * u0_density.values, cv
+
+
+def _two_exponential_curvature(v, config, log_K):
+    """The curvature term sign e^{log|K| + 2m(v + c_v)} exponentiated as
+    written, after the log-sum-exp's own exponential for c_v."""
     two_m = 2.0 * config.m
     exponent = log_K.values + two_m * v.values
     top = float(np.max(exponent))
@@ -960,8 +1089,7 @@ def _source_formula(v, config, log_K, u0_density):
         math.log(constants(config.m).factorial_2m_minus_1 * config.volume)
         - log_integral
     ) / two_m
-    values = config.sign * np.exp(log_K.values + 2.0 * config.m * (v.values + cv))
-    return values + config.alpha * u0_density.values, cv
+    return config.sign * np.exp(log_K.values + two_m * (v.values + cv)), cv
 
 
 def _potential_formula(kernel, f, gamma_m):
@@ -998,4 +1126,40 @@ def test_fixed_point_map_is_bit_identical_to_its_formulas(m, sign):
         np.testing.assert_array_equal(
             potential_apply(kern, source).values,
             _potential_formula(kern, expected, constants(m).gamma_m),
+        )
+
+
+@pytest.mark.parametrize(
+    "sign, volume_ratio, c",
+    [(1, 0.3, 1.3), (1, 0.99, 0.5), (-1, 3.0, 1.3), (-1, 100.0, 1.3), (-1, 1000.0, 2.0)],
+)
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_one_exponential_source_matches_the_two_exponential_formula(
+    m, sign, volume_ratio, c
+):
+    # S(v) takes its curvature term from the log-sum-exp's exponentials
+    # times (2m-1)! V / sum w e, where the formula it replaces
+    # exponentiates log|K| + 2m(v + c_v) again.  The two differ by the
+    # rounding of an exponent of size up to L = max|log K| + 2m max|v|
+    # + 2m |c_v|, about eps L relative (measured: at most 0.9 eps (1 + L),
+    # and L reaches 6e4 at alpha = -2000); c_v is the same arithmetic.
+    cfg = _negative_curvature_config(m, volume_ratio, c, 512)
+    cfg = replace(cfg, sign=sign)
+    grid = build_grid(cfg)
+    log_K = build_K(cfg, grid)
+    background = cfg.alpha * u0_density_field(grid).values
+    rng = np.random.default_rng(m)
+    for scale in (0.0, 1e-3, 0.1, 3.0):
+        v = RadialField(grid=grid, values=scale * rng.normal(size=grid.nodes.shape))
+        source, cv = source_with_normalization(v, cfg, log_K, u0_density_field(grid))
+        curvature, expected_cv = _two_exponential_curvature(v, cfg, log_K)
+        assert cv == expected_cv
+        size = (
+            np.abs(log_K.values).max()
+            + 2 * m * (np.abs(v.values).max() + abs(cv))
+        )
+        bound = 4.0 * np.finfo(float).eps * (1.0 + size)
+        assert np.all(
+            np.abs(source.values - (curvature + background))
+            <= bound * (np.abs(curvature) + np.abs(background))
         )
