@@ -10,14 +10,27 @@ error (ROADMAP item 1 replaces it with an independent rule).
 
 The 3-point stencils are the methods of the grid's
 :class:`~qcurv.potential.StencilTable`, built once per grid.  The
-weighted norms are L^2 norms, so every angular factor integrates in
-closed form.  The alpha fit reads the pieces the solver combined,
+Pohozaev boundary terms read Laplacian iterates at one node, so they
+take them node by node, in Python floats with the same bits, on the
+nodes that reach it.  The weighted norms are L^2 norms, so every angular
+factor integrates in closed form.  The alpha fit reads the pieces the solver combined,
 -alpha u0 + v + c_v, which equal u + P without forming that difference.
+
+What depends on the grid alone is built once per grid and kept
+read-only: the alpha fit's window and least-squares design, the
+Pohozaev window's stencil table, the ball and annulus quadrature rules
+at a node, and the weighted norms' radial weights.  Each check reads
+these pieces for whatever window, radius or weight it is given, so a
+report on a grid seen before does only the work that depends on the
+solution, and its values are the same bits as on a fresh grid.  The
+pieces of the last ``_DISCRETIZATION_CACHE_SIZE`` grids are kept, as the
+solver keeps their discretizations.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,13 +38,41 @@ import numpy as np
 
 from .errors import GridMismatch, TailNotNegligible
 from .geometry import _polyharmonic_valid_nodes, radial_polyharmonic
-from .potential import RadialField, RadialGrid, constants, sphere_area
-from .solver import SolutionRecord
+from .potential import RadialField, RadialGrid, StencilTable, constants, sphere_area
+from .solver import _DISCRETIZATION_CACHE_SIZE, SolutionRecord
 
 # A solution profile whose values all sit below this level is treated as
 # degenerate (volume at underflow scale): the tail-decay certificate is
 # skipped because there is no meaningful tail to certify.
 _DEGENERATE_LEVEL = -50.0
+
+# Per grid, a report reads one fit design, one Pohozaev window and one set
+# of norm weights, and snaps radii to, and takes ball rules at, up to seven
+# nodes.  The pieces of as many grids are kept as the solver keeps
+# discretizations for.
+_per_grid = functools.lru_cache(maxsize=_DISCRETIZATION_CACHE_SIZE)
+_per_node = functools.lru_cache(maxsize=8 * _DISCRETIZATION_CACHE_SIZE)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+# The report snaps the same radii to nodes on every op.
+_nearest_index = _per_node(RadialGrid.nearest_index)
+
+
+@_per_node
+def _weights_within(grid: RadialGrid, index: int) -> np.ndarray:
+    """``grid.weights_within(index)``, built once per grid and node."""
+    return _read_only(grid.weights_within(index))
+
+
+@_per_node
+def _weights_beyond(grid: RadialGrid, index: int) -> np.ndarray:
+    """``grid.weights_beyond(index)``, built once per grid and node."""
+    return _read_only(grid.weights_beyond(index))
 
 
 # ----------------------------------------------------------------------
@@ -123,24 +164,33 @@ def _default_fit_window(grid: RadialGrid) -> tuple[float, float]:
     return (grid.r_max / 4.0, grid.r_max / 2.0)
 
 
-def _fit_window_nodes(
-    grid: RadialGrid, fit_window: tuple[float, float]
-) -> np.ndarray:
-    """The mask of the nodes in an alpha-fit window; GridMismatch names
-    the rule a window breaks."""
-    r_lo, r_hi = float(fit_window[0]), float(fit_window[1])
-    if r_lo < 5.0:
+@_per_grid
+def _fit_layout(grid: RadialGrid, r_lo: float, r_hi: float) -> tuple[slice, np.ndarray]:
+    """The nodes of the alpha-fit window [r_lo, r_hi], as a slice, and the
+    fit's least-squares design on them; GridMismatch names the rule a
+    window breaks.
+
+    The design's columns are -log r, 1 and (r_lo / r)^{2j} for
+    j = 1..m-1: the far-field columns are scaled to 1 at the window's
+    start, so the design stays well conditioned up to r^{-2(m-1)}."""
+    if not r_lo >= 5.0:
         raise GridMismatch(f"fit window must start at r >= 5, got {r_lo}")
-    if r_hi > grid.r_max:
+    if not r_hi <= grid.r_max:
         raise GridMismatch(f"fit window exceeds r_max = {grid.r_max}")
-    if r_hi <= r_lo:
+    if not r_hi > r_lo:
         raise GridMismatch("fit window is empty")
-    select = (grid.nodes >= r_lo) & (grid.nodes <= r_hi)
-    if int(select.sum()) < 20:
-        raise GridMismatch(
-            f"fit window contains {int(select.sum())} nodes, need >= 20"
-        )
-    return select
+    window = slice(
+        int(np.searchsorted(grid.nodes, r_lo, side="left")),
+        int(np.searchsorted(grid.nodes, r_hi, side="right")),
+    )
+    r = grid.nodes[window]
+    if len(r) < 20:
+        raise GridMismatch(f"fit window contains {len(r)} nodes, need >= 20")
+    decay = (r_lo / r) ** 2
+    design = np.column_stack(
+        [-np.log(r), np.ones_like(r)] + [decay**j for j in range(1, grid.m)]
+    )
+    return window, _read_only(design)
 
 
 def asymptotic_profile(
@@ -162,16 +212,8 @@ def asymptotic_profile(
     grid = w.grid
     if fit_window is None:
         fit_window = _default_fit_window(grid)
-    select = _fit_window_nodes(grid, fit_window)
-    r_lo = float(fit_window[0])
-    r = grid.nodes[select]
-    target = w.values[select]
-    # Far-field columns are scaled to 1 at the window's start, so the
-    # least-squares design stays well conditioned up to r^{-2(m-1)}.
-    decay = (r_lo / r) ** 2
-    design = np.column_stack(
-        [-np.log(r), np.ones_like(r)] + [decay**j for j in range(1, grid.m)]
-    )
+    window, design = _fit_layout(grid, float(fit_window[0]), float(fit_window[1]))
+    target = w.values[window]
     coef, *_ = np.linalg.lstsq(design, target, rcond=None)
     deviation = float(np.max(np.abs(design @ coef - target)))
     return float(coef[0]), float(coef[1]), deviation
@@ -235,12 +277,36 @@ class PohozaevTerms:
 
 def _pohozaev_index(grid: RadialGrid, R: float) -> int:
     """The node R snaps to, if the boundary stencils fit either side."""
-    idx = grid.nearest_index(R)
+    idx = _nearest_index(grid, R)
     if idx < 2 * grid.m + 1 or len(grid.nodes) - 1 - idx < 2 * grid.m + 1:
         raise GridMismatch(
             f"radius {R} too close to the grid ends for the boundary stencils"
         )
     return idx
+
+
+@_per_grid
+def _pohozaev_window(grid: RadialGrid, index: int) -> StencilTable:
+    """The stencil table of the m + 1 nodes either side of ``index``, on
+    which the Pohozaev boundary terms are taken."""
+    return grid.stencil.window(index - (grid.m + 1), index + grid.m + 2)
+
+
+def _iterates_at(
+    table: StencilTable, f, centre: int, steps: int
+) -> tuple[list[float], list[float]]:
+    """f and its first ``steps`` Laplacian iterates at the node ``centre``,
+    and their first derivatives there, in Python floats.  A value after k
+    three-point stencils depends on the k nodes either side, so ``f`` must
+    hold the ``steps`` + 1 nodes either side of ``centre``, and each
+    iterate is formed only on the nodes the later ones read."""
+    values, slopes = [f[centre]], [table.d1_at(f, centre)]
+    for reach in range(steps, 0, -1):
+        near = range(centre - reach, centre + reach + 1)
+        f = {i: table.laplacian_at(f, i) for i in near}
+        values.append(f[centre])
+        slopes.append(table.d1_at(f, centre))
+    return values, slopes
 
 
 def pohozaev_terms(
@@ -271,7 +337,7 @@ def pohozaev_terms(
     idx = _pohozaev_index(grid, R)
     r_snap = float(grid.nodes[idx])
     nodes, st = grid.nodes, grid.stencil
-    w_in = grid.weights_within(idx)
+    w_in = _weights_within(grid, idx)
     two_m = 2.0 * m
     om = sphere_area(n)
 
@@ -283,43 +349,36 @@ def pohozaev_terms(
     t3 = float(-two_m * alpha * (w_in @ (x_grad_w * u0_density.values)))
 
     # Laplacian iterates of wbar and of g = x . grad wbar, plus their
-    # radial derivatives, at the snapped radius.  No chain applies more
-    # than m + 1 three-point stencils, so they run on the window of m + 2
-    # nodes either side of it: the window's end values are wrong, but the
-    # error moves in by one node per stencil and never reaches its center.
-    lo, hi = idx - (m + 2), idx + m + 3
-    centre = idx - lo
-    w_st = st.window(lo, hi)
-    w_iter = [wbar.values[lo:hi]]
-    for _ in range(m):
-        w_iter.append(w_st.laplacian(w_iter[-1]))
-    g0 = w_st.nodes * w_st.d1(w_iter[0])
-    g_iter = [g0]
-    for _ in range((m - 1) // 2 + 1):
-        g_iter.append(w_st.laplacian(g_iter[-1]))
-    w_prime = [w_st.d1(arr) for arr in w_iter]
-    g_prime = [w_st.d1(arr) for arr in g_iter]
+    # radial derivatives, at the snapped radius.  They are read there
+    # alone, so they are taken node by node on the nodes that reach it:
+    # m + 1 either side for wbar's m iterates and their slopes, fewer for
+    # g's (m - 1) // 2 + 1.
+    table = _pohozaev_window(grid, idx)
+    centre = m + 1
+    w0 = wbar.values[idx - centre : idx + centre + 1].tolist()
+    w_iter, w_prime = _iterates_at(table, w0, centre, m)
+    g_steps = (m - 1) // 2
+    nodes_near = table.nodes.tolist()
+    g0 = {
+        i: nodes_near[i] * table.d1_at(w0, i)
+        for i in range(centre - g_steps - 1, centre + g_steps + 2)
+    }
+    g_iter, g_prime = _iterates_at(table, g0, centre, g_steps)
 
     b1 = float(om * r_snap**n * k_e_w[idx])
     if m % 2 == 0:
-        half_power = w_iter[m // 2][centre]
+        half_power = w_iter[m // 2]
     else:
-        half_power = w_prime[(m - 1) // 2][centre]
+        half_power = w_prime[(m - 1) // 2]
     b2 = float(-m * om * r_snap**n * half_power**2)
 
     cross = 0.0
     for j in range(m):
         parity_sign = (-1.0) ** (m + j)
         if j % 2 == 0:
-            cross += (
-                parity_sign * g_iter[j // 2][centre] * w_prime[m - 1 - j // 2][centre]
-            )
+            cross += parity_sign * g_iter[j // 2] * w_prime[m - 1 - j // 2]
         else:
-            cross += (
-                parity_sign
-                * g_prime[(j - 1) // 2][centre]
-                * w_iter[m - (j + 1) // 2][centre]
-            )
+            cross += parity_sign * g_prime[(j - 1) // 2] * w_iter[m - (j + 1) // 2]
     b3 = float(-two_m * om * r_snap ** (n - 1) * cross)
 
     return PohozaevTerms(radius=r_snap, t1=t1, t2=t2, t3=t3, b1=b1, b2=b2, b3=b3)
@@ -351,7 +410,7 @@ def tail_curvature_mass(log_K: RadialField, wbar: RadialField, R: float) -> floa
     grid = log_K.grid
     grid.ensure_same(wbar.grid)
     density = _curvature_density(log_K, wbar.values)
-    return _tail_mass(grid, density, grid.nearest_index(R))
+    return _tail_mass(grid, density, _nearest_index(grid, R))
 
 
 def _curvature_density(log_K: RadialField, wbar_values: np.ndarray) -> np.ndarray:
@@ -361,12 +420,13 @@ def _curvature_density(log_K: RadialField, wbar_values: np.ndarray) -> np.ndarra
 
 def _tail_mass(grid: RadialGrid, density: np.ndarray, index: int) -> float:
     """Quadrature of the node values ``density`` over r > nodes[index]."""
-    return float(grid.weights_beyond(index) @ density)
+    return float(_weights_beyond(grid, index) @ density)
 
 
 # ----------------------------------------------------------------------
 # weighted norms
 # ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=64)
 def _angular_moment(n: int, exponents: tuple[float, ...]) -> float:
     """integral over S^{n-1} of prod |omega_i|^{a_i} d sigma, by the
     Dirichlet formula 2 prod Gamma((a_i+1)/2) / Gamma((n + sum a)/2)
@@ -395,6 +455,21 @@ def weighted_norm(f: RadialField, k: int, delta: float) -> float:
     return _weighted_norms(f, k, delta)[k]
 
 
+@_per_grid
+def _norm_weights(
+    grid: RadialGrid, delta: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The radial quadrature weights w / omega_{n-1} and the decay
+    weights (1 + r^2)^{delta + j}, j = 0, 1, 2, of the weighted norms."""
+    squares = 1.0 + grid.nodes**2
+    return (
+        _read_only(grid.quad_weights / sphere_area(grid.n)),
+        _read_only(squares**delta),
+        _read_only(squares ** (delta + 1.0)),
+        _read_only(squares ** (delta + 2.0)),
+    )
+
+
 def _weighted_norms(f: RadialField, k: int, delta: float) -> list[float]:
     """``weighted_norm(f, j, delta)`` for j = 0..k in one pass: the norm
     of order j is that of order j - 1 plus its own blocks."""
@@ -402,14 +477,12 @@ def _weighted_norms(f: RadialField, k: int, delta: float) -> list[float]:
     n = grid.n
     nodes = grid.nodes
     w_full = grid.quad_weights  # includes the omega_{n-1} r^{n-1} factor
-    w_radial = w_full / sphere_area(n)
-    weight0 = (1.0 + nodes**2) ** delta
+    w_radial, weight0, weight1, weight2 = _norm_weights(grid, float(delta))
     norms = [float(w_full @ (weight0 * f.values**2)) ** 0.5]
     if k == 0:
         return norms
 
     f1 = grid.stencil.d1(f.values)
-    weight1 = (1.0 + nodes**2) ** (delta + 1.0)
     block1 = float(_angular_moment(n, (2.0,)) * (w_radial @ (weight1 * f1**2)))
     norms.append(norms[-1] + n * block1**0.5)
     if k == 1:
@@ -420,7 +493,6 @@ def _weighted_norms(f: RadialField, k: int, delta: float) -> list[float]:
     ratio[1:] = f1[1:] / nodes[1:]
     ratio[0] = f2[0]  # limit of f'/r at the origin
     aniso = f2 - ratio  # coefficient of omega_i omega_j in D^2 f
-    weight2 = (1.0 + nodes**2) ** (delta + 2.0)
 
     mixed = float(_angular_moment(n, (2.0, 2.0)) * (w_radial @ (weight2 * aniso**2)))
     norm = norms[-1] + (n * (n - 1) / 2.0) * mixed**0.5
@@ -457,14 +529,14 @@ def exp_integrability_probe(v: RadialField, p: float, R: float) -> ExpIntegrabil
     grid = v.grid
     if R > grid.r_max:
         raise GridMismatch(f"R = {R} exceeds r_max = {grid.r_max}")
-    idx = grid.nearest_index(R)
+    idx = _nearest_index(grid, R)
     r_snap = float(grid.nodes[idx])
     if r_snap <= 0:
         raise GridMismatch("R snapped to the origin; probe undefined")
     exponent = 2.0 * grid.m * p * np.abs(v.values)
     if float(np.max(exponent)) > 700.0:
         return ExpIntegrability(finite=False, value=math.inf, ratio=math.inf)
-    value = float(grid.weights_within(idx) @ np.exp(exponent))
+    value = float(_weights_within(grid, idx) @ np.exp(exponent))
     return ExpIntegrability(finite=True, value=value, ratio=value / r_snap**grid.n)
 
 
@@ -511,10 +583,15 @@ def check_report_grid(grid: RadialGrid) -> None:
     """Raise GridMismatch naming the rule if :func:`build_report` cannot
     place its alpha-fit window [r_max/4, r_max/2] or its Pohozaev radius
     min(20, r_max/2) on ``grid``.  Both depend on the grid alone, so a
-    solve can be refused before it iterates."""
+    solve can be refused before it iterates.
+
+    The check builds the fit design and the Pohozaev window the report
+    reads, so it refuses exactly the grids on which the report would
+    fail to build them, and on a grid it accepts the report finds them
+    built."""
     try:
-        _fit_window_nodes(grid, _default_fit_window(grid))
-        _pohozaev_index(grid, _report_pohozaev_radius(grid))
+        _fit_layout(grid, *_default_fit_window(grid))
+        _pohozaev_window(grid, _pohozaev_index(grid, _report_pohozaev_radius(grid)))
     except GridMismatch as exc:
         raise GridMismatch(f"the report cannot use this grid: {exc}") from None
 
@@ -540,7 +617,7 @@ def build_report(record: SolutionRecord) -> DiagnosticsReport:
     # |K| e^{2m wbar}, shared by the tail masses and the source's L^1 mass.
     curvature = _curvature_density(record.log_K, wbar)
     snapped = [
-        grid.nearest_index(x)
+        _nearest_index(grid, x)
         for x in (0.0, grid.r_max / 8, grid.r_max / 4, grid.r_max / 2, 0.75 * grid.r_max)
     ]
     tail = [(float(grid.nodes[i]), _tail_mass(grid, curvature, i)) for i in snapped]

@@ -204,7 +204,14 @@ class SolverConfig:
         return coeffs
 
     def validate(self) -> None:
-        """Raise ConfigError naming the violated rule, or return None."""
+        """Raise ConfigError naming the violated rule, or return None.
+
+        The config is frozen, so a pass is remembered on the instance and
+        later calls return at once; a config that fails is checked, and
+        refused, on every call.  ``dataclasses.replace`` builds a new
+        instance, which is checked afresh."""
+        if "_valid" in self.__dict__:
+            return
         if self.m == 1:
             raise ConfigError(
                 "m = 1 is not solvable: the admissible class is empty, "
@@ -257,6 +264,7 @@ class SolverConfig:
             raise ConfigError(
                 f"sinh_strength must be positive and finite, got {self.sinh_strength}"
             )
+        self.__dict__["_valid"] = True
 
     # ------------------------------------------------------------------
     def to_json_dict(self) -> dict:
@@ -319,12 +327,15 @@ class SolverConfig:
 # pieces of the fixed-point map
 # ----------------------------------------------------------------------
 def build_grid(config: SolverConfig) -> RadialGrid:
+    """The config's grid: the same object :func:`solve_continuation` solves
+    on, so what is built per grid before a solve serves the solve too."""
     return _grid(config.m, config.r_max, config.n_intervals, config.sinh_strength)
 
 
+@functools.lru_cache(maxsize=_DISCRETIZATION_CACHE_SIZE, typed=True)
 def _grid(m: int, r_max: float, n_intervals: int, sinh_strength: float) -> RadialGrid:
-    """The sinh-clustered grid of a config's fields; settings that build
-    none are a ConfigError."""
+    """The sinh-clustered grid of a config's fields, built once per key;
+    settings that build none are a ConfigError."""
     try:
         return make_grid(m, r_max, n_intervals, sinh_strength=sinh_strength)
     except GridMismatch as exc:

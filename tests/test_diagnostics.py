@@ -3,11 +3,13 @@ asymptotic fit, Pohozaev balance, weighted norms, and the report."""
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import qcurv.diagnostics
 import qcurv.solver
 from qcurv import (
     GridMismatch,
@@ -16,6 +18,7 @@ from qcurv import (
     SolverConfig,
     TailNotNegligible,
     asymptotic_profile,
+    build_grid,
     build_report,
     conformal_volume,
     constants,
@@ -32,8 +35,8 @@ from qcurv import (
     u0_eval,
     weighted_norm,
 )
-from qcurv.diagnostics import _angular_moment
-from qcurv.potential import gauss_legendre
+from qcurv.diagnostics import _angular_moment, check_report_grid
+from qcurv.potential import _STENCIL_FACTORS, gauss_legendre
 from test_solver import radial_polynomial
 
 
@@ -504,6 +507,41 @@ def _boundary_terms_on_the_full_grid(wbar, r_snap, idx):
     return b2, float(-2.0 * m * om * r_snap ** (n - 1) * cross)
 
 
+def _volume_terms_on_the_full_grid(rec, idx):
+    """The Pohozaev volume terms t1, t2, t3 and b1 over a freshly built
+    ball rule, as first written."""
+    grid, config = rec.grid, rec.config
+    w_in = grid.weights_within(idx)
+    two_m = 2.0 * config.m
+    k_e_w = config.sign * np.exp(rec.log_K.values + two_m * (rec.v.values + rec.c_v))
+    x_grad_log_k = grid.nodes * grid.stencil.d1(rec.log_K.values)
+    x_grad_w = grid.nodes * grid.stencil.d1(rec.v.values)
+    r_snap = float(grid.nodes[idx])
+    return (
+        float(w_in @ (x_grad_log_k * k_e_w)),
+        float(two_m * (w_in @ k_e_w)),
+        float(-two_m * rec.alpha * (w_in @ (x_grad_w * rec.u0_density.values))),
+        float(sphere_area(grid.n) * r_snap**grid.n * k_e_w[idx]),
+    )
+
+
+def _fit_by_lstsq(rec):
+    """The report's alpha fit, by np.linalg.lstsq on a freshly built
+    design over the node mask of [r_max/4, r_max/2], as first written."""
+    grid = rec.grid
+    r_lo, r_hi = grid.r_max / 4.0, grid.r_max / 2.0
+    select = (grid.nodes >= r_lo) & (grid.nodes <= r_hi)
+    r = grid.nodes[select]
+    target = ((rec.v.values + rec.c_v) - rec.alpha * rec.u0.values)[select]
+    decay = (r_lo / r) ** 2
+    design = np.column_stack(
+        [-np.log(r), np.ones_like(r)] + [decay**j for j in range(1, grid.m)]
+    )
+    coef, *_ = np.linalg.lstsq(design, target, rcond=None)
+    deviation = float(np.max(np.abs(design @ coef - target)))
+    return float(coef[0]), float(coef[1]), deviation
+
+
 def _pure_block_by_angular_rule(aniso, ratio, n, p):
     """The angular integral of |aniso w1^2 + ratio|^p over S^{n-1} by the
     64-node rule, formed out of place."""
@@ -610,10 +648,17 @@ def test_report_matches_its_full_grid_formulas(report_records):
                 rec.v, k, -3.0, 2.0, pure_block=_pure_block_in_closed_form
             )
             assert report.weighted_norms[f"k={k},delta=-3,p=2"] == expected
-        # Pohozaev boundary terms from the windowed stencils.
+        # The alpha fit from the cached design equals a fresh lstsq.
+        fit = (report.alpha_fitted, report.C_fitted, report.asymptotic_deviation)
+        assert fit == _fit_by_lstsq(rec)
+        # Pohozaev terms from the cached ball rule and the stacked window
+        # stencils.
         for R in (3.0, 7.5, 20.0, 30.0):
             terms = record_pohozaev_terms(rec, R)
             idx = grid.nearest_index(R)
+            assert (terms.t1, terms.t2, terms.t3, terms.b1) == (
+                _volume_terms_on_the_full_grid(rec, idx)
+            )
             assert (terms.b2, terms.b3) == _boundary_terms_on_the_full_grid(
                 wbar, terms.radius, idx
             )
@@ -679,3 +724,119 @@ def test_report_fit_reuses_the_cached_profile_coefficients(monkeypatch):
         assert len(calls) == 1
         fit = (report.alpha_fitted, report.C_fitted, report.asymptotic_deviation)
         assert fit == asymptotic_profile(_fit_field(record))
+
+
+# ----------------------------------------------------------------------
+# the report's per-grid layout
+# ----------------------------------------------------------------------
+_LAYOUT = (
+    "_fit_layout",
+    "_pohozaev_window",
+    "_norm_weights",
+    "_weights_within",
+    "_weights_beyond",
+    "_nearest_index",
+)
+
+
+def _clear_layout():
+    for name in _LAYOUT + ("_angular_moment",):
+        getattr(qcurv.diagnostics, name).cache_clear()
+
+
+@pytest.fixture
+def layout_builds():
+    """Empty the report's layout caches; the returned function counts the
+    pieces each has built since (a cache miss is one build)."""
+    _clear_layout()
+    return lambda: {
+        name: getattr(qcurv.diagnostics, name).cache_info().misses for name in _LAYOUT
+    }
+
+
+def test_report_on_a_cold_layout_equals_one_on_a_warm_layout(report_records):
+    for rec in report_records:
+        _clear_layout()
+        cold = build_report(rec).to_json_dict()
+        assert build_report(rec).to_json_dict() == cold
+
+
+def test_each_layout_piece_is_built_once_per_grid(layout_builds):
+    # r_max = 41.75 puts the probes' radius r_max/2 on another node than
+    # the Pohozaev radius 20, so two ball rules are built.
+    config = SolverConfig(
+        m=2,
+        sign=1,
+        volume=0.5 * constants(2).vol_sphere,
+        profile=Polynomial.from_text(" + ".join(f"x{i}^2" for i in range(1, 5))),
+        r_max=41.75,
+        n_intervals=512,
+    )
+    grid = build_grid(config)
+    check_report_grid(grid)
+    assert layout_builds() == dict.fromkeys(_LAYOUT, 0) | {
+        "_fit_layout": 1,
+        "_pohozaev_window": 1,
+        "_nearest_index": 1,
+    }
+    record = solve_continuation(config)
+    assert record.grid is grid
+    build_report(record)
+    built = layout_builds()
+    assert built == {
+        "_fit_layout": 1,
+        "_pohozaev_window": 1,
+        "_norm_weights": 1,
+        "_weights_within": 2,
+        "_weights_beyond": 5,
+        "_nearest_index": 6,
+    }
+    other = solve_continuation(replace(config, sign=-1, volume=2.0 * config.volume))
+    build_report(other)
+    build_report(record)
+    assert layout_builds() == built
+
+
+def test_layout_pieces_are_read_only(report_records):
+    rec = report_records[0]
+    grid = rec.grid
+    build_report(rec)
+    diag = qcurv.diagnostics
+    idx = diag._pohozaev_index(grid, 20.0)
+    _, design = diag._fit_layout(grid, grid.r_max / 4.0, grid.r_max / 2.0)
+    table = diag._pohozaev_window(grid, idx)
+    arrays = [design, diag._weights_within(grid, idx), diag._weights_beyond(grid, idx)]
+    arrays += diag._norm_weights(grid, -3.0)
+    arrays += [getattr(table, name) for name in ("nodes",) + _STENCIL_FACTORS]
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 1.0
+
+
+_TRACED_LAYERS = (
+    "pde_residual",
+    "radial_polyharmonic",
+    "conformal_volume",
+    "asymptotic_profile",
+    "record_pohozaev_terms",
+)
+
+
+def test_report_calls_each_traced_layer_once_through_the_module(
+    monkeypatch, quick_positive
+):
+    # The benchmark times these layers by wrapping them where the report
+    # looks them up; a report that stopped calling one would zero its
+    # metric without failing anything else.
+    calls = dict.fromkeys(_TRACED_LAYERS, 0)
+    for name in _TRACED_LAYERS:
+        layer = getattr(qcurv.diagnostics, name)
+
+        def counted(*args, _name=name, _layer=layer, **kwargs):
+            calls[_name] += 1
+            return _layer(*args, **kwargs)
+
+        monkeypatch.setattr(qcurv.diagnostics, name, counted)
+    build_report(quick_positive)
+    assert calls == dict.fromkeys(_TRACED_LAYERS, 1)

@@ -155,6 +155,37 @@ def test_validate_applies_the_degree_bound_before_the_radial_fit(monkeypatch):
         quick_config(profile=Polynomial.from_text("x1^2 + x2^2")).validate()
 
 
+def test_a_passed_validation_is_remembered_and_a_failed_one_is_not(monkeypatch):
+    checks = []
+    rule = qcurv.solver._radial_admissibility_violation
+
+    def counted(coeffs):
+        checks.append(coeffs)
+        return rule(coeffs)
+
+    monkeypatch.setattr(qcurv.solver, "_radial_admissibility_violation", counted)
+    cfg = quick_config()
+    cfg.validate()
+    cfg.validate()
+    record = solve_continuation(cfg)  # validates again, as build_K does
+    build_K(cfg, record.grid)
+    assert len(checks) == 1
+    # A config that fails is checked, and refused, on every call.
+    bad = quick_config(tol=0.0)
+    for count in (2, 3):
+        with pytest.raises(ConfigError, match="tol must be positive"):
+            bad.validate()
+        assert len(checks) == count
+    # dataclasses.replace builds an instance that is checked afresh.
+    with pytest.raises(ConfigError, match="tol must be positive"):
+        replace(cfg, tol=0.0).validate()
+    assert len(checks) == 4
+    other = replace(cfg, volume=0.25 * constants(2).vol_sphere)
+    other.validate()
+    other.validate()
+    assert len(checks) == 5
+
+
 def radial_polynomial(dim: int, coeffs) -> Polynomial:
     """sum_i coeffs[i] |x|^{2i} in ``dim`` variables, by multinomial expansion."""
     terms: dict[tuple[int, ...], float] = {}

@@ -5,6 +5,7 @@ Run from anywhere:
 
     python3 tools/output_digest.py
     python3 tools/output_digest.py --dump outputs.npz
+    python3 tools/output_digest.py --compare old.npz new.npz
 
 The configs are every distinct one that ``perfbench/configs.py``
 generates for the ``sweep``, ``near-critical`` and ``cli`` workloads at
@@ -20,7 +21,13 @@ exception text under ``report.error``.
 ``history`` as an (iterations, 2) array) and ``<index>/report.<name>``
 (the report's scalar fields, for configs that converged and were
 reported on), so that two checkouts whose digests differ can state the
-largest change of each output, e.g. with ``numpy.load``.
+largest change of each output.
+
+``--compare OLD.npz NEW.npz`` reads two such dumps and solves nothing.
+For each output it prints how many configs differ and the largest
+absolute and relative change, then lists the keys only one file holds.
+It exits 0 only if both files hold the same keys with bit-identical
+values, and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -34,10 +41,6 @@ import sys
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
-
-import configs  # noqa: E402
-from qcurv import QcurvError, SolverConfig, build_report, solve_continuation  # noqa: E402
 
 SEEDS = (1, 2, 3)
 RECORD_FIELDS = (
@@ -51,6 +54,8 @@ REPORT_KEYS = (
 
 
 def distinct_configs() -> list[dict]:
+    import configs
+
     seen: dict[str, dict] = {}
     for workload in configs.WORKLOADS:
         for seed in SEEDS:
@@ -78,15 +83,75 @@ def _dump_report(dump: dict, index: int, report) -> None:
             dump[f"{index}/report.{name}"] = np.asarray(value)
 
 
-def main() -> int:
+def _change(old: np.ndarray, new: np.ndarray) -> tuple[float, float]:
+    """The largest absolute and relative change from ``old`` to ``new``,
+    two arrays of one shape; a change from 0 is infinitely large."""
+    old, new = old.astype(float), new.astype(float)
+    delta = np.abs(new - old)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.where(delta == 0.0, 0.0, delta / np.abs(old))
+    return float(np.max(delta, initial=0.0)), float(np.max(rel, initial=0.0))
+
+
+def compare(old_path: str, new_path: str) -> int:
+    """Print how far each output of two ``--dump`` files differs, and the
+    keys only one holds; 0 if both are the same bits, else 1."""
+    with np.load(old_path) as old, np.load(new_path) as new:
+        old_keys, new_keys = set(old.files), set(new.files)
+        # output -> [configs, configs that differ, max abs, max rel, reshaped]
+        stats: dict[str, list] = {}
+        for key in sorted(old_keys & new_keys):
+            a, b = old[key], new[key]
+            entry = stats.setdefault(key.split("/", 1)[-1], [0, 0, 0.0, 0.0, 0])
+            entry[0] += 1
+            if a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes():
+                continue
+            entry[1] += 1
+            if a.shape != b.shape:
+                entry[4] += 1
+                continue
+            largest_abs, largest_rel = _change(a, b)
+            entry[2] = max(entry[2], largest_abs)
+            entry[3] = max(entry[3], largest_rel)
+    for output, (count, differ, largest_abs, largest_rel, reshaped) in sorted(
+        stats.items()
+    ):
+        line = f"{output}: {differ} of {count} configs differ"
+        if differ > reshaped:
+            line += f", max abs change {largest_abs:.3g}, max rel change {largest_rel:.3g}"
+        if reshaped:
+            line += f", {reshaped} with another shape"
+        print(line)
+    for path, keys in ((old_path, old_keys - new_keys), (new_path, new_keys - old_keys)):
+        for key in sorted(keys):
+            print(f"only in {path}: {key}")
+    same = old_keys == new_keys and not any(entry[1] for entry in stats.values())
+    print("identical" if same else "outputs differ")
+    return 0 if same else 1
+
+
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="One SHA-256 per solve-record field and per report key, "
         "over the benchmark's configs."
     )
-    parser.add_argument(
+    action = parser.add_mutually_exclusive_group()
+    action.add_argument(
         "--dump", metavar="FILE.npz", help="also write every config's outputs here"
     )
-    args = parser.parse_args()
+    action.add_argument(
+        "--compare",
+        nargs=2,
+        metavar=("OLD.npz", "NEW.npz"),
+        help="compare two --dump files instead of solving",
+    )
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+
+    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+    from qcurv import QcurvError, SolverConfig, build_report, solve_continuation
+
     dump: dict[str, np.ndarray] | None = {} if args.dump else None
     names = [f"record.{name}" for name in RECORD_FIELDS]
     names += [f"report.{key}" for key in REPORT_KEYS]
