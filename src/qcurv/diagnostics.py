@@ -10,10 +10,8 @@ error (ROADMAP item 1 replaces it with an independent rule).
 
 The 3-point stencils are the methods of the grid's
 :class:`~qcurv.potential.StencilTable`, built once per grid.  The
-Pohozaev boundary terms read Laplacian iterates at one node, so they
-take them node by node, in Python floats with the same bits, on the
-nodes that reach it.  The weighted norms are L^2 norms, so every angular
-factor integrates in closed form.  The alpha fit reads the pieces the solver combined,
+weighted norms are L^2 norms, so every angular factor integrates in
+closed form.  The alpha fit reads the pieces the solver combined,
 -alpha u0 + v + c_v, which equal u + P without forming that difference.
 
 What depends on the grid alone is built once per grid and kept
@@ -22,9 +20,11 @@ Pohozaev window's stencil table, the ball and annulus quadrature rules
 at a node, and the weighted norms' radial weights.  Each check reads
 these pieces for whatever window, radius or weight it is given, so a
 report on a grid seen before does only the work that depends on the
-solution, and its values are the same bits as on a fresh grid.  The
-pieces of the last ``_DISCRETIZATION_CACHE_SIZE`` grids are kept, as the
-solver keeps their discretizations.
+solution, and its values are the same bits as on a fresh grid.  A
+grid's pieces live on one layout, which keeps a bounded number of each
+kind; the layouts of the last ``_DISCRETIZATION_CACHE_SIZE`` grids are
+kept, as the solver keeps their discretizations, and an older grid is
+released with everything built on it.
 """
 
 from __future__ import annotations
@@ -48,10 +48,10 @@ _DEGENERATE_LEVEL = -50.0
 
 # Per grid, a report reads one fit design, one Pohozaev window and one set
 # of norm weights, and snaps radii to, and takes ball rules at, up to seven
-# nodes.  The pieces of as many grids are kept as the solver keeps
-# discretizations for.
-_per_grid = functools.lru_cache(maxsize=_DISCRETIZATION_CACHE_SIZE)
-_per_node = functools.lru_cache(maxsize=8 * _DISCRETIZATION_CACHE_SIZE)
+# nodes.  A grid's layout keeps that many pieces of each kind, and the
+# layouts of as many grids are kept as the solver keeps discretizations for.
+_NODES_PER_GRID = 8
+_WINDOWS_PER_GRID = 2
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -59,20 +59,34 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-# The report snaps the same radii to nodes on every op.
-_nearest_index = _per_node(RadialGrid.nearest_index)
-
-
-@_per_node
 def _weights_within(grid: RadialGrid, index: int) -> np.ndarray:
-    """``grid.weights_within(index)``, built once per grid and node."""
     return _read_only(grid.weights_within(index))
 
 
-@_per_node
 def _weights_beyond(grid: RadialGrid, index: int) -> np.ndarray:
-    """``grid.weights_beyond(index)``, built once per grid and node."""
     return _read_only(grid.weights_beyond(index))
+
+
+class _Layout:
+    """The pieces of the checks that depend on one grid alone, each built
+    on first use and kept read-only: the last ``_NODES_PER_GRID`` of each
+    kind keyed by a radius or node, the last ``_WINDOWS_PER_GRID`` of each
+    kind keyed by a window or weight."""
+
+    def __init__(self, grid: RadialGrid):
+        per_node = functools.lru_cache(maxsize=_NODES_PER_GRID)
+        per_window = functools.lru_cache(maxsize=_WINDOWS_PER_GRID)
+        self.nearest_index = per_node(grid.nearest_index)
+        self.weights_within = per_node(functools.partial(_weights_within, grid))
+        self.weights_beyond = per_node(functools.partial(_weights_beyond, grid))
+        self.fit = per_window(functools.partial(_fit_layout, grid))
+        self.pohozaev_window = per_window(functools.partial(_pohozaev_window, grid))
+        self.norm_weights = per_window(functools.partial(_norm_weights, grid))
+
+
+@functools.lru_cache(maxsize=_DISCRETIZATION_CACHE_SIZE)
+def _layout(grid: RadialGrid) -> _Layout:
+    return _Layout(grid)
 
 
 # ----------------------------------------------------------------------
@@ -164,7 +178,6 @@ def _default_fit_window(grid: RadialGrid) -> tuple[float, float]:
     return (grid.r_max / 4.0, grid.r_max / 2.0)
 
 
-@_per_grid
 def _fit_layout(grid: RadialGrid, r_lo: float, r_hi: float) -> tuple[slice, np.ndarray]:
     """The nodes of the alpha-fit window [r_lo, r_hi], as a slice, and the
     fit's least-squares design on them; GridMismatch names the rule a
@@ -212,7 +225,7 @@ def asymptotic_profile(
     grid = w.grid
     if fit_window is None:
         fit_window = _default_fit_window(grid)
-    window, design = _fit_layout(grid, float(fit_window[0]), float(fit_window[1]))
+    window, design = _layout(grid).fit(float(fit_window[0]), float(fit_window[1]))
     target = w.values[window]
     coef, *_ = np.linalg.lstsq(design, target, rcond=None)
     deviation = float(np.max(np.abs(design @ coef - target)))
@@ -277,7 +290,7 @@ class PohozaevTerms:
 
 def _pohozaev_index(grid: RadialGrid, R: float) -> int:
     """The node R snaps to, if the boundary stencils fit either side."""
-    idx = _nearest_index(grid, R)
+    idx = _layout(grid).nearest_index(R)
     if idx < 2 * grid.m + 1 or len(grid.nodes) - 1 - idx < 2 * grid.m + 1:
         raise GridMismatch(
             f"radius {R} too close to the grid ends for the boundary stencils"
@@ -285,28 +298,10 @@ def _pohozaev_index(grid: RadialGrid, R: float) -> int:
     return idx
 
 
-@_per_grid
 def _pohozaev_window(grid: RadialGrid, index: int) -> StencilTable:
     """The stencil table of the m + 1 nodes either side of ``index``, on
     which the Pohozaev boundary terms are taken."""
     return grid.stencil.window(index - (grid.m + 1), index + grid.m + 2)
-
-
-def _iterates_at(
-    table: StencilTable, f, centre: int, steps: int
-) -> tuple[list[float], list[float]]:
-    """f and its first ``steps`` Laplacian iterates at the node ``centre``,
-    and their first derivatives there, in Python floats.  A value after k
-    three-point stencils depends on the k nodes either side, so ``f`` must
-    hold the ``steps`` + 1 nodes either side of ``centre``, and each
-    iterate is formed only on the nodes the later ones read."""
-    values, slopes = [f[centre]], [table.d1_at(f, centre)]
-    for reach in range(steps, 0, -1):
-        near = range(centre - reach, centre + reach + 1)
-        f = {i: table.laplacian_at(f, i) for i in near}
-        values.append(f[centre])
-        slopes.append(table.d1_at(f, centre))
-    return values, slopes
 
 
 def pohozaev_terms(
@@ -337,7 +332,7 @@ def pohozaev_terms(
     idx = _pohozaev_index(grid, R)
     r_snap = float(grid.nodes[idx])
     nodes, st = grid.nodes, grid.stencil
-    w_in = _weights_within(grid, idx)
+    w_in = _layout(grid).weights_within(idx)
     two_m = 2.0 * m
     om = sphere_area(n)
 
@@ -349,21 +344,22 @@ def pohozaev_terms(
     t3 = float(-two_m * alpha * (w_in @ (x_grad_w * u0_density.values)))
 
     # Laplacian iterates of wbar and of g = x . grad wbar, plus their
-    # radial derivatives, at the snapped radius.  They are read there
-    # alone, so they are taken node by node on the nodes that reach it:
-    # m + 1 either side for wbar's m iterates and their slopes, fewer for
-    # g's (m - 1) // 2 + 1.
-    table = _pohozaev_window(grid, idx)
+    # radial derivatives, at the snapped radius.  No chain applies more
+    # than m + 1 three-point stencils, so they run on the window of m + 1
+    # nodes either side of it: the window's end values are wrong, but the
+    # error moves in by one node per stencil and never reaches its centre.
+    table = _layout(grid).pohozaev_window(idx)
     centre = m + 1
-    w0 = wbar.values[idx - centre : idx + centre + 1].tolist()
-    w_iter, w_prime = _iterates_at(table, w0, centre, m)
-    g_steps = (m - 1) // 2
-    nodes_near = table.nodes.tolist()
-    g0 = {
-        i: nodes_near[i] * table.d1_at(w0, i)
-        for i in range(centre - g_steps - 1, centre + g_steps + 2)
-    }
-    g_iter, g_prime = _iterates_at(table, g0, centre, g_steps)
+    w_iter = [wbar.values[idx - centre : idx + centre + 1]]
+    for _ in range(m):
+        w_iter.append(table.laplacian(w_iter[-1]))
+    g_iter = [table.nodes * table.d1(w_iter[0])]
+    for _ in range((m - 1) // 2):
+        g_iter.append(table.laplacian(g_iter[-1]))
+    w_prime = [table.d1(arr)[centre] for arr in w_iter]
+    g_prime = [table.d1(arr)[centre] for arr in g_iter]
+    w_iter = [arr[centre] for arr in w_iter]
+    g_iter = [arr[centre] for arr in g_iter]
 
     b1 = float(om * r_snap**n * k_e_w[idx])
     if m % 2 == 0:
@@ -410,7 +406,7 @@ def tail_curvature_mass(log_K: RadialField, wbar: RadialField, R: float) -> floa
     grid = log_K.grid
     grid.ensure_same(wbar.grid)
     density = _curvature_density(log_K, wbar.values)
-    return _tail_mass(grid, density, _nearest_index(grid, R))
+    return _tail_mass(grid, density, _layout(grid).nearest_index(R))
 
 
 def _curvature_density(log_K: RadialField, wbar_values: np.ndarray) -> np.ndarray:
@@ -420,7 +416,7 @@ def _curvature_density(log_K: RadialField, wbar_values: np.ndarray) -> np.ndarra
 
 def _tail_mass(grid: RadialGrid, density: np.ndarray, index: int) -> float:
     """Quadrature of the node values ``density`` over r > nodes[index]."""
-    return float(_weights_beyond(grid, index) @ density)
+    return float(_layout(grid).weights_beyond(index) @ density)
 
 
 # ----------------------------------------------------------------------
@@ -455,7 +451,6 @@ def weighted_norm(f: RadialField, k: int, delta: float) -> float:
     return _weighted_norms(f, k, delta)[k]
 
 
-@_per_grid
 def _norm_weights(
     grid: RadialGrid, delta: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -477,7 +472,7 @@ def _weighted_norms(f: RadialField, k: int, delta: float) -> list[float]:
     n = grid.n
     nodes = grid.nodes
     w_full = grid.quad_weights  # includes the omega_{n-1} r^{n-1} factor
-    w_radial, weight0, weight1, weight2 = _norm_weights(grid, float(delta))
+    w_radial, weight0, weight1, weight2 = _layout(grid).norm_weights(float(delta))
     norms = [float(w_full @ (weight0 * f.values**2)) ** 0.5]
     if k == 0:
         return norms
@@ -529,14 +524,14 @@ def exp_integrability_probe(v: RadialField, p: float, R: float) -> ExpIntegrabil
     grid = v.grid
     if R > grid.r_max:
         raise GridMismatch(f"R = {R} exceeds r_max = {grid.r_max}")
-    idx = _nearest_index(grid, R)
+    idx = _layout(grid).nearest_index(R)
     r_snap = float(grid.nodes[idx])
     if r_snap <= 0:
         raise GridMismatch("R snapped to the origin; probe undefined")
     exponent = 2.0 * grid.m * p * np.abs(v.values)
     if float(np.max(exponent)) > 700.0:
         return ExpIntegrability(finite=False, value=math.inf, ratio=math.inf)
-    value = float(_weights_within(grid, idx) @ np.exp(exponent))
+    value = float(_layout(grid).weights_within(idx) @ np.exp(exponent))
     return ExpIntegrability(finite=True, value=value, ratio=value / r_snap**grid.n)
 
 
@@ -590,8 +585,9 @@ def check_report_grid(grid: RadialGrid) -> None:
     fail to build them, and on a grid it accepts the report finds them
     built."""
     try:
-        _fit_layout(grid, *_default_fit_window(grid))
-        _pohozaev_window(grid, _pohozaev_index(grid, _report_pohozaev_radius(grid)))
+        layout = _layout(grid)
+        layout.fit(*_default_fit_window(grid))
+        layout.pohozaev_window(_pohozaev_index(grid, _report_pohozaev_radius(grid)))
     except GridMismatch as exc:
         raise GridMismatch(f"the report cannot use this grid: {exc}") from None
 
@@ -617,7 +613,7 @@ def build_report(record: SolutionRecord) -> DiagnosticsReport:
     # |K| e^{2m wbar}, shared by the tail masses and the source's L^1 mass.
     curvature = _curvature_density(record.log_K, wbar)
     snapped = [
-        _nearest_index(grid, x)
+        _layout(grid).nearest_index(x)
         for x in (0.0, grid.r_max / 8, grid.r_max / 4, grid.r_max / 2, 0.75 * grid.r_max)
     ]
     tail = [(float(grid.nodes[i]), _tail_mass(grid, curvature, i)) for i in snapped]

@@ -116,10 +116,6 @@ class StencilTable:
     radial Laplacian's first-derivative factor.  The factors are read-only.
     At the origin a regular radial function is even, and its second
     derivative is read from the secants 2 (f_i - f_0) / r_i^2.
-
-    :meth:`d1_at` and :meth:`laplacian_at` give one interior entry of
-    :meth:`d1` and :meth:`laplacian` in Python floats, by the same
-    operations in the same order, so with the same bits.
     """
 
     n: int
@@ -143,29 +139,6 @@ class StencilTable:
 
     def _origin_secant(self, values: np.ndarray, i: int) -> float:
         return 2.0 * (values[i] - values[0]) / self.nodes[i] ** 2
-
-    @functools.cached_property
-    def _floats(self) -> tuple[tuple[float, ...], ...]:
-        """The node factors as tuples of Python floats, in
-        ``_STENCIL_FACTORS`` order."""
-        return tuple(tuple(getattr(self, name).tolist()) for name in _STENCIL_FACTORS)
-
-    def d1_at(self, values, i: int) -> float:
-        """``d1(values)[i]`` at an interior node i, where ``values`` maps
-        the nodes i - 1, i, i + 1 to Python floats."""
-        _, _, _, denom, hm2, hp2, hd2, _ = self._floats
-        j = i - 1
-        fm, f0, fp = values[i - 1], values[i], values[i + 1]
-        return (hm2[j] * fp - hp2[j] * fm + hd2[j] * f0) / denom[j]
-
-    def laplacian_at(self, values, i: int) -> float:
-        """``laplacian(values)[i]`` at an interior node i, where ``values``
-        maps the nodes i - 1, i, i + 1 to Python floats."""
-        hm, hp, hs, denom, hm2, hp2, hd2, radial = self._floats
-        j = i - 1
-        fm, f0, fp = values[i - 1], values[i], values[i + 1]
-        d2 = 2.0 * (hm[j] * fp + hp[j] * fm - hs[j] * f0) / denom[j]
-        return d2 + radial[j] * ((hm2[j] * fp - hp2[j] * fm + hd2[j] * f0) / denom[j])
 
     def d1(self, values: np.ndarray) -> np.ndarray:
         """First radial derivative: the interior formula, even-extension

@@ -204,14 +204,7 @@ class SolverConfig:
         return coeffs
 
     def validate(self) -> None:
-        """Raise ConfigError naming the violated rule, or return None.
-
-        The config is frozen, so a pass is remembered on the instance and
-        later calls return at once; a config that fails is checked, and
-        refused, on every call.  ``dataclasses.replace`` builds a new
-        instance, which is checked afresh."""
-        if "_valid" in self.__dict__:
-            return
+        """Raise ConfigError naming the violated rule, or return None."""
         if self.m == 1:
             raise ConfigError(
                 "m = 1 is not solvable: the admissible class is empty, "
@@ -264,7 +257,6 @@ class SolverConfig:
             raise ConfigError(
                 f"sinh_strength must be positive and finite, got {self.sinh_strength}"
             )
-        self.__dict__["_valid"] = True
 
     # ------------------------------------------------------------------
     def to_json_dict(self) -> dict:

@@ -1,8 +1,10 @@
 """Tests for the independent solution checks: PDE residual, volume,
 asymptotic fit, Pohozaev balance, weighted norms, and the report."""
 
+import gc
 import json
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -651,7 +653,7 @@ def test_report_matches_its_full_grid_formulas(report_records):
         # The alpha fit from the cached design equals a fresh lstsq.
         fit = (report.alpha_fitted, report.C_fitted, report.asymptotic_deviation)
         assert fit == _fit_by_lstsq(rec)
-        # Pohozaev terms from the cached ball rule and the stacked window
+        # Pohozaev terms from the cached ball rule and the cached window's
         # stencils.
         for R in (3.0, 7.5, 20.0, 30.0):
             terms = record_pohozaev_terms(rec, R)
@@ -730,27 +732,28 @@ def test_report_fit_reuses_the_cached_profile_coefficients(monkeypatch):
 # the report's per-grid layout
 # ----------------------------------------------------------------------
 _LAYOUT = (
-    "_fit_layout",
-    "_pohozaev_window",
-    "_norm_weights",
-    "_weights_within",
-    "_weights_beyond",
-    "_nearest_index",
+    "fit",
+    "pohozaev_window",
+    "norm_weights",
+    "weights_within",
+    "weights_beyond",
+    "nearest_index",
 )
 
 
 def _clear_layout():
-    for name in _LAYOUT + ("_angular_moment",):
-        getattr(qcurv.diagnostics, name).cache_clear()
+    qcurv.diagnostics._layout.cache_clear()
+    _angular_moment.cache_clear()
 
 
 @pytest.fixture
 def layout_builds():
     """Empty the report's layout caches; the returned function counts the
-    pieces each has built since (a cache miss is one build)."""
+    pieces of each kind built on a grid since (a cache miss is one build)."""
     _clear_layout()
-    return lambda: {
-        name: getattr(qcurv.diagnostics, name).cache_info().misses for name in _LAYOUT
+    return lambda grid: {
+        name: getattr(qcurv.diagnostics._layout(grid), name).cache_info().misses
+        for name in _LAYOUT
     }
 
 
@@ -774,27 +777,52 @@ def test_each_layout_piece_is_built_once_per_grid(layout_builds):
     )
     grid = build_grid(config)
     check_report_grid(grid)
-    assert layout_builds() == dict.fromkeys(_LAYOUT, 0) | {
-        "_fit_layout": 1,
-        "_pohozaev_window": 1,
-        "_nearest_index": 1,
+    assert layout_builds(grid) == dict.fromkeys(_LAYOUT, 0) | {
+        "fit": 1,
+        "pohozaev_window": 1,
+        "nearest_index": 1,
     }
     record = solve_continuation(config)
     assert record.grid is grid
     build_report(record)
-    built = layout_builds()
+    built = layout_builds(grid)
     assert built == {
-        "_fit_layout": 1,
-        "_pohozaev_window": 1,
-        "_norm_weights": 1,
-        "_weights_within": 2,
-        "_weights_beyond": 5,
-        "_nearest_index": 6,
+        "fit": 1,
+        "pohozaev_window": 1,
+        "norm_weights": 1,
+        "weights_within": 2,
+        "weights_beyond": 5,
+        "nearest_index": 6,
     }
     other = solve_continuation(replace(config, sign=-1, volume=2.0 * config.volume))
     build_report(other)
     build_report(record)
-    assert layout_builds() == built
+    assert layout_builds(grid) == built
+    assert qcurv.diagnostics._layout.cache_info().misses == 1
+
+
+def test_layouts_are_kept_for_the_last_grids_and_older_grids_released():
+    diag = qcurv.diagnostics
+    _clear_layout()
+    kept = diag._DISCRETIZATION_CACHE_SIZE
+    grids = []
+    for k in range(kept + 2):
+        grid = make_grid(2, 40.0, 128 + k)
+        field = RadialField(grid=grid, values=-np.log1p(grid.nodes**2))
+        check_report_grid(grid)
+        weighted_norm(field, 2, -3.0)
+        # More radii than a layout keeps rules for.
+        for R in range(1, 2 * diag._NODES_PER_GRID):
+            tail_curvature_mass(field, field, float(R))
+            exp_integrability_probe(field, 0.1, float(R))
+        layout = diag._layout(grid)
+        for kind in ("nearest_index", "weights_within", "weights_beyond"):
+            assert getattr(layout, kind).cache_info().currsize == diag._NODES_PER_GRID
+        grids.append(weakref.ref(grid))
+    del grid, field, layout
+    gc.collect()
+    assert [ref() is None for ref in grids] == [True, True] + [False] * kept
+    assert diag._layout.cache_info().currsize == kept
 
 
 def test_layout_pieces_are_read_only(report_records):
@@ -802,11 +830,12 @@ def test_layout_pieces_are_read_only(report_records):
     grid = rec.grid
     build_report(rec)
     diag = qcurv.diagnostics
+    layout = diag._layout(grid)
     idx = diag._pohozaev_index(grid, 20.0)
-    _, design = diag._fit_layout(grid, grid.r_max / 4.0, grid.r_max / 2.0)
-    table = diag._pohozaev_window(grid, idx)
-    arrays = [design, diag._weights_within(grid, idx), diag._weights_beyond(grid, idx)]
-    arrays += diag._norm_weights(grid, -3.0)
+    _, design = layout.fit(grid.r_max / 4.0, grid.r_max / 2.0)
+    table = layout.pohozaev_window(idx)
+    arrays = [design, layout.weights_within(idx), layout.weights_beyond(idx)]
+    arrays += layout.norm_weights(-3.0)
     arrays += [getattr(table, name) for name in ("nodes",) + _STENCIL_FACTORS]
     for array in arrays:
         assert not array.flags.writeable

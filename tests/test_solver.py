@@ -23,6 +23,7 @@ from qcurv import (
     eval_many,
     eval_radial_profile,
     kernel_matrix,
+    make_grid,
     normalization_cv,
     potential_apply,
     radial_profile_coeffs,
@@ -153,37 +154,6 @@ def test_validate_applies_the_degree_bound_before_the_radial_fit(monkeypatch):
     # Wrong ambient dimension.
     with pytest.raises(ConfigError, match="dim"):
         quick_config(profile=Polynomial.from_text("x1^2 + x2^2")).validate()
-
-
-def test_a_passed_validation_is_remembered_and_a_failed_one_is_not(monkeypatch):
-    checks = []
-    rule = qcurv.solver._radial_admissibility_violation
-
-    def counted(coeffs):
-        checks.append(coeffs)
-        return rule(coeffs)
-
-    monkeypatch.setattr(qcurv.solver, "_radial_admissibility_violation", counted)
-    cfg = quick_config()
-    cfg.validate()
-    cfg.validate()
-    record = solve_continuation(cfg)  # validates again, as build_K does
-    build_K(cfg, record.grid)
-    assert len(checks) == 1
-    # A config that fails is checked, and refused, on every call.
-    bad = quick_config(tol=0.0)
-    for count in (2, 3):
-        with pytest.raises(ConfigError, match="tol must be positive"):
-            bad.validate()
-        assert len(checks) == count
-    # dataclasses.replace builds an instance that is checked afresh.
-    with pytest.raises(ConfigError, match="tol must be positive"):
-        replace(cfg, tol=0.0).validate()
-    assert len(checks) == 4
-    other = replace(cfg, volume=0.25 * constants(2).vol_sphere)
-    other.validate()
-    other.validate()
-    assert len(checks) == 5
 
 
 def radial_polynomial(dim: int, coeffs) -> Polynomial:
@@ -736,7 +706,9 @@ def test_each_key_field_gets_its_own_discretization(change, kernel_builds):
     second = solve_continuation(cfg)
     assert len(kernel_builds) == 2
     assert second.grid is not first.grid
-    fresh = build_grid(cfg)
+    # build_grid would return the solve's own grid, so build one afresh.
+    fresh = make_grid(cfg.m, cfg.r_max, cfg.n_intervals, sinh_strength=cfg.sinh_strength)
+    assert fresh is not second.grid
     np.testing.assert_array_equal(second.grid.nodes, fresh.nodes)
     np.testing.assert_array_equal(second.grid.quad_weights, fresh.quad_weights)
     np.testing.assert_array_equal(
