@@ -27,6 +27,7 @@ Exit codes
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -55,6 +56,7 @@ from .potential import (
     ring_kernel_mean,
 )
 from .solver import (
+    _REMOVED_KEYS,
     SolverConfig,
     build_K,
     build_grid,
@@ -78,32 +80,41 @@ _EXIT_CODE_TABLE = textwrap.indent(
     (__doc__ or "").partition("Exit codes\n----------\n")[2], "  "
 )
 
+# Each default, removed key and gate below is read from the code that
+# applies it, so `qcurv --help` cannot drift from them.
+_DEFAULT = {
+    f.name: f"{f.default:g}"
+    for f in dataclasses.fields(SolverConfig)
+    if f.default is not dataclasses.MISSING
+}
 _CONFIG_FIELD_DOC = """\
 config JSON fields (schema_version 2):
   schema_version  int, 2 (1 still loads; its theta, t_schedule and
                   v_schedule keys are ignored).  The removed keys load
-                  only at one value each, and are dropped: map_kind at
-                  "sinh-clustered", quad_order at 12 and u0_profile at
-                  "smooth-global"
+                  only at one value each, and are dropped:
+""" + "".join(
+    f"{'':18}{key} at {json.dumps(value)}\n" for key, value in _REMOVED_KEYS.items()
+) + f"""\
   m               int in [2, 6]: half the dimension (m = 1 is rejected,
                   the admissible profile class is empty there)
   sign            +1 or -1: sign of the prescribed curvature
   volume          target conformal volume V > 0; for sign = +1 it must
-                  satisfy V in (0, vol(S^{2m}))
+                  satisfy V in (0, vol(S^{{2m}}))
   profile         the polynomial P, as canonical text ("1.0 * x1^2 + ...")
-                  or as a {"dim": d, "terms": [...]} object (integer dim
+                  or as a {{"dim": d, "terms": [...]}} object (integer dim
                   and exponents, finite coefficients); must pass the
                   admissibility check (radial, for the solver)
-  r_max           grid radius, > 1 (default 40)
-  n_intervals     radial intervals, >= 64 (default 2048)
+  r_max           grid radius, > 1 (default {_DEFAULT["r_max"]})
+  n_intervals     radial intervals, >= 64 (default {_DEFAULT["n_intervals"]})
   sinh_strength   clustering strength of the sinh node map, > 0
-                  (default 3)
+                  (default {_DEFAULT["sinh_strength"]})
   tol             bound on the fixed-point residual |T v - v|_inf at
-                  which the solve stops (default 1e-8)
-  max_iter        cap on the total iterations (default 600)
+                  which the solve stops (default {_DEFAULT["tol"]})
+  max_iter        cap on the total iterations (default {_DEFAULT["max_iter"]})
 
 hard gates applied by `solve` after convergence:
-  pde residual <= 5e-3, |volume - V|/V <= 5e-3, Pohozaev defect <= 1e-2
+  pde residual <= {GATE_PDE_RESIDUAL:g}, |volume - V|/V <= {GATE_VOLUME_REL:g}, \
+Pohozaev defect <= {GATE_POHOZAEV:g}
 
 grids `solve` refuses before iterating (exit 1):
   any on which the report cannot place its alpha-fit window
@@ -277,7 +288,7 @@ def _suite_oracles() -> list[tuple[str, bool, str]]:
 
     grid = make_grid(2, 10.0, 2048, map_kind="uniform")
     u = RadialField(grid=grid, values=spherical_solution(2, 1.0, grid.nodes))
-    resid = pde_residual(u, 2, 1)
+    resid = pde_residual(u, 1)
     checks.append(
         ("spherical-pde-residual(m=2)", resid <= 1e-3, f"max rel {resid:.3e}")
     )
@@ -518,6 +529,8 @@ def run_pohozaev(solution_dir: str, radius: float) -> int:
         config = SolverConfig.from_json_dict(meta["config"])
         result = meta["result"]
         c_v = float(result["c_v"])
+        if not math.isfinite(c_v):
+            raise ValueError(f"result.c_v = {result['c_v']!r} is not finite")
         # alpha = sign 2V / vol(S^{2m}) is fixed by the config; the stored
         # copy is only checked against it.
         alpha = config.alpha
@@ -541,14 +554,11 @@ def run_pohozaev(solution_dir: str, radius: float) -> int:
     try:
         v = RadialField(grid=grid, values=table[:, 1].copy())
         u0_density = RadialField(grid=grid, values=table[:, 4].copy())
-        wbar = RadialField(grid=grid, values=table[:, 1] + c_v)
     except GridMismatch as exc:
         print(f"cannot read solution directory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        terms = pohozaev_terms(
-            wbar, log_k, v, u0_density, config.sign, alpha, radius
-        )
+        terms = pohozaev_terms(v, c_v, log_k, u0_density, config.sign, alpha, radius)
     except QcurvError as exc:
         print(f"cannot evaluate balance: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -633,7 +643,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="re-evaluate the Pohozaev balance of a written solution",
         description="Reads meta.json and solution.csv from a solve output "
         "directory, rebuilds the grid, and prints the six balance terms at "
-        "the requested radius.  Exit 0 if the defect is within 1e-2.",
+        f"the requested radius.  Exit 0 if the defect is within {GATE_POHOZAEV:g}.",
     )
     p_poh.add_argument("--solution", required=True, help="solve output directory")
     p_poh.add_argument(

@@ -92,8 +92,8 @@ def _layout(grid: RadialGrid) -> _Layout:
 # ----------------------------------------------------------------------
 # PDE residual
 # ----------------------------------------------------------------------
-def pde_residual(u: RadialField, m: int, sign: int) -> float:
-    """Max relative residual of (-Delta)^m u = sign (2m-1)! e^{2mu}.
+def pde_residual(u: RadialField, sign: int) -> float:
+    """Max relative residual of (-Delta)^m u = sign (2m-1)! e^{2mu}, m of u.grid.
 
     The residual at node i is |LHS - RHS|_i / (|RHS|_i + max|RHS|).
     Normalizing by the density's peak (rather than a tiny absolute
@@ -105,8 +105,7 @@ def pde_residual(u: RadialField, m: int, sign: int) -> float:
     (:func:`~qcurv.geometry.radial_polyharmonic`) are compared.
     """
     grid = u.grid
-    if grid.m != m:
-        raise GridMismatch(f"field grid is for m = {grid.m}, requested m = {m}")
+    m = grid.m
     if sign not in (1, -1):
         raise GridMismatch(f"sign must be +1 or -1, got {sign}")
     keep = _polyharmonic_valid_nodes(len(grid.nodes), m)
@@ -120,9 +119,9 @@ def pde_residual(u: RadialField, m: int, sign: int) -> float:
 # ----------------------------------------------------------------------
 # conformal volume
 # ----------------------------------------------------------------------
-def conformal_volume(u: RadialField, m: int) -> tuple[float, float]:
-    """Quadrature of e^{2mu} plus an analytic estimate of the neglected
-    tail beyond R_max (returned as an error bar).
+def conformal_volume(u: RadialField) -> tuple[float, float]:
+    """Quadrature of e^{2mu} (m of u.grid) plus an analytic estimate of
+    the neglected tail beyond R_max (returned as an error bar).
 
     The quadrature uses ``grid.quad_weights``, the rule by which the
     solver's c_v matches the prescribed volume, so on a solve's own u it
@@ -138,8 +137,7 @@ def conformal_volume(u: RadialField, m: int) -> tuple[float, float]:
     underflow scale and has no meaningful tail.
     """
     grid = u.grid
-    if grid.m != m:
-        raise GridMismatch(f"field grid is for m = {grid.m}, requested m = {m}")
+    m = grid.m
     integrand = np.exp(2 * m * u.values)
     volume = float(grid.quad_weights @ integrand)
     if float(np.max(u.values)) <= _DEGENERATE_LEVEL:
@@ -305,29 +303,31 @@ def _pohozaev_window(grid: RadialGrid, index: int) -> StencilTable:
 
 
 def pohozaev_terms(
-    wbar: RadialField,
-    log_K: RadialField,
     v: RadialField,
+    c_v: float,
+    log_K: RadialField,
     u0_density: RadialField,
     sign: int,
     alpha: float,
     R: float,
 ) -> PohozaevTerms:
-    """Evaluate the six terms of the Pohozaev balance at the grid node
-    nearest to R (the radius is snapped to the grid).
+    """The six terms of the Pohozaev balance of wbar = v + c_v (c_v finite,
+    else GridMismatch) at the grid node nearest to R (R snapped to it).
 
     The curvature factor enters as log|K| with K = sign e^{log_K}, so
-    K e^{2m wbar} is formed as sign e^{log_K + 2m wbar} and
-    ``x . grad K`` e^{2m wbar} as r (log_K)'(r) times that term, by
+    K e^{2m wbar} is sign times :func:`_curvature_density` and
+    ``x . grad K`` e^{2m wbar} is r (log_K)'(r) times that term, by
     stencil differentiation of log_K;
     ``x . grad wbar`` is r v'(r) (wbar and v differ by a constant).  For
     radial fields every tensor contraction in the boundary cross term
     reduces to products of radial derivatives of Laplacian iterates,
     assembled here for any m.
     """
-    grid = wbar.grid
-    for other in (log_K, v, u0_density):
+    grid = v.grid
+    for other in (log_K, u0_density):
         grid.ensure_same(other.grid)
+    if not math.isfinite(c_v):
+        raise GridMismatch(f"c_v must be finite, got {c_v}")
     m, n = grid.m, grid.n
     idx = _pohozaev_index(grid, R)
     r_snap = float(grid.nodes[idx])
@@ -336,7 +336,8 @@ def pohozaev_terms(
     two_m = 2.0 * m
     om = sphere_area(n)
 
-    k_e_w = sign * np.exp(log_K.values + two_m * wbar.values)
+    wbar = v.values + c_v
+    k_e_w = sign * _curvature_density(log_K, wbar)
     x_grad_log_k = nodes * st.d1(log_K.values)
     x_grad_w = nodes * st.d1(v.values)
     t1 = float(w_in @ (x_grad_log_k * k_e_w))
@@ -350,7 +351,7 @@ def pohozaev_terms(
     # error moves in by one node per stencil and never reaches its centre.
     table = _layout(grid).pohozaev_window(idx)
     centre = m + 1
-    w_iter = [wbar.values[idx - centre : idx + centre + 1]]
+    w_iter = [wbar[idx - centre : idx + centre + 1]]
     for _ in range(m):
         w_iter.append(table.laplacian(w_iter[-1]))
     g_iter = [table.nodes * table.d1(w_iter[0])]
@@ -381,14 +382,11 @@ def pohozaev_terms(
 
 
 def record_pohozaev_terms(record: SolutionRecord, R: float) -> PohozaevTerms:
-    """Pohozaev terms of a finished solve at radius R, with wbar = v + c_v."""
-    wbar = RadialField(
-        grid=record.grid, values=record.v.values + record.c_v
-    )
+    """Pohozaev terms of a finished solve at radius R."""
     return pohozaev_terms(
-        wbar,
-        record.log_K,
         record.v,
+        record.c_v,
+        record.log_K,
         record.u0_density,
         record.config.sign,
         record.alpha,
@@ -602,8 +600,8 @@ def build_report(record: SolutionRecord) -> DiagnosticsReport:
     config = record.config
     grid = record.grid
     cs = constants(config.m)
-    residual = pde_residual(record.u, config.m, config.sign)
-    volume, _tail = conformal_volume(record.u, config.m)
+    residual = pde_residual(record.u, config.sign)
+    volume, _tail = conformal_volume(record.u)
     wbar = record.v.values + record.c_v
     alpha_fit, c_fit, deviation = asymptotic_profile(
         RadialField(grid=grid, values=wbar - record.alpha * record.u0.values)

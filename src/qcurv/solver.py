@@ -74,7 +74,7 @@ if not 1 <= _ANDERSON_DEPTH <= 3:
 # Smallest reciprocal condition of the scaled Gram matrix kept for gamma.
 _GRAM_RCOND = 1e-12
 _SCHEMA_VERSION = 2
-# Grids whose discretization solve_continuation keeps for reuse.
+# Grids whose discretization (_discretization) is kept for reuse.
 _DISCRETIZATION_CACHE_SIZE = 8
 # Schema-v1 keys that chose the iteration path rather than the problem;
 # v1 files still load, with these dropped.
@@ -160,7 +160,7 @@ def _radial_admissibility_violation(coeffs: np.ndarray) -> str | None:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class SolverConfig:
-    """Validated description of one solve.
+    """Description of one solve, validated on construction (:meth:`validate`).
 
     ``volume`` is the prescribed conformal volume V; ``profile`` the
     asymptotic polynomial P (must be a function of |x|^2 and pass the
@@ -202,6 +202,9 @@ class SolverConfig:
         if coeffs is not None:
             coeffs.flags.writeable = False
         return coeffs
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         """Raise ConfigError naming the violated rule, or return None."""
@@ -310,28 +313,16 @@ class SolverConfig:
                 values["profile"] = Polynomial.from_json_dict(values["profile"])
         except (PolynomialFormatError, DimensionMismatch) as exc:
             raise ConfigError(f"profile: {exc}") from exc
-        cfg = cls(**values)
-        cfg.validate()
-        return cfg
+        return cls(**values)
 
 
 # ----------------------------------------------------------------------
 # pieces of the fixed-point map
 # ----------------------------------------------------------------------
 def build_grid(config: SolverConfig) -> RadialGrid:
-    """The config's grid: the same object :func:`solve_continuation` solves
-    on, so what is built per grid before a solve serves the solve too."""
-    return _grid(config.m, config.r_max, config.n_intervals, config.sinh_strength)
-
-
-@functools.lru_cache(maxsize=_DISCRETIZATION_CACHE_SIZE, typed=True)
-def _grid(m: int, r_max: float, n_intervals: int, sinh_strength: float) -> RadialGrid:
-    """The sinh-clustered grid of a config's fields, built once per key;
-    settings that build none are a ConfigError."""
-    try:
-        return make_grid(m, r_max, n_intervals, sinh_strength=sinh_strength)
-    except GridMismatch as exc:
-        raise ConfigError(f"cannot build the grid: {exc}") from exc
+    """The grid of the config's discretization, the object
+    :func:`solve_continuation` solves on; its kernel and u0 come with it."""
+    return _discretization(config)[0]
 
 
 def u0_density_field(grid: RadialGrid) -> RadialField:
@@ -350,17 +341,26 @@ def u0_density_field(grid: RadialGrid) -> RadialField:
     return RadialField(grid=grid, values=dens * (-cs.gamma_m / mass))
 
 
-@functools.lru_cache(maxsize=_DISCRETIZATION_CACHE_SIZE, typed=True)
 def _discretization(
-    m: int,
-    r_max: float,
-    n_intervals: int,
-    sinh_strength: float,
+    config: SolverConfig,
 ) -> tuple[RadialGrid, KernelMatrix, RadialField, np.ndarray]:
-    """The grid, its kernel moments, the u0 density and the u0 node values,
-    shared read-only by every solve on the same grid.  Nothing here depends
-    on V, the sign or P."""
-    grid = _grid(m, r_max, n_intervals, sinh_strength)
+    """The config's grid, kernel moments, u0 density and u0 node values:
+    the one place a config's grid is chosen.  They depend only on
+    (m, r_max, n_intervals, sinh_strength), not on V, the sign or P, so
+    every config with the same key shares them, read-only."""
+    return _build_discretization(
+        config.m, config.r_max, config.n_intervals, config.sinh_strength
+    )
+
+
+@functools.lru_cache(maxsize=_DISCRETIZATION_CACHE_SIZE, typed=True)
+def _build_discretization(
+    m: int, r_max: float, n_intervals: int, sinh_strength: float
+) -> tuple[RadialGrid, KernelMatrix, RadialField, np.ndarray]:
+    try:
+        grid = make_grid(m, r_max, n_intervals, sinh_strength=sinh_strength)
+    except GridMismatch as exc:
+        raise ConfigError(f"cannot build the grid: {exc}") from exc
     kernel = kernel_matrix(grid)
     u0_density = u0_density_field(grid)
     u0_vals, _ = u0_eval(m, grid.nodes)
@@ -392,7 +392,6 @@ def build_K(config: SolverConfig, grid: RadialGrid) -> RadialField:
     """log|K| = log (2m-1)! - 2m P - 2m alpha u0 on the grid's nodes; K
     itself is sign e^{log|K|}.  Always finite.  Guards that the weighted
     tail value |K_N| w_N is below 1e-12 of max|K|."""
-    config.validate()
     p_vals = eval_radial_profile(config.radial_coeffs, grid.nodes)
     u0_vals, _ = u0_eval(config.m, grid.nodes)
     return _curvature_factor(config, grid, p_vals, u0_vals)
@@ -694,21 +693,12 @@ def solve_continuation(config: SolverConfig) -> SolutionRecord:
     assembled from the last evaluated iterate.  The guard is relative
     because the first residual grows like V.
 
-    Solves on the same grid share its discretization: the grid, the
-    kernel moments, the u0 density and the u0 node values depend only on
-    (m, r_max, n_intervals, sinh_strength), not on V, the sign or P, and
-    are built once per such key.  The last
-    ``_DISCRETIZATION_CACHE_SIZE`` = 8 keys are kept, read-only, at most
-    about 3.1 MB each (m = 6, N = 8192, the grid's stencil table
-    included).  log|K| is built per config.
+    The grid, kernel moments and u0 come from the config's shared
+    discretization, the one :func:`build_grid` reads; the last
+    ``_DISCRETIZATION_CACHE_SIZE`` = 8 are kept.  log|K| is built per
+    config.
     """
-    config.validate()
-    grid, kernel, u0_density, u0_vals = _discretization(
-        config.m,
-        config.r_max,
-        config.n_intervals,
-        config.sinh_strength,
-    )
+    grid, kernel, u0_density, u0_vals = _discretization(config)
     p_vals = eval_radial_profile(config.radial_coeffs, grid.nodes)
     log_K = _curvature_factor(config, grid, p_vals, u0_vals)
 

@@ -59,14 +59,14 @@ def test_spherical_solutions_satisfy_pde_and_volume_oracles():
         for lam in (0.5, 1.0, 2.0):
             grid = make_grid(m, 10.0 / lam, 2048, map_kind="uniform")
             u = RadialField(grid=grid, values=spherical_solution(m, lam, grid.nodes))
-            resid = pde_residual(u, m, 1)
+            resid = pde_residual(u, 1)
             assert resid <= 1e-3, f"m={m}, lambda={lam}: residual {resid:.3e}"
             worst_resid = max(worst_resid, resid)
 
             u_vol = RadialField(
                 grid=vol_grid, values=spherical_solution(m, lam, vol_grid.nodes)
             )
-            volume, tail = conformal_volume(u_vol, m)
+            volume, tail = conformal_volume(u_vol)
             rel = abs(volume - cs.vol_sphere) / cs.vol_sphere
             assert rel <= 1e-5, f"m={m}, lambda={lam}: volume rel err {rel:.3e}"
             assert 0.0 <= tail <= 1e-6 * volume

@@ -821,6 +821,19 @@ def test_config_field_doc_matches_the_dataclass():
             assert float(value) == f.default, f.name
 
 
+def test_help_states_the_gates_the_solve_applies():
+    code, out, _ = run_cli(["--help"])
+    assert code == 0
+    (values,) = re.findall(
+        r"pde residual <= (\S+), \|volume - V\|/V <= (\S+), "
+        r"Pohozaev defect <= (\S+)\n",
+        out,
+    )
+    cli = qcurv.cli
+    gates = (cli.GATE_PDE_RESIDUAL, cli.GATE_VOLUME_REL, cli.GATE_POHOZAEV)
+    assert tuple(map(float, values)) == gates
+
+
 def test_module_is_runnable_as_subprocess():
     result = subprocess.run(
         [sys.executable, "-m", "qcurv.cli", "verify", "--suite", "oracles"],

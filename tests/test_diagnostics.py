@@ -49,7 +49,7 @@ from test_solver import radial_polynomial
 def test_pde_residual_vanishes_on_explicit_solution(m, tol):
     grid = make_grid(m, 10.0, 2048, map_kind="uniform")
     u = RadialField(grid=grid, values=spherical_solution(m, 1.0, grid.nodes))
-    assert pde_residual(u, m, 1) < tol
+    assert pde_residual(u, 1) < tol
 
 
 def test_pde_residual_detects_perturbations():
@@ -59,16 +59,14 @@ def test_pde_residual_detects_perturbations():
     )
     # A constant shift scales the curvature by e^{0.4} but not the
     # polyharmonic, so the residual jumps by orders of magnitude.
-    assert pde_residual(u, 2, 1) > 0.05
+    assert pde_residual(u, 1) > 0.05
 
 
 def test_pde_residual_validates_inputs():
     grid = make_grid(2, 10.0, 128)
     u = RadialField(grid=grid, values=np.zeros_like(grid.nodes))
     with pytest.raises(GridMismatch):
-        pde_residual(u, 3, 1)
-    with pytest.raises(GridMismatch):
-        pde_residual(u, 2, 0)
+        pde_residual(u, 0)
 
 
 # ----------------------------------------------------------------------
@@ -78,7 +76,7 @@ def test_conformal_volume_of_explicit_solution():
     cs = constants(2)
     grid = make_grid(2, 60.0, 2048, sinh_strength=4.0)
     u = RadialField(grid=grid, values=spherical_solution(2, 1.0, grid.nodes))
-    volume, tail = conformal_volume(u, 2)
+    volume, tail = conformal_volume(u)
     assert volume == pytest.approx(cs.vol_sphere, rel=1e-4)
     assert 0 < tail < 1e-6 * volume
 
@@ -89,12 +87,12 @@ def test_conformal_volume_rejects_uncertifiable_tails():
     # certify decay below -2m.
     slow = RadialField(grid=grid, values=-0.8 * np.log1p(grid.nodes))
     with pytest.raises(TailNotNegligible, match="cannot certify"):
-        conformal_volume(slow, 2)
+        conformal_volume(slow)
     # Integrand ~ r^{-4.8}: integrable, but the truncated tail estimate
     # dwarfs the 1e-6 budget.
     heavy = RadialField(grid=grid, values=-1.2 * np.log1p(grid.nodes))
     with pytest.raises(TailNotNegligible, match="enlarge r_max"):
-        conformal_volume(heavy, 2)
+        conformal_volume(heavy)
 
 
 def test_conformal_volume_degenerate_and_underflow_paths():
@@ -102,7 +100,7 @@ def test_conformal_volume_degenerate_and_underflow_paths():
     # Uniformly tiny profiles skip the certificate (volume is underflow
     # scale, there is no meaningful tail to certify).
     degen = RadialField(grid=grid, values=np.full_like(grid.nodes, -60.0))
-    volume, tail = conformal_volume(degen, 2)
+    volume, tail = conformal_volume(degen)
     assert tail == 0.0
     assert volume == pytest.approx(
         math.exp(-240.0) * grid.quad_weights.sum(), rel=1e-12
@@ -110,16 +108,9 @@ def test_conformal_volume_degenerate_and_underflow_paths():
     # A Gaussian-type profile underflows the integrand in the window;
     # the tail is then below representable and reported as 0.
     gauss = RadialField(grid=grid, values=-grid.nodes**2)
-    volume, tail = conformal_volume(gauss, 2)
+    volume, tail = conformal_volume(gauss)
     assert tail == 0.0
     assert volume == pytest.approx((math.pi / 4.0) ** 2, rel=1e-3)
-
-
-def test_conformal_volume_checks_grid_dimension():
-    grid = make_grid(3, 40.0, 128)
-    u = RadialField(grid=grid, values=np.zeros_like(grid.nodes))
-    with pytest.raises(GridMismatch):
-        conformal_volume(u, 2)
 
 
 # ----------------------------------------------------------------------
@@ -237,7 +228,7 @@ def _spherical_balance_pieces(m: int):
 def test_pohozaev_balance_on_explicit_solution(m, tol):
     wbar, log_K, u0d = _spherical_balance_pieces(m)
     for R in (3.0, 5.0):
-        terms = pohozaev_terms(wbar, log_K, wbar, u0d, 1, 2.0, R)
+        terms = pohozaev_terms(wbar, 0.0, log_K, u0d, 1, 2.0, R)
         assert terms.defect < tol
         # Both sides are genuinely nonzero at these radii: the identity
         # is balancing something, not comparing zeros.
@@ -251,16 +242,23 @@ def test_pohozaev_balance_detects_non_solutions():
     # quadrature.
     wbar, log_K, u0d = _spherical_balance_pieces(2)
     tilted = RadialField(grid=wbar.grid, values=wbar.values + 0.05 * wbar.grid.nodes)
-    terms = pohozaev_terms(tilted, log_K, tilted, u0d, 1, 2.0, 5.0)
+    terms = pohozaev_terms(tilted, 0.0, log_K, u0d, 1, 2.0, 5.0)
     assert terms.defect > 1e-2
 
 
 def test_pohozaev_terms_validate_radius():
     wbar, log_K, u0d = _spherical_balance_pieces(2)
     with pytest.raises(GridMismatch, match="too close"):
-        pohozaev_terms(wbar, log_K, wbar, u0d, 1, 2.0, 0.001)
+        pohozaev_terms(wbar, 0.0, log_K, u0d, 1, 2.0, 0.001)
     with pytest.raises(GridMismatch, match="too close"):
-        pohozaev_terms(wbar, log_K, wbar, u0d, 1, 2.0, 10.0)
+        pohozaev_terms(wbar, 0.0, log_K, u0d, 1, 2.0, 10.0)
+
+
+@pytest.mark.parametrize("c_v", [math.nan, math.inf])
+def test_pohozaev_terms_refuse_a_non_finite_c_v(c_v):
+    wbar, log_K, u0d = _spherical_balance_pieces(2)
+    with pytest.raises(GridMismatch, match="c_v must be finite"):
+        pohozaev_terms(wbar, c_v, log_K, u0d, 1, 2.0, 5.0)
 
 
 def test_pohozaev_on_benchmark_record(benchmark_positive):
@@ -823,6 +821,27 @@ def test_layouts_are_kept_for_the_last_grids_and_older_grids_released():
     gc.collect()
     assert [ref() is None for ref in grids] == [True, True] + [False] * kept
     assert diag._layout.cache_info().currsize == kept
+
+
+def test_build_grid_and_the_solve_share_one_grid_owner():
+    # One cache holds a config's grid for build_grid and the solve, so
+    # building more grids than it keeps evicts the grid from both at once.
+    config = SolverConfig(
+        m=2,
+        sign=1,
+        volume=0.5 * constants(2).vol_sphere,
+        profile=Polynomial.from_text(" + ".join(f"x{i}^2" for i in range(1, 5))),
+        n_intervals=128,
+    )
+    solve_continuation(config)
+    for k in range(1, qcurv.solver._DISCRETIZATION_CACHE_SIZE + 2):
+        build_grid(replace(config, n_intervals=128 + k))
+    record = solve_continuation(config)
+    assert build_grid(config) is record.grid
+    check_report_grid(build_grid(config))
+    misses = qcurv.diagnostics._layout.cache_info().misses
+    build_report(record)
+    assert qcurv.diagnostics._layout.cache_info().misses == misses
 
 
 def test_layout_pieces_are_read_only(report_records):

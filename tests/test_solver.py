@@ -19,6 +19,7 @@ from qcurv import (
     SolverConfig,
     build_K,
     build_grid,
+    build_report,
     constants,
     eval_many,
     eval_radial_profile,
@@ -106,18 +107,14 @@ def test_config_alpha_is_twice_normalized_volume():
 
 
 def test_config_rejects_m_equal_one_with_explanation():
-    cfg = quick_config(
-        m=1, profile=Polynomial.from_text("x1^2 + x2^2"), volume=1.0
-    )
     with pytest.raises(ConfigError, match="admissible class is empty"):
-        cfg.validate()
+        quick_config(m=1, profile=Polynomial.from_text("x1^2 + x2^2"), volume=1.0)
 
 
 def test_config_rejects_supercritical_volume_for_positive_sign():
     cs = constants(2)
-    cfg = quick_config(volume=1.5 * cs.vol_sphere)
     with pytest.raises(ConfigError, match="vol"):
-        cfg.validate()
+        quick_config(volume=1.5 * cs.vol_sphere)
     # The same volume is fine for sign = -1.
     quick_config(sign=-1, volume=1.5 * cs.vol_sphere).validate()
 
@@ -129,11 +126,11 @@ def test_config_rejects_inadmissible_profiles():
         "+ 2 * x2^2 x3^2 + 2 * x2^2 x4^2 + x3^4 + 2 * x3^2 x4^2 + x4^4"
     )
     with pytest.raises(ConfigError, match="admissibility screen"):
-        quick_config(profile=deg4).validate()
+        quick_config(profile=deg4)
     # Non-radial profiles cannot feed the one-dimensional solver.
     aniso = Polynomial.from_text("x1^2 + x2^2 + x3^2 + 2.0 * x4^2")
     with pytest.raises(ConfigError, match="radial"):
-        quick_config(profile=aniso).validate()
+        quick_config(profile=aniso)
 
 
 def test_validate_applies_the_degree_bound_before_the_radial_fit(monkeypatch):
@@ -142,7 +139,7 @@ def test_validate_applies_the_degree_bound_before_the_radial_fit(monkeypatch):
     # the radial re-expansion, whose cost grows combinatorially with it.
     profile = Polynomial.from_text("x1^6 + x2^2 + x3^2 + x4^2")
     with pytest.raises(ConfigError, match="degree 6 exceeds the admissible bound"):
-        quick_config(profile=profile).validate()
+        quick_config(profile=profile)
 
     def refuse(P):
         raise AssertionError("the radial fit ran on an over-degree profile")
@@ -150,10 +147,10 @@ def test_validate_applies_the_degree_bound_before_the_radial_fit(monkeypatch):
     monkeypatch.setattr(qcurv.solver, "radial_profile_coeffs", refuse)
     steep = Polynomial.from_text("x1^400 + x2^2 + x3^2 + x4^2")
     with pytest.raises(ConfigError, match="degree 400 exceeds"):
-        quick_config(profile=steep).validate()
+        quick_config(profile=steep)
     # Wrong ambient dimension.
     with pytest.raises(ConfigError, match="dim"):
-        quick_config(profile=Polynomial.from_text("x1^2 + x2^2")).validate()
+        quick_config(profile=Polynomial.from_text("x1^2 + x2^2"))
 
 
 def radial_polynomial(dim: int, coeffs) -> Polynomial:
@@ -218,14 +215,12 @@ def admissibility_cases(m: int):
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_validate_decides_radial_admissibility_in_closed_form(m, no_sampling_screen):
     for profile, fragment in admissibility_cases(m):
-        cfg = quick_config(
-            m=m, volume=0.5 * constants(m).vol_sphere, profile=profile
-        )
+        fields = dict(m=m, volume=0.5 * constants(m).vol_sphere, profile=profile)
         if fragment is None:
-            cfg.validate()
+            quick_config(**fields)
             continue
         with pytest.raises(ConfigError, match="admissibility screen") as info:
-            cfg.validate()
+            quick_config(**fields)
         assert fragment in str(info.value), (profile.to_text(), str(info.value))
 
 
@@ -266,7 +261,22 @@ def test_config_rejects_bad_parameters(overrides, fragment):
             profile=Polynomial.from_text("x1^2", dim=2 * overrides["m"]),
         )
     with pytest.raises(ConfigError, match=fragment):
-        quick_config(**overrides).validate()
+        quick_config(**overrides)
+
+
+def test_one_op_validates_its_config_once(monkeypatch):
+    # Construction validates; loading, solving and reporting add no pass.
+    calls = []
+    validate = SolverConfig.validate
+
+    def counted(self):
+        calls.append(self)
+        return validate(self)
+
+    data = quick_config().to_json_dict()
+    monkeypatch.setattr(qcurv.solver.SolverConfig, "validate", counted)
+    build_report(solve_continuation(SolverConfig.from_json_dict(data)))
+    assert len(calls) == 1
 
 
 # ----------------------------------------------------------------------
@@ -644,22 +654,20 @@ def test_solve_converges_across_the_volume_range(m, sign):
             assert rec.final_update <= cfg.tol
 
 
-def test_solve_validates_before_working():
-    cfg = quick_config(tol=0.0)
+def test_solve_validates_before_working(kernel_builds):
+    # An invalid config cannot be built, so no solve can start on one.
     with pytest.raises(ConfigError):
-        solve_continuation(cfg)
+        solve_continuation(quick_config(tol=0.0))
+    assert kernel_builds == []
 
 
 # ----------------------------------------------------------------------
 # the shared discretization
 # ----------------------------------------------------------------------
-_DISCRETIZATION_KEY = ("m", "r_max", "n_intervals", "sinh_strength")
-
-
 @pytest.fixture
 def kernel_builds(monkeypatch):
     """Empty the discretization cache and record every kernel assembly."""
-    qcurv.solver._discretization.cache_clear()
+    qcurv.solver._build_discretization.cache_clear()
     calls = []
     build = qcurv.solver.kernel_matrix
 
@@ -669,7 +677,7 @@ def kernel_builds(monkeypatch):
 
     monkeypatch.setattr(qcurv.solver, "kernel_matrix", counted)
     yield calls
-    qcurv.solver._discretization.cache_clear()
+    qcurv.solver._build_discretization.cache_clear()
 
 
 @pytest.mark.parametrize(
@@ -733,9 +741,7 @@ def test_warm_solve_is_bit_identical_to_cold(kernel_builds):
 
 def test_shared_discretization_is_read_only(kernel_builds):
     cfg = quick_config()
-    grid, kernel, u0_density, u0_vals = qcurv.solver._discretization(
-        *(getattr(cfg, name) for name in _DISCRETIZATION_KEY)
-    )
+    grid, kernel, u0_density, u0_vals = qcurv.solver._discretization(cfg)
     shared = (
         grid.nodes, grid.quad_weights, kernel.moments, kernel.node_factors,
         u0_density.values, u0_vals, cfg.radial_coeffs,
@@ -753,8 +759,9 @@ def test_profile_coefficients_are_read_once_per_config(monkeypatch):
         calls.append(P)
         return read(P)
 
+    data = quick_config().to_json_dict()
     monkeypatch.setattr(qcurv.solver, "radial_profile_coeffs", counted)
-    cfg = SolverConfig.from_json_dict(quick_config().to_json_dict())
+    cfg = SolverConfig.from_json_dict(data)
     solve_continuation(cfg)
     build_K(cfg, build_grid(cfg))
     assert len(calls) == 1
