@@ -15,9 +15,10 @@ closed form.  The alpha fit reads the pieces the solver combined,
 -alpha u0 + v + c_v, which equal u + P without forming that difference.
 
 What depends on the grid alone is built once per grid and kept
-read-only: the alpha fit's window and least-squares design, the
-Pohozaev window's stencil table, the ball and annulus quadrature rules
-at a node, and the weighted norms' radial weights.  Each check reads
+read-only: the alpha fit's window, least-squares design and its
+pseudo-inverse, the volume check's tail window and its slope weights,
+the Pohozaev window's stencil table, the ball and annulus quadrature
+rules at a node, and the weighted norms' radial weights.  Each check reads
 these pieces for whatever window, radius or weight it is given, so a
 report on a grid seen before does only the work that depends on the
 solution, and its values are the same bits as on a fresh grid.  A
@@ -71,7 +72,7 @@ class _Layout:
     """The pieces of the checks that depend on one grid alone, each built
     on first use and kept read-only: the last ``_NODES_PER_GRID`` of each
     kind keyed by a radius or node, the last ``_WINDOWS_PER_GRID`` of each
-    kind keyed by a window or weight."""
+    kind keyed by a window or weight, and the volume check's tail window."""
 
     def __init__(self, grid: RadialGrid):
         per_node = functools.lru_cache(maxsize=_NODES_PER_GRID)
@@ -82,6 +83,7 @@ class _Layout:
         self.fit = per_window(functools.partial(_fit_layout, grid))
         self.pohozaev_window = per_window(functools.partial(_pohozaev_window, grid))
         self.norm_weights = per_window(functools.partial(_norm_weights, grid))
+        self.tail_window = per_window(functools.partial(_tail_window, grid))
 
 
 @functools.lru_cache(maxsize=_DISCRETIZATION_CACHE_SIZE)
@@ -142,14 +144,11 @@ def conformal_volume(u: RadialField) -> tuple[float, float]:
     volume = float(grid.quad_weights @ integrand)
     if float(np.max(u.values)) <= _DEGENERATE_LEVEL:
         return volume, 0.0
-    window = grid.nodes >= 0.75 * grid.r_max
-    if int(window.sum()) < 8:
-        window = np.zeros_like(window)
-        window[-8:] = True
+    window, slope_weights = _layout(grid).tail_window()
     tail_vals = integrand[window]
     if np.any(tail_vals <= 0.0):
         return volume, 0.0  # integrand underflowed: tail below representable
-    slope = np.polyfit(np.log(grid.nodes[window]), np.log(tail_vals), 1)[0]
+    slope = float(slope_weights @ np.log(tail_vals))
     if slope > -2.0 * m - 0.25:
         raise TailNotNegligible(
             f"cannot certify tail decay: fitted integrand exponent {slope:.3g} "
@@ -169,6 +168,26 @@ def conformal_volume(u: RadialField) -> tuple[float, float]:
     return volume, tail
 
 
+def _tail_window(grid: RadialGrid) -> tuple[slice, np.ndarray]:
+    """The nodes of the tail certificate's window, r >= 3 r_max / 4 or
+    else the last 8 nodes, as a slice, and the weights that give the
+    least-squares slope of a log-log line over it: with x = log r and
+    c = x - mean(x), the slope of y is (c . y) / (c . c).
+
+    c is centred a second time, so that its rounded entries sum to zero
+    to the rounding of c rather than of x, which is 10-30 times larger on
+    the window; mean(y), which c . y must cancel, then drops out to that
+    rounding."""
+    start = min(
+        int(np.searchsorted(grid.nodes, 0.75 * grid.r_max, side="left")),
+        len(grid.nodes) - 8,
+    )
+    centred = np.log(grid.nodes[start:])
+    for _ in range(2):
+        centred -= centred.mean()
+    return slice(start, None), _read_only(centred / (centred @ centred))
+
+
 # ----------------------------------------------------------------------
 # asymptotic profile fit
 # ----------------------------------------------------------------------
@@ -176,14 +195,18 @@ def _default_fit_window(grid: RadialGrid) -> tuple[float, float]:
     return (grid.r_max / 4.0, grid.r_max / 2.0)
 
 
-def _fit_layout(grid: RadialGrid, r_lo: float, r_hi: float) -> tuple[slice, np.ndarray]:
-    """The nodes of the alpha-fit window [r_lo, r_hi], as a slice, and the
-    fit's least-squares design on them; GridMismatch names the rule a
-    window breaks.
+def _fit_layout(
+    grid: RadialGrid, r_lo: float, r_hi: float
+) -> tuple[slice, np.ndarray, np.ndarray]:
+    """The nodes of the alpha-fit window [r_lo, r_hi], as a slice, the
+    fit's least-squares design on them and its pseudo-inverse;
+    GridMismatch names the rule a window breaks.
 
     The design's columns are -log r, 1 and (r_lo / r)^{2j} for
     j = 1..m-1: the far-field columns are scaled to 1 at the window's
-    start, so the design stays well conditioned up to r^{-2(m-1)}."""
+    start, so the design stays well conditioned up to r^{-2(m-1)}, and
+    its pseudo-inverse maps the window's values to the least-squares
+    coefficients."""
     if not r_lo >= 5.0:
         raise GridMismatch(f"fit window must start at r >= 5, got {r_lo}")
     if not r_hi <= grid.r_max:
@@ -201,7 +224,7 @@ def _fit_layout(grid: RadialGrid, r_lo: float, r_hi: float) -> tuple[slice, np.n
     design = np.column_stack(
         [-np.log(r), np.ones_like(r)] + [decay**j for j in range(1, grid.m)]
     )
-    return window, _read_only(design)
+    return window, _read_only(design), _read_only(np.linalg.pinv(design))
 
 
 def asymptotic_profile(
@@ -223,9 +246,11 @@ def asymptotic_profile(
     grid = w.grid
     if fit_window is None:
         fit_window = _default_fit_window(grid)
-    window, design = _layout(grid).fit(float(fit_window[0]), float(fit_window[1]))
+    window, design, pseudo_inverse = _layout(grid).fit(
+        float(fit_window[0]), float(fit_window[1])
+    )
     target = w.values[window]
-    coef, *_ = np.linalg.lstsq(design, target, rcond=None)
+    coef = pseudo_inverse @ target
     deviation = float(np.max(np.abs(design @ coef - target)))
     return float(coef[0]), float(coef[1]), deviation
 
@@ -310,9 +335,12 @@ def pohozaev_terms(
     sign: int,
     alpha: float,
     R: float,
+    v_d1: np.ndarray | None = None,
 ) -> PohozaevTerms:
     """The six terms of the Pohozaev balance of wbar = v + c_v (c_v finite,
     else GridMismatch) at the grid node nearest to R (R snapped to it).
+    ``v_d1`` is the grid stencil's first derivative of v, for a caller
+    that already holds it.
 
     The curvature factor enters as log|K| with K = sign e^{log_K}, so
     K e^{2m wbar} is sign times :func:`_curvature_density` and
@@ -339,7 +367,7 @@ def pohozaev_terms(
     wbar = v.values + c_v
     k_e_w = sign * _curvature_density(log_K, wbar)
     x_grad_log_k = nodes * st.d1(log_K.values)
-    x_grad_w = nodes * st.d1(v.values)
+    x_grad_w = nodes * (st.d1(v.values) if v_d1 is None else v_d1)
     t1 = float(w_in @ (x_grad_log_k * k_e_w))
     t2 = float(two_m * (w_in @ k_e_w))
     t3 = float(-two_m * alpha * (w_in @ (x_grad_w * u0_density.values)))
@@ -381,8 +409,11 @@ def pohozaev_terms(
     return PohozaevTerms(radius=r_snap, t1=t1, t2=t2, t3=t3, b1=b1, b2=b2, b3=b3)
 
 
-def record_pohozaev_terms(record: SolutionRecord, R: float) -> PohozaevTerms:
-    """Pohozaev terms of a finished solve at radius R."""
+def record_pohozaev_terms(
+    record: SolutionRecord, R: float, v_d1: np.ndarray | None = None
+) -> PohozaevTerms:
+    """Pohozaev terms of a finished solve at radius R; ``v_d1`` as in
+    :func:`pohozaev_terms`."""
     return pohozaev_terms(
         record.v,
         record.c_v,
@@ -391,6 +422,7 @@ def record_pohozaev_terms(record: SolutionRecord, R: float) -> PohozaevTerms:
         record.config.sign,
         record.alpha,
         R,
+        v_d1,
     )
 
 
@@ -446,7 +478,7 @@ def weighted_norm(f: RadialField, k: int, delta: float) -> float:
     """
     if k not in (0, 1, 2):
         raise GridMismatch(f"k must be 0, 1, or 2, got {k}")
-    return _weighted_norms(f, k, delta)[k]
+    return _weighted_norms(f, f.grid.stencil.d1(f.values), k, delta)[k]
 
 
 def _norm_weights(
@@ -463,9 +495,12 @@ def _norm_weights(
     )
 
 
-def _weighted_norms(f: RadialField, k: int, delta: float) -> list[float]:
-    """``weighted_norm(f, j, delta)`` for j = 0..k in one pass: the norm
-    of order j is that of order j - 1 plus its own blocks."""
+def _weighted_norms(
+    f: RadialField, f1: np.ndarray, k: int, delta: float
+) -> list[float]:
+    """``weighted_norm(f, j, delta)`` for j = 0..k in one pass, given f's
+    stencil derivative ``f1``: the norm of order j is that of order j - 1
+    plus its own blocks."""
     grid = f.grid
     n = grid.n
     nodes = grid.nodes
@@ -475,7 +510,6 @@ def _weighted_norms(f: RadialField, k: int, delta: float) -> list[float]:
     if k == 0:
         return norms
 
-    f1 = grid.stencil.d1(f.values)
     block1 = float(_angular_moment(n, (2.0,)) * (w_radial @ (weight1 * f1**2)))
     norms.append(norms[-1] + n * block1**0.5)
     if k == 1:
@@ -606,7 +640,9 @@ def build_report(record: SolutionRecord) -> DiagnosticsReport:
     alpha_fit, c_fit, deviation = asymptotic_profile(
         RadialField(grid=grid, values=wbar - record.alpha * record.u0.values)
     )
-    terms = record_pohozaev_terms(record, _report_pohozaev_radius(grid))
+    # v', shared by Pohozaev's x . grad wbar and the weighted norms.
+    v_d1 = grid.stencil.d1(record.v.values)
+    terms = record_pohozaev_terms(record, _report_pohozaev_radius(grid), v_d1)
 
     # |K| e^{2m wbar}, shared by the tail masses and the source's L^1 mass.
     curvature = _curvature_density(record.log_K, wbar)
@@ -619,7 +655,7 @@ def build_report(record: SolutionRecord) -> DiagnosticsReport:
     delta = -3.0
     norms = {
         f"k={k},delta={delta:g},p=2": norm
-        for k, norm in enumerate(_weighted_norms(record.v, 2, delta))
+        for k, norm in enumerate(_weighted_norms(record.v, v_d1, 2, delta))
     }
 
     curvature *= config.sign

@@ -94,6 +94,11 @@ def _canonical_terms(
     return tuple(kept)
 
 
+def _check_dim(dim: int) -> None:
+    if dim < 1:
+        raise DimensionMismatch(f"dim must be >= 1, got {dim}")
+
+
 @dataclass(frozen=True)
 class Polynomial:
     """A sparse polynomial in ``dim`` variables.
@@ -109,8 +114,7 @@ class Polynomial:
     terms: tuple[tuple[tuple[int, ...], float], ...]
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise DimensionMismatch(f"dim must be >= 1, got {self.dim}")
+        _check_dim(self.dim)
         if self.terms != _canonical_terms(self.dim, self.terms):
             raise PolynomialFormatError(
                 "terms are not in canonical (graded-lex, merged) form; "
@@ -124,7 +128,14 @@ class Polynomial:
     def from_terms(
         cls, dim: int, items: Iterable[tuple[Sequence[int], float]]
     ) -> "Polynomial":
-        return cls(dim=dim, terms=_canonical_terms(dim, items))
+        """The polynomial of ``items``, canonicalized once: the terms are
+        canonical by construction, so the raw constructor's check, which
+        would canonicalize them again, is not run."""
+        _check_dim(dim)
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "dim", dim)
+        object.__setattr__(poly, "terms", _canonical_terms(dim, items))
+        return poly
 
     @classmethod
     def zero(cls, dim: int) -> "Polynomial":

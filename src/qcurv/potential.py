@@ -29,9 +29,12 @@ into the applied potential, where repeated differencing would amplify it.
 The closed form ``Lambda_n(s, rho) = log max - sum_j c_j (min/max)^{2j}``
 separates into a function of ``s`` times a function of ``rho`` on either
 side of the diagonal, with rank <= m.  Every node is an interval
-endpoint, so each interval lies wholly below or wholly above a node, and
-the potential is a prefix sum of per-interval moments below ``r_i`` plus
-a suffix sum above it, in O(N m) work and memory.
+endpoint, so each hat function other than node i's own lies wholly below
+or wholly above ``r_i``, and node i's own splits into its rising half
+below and its falling half above.  The potential at ``r_i`` is thus a
+prefix sum of the full-hat moments of the nodes below it, a suffix sum of
+those above it, and a diagonal term from its own two halves, in O(N m)
+work and memory.
 """
 
 from __future__ import annotations
@@ -502,33 +505,37 @@ _KERNEL_QUAD_ORDER = 12
 
 @dataclass(frozen=True, eq=False)
 class KernelMatrix:
-    """The ring kernel on a grid, in semi-separable form.
+    """The ring kernel on a grid, in semi-separable node form.
 
     On either side of the diagonal the closed form factors as
 
         rho <= s:  Lambda_n(s, rho) = log s   - sum_j c_j s^{-2j} rho^{2j},
         rho >= s:  Lambda_n(s, rho) = log rho - sum_j c_j s^{2j} rho^{-2j},
 
-    for j = 1..m-1.  ``moments[h, p, k]`` integrates hat piece ``h`` of
-    interval ``k`` (0: falling from its left node, 1: rising to its right
-    node) against ``dmu`` times moment function ``p``, ordered
+    for j = 1..m-1.  ``hat_moments[p, k]`` integrates the hat function of
+    node k against ``dmu`` times moment function ``p``, ordered
     ``1, rho^2, ..., rho^{2(m-1)}`` (used below a node) then
     ``log rho, rho^{-2}, ..., rho^{-2(m-1)}`` (used above it).
-    ``node_factors[p, i]`` is the matching function of ``s = r_i``:
-    ``log r_i, -c_j r_i^{-2j}`` then ``1, -c_j r_i^{2j}``.  The origin row
-    has no intervals below it, so its below factors are 0 and it reduces
-    to ``Lambda_n(0, rho) = log rho``.
+    ``node_factors[p, i]`` is the matching function of ``s = r_i``,
+    ``log r_i, -c_j r_i^{-2j}`` then ``1, -c_j r_i^{2j}``, divided by
+    ``-gamma_m``.  ``diagonal[i]`` is the potential at ``r_i`` of node
+    i's own hat: its rising half (below ``r_i``) against the below
+    factors plus its falling half (above ``r_i``) against the above
+    factors.  The origin row has no intervals below it, so its below
+    factors are 0 and it reduces to ``Lambda_n(0, rho) = log rho``.
     """
 
     grid: RadialGrid
-    moments: np.ndarray
+    hat_moments: np.ndarray
     node_factors: np.ndarray
+    diagonal: np.ndarray
 
     def __post_init__(self):
-        rank = 2 * self.grid.m
+        rank, size = 2 * self.grid.m, len(self.grid.nodes)
         shapes = {
-            "moments": (2, rank, self.grid.n_intervals),
-            "node_factors": (rank, len(self.grid.nodes)),
+            "hat_moments": (rank, size),
+            "node_factors": (rank, size),
+            "diagonal": (size,),
         }
         for name, shape in shapes.items():
             arr = np.asarray(getattr(self, name), dtype=float)
@@ -538,9 +545,14 @@ class KernelMatrix:
             object.__setattr__(self, name, arr)
 
 
-def kernel_matrix(grid: RadialGrid) -> KernelMatrix:
-    """Per-interval kernel moments for a grid, in O(N m) time and memory,
-    by ``_KERNEL_QUAD_ORDER``-point Gauss-Legendre per interval."""
+def _semi_separable(grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel's per-interval moments and node factors, before they are
+    folded into node form: ``moments[h, p, k]`` integrates hat piece ``h``
+    of interval ``k`` (0: falling from its left node, 1: rising to its
+    right node) against ``dmu`` times moment function ``p``, by
+    ``_KERNEL_QUAD_ORDER``-point Gauss-Legendre; ``factors[p, i]`` is the
+    matching function of ``s = r_i``, not yet divided by ``-gamma_m``
+    (both ordered as in :class:`KernelMatrix`)."""
     n, m, nodes = grid.n, grid.m, grid.nodes
     xg, wg = gauss_legendre(_KERNEL_QUAD_ORDER)
     a, b = nodes[:-1, None], nodes[1:, None]
@@ -560,7 +572,25 @@ def kernel_matrix(grid: RadialGrid) -> KernelMatrix:
     for j in range(1, m):
         factors[j, 1:] = -coefs[2 * j] * nodes[1:] ** (-2 * j)
         factors[m + j] = -coefs[2 * j] * nodes ** (2 * j)
-    return KernelMatrix(grid=grid, moments=moments, node_factors=factors)
+    return moments, factors
+
+
+def kernel_matrix(grid: RadialGrid) -> KernelMatrix:
+    """The kernel's node form for a grid, in O(N m) time and memory: each
+    node's two half-hat moments summed into one full-hat moment, the node
+    factors divided by ``-gamma_m``, and the diagonal term."""
+    m = grid.m
+    (falling, rising), factors = _semi_separable(grid)
+    factors /= -constants(m).gamma_m
+    hat_moments = np.zeros_like(factors)
+    hat_moments[:, :-1] = falling
+    hat_moments[:, 1:] += rising
+    diagonal = np.zeros(len(grid.nodes))
+    diagonal[1:] = np.einsum("pk,pk->k", factors[:m, 1:], rising[:m])
+    diagonal[:-1] += np.einsum("pk,pk->k", factors[m:, :-1], falling[m:])
+    return KernelMatrix(
+        grid=grid, hat_moments=hat_moments, node_factors=factors, diagonal=diagonal
+    )
 
 
 def potential_apply(kernel: KernelMatrix, density: RadialField) -> RadialField:
@@ -569,25 +599,26 @@ def potential_apply(kernel: KernelMatrix, density: RadialField) -> RadialField:
 
     The integral is taken against the density's piecewise-linear
     interpolant, i.e. it is exact up to the per-interval Gauss-Legendre
-    error.  Moments of intervals below ``r_i`` are summed outward and
-    those above it inward, so the growing ``rho^{2j}`` and the decaying
-    ``rho^{-2j}`` terms are each accumulated smallest first and no sum is
-    formed as a total minus a partial sum.  gamma_m is that of the
+    error.  The full-hat moments of the nodes below ``r_i`` are summed
+    outward and those above it inward, so the growing ``rho^{2j}`` and the
+    decaying ``rho^{-2j}`` terms are each accumulated smallest first and
+    no sum is formed as a total minus a partial sum; node i's own hat
+    enters through the kernel's diagonal term.  gamma_m is that of the
     kernel's own m.  The caller is responsible for the density's discrete
     mass: a nonzero mass ``mu`` produces a ``-(mu/gamma_m) log r`` tail,
     which is faithfully reproduced, not corrected.
     """
     kernel.grid.ensure_same(density.grid)
     f = density.values
-    per_interval = kernel.moments[0] * f[:-1]
-    per_interval += kernel.moments[1] * f[1:]
     m = kernel.grid.m
-    # Rows :m hold the sums below each node, rows m: those above it.
-    sums = np.zeros(kernel.node_factors.shape)
-    per_interval[:m].cumsum(axis=1, out=sums[:m, 1:])
-    per_interval[m:, ::-1].cumsum(axis=1, out=sums[m:, -2::-1])
-    sums *= kernel.node_factors
-    values = sums[:m].sum(axis=0)
-    values += sums[m:].sum(axis=0)
-    values /= -constants(m).gamma_m
+    weighted = kernel.hat_moments * f
+    # Rows :m hold the sums strictly below each node, rows m: those
+    # strictly above it.
+    sums = np.empty_like(weighted)
+    sums[:m, 0] = 0.0
+    np.cumsum(weighted[:m, :-1], axis=1, out=sums[:m, 1:])
+    sums[m:, -1] = 0.0
+    np.cumsum(weighted[m:, :0:-1], axis=1, out=sums[m:, -2::-1])
+    values = np.einsum("pi,pi->i", kernel.node_factors, sums)
+    values += kernel.diagonal * f
     return RadialField(grid=density.grid, values=values)

@@ -391,9 +391,12 @@ def _curvature_factor(
 def build_K(config: SolverConfig, grid: RadialGrid) -> RadialField:
     """log|K| = log (2m-1)! - 2m P - 2m alpha u0 on the grid's nodes; K
     itself is sign e^{log|K|}.  Always finite.  Guards that the weighted
-    tail value |K_N| w_N is below 1e-12 of max|K|."""
+    tail value |K_N| w_N is below 1e-12 of max|K|.  ``grid`` must be the
+    config's grid (GridMismatch otherwise), whose u0 values the config's
+    discretization holds."""
+    own_grid, _, _, u0_vals = _discretization(config)
+    grid.ensure_same(own_grid)
     p_vals = eval_radial_profile(config.radial_coeffs, grid.nodes)
-    u0_vals, _ = u0_eval(config.m, grid.nodes)
     return _curvature_factor(config, grid, p_vals, u0_vals)
 
 

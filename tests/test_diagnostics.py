@@ -95,6 +95,35 @@ def test_conformal_volume_rejects_uncertifiable_tails():
         conformal_volume(heavy)
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize(
+    "n_intervals, sinh_strength", [(64, 10.0), (512, 3.0), (2048, 3.0), (8192, 1.0)]
+)
+def test_tail_slope_matches_polyfit(m, n_intervals, sinh_strength):
+    # The tail certificate's log-log slope, from the layout's centred
+    # weights, against np.polyfit over the node mask r >= 3 r_max / 4 (or
+    # the last 8 nodes: 64 intervals at strength 10 leave 2 in the mask).
+    # Over these grids the two agree to 20 eps relative at most.
+    grid = make_grid(m, 60.0, n_intervals, sinh_strength=sinh_strength)
+    u = -1.5 * np.log1p(grid.nodes**2) + 0.3 * np.sin(grid.nodes)
+    integrand = np.exp(2 * m * u)
+    select = grid.nodes >= 0.75 * grid.r_max
+    if select.sum() < 8:
+        select = np.zeros_like(select)
+        select[-8:] = True
+    expected = np.polyfit(np.log(grid.nodes[select]), np.log(integrand[select]), 1)[0]
+    window, slope_weights = qcurv.diagnostics._layout(grid).tail_window()
+    np.testing.assert_array_equal(np.arange(len(grid.nodes))[window], np.flatnonzero(select))
+    slope = float(slope_weights @ np.log(integrand[window]))
+    assert slope == pytest.approx(expected, rel=1e-13, abs=0.0)
+    # The certificate's tail estimate reads that slope.
+    _, tail = conformal_volume(RadialField(grid=grid, values=u))
+    expected_tail = integrand[-1] * sphere_area(grid.n) * grid.r_max**grid.n / (
+        -expected - 2.0 * m
+    )
+    assert tail == pytest.approx(expected_tail, rel=1e-12, abs=0.0)
+
+
 def test_conformal_volume_degenerate_and_underflow_paths():
     grid = make_grid(2, 40.0, 1024)
     # Uniformly tiny profiles skip the certificate (volume is underflow
@@ -648,9 +677,21 @@ def test_report_matches_its_full_grid_formulas(report_records):
                 rec.v, k, -3.0, 2.0, pure_block=_pure_block_in_closed_form
             )
             assert report.weighted_norms[f"k={k},delta=-3,p=2"] == expected
-        # The alpha fit from the cached design equals a fresh lstsq.
-        fit = (report.alpha_fitted, report.C_fitted, report.asymptotic_deviation)
-        assert fit == _fit_by_lstsq(rec)
+        # The alpha fit from the cached pseudo-inverse agrees with a fresh
+        # lstsq.  Each of the two solves of the same least-squares problem
+        # lands within about cond(design) eps |coef| of the exact
+        # coefficients, since the residual is at rounding level (measured:
+        # at most 0.51 of that with |coef| = |(alpha, C)|), and the
+        # deviation moves by at most the design's largest row sum times it.
+        alpha, c_fit, deviation = _fit_by_lstsq(rec)
+        _, design, _ = qcurv.diagnostics._layout(grid).fit(
+            grid.r_max / 4.0, grid.r_max / 2.0
+        )
+        bound = np.linalg.cond(design) * np.finfo(float).eps * math.hypot(alpha, c_fit)
+        assert abs(report.alpha_fitted - alpha) <= min(bound, 1e-11 * abs(alpha))
+        assert abs(report.C_fitted - c_fit) <= bound
+        row_sum = float(np.max(np.sum(np.abs(design), axis=1)))
+        assert abs(report.asymptotic_deviation - deviation) <= row_sum * bound
         # Pohozaev terms from the cached ball rule and the cached window's
         # stencils.
         for R in (3.0, 7.5, 20.0, 30.0):
@@ -736,6 +777,7 @@ _LAYOUT = (
     "weights_within",
     "weights_beyond",
     "nearest_index",
+    "tail_window",
 )
 
 
@@ -791,6 +833,7 @@ def test_each_layout_piece_is_built_once_per_grid(layout_builds):
         "weights_within": 2,
         "weights_beyond": 5,
         "nearest_index": 6,
+        "tail_window": 1,
     }
     other = solve_continuation(replace(config, sign=-1, volume=2.0 * config.volume))
     build_report(other)
@@ -851,9 +894,11 @@ def test_layout_pieces_are_read_only(report_records):
     diag = qcurv.diagnostics
     layout = diag._layout(grid)
     idx = diag._pohozaev_index(grid, 20.0)
-    _, design = layout.fit(grid.r_max / 4.0, grid.r_max / 2.0)
+    _, design, pseudo_inverse = layout.fit(grid.r_max / 4.0, grid.r_max / 2.0)
+    _, slope_weights = layout.tail_window()
     table = layout.pohozaev_window(idx)
-    arrays = [design, layout.weights_within(idx), layout.weights_beyond(idx)]
+    arrays = [design, pseudo_inverse, slope_weights]
+    arrays += [layout.weights_within(idx), layout.weights_beyond(idx)]
     arrays += layout.norm_weights(-3.0)
     arrays += [getattr(table, name) for name in ("nodes",) + _STENCIL_FACTORS]
     for array in arrays:

@@ -49,6 +49,25 @@ def test_raw_constructor_rejects_non_canonical_terms():
 def test_constructor_rejects_nonpositive_dimension():
     with pytest.raises(DimensionMismatch):
         Polynomial(dim=0, terms=())
+    with pytest.raises(DimensionMismatch):
+        Polynomial.from_terms(0, [])
+
+
+def test_a_parse_canonicalizes_its_terms_once(monkeypatch):
+    calls = []
+    canonical = qcurv.poly._canonical_terms
+
+    def counted(dim, items):
+        calls.append(dim)
+        return canonical(dim, items)
+
+    monkeypatch.setattr(qcurv.poly, "_canonical_terms", counted)
+    text = " + ".join(f"1.2 * x{i}^2" for i in range(1, 5))
+    P = Polynomial.from_text(text)
+    assert len(calls) == 1
+    # The same value as the checked constructor builds from those terms.
+    assert P == Polynomial(dim=4, terms=P.terms)
+    assert Polynomial.from_json_dict(P.to_json_dict()) == P
 
 
 def test_zero_polynomial_properties():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import qcurv.poly
+import qcurv.potential
 import qcurv.solver
 
 from qcurv import (
@@ -419,6 +420,23 @@ def test_build_K_matches_closed_form():
         assert log_K.values[0] == math.log(6.0)
 
 
+def test_build_K_reads_u0_from_the_config_discretization(monkeypatch):
+    cfg = quick_config()
+    grid = build_grid(cfg)
+    calls = []
+    evaluate = qcurv.solver.u0_eval
+
+    def counted(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(qcurv.solver, "u0_eval", counted)
+    build_K(cfg, grid)
+    assert calls == []
+    with pytest.raises(GridMismatch):
+        build_K(cfg, make_grid(2, cfg.r_max, cfg.n_intervals + 1))
+
+
 def test_build_K_guards_against_non_negligible_tail():
     # A very weak profile on a short domain leaves the curvature kernel
     # fat at r_max, which would alias the truncated tail into the solve.
@@ -743,8 +761,8 @@ def test_shared_discretization_is_read_only(kernel_builds):
     cfg = quick_config()
     grid, kernel, u0_density, u0_vals = qcurv.solver._discretization(cfg)
     shared = (
-        grid.nodes, grid.quad_weights, kernel.moments, kernel.node_factors,
-        u0_density.values, u0_vals, cfg.radial_coeffs,
+        grid.nodes, grid.quad_weights, kernel.hat_moments, kernel.node_factors,
+        kernel.diagonal, u0_density.values, u0_vals, cfg.radial_coeffs,
     )
     for arr in shared:
         assert not arr.flags.writeable
@@ -1102,11 +1120,12 @@ def _two_exponential_curvature(v, config, log_K):
     return config.sign * np.exp(log_K.values + two_m * (v.values + cv)), cv
 
 
-def _potential_formula(kernel, f, gamma_m):
-    """The semi-separable potential as first written."""
-    per_interval = kernel.moments[0] * f[:-1] + kernel.moments[1] * f[1:]
-    m = kernel.grid.m
-    below_factors, above_factors = kernel.node_factors[:m], kernel.node_factors[m:]
+def _potential_formula(moments, factors, f, gamma_m):
+    """The semi-separable potential as first written, on the kernel's
+    per-interval moments and undivided node factors."""
+    per_interval = moments[0] * f[:-1] + moments[1] * f[1:]
+    m = len(factors) // 2
+    below_factors, above_factors = factors[:m], factors[m:]
     below = np.zeros_like(below_factors)
     above = np.zeros_like(above_factors)
     below[:, 1:] = np.cumsum(per_interval[:m], axis=1)
@@ -1124,6 +1143,8 @@ def test_fixed_point_map_is_bit_identical_to_its_formulas(m, sign):
         cfg = replace(cfg, sign=1, volume=0.6 * constants(m).vol_sphere)
     grid = build_grid(cfg)
     kern = kernel_matrix(grid)
+    moments, factors = qcurv.potential._semi_separable(grid)
+    gamma_m = constants(m).gamma_m
     log_K = build_K(cfg, grid)
     u0d = u0_density_field(grid)
     rng = np.random.default_rng(m)
@@ -1133,10 +1154,23 @@ def test_fixed_point_map_is_bit_identical_to_its_formulas(m, sign):
         expected, expected_cv = _source_formula(v, cfg, log_K, u0d)
         assert cv == expected_cv
         np.testing.assert_array_equal(source.values, expected)
-        np.testing.assert_array_equal(
-            potential_apply(kern, source).values,
-            _potential_formula(kern, expected, constants(m).gamma_m),
+        # The node form sums the same terms in another grouping: folded
+        # half-hats, factors divided by gamma_m before the products, the
+        # diagonal term apart.  Each value is a sum of at most N + 2m + 8
+        # rounded operations on every term, so either side is within
+        # (N + 2m + 8) eps/2 of the exact sum of |term| at each node, and
+        # the two within twice that.
+        terms = np.abs(
+            _potential_formula(
+                np.abs(moments), np.abs(factors), np.abs(expected), gamma_m
+            )
         )
+        bound = (len(grid.nodes) + 2 * m + 8) * np.finfo(float).eps * terms
+        deviation = np.abs(
+            potential_apply(kern, source).values
+            - _potential_formula(moments, factors, expected, gamma_m)
+        )
+        assert np.all(deviation <= bound)
 
 
 @pytest.mark.parametrize(
