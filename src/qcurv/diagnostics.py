@@ -17,15 +17,17 @@ closed form.  The alpha fit reads the pieces the solver combined,
 What depends on the grid alone is built once per grid and kept
 read-only: the alpha fit's window, least-squares design and its
 pseudo-inverse, the volume check's tail window and its slope weights,
-the Pohozaev window's stencil table, the ball and annulus quadrature
-rules at a node, and the weighted norms' radial weights.  Each check reads
-these pieces for whatever window, radius or weight it is given, so a
-report on a grid seen before does only the work that depends on the
-solution, and its values are the same bits as on a fresh grid.  A
-grid's pieces live on one layout, which keeps a bounded number of each
-kind; the layouts of the last ``_DISCRETIZATION_CACHE_SIZE`` grids are
-kept, as the solver keeps their discretizations, and an older grid is
-released with everything built on it.
+the Pohozaev boundary terms' linear functional on the window around
+their node (the stencil chain run once on the window's unit vectors), the
+ball and annulus quadrature rules at a node, and the weighted norms'
+radial weights.  Each check reads these pieces for whatever window,
+radius or weight it is given, so a report on a grid seen before does only
+the work that depends on the solution, and its values are the same bits
+as on a fresh grid.  A grid's pieces live on one layout, which keeps a
+bounded number of each kind; the layouts of the last
+``_DISCRETIZATION_CACHE_SIZE`` grids are kept, as the solver keeps their
+discretizations, and an older grid is released with everything built on
+it.
 """
 
 from __future__ import annotations
@@ -94,8 +96,9 @@ def _layout(grid: RadialGrid) -> _Layout:
 # ----------------------------------------------------------------------
 # PDE residual
 # ----------------------------------------------------------------------
-def pde_residual(u: RadialField, sign: int) -> float:
-    """Max relative residual of (-Delta)^m u = sign (2m-1)! e^{2mu}, m of u.grid.
+def pde_residual(u: RadialField, sign: int, exp_2mu: np.ndarray | None = None) -> float:
+    """Max relative residual of (-Delta)^m u = sign (2m-1)! e^{2mu}, m of u.grid;
+    ``exp_2mu`` is e^{2mu} at every node, for a caller that already holds it.
 
     The residual at node i is |LHS - RHS|_i / (|RHS|_i + max|RHS|).
     Normalizing by the density's peak (rather than a tiny absolute
@@ -112,7 +115,9 @@ def pde_residual(u: RadialField, sign: int) -> float:
         raise GridMismatch(f"sign must be +1 or -1, got {sign}")
     keep = _polyharmonic_valid_nodes(len(grid.nodes), m)
     lhs = radial_polyharmonic(u, m).values[keep]
-    rhs = sign * math.factorial(2 * m - 1) * np.exp(2 * m * u.values[keep])
+    if exp_2mu is None:
+        exp_2mu = np.exp(2 * m * u.values)
+    rhs = sign * math.factorial(2 * m - 1) * exp_2mu[keep]
     floor = max(float(np.max(np.abs(rhs))), 1e-300)
     rel = np.abs(lhs - rhs) / (np.abs(rhs) + floor)
     return float(np.max(rel))
@@ -121,9 +126,12 @@ def pde_residual(u: RadialField, sign: int) -> float:
 # ----------------------------------------------------------------------
 # conformal volume
 # ----------------------------------------------------------------------
-def conformal_volume(u: RadialField) -> tuple[float, float]:
+def conformal_volume(
+    u: RadialField, exp_2mu: np.ndarray | None = None
+) -> tuple[float, float]:
     """Quadrature of e^{2mu} (m of u.grid) plus an analytic estimate of
-    the neglected tail beyond R_max (returned as an error bar).
+    the neglected tail beyond R_max (returned as an error bar);
+    ``exp_2mu`` as in :func:`pde_residual`.
 
     The quadrature uses ``grid.quad_weights``, the rule by which the
     solver's c_v matches the prescribed volume, so on a solve's own u it
@@ -140,7 +148,7 @@ def conformal_volume(u: RadialField) -> tuple[float, float]:
     """
     grid = u.grid
     m = grid.m
-    integrand = np.exp(2 * m * u.values)
+    integrand = np.exp(2 * m * u.values) if exp_2mu is None else exp_2mu
     volume = float(grid.quad_weights @ integrand)
     if float(np.max(u.values)) <= _DEGENERATE_LEVEL:
         return volume, 0.0
@@ -321,10 +329,39 @@ def _pohozaev_index(grid: RadialGrid, R: float) -> int:
     return idx
 
 
-def _pohozaev_window(grid: RadialGrid, index: int) -> StencilTable:
-    """The stencil table of the m + 1 nodes either side of ``index``, on
-    which the Pohozaev boundary terms are taken."""
-    return grid.stencil.window(index - (grid.m + 1), index + grid.m + 2)
+def _boundary_chain(table: StencilTable, values: np.ndarray) -> list[float]:
+    """At the centre of the window ``table`` of 2m + 3 nodes: Delta^k of
+    ``values`` for k = 0..m, their radial derivatives, then the same for
+    g = x . grad ``values`` up to k = (m - 1) // 2.
+
+    No chain applies more than m + 1 three-point stencils, so the window's
+    end values are wrong but the error moves in by one node per stencil
+    and never reaches its centre."""
+    m = (len(table.nodes) - 3) // 2
+    centre = m + 1
+    w_iter = [values]
+    for _ in range(m):
+        w_iter.append(table.laplacian(w_iter[-1]))
+    g_iter = [table.nodes * table.d1(values)]
+    for _ in range((m - 1) // 2):
+        g_iter.append(table.laplacian(g_iter[-1]))
+    return (
+        [arr[centre] for arr in w_iter]
+        + [table.d1(arr)[centre] for arr in w_iter]
+        + [arr[centre] for arr in g_iter]
+        + [table.d1(arr)[centre] for arr in g_iter]
+    )
+
+
+def _pohozaev_window(grid: RadialGrid, index: int) -> np.ndarray:
+    """The Pohozaev boundary terms' linear functional at ``index``: a
+    read-only matrix whose rows, applied to the values on the m + 1 nodes
+    either side of ``index``, give :func:`_boundary_chain` of them.  It is
+    built by running the chain on the window's unit vectors."""
+    m = grid.m
+    table = grid.stencil.window(index - (m + 1), index + m + 2)
+    columns = [_boundary_chain(table, unit) for unit in np.eye(2 * m + 3)]
+    return _read_only(np.array(columns).T.copy())
 
 
 def pohozaev_terms(
@@ -336,11 +373,13 @@ def pohozaev_terms(
     alpha: float,
     R: float,
     v_d1: np.ndarray | None = None,
+    curvature: np.ndarray | None = None,
 ) -> PohozaevTerms:
     """The six terms of the Pohozaev balance of wbar = v + c_v (c_v finite,
     else GridMismatch) at the grid node nearest to R (R snapped to it).
-    ``v_d1`` is the grid stencil's first derivative of v, for a caller
-    that already holds it.
+    ``v_d1`` is the grid stencil's first derivative of v, and
+    ``curvature`` is |K| e^{2m wbar} at the nodes (:func:`_curvature_density`),
+    for a caller that already holds them.
 
     The curvature factor enters as log|K| with K = sign e^{log_K}, so
     K e^{2m wbar} is sign times :func:`_curvature_density` and
@@ -349,7 +388,9 @@ def pohozaev_terms(
     ``x . grad wbar`` is r v'(r) (wbar and v differ by a constant).  For
     radial fields every tensor contraction in the boundary cross term
     reduces to products of radial derivatives of Laplacian iterates,
-    assembled here for any m.
+    assembled here for any m; the iterates at R come from the grid's
+    cached functional (:func:`_pohozaev_window`) in one matrix-vector
+    product.
     """
     grid = v.grid
     for other in (log_K, u0_density):
@@ -365,7 +406,9 @@ def pohozaev_terms(
     om = sphere_area(n)
 
     wbar = v.values + c_v
-    k_e_w = sign * _curvature_density(log_K, wbar)
+    if curvature is None:
+        curvature = _curvature_density(log_K, wbar)
+    k_e_w = sign * curvature
     x_grad_log_k = nodes * st.d1(log_K.values)
     x_grad_w = nodes * (st.d1(v.values) if v_d1 is None else v_d1)
     t1 = float(w_in @ (x_grad_log_k * k_e_w))
@@ -373,22 +416,19 @@ def pohozaev_terms(
     t3 = float(-two_m * alpha * (w_in @ (x_grad_w * u0_density.values)))
 
     # Laplacian iterates of wbar and of g = x . grad wbar, plus their
-    # radial derivatives, at the snapped radius.  No chain applies more
-    # than m + 1 three-point stencils, so they run on the window of m + 1
-    # nodes either side of it: the window's end values are wrong, but the
-    # error moves in by one node per stencil and never reaches its centre.
-    table = _layout(grid).pohozaev_window(idx)
-    centre = m + 1
-    w_iter = [wbar[idx - centre : idx + centre + 1]]
-    for _ in range(m):
-        w_iter.append(table.laplacian(w_iter[-1]))
-    g_iter = [table.nodes * table.d1(w_iter[0])]
-    for _ in range((m - 1) // 2):
-        g_iter.append(table.laplacian(g_iter[-1]))
-    w_prime = [table.d1(arr)[centre] for arr in w_iter]
-    g_prime = [table.d1(arr)[centre] for arr in g_iter]
-    w_iter = [arr[centre] for arr in w_iter]
-    g_iter = [arr[centre] for arr in g_iter]
+    # radial derivatives, at the snapped radius.  Every row but the first
+    # (the centre value itself) annihilates constants, so the functional
+    # is applied to v less its centre value: like the difference-form
+    # stencils, it then rounds on the window's variation, not on wbar's
+    # level, which c_v sets.
+    functional = _layout(grid).pohozaev_window(idx)
+    variation = v.values[idx - (m + 1) : idx + m + 2] - v.values[idx]
+    at_radius = (functional @ variation).tolist()
+    at_radius[0] = wbar[idx]
+    w_iter, w_prime = at_radius[: m + 1], at_radius[m + 1 : 2 * m + 2]
+    g_count = (m - 1) // 2 + 1
+    g_iter = at_radius[2 * m + 2 : 2 * m + 2 + g_count]
+    g_prime = at_radius[2 * m + 2 + g_count :]
 
     b1 = float(om * r_snap**n * k_e_w[idx])
     if m % 2 == 0:
@@ -410,10 +450,13 @@ def pohozaev_terms(
 
 
 def record_pohozaev_terms(
-    record: SolutionRecord, R: float, v_d1: np.ndarray | None = None
+    record: SolutionRecord,
+    R: float,
+    v_d1: np.ndarray | None = None,
+    curvature: np.ndarray | None = None,
 ) -> PohozaevTerms:
-    """Pohozaev terms of a finished solve at radius R; ``v_d1`` as in
-    :func:`pohozaev_terms`."""
+    """Pohozaev terms of a finished solve at radius R; ``v_d1`` and
+    ``curvature`` as in :func:`pohozaev_terms`."""
     return pohozaev_terms(
         record.v,
         record.c_v,
@@ -423,6 +466,7 @@ def record_pohozaev_terms(
         record.alpha,
         R,
         v_d1,
+        curvature,
     )
 
 
@@ -612,10 +656,10 @@ def check_report_grid(grid: RadialGrid) -> None:
     min(20, r_max/2) on ``grid``.  Both depend on the grid alone, so a
     solve can be refused before it iterates.
 
-    The check builds the fit design and the Pohozaev window the report
-    reads, so it refuses exactly the grids on which the report would
-    fail to build them, and on a grid it accepts the report finds them
-    built."""
+    The check builds the fit design and the Pohozaev functional the
+    report reads, so it refuses exactly the grids on which the report
+    would fail to build them, and on a grid it accepts the report finds
+    them built."""
     try:
         layout = _layout(grid)
         layout.fit(*_default_fit_window(grid))
@@ -634,18 +678,23 @@ def build_report(record: SolutionRecord) -> DiagnosticsReport:
     config = record.config
     grid = record.grid
     cs = constants(config.m)
-    residual = pde_residual(record.u, config.sign)
-    volume, _tail = conformal_volume(record.u)
+    # e^{2mu}, shared by the PDE residual and the volume.
+    exp_2mu = np.exp(2 * config.m * record.u.values)
+    residual = pde_residual(record.u, config.sign, exp_2mu=exp_2mu)
+    volume, _tail = conformal_volume(record.u, exp_2mu=exp_2mu)
     wbar = record.v.values + record.c_v
     alpha_fit, c_fit, deviation = asymptotic_profile(
         RadialField(grid=grid, values=wbar - record.alpha * record.u0.values)
     )
-    # v', shared by Pohozaev's x . grad wbar and the weighted norms.
+    # v', shared by Pohozaev's x . grad wbar and the weighted norms, and
+    # |K| e^{2m wbar}, shared by Pohozaev's volume terms, the tail masses
+    # and the source's L^1 mass.
     v_d1 = grid.stencil.d1(record.v.values)
-    terms = record_pohozaev_terms(record, _report_pohozaev_radius(grid), v_d1)
-
-    # |K| e^{2m wbar}, shared by the tail masses and the source's L^1 mass.
     curvature = _curvature_density(record.log_K, wbar)
+    terms = record_pohozaev_terms(
+        record, _report_pohozaev_radius(grid), v_d1, curvature=curvature
+    )
+
     snapped = [
         _layout(grid).nearest_index(x)
         for x in (0.0, grid.r_max / 8, grid.r_max / 4, grid.r_max / 2, 0.75 * grid.r_max)

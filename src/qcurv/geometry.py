@@ -107,7 +107,8 @@ def radial_polyharmonic(f: RadialField, k: int) -> RadialField:
         )
     values = f.values
     for _ in range(k):
-        values = -grid.stencil.laplacian(values, origin=True)
+        values = grid.stencil.laplacian(values, origin=True)
+        np.negative(values, out=values)
     keep = _polyharmonic_valid_nodes(len(values), k)
     out = np.zeros_like(values)
     out[keep] = values[keep]

@@ -78,12 +78,12 @@ def _canonical_terms(
     sort graded-lexicographically (total degree first, then exponents)."""
     acc: dict[tuple[int, ...], float] = {}
     for exps, coef in items:
-        e = tuple(int(v) for v in exps)
+        e = tuple(map(int, exps))
         if len(e) != dim:
             raise DimensionMismatch(
                 f"exponent vector {e} has length {len(e)}, expected {dim}"
             )
-        if any(v < 0 for v in e):
+        if min(e) < 0:
             raise PolynomialFormatError(f"negative exponent in {e}")
         c = float(coef)
         if not math.isfinite(c):
@@ -92,6 +92,18 @@ def _canonical_terms(
     kept = [(e, c) for e, c in acc.items() if abs(c) >= COEF_DROP_TOL]
     kept.sort(key=lambda t: (sum(t[0]), t[0]))
     return tuple(kept)
+
+
+# Polynomial.from_text's patterns: signed terms, where '+'/'-' inside a
+# float exponent (1e-3) follows an 'e'/'E' and does not split a term; one
+# term; and one factor x<i>^<e> of a term's monomial.
+_TERM_SPLIT_RE = re.compile(r"[+-]?[^+-]*(?:(?<=[eE])[+-][^+-]*)*")
+_TERM_RE = re.compile(
+    r"^(?P<sign>[+-])?"
+    r"(?P<coef>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?"
+    r"(?P<mono>(?:x\d+(?:\^\d+)?)*)$"
+)
+_FACTOR_RE = re.compile(r"x(\d+)(?:\^(\d+))?")
 
 
 def _check_dim(dim: int) -> None:
@@ -183,20 +195,11 @@ class Polynomial:
         if not s:
             raise PolynomialFormatError("empty polynomial text")
         compact = s.replace(" ", "").replace("*", "")
-        # Split into signed terms; '+'/'-' inside float exponents (1e-3)
-        # follow an 'e'/'E' and must not split a term.
-        pieces = re.findall(r"[+-]?[^+-]*(?:(?<=[eE])[+-][^+-]*)*", compact)
-        pieces = [p for p in pieces if p]
+        pieces = [p for p in _TERM_SPLIT_RE.findall(compact) if p]
         items: list[tuple[list[int], float]] = []
         max_index = 0
-        term_re = re.compile(
-            r"^(?P<sign>[+-])?"
-            r"(?P<coef>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?"
-            r"(?P<mono>(?:x\d+(?:\^\d+)?)*)$"
-        )
-        factor_re = re.compile(r"x(\d+)(?:\^(\d+))?")
         for piece in pieces:
-            m = term_re.match(piece)
+            m = _TERM_RE.match(piece)
             if not m or (m.group("coef") is None and not m.group("mono")):
                 raise PolynomialFormatError(f"cannot parse term {piece!r}")
             coef_text = m.group("coef")
@@ -204,7 +207,7 @@ class Polynomial:
             if m.group("sign") == "-":
                 coef = -coef
             exps: dict[int, int] = {}
-            for idx_text, pow_text in factor_re.findall(m.group("mono")):
+            for idx_text, pow_text in _FACTOR_RE.findall(m.group("mono")):
                 idx = int(idx_text)
                 if idx < 1:
                     raise PolynomialFormatError(

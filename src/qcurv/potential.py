@@ -35,6 +35,23 @@ below and its falling half above.  The potential at ``r_i`` is thus a
 prefix sum of the full-hat moments of the nodes below it, a suffix sum of
 those above it, and a diagonal term from its own two halves, in O(N m)
 work and memory.
+
+Paired layout
+-------------
+The kernel stores each below-row next to its above-row taken in reversed
+node order, as the two planes of an (m, N + 1, 2) array.  A suffix sum in
+node order is a prefix sum in reversed order, so one ``cumsum`` over the
+complex128 view of the weighted moments, whose real and imaginary parts
+are two independent IEEE sums, yields every exclusive prefix sum and
+every exclusive suffix sum at once, each accumulated smallest first and
+bit for bit as two real ``cumsum`` calls would.  Only the final
+contraction groups the terms as (sum below) + (sum above).
+
+Stencils
+--------
+The grid's 3-point difference formulas are held per interior node as two
+off-centre coefficients and applied in difference form,
+``c_-(f_{i-1} - f_i) + c_+(f_{i+1} - f_i)``, which is exact on constants.
 """
 
 from __future__ import annotations
@@ -107,38 +124,42 @@ def _hat_interval_weights(a, b, n: int):
 
 @dataclass(frozen=True, eq=False)
 class StencilTable:
-    """The node-only factors of the 3-point non-uniform difference
-    formulas, for the interior nodes ``nodes[1:-1]`` in dimension ``n``:
-    with ``hm = r_i - r_{i-1}`` and ``hp = r_{i+1} - r_i``,
+    """The 3-point non-uniform difference formulas of ``nodes`` in
+    dimension ``n``, as per-node coefficient rows for the interior nodes
+    ``nodes[1:-1]``.  With ``hm = r_i - r_{i-1}``, ``hp = r_{i+1} - r_i``
+    and ``hs = hm + hp``, each formula is applied in difference form,
 
-        f'  ~ (hm2 fp - hp2 fm + hd2 f0) / denom,
-        f'' ~ 2 (hm fp + hp fm - hs f0) / denom,
+        L f_i = c_-(f_{i-1} - f_i) + c_+(f_{i+1} - f_i),
 
-    where ``hs = hm + hp``, ``denom = hm hp hs``, ``hm2 = hm^2``,
-    ``hp2 = hp^2``, ``hd2 = hp2 - hm2``, and ``radial = (n - 1) / r`` is the
-    radial Laplacian's first-derivative factor.  The factors are read-only.
-    At the origin a regular radial function is even, and its second
-    derivative is read from the secants 2 (f_i - f_0) / r_i^2.
+    where ``rows[0]`` holds c_- and ``rows[1]`` holds c_+ of each formula:
+
+        d1_rows         f':              c_- = -hp / (hm hs), c_+ = hm / (hp hs),
+        d2_rows         f'':             c_- = 2 / (hm hs),   c_+ = 2 / (hp hs),
+        laplacian_rows  f'' + (n-1)/r f': d2_rows + (n-1)/r_i d1_rows.
+
+    The difference form is exact on constants, which keeps the rounding
+    of composed stencils at the scale of f's variation rather than of f.
+    The rows are read-only.  At the origin a regular radial function is
+    even, and its second derivative is read from the secants
+    2 (f_i - f_0) / r_i^2.
     """
 
     n: int
     nodes: np.ndarray
-    hm: np.ndarray
-    hp: np.ndarray
-    hs: np.ndarray
-    denom: np.ndarray
-    hm2: np.ndarray
-    hp2: np.ndarray
-    hd2: np.ndarray
-    radial: np.ndarray
+    d1_rows: np.ndarray
+    d2_rows: np.ndarray
+    laplacian_rows: np.ndarray
 
-    def _interior_d1(self, values: np.ndarray) -> np.ndarray:
-        fm, f0, fp = values[:-2], values[1:-1], values[2:]
-        return (self.hm2 * fp - self.hp2 * fm + self.hd2 * f0) / self.denom
-
-    def _interior_d2(self, values: np.ndarray) -> np.ndarray:
-        fm, f0, fp = values[:-2], values[1:-1], values[2:]
-        return 2.0 * (self.hm * fp + self.hp * fm - self.hs * f0) / self.denom
+    @staticmethod
+    def _interior(rows: np.ndarray, values: np.ndarray, out: np.ndarray) -> None:
+        """``out = c_-(f_{i-1} - f_i) + c_+(f_{i+1} - f_i)`` on the interior
+        nodes, in five array passes."""
+        centre = values[1:-1]
+        np.subtract(values[:-2], centre, out=out)
+        out *= rows[0]
+        above = values[2:] - centre
+        above *= rows[1]
+        out += above
 
     def _origin_secant(self, values: np.ndarray, i: int) -> float:
         return 2.0 * (values[i] - values[0]) / self.nodes[i] ** 2
@@ -147,9 +168,9 @@ class StencilTable:
         """First radial derivative: the interior formula, even-extension
         zero at the origin, first-order backward at the last node."""
         out = np.empty_like(values)
-        out[1:-1] = self._interior_d1(values)
+        self._interior(self.d1_rows, values, out[1:-1])
         out[0] = 0.0
-        out[-1] = (values[-1] - values[-2]) / self.hp[-1]
+        out[-1] = (values[-1] - values[-2]) / (self.nodes[-1] - self.nodes[-2])
         return out
 
     def d2(self, values: np.ndarray) -> np.ndarray:
@@ -157,7 +178,7 @@ class StencilTable:
         secant at the origin (exact for quadratics), and the last node
         copying its neighbor."""
         out = np.empty_like(values)
-        out[1:-1] = self._interior_d2(values)
+        self._interior(self.d2_rows, values, out[1:-1])
         out[0] = self._origin_secant(values, 1)
         out[-1] = out[-2]
         return out
@@ -168,9 +189,9 @@ class StencilTable:
         n f''(0) is set from the two leading secants a, b as
         n a + (n-1)/3 (b - a), a Richardson-style correction that restores
         second-order accuracy of the composed operator near the origin."""
-        out = np.zeros_like(values)
-        out[1:-1] = self._interior_d2(values)
-        out[1:-1] += self.radial * self._interior_d1(values)
+        out = np.empty_like(values)
+        self._interior(self.laplacian_rows, values, out[1:-1])
+        out[0] = out[-1] = 0.0
         if origin:
             a = self._origin_secant(values, 1)
             b = self._origin_secant(values, 2)
@@ -183,11 +204,11 @@ class StencilTable:
         return StencilTable(
             self.n,
             self.nodes[lo:hi],
-            *(getattr(self, name)[inner] for name in _STENCIL_FACTORS),
+            *(getattr(self, name)[:, inner] for name in _STENCIL_ROWS),
         )
 
 
-_STENCIL_FACTORS = ("hm", "hp", "hs", "denom", "hm2", "hp2", "hd2", "radial")
+_STENCIL_ROWS = ("d1_rows", "d2_rows", "laplacian_rows")
 
 
 def stencil_table(nodes: np.ndarray, n: int) -> StencilTable:
@@ -195,11 +216,11 @@ def stencil_table(nodes: np.ndarray, n: int) -> StencilTable:
     hm = nodes[1:-1] - nodes[:-2]
     hp = nodes[2:] - nodes[1:-1]
     hs = hm + hp
-    hm2, hp2 = hm**2, hp**2
-    table = StencilTable(
-        n, nodes, hm, hp, hs, hm * hp * hs, hm2, hp2, hp2 - hm2, (n - 1) / nodes[1:-1]
-    )
-    for name in _STENCIL_FACTORS:
+    d1_rows = np.stack([-hp / (hm * hs), hm / (hp * hs)])
+    d2_rows = np.stack([2.0 / (hm * hs), 2.0 / (hp * hs)])
+    laplacian_rows = d2_rows + (n - 1) / nodes[1:-1] * d1_rows
+    table = StencilTable(n, nodes, d1_rows, d2_rows, laplacian_rows)
+    for name in _STENCIL_ROWS:
         getattr(table, name).flags.writeable = False
     return table
 
@@ -505,24 +526,28 @@ _KERNEL_QUAD_ORDER = 12
 
 @dataclass(frozen=True, eq=False)
 class KernelMatrix:
-    """The ring kernel on a grid, in semi-separable node form.
+    """The ring kernel on a grid, in semi-separable node form, paired.
 
     On either side of the diagonal the closed form factors as
 
         rho <= s:  Lambda_n(s, rho) = log s   - sum_j c_j s^{-2j} rho^{2j},
         rho >= s:  Lambda_n(s, rho) = log rho - sum_j c_j s^{2j} rho^{-2j},
 
-    for j = 1..m-1.  ``hat_moments[p, k]`` integrates the hat function of
-    node k against ``dmu`` times moment function ``p``, ordered
-    ``1, rho^2, ..., rho^{2(m-1)}`` (used below a node) then
-    ``log rho, rho^{-2}, ..., rho^{-2(m-1)}`` (used above it).
-    ``node_factors[p, i]`` is the matching function of ``s = r_i``,
-    ``log r_i, -c_j r_i^{-2j}`` then ``1, -c_j r_i^{2j}``, divided by
-    ``-gamma_m``.  ``diagonal[i]`` is the potential at ``r_i`` of node
-    i's own hat: its rising half (below ``r_i``) against the below
-    factors plus its falling half (above ``r_i``) against the above
-    factors.  The origin row has no intervals below it, so its below
-    factors are 0 and it reduces to ``Lambda_n(0, rho) = log rho``.
+    for j = 1..m-1.  ``hat_moments[p, j, 0]`` integrates the hat function
+    of node j against ``dmu`` times below-function p, ordered
+    ``1, rho^2, ..., rho^{2(m-1)}``; ``hat_moments[p, j, 1]`` integrates
+    the hat function of node N - j against above-function p, ordered
+    ``log rho, rho^{-2}, ..., rho^{-2(m-1)}``.  ``node_factors`` pairs the
+    matching functions of ``s = r_i`` the same way: plane 0 holds
+    ``log r_j, -c_p r_j^{-2p}`` at node j, plane 1 holds
+    ``1, -c_p r^{2p}`` at node N - j, all divided by ``-gamma_m``.
+    Plane 1 runs in reversed node order so that its suffix sums are
+    prefix sums (see the module notes on the paired layout).
+    ``diagonal[i]`` is the potential at ``r_i`` of node i's own hat: its
+    rising half (below ``r_i``) against the below factors plus its falling
+    half (above ``r_i``) against the above factors.  The origin row has no
+    intervals below it, so its below factors are 0 and it reduces to
+    ``Lambda_n(0, rho) = log rho``.
     """
 
     grid: RadialGrid
@@ -531,14 +556,14 @@ class KernelMatrix:
     diagonal: np.ndarray
 
     def __post_init__(self):
-        rank, size = 2 * self.grid.m, len(self.grid.nodes)
+        m, size = self.grid.m, len(self.grid.nodes)
         shapes = {
-            "hat_moments": (rank, size),
-            "node_factors": (rank, size),
+            "hat_moments": (m, size, 2),
+            "node_factors": (m, size, 2),
             "diagonal": (size,),
         }
         for name, shape in shapes.items():
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.ascontiguousarray(getattr(self, name), dtype=float)
             if arr.shape != shape:
                 raise GridMismatch(f"{name} shape does not match the grid")
             arr.flags.writeable = False
@@ -551,8 +576,9 @@ def _semi_separable(grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
     of interval ``k`` (0: falling from its left node, 1: rising to its
     right node) against ``dmu`` times moment function ``p``, by
     ``_KERNEL_QUAD_ORDER``-point Gauss-Legendre; ``factors[p, i]`` is the
-    matching function of ``s = r_i``, not yet divided by ``-gamma_m``
-    (both ordered as in :class:`KernelMatrix`)."""
+    matching function of ``s = r_i``, not yet divided by ``-gamma_m``.
+    Rows ``:m`` are the below-functions and rows ``m:`` the above-functions,
+    each ordered as in :class:`KernelMatrix`."""
     n, m, nodes = grid.n, grid.m, grid.nodes
     xg, wg = gauss_legendre(_KERNEL_QUAD_ORDER)
     a, b = nodes[:-1, None], nodes[1:, None]
@@ -575,10 +601,20 @@ def _semi_separable(grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
     return moments, factors
 
 
+def _paired(rows: np.ndarray, m: int) -> np.ndarray:
+    """The (2m, N + 1) rows as the (m, N + 1, 2) paired layout: below-row p
+    in node order, above-row p in reversed node order."""
+    paired = np.empty((m, rows.shape[1], 2))
+    paired[..., 0] = rows[:m]
+    paired[..., 1] = rows[m:, ::-1]
+    return paired
+
+
 def kernel_matrix(grid: RadialGrid) -> KernelMatrix:
     """The kernel's node form for a grid, in O(N m) time and memory: each
     node's two half-hat moments summed into one full-hat moment, the node
-    factors divided by ``-gamma_m``, and the diagonal term."""
+    factors divided by ``-gamma_m``, the diagonal term, and the moments and
+    factors paired (:class:`KernelMatrix`)."""
     m = grid.m
     (falling, rising), factors = _semi_separable(grid)
     factors /= -constants(m).gamma_m
@@ -589,36 +625,60 @@ def kernel_matrix(grid: RadialGrid) -> KernelMatrix:
     diagonal[1:] = np.einsum("pk,pk->k", factors[:m, 1:], rising[:m])
     diagonal[:-1] += np.einsum("pk,pk->k", factors[m:, :-1], falling[m:])
     return KernelMatrix(
-        grid=grid, hat_moments=hat_moments, node_factors=factors, diagonal=diagonal
+        grid=grid,
+        hat_moments=_paired(hat_moments, m),
+        node_factors=_paired(factors, m),
+        diagonal=diagonal,
     )
 
 
-def potential_apply(kernel: KernelMatrix, density: RadialField) -> RadialField:
+def potential_workspace(
+    kernel: KernelMatrix,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scratch arrays for :func:`potential_apply` on ``kernel``: the paired
+    density (N + 1, 2), the weighted moments and their sums (m, N + 1, 2).
+    A solve allocates them once and passes them to every application."""
+    shape = kernel.hat_moments.shape
+    return np.empty(shape[1:]), np.empty(shape), np.empty(shape)
+
+
+def potential_apply(
+    kernel: KernelMatrix,
+    density: RadialField,
+    workspace: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> RadialField:
     """Potential of a radial density:
     ``out_i = -(1/gamma_m) * integral Lambda_n(r_i, rho) density(rho) dmu``.
 
     The integral is taken against the density's piecewise-linear
     interpolant, i.e. it is exact up to the per-interval Gauss-Legendre
-    error.  The full-hat moments of the nodes below ``r_i`` are summed
-    outward and those above it inward, so the growing ``rho^{2j}`` and the
-    decaying ``rho^{-2j}`` terms are each accumulated smallest first and
-    no sum is formed as a total minus a partial sum; node i's own hat
-    enters through the kernel's diagonal term.  gamma_m is that of the
-    kernel's own m.  The caller is responsible for the density's discrete
-    mass: a nonzero mass ``mu`` produces a ``-(mu/gamma_m) log r`` tail,
-    which is faithfully reproduced, not corrected.
+    error.  The density is paired with itself reversed, weighted by the
+    paired full-hat moments, and one ``cumsum`` over the complex view
+    accumulates the nodes below ``r_i`` outward and those above it
+    inward, so the growing ``rho^{2j}`` and the decaying ``rho^{-2j}``
+    terms are each summed smallest first and no sum is formed as a total
+    minus a partial sum; node i's own hat enters through the kernel's
+    diagonal term.  ``workspace`` is :func:`potential_workspace`'s scratch
+    for the kernel, or None for fresh arrays; the result never aliases
+    it.  gamma_m is that of the kernel's own m.  The caller is responsible
+    for the density's discrete mass: a nonzero mass ``mu`` produces a
+    ``-(mu/gamma_m) log r`` tail, which is faithfully reproduced, not
+    corrected.
     """
     kernel.grid.ensure_same(density.grid)
     f = density.values
-    m = kernel.grid.m
-    weighted = kernel.hat_moments * f
-    # Rows :m hold the sums strictly below each node, rows m: those
-    # strictly above it.
-    sums = np.empty_like(weighted)
-    sums[:m, 0] = 0.0
-    np.cumsum(weighted[:m, :-1], axis=1, out=sums[:m, 1:])
-    sums[m:, -1] = 0.0
-    np.cumsum(weighted[m:, :0:-1], axis=1, out=sums[m:, -2::-1])
-    values = np.einsum("pi,pi->i", kernel.node_factors, sums)
+    paired, weighted, sums = workspace or potential_workspace(kernel)
+    paired[:, 0] = f
+    paired[:, 1] = f[::-1]
+    np.multiply(kernel.hat_moments, paired, out=weighted)
+    # Plane 0 of sums[:, j] is the sum strictly below node j, plane 1 the
+    # sum strictly above node N - j.
+    complex_sums = sums.view(np.complex128)[..., 0]
+    complex_sums[:, 0] = 0.0
+    np.cumsum(
+        weighted.view(np.complex128)[:, :-1, 0], axis=1, out=complex_sums[:, 1:]
+    )
+    contracted = np.einsum("pjc,pjc->jc", kernel.node_factors, sums)
+    values = contracted[:, 0] + contracted[::-1, 1]
     values += kernel.diagonal * f
     return RadialField(grid=density.grid, values=values)

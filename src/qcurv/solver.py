@@ -63,6 +63,7 @@ from .potential import (
     kernel_matrix,
     make_grid,
     potential_apply,
+    potential_workspace,
 )
 
 _DIVERGENCE_GUARD = 1e3
@@ -97,41 +98,72 @@ def radial_profile_coeffs(P: Polynomial) -> np.ndarray | None:
 
     The candidate coefficients are read off the pure first-axis terms
     (the coefficient of x_1^{2i} in sum c_i |x|^{2i} is c_i) and then
-    verified by exact multinomial re-expansion against all stored terms.
+    verified against every stored term: by the multinomial theorem the
+    monomial x^{2k} with |k| = i has coefficient c_i i! / prod_j k_j!, and
+    a monomial with an odd exponent has none.  Each degree whose
+    candidate is nonzero must also store all of its C(dim + i - 1, i)
+    monomials; if one falls short, the missing monomials are checked by
+    the full re-expansion (:func:`_profile_expansion_matches`).
     """
     if P.is_zero:
         return np.zeros(1)
     half_deg = P.degree() // 2
-    cand = np.zeros(half_deg + 1)
+    values = [0.0] * (half_deg + 1)
+    exponents = []  # each term's nonzero exponents
     for exps, coef in P.terms:
-        active = [(j, e) for j, e in enumerate(exps) if e > 0]
-        if len(active) == 1 and active[0][0] == 0 and active[0][1] % 2 == 0:
-            cand[active[0][1] // 2] = coef
-        if not active:
-            cand[0] = coef
+        nonzero = [e for e in exps if e]
+        exponents.append(nonzero)
+        if not nonzero:
+            values[0] = coef
+        elif len(nonzero) == 1 and exps[0] and exps[0] % 2 == 0:
+            values[exps[0] // 2] = coef
+    tol = 1e-12 * max(abs(c) for _, c in P.terms)
+    stored_per_degree = [0] * (half_deg + 1)
+    for nonzero, (_, coef) in zip(exponents, P.terms):
+        expected = 0.0
+        if all(e % 2 == 0 for e in nonzero):
+            i = sum(nonzero) // 2
+            if values[i] != 0.0:
+                stored_per_degree[i] += 1
+                expected = values[i] * _multinomial(i, nonzero)
+        if abs(expected - coef) > tol:
+            return None
+    complete = all(
+        c == 0.0 or stored_per_degree[i] == math.comb(P.dim + i - 1, i)
+        for i, c in enumerate(values)
+    )
+    cand = np.array(values)
+    if complete or _profile_expansion_matches(P, cand, tol):
+        return cand
+    return None
+
+
+def _multinomial(i: int, exps) -> int:
+    """i! / prod_j (exps[j] / 2)!, for even ``exps`` summing to 2i."""
+    weight = math.factorial(i)
+    for e in exps:
+        weight //= math.factorial(e // 2)
+    return weight
+
+
+def _profile_expansion_matches(P: Polynomial, cand: np.ndarray, tol: float) -> bool:
+    """Whether every term of sum_i cand[i] |x|^{2i}, expanded monomial by
+    monomial, and every stored term of P agree within ``tol``."""
     expanded: dict[tuple[int, ...], float] = {}
     for i, c in enumerate(cand):
         if c == 0.0:
-            continue
-        if i == 0:
-            expanded[(0,) * P.dim] = expanded.get((0,) * P.dim, 0.0) + c
             continue
         for combo in combinations_with_replacement(range(P.dim), i):
             counts = [0] * P.dim
             for j in combo:
                 counts[j] += 1
-            weight = math.factorial(i)
-            for cnt in counts:
-                weight //= math.factorial(cnt)
             vec = tuple(2 * cnt for cnt in counts)
-            expanded[vec] = expanded.get(vec, 0.0) + c * weight
+            expanded[vec] = expanded.get(vec, 0.0) + c * _multinomial(i, vec)
     stored = dict(P.terms)
-    scale = max((abs(c) for c in stored.values()), default=1.0)
-    keys = set(expanded) | set(stored)
-    for key in keys:
-        if abs(expanded.get(key, 0.0) - stored.get(key, 0.0)) > 1e-12 * scale:
-            return None
-    return cand
+    return all(
+        abs(expanded.get(key, 0.0) - stored.get(key, 0.0)) <= tol
+        for key in set(expanded) | set(stored)
+    )
 
 
 def _radial_admissibility_violation(coeffs: np.ndarray) -> str | None:
@@ -325,9 +357,13 @@ def build_grid(config: SolverConfig) -> RadialGrid:
     return _discretization(config)[0]
 
 
-def u0_density_field(grid: RadialGrid) -> RadialField:
+def u0_density_field(
+    grid: RadialGrid, density: np.ndarray | None = None
+) -> RadialField:
     """The polyharmonic density of u0 = (1/2) log(1 + r^2) on the grid,
-    rescaled so its discrete mass is exactly -gamma_m.
+    rescaled so its discrete mass is exactly -gamma_m; ``density`` is
+    :func:`~qcurv.geometry.u0_eval`'s density at the grid's nodes, for a
+    caller that already holds it.
 
     The analytic mass is -gamma_m; truncation at R_max and quadrature
     leave a relative defect ~1e-6 that would otherwise reappear as a
@@ -336,9 +372,10 @@ def u0_density_field(grid: RadialGrid) -> RadialField:
     weights are positive, so the rescaling factor is always positive.
     """
     cs = constants(grid.m)
-    _, dens = u0_eval(grid.m, grid.nodes)
-    mass = float(grid.quad_weights @ dens)
-    return RadialField(grid=grid, values=dens * (-cs.gamma_m / mass))
+    if density is None:
+        _, density = u0_eval(grid.m, grid.nodes)
+    mass = float(grid.quad_weights @ density)
+    return RadialField(grid=grid, values=density * (-cs.gamma_m / mass))
 
 
 def _discretization(
@@ -362,8 +399,8 @@ def _build_discretization(
     except GridMismatch as exc:
         raise ConfigError(f"cannot build the grid: {exc}") from exc
     kernel = kernel_matrix(grid)
-    u0_density = u0_density_field(grid)
-    u0_vals, _ = u0_eval(m, grid.nodes)
+    u0_vals, density = u0_eval(m, grid.nodes)
+    u0_density = u0_density_field(grid, density)
     u0_vals.flags.writeable = False
     return grid, kernel, u0_density, u0_vals
 
@@ -699,13 +736,14 @@ def solve_continuation(config: SolverConfig) -> SolutionRecord:
     The grid, kernel moments and u0 come from the config's shared
     discretization, the one :func:`build_grid` reads; the last
     ``_DISCRETIZATION_CACHE_SIZE`` = 8 are kept.  log|K| is built per
-    config.
+    config, and the potential's scratch arrays once per solve.
     """
     grid, kernel, u0_density, u0_vals = _discretization(config)
     p_vals = eval_radial_profile(config.radial_coeffs, grid.nodes)
     log_K = _curvature_factor(config, grid, p_vals, u0_vals)
 
     v_values = np.zeros_like(grid.nodes)
+    workspace = potential_workspace(kernel)
     history: list[tuple[float, float]] = []
     anderson = _AndersonHistory(len(grid.nodes))
     mixed = False
@@ -716,7 +754,7 @@ def solve_continuation(config: SolverConfig) -> SolutionRecord:
         # solve with GridMismatch, there or when the record is built.
         v_field = RadialField._unchecked(grid, v_values)
         source, cv = source_with_normalization(v_field, config, log_K, u0_density)
-        g = potential_apply(kernel, source).values
+        g = potential_apply(kernel, source, workspace).values
         f = g - v_values
         residual = float(np.abs(f).max())
         history.append((residual, cv))

@@ -38,7 +38,7 @@ from qcurv import (
     weighted_norm,
 )
 from qcurv.diagnostics import _angular_moment, check_report_grid
-from qcurv.potential import _STENCIL_FACTORS, gauss_legendre
+from qcurv.potential import _STENCIL_ROWS, gauss_legendre
 from test_solver import radial_polynomial
 
 
@@ -507,33 +507,119 @@ def test_report_serializes_to_json_and_csv(quick_positive):
 # ----------------------------------------------------------------------
 # the report's shared and windowed evaluations against full-grid formulas
 # ----------------------------------------------------------------------
-def _boundary_terms_on_the_full_grid(wbar, r_snap, idx):
-    """b1's curvature factor aside, the Pohozaev boundary terms with every
-    stencil applied to the whole grid, as first written."""
-    grid = wbar.grid
-    m, n, st = grid.m, grid.n, grid.stencil
-    om = sphere_area(n)
-    w_iter = [wbar.values.copy()]
+def _boundary_chain_on_the_full_grid(values, grid, idx):
+    """At node idx, with every stencil applied to the whole grid: Delta^k
+    of ``values`` for k = 0..m, their derivatives, then the same for
+    g = x . grad ``values`` up to k = (m - 1) // 2, the order of the rows
+    of the Pohozaev functional."""
+    m, st = grid.m, grid.stencil
+    w_iter = [np.array(values)]
     for _ in range(m):
         w_iter.append(st.laplacian(w_iter[-1], origin=True))
-    g_iter = [grid.nodes * st.d1(wbar.values)]
-    for _ in range((m - 1) // 2 + 1):
+    g_iter = [grid.nodes * st.d1(values)]
+    for _ in range((m - 1) // 2):
         g_iter.append(st.laplacian(g_iter[-1], origin=True))
-    w_prime = [st.d1(arr) for arr in w_iter]
-    g_prime = [st.d1(arr) for arr in g_iter]
+    return (
+        [arr[idx] for arr in w_iter]
+        + [st.d1(arr)[idx] for arr in w_iter]
+        + [arr[idx] for arr in g_iter]
+        + [st.d1(arr)[idx] for arr in g_iter]
+    )
+
+
+def _boundary_chain_bounds(values, grid, idx):
+    """How far the Pohozaev functional's rows at idx, applied to ``values``,
+    may sit from :func:`_boundary_chain_on_the_full_grid`, row by row, and
+    the rows' absolute sizes.
+
+    Each quantity is the centre value of a chain of s <= m + 2 stencils
+    and one multiplication by x.  A difference-form stencil takes at most
+    9 roundings on a term and the x factor 1, so a chain is within 10 s u
+    (u = eps / 2) of its exact value, relative to the same chain run with
+    absolute coefficients on |values| (the size A).  The functional's
+    entries are that chain run on unit vectors, and its matrix-vector
+    product adds 2m + 3 roundings, so the two routes differ by at most
+    (20 (m + 2) + 2m + 3) u A.  The windowed chains never reach the origin
+    rule, whose nodes lie outside the window's dependence on its centre."""
+    m, n = grid.m, grid.n
+    lo, hi = idx - (m + 1), idx + m + 2
+    table = grid.stencil.window(lo, hi)
+    d1_rows = np.abs(table.d1_rows)
+    lap_rows = np.abs(table.d2_rows) + (n - 1) / table.nodes[1:-1] * d1_rows
+
+    def absolute(rows, size):
+        out = np.zeros_like(size)
+        out[1:-1] = rows[0] * (size[:-2] + size[1:-1]) + rows[1] * (
+            size[2:] + size[1:-1]
+        )
+        return out
+
+    w_size = [np.abs(values[lo:hi])]
+    for _ in range(m):
+        w_size.append(absolute(lap_rows, w_size[-1]))
+    g_size = [table.nodes * absolute(d1_rows, w_size[0])]
+    for _ in range((m - 1) // 2):
+        g_size.append(absolute(lap_rows, g_size[-1]))
+    centre = m + 1
+    sizes = np.array(
+        [arr[centre] for arr in w_size]
+        + [absolute(d1_rows, arr)[centre] for arr in w_size]
+        + [arr[centre] for arr in g_size]
+        + [absolute(d1_rows, arr)[centre] for arr in g_size]
+    )
+    u = np.finfo(float).eps / 2.0
+    return (20 * (m + 2) + 2 * m + 3) * u * sizes, sizes
+
+
+def _boundary_terms_on_the_full_grid(wbar, r_snap, idx):
+    """b1's curvature factor aside, the Pohozaev boundary terms with every
+    stencil applied to the whole grid, as first written, and how far the
+    functional's b2 and b3 may sit from them.
+
+    The bound carries each quantity's bound from
+    :func:`_boundary_chain_bounds` through the products, with the sizes A
+    in place of the values: |d(ab)| <= |da| A_b + A_a |db| + |da db|.  The
+    products and the sum of m cross terms add 2 (m + 3) u of the sizes'
+    products on either route."""
+    grid = wbar.grid
+    m, n = grid.m, grid.n
+    om = sphere_area(n)
+    at = _boundary_chain_on_the_full_grid(wbar.values, grid, idx)
+    bound, size = _boundary_chain_bounds(wbar.values, grid, idx)
+    g_count = (m - 1) // 2 + 1
+    w_iter, w_prime = at[: m + 1], at[m + 1 : 2 * m + 2]
+    g_iter, g_prime = at[2 * m + 2 : 2 * m + 2 + g_count], at[2 * m + 2 + g_count :]
+
+    def rows(part):
+        start = {"w": 0, "w'": m + 1, "g": 2 * m + 2, "g'": 2 * m + 2 + g_count}[part]
+        return lambda k: (bound[start + k], size[start + k])
+
+    w_row, dw_row, g_row, dg_row = rows("w"), rows("w'"), rows("g"), rows("g'")
+    u = np.finfo(float).eps / 2.0
     if m % 2 == 0:
-        half_power = w_iter[m // 2][idx]
+        half_power = w_iter[m // 2]
+        d_half, a_half = w_row(m // 2)
     else:
-        half_power = w_prime[(m - 1) // 2][idx]
+        half_power = w_prime[(m - 1) // 2]
+        d_half, a_half = dw_row((m - 1) // 2)
     b2 = float(-m * om * r_snap**n * half_power**2)
+    b2_bound = m * om * r_snap**n * (
+        2.0 * a_half * d_half + d_half**2 + 2 * (m + 3) * u * a_half**2
+    )
     cross = 0.0
+    cross_bound = 0.0
     for j in range(m):
         parity_sign = (-1.0) ** (m + j)
         if j % 2 == 0:
-            cross += parity_sign * g_iter[j // 2][idx] * w_prime[m - 1 - j // 2][idx]
+            cross += parity_sign * g_iter[j // 2] * w_prime[m - 1 - j // 2]
+            (da, sa), (db, sb) = g_row(j // 2), dw_row(m - 1 - j // 2)
         else:
-            cross += parity_sign * g_prime[(j - 1) // 2][idx] * w_iter[m - (j + 1) // 2][idx]
-    return b2, float(-2.0 * m * om * r_snap ** (n - 1) * cross)
+            cross += parity_sign * g_prime[(j - 1) // 2] * w_iter[m - (j + 1) // 2]
+            (da, sa), (db, sb) = dg_row((j - 1) // 2), w_row(m - (j + 1) // 2)
+        cross_bound += da * sb + sa * db + da * db + 2 * (m + 3) * u * sa * sb
+    b3 = float(-2.0 * m * om * r_snap ** (n - 1) * cross)
+    b3_bound = 2.0 * m * om * r_snap ** (n - 1) * cross_bound
+    return (b2, b3), (b2_bound, b3_bound)
 
 
 def _volume_terms_on_the_full_grid(rec, idx):
@@ -692,17 +778,40 @@ def test_report_matches_its_full_grid_formulas(report_records):
         assert abs(report.C_fitted - c_fit) <= bound
         row_sum = float(np.max(np.sum(np.abs(design), axis=1)))
         assert abs(report.asymptotic_deviation - deviation) <= row_sum * bound
-        # Pohozaev terms from the cached ball rule and the cached window's
-        # stencils.
+        # Pohozaev terms from the cached ball rule and the cached boundary
+        # functional.
         for R in (3.0, 7.5, 20.0, 30.0):
             terms = record_pohozaev_terms(rec, R)
             idx = grid.nearest_index(R)
             assert (terms.t1, terms.t2, terms.t3, terms.b1) == (
                 _volume_terms_on_the_full_grid(rec, idx)
             )
-            assert (terms.b2, terms.b3) == _boundary_terms_on_the_full_grid(
-                wbar, terms.radius, idx
-            )
+            expected, bound = _boundary_terms_on_the_full_grid(wbar, terms.radius, idx)
+            assert abs(terms.b2 - expected[0]) <= bound[0]
+            assert abs(terms.b3 - expected[1]) <= bound[1]
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_pohozaev_functional_matches_the_chain_on_its_window(m):
+    # The cached functional's rows, applied to a window's values, against
+    # the chain of stencils run on the whole grid, within the bound of
+    # _boundary_chain_bounds; the offset plays the part of c_v.
+    diag = qcurv.diagnostics
+    rng = np.random.default_rng(m)
+    for kind in ("uniform", "sinh-clustered"):
+        grid = make_grid(m, 40.0, 512, map_kind=kind)
+        for R in (3.0, 20.0):
+            idx = diag._pohozaev_index(grid, R)
+            functional = diag._layout(grid).pohozaev_window(idx)
+            assert functional.shape == (2 * (m + 1) + 2 * ((m - 1) // 2 + 1), 2 * m + 3)
+            for offset in (0.0, 5.0):
+                values = rng.normal(size=grid.nodes.shape) + offset
+                got = functional @ values[idx - (m + 1) : idx + m + 2]
+                expected = _boundary_chain_on_the_full_grid(values, grid, idx)
+                bound, size = _boundary_chain_bounds(values, grid, idx)
+                assert np.all(np.abs(got - expected) <= bound)
+                # Delta^0 is the centre value itself.
+                assert got[0] == values[idx]
 
 
 def test_pure_block_in_closed_form_agrees_with_the_angular_rule(report_records):
@@ -896,11 +1005,10 @@ def test_layout_pieces_are_read_only(report_records):
     idx = diag._pohozaev_index(grid, 20.0)
     _, design, pseudo_inverse = layout.fit(grid.r_max / 4.0, grid.r_max / 2.0)
     _, slope_weights = layout.tail_window()
-    table = layout.pohozaev_window(idx)
-    arrays = [design, pseudo_inverse, slope_weights]
+    arrays = [design, pseudo_inverse, slope_weights, layout.pohozaev_window(idx)]
     arrays += [layout.weights_within(idx), layout.weights_beyond(idx)]
     arrays += layout.norm_weights(-3.0)
-    arrays += [getattr(table, name) for name in ("nodes",) + _STENCIL_FACTORS]
+    arrays += [getattr(grid.stencil, name) for name in ("nodes",) + _STENCIL_ROWS]
     for array in arrays:
         assert not array.flags.writeable
         with pytest.raises(ValueError):

@@ -225,6 +225,70 @@ def test_validate_decides_radial_admissibility_in_closed_form(m, no_sampling_scr
         assert fragment in str(info.value), (profile.to_text(), str(info.value))
 
 
+def _radial_profile_coeffs_by_expansion(P):
+    """radial_profile_coeffs as first written: the candidate coefficients
+    from the pure first-axis terms, then the full multinomial expansion
+    compared with every stored term."""
+    if P.is_zero:
+        return np.zeros(1)
+    cand = np.zeros(P.degree() // 2 + 1)
+    for exps, coef in P.terms:
+        active = [(j, e) for j, e in enumerate(exps) if e > 0]
+        if len(active) == 1 and active[0][0] == 0 and active[0][1] % 2 == 0:
+            cand[active[0][1] // 2] = coef
+        if not active:
+            cand[0] = coef
+    expanded = dict(radial_polynomial(P.dim, cand).terms)
+    stored = dict(P.terms)
+    scale = max(abs(c) for c in stored.values())
+    for key in set(expanded) | set(stored):
+        if abs(expanded.get(key, 0.0) - stored.get(key, 0.0)) > 1e-12 * scale:
+            return None
+    return cand
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_radial_profile_fast_path_agrees_with_the_full_expansion(m, monkeypatch):
+    dim = 2 * m
+    last_quartic = (0,) * (dim - 1) + (4,)
+    odd_pair = (1, 1) + (0,) * (dim - 2)
+
+    def without_last_quartic(coeffs):
+        terms = radial_polynomial(dim, coeffs).terms
+        return Polynomial.from_terms(dim, [t for t in terms if t[0] != last_quartic])
+
+    square = list(radial_polynomial(dim, [0.0, 1.0]).terms)
+    cases = [(P, False) for P, _ in admissibility_cases(m)] + [
+        # A degree missing a monomial: its weight 1 is far above the
+        # tolerance, then below it.
+        (without_last_quartic([0.0, 1.0, 1.0]), True),
+        (without_last_quartic([0.0, 1.0, 1e-13]), True),
+        # An odd term below the tolerance, then above it.
+        (Polynomial.from_terms(dim, square + [(odd_pair, 1e-13)]), False),
+        (Polynomial.from_terms(dim, square + [(odd_pair, 1e-3)]), False),
+    ]
+    fallbacks = []
+    full = qcurv.solver._profile_expansion_matches
+
+    def counted(P, cand, tol):
+        fallbacks.append(P)
+        return full(P, cand, tol)
+
+    monkeypatch.setattr(qcurv.solver, "_profile_expansion_matches", counted)
+    for profile, incomplete in cases:
+        fallbacks.clear()
+        fast = radial_profile_coeffs(profile)
+        expected = _radial_profile_coeffs_by_expansion(profile)
+        assert (fast is None) == (expected is None), profile.to_text()
+        if fast is not None:
+            np.testing.assert_array_equal(fast, expected)
+        # The full expansion runs only for a degree that lacks a monomial,
+        # and not when a stored term has already refused the profile.
+        assert len(fallbacks) <= int(incomplete)
+    verdicts = [radial_profile_coeffs(P) is None for P, _ in cases[-4:]]
+    assert verdicts == [True, False, False, True]
+
+
 def test_validate_accepts_an_eventually_coercive_profile(no_sampling_screen):
     # r^4 - 1e6 r^2 at m = 3 is negative up to r = 1000, so the sampling
     # screen (radii up to 256) rejects it, yet x . grad P -> +infinity.
@@ -435,6 +499,26 @@ def test_build_K_reads_u0_from_the_config_discretization(monkeypatch):
     assert calls == []
     with pytest.raises(GridMismatch):
         build_K(cfg, make_grid(2, cfg.r_max, cfg.n_intervals + 1))
+
+
+def test_a_new_grid_evaluates_u0_once(monkeypatch, kernel_builds):
+    calls = []
+    evaluate = qcurv.solver.u0_eval
+
+    def counted(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(qcurv.solver, "u0_eval", counted)
+    cfg = quick_config(n_intervals=320)
+    grid, _, u0_density, u0_vals = qcurv.solver._discretization(cfg)
+    assert len(calls) == 1
+    # The values and the density both come from that one evaluation.
+    values, density = evaluate(cfg.m, grid.nodes)
+    np.testing.assert_array_equal(u0_vals, values)
+    np.testing.assert_array_equal(
+        u0_density.values, u0_density_field(grid, density).values
+    )
 
 
 def test_build_K_guards_against_non_negligible_tail():
@@ -766,6 +850,9 @@ def test_shared_discretization_is_read_only(kernel_builds):
     )
     for arr in shared:
         assert not arr.flags.writeable
+    # The paired moments and factors: below- and above-rows side by side.
+    paired_shape = (cfg.m, len(grid.nodes), 2)
+    assert kernel.hat_moments.shape == kernel.node_factors.shape == paired_shape
     assert solve_continuation(cfg).grid is grid
 
 
@@ -1043,8 +1130,8 @@ def test_converged_v_is_the_image_of_the_previous_iterate(monkeypatch, config):
     images = []
     apply = qcurv.solver.potential_apply
 
-    def recording(kernel, density):
-        out = apply(kernel, density)
+    def recording(*args):
+        out = apply(*args)
         images.append(out.values)
         return out
 
