@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import GridMismatch, TailNotNegligible
 from .geometry import _polyharmonic_valid_nodes, radial_polyharmonic
-from .potential import RadialField, RadialGrid, StencilTable, constants, sphere_area
+from .potential import RadialField, RadialGrid, constants, sphere_area
 from .solver import _DISCRETIZATION_CACHE_SIZE, SolutionRecord
 
 # A solution profile whose values all sit below this level is treated as
@@ -329,39 +329,28 @@ def _pohozaev_index(grid: RadialGrid, R: float) -> int:
     return idx
 
 
-def _boundary_chain(table: StencilTable, values: np.ndarray) -> list[float]:
-    """At the centre of the window ``table`` of 2m + 3 nodes: Delta^k of
-    ``values`` for k = 0..m, their radial derivatives, then the same for
-    g = x . grad ``values`` up to k = (m - 1) // 2.
+def _pohozaev_window(grid: RadialGrid, index: int) -> np.ndarray:
+    """The Pohozaev boundary terms' linear functional at ``index``: a
+    read-only matrix whose rows, applied to the values on the m + 1 nodes
+    either side of ``index``, give at ``index`` Delta^k of them for
+    k = 0..m, their radial derivatives, then the same for g = x . grad of
+    them up to k = (m - 1) // 2.  It is built by running that chain of
+    stencils on the window's unit vectors, all at once.
 
     No chain applies more than m + 1 three-point stencils, so the window's
     end values are wrong but the error moves in by one node per stencil
     and never reaches its centre."""
-    m = (len(table.nodes) - 3) // 2
-    centre = m + 1
-    w_iter = [values]
-    for _ in range(m):
-        w_iter.append(table.laplacian(w_iter[-1]))
-    g_iter = [table.nodes * table.d1(values)]
-    for _ in range((m - 1) // 2):
-        g_iter.append(table.laplacian(g_iter[-1]))
-    return (
-        [arr[centre] for arr in w_iter]
-        + [table.d1(arr)[centre] for arr in w_iter]
-        + [arr[centre] for arr in g_iter]
-        + [table.d1(arr)[centre] for arr in g_iter]
-    )
-
-
-def _pohozaev_window(grid: RadialGrid, index: int) -> np.ndarray:
-    """The Pohozaev boundary terms' linear functional at ``index``: a
-    read-only matrix whose rows, applied to the values on the m + 1 nodes
-    either side of ``index``, give :func:`_boundary_chain` of them.  It is
-    built by running the chain on the window's unit vectors."""
     m = grid.m
     table = grid.stencil.window(index - (m + 1), index + m + 2)
-    columns = [_boundary_chain(table, unit) for unit in np.eye(2 * m + 3)]
-    return _read_only(np.array(columns).T.copy())
+    w_iter = [np.eye(2 * m + 3)]
+    for _ in range(m):
+        w_iter.append(table.laplacian(w_iter[-1]))
+    g_iter = [table.nodes * table.d1(w_iter[0])]
+    for _ in range((m - 1) // 2):
+        g_iter.append(table.laplacian(g_iter[-1]))
+    derivatives = [table.d1(arr) for arr in w_iter + g_iter]
+    rows = w_iter + derivatives[: m + 1] + g_iter + derivatives[m + 1 :]
+    return _read_only(np.stack([arr[:, m + 1] for arr in rows]))
 
 
 def pohozaev_terms(

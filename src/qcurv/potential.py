@@ -141,7 +141,8 @@ class StencilTable:
     of composed stencils at the scale of f's variation rather than of f.
     The rows are read-only.  At the origin a regular radial function is
     even, and its second derivative is read from the secants
-    2 (f_i - f_0) / r_i^2.
+    2 (f_i - f_0) / r_i^2.  The methods act along the last axis, so they
+    take one field or a stack of them.
     """
 
     n: int
@@ -154,23 +155,24 @@ class StencilTable:
     def _interior(rows: np.ndarray, values: np.ndarray, out: np.ndarray) -> None:
         """``out = c_-(f_{i-1} - f_i) + c_+(f_{i+1} - f_i)`` on the interior
         nodes, in five array passes."""
-        centre = values[1:-1]
-        np.subtract(values[:-2], centre, out=out)
+        centre = values[..., 1:-1]
+        np.subtract(values[..., :-2], centre, out=out)
         out *= rows[0]
-        above = values[2:] - centre
+        above = values[..., 2:] - centre
         above *= rows[1]
         out += above
 
     def _origin_secant(self, values: np.ndarray, i: int) -> float:
-        return 2.0 * (values[i] - values[0]) / self.nodes[i] ** 2
+        return 2.0 * (values[..., i] - values[..., 0]) / self.nodes[i] ** 2
 
     def d1(self, values: np.ndarray) -> np.ndarray:
         """First radial derivative: the interior formula, even-extension
         zero at the origin, first-order backward at the last node."""
         out = np.empty_like(values)
-        self._interior(self.d1_rows, values, out[1:-1])
-        out[0] = 0.0
-        out[-1] = (values[-1] - values[-2]) / (self.nodes[-1] - self.nodes[-2])
+        self._interior(self.d1_rows, values, out[..., 1:-1])
+        out[..., 0] = 0.0
+        step = self.nodes[-1] - self.nodes[-2]
+        out[..., -1] = (values[..., -1] - values[..., -2]) / step
         return out
 
     def d2(self, values: np.ndarray) -> np.ndarray:
@@ -178,9 +180,9 @@ class StencilTable:
         secant at the origin (exact for quadratics), and the last node
         copying its neighbor."""
         out = np.empty_like(values)
-        self._interior(self.d2_rows, values, out[1:-1])
-        out[0] = self._origin_secant(values, 1)
-        out[-1] = out[-2]
+        self._interior(self.d2_rows, values, out[..., 1:-1])
+        out[..., 0] = self._origin_secant(values, 1)
+        out[..., -1] = out[..., -2]
         return out
 
     def laplacian(self, values: np.ndarray, origin: bool = False) -> np.ndarray:
@@ -190,12 +192,12 @@ class StencilTable:
         n a + (n-1)/3 (b - a), a Richardson-style correction that restores
         second-order accuracy of the composed operator near the origin."""
         out = np.empty_like(values)
-        self._interior(self.laplacian_rows, values, out[1:-1])
-        out[0] = out[-1] = 0.0
+        self._interior(self.laplacian_rows, values, out[..., 1:-1])
+        out[..., 0] = out[..., -1] = 0.0
         if origin:
             a = self._origin_secant(values, 1)
             b = self._origin_secant(values, 2)
-            out[0] = self.n * a + (self.n - 1) / 3.0 * (b - a)
+            out[..., 0] = self.n * a + (self.n - 1) / 3.0 * (b - a)
         return out
 
     def window(self, lo: int, hi: int) -> "StencilTable":

@@ -814,6 +814,19 @@ def test_pohozaev_functional_matches_the_chain_on_its_window(m):
                 assert got[0] == values[idx]
 
 
+def test_pohozaev_boundary_terms_do_not_depend_on_the_level_c_v(report_records):
+    # wbar = v + c_v enters the boundary terms only through derivatives,
+    # and the functional rounds on v's variation about the snapped node,
+    # so b2 and b3 are the same bits for any c_v; a chain run on wbar
+    # itself rounds on its level, which c_v sets.
+    for rec in report_records:
+        args = (rec.log_K, rec.u0_density, rec.config.sign, rec.alpha, 20.0)
+        base = pohozaev_terms(rec.v, rec.c_v, *args)
+        for shift in (-30.0, 3.0):
+            moved = pohozaev_terms(rec.v, rec.c_v + shift, *args)
+            assert (moved.b2, moved.b3) == (base.b2, base.b3)
+
+
 def test_pure_block_in_closed_form_agrees_with_the_angular_rule(report_records):
     # At p = 2 the pure-second-derivative block is integrated over the
     # sphere in closed form; the 64-node rule it replaces agrees to 1e-13.

@@ -215,6 +215,19 @@ def test_stencils_on_a_uniform_line_match_their_inline_formulas(m):
         assert abs(composed[k] - expected[k]) <= 12 * k * EPS * size[k]
 
 
+@pytest.mark.parametrize("m, kind", GRIDS)
+def test_stencils_on_a_stack_of_fields_match_each_field_alone(m, kind):
+    # The Pohozaev functional runs its chain on a stack of unit vectors at
+    # once; each row must come out as that field would alone.
+    grid, _ = _grid_and_values(m, kind)
+    stack = np.random.default_rng(m + 10).normal(size=(3, len(grid.nodes)))
+    st = grid.stencil
+    for method in (st.d1, st.d2, st.laplacian, lambda f: st.laplacian(f, origin=True)):
+        rows = method(stack)
+        for field, row in zip(stack, rows):
+            np.testing.assert_array_equal(row, method(field))
+
+
 # ----------------------------------------------------------------------
 # one read-only table per grid
 # ----------------------------------------------------------------------
