@@ -571,37 +571,43 @@ def _boundary_chain_bounds(values, grid, idx):
     return (20 * (m + 2) + 2 * m + 3) * u * sizes, sizes
 
 
-def _boundary_terms_on_the_full_grid(wbar, r_snap, idx):
+def _boundary_terms_on_the_full_grid(v, r_snap, idx):
     """b1's curvature factor aside, the Pohozaev boundary terms with every
     stencil applied to the whole grid, as first written, and how far the
     functional's b2 and b3 may sit from them.
 
-    The bound carries each quantity's bound from
-    :func:`_boundary_chain_bounds` through the products, with the sizes A
-    in place of the values: |d(ab)| <= |da| A_b + A_a |db| + |da db|.  The
-    products and the sum of m cross terms add 2 (m + 3) u of the sizes'
-    products on either route."""
-    grid = wbar.grid
+    b2 and b3 read wbar = v + c_v only through its derivatives, so the
+    chain runs on v less its value at idx, the input the functional takes;
+    a chain on wbar itself would carry the rounding of wbar's level, which
+    c_v sets, and a bound on that would say little.  The bound carries
+    each quantity's bound from :func:`_boundary_chain_bounds` through the
+    products, with the sizes A in place of the values:
+    |d(ab)| <= |da| A_b + A_a |db| + |da db|.  The products and the sum of
+    m cross terms add 2 (m + 3) u of the sizes' products on either
+    route."""
+    grid = v.grid
     m, n = grid.m, grid.n
     om = sphere_area(n)
-    at = _boundary_chain_on_the_full_grid(wbar.values, grid, idx)
-    bound, size = _boundary_chain_bounds(wbar.values, grid, idx)
+    variation = v.values - v.values[idx]
+    at = _boundary_chain_on_the_full_grid(variation, grid, idx)
+    bound, size = _boundary_chain_bounds(variation, grid, idx)
     g_count = (m - 1) // 2 + 1
     w_iter, w_prime = at[: m + 1], at[m + 1 : 2 * m + 2]
     g_iter, g_prime = at[2 * m + 2 : 2 * m + 2 + g_count], at[2 * m + 2 + g_count :]
 
-    def rows(part):
-        start = {"w": 0, "w'": m + 1, "g": 2 * m + 2, "g'": 2 * m + 2 + g_count}[part]
-        return lambda k: (bound[start + k], size[start + k])
+    start = {"w": 0, "w'": m + 1, "g": 2 * m + 2, "g'": 2 * m + 2 + g_count}
 
-    w_row, dw_row, g_row, dg_row = rows("w"), rows("w'"), rows("g"), rows("g'")
+    def row(part, k):
+        """The bound and the size of row k of ``part``."""
+        return bound[start[part] + k], size[start[part] + k]
+
     u = np.finfo(float).eps / 2.0
     if m % 2 == 0:
         half_power = w_iter[m // 2]
-        d_half, a_half = w_row(m // 2)
+        d_half, a_half = row("w", m // 2)
     else:
         half_power = w_prime[(m - 1) // 2]
-        d_half, a_half = dw_row((m - 1) // 2)
+        d_half, a_half = row("w'", (m - 1) // 2)
     b2 = float(-m * om * r_snap**n * half_power**2)
     b2_bound = m * om * r_snap**n * (
         2.0 * a_half * d_half + d_half**2 + 2 * (m + 3) * u * a_half**2
@@ -612,10 +618,10 @@ def _boundary_terms_on_the_full_grid(wbar, r_snap, idx):
         parity_sign = (-1.0) ** (m + j)
         if j % 2 == 0:
             cross += parity_sign * g_iter[j // 2] * w_prime[m - 1 - j // 2]
-            (da, sa), (db, sb) = g_row(j // 2), dw_row(m - 1 - j // 2)
+            (da, sa), (db, sb) = row("g", j // 2), row("w'", m - 1 - j // 2)
         else:
             cross += parity_sign * g_prime[(j - 1) // 2] * w_iter[m - (j + 1) // 2]
-            (da, sa), (db, sb) = dg_row((j - 1) // 2), w_row(m - (j + 1) // 2)
+            (da, sa), (db, sb) = row("g'", (j - 1) // 2), row("w", m - (j + 1) // 2)
         cross_bound += da * sb + sa * db + da * db + 2 * (m + 3) * u * sa * sb
     b3 = float(-2.0 * m * om * r_snap ** (n - 1) * cross)
     b3_bound = 2.0 * m * om * r_snap ** (n - 1) * cross_bound
@@ -786,7 +792,7 @@ def test_report_matches_its_full_grid_formulas(report_records):
             assert (terms.t1, terms.t2, terms.t3, terms.b1) == (
                 _volume_terms_on_the_full_grid(rec, idx)
             )
-            expected, bound = _boundary_terms_on_the_full_grid(wbar, terms.radius, idx)
+            expected, bound = _boundary_terms_on_the_full_grid(rec.v, terms.radius, idx)
             assert abs(terms.b2 - expected[0]) <= bound[0]
             assert abs(terms.b3 - expected[1]) <= bound[1]
 
