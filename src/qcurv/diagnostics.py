@@ -24,10 +24,9 @@ radial weights.  Each check reads these pieces for whatever window,
 radius or weight it is given, so a report on a grid seen before does only
 the work that depends on the solution, and its values are the same bits
 as on a fresh grid.  A grid's pieces live on one layout, which keeps a
-bounded number of each kind; the layouts of the last
-``_DISCRETIZATION_CACHE_SIZE`` grids are kept, as the solver keeps their
-discretizations, and an older grid is released with everything built on
-it.
+bounded number of each kind.  The layout lives and dies with its grid:
+it is built on the grid's first check, held only as long as the grid is,
+and freed with it.
 """
 
 from __future__ import annotations
@@ -35,14 +34,18 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import weakref
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import GridMismatch, TailNotNegligible
 from .geometry import _polyharmonic_valid_nodes, radial_polyharmonic
-from .potential import RadialField, RadialGrid, constants, sphere_area
-from .solver import _DISCRETIZATION_CACHE_SIZE, SolutionRecord
+from .potential import RadialField, RadialGrid, _read_only, constants, sphere_area
+
+if TYPE_CHECKING:
+    from .solver import SolutionRecord
 
 # A solution profile whose values all sit below this level is treated as
 # degenerate (volume at underflow scale): the tail-decay certificate is
@@ -51,46 +54,42 @@ _DEGENERATE_LEVEL = -50.0
 
 # Per grid, a report reads one fit design, one Pohozaev window and one set
 # of norm weights, and snaps radii to, and takes ball rules at, up to seven
-# nodes.  A grid's layout keeps that many pieces of each kind, and the
-# layouts of as many grids are kept as the solver keeps discretizations for.
+# nodes.  A grid's layout keeps that many pieces of each kind for as long
+# as the grid lives.
 _NODES_PER_GRID = 8
 _WINDOWS_PER_GRID = 2
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
-
-
-def _weights_within(grid: RadialGrid, index: int) -> np.ndarray:
-    return _read_only(grid.weights_within(index))
-
-
-def _weights_beyond(grid: RadialGrid, index: int) -> np.ndarray:
-    return _read_only(grid.weights_beyond(index))
 
 
 class _Layout:
     """The pieces of the checks that depend on one grid alone, each built
     on first use and kept read-only: the last ``_NODES_PER_GRID`` of each
     kind keyed by a radius or node, the last ``_WINDOWS_PER_GRID`` of each
-    kind keyed by a window or weight, and the volume check's tail window."""
+    kind keyed by a window or weight, and the volume check's tail window.
+
+    The builders hold the grid through a weak proxy, so the layout never
+    keeps its grid alive and is freed with it (:func:`_layout`)."""
 
     def __init__(self, grid: RadialGrid):
+        grid = weakref.proxy(grid)
         per_node = functools.lru_cache(maxsize=_NODES_PER_GRID)
         per_window = functools.lru_cache(maxsize=_WINDOWS_PER_GRID)
-        self.nearest_index = per_node(grid.nearest_index)
-        self.weights_within = per_node(functools.partial(_weights_within, grid))
-        self.weights_beyond = per_node(functools.partial(_weights_beyond, grid))
+        self.nearest_index = per_node(functools.partial(RadialGrid.nearest_index, grid))
+        self.weights_within = per_node(functools.partial(RadialGrid.weights_within, grid))
+        self.weights_beyond = per_node(functools.partial(RadialGrid.weights_beyond, grid))
         self.fit = per_window(functools.partial(_fit_layout, grid))
         self.pohozaev_window = per_window(functools.partial(_pohozaev_window, grid))
         self.norm_weights = per_window(functools.partial(_norm_weights, grid))
         self.tail_window = per_window(functools.partial(_tail_window, grid))
 
 
-@functools.lru_cache(maxsize=_DISCRETIZATION_CACHE_SIZE)
+_layouts: weakref.WeakKeyDictionary[RadialGrid, _Layout] = weakref.WeakKeyDictionary()
+
+
 def _layout(grid: RadialGrid) -> _Layout:
-    return _Layout(grid)
+    layout = _layouts.get(grid)
+    if layout is None:
+        layout = _layouts[grid] = _Layout(grid)
+    return layout
 
 
 # ----------------------------------------------------------------------

@@ -227,6 +227,11 @@ def stencil_table(nodes: np.ndarray, n: int) -> StencilTable:
     return table
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 def _hat_weights(nodes: np.ndarray, n: int) -> np.ndarray:
     """Quadrature weights integrating the piecewise-linear interpolant
     against the measure omega_{n-1} r^{n-1} dr, exactly per interval."""
@@ -318,20 +323,20 @@ class RadialGrid:
         boundary hat's contribution from the first outside interval, so
         that :meth:`weights_beyond` is exactly zero inside the ball —
         tail quadratures must not pick up rounding residue from the
-        large interior weights."""
+        large interior weights.  The array is read-only."""
         w = np.zeros_like(self.quad_weights)
         if index == 0:
-            return w
+            return _read_only(w)
         w[: index + 1] = self.quad_weights[: index + 1]
         if index < len(self.nodes) - 1:
             a, b = float(self.nodes[index]), float(self.nodes[index + 1])
             w[index] -= _hat_interval_weights(a, b, self.n)[0]
-        return w
+        return _read_only(w)
 
     def weights_beyond(self, index: int) -> np.ndarray:
-        """Exact complement of :meth:`weights_within` (annulus rule):
+        """Exact complement of :meth:`weights_within` (annulus rule), read-only:
         entry by entry ``quad_weights`` minus it, 0 below ``index``."""
-        return self.quad_weights - self.weights_within(index)
+        return _read_only(self.quad_weights - self.weights_within(index))
 
 
 def make_grid(
@@ -353,6 +358,9 @@ def make_grid(
     linear integrands, so the quadrature error is second order in the
     local spacing).
     """
+    for name, value in (("m", m), ("n_intervals", n_intervals)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise GridMismatch(f"{name} must be an int, got {value!r}")
     if m < 1 or m > 6:
         raise GridMismatch(f"m must be in 1..6, got {m}")
     if not 1.0 < r_max < math.inf:

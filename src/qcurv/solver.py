@@ -239,14 +239,22 @@ class SolverConfig:
         self.validate()
 
     def validate(self) -> None:
-        """Raise ConfigError naming the violated rule, or return None."""
+        """Raise ConfigError naming the violated rule, or return None.
+
+        Types come first: an ``int`` field holds an int and a ``float``
+        field an int or float, and neither holds a bool."""
+        for f in dataclasses.fields(self):
+            kinds = {"int": int, "float": (int, float)}.get(f.type)
+            value = getattr(self, f.name)
+            if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
+                raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.m == 1:
             raise ConfigError(
                 "m = 1 is not solvable: the admissible class is empty, "
                 "since deg P <= 2m - 2 = 0 forces P constant and then "
                 "x . grad P vanishes identically instead of growing"
             )
-        if not isinstance(self.m, int) or self.m < 2 or self.m > 6:
+        if self.m < 2 or self.m > 6:
             raise ConfigError(f"m must be an integer in 2..6, got {self.m}")
         if self.sign not in (1, -1):
             raise ConfigError(f"sign must be +1 or -1, got {self.sign}")

@@ -1,7 +1,9 @@
 """Tests for the independent solution checks: PDE residual, volume,
 asymptotic fit, Pohozaev balance, weighted norms, and the report."""
 
+import ast
 import gc
+import inspect
 import json
 import math
 import weakref
@@ -910,13 +912,13 @@ _LAYOUT = (
 
 
 def _clear_layout():
-    qcurv.diagnostics._layout.cache_clear()
+    qcurv.diagnostics._layouts.clear()
     _angular_moment.cache_clear()
 
 
 @pytest.fixture
 def layout_builds():
-    """Empty the report's layout caches; the returned function counts the
+    """Empty the report's layout store; the returned function counts the
     pieces of each kind built on a grid since (a cache miss is one build)."""
     _clear_layout()
     return lambda grid: {
@@ -950,6 +952,7 @@ def test_each_layout_piece_is_built_once_per_grid(layout_builds):
         "pohozaev_window": 1,
         "nearest_index": 1,
     }
+    layout = qcurv.diagnostics._layout(grid)
     record = solve_continuation(config)
     assert record.grid is grid
     build_report(record)
@@ -964,34 +967,111 @@ def test_each_layout_piece_is_built_once_per_grid(layout_builds):
         "tail_window": 1,
     }
     other = solve_continuation(replace(config, sign=-1, volume=2.0 * config.volume))
+    assert other.grid is grid
     build_report(other)
     build_report(record)
     assert layout_builds(grid) == built
-    assert qcurv.diagnostics._layout.cache_info().misses == 1
+    assert list(qcurv.diagnostics._layouts.items()) == [(grid, layout)]
 
 
-def test_layouts_are_kept_for_the_last_grids_and_older_grids_released():
+def _layout_on_many_radii(grid):
+    """Build every kind of layout piece on ``grid``, at more radii than a
+    layout keeps rules for, and return the layout."""
+    diag = qcurv.diagnostics
+    field = RadialField(grid=grid, values=-2.0 * np.log1p(grid.nodes**2))
+    check_report_grid(grid)
+    weighted_norm(field, 2, -3.0)
+    conformal_volume(field)
+    for R in range(1, 2 * diag._NODES_PER_GRID):
+        tail_curvature_mass(field, field, float(R))
+        exp_integrability_probe(field, 0.1, float(R))
+    return diag._layout(grid)
+
+
+def test_a_layout_lives_exactly_as_long_as_its_grid():
     diag = qcurv.diagnostics
     _clear_layout()
-    kept = diag._DISCRETIZATION_CACHE_SIZE
-    grids = []
-    for k in range(kept + 2):
-        grid = make_grid(2, 40.0, 128 + k)
-        field = RadialField(grid=grid, values=-np.log1p(grid.nodes**2))
-        check_report_grid(grid)
-        weighted_norm(field, 2, -3.0)
-        # More radii than a layout keeps rules for.
-        for R in range(1, 2 * diag._NODES_PER_GRID):
-            tail_curvature_mass(field, field, float(R))
-            exp_integrability_probe(field, 0.1, float(R))
-        layout = diag._layout(grid)
+    count = qcurv.solver._DISCRETIZATION_CACHE_SIZE + 2
+    grids = [make_grid(2, 40.0, 128 + k) for k in range(count)]
+    layouts = [_layout_on_many_radii(grid) for grid in grids]
+    # Reading more grids than the solver keeps discretizations for drops
+    # none of the layouts while their grids live.
+    for grid, layout in zip(grids, layouts):
+        assert diag._layout(grid) is layout
         for kind in ("nearest_index", "weights_within", "weights_beyond"):
             assert getattr(layout, kind).cache_info().currsize == diag._NODES_PER_GRID
-        grids.append(weakref.ref(grid))
-    del grid, field, layout
-    gc.collect()
-    assert [ref() is None for ref in grids] == [True, True] + [False] * kept
-    assert diag._layout.cache_info().currsize == kept
+        for kind in ("fit", "pohozaev_window", "norm_weights", "tail_window"):
+            info = getattr(layout, kind).cache_info()
+            assert 1 <= info.currsize <= diag._WINDOWS_PER_GRID
+    assert len(diag._layouts) == count
+    refs = [weakref.ref(obj) for obj in grids + layouts]
+    gc.disable()
+    try:
+        del grid, layout, grids, layouts
+        # Reference counting alone frees each grid and its layout.
+        assert [ref() for ref in refs] == [None] * (2 * count)
+        assert len(diag._layouts) == 0
+    finally:
+        gc.enable()
+
+
+def test_a_held_record_is_reported_on_again_without_building():
+    # Layout pieces are counted as they are built.  r_max = 39.5 keeps the
+    # grids apart from those other tests solve on, so every layout here is
+    # built, and binds the counting builders, while they are in place.
+    diag = qcurv.diagnostics
+    builds = []
+
+    def counting(build):
+        def counted(grid, *args):
+            builds.append((build.__name__, grid.n_intervals))
+            return build(grid, *args)
+
+        return counted
+
+    config = SolverConfig(
+        m=2,
+        sign=1,
+        volume=0.5 * constants(2).vol_sphere,
+        profile=Polynomial.from_text(" + ".join(f"x{i}^2" for i in range(1, 5))),
+        r_max=39.5,
+        n_intervals=128,
+    )
+    count = qcurv.solver._DISCRETIZATION_CACHE_SIZE + 2
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("_fit_layout", "_pohozaev_window"):
+            patch.setattr(diag, name, counting(getattr(diag, name)))
+        records = [
+            solve_continuation(replace(config, n_intervals=128 + k))
+            for k in range(count)
+        ]
+        reports = [build_report(rec) for rec in records]
+        built = sorted(builds)
+        assert len(built) == 2 * count
+        # Every other grid has been reported on since the first record's.
+        assert [build_report(rec) for rec in records] == reports
+        assert sorted(builds) == built
+
+
+def test_diagnostics_imports_nothing_from_the_solver_at_run_time():
+    tree = ast.parse(inspect.getsource(qcurv.diagnostics))
+    type_only = {
+        id(node)
+        for block in tree.body
+        if isinstance(block, ast.If) and ast.unparse(block.test) == "TYPE_CHECKING"
+        for stmt in block.body
+        for node in ast.walk(stmt)
+    }
+    imported = []
+    for node in ast.walk(tree):
+        if id(node) in type_only:
+            continue
+        if isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert ".potential" in imported
+    assert not [name for name in imported if name.endswith("solver")]
 
 
 def test_build_grid_and_the_solve_share_one_grid_owner():
@@ -1010,9 +1090,10 @@ def test_build_grid_and_the_solve_share_one_grid_owner():
     record = solve_continuation(config)
     assert build_grid(config) is record.grid
     check_report_grid(build_grid(config))
-    misses = qcurv.diagnostics._layout.cache_info().misses
+    layouts = dict(qcurv.diagnostics._layouts)
     build_report(record)
-    assert qcurv.diagnostics._layout.cache_info().misses == misses
+    assert dict(qcurv.diagnostics._layouts) == layouts
+    assert layouts[record.grid] is qcurv.diagnostics._layout(record.grid)
 
 
 def test_layout_pieces_are_read_only(report_records):

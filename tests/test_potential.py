@@ -104,6 +104,16 @@ def test_make_grid_validates_inputs():
         make_grid(m=2, r_max=40.0, n_intervals=2048, sinh_strength=250.0)
 
 
+@pytest.mark.parametrize(
+    "m, n_intervals, name",
+    [(2.5, 512, "m"), (True, 512, "m"), (2, 512.5, "n_intervals"), (2, True, "n_intervals")],
+)
+def test_make_grid_refuses_a_non_integer_m_or_n_intervals(m, n_intervals, name):
+    with pytest.raises(GridMismatch, match=f"^{name} must be an int"):
+        make_grid(m, 40.0, n_intervals)
+
+
+
 def test_quadrature_against_closed_form_integrals():
     grid = make_grid(m=2, r_max=10.0, n_intervals=1024)
     # integral of |x|^2 over the ball of radius 10 in R^4.
@@ -125,6 +135,8 @@ def test_partial_ball_weights_are_exact_and_complementary():
         ball_volume(4, float(grid.nodes[idx])), rel=1e-12
     )
     np.testing.assert_array_equal(within + beyond, grid.quad_weights)
+    for rule in (within, beyond):
+        assert not rule.flags.writeable
 
 
 def test_nearest_index_snaps_and_validates():
@@ -164,8 +176,10 @@ def test_partial_ball_weights_equal_their_complement_formula():
             if idx < last:
                 a, b = float(grid.nodes[idx]), float(grid.nodes[idx + 1])
                 within[idx] -= _hat_interval_weights(a, b, grid.n)[0]
-        np.testing.assert_array_equal(grid.weights_within(idx), within)
-        np.testing.assert_array_equal(grid.weights_beyond(idx), q - within)
+        rules = (grid.weights_within(idx), grid.weights_beyond(idx))
+        np.testing.assert_array_equal(rules[0], within)
+        np.testing.assert_array_equal(rules[1], q - within)
+        assert not any(rule.flags.writeable for rule in rules)
 
 
 def test_ensure_same_accepts_equal_layout_and_rejects_others():

@@ -1,6 +1,7 @@
 """Tests for configuration validation and the fixed-point solver."""
 
 import contextlib
+import json
 import math
 from dataclasses import replace
 from itertools import combinations_with_replacement
@@ -327,6 +328,37 @@ def test_config_rejects_bad_parameters(overrides, fragment):
         )
     with pytest.raises(ConfigError, match=fragment):
         quick_config(**overrides)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("sign", True),
+        ("volume", True),
+        ("n_intervals", 512.0),
+        ("max_iter", 3.5),
+        ("volume", "1.0"),
+        ("tol", "1e-8"),
+        ("r_max", None),
+        ("m", True),
+    ],
+)
+def test_config_refuses_a_field_of_the_wrong_type(key, value):
+    with pytest.raises(ConfigError, match=f"^{key} must be of type"):
+        quick_config(**{key: value})
+
+
+@pytest.mark.parametrize("sign, volume_ratio", [(1, 0.5), (-1, 2.0)])
+@pytest.mark.parametrize("n_intervals", [256, 512, 1024, 2048, 4096])
+def test_config_survives_a_json_round_trip(sign, volume_ratio, n_intervals):
+    # The configs the acceptance tests solve.
+    config = quick_config(
+        sign=sign,
+        volume=volume_ratio * constants(2).vol_sphere,
+        n_intervals=n_intervals,
+    )
+    text = json.dumps(config.to_json_dict())
+    assert SolverConfig.from_json_dict(json.loads(text)) == config
 
 
 def test_one_op_validates_its_config_once(monkeypatch):
