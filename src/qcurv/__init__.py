@@ -29,6 +29,7 @@ from .poly import (
     eval_with_gradient,
     pm_membership,
     radial_derivative,
+    radial_profile_coeffs,
 )
 from .geometry import (
     eval_radial_profile,
@@ -56,7 +57,6 @@ from .solver import (
     build_K,
     build_grid,
     normalization_cv,
-    radial_profile_coeffs,
     solve_continuation,
     source_with_normalization,
     u0_density_field,
@@ -94,6 +94,7 @@ __all__ = [
     "eval_with_gradient",
     "radial_derivative",
     "pm_membership",
+    "radial_profile_coeffs",
     "a3_counterexample",
     # geometry
     "spherical_solution",
@@ -122,7 +123,6 @@ __all__ = [
     "u0_density_field",
     "normalization_cv",
     "source_with_normalization",
-    "radial_profile_coeffs",
     # diagnostics
     "pde_residual",
     "conformal_volume",

@@ -18,7 +18,8 @@ Exit codes
 1  invalid configuration or input, message names the violated rule
    (verify: a check failed; poly-check: Rejected)
 2  solver failure: max_iter exhausted or divergence guard, partial
-   outputs are still written (poly-check: Inconclusive)
+   outputs are still written (poly-check: Inconclusive, for a non-radial
+   P only)
 3  solve converged but a hard diagnostic gate failed (pohozaev: defect
    above its gate)
 4  poly-check input that cannot be parsed or classified as a polynomial
@@ -106,7 +107,8 @@ config JSON fields (schema_version 2):
                   admissibility check (radial, for the solver)
   r_max           grid radius, > 1 (default {_DEFAULT["r_max"]})
   n_intervals     radial intervals, >= 64 (default {_DEFAULT["n_intervals"]})
-  sinh_strength   clustering strength of the sinh node map, > 0
+  sinh_strength   clustering strength of the sinh node map, > 0 and
+                  small enough that its sinh is finite (<= 710)
                   (default {_DEFAULT["sinh_strength"]})
   tol             bound on the fixed-point residual |T v - v|_inf at
                   which the solve stops (default {_DEFAULT["tol"]})
@@ -322,7 +324,7 @@ def _suite_oracles() -> list[tuple[str, bool, str]]:
         m=2,
         sign=1,
         volume=0.5 * cs.vol_sphere,
-        profile=_radial_square_profile(4),
+        profile=Polynomial.from_text("x1^2 + x2^2 + x3^2 + x4^2"),
         r_max=20.0,
         n_intervals=256,
     )
@@ -377,18 +379,9 @@ def _suite_kernel() -> list[tuple[str, bool, str]]:
     return checks
 
 
-def _radial_square_profile(dim: int) -> Polynomial:
-    exps = []
-    for i in range(dim):
-        e = [0] * dim
-        e[i] = 2
-        exps.append((tuple(e), 1.0))
-    return Polynomial.from_terms(dim, exps)
-
-
 def _suite_poly() -> list[tuple[str, bool, str]]:
     checks = []
-    verdict = pm_membership(_radial_square_profile(4))
+    verdict = pm_membership(Polynomial.from_text("x1^2 + x2^2 + x3^2 + x4^2"))
     ok = (
         verdict.status == "Accepted"
         and verdict.exponent is not None
@@ -398,15 +391,7 @@ def _suite_poly() -> list[tuple[str, bool, str]]:
         ("accept-sum-of-squares", ok, f"{verdict.status}, exponent {verdict.exponent}")
     )
 
-    aniso = Polynomial.from_terms(
-        4,
-        [
-            ((2, 0, 0, 0), 0.5),
-            ((0, 2, 0, 0), 2.0),
-            ((0, 0, 2, 0), 1.0),
-            ((0, 0, 0, 2), 3.0),
-        ],
-    )
+    aniso = Polynomial.from_text("0.5 * x1^2 + 2 * x2^2 + x3^2 + 3 * x4^2")
     verdict = pm_membership(aniso)
     checks.append(
         (
@@ -425,18 +410,15 @@ def _suite_poly() -> list[tuple[str, bool, str]]:
         )
     )
 
-    indefinite = Polynomial.from_terms(2, [((2, 0), 1.0), ((0, 2), -1.0)])
-    verdict = pm_membership(indefinite, m=2)
+    verdict = pm_membership(Polynomial.from_text("x1^2 - x2^2"), m=2)
     checks.append(
         ("reject-indefinite-quadratic", verdict.status == "Rejected", verdict.status)
     )
 
-    constant = Polynomial.from_terms(2, [((0, 0), 1.0)])
-    verdict = pm_membership(constant, m=2)
+    verdict = pm_membership(Polynomial.from_text("1", dim=2), m=2)
     checks.append(("reject-constant", verdict.status == "Rejected", verdict.status))
 
-    quartic = Polynomial.from_terms(2, [((4, 0), 1.0), ((0, 2), 1.0)])
-    verdict = pm_membership(quartic, m=2)
+    verdict = pm_membership(Polynomial.from_text("x1^4 + x2^2"), m=2)
     checks.append(
         ("reject-degree-above-bound", verdict.status == "Rejected", verdict.status)
     )
@@ -625,8 +607,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exit code is the verdict: 0 Accepted, 1 Rejected, "
         "2 Inconclusive, 4 unparseable input.  The polynomial may be given "
         "inline (canonical text like '1.0 * x1^2 + 1.0 * x2^2', or a JSON "
-        "object) or as a path to a file containing either form, in at most "
-        "16 variables.",
+        "object) or as a path to a file containing either form.  A radial "
+        "polynomial (in |x|^2) is decided exactly, by the rule solve "
+        "applies; any other is screened by sampling, in at most 16 "
+        "variables, and only it can be Inconclusive.",
     )
     p_poly.add_argument(
         "--poly", required=True, help="polynomial text/JSON or file path"

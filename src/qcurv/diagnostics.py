@@ -404,15 +404,14 @@ def pohozaev_terms(
     t3 = float(-two_m * alpha * (w_in @ (x_grad_w * u0_density.values)))
 
     # Laplacian iterates of wbar and of g = x . grad wbar, plus their
-    # radial derivatives, at the snapped radius.  Every row but the first
-    # (the centre value itself) annihilates constants, so the functional
-    # is applied to v less its centre value: like the difference-form
-    # stencils, it then rounds on the window's variation, not on wbar's
-    # level, which c_v sets.
+    # radial derivatives, at the snapped radius.  Every row read below
+    # annihilates constants (the first, the centre value itself, is never
+    # read), so the functional is applied to v less its centre value: like
+    # the difference-form stencils, it then rounds on the window's
+    # variation, not on wbar's level, which c_v sets.
     functional = _layout(grid).pohozaev_window(idx)
     variation = v.values[idx - (m + 1) : idx + m + 2] - v.values[idx]
     at_radius = (functional @ variation).tolist()
-    at_radius[0] = wbar[idx]
     w_iter, w_prime = at_radius[: m + 1], at_radius[m + 1 : 2 * m + 2]
     g_count = (m - 1) // 2 + 1
     g_iter = at_radius[2 * m + 2 : 2 * m + 2 + g_count]

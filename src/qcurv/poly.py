@@ -1,4 +1,4 @@
-"""Sparse multivariate polynomials and coercivity screening.
+"""Sparse multivariate polynomials and the admissible profile class.
 
 Asymptotic profiles of the metrics handled by this package carry a
 polynomial part ``P`` in ``n = 2m`` variables that must satisfy two
@@ -8,12 +8,15 @@ structural constraints:
 * the radial derivative ``x . grad P`` grows without bound along every
   path to infinity.
 
-Exact membership in that class is not decidable by finite sampling, so
-:func:`pm_membership` returns a three-way verdict.  ``accepted`` verdicts
-carry an empirical lower bound ``x . grad P >= c * |x|^a`` valid on every
-sampled point, ``rejected`` verdicts carry a concrete witness (a violated
-degree bound, or a sample path along which the radial derivative fails to
-grow), and anything the heuristics cannot settle is ``inconclusive``.
+This module states those rules once.  A radial ``P`` (a polynomial in
+|x|^2) is decided exactly, and the solver's configuration check and
+:func:`pm_membership` read that one decision.  Membership of a non-radial
+``P`` is not decidable by finite sampling, so :func:`pm_membership`
+screens it and returns a three-way verdict: ``accepted`` verdicts carry
+an empirical lower bound ``x . grad P >= c * |x|^a`` valid on every
+sampled point, ``rejected`` verdicts carry a concrete witness (a sample
+path along which the radial derivative fails to grow), and anything the
+heuristics cannot settle is ``inconclusive``.
 
 Polynomials are stored sparsely as ``(exponent_vector, coefficient)``
 terms in graded lexicographic order, which makes the text and JSON
@@ -27,6 +30,7 @@ import math
 import numbers
 import re
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -343,6 +347,136 @@ def _radial_many(P: Polynomial, x) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
+# radial profiles and the admissibility rules
+# ----------------------------------------------------------------------
+def radial_profile_coeffs(P: Polynomial) -> np.ndarray | None:
+    """If P is a polynomial in |x|^2, return the coefficients c with
+    P = sum_i c[i] |x|^{2i}; otherwise return None.
+
+    The candidate coefficients are read off the pure first-axis terms
+    (the coefficient of x_1^{2i} in sum c_i |x|^{2i} is c_i) and then
+    verified against every stored term: by the multinomial theorem the
+    monomial x^{2k} with |k| = i has coefficient c_i i! / prod_j k_j!, and
+    a monomial with an odd exponent has none.  A degree whose candidate
+    is nonzero but which lacks some of its C(dim + i - 1, i) monomials
+    refuses P if |c_i| (their least expected size) is above the
+    tolerance, else they are checked by the full re-expansion
+    (:func:`_profile_expansion_matches`).
+    """
+    if P.is_zero:
+        return np.zeros(1)
+    half_deg = P.degree() // 2
+    values = [0.0] * (half_deg + 1)
+    exponents = []  # each term's nonzero exponents
+    for exps, coef in P.terms:
+        nonzero = [e for e in exps if e]
+        exponents.append(nonzero)
+        if not nonzero:
+            values[0] = coef
+        elif len(nonzero) == 1 and exps[0] and exps[0] % 2 == 0:
+            values[exps[0] // 2] = coef
+    tol = 1e-12 * max(abs(c) for _, c in P.terms)
+    stored_per_degree = [0] * (half_deg + 1)
+    for nonzero, (_, coef) in zip(exponents, P.terms):
+        expected = 0.0
+        if all(e % 2 == 0 for e in nonzero):
+            i = sum(nonzero) // 2
+            if values[i] != 0.0:
+                stored_per_degree[i] += 1
+                expected = values[i] * _multinomial(i, nonzero)
+        if abs(expected - coef) > tol:
+            return None
+    incomplete = [
+        c
+        for i, c in enumerate(values)
+        if c != 0.0 and stored_per_degree[i] < math.comb(P.dim + i - 1, i)
+    ]
+    if any(abs(c) > tol for c in incomplete):
+        return None
+    cand = np.array(values)
+    if not incomplete or _profile_expansion_matches(P, cand, tol):
+        return cand
+    return None
+
+
+def _multinomial(i: int, exps) -> int:
+    """i! / prod_j (exps[j] / 2)!, for even ``exps`` summing to 2i."""
+    weight = math.factorial(i)
+    for e in exps:
+        weight //= math.factorial(e // 2)
+    return weight
+
+
+def _profile_expansion_matches(P: Polynomial, cand: np.ndarray, tol: float) -> bool:
+    """Whether every term of sum_i cand[i] |x|^{2i}, expanded monomial by
+    monomial, and every stored term of P agree within ``tol``."""
+    expanded: dict[tuple[int, ...], float] = {}
+    for i, c in enumerate(cand):
+        if c == 0.0:
+            continue
+        for combo in combinations_with_replacement(range(P.dim), i):
+            counts = [0] * P.dim
+            for j in combo:
+                counts[j] += 1
+            vec = tuple(2 * cnt for cnt in counts)
+            expanded[vec] = expanded.get(vec, 0.0) + c * _multinomial(i, vec)
+    stored = dict(P.terms)
+    return all(
+        abs(expanded.get(key, 0.0) - stored.get(key, 0.0)) <= tol
+        for key in set(expanded) | set(stored)
+    )
+
+
+def degree_bound_violation(P: Polynomial, m: int) -> str | None:
+    """The violated rule deg P <= 2m - 2, or None."""
+    degree = P.degree()
+    if degree > 2 * m - 2:
+        return f"degree {degree} exceeds the admissible bound 2m - 2 = {2 * m - 2}"
+    return None
+
+
+def radial_admissibility_violation(coeffs: np.ndarray) -> str | None:
+    """Decide admissibility of a radial profile P = sum_i c_i s^i,
+    s = |x|^2, within the degree bound, exactly; return the violated rule,
+    or None if P is admissible.
+
+    x . grad P = sum_i 2 i c_i s^i is a polynomial in s, so with k the
+    index of the last nonzero coefficient it tends to +infinity iff
+    k >= 1 and c_k > 0.
+    """
+    nonzero = np.flatnonzero(coeffs)
+    k = int(nonzero[-1]) if nonzero.size else 0
+    if k == 0:
+        return "x . grad P vanishes identically (constant polynomial)"
+    if not coeffs[k] > 0:
+        return (
+            f"leading coefficient {coeffs[k]:.6g} of |x|^{2 * k} is not "
+            "positive, so x . grad P tends to -infinity"
+        )
+    return None
+
+
+def _radial_verdict(coeffs: np.ndarray) -> AdmissibilityVerdict:
+    """The exact verdict on P = sum_i c_i |x|^{2i}.  With c_k the last
+    nonzero coefficient, x . grad P / |x|^{2k} = g(t) = sum_i 2 i c_i
+    t^{k - i} at t = |x|^{-2}, so the constant is g's least value on
+    [0, 1]: at an end or at a critical point (clipped into [0, 1])."""
+    rule = radial_admissibility_violation(coeffs)
+    if rule is not None:
+        return AdmissibilityVerdict(status="Rejected", witness=rule, samples_used=0)
+    k = int(np.flatnonzero(coeffs)[-1])
+    g = np.polynomial.Polynomial([2 * i * coeffs[i] for i in range(k, 0, -1)])
+    critical = np.clip(g.deriv().roots().real, 0.0, 1.0)
+    return AdmissibilityVerdict(
+        status="Accepted",
+        witness=None,
+        samples_used=0,
+        exponent=float(2 * k),
+        constant=float(min(g(np.concatenate(([0.0, 1.0], critical))))),
+    )
+
+
+# ----------------------------------------------------------------------
 # coercivity screening
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -350,11 +484,13 @@ class AdmissibilityVerdict:
     """Outcome of :func:`pm_membership`.
 
     ``status`` is ``"Accepted"``, ``"Rejected"`` or ``"Inconclusive"``.
-    Accepted verdicts fill ``exponent``/``constant`` with the empirical
-    bound ``x . grad P >= constant * |x|^exponent`` over every sample;
-    rejected verdicts fill ``witness`` with a human-readable description
-    of the failure.  ``samples_used`` counts radial-derivative
-    evaluations.
+    Accepted verdicts fill ``exponent``/``constant`` with the largest c
+    such that ``x . grad P >= c * |x|^exponent`` on |x| >= 1: exactly for
+    a radial P, with exponent 2k for its last nonzero c_k (c <= 0 for a
+    shell), else over every sample, with a fitted exponent.  Rejected
+    verdicts fill ``witness`` with the violated rule or a failing sample
+    path; only a non-radial P can be Inconclusive.  ``samples_used``
+    counts radial-derivative evaluations, 0 for an exact verdict.
     """
 
     status: str
@@ -416,21 +552,22 @@ def _curve_points(
 
 
 def pm_membership(P: Polynomial, m: int | None = None) -> AdmissibilityVerdict:
-    """Screen ``P`` for membership in the admissible profile class.
+    """Decide, or screen, ``P``'s membership in the admissible profile class.
 
     ``m`` defaults to ``P.dim // 2`` (the dimension must then be even);
     passing ``m`` explicitly lets low-dimensional polynomials be screened
-    against the degree bound of a larger context.  ``P.dim`` may be at
-    most 16.
+    against the degree bound of a larger context.
 
-    The test evaluates ``x . grad P`` at the radii 1, 2, 4, ..., 256 along
-    64 straight rays (the signed axes plus a low-discrepancy direction
-    set) and along the bent-path family ``x_i = c t^k, x_j = t``, which
-    catches polynomials whose radial derivative is coercive on every ray
-    yet unbounded below along a curved path.  The minimum over all
-    samples at each radius must be positive and growing; a power law is
-    then fitted over the last four radii to certify
-    ``x . grad P >= c |x|^a`` on the sampled set.
+    After the degree bound, a radial ``P`` gets the exact verdict that
+    :class:`~qcurv.solver.SolverConfig` reads.  A non-radial ``P``, of
+    dim at most 16, is screened: ``x . grad P`` is evaluated at the radii
+    1, 2, 4, ..., 256 along 64 straight rays (the signed axes plus a
+    low-discrepancy direction set) and along the bent-path family
+    ``x_i = c t^k, x_j = t``, which catches polynomials whose radial
+    derivative is coercive on every ray yet unbounded below along a
+    curved path.  The minimum over all samples at each radius must be
+    positive and growing; a power law is then fitted over the last four
+    radii to certify ``x . grad P >= c |x|^a`` on the sampled set.
     """
     if m is None:
         if P.dim % 2 != 0:
@@ -441,32 +578,21 @@ def pm_membership(P: Polynomial, m: int | None = None) -> AdmissibilityVerdict:
         m = P.dim // 2
     if m < 1:
         raise DimensionMismatch(f"m must be >= 1, got {m}")
+    rule = degree_bound_violation(P, m)
+    if rule is not None:
+        return AdmissibilityVerdict(status="Rejected", witness=rule, samples_used=0)
+    coeffs = radial_profile_coeffs(P)
+    if coeffs is not None:
+        return _radial_verdict(coeffs)
     if P.dim > len(_PRIMES):
         raise DimensionMismatch(
             f"dim = {P.dim} exceeds {len(_PRIMES)}, the largest dimension "
             "the sampling screen covers"
         )
 
-    degree = P.degree()
-    if degree > 2 * m - 2:
-        return AdmissibilityVerdict(
-            status="Rejected",
-            witness=(
-                f"degree {degree} exceeds the admissible bound "
-                f"2m - 2 = {2 * m - 2}"
-            ),
-            samples_used=0,
-        )
-    if P.is_zero or degree == 0:
-        return AdmissibilityVerdict(
-            status="Rejected",
-            witness="x . grad P vanishes identically (constant polynomial)",
-            samples_used=0,
-        )
-
     radii_arr = np.asarray(_SAMPLE_RADII)
     dirs = _direction_set(P.dim)
-    curve_desc = _curve_family(P.dim, degree)
+    curve_desc = _curve_family(P.dim, P.degree())
     n_rays = dirs.shape[0]
     # Rays then curves, one radius at a time: only the values and norms
     # of the whole sample set are kept, never its points.
@@ -480,7 +606,9 @@ def pm_membership(P: Polynomial, m: int | None = None) -> AdmissibilityVerdict:
         ):
             values[slot, cols] = _radial_many(P, pts)
             norms[slot, cols] = np.linalg.norm(pts, axis=-1)
-    samples_used = values.size
+
+    def verdict(status: str, witness=None, **bound) -> AdmissibilityVerdict:
+        return AdmissibilityVerdict(status, witness, values.size, **bound)
 
     def describe(slot: int, idx: int) -> str:
         val = values[slot, idx]
@@ -501,66 +629,39 @@ def pm_membership(P: Polynomial, m: int | None = None) -> AdmissibilityVerdict:
     # radii is decisive evidence against coercive growth.
     last_two = values[-2:, :]
     if last_two.min() <= 0.0:
-        slot_rel, idx = np.unravel_index(np.argmin(last_two), last_two.shape)
-        slot = len(radii_arr) - 2 + slot_rel
-        return AdmissibilityVerdict(
-            status="Rejected",
-            witness=describe(slot, int(idx)),
-            samples_used=samples_used,
-        )
+        slot, idx = np.unravel_index(np.argmin(last_two), last_two.shape)
+        return verdict("Rejected", describe(len(radii_arr) - 2 + slot, int(idx)))
     if minima[-1] <= minima[-2]:
-        idx = int(np.argmin(values[-1]))
-        return AdmissibilityVerdict(
-            status="Rejected",
-            witness=(
-                f"min x . grad P did not grow from r = {radii_arr[-2]:g} "
-                f"({minima[-2]:.6g}) to r = {radii_arr[-1]:g} "
-                f"({minima[-1]:.6g}); minimizer: " + describe(-1, idx)
-            ),
-            samples_used=samples_used,
+        return verdict(
+            "Rejected",
+            f"min x . grad P did not grow from r = {radii_arr[-2]:g} "
+            f"({minima[-2]:.6g}) to r = {radii_arr[-1]:g} "
+            f"({minima[-1]:.6g}); minimizer: "
+            + describe(-1, int(np.argmin(values[-1]))),
         )
-
     tail_min = minima[-4:]
-    tail_r = radii_arr[-4:]
     if np.any(tail_min <= 0.0):
-        return AdmissibilityVerdict(
-            status="Inconclusive",
-            witness=(
-                "minimum of x . grad P is not positive throughout the "
-                "fitting window"
-            ),
-            samples_used=samples_used,
+        return verdict(
+            "Inconclusive",
+            "minimum of x . grad P is not positive throughout the fitting window",
         )
-    slope, intercept = np.polyfit(np.log(tail_r), np.log(tail_min), 1)
+    slope, _ = np.polyfit(np.log(radii_arr[-4:]), np.log(tail_min), 1)
     if slope < _MIN_GROWTH_EXPONENT:
-        return AdmissibilityVerdict(
-            status="Inconclusive",
-            witness=(
-                f"fitted growth exponent {slope:.3g} is too flat to "
-                "certify unbounded growth"
-            ),
-            samples_used=samples_used,
+        return verdict(
+            "Inconclusive",
+            f"fitted growth exponent {slope:.3g} is too flat to "
+            "certify unbounded growth",
         )
     # Largest constant making  x . grad P >= c |x|^slope  hold on every
     # sample (norms are >= 1 because the radii are, never zero).
-    ratios = values / norms**slope
-    c_bound = float(ratios.min())
+    c_bound = float((values / norms**slope).min())
     if c_bound <= 0.0:
-        return AdmissibilityVerdict(
-            status="Inconclusive",
-            witness=(
-                "x . grad P changes sign at small radii; no single power "
-                "bound covers all samples"
-            ),
-            samples_used=samples_used,
+        return verdict(
+            "Inconclusive",
+            "x . grad P changes sign at small radii; no single power "
+            "bound covers all samples",
         )
-    return AdmissibilityVerdict(
-        status="Accepted",
-        witness=None,
-        samples_used=samples_used,
-        exponent=float(slope),
-        constant=c_bound,
-    )
+    return verdict("Accepted", exponent=float(slope), constant=c_bound)
 
 
 def a3_counterexample(beta: float, extra_dims: int = 0) -> Polynomial:

@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,6 +243,11 @@ def _hat_weights(nodes: np.ndarray, n: int) -> np.ndarray:
     return w
 
 
+def _check_nodes(nodes: np.ndarray) -> None:
+    if nodes[0] != 0.0 or np.any(np.diff(nodes) <= 0):
+        raise GridMismatch("nodes must start at 0 and increase strictly")
+
+
 @dataclass(frozen=True, eq=False)
 class RadialGrid:
     """Nodes ``0 = r_0 < r_1 < ... < r_N = R_max`` with positive weights
@@ -262,8 +268,7 @@ class RadialGrid:
             raise GridMismatch("nodes and weights must be 1-d and congruent")
         if len(nodes) < 65:
             raise GridMismatch(f"need at least 64 intervals, got {len(nodes) - 1}")
-        if nodes[0] != 0.0 or np.any(np.diff(nodes) <= 0):
-            raise GridMismatch("nodes must start at 0 and increase strictly")
+        _check_nodes(nodes)
         if np.any(weights <= 0):
             raise GridMismatch("quadrature weights must be positive")
         vol = ball_volume(self.n, float(nodes[-1]))
@@ -339,6 +344,35 @@ class RadialGrid:
         return _read_only(self.quad_weights - self.weights_within(index))
 
 
+def check_grid_parameters(m, r_max, n_intervals, sinh_strength) -> None:
+    """Raise GridMismatch naming the first argument that no grid is built
+    from: m an int in 1..6, r_max a real number in (1, inf), n_intervals
+    an int >= 64, sinh_strength a real number in (0, inf) whose sinh is
+    finite.  Bools are refused."""
+    for name, value, kind, noun in (
+        ("m", m, int, "an int"),
+        ("n_intervals", n_intervals, int, "an int"),
+        ("r_max", r_max, numbers.Real, "a real number"),
+        ("sinh_strength", sinh_strength, numbers.Real, "a real number"),
+    ):
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise GridMismatch(f"{name} must be {noun}, got {value!r}")
+    if m < 1 or m > 6:
+        raise GridMismatch(f"m must be in 1..6, got {m}")
+    if not 1.0 < r_max < math.inf:
+        raise GridMismatch(f"r_max must exceed 1 and be finite, got {r_max}")
+    if n_intervals < 64:
+        raise GridMismatch(f"n_intervals must be >= 64, got {n_intervals}")
+    if not 0.0 < sinh_strength < math.inf:
+        raise GridMismatch(
+            f"sinh_strength must be positive and finite, got {sinh_strength}"
+        )
+    try:
+        math.sinh(sinh_strength)
+    except OverflowError:
+        raise GridMismatch(f"sinh({sinh_strength}) overflows") from None
+
+
 def make_grid(
     m: int,
     r_max: float,
@@ -358,31 +392,16 @@ def make_grid(
     linear integrands, so the quadrature error is second order in the
     local spacing).
     """
-    for name, value in (("m", m), ("n_intervals", n_intervals)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise GridMismatch(f"{name} must be an int, got {value!r}")
-    if m < 1 or m > 6:
-        raise GridMismatch(f"m must be in 1..6, got {m}")
-    if not 1.0 < r_max < math.inf:
-        raise GridMismatch(f"r_max must exceed 1 and be finite, got {r_max}")
-    if n_intervals < 64:
-        raise GridMismatch(f"need n_intervals >= 64, got {n_intervals}")
+    check_grid_parameters(m, r_max, n_intervals, sinh_strength)
     if map_kind not in ("uniform", "sinh-clustered"):
         raise GridMismatch(f"unknown map_kind {map_kind!r}")
-    if not 0.0 < sinh_strength < math.inf:
-        raise GridMismatch(
-            f"sinh_strength must be positive and finite, got {sinh_strength}"
-        )
     xi = np.linspace(0.0, 1.0, n_intervals + 1)
     if map_kind == "uniform":
         nodes = r_max * xi
     else:
-        try:
-            top = math.sinh(sinh_strength)
-        except OverflowError:
-            raise GridMismatch(f"sinh({sinh_strength}) overflows") from None
-        nodes = r_max * np.sinh(sinh_strength * xi) / top
+        nodes = r_max * np.sinh(sinh_strength * xi) / math.sinh(sinh_strength)
     nodes[0], nodes[-1] = 0.0, r_max
+    _check_nodes(nodes)
     weights = _hat_weights(nodes, 2 * m)
     weights *= ball_volume(2 * m, r_max) / weights.sum()
     return RadialGrid(m=m, nodes=nodes, quad_weights=weights)

@@ -46,19 +46,26 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, GridMismatch, PolynomialFormatError
 from .geometry import eval_radial_profile, u0_eval
-# Not called here: perfbench counts sampling-screen calls through
-# qcurv.solver.pm_membership (now 0 per op).
-from .poly import Polynomial, json_number, pm_membership  # noqa: F401
+# pm_membership is not called here: perfbench counts sampling-screen calls
+# through qcurv.solver.pm_membership (now 0 per op).
+from .poly import (  # noqa: F401
+    Polynomial,
+    degree_bound_violation,
+    json_number,
+    pm_membership,
+    radial_admissibility_violation,
+    radial_profile_coeffs,
+)
 from .potential import (
     KernelMatrix,
     RadialField,
     RadialGrid,
+    check_grid_parameters,
     constants,
     kernel_matrix,
     make_grid,
@@ -87,104 +94,6 @@ _REMOVED_KEYS = {
     "quad_order": 12,
     "u0_profile": "smooth-global",
 }
-
-
-# ----------------------------------------------------------------------
-# radial-polynomial helpers
-# ----------------------------------------------------------------------
-def radial_profile_coeffs(P: Polynomial) -> np.ndarray | None:
-    """If P is a polynomial in |x|^2, return the coefficients c with
-    P = sum_i c[i] |x|^{2i}; otherwise return None.
-
-    The candidate coefficients are read off the pure first-axis terms
-    (the coefficient of x_1^{2i} in sum c_i |x|^{2i} is c_i) and then
-    verified against every stored term: by the multinomial theorem the
-    monomial x^{2k} with |k| = i has coefficient c_i i! / prod_j k_j!, and
-    a monomial with an odd exponent has none.  Each degree whose
-    candidate is nonzero must also store all of its C(dim + i - 1, i)
-    monomials; if one falls short, the missing monomials are checked by
-    the full re-expansion (:func:`_profile_expansion_matches`).
-    """
-    if P.is_zero:
-        return np.zeros(1)
-    half_deg = P.degree() // 2
-    values = [0.0] * (half_deg + 1)
-    exponents = []  # each term's nonzero exponents
-    for exps, coef in P.terms:
-        nonzero = [e for e in exps if e]
-        exponents.append(nonzero)
-        if not nonzero:
-            values[0] = coef
-        elif len(nonzero) == 1 and exps[0] and exps[0] % 2 == 0:
-            values[exps[0] // 2] = coef
-    tol = 1e-12 * max(abs(c) for _, c in P.terms)
-    stored_per_degree = [0] * (half_deg + 1)
-    for nonzero, (_, coef) in zip(exponents, P.terms):
-        expected = 0.0
-        if all(e % 2 == 0 for e in nonzero):
-            i = sum(nonzero) // 2
-            if values[i] != 0.0:
-                stored_per_degree[i] += 1
-                expected = values[i] * _multinomial(i, nonzero)
-        if abs(expected - coef) > tol:
-            return None
-    complete = all(
-        c == 0.0 or stored_per_degree[i] == math.comb(P.dim + i - 1, i)
-        for i, c in enumerate(values)
-    )
-    cand = np.array(values)
-    if complete or _profile_expansion_matches(P, cand, tol):
-        return cand
-    return None
-
-
-def _multinomial(i: int, exps) -> int:
-    """i! / prod_j (exps[j] / 2)!, for even ``exps`` summing to 2i."""
-    weight = math.factorial(i)
-    for e in exps:
-        weight //= math.factorial(e // 2)
-    return weight
-
-
-def _profile_expansion_matches(P: Polynomial, cand: np.ndarray, tol: float) -> bool:
-    """Whether every term of sum_i cand[i] |x|^{2i}, expanded monomial by
-    monomial, and every stored term of P agree within ``tol``."""
-    expanded: dict[tuple[int, ...], float] = {}
-    for i, c in enumerate(cand):
-        if c == 0.0:
-            continue
-        for combo in combinations_with_replacement(range(P.dim), i):
-            counts = [0] * P.dim
-            for j in combo:
-                counts[j] += 1
-            vec = tuple(2 * cnt for cnt in counts)
-            expanded[vec] = expanded.get(vec, 0.0) + c * _multinomial(i, vec)
-    stored = dict(P.terms)
-    return all(
-        abs(expanded.get(key, 0.0) - stored.get(key, 0.0)) <= tol
-        for key in set(expanded) | set(stored)
-    )
-
-
-def _radial_admissibility_violation(coeffs: np.ndarray) -> str | None:
-    """Decide admissibility of a radial profile P = sum_i c_i s^i,
-    s = |x|^2, within the degree bound, exactly; return the violated rule,
-    or None if P is admissible.
-
-    x . grad P = sum_i 2 i c_i s^i is a polynomial in s, so with k the
-    index of the last nonzero coefficient it tends to +infinity iff
-    k >= 1 and c_k > 0.
-    """
-    nonzero = np.flatnonzero(coeffs)
-    k = int(nonzero[-1]) if nonzero.size else 0
-    if k == 0:
-        return "x . grad P vanishes identically (constant polynomial)"
-    if not coeffs[k] > 0:
-        return (
-            f"leading coefficient {coeffs[k]:.6g} of |x|^{2 * k} is not "
-            "positive, so x . grad P tends to -infinity"
-        )
-    return None
 
 
 # ----------------------------------------------------------------------
@@ -270,36 +179,28 @@ class SolverConfig:
             raise ConfigError(
                 f"profile has dim {self.profile.dim}, expected {2 * self.m}"
             )
-        # The degree bound is read off P itself, before the radial
-        # re-expansion, whose cost grows combinatorially with the degree;
-        # terms below the radial fit's tolerance still count.
-        degree = self.profile.degree()
-        if degree > 2 * self.m - 2:
-            raise ConfigError(
-                "profile rejected by the admissibility screen: degree "
-                f"{degree} exceeds the admissible bound 2m - 2 = {2 * self.m - 2}"
-            )
-        coeffs = self.radial_coeffs
-        if coeffs is None:
-            raise ConfigError(
-                "profile must be radial (a polynomial in |x|^2) for the "
-                "one-dimensional solver"
-            )
-        rule = _radial_admissibility_violation(coeffs)
+        # The degree bound comes before the radial re-expansion, whose
+        # cost grows combinatorially with the degree.
+        rule = degree_bound_violation(self.profile, self.m)
+        if rule is None:
+            if self.radial_coeffs is None:
+                raise ConfigError(
+                    "profile must be radial (a polynomial in |x|^2) for the "
+                    "one-dimensional solver"
+                )
+            rule = radial_admissibility_violation(self.radial_coeffs)
         if rule is not None:
             raise ConfigError(f"profile rejected by the admissibility screen: {rule}")
         if not self.tol > 0:
             raise ConfigError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not 1 < self.r_max < math.inf:
-            raise ConfigError(f"r_max must exceed 1 and be finite, got {self.r_max}")
-        if self.n_intervals < 64:
-            raise ConfigError(f"n_intervals must be >= 64, got {self.n_intervals}")
-        if not 0 < self.sinh_strength < math.inf:
-            raise ConfigError(
-                f"sinh_strength must be positive and finite, got {self.sinh_strength}"
+        try:
+            check_grid_parameters(
+                self.m, self.r_max, self.n_intervals, self.sinh_strength
             )
+        except GridMismatch as exc:
+            raise ConfigError(f"cannot build the grid: {exc}") from exc
 
     # ------------------------------------------------------------------
     def to_json_dict(self) -> dict:

@@ -443,6 +443,26 @@ def test_poly_check_screens_a_one_dimensional_polynomial():
     assert "growth_exponent: 2" in out
 
 
+def test_poly_check_accepts_a_shell_profile_as_solve_does():
+    # |x|^4 - 6 |x|^2 at m = 3: -P peaks on the shell |x| = sqrt(3), and
+    # x . grad P / |x|^4 = 4 - 12 |x|^{-2} is least, -8, at |x| = 1.
+    dims = range(1, 7)
+    text = " + ".join(
+        [f"x{i}^4" for i in dims]
+        + [f"2 * x{i}^2 x{j}^2" for i in dims for j in dims if i < j]
+    ) + "".join(f" - 6 * x{i}^2" for i in dims)
+    code, out, _ = run_cli(["poly-check", "--poly", text])
+    assert code == 0
+    assert out.splitlines() == [
+        "status: Accepted",
+        "samples_used: 0",
+        "growth_exponent: 4",
+        "growth_constant: -8",
+    ]
+    profile = Polynomial.from_text(text)
+    SolverConfig(m=3, sign=1, volume=0.5 * constants(3).vol_sphere, profile=profile)
+
+
 def test_poly_check_accepts_json_object_argument():
     payload = json.dumps(Polynomial.from_text(SQUARE_PROFILE_4D).to_json_dict())
     code, out, _ = run_cli(["poly-check", "--poly", payload])

@@ -18,6 +18,7 @@ from qcurv import (
     eval_with_gradient,
     pm_membership,
     radial_derivative,
+    radial_profile_coeffs,
 )
 
 
@@ -378,16 +379,26 @@ def test_membership_odd_dimension_requires_explicit_m():
     [
         ("x1^2", 2, "Accepted", None),
         ("x1^4", 3, "Accepted", None),
-        ("-x1^2", 2, "Rejected", "ray through (1.0000) at r = 256: x . grad P = -131072"),
+        (
+            "-x1^2",
+            2,
+            "Rejected",
+            "leading coefficient -1 of |x|^2 is not positive, so x . grad P "
+            "tends to -infinity",
+        ),
         ("x1", 2, "Rejected", "ray through (-1.0000) at r = 256: x . grad P = -256"),
     ],
 )
 def test_membership_screens_one_dimensional_polynomials(text, m, status, witness):
-    # dim 1 has no bent-path family (no pair i != j): only rays are sampled.
-    verdict = pm_membership(Polynomial.from_text(text), m=m)
+    # In dim 1 an even polynomial is radial and decided exactly.  Others are
+    # sampled, and dim 1 has no bent-path family (no pair i != j): only
+    # rays are sampled.
+    P = Polynomial.from_text(text)
+    verdict = pm_membership(P, m=m)
     assert verdict.status == status
     assert verdict.witness == witness
-    assert verdict.samples_used == 64 * 9  # 64 ray directions, 9 radii
+    radial = radial_profile_coeffs(P) is not None
+    assert verdict.samples_used == (0 if radial else 64 * 9)  # 64 rays, 9 radii
 
 
 def test_membership_validates_sampling_parameters():
@@ -406,10 +417,53 @@ def test_membership_refuses_dimensions_beyond_the_direction_set(dim, m):
 
 
 def test_membership_screens_the_largest_covered_dimension():
-    P = Polynomial.from_text(" + ".join(f"x{i}^2" for i in range(1, 17)))
+    # 2 x1^2 makes P non-radial, so it is sampled; |x|^2 is decided exactly
+    # in any dimension.
+    P = Polynomial.from_text("2 * " + " + ".join(f"x{i}^2" for i in range(1, 17)))
     verdict = pm_membership(P)
     assert verdict.status == "Accepted"
+    assert verdict.samples_used > 0
     assert verdict.exponent == pytest.approx(2.0, abs=0.1)
+    square = Polynomial.from_text(" + ".join(f"x{i}^2" for i in range(1, 19)))
+    exact = pm_membership(square)
+    assert (exact.status, exact.exponent, exact.samples_used) == ("Accepted", 2.0, 0)
+
+
+@pytest.mark.parametrize(
+    "text, m, status, witness",
+    [
+        # x . grad P = 6 [x1^2 (x1^2 - 6e4)^2 + 1e7 x2^2]: its valley at
+        # |x1| = 245 brings the sampled minimum down from r = 128 to 256.
+        (
+            "x1^6 - 180000 * x1^4 + 10800000000 * x1^2 + 30000000 * x2^2",
+            4,
+            "Rejected",
+            "min x . grad P did not grow from r = 128",
+        ),
+        # x . grad P = x1^4 - 5000 x1^2 + 800 x2^2 is negative on the x1
+        # axis out to |x1| = 70.7, so at r = 32 and 64, and positive from 128.
+        (
+            "0.25 * x1^4 - 2500 * x1^2 + 400 * x2^2",
+            3,
+            "Inconclusive",
+            "minimum of x . grad P is not positive throughout the fitting window",
+        ),
+        # x . grad P = 6 [x1^2 ((x1^2 - 16384)^2 + 0.5) + 1e7 x2^2] dips to
+        # 49152 at r = 128 on the x1 axis, below its minima at r = 32 and 64.
+        (
+            "x1^6 - 49152 * x1^4 + 805306369.5 * x1^2 + 30000000 * x2^2",
+            4,
+            "Inconclusive",
+            "too flat to certify unbounded growth",
+        ),
+    ],
+    ids=["min-did-not-grow", "tail-minimum-not-positive", "exponent-too-flat"],
+)
+def test_membership_reaches_each_sampled_verdict(text, m, status, witness):
+    verdict = pm_membership(Polynomial.from_text(text), m=m)
+    assert verdict.status == status
+    assert witness in verdict.witness
+    assert verdict.samples_used > 0
 
 
 # ----------------------------------------------------------------------

@@ -114,6 +114,33 @@ def test_make_grid_refuses_a_non_integer_m_or_n_intervals(m, n_intervals, name):
 
 
 
+@pytest.mark.parametrize(
+    "key, value, kind",
+    [
+        ("sinh_strength", True, "a real number"),
+        ("sinh_strength", "3", "a real number"),
+        ("r_max", "40.0", "a real number"),
+        ("r_max", None, "a real number"),
+        ("n_intervals", 512.0, "an int"),
+    ],
+)
+def test_make_grid_refuses_a_value_of_the_wrong_type_by_name(key, value, kind):
+    args = dict(m=2, r_max=40.0, n_intervals=512, sinh_strength=3.0)
+    with pytest.raises(GridMismatch, match=f"^{key} must be {kind}, got"):
+        make_grid(**{**args, key: value})
+
+
+@pytest.mark.parametrize("n_intervals, strength", [(2048, 1e-320), (512, 1e-322)])
+def test_make_grid_refuses_coincident_nodes_before_computing_weights(
+    n_intervals, strength
+):
+    # sinh(c xi) / sinh(c) at a subnormal c rounds neighbouring nodes
+    # together; their weights would divide by a zero spacing.  RuntimeWarnings
+    # are errors under this suite, so a warning would surface instead.
+    with pytest.raises(GridMismatch, match="increase strictly"):
+        make_grid(2, 40.0, n_intervals, sinh_strength=strength)
+
+
 def test_quadrature_against_closed_form_integrals():
     grid = make_grid(m=2, r_max=10.0, n_intervals=1024)
     # integral of |x|^2 over the ball of radius 10 in R^4.

@@ -28,6 +28,7 @@ from qcurv import (
     kernel_matrix,
     make_grid,
     normalization_cv,
+    pm_membership,
     potential_apply,
     radial_profile_coeffs,
     solve_continuation,
@@ -261,33 +262,93 @@ def test_radial_profile_fast_path_agrees_with_the_full_expansion(m, monkeypatch)
     square = list(radial_polynomial(dim, [0.0, 1.0]).terms)
     cases = [(P, False) for P, _ in admissibility_cases(m)] + [
         # A degree missing a monomial: its weight 1 is far above the
-        # tolerance, then below it.
-        (without_last_quartic([0.0, 1.0, 1.0]), True),
+        # tolerance, which refuses P without the expansion, then below it.
+        (without_last_quartic([0.0, 1.0, 1.0]), False),
         (without_last_quartic([0.0, 1.0, 1e-13]), True),
         # An odd term below the tolerance, then above it.
         (Polynomial.from_terms(dim, square + [(odd_pair, 1e-13)]), False),
         (Polynomial.from_terms(dim, square + [(odd_pair, 1e-3)]), False),
     ]
     fallbacks = []
-    full = qcurv.solver._profile_expansion_matches
+    full = qcurv.poly._profile_expansion_matches
 
     def counted(P, cand, tol):
         fallbacks.append(P)
         return full(P, cand, tol)
 
-    monkeypatch.setattr(qcurv.solver, "_profile_expansion_matches", counted)
-    for profile, incomplete in cases:
+    monkeypatch.setattr(qcurv.poly, "_profile_expansion_matches", counted)
+    for profile, expands in cases:
         fallbacks.clear()
         fast = radial_profile_coeffs(profile)
         expected = _radial_profile_coeffs_by_expansion(profile)
         assert (fast is None) == (expected is None), profile.to_text()
         if fast is not None:
             np.testing.assert_array_equal(fast, expected)
-        # The full expansion runs only for a degree that lacks a monomial,
-        # and not when a stored term has already refused the profile.
-        assert len(fallbacks) <= int(incomplete)
+        # The full expansion runs only for a degree that lacks a monomial
+        # and whose coefficient is within the tolerance, and not when a
+        # stored term has already refused the profile.
+        assert len(fallbacks) == int(expands)
     verdicts = [radial_profile_coeffs(P) is None for P, _ in cases[-4:]]
     assert verdicts == [True, False, False, True]
+
+
+# The radial profiles poly-check and SolverConfig must decide alike: c|x|^2
+# for every m, the shells whose -P peaks away from the origin, one that is
+# negative up to r = 316, then one rejected by each rule.
+ONE_DECISION_CASES = {
+    **{f"square-m{m}": (m, [0.0, 0.75]) for m in range(2, 7)},
+    "shell-x4-6x2-m3": (3, [0.0, -6.0, 1.0]),
+    "shell-x4-20x2-m3": (3, [0.0, -20.0, 1.0]),
+    "shell-x6-10x2-m4": (4, [0.0, -10.0, 0.0, 1.0]),
+    "shell-x8-8x4-m5": (5, [0.0, 0.0, -8.0, 0.0, 1.0]),
+    "shell-x4-1e5x2-m3": (3, [0.0, -1e5, 1.0]),
+    "negative-square-m2": (2, [0.0, -1.0]),
+    "constant-m2": (2, [3.0]),
+    "over-degree-m2": (2, [0.0, 0.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize(
+    "m, coeffs", ONE_DECISION_CASES.values(), ids=ONE_DECISION_CASES.keys()
+)
+def test_poly_check_and_solver_config_make_one_decision(m, coeffs):
+    profile = radial_polynomial(2 * m, coeffs)
+    verdict = pm_membership(profile)
+    assert verdict.samples_used == 0
+    fields = dict(m=m, volume=0.5 * constants(m).vol_sphere, profile=profile)
+    try:
+        quick_config(**fields)
+    except ConfigError as exc:
+        assert verdict.status == "Rejected"
+        assert str(exc) == (
+            f"profile rejected by the admissibility screen: {verdict.witness}"
+        )
+    else:
+        assert verdict.status == "Accepted", verdict
+
+
+@pytest.mark.parametrize(
+    "m, coeffs, constant",
+    [
+        (2, [0.0, 0.75], 1.5),  # g(t) = 1.5
+        (3, [0.0, -6.0, 1.0], -8.0),  # g(t) = 4 - 12 t, least at t = 1
+        (5, [0.0, 0.0, -8.0, 0.0, 1.0], -24.0),  # g(t) = 8 - 32 t^2
+        (4, [0.0, 6.0, -3.0, 1.0], 3.0),  # g(t) = 6 - 12 t + 12 t^2, t = 1/2
+    ],
+)
+def test_radial_verdict_states_the_exact_growth_bound(m, coeffs, constant):
+    # With c_k the last nonzero coefficient, x . grad P / |x|^{2k} is
+    # g(t) = sum_i 2 i c_i t^{k - i} at t = |x|^{-2}; the verdict's constant
+    # is its least value over |x| >= 1.
+    verdict = pm_membership(radial_polynomial(2 * m, coeffs))
+    k = len(coeffs) - 1
+    assert verdict.status == "Accepted"
+    assert verdict.exponent == 2 * k
+    assert verdict.constant == pytest.approx(constant, rel=1e-12)
+    s = np.geomspace(1.0, 1e8, 20001)  # |x|^2
+    ratio = sum(2 * i * c * s ** (i - k) for i, c in enumerate(coeffs))
+    assert ratio.min() >= constant - 1e-12 * abs(constant)
+    assert ratio.min() == pytest.approx(constant, abs=1e-5)
 
 
 def test_validate_accepts_an_eventually_coercive_profile(no_sampling_screen):
@@ -328,6 +389,28 @@ def test_config_rejects_bad_parameters(overrides, fragment):
         )
     with pytest.raises(ConfigError, match=fragment):
         quick_config(**overrides)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("r_max", 1.0),
+        ("r_max", math.inf),
+        ("n_intervals", 32),
+        ("sinh_strength", -1.0),
+        ("sinh_strength", 800.0),
+    ],
+)
+def test_validate_reads_the_grid_rules_of_make_grid(key, value):
+    # One statement of each grid rule: the config refuses exactly what
+    # make_grid refuses, with its message, on construction and without
+    # building a grid (sinh(800) overflows a double).
+    grid_args = dict(m=2, r_max=40.0, n_intervals=512, sinh_strength=3.0)
+    with pytest.raises(GridMismatch) as grid_error:
+        make_grid(**{**grid_args, key: value})
+    with pytest.raises(ConfigError) as config_error:
+        quick_config(**{key: value})
+    assert str(config_error.value) == f"cannot build the grid: {grid_error.value}"
 
 
 @pytest.mark.parametrize(
