@@ -10,6 +10,8 @@ All commands are deterministic: identical invocations produce
 byte-identical outputs.  Output directories are populated with
 atomically-written files, ``manifest.json`` last, so a directory
 containing a manifest is complete (never a silent partial write).
+stdout is written after every file, and a closed stdout changes neither
+the files nor the exit code.
 
 Exit codes
 ----------
@@ -59,6 +61,7 @@ from .potential import (
 from .solver import (
     _REMOVED_KEYS,
     SolverConfig,
+    _discretization,
     build_K,
     build_grid,
     normalization_cv,
@@ -118,10 +121,12 @@ hard gates applied by `solve` after convergence:
   pde residual <= {GATE_PDE_RESIDUAL:g}, |volume - V|/V <= {GATE_VOLUME_REL:g}, \
 Pohozaev defect <= {GATE_POHOZAEV:g}
 
-grids `solve` refuses before iterating (exit 1):
-  any on which the report cannot place its alpha-fit window
+configs `solve` refuses before it creates --out (exit 1), besides the
+invalid values above:
+  a grid on which the report cannot place its alpha-fit window
   [r_max/4, r_max/2] (it must start at r >= 5 and hold >= 20 nodes) or
-  its Pohozaev radius min(20, r_max/2)
+  its Pohozaev radius min(20, r_max/2), and a curvature tail at r_max
+  that is not negligible
 """
 
 
@@ -167,9 +172,9 @@ def _solution_csv_text(record) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _meta_dict(config: SolverConfig, record) -> dict:
+def _meta_dict(record) -> dict:
     return {
-        "config": config.to_json_dict(),
+        "config": record.config.to_json_dict(),
         "result": {
             "converged": record.converged,
             "iterations": record.iterations,
@@ -195,6 +200,21 @@ def _load_config(path: str) -> SolverConfig:
     return SolverConfig.from_json_dict(raw)
 
 
+def _print_lines(lines: list[str]) -> None:
+    """Print ``lines``, the one way a subcommand writes stdout.  A reader
+    that has gone away ends the output, not the command: stdout is pointed
+    at os.devnull, so the flush at exit cannot raise again (the SIGPIPE
+    note of Python's ``signal`` documentation)."""
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _make_output_dir(out_dir: str) -> bool:
     """Create ``out_dir``, or print one line naming it and return False."""
     try:
@@ -211,25 +231,23 @@ def _make_output_dir(out_dir: str) -> bool:
 def run_solve(config_path: str, out_dir: str) -> int:
     try:
         config = _load_config(config_path)
+        # The config alone fixes the grid and the curvature tail, so both
+        # are refused here, before --out exists.
         check_report_grid(build_grid(config))
+        build_K(config)
     except (ConfigError, GridMismatch, PolynomialFormatError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     if not _make_output_dir(out_dir):
         return EXIT_CONFIG
-    try:
-        record = solve_continuation(config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    record = solve_continuation(config)
 
     _write_atomic(os.path.join(out_dir, "solution.csv"), _solution_csv_text(record))
-    _write_atomic(
-        os.path.join(out_dir, "meta.json"), _json_text(_meta_dict(config, record))
-    )
+    _write_atomic(os.path.join(out_dir, "meta.json"), _json_text(_meta_dict(record)))
 
     status = EXIT_OK
+    lines = []
     if not record.converged:
         report_obj = {
             "diagnostics": "skipped: solver did not converge",
@@ -259,12 +277,11 @@ def run_solve(config_path: str, out_dir: str) -> int:
             _write_atomic(
                 os.path.join(out_dir, "report.csv"), header + "\n" + row + "\n"
             )
-            for name, gate in gates.items():
-                verdict = "PASS" if gate["passed"] else "FAIL"
-                print(
-                    f"{verdict}  {name:<18} {gate['value']:.6e}"
-                    f" (gate {gate['threshold']:g})"
-                )
+            lines = [
+                f"{'PASS' if gate['passed'] else 'FAIL'}  {name:<18} "
+                f"{gate['value']:.6e} (gate {gate['threshold']:g})"
+                for name, gate in gates.items()
+            ]
             if not all(gate["passed"] for gate in gates.values()):
                 status = EXIT_DIAGNOSTICS
 
@@ -274,10 +291,11 @@ def run_solve(config_path: str, out_dir: str) -> int:
         _json_text(_manifest_dict("solve", config_path, out_dir)),
     )
     if status == EXIT_OK:
-        print(
+        lines.append(
             f"converged in {record.iterations} iterations,"
             f" c_v = {record.c_v:.9g}, alpha = {record.alpha:.9g}"
         )
+    _print_lines(lines)
     return status
 
 
@@ -437,10 +455,6 @@ def run_verify(suite: str, out_dir: str | None = None) -> int:
         return EXIT_CONFIG
     runner, manifest_command = _SUITES[suite]
     checks = runner()
-    for name, passed, detail in checks:
-        print(f"{'PASS' if passed else 'FAIL'}  {name:<36} {detail}")
-    all_passed = all(passed for _, passed, _ in checks)
-    print(f"{suite}: {sum(p for _, p, _ in checks)}/{len(checks)} checks passed")
     if out_dir is not None:
         payload = {
             "suite": suite,
@@ -455,7 +469,13 @@ def run_verify(suite: str, out_dir: str | None = None) -> int:
             os.path.join(out_dir, "manifest.json"),
             _json_text(_manifest_dict(manifest_command, f"suite:{suite}", out_dir)),
         )
-    return EXIT_OK if all_passed else EXIT_CONFIG
+    lines = [
+        f"{'PASS' if passed else 'FAIL'}  {name:<36} {detail}"
+        for name, passed, detail in checks
+    ]
+    lines.append(f"{suite}: {sum(p for _, p, _ in checks)}/{len(checks)} checks passed")
+    _print_lines(lines)
+    return EXIT_OK if all(passed for _, passed, _ in checks) else EXIT_CONFIG
 
 
 # ----------------------------------------------------------------------
@@ -483,14 +503,15 @@ def run_poly_check(poly_arg: str, m: int | None) -> int:
     except QcurvError as exc:
         print(f"cannot classify polynomial: {exc}", file=sys.stderr)
         return EXIT_UNPARSEABLE
-    print(f"status: {verdict.status}")
+    lines = [f"status: {verdict.status}"]
     if verdict.witness is not None:
-        print(f"witness: {verdict.witness}")
-    print(f"samples_used: {verdict.samples_used}")
+        lines.append(f"witness: {verdict.witness}")
+    lines.append(f"samples_used: {verdict.samples_used}")
     if verdict.exponent is not None:
-        print(f"growth_exponent: {verdict.exponent:.6g}")
+        lines.append(f"growth_exponent: {verdict.exponent:.6g}")
     if verdict.constant is not None:
-        print(f"growth_constant: {verdict.constant:.6g}")
+        lines.append(f"growth_constant: {verdict.constant:.6g}")
+    _print_lines(lines)
     return {"Accepted": 0, "Rejected": 1, "Inconclusive": 2}[verdict.status]
 
 
@@ -521,10 +542,11 @@ def run_pohozaev(solution_dir: str, radius: float) -> int:
                 f"result.alpha = {result['alpha']!r} is not the config's "
                 f"alpha = {alpha!r}"
             )
-        grid = build_grid(config)
-        # log|K| comes from the validated config, not from the table: older
-        # solution directories hold K itself in the fourth column.
-        log_k = build_K(config, grid)
+        # log|K| and u0's density come from the validated config, as in the
+        # solve; only r and v are read from the table, whose fourth column
+        # holds K itself in older solution directories.
+        grid, _, u0_density, _ = _discretization(config)
+        log_k = build_K(config)
     except (KeyError, TypeError, ValueError, ConfigError, PolynomialFormatError) as exc:
         print(f"invalid solution metadata: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -535,7 +557,6 @@ def run_pohozaev(solution_dir: str, radius: float) -> int:
         return EXIT_CONFIG
     try:
         v = RadialField(grid=grid, values=table[:, 1].copy())
-        u0_density = RadialField(grid=grid, values=table[:, 4].copy())
     except GridMismatch as exc:
         print(f"cannot read solution directory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -544,13 +565,12 @@ def run_pohozaev(solution_dir: str, radius: float) -> int:
     except QcurvError as exc:
         print(f"cannot evaluate balance: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    print(f"radius (snapped): {terms.radius:.9g}")
-    for name in ("t1", "t2", "t3", "b1", "b2", "b3"):
-        print(f"{name}: {getattr(terms, name):+.9e}")
-    print(f"lhs: {terms.lhs:+.9e}")
-    print(f"rhs: {terms.rhs:+.9e}")
-    print(f"defect: {terms.defect:.6e}")
-    print(f"volume_balance: {terms.volume_balance:.6e}")
+    lines = [f"radius (snapped): {terms.radius:.9g}"]
+    for name in ("t1", "t2", "t3", "b1", "b2", "b3", "lhs", "rhs"):
+        lines.append(f"{name}: {getattr(terms, name):+.9e}")
+    lines.append(f"defect: {terms.defect:.6e}")
+    lines.append(f"volume_balance: {terms.volume_balance:.6e}")
+    _print_lines(lines)
     return EXIT_OK if terms.defect <= GATE_POHOZAEV else EXIT_DIAGNOSTICS
 
 
@@ -610,7 +630,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "object) or as a path to a file containing either form.  A radial "
         "polynomial (in |x|^2) is decided exactly, by the rule solve "
         "applies; any other is screened by sampling, in at most 16 "
-        "variables, and only it can be Inconclusive.",
+        "variables, and only it can be Inconclusive.  A sampled Rejected "
+        "reports what was seen at the radii 128 and 256 (x . grad P <= 0 "
+        "on the witness path, or a minimum that did not grow): evidence, "
+        "not proof.",
     )
     p_poly.add_argument(
         "--poly", required=True, help="polynomial text/JSON or file path"
@@ -625,8 +648,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_poh = sub.add_parser(
         "pohozaev",
         help="re-evaluate the Pohozaev balance of a written solution",
-        description="Reads meta.json and solution.csv from a solve output "
-        "directory, rebuilds the grid, and prints the six balance terms at "
+        description="Reads the config and c_v from meta.json and r and v "
+        "from solution.csv, rebuilds the grid, log|K| and u0's density "
+        "from the config, and prints the six balance terms at "
         f"the requested radius.  Exit 0 if the defect is within {GATE_POHOZAEV:g}.",
     )
     p_poh.add_argument("--solution", required=True, help="solve output directory")

@@ -14,9 +14,13 @@ This module states those rules once.  A radial ``P`` (a polynomial in
 ``P`` is not decidable by finite sampling, so :func:`pm_membership`
 screens it and returns a three-way verdict: ``accepted`` verdicts carry
 an empirical lower bound ``x . grad P >= c * |x|^a`` valid on every
-sampled point, ``rejected`` verdicts carry a concrete witness (a sample
-path along which the radial derivative fails to grow), and anything the
-heuristics cannot settle is ``inconclusive``.
+sampled point, ``rejected`` verdicts name what the samples showed at the
+two largest radii, 128 and 256 (a sample path on which the radial
+derivative was <= 0, or a minimum over the samples that did not grow),
+and anything the heuristics cannot settle is ``inconclusive``.  A
+sampled rejection is evidence, not proof: growth that sets in beyond
+r = 256 is missed, as for ``0.25 x1^4 - 50000 x1^2 + x2^2`` at m = 3,
+whose ``x . grad P`` tends to +inf along every path.
 
 Polynomials are stored sparsely as ``(exponent_vector, coefficient)``
 terms in graded lexicographic order, which makes the text and JSON
@@ -488,9 +492,12 @@ class AdmissibilityVerdict:
     such that ``x . grad P >= c * |x|^exponent`` on |x| >= 1: exactly for
     a radial P, with exponent 2k for its last nonzero c_k (c <= 0 for a
     shell), else over every sample, with a fitted exponent.  Rejected
-    verdicts fill ``witness`` with the violated rule or a failing sample
-    path; only a non-radial P can be Inconclusive.  ``samples_used``
-    counts radial-derivative evaluations, 0 for an exact verdict.
+    verdicts fill ``witness`` with the violated rule, or for a sampled P
+    with what was seen at the radii 128 and 256: a path on which
+    x . grad P was <= 0, or a minimum that did not grow, which is
+    evidence, not proof.  Only a non-radial P can be Inconclusive.
+    ``samples_used`` counts radial-derivative evaluations, 0 for an exact
+    verdict.
     """
 
     status: str
@@ -625,8 +632,11 @@ def pm_membership(P: Polynomial, m: int | None = None) -> AdmissibilityVerdict:
         )
 
     minima = values.min(axis=1)
-    # Rejection: a non-positive or non-growing minimum at the two largest
-    # radii is decisive evidence against coercive growth.
+    # Rejection: x . grad P <= 0 on some sample at the two largest radii,
+    # or a minimum that did not grow between them.  This is what was seen
+    # at r = 128 and 256, not a proof: 0.25 x1^4 - 50000 x1^2 + x2^2 at
+    # m = 3 is rejected on a ray at r = 256, though its x . grad P is
+    # positive wherever |x1| > 317 and tends to +inf along every path.
     last_two = values[-2:, :]
     if last_two.min() <= 0.0:
         slot, idx = np.unravel_index(np.argmin(last_two), last_two.shape)

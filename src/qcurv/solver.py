@@ -334,14 +334,12 @@ def _curvature_factor(
     return RadialField(grid=grid, values=log_k)
 
 
-def build_K(config: SolverConfig, grid: RadialGrid) -> RadialField:
-    """log|K| = log (2m-1)! - 2m P - 2m alpha u0 on the grid's nodes; K
+def build_K(config: SolverConfig) -> RadialField:
+    """log|K| = log (2m-1)! - 2m P - 2m alpha u0 on the nodes of the
+    config's grid, whose u0 values the config's discretization holds; K
     itself is sign e^{log|K|}.  Always finite.  Guards that the weighted
-    tail value |K_N| w_N is below 1e-12 of max|K|.  ``grid`` must be the
-    config's grid (GridMismatch otherwise), whose u0 values the config's
-    discretization holds."""
-    own_grid, _, _, u0_vals = _discretization(config)
-    grid.ensure_same(own_grid)
+    tail value |K_N| w_N is below 1e-12 of max|K|."""
+    grid, _, _, u0_vals = _discretization(config)
     p_vals = eval_radial_profile(config.radial_coeffs, grid.nodes)
     return _curvature_factor(config, grid, p_vals, u0_vals)
 
@@ -424,38 +422,57 @@ def source_with_normalization(
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class SolutionRecord:
-    """Everything a solve produced.
+    """Everything a solve produced, built only by :func:`solve_continuation`.
+    ``grid``, ``alpha``, ``c_v``, ``final_update``, ``iterations`` and
+    ``converged`` are read-only properties derived from the fields.
 
     ``u`` reconstructs exactly as -alpha*u0 - P + v + c_v at every node.
     ``history`` holds per-iteration pairs (residual ||T v - v||_inf, c_v),
-    one per evaluation of T, the closing image step included;
-    ``final_update`` is the residual of the recorded ``v`` and
-    ``history[-1] == (final_update, c_v)``.  A converged ``v`` is T of the
-    previous entry's iterate (or v = 0 if T 0 already met ``tol``): one
-    potential evaluation, paired with its own c_v, not an Anderson
-    extrapolation.  The one exception is a mixed iterate that meets
-    ``tol`` on iteration ``max_iter``: with no evaluation left for its
-    image, it is recorded as it is, converged.
-    ``log_K`` is log|K| (K = sign e^{log_K});
-    ``u0`` holds the background's node values, shared by the grid's solves;
-    ``failure_reason`` is None for converged runs and names the cause
-    (max_iter or the divergence guard) otherwise.
+    one per evaluation of T, the closing image step included; the last
+    pair, (``final_update``, ``c_v``), is the recorded ``v``'s.  A
+    converged ``v`` is T of the previous entry's iterate (or v = 0 if
+    T 0 already met ``tol``): one potential evaluation, paired with its
+    own c_v, not an Anderson extrapolation.  The one exception is a mixed
+    iterate that meets ``tol`` on iteration ``max_iter``: with no
+    evaluation left for its image, it is recorded as it is, converged.
+    ``log_K`` is log|K| (K = sign e^{log_K}); ``u0_density`` the source's
+    rescaled u0 density; ``u0`` the background's node values, shared by
+    the grid's solves; ``failure_reason`` is None for converged runs and
+    names the cause (max_iter or the divergence guard) otherwise.
     """
 
     config: SolverConfig
-    grid: RadialGrid
     v: RadialField
-    c_v: float
     u: RadialField
     log_K: RadialField
     u0_density: RadialField
     u0: RadialField
-    alpha: float
-    iterations: int
     history: tuple[tuple[float, float], ...]
-    converged: bool
-    final_update: float
-    failure_reason: str | None = None
+    failure_reason: str | None
+
+    @property
+    def grid(self) -> RadialGrid:
+        return self.v.grid
+
+    @property
+    def alpha(self) -> float:
+        return self.config.alpha
+
+    @property
+    def c_v(self) -> float:
+        return self.history[-1][1]
+
+    @property
+    def final_update(self) -> float:
+        return self.history[-1][0]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.history)
+
+    @property
+    def converged(self) -> bool:
+        return self.failure_reason is None
 
 
 def _gram_solve(
@@ -689,22 +706,14 @@ def solve_continuation(config: SolverConfig) -> SolutionRecord:
             f"max_iter = {config.max_iter} exhausted "
             f"(last residual {history[-1][0]:.3e})"
         )
-    residual, cv = history[-1]
-
-    u_vals = -config.alpha * u0_vals - p_vals + v_kept + cv
+    u_vals = -config.alpha * u0_vals - p_vals + v_kept + history[-1][1]
     return SolutionRecord(
         config=config,
-        grid=grid,
         v=RadialField(grid=grid, values=v_kept),
-        c_v=cv,
         u=RadialField(grid=grid, values=u_vals),
         log_K=log_K,
         u0_density=u0_density,
         u0=RadialField(grid=grid, values=u0_vals),
-        alpha=config.alpha,
-        iterations=len(history),
         history=tuple(history),
-        converged=failure_reason is None,
-        final_update=residual,
         failure_reason=failure_reason,
     )

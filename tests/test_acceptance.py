@@ -259,7 +259,7 @@ def test_normalization_shift_mass_identity_and_determinism(square_profile_4d):
         n_intervals=256,
     )
     grid = build_grid(config)
-    log_K = build_K(config, grid)
+    log_K = build_K(config)
     u0_density = u0_density_field(grid)
     kernel = kernel_matrix(grid)
 

@@ -24,7 +24,14 @@ import pytest
 from conftest import SQUARE_PROFILE_4D
 import qcurv.cli
 import qcurv.solver
-from qcurv import Polynomial, SolverConfig, __version__, a3_counterexample, constants
+from qcurv import (
+    Polynomial,
+    SolverConfig,
+    TailNotNegligible,
+    __version__,
+    a3_counterexample,
+    constants,
+)
 from qcurv.cli import main
 
 SOLVE_FILES = {"solution.csv", "meta.json", "report.json", "report.csv", "manifest.json"}
@@ -225,6 +232,25 @@ def test_solve_refuses_a_grid_the_report_cannot_use(tmp_path, overrides, fragmen
     assert not out_dir.exists()
 
 
+def test_solve_refuses_a_kernel_tail_before_creating_the_out_directory(tmp_path):
+    # The curvature tail at r_max is fixed by the config, so it is refused
+    # with the other config errors, before --out exists.
+    path = write_config(
+        tmp_path,
+        sign=-1,
+        volume=1000.0 * constants(2).vol_sphere,
+        profile="0.5 * x1^2 + 0.5 * x2^2 + 0.5 * x3^2 + 0.5 * x4^2",
+    )
+    out_dir = tmp_path / "run"
+    code, out, err = run_cli(["solve", "--config", path, "--out", str(out_dir)])
+    assert (code, out) == (1, "")
+    assert err == (
+        "config error: curvature kernel tail is not negligible at r_max "
+        "(weighted tail e^11.901 of max|K|); enlarge r_max\n"
+    )
+    assert not out_dir.exists()
+
+
 # ---------------------------------------------------------------------------
 # solve: the three terminal states (exit 0 / 3 / 2)
 # ---------------------------------------------------------------------------
@@ -294,6 +320,22 @@ def test_solve_nonconvergence_records_partial_outputs(tmp_path):
     assert "max_iter = 2 exhausted" in report["failure_reason"]
     meta = json.loads((out_dir / "meta.json").read_text())
     assert meta["result"]["converged"] is False
+
+
+def test_solve_records_a_report_that_raises(tmp_path, monkeypatch):
+    def raising(record):
+        raise TailNotNegligible("tail mass not certified")
+
+    monkeypatch.setattr(qcurv.cli, "build_report", raising)
+    out_dir = tmp_path / "run"
+    code, out, err = run_cli(
+        ["solve", "--config", write_config(tmp_path), "--out", str(out_dir)]
+    )
+    assert (code, out) == (3, "")
+    assert err == "diagnostics error: tail mass not certified\n"
+    assert {p.name for p in out_dir.iterdir()} == SOLVE_FILES - {"report.csv"}
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report == {"diagnostics_error": "tail mass not certified"}
 
 
 def test_solve_writes_converged_record_for_large_negative_volume(tmp_path):
@@ -668,6 +710,23 @@ def test_pohozaev_reads_the_linear_K_column_format(solved_ok, tmp_path):
     assert old_format == fresh
 
 
+def test_pohozaev_rebuilds_the_u0_density_from_the_config(solved_ok, tmp_path):
+    # Only r and v are read from solution.csv; u0's density, like log|K|,
+    # comes from the config, so a rewritten density column changes nothing.
+    table = np.loadtxt(solved_ok.path / "solution.csv", delimiter=",", skiprows=1)
+    table[:, 4] = 1.0
+    lines = ["r,v,u,log_abs_K,density"]
+    lines += [",".join(f"{x:.17g}" for x in row) for row in table]
+    (tmp_path / "solution.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (tmp_path / "meta.json").write_bytes((solved_ok.path / "meta.json").read_bytes())
+
+    argv = ["pohozaev", "--radius", "20", "--solution"]
+    fresh = run_cli(argv + [str(solved_ok.path)])
+    rewritten = run_cli(argv + [str(tmp_path)])
+    assert fresh[0] == 0
+    assert rewritten == fresh
+
+
 def test_pohozaev_reads_a_meta_json_holding_the_removed_keys(solved_ok, tmp_path):
     # Directories written while map_kind, quad_order and u0_profile were
     # settings hold them at the values the solver still uses; they print
@@ -852,6 +911,43 @@ def test_help_states_the_gates_the_solve_applies():
     cli = qcurv.cli
     gates = (cli.GATE_PDE_RESIDUAL, cli.GATE_VOLUME_REL, cli.GATE_POHOZAEV)
     assert tuple(map(float, values)) == gates
+
+
+def _run_with_closed_stdout(*argv):
+    """Run ``python -m qcurv.cli`` with the read end of its stdout pipe
+    already closed."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "qcurv.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+
+
+def test_a_closed_stdout_changes_nothing_but_stdout(tmp_path):
+    # Each subcommand exits as it does with stdout open, with the same
+    # stderr, and solve writes all its files before its first line.
+    config, _ = _readme_solve_example()
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out_dir = tmp_path / "run"
+    for argv in (
+        ["poly-check", "--poly", "x1^2 + 2*x2^2 + x3^2 + x4^2"],
+        ["verify", "--suite", "poly"],
+        ["solve", "--config", str(path), "--out", str(out_dir)],
+        ["pohozaev", "--solution", str(out_dir), "--radius", "20"],
+    ):
+        closed = _run_with_closed_stdout(*argv)
+        if argv[0] == "solve":
+            assert {p.name for p in out_dir.iterdir()} == SOLVE_FILES
+        code, _, err = run_cli(argv)
+        assert (closed.returncode, closed.stderr) == (code, err), argv
 
 
 def test_module_is_runnable_as_subprocess():

@@ -1,6 +1,7 @@
 """Tests for configuration validation and the fixed-point solver."""
 
 import contextlib
+import dataclasses
 import json
 import math
 from dataclasses import replace
@@ -18,6 +19,7 @@ from qcurv import (
     GridMismatch,
     Polynomial,
     RadialField,
+    SolutionRecord,
     SolverConfig,
     build_K,
     build_grid,
@@ -591,7 +593,7 @@ def test_build_K_matches_closed_form():
         quick_config(sign=-1, volume=2.0 * constants(2).vol_sphere),
     ):
         grid = build_grid(cfg)
-        log_K = build_K(cfg, grid)
+        log_K = build_K(cfg)
         u0_vals, _ = u0_eval(cfg.m, grid.nodes)
         expected = math.log(6.0) - 4.0 * (grid.nodes**2 + cfg.alpha * u0_vals)
         np.testing.assert_allclose(log_K.values, expected, rtol=1e-14, atol=1e-14)
@@ -601,7 +603,7 @@ def test_build_K_matches_closed_form():
 
 def test_build_K_reads_u0_from_the_config_discretization(monkeypatch):
     cfg = quick_config()
-    grid = build_grid(cfg)
+    build_grid(cfg)
     calls = []
     evaluate = qcurv.solver.u0_eval
 
@@ -610,10 +612,8 @@ def test_build_K_reads_u0_from_the_config_discretization(monkeypatch):
         return evaluate(*args)
 
     monkeypatch.setattr(qcurv.solver, "u0_eval", counted)
-    build_K(cfg, grid)
+    build_K(cfg)
     assert calls == []
-    with pytest.raises(GridMismatch):
-        build_K(cfg, make_grid(2, cfg.r_max, cfg.n_intervals + 1))
 
 
 def test_a_new_grid_evaluates_u0_once(monkeypatch, kernel_builds):
@@ -644,7 +644,7 @@ def test_build_K_guards_against_non_negligible_tail():
     )
     cfg = quick_config(profile=weak, r_max=5.0)
     with pytest.raises(ConfigError, match="enlarge r_max"):
-        build_K(cfg, build_grid(cfg))
+        build_K(cfg)
 
 
 def test_build_K_stays_finite_at_large_negative_volume():
@@ -653,7 +653,7 @@ def test_build_K_stays_finite_at_large_negative_volume():
     # log|K| does, and the solve converges.
     cs = constants(2)
     cfg = quick_config(sign=-1, volume=150.0 * cs.vol_sphere)
-    log_K = build_K(cfg, build_grid(cfg))
+    log_K = build_K(cfg)
     assert np.all(np.isfinite(log_K.values))
     assert float(np.max(log_K.values)) == pytest.approx(2412.16, abs=0.01)
     rec = solve_continuation(cfg)
@@ -664,7 +664,7 @@ def test_build_K_stays_finite_at_large_negative_volume():
 def test_normalization_constant_pins_curvature_integral():
     cfg = quick_config()
     grid = build_grid(cfg)
-    log_K = build_K(cfg, grid)
+    log_K = build_K(cfg)
     rng = np.random.default_rng(5)
     v = RadialField(
         grid=grid, values=0.1 * rng.normal(size=grid.nodes.shape)
@@ -683,7 +683,7 @@ def test_normalization_is_shift_covariant_at_large_v():
     # still gives c_v(300) = c_v(0) - 300.
     cfg = quick_config()
     grid = build_grid(cfg)
-    log_K = build_K(cfg, grid)
+    log_K = build_K(cfg)
     zero = RadialField(grid=grid, values=np.zeros_like(grid.nodes))
     huge = RadialField(grid=grid, values=np.full_like(grid.nodes, 300.0))
     shift_dev = normalization_cv(log_K, huge, cfg) - (
@@ -695,7 +695,7 @@ def test_normalization_is_shift_covariant_at_large_v():
 def test_source_term_has_zero_discrete_mass():
     cfg = quick_config()
     grid = build_grid(cfg)
-    log_K = build_K(cfg, grid)
+    log_K = build_K(cfg)
     u0d = u0_density_field(grid)
     rng = np.random.default_rng(6)
     v = RadialField(grid=grid, values=0.05 * rng.normal(size=grid.nodes.shape))
@@ -708,7 +708,7 @@ def test_potential_of_source_decays_in_the_tail():
     cfg = quick_config()
     grid = build_grid(cfg)
     kern = kernel_matrix(grid)
-    log_K = build_K(cfg, grid)
+    log_K = build_K(cfg)
     u0d = u0_density_field(grid)
     v = RadialField(grid=grid, values=np.zeros_like(grid.nodes))
     S, _ = source_with_normalization(v, cfg, log_K, u0d)
@@ -744,12 +744,30 @@ def test_solve_lands_on_the_fixed_point():
     cfg = quick_config()
     rec = solve_continuation(cfg)
     kern = kernel_matrix(rec.grid)
-    log_K = build_K(cfg, rec.grid)
+    log_K = build_K(cfg)
     u0d = u0_density_field(rec.grid)
     S, _ = source_with_normalization(rec.v, cfg, log_K, u0d)
     tv = potential_apply(kern, S)
     residual = float(np.max(np.abs(tv.values - rec.v.values)))
     assert residual == rec.final_update <= cfg.tol
+
+
+def test_record_stores_what_the_solve_produced_and_derives_the_rest():
+    assert [f.name for f in dataclasses.fields(SolutionRecord)] == [
+        "config", "v", "u", "log_K", "u0_density", "u0", "history", "failure_reason"
+    ]
+    converged = solve_continuation(quick_config())
+    failed = solve_continuation(quick_config(max_iter=2))
+    assert converged.converged and not failed.converged
+    for rec in (converged, failed):
+        assert rec.grid is rec.v.grid
+        assert rec.alpha == rec.config.alpha
+        assert rec.c_v == rec.history[-1][1]
+        assert rec.final_update == rec.history[-1][0]
+        assert rec.iterations == len(rec.history)
+        assert rec.converged is (rec.failure_reason is None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rec.c_v = 0.0
 
 
 def test_solve_is_deterministic():
@@ -983,7 +1001,7 @@ def test_profile_coefficients_are_read_once_per_config(monkeypatch):
     monkeypatch.setattr(qcurv.solver, "radial_profile_coeffs", counted)
     cfg = SolverConfig.from_json_dict(data)
     solve_continuation(cfg)
-    build_K(cfg, build_grid(cfg))
+    build_K(cfg)
     assert len(calls) == 1
 
 
@@ -1172,7 +1190,7 @@ def test_first_iterate_after_zero_is_the_image_of_zero(monkeypatch):
     grid = build_grid(cfg)
     zero = RadialField(grid=grid, values=np.zeros_like(grid.nodes))
     S, _ = source_with_normalization(
-        zero, cfg, build_K(cfg, grid), u0_density_field(grid)
+        zero, cfg, build_K(cfg), u0_density_field(grid)
     )
     t_zero = potential_apply(kernel_matrix(grid), S)
     np.testing.assert_array_equal(iterates[0], zero.values)
@@ -1347,7 +1365,7 @@ def test_fixed_point_map_is_bit_identical_to_its_formulas(m, sign):
     kern = kernel_matrix(grid)
     moments, factors = qcurv.potential._semi_separable(grid)
     gamma_m = constants(m).gamma_m
-    log_K = build_K(cfg, grid)
+    log_K = build_K(cfg)
     u0d = u0_density_field(grid)
     rng = np.random.default_rng(m)
     for scale in (1e-3, 0.1, 3.0):
@@ -1392,7 +1410,7 @@ def test_one_exponential_source_matches_the_two_exponential_formula(
     cfg = _negative_curvature_config(m, volume_ratio, c, 512)
     cfg = replace(cfg, sign=sign)
     grid = build_grid(cfg)
-    log_K = build_K(cfg, grid)
+    log_K = build_K(cfg)
     background = cfg.alpha * u0_density_field(grid).values
     rng = np.random.default_rng(m)
     for scale in (0.0, 1e-3, 0.1, 3.0):

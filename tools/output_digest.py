@@ -33,6 +33,7 @@ values, and 1 otherwise.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -45,11 +46,6 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (1, 2, 3)
 RECORD_FIELDS = (
     "v", "u", "log_K", "u0_density", "c_v", "iterations", "history", "converged",
-)
-REPORT_KEYS = (
-    "pde_residual_max_rel", "volume_achieved", "volume_target", "alpha_fitted",
-    "C_fitted", "asymptotic_deviation", "pohozaev_defect_rel", "pohozaev_radius",
-    "tail_mass", "weighted_norms", "exp_integrability",
 )
 
 
@@ -150,11 +146,18 @@ def main(argv: list[str] | None = None) -> int:
         return compare(*args.compare)
 
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
-    from qcurv import QcurvError, SolverConfig, build_report, solve_continuation
+    from qcurv import (
+        DiagnosticsReport,
+        QcurvError,
+        SolverConfig,
+        build_report,
+        solve_continuation,
+    )
 
+    report_keys = [f.name for f in dataclasses.fields(DiagnosticsReport)]
     dump: dict[str, np.ndarray] | None = {} if args.dump else None
     names = [f"record.{name}" for name in RECORD_FIELDS]
-    names += [f"report.{key}" for key in REPORT_KEYS]
+    names += [f"report.{key}" for key in report_keys]
     names += ["report.error", "report.csv_header"]
     digests = {name: hashlib.sha256() for name in names}
     batch = distinct_configs()
@@ -174,7 +177,7 @@ def main(argv: list[str] | None = None) -> int:
         if dump is not None:
             _dump_report(dump, index, report)
         fields = report.to_json_dict()
-        for key in REPORT_KEYS:
+        for key in report_keys:
             digests[f"report.{key}"].update(json.dumps(fields[key]).encode())
         digests["report.csv_header"].update(report.csv_header_and_row()[0].encode())
     print(f"configs {len(batch)}")
