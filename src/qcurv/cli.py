@@ -10,8 +10,10 @@ All commands are deterministic: identical invocations produce
 byte-identical outputs.  Output directories are populated with
 atomically-written files, ``manifest.json`` last, so a directory
 containing a manifest is complete (never a silent partial write).
-stdout is written after every file, and a closed stdout changes neither
-the files nor the exit code.
+Each subcommand writes its files and returns its exit code and its
+stdout and stderr lines; ``main`` alone prints them, so no line on
+either stream comes before a file, and a closed stdout or stderr changes
+neither the files nor the exit code.
 
 Exit codes
 ----------
@@ -48,7 +50,7 @@ from .errors import (
     QcurvError,
 )
 from .geometry import spherical_solution
-from .poly import Polynomial, a3_counterexample, pm_membership
+from .poly import Polynomial, a3_counterexample, json_number, pm_membership
 from .potential import (
     RadialField,
     _ring_closed,
@@ -61,8 +63,7 @@ from .potential import (
 from .solver import (
     _REMOVED_KEYS,
     SolverConfig,
-    _discretization,
-    build_K,
+    _problem,
     build_grid,
     normalization_cv,
     solve_continuation,
@@ -200,67 +201,67 @@ def _load_config(path: str) -> SolverConfig:
     return SolverConfig.from_json_dict(raw)
 
 
-def _print_lines(lines: list[str]) -> None:
-    """Print ``lines``, the one way a subcommand writes stdout.  A reader
-    that has gone away ends the output, not the command: stdout is pointed
-    at os.devnull, so the flush at exit cannot raise again (the SIGPIPE
-    note of Python's ``signal`` documentation)."""
+def _print_lines(lines: list[str], stream) -> None:
+    """Print ``lines`` to ``stream``, the one way the command line writes
+    stdout or stderr.  A reader that has gone away ends that stream's
+    output, not the command: the stream is pointed at os.devnull, so the
+    flush at exit cannot raise again (the SIGPIPE note of Python's
+    ``signal`` documentation)."""
     try:
         for line in lines:
-            print(line)
-        sys.stdout.flush()
+            print(line, file=stream)
+        stream.flush()
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, stream.fileno())
         os.close(devnull)
 
 
-def _make_output_dir(out_dir: str) -> bool:
-    """Create ``out_dir``, or print one line naming it and return False."""
+def _make_output_dir(out_dir: str) -> list[str]:
+    """Create ``out_dir``; on failure, the stderr line that says why."""
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
-        print(f"cannot create output directory: {exc}", file=sys.stderr)
-        return False
-    return True
+        return [f"cannot create output directory: {exc}"]
+    return []
 
 
 # ----------------------------------------------------------------------
 # solve
 # ----------------------------------------------------------------------
-def run_solve(config_path: str, out_dir: str) -> int:
+def run_solve(config_path: str, out_dir: str) -> tuple[int, list[str], list[str]]:
     try:
         config = _load_config(config_path)
         # The config alone fixes the grid and the curvature tail, so both
-        # are refused here, before --out exists.
+        # are refused here, before --out exists: build_grid raises for
+        # either.
         check_report_grid(build_grid(config))
-        build_K(config)
     except (ConfigError, GridMismatch, PolynomialFormatError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_CONFIG, [], [f"config error: {exc}"]
 
-    if not _make_output_dir(out_dir):
-        return EXIT_CONFIG
+    errors = _make_output_dir(out_dir)
+    if errors:
+        return EXIT_CONFIG, [], errors
     record = solve_continuation(config)
 
     _write_atomic(os.path.join(out_dir, "solution.csv"), _solution_csv_text(record))
     _write_atomic(os.path.join(out_dir, "meta.json"), _json_text(_meta_dict(record)))
 
     status = EXIT_OK
-    lines = []
+    lines, errors = [], []
     if not record.converged:
         report_obj = {
             "diagnostics": "skipped: solver did not converge",
             "failure_reason": record.failure_reason,
         }
-        print(f"not converged: {record.failure_reason}", file=sys.stderr)
+        errors.append(f"not converged: {record.failure_reason}")
         status = EXIT_SOLVER
     else:
         try:
             report = build_report(record)
         except QcurvError as exc:
             report_obj = {"diagnostics_error": str(exc)}
-            print(f"diagnostics error: {exc}", file=sys.stderr)
+            errors.append(f"diagnostics error: {exc}")
             status = EXIT_DIAGNOSTICS
         else:
             volume_rel = abs(report.volume_achieved - config.volume) / config.volume
@@ -295,8 +296,7 @@ def run_solve(config_path: str, out_dir: str) -> int:
             f"converged in {record.iterations} iterations,"
             f" c_v = {record.c_v:.9g}, alpha = {record.alpha:.9g}"
         )
-    _print_lines(lines)
-    return status
+    return status, lines, errors
 
 
 # ----------------------------------------------------------------------
@@ -450,9 +450,10 @@ _SUITES = {
 }
 
 
-def run_verify(suite: str, out_dir: str | None = None) -> int:
-    if out_dir is not None and not _make_output_dir(out_dir):
-        return EXIT_CONFIG
+def run_verify(suite: str, out_dir: str | None) -> tuple[int, list[str], list[str]]:
+    errors = [] if out_dir is None else _make_output_dir(out_dir)
+    if errors:
+        return EXIT_CONFIG, [], errors
     runner, manifest_command = _SUITES[suite]
     checks = runner()
     if out_dir is not None:
@@ -474,8 +475,7 @@ def run_verify(suite: str, out_dir: str | None = None) -> int:
         for name, passed, detail in checks
     ]
     lines.append(f"{suite}: {sum(p for _, p, _ in checks)}/{len(checks)} checks passed")
-    _print_lines(lines)
-    return EXIT_OK if all(passed for _, passed, _ in checks) else EXIT_CONFIG
+    return EXIT_OK if all(passed for _, passed, _ in checks) else EXIT_CONFIG, lines, []
 
 
 # ----------------------------------------------------------------------
@@ -492,17 +492,15 @@ def _parse_poly_argument(text: str) -> Polynomial:
     return Polynomial.from_text(stripped)
 
 
-def run_poly_check(poly_arg: str, m: int | None) -> int:
+def run_poly_check(poly_arg: str, m: int | None) -> tuple[int, list[str], list[str]]:
     try:
         poly = _parse_poly_argument(poly_arg)
     except (QcurvError, ValueError, OSError) as exc:
-        print(f"cannot parse polynomial: {exc}", file=sys.stderr)
-        return EXIT_UNPARSEABLE
+        return EXIT_UNPARSEABLE, [], [f"cannot parse polynomial: {exc}"]
     try:
         verdict = pm_membership(poly, m=m)
     except QcurvError as exc:
-        print(f"cannot classify polynomial: {exc}", file=sys.stderr)
-        return EXIT_UNPARSEABLE
+        return EXIT_UNPARSEABLE, [], [f"cannot classify polynomial: {exc}"]
     lines = [f"status: {verdict.status}"]
     if verdict.witness is not None:
         lines.append(f"witness: {verdict.witness}")
@@ -511,14 +509,13 @@ def run_poly_check(poly_arg: str, m: int | None) -> int:
         lines.append(f"growth_exponent: {verdict.exponent:.6g}")
     if verdict.constant is not None:
         lines.append(f"growth_constant: {verdict.constant:.6g}")
-    _print_lines(lines)
-    return {"Accepted": 0, "Rejected": 1, "Inconclusive": 2}[verdict.status]
+    return {"Accepted": 0, "Rejected": 1, "Inconclusive": 2}[verdict.status], lines, []
 
 
 # ----------------------------------------------------------------------
 # pohozaev
 # ----------------------------------------------------------------------
-def run_pohozaev(solution_dir: str, radius: float) -> int:
+def run_pohozaev(solution_dir: str, radius: float) -> tuple[int, list[str], list[str]]:
     meta_path = os.path.join(solution_dir, "meta.json")
     csv_path = os.path.join(solution_dir, "solution.csv")
     try:
@@ -526,18 +523,17 @@ def run_pohozaev(solution_dir: str, radius: float) -> int:
             meta = json.load(handle)
         table = np.loadtxt(csv_path, delimiter=",", skiprows=1)
     except (OSError, ValueError) as exc:
-        print(f"cannot read solution directory: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_CONFIG, [], [f"cannot read solution directory: {exc}"]
     try:
         config = SolverConfig.from_json_dict(meta["config"])
         result = meta["result"]
-        c_v = float(result["c_v"])
+        c_v = json_number("result.c_v", "float", result["c_v"], ConfigError)
         if not math.isfinite(c_v):
             raise ValueError(f"result.c_v = {result['c_v']!r} is not finite")
         # alpha = sign 2V / vol(S^{2m}) is fixed by the config; the stored
         # copy is only checked against it.
         alpha = config.alpha
-        if float(result["alpha"]) != alpha:
+        if json_number("result.alpha", "float", result["alpha"], ConfigError) != alpha:
             raise ValueError(
                 f"result.alpha = {result['alpha']!r} is not the config's "
                 f"alpha = {alpha!r}"
@@ -545,33 +541,30 @@ def run_pohozaev(solution_dir: str, radius: float) -> int:
         # log|K| and u0's density come from the validated config, as in the
         # solve; only r and v are read from the table, whose fourth column
         # holds K itself in older solution directories.
-        grid, _, u0_density, _ = _discretization(config)
-        log_k = build_K(config)
+        problem = _problem(config)
     except (KeyError, TypeError, ValueError, ConfigError, PolynomialFormatError) as exc:
-        print(f"invalid solution metadata: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_CONFIG, [], [f"invalid solution metadata: {exc}"]
+    grid = problem.grid
     if table.shape != (len(grid.nodes), 5) or not np.allclose(
         table[:, 0], grid.nodes, rtol=0.0, atol=1e-12
     ):
-        print("solution.csv does not match the grid in meta.json", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_CONFIG, [], ["solution.csv does not match the grid in meta.json"]
     try:
         v = RadialField(grid=grid, values=table[:, 1].copy())
     except GridMismatch as exc:
-        print(f"cannot read solution directory: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_CONFIG, [], [f"cannot read solution directory: {exc}"]
     try:
-        terms = pohozaev_terms(v, c_v, log_k, u0_density, config.sign, alpha, radius)
+        terms = pohozaev_terms(
+            v, c_v, problem.log_K, problem.u0_density, config.sign, alpha, radius
+        )
     except QcurvError as exc:
-        print(f"cannot evaluate balance: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_CONFIG, [], [f"cannot evaluate balance: {exc}"]
     lines = [f"radius (snapped): {terms.radius:.9g}"]
     for name in ("t1", "t2", "t3", "b1", "b2", "b3", "lhs", "rhs"):
         lines.append(f"{name}: {getattr(terms, name):+.9e}")
     lines.append(f"defect: {terms.defect:.6e}")
     lines.append(f"volume_balance: {terms.volume_balance:.6e}")
-    _print_lines(lines)
-    return EXIT_OK if terms.defect <= GATE_POHOZAEV else EXIT_DIAGNOSTICS
+    return EXIT_OK if terms.defect <= GATE_POHOZAEV else EXIT_DIAGNOSTICS, lines, []
 
 
 # ----------------------------------------------------------------------
@@ -661,16 +654,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand, then print its stdout and stderr lines: the
+    only place the command line writes either stream."""
     args = _build_parser().parse_args(argv)
-    if args.command == "solve":
-        return run_solve(args.config, args.out)
-    if args.command == "verify":
-        return run_verify(args.suite, args.out)
-    if args.command == "poly-check":
-        return run_poly_check(args.poly, args.m)
-    if args.command == "pohozaev":
-        return run_pohozaev(args.solution, args.radius)
-    raise AssertionError(f"unhandled command {args.command}")
+    code, out, err = {
+        "solve": lambda: run_solve(args.config, args.out),
+        "verify": lambda: run_verify(args.suite, args.out),
+        "poly-check": lambda: run_poly_check(args.poly, args.m),
+        "pohozaev": lambda: run_pohozaev(args.solution, args.radius),
+    }[args.command]()
+    _print_lines(out, sys.stdout)
+    _print_lines(err, sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

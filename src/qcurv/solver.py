@@ -82,7 +82,7 @@ if not 1 <= _ANDERSON_DEPTH <= 3:
 # Smallest reciprocal condition of the scaled Gram matrix kept for gamma.
 _GRAM_RCOND = 1e-12
 _SCHEMA_VERSION = 2
-# Grids whose discretization (_discretization) is kept for reuse.
+# Grids whose discretization (_build_discretization) is kept for reuse.
 _DISCRETIZATION_CACHE_SIZE = 8
 # Schema-v1 keys that chose the iteration path rather than the problem;
 # v1 files still load, with these dropped.
@@ -260,12 +260,6 @@ class SolverConfig:
 # ----------------------------------------------------------------------
 # pieces of the fixed-point map
 # ----------------------------------------------------------------------
-def build_grid(config: SolverConfig) -> RadialGrid:
-    """The grid of the config's discretization, the object
-    :func:`solve_continuation` solves on; its kernel and u0 come with it."""
-    return _discretization(config)[0]
-
-
 def u0_density_field(
     grid: RadialGrid, density: np.ndarray | None = None
 ) -> RadialField:
@@ -287,42 +281,34 @@ def u0_density_field(
     return RadialField(grid=grid, values=density * (-cs.gamma_m / mass))
 
 
-def _discretization(
-    config: SolverConfig,
-) -> tuple[RadialGrid, KernelMatrix, RadialField, np.ndarray]:
-    """The config's grid, kernel moments, u0 density and u0 node values:
-    the one place a config's grid is chosen.  They depend only on
-    (m, r_max, n_intervals, sinh_strength), not on V, the sign or P, so
-    every config with the same key shares them, read-only."""
-    return _build_discretization(
+@dataclass(frozen=True)
+class _Problem:
+    """One config's problem, built only by :func:`_problem`.  The grid,
+    kernel, u0's rescaled density and u0 depend only on (m, r_max,
+    n_intervals, sinh_strength), so configs with the same key share them,
+    read-only.  ``p`` is P at the nodes and ``log_K`` is
+    log|K| = log (2m-1)! - 2m P - 2m alpha u0, so K = sign e^{log_K}."""
+
+    grid: RadialGrid
+    kernel: KernelMatrix
+    u0_density: RadialField
+    u0: RadialField
+    p: np.ndarray
+    log_K: RadialField
+
+
+def _problem(config: SolverConfig) -> _Problem:
+    """The config's problem: the one place a config becomes a grid, a
+    kernel, u0 and log|K|.  Raises ConfigError when no grid can be built,
+    or when the weighted tail value |K_N| w_N is not below 1e-12 of
+    max|K|."""
+    grid, kernel, u0_density, u0 = _build_discretization(
         config.m, config.r_max, config.n_intervals, config.sinh_strength
     )
-
-
-@functools.lru_cache(maxsize=_DISCRETIZATION_CACHE_SIZE, typed=True)
-def _build_discretization(
-    m: int, r_max: float, n_intervals: int, sinh_strength: float
-) -> tuple[RadialGrid, KernelMatrix, RadialField, np.ndarray]:
-    try:
-        grid = make_grid(m, r_max, n_intervals, sinh_strength=sinh_strength)
-    except GridMismatch as exc:
-        raise ConfigError(f"cannot build the grid: {exc}") from exc
-    kernel = kernel_matrix(grid)
-    u0_vals, density = u0_eval(m, grid.nodes)
-    u0_density = u0_density_field(grid, density)
-    u0_vals.flags.writeable = False
-    return grid, kernel, u0_density, u0_vals
-
-
-def _curvature_factor(
-    config: SolverConfig,
-    grid: RadialGrid,
-    p_vals: np.ndarray,
-    u0_vals: np.ndarray,
-) -> RadialField:
-    cs = constants(config.m)
-    log_k = math.log(cs.factorial_2m_minus_1) - 2.0 * config.m * (
-        p_vals + config.alpha * u0_vals
+    p_vals = eval_radial_profile(config.radial_coeffs, grid.nodes)
+    p_vals.flags.writeable = False
+    log_k = math.log(constants(config.m).factorial_2m_minus_1) - 2.0 * config.m * (
+        p_vals + config.alpha * u0.values
     )
     log_tail = log_k[-1] + math.log(grid.quad_weights[-1])
     log_peak = float(np.max(log_k))
@@ -331,17 +317,32 @@ def _curvature_factor(
             "curvature kernel tail is not negligible at r_max (weighted "
             f"tail e^{log_tail - log_peak:.3f} of max|K|); enlarge r_max"
         )
-    return RadialField(grid=grid, values=log_k)
+    return _Problem(grid, kernel, u0_density, u0, p_vals, RadialField(grid, log_k))
+
+
+@functools.lru_cache(maxsize=_DISCRETIZATION_CACHE_SIZE, typed=True)
+def _build_discretization(
+    m: int, r_max: float, n_intervals: int, sinh_strength: float
+) -> tuple[RadialGrid, KernelMatrix, RadialField, RadialField]:
+    try:
+        grid = make_grid(m, r_max, n_intervals, sinh_strength=sinh_strength)
+    except GridMismatch as exc:
+        raise ConfigError(f"cannot build the grid: {exc}") from exc
+    kernel = kernel_matrix(grid)
+    u0_vals, density = u0_eval(m, grid.nodes)
+    return grid, kernel, u0_density_field(grid, density), RadialField(grid, u0_vals)
+
+
+def build_grid(config: SolverConfig) -> RadialGrid:
+    """The grid of the config's problem, the object
+    :func:`solve_continuation` solves on; raises as :func:`_problem` does."""
+    return _problem(config).grid
 
 
 def build_K(config: SolverConfig) -> RadialField:
-    """log|K| = log (2m-1)! - 2m P - 2m alpha u0 on the nodes of the
-    config's grid, whose u0 values the config's discretization holds; K
-    itself is sign e^{log|K|}.  Always finite.  Guards that the weighted
-    tail value |K_N| w_N is below 1e-12 of max|K|."""
-    grid, _, _, u0_vals = _discretization(config)
-    p_vals = eval_radial_profile(config.radial_coeffs, grid.nodes)
-    return _curvature_factor(config, grid, p_vals, u0_vals)
+    """log|K| of the config's problem (:func:`_problem`); K itself is
+    sign e^{log|K|}.  Always finite."""
+    return _problem(config).log_K
 
 
 def _shifted_exponentials(
@@ -659,17 +660,14 @@ def solve_continuation(config: SolverConfig) -> SolutionRecord:
     assembled from the last evaluated iterate.  The guard is relative
     because the first residual grows like V.
 
-    The grid, kernel moments and u0 come from the config's shared
-    discretization, the one :func:`build_grid` reads; the last
-    ``_DISCRETIZATION_CACHE_SIZE`` = 8 are kept.  log|K| is built per
-    config, and the potential's scratch arrays once per solve.
+    The grid, kernel moments, u0 and log|K| come from the config's
+    problem (:func:`_problem`), and the potential's scratch arrays are
+    built once per solve.
     """
-    grid, kernel, u0_density, u0_vals = _discretization(config)
-    p_vals = eval_radial_profile(config.radial_coeffs, grid.nodes)
-    log_K = _curvature_factor(config, grid, p_vals, u0_vals)
-
+    problem = _problem(config)
+    grid, log_K, u0_density = problem.grid, problem.log_K, problem.u0_density
     v_values = np.zeros_like(grid.nodes)
-    workspace = potential_workspace(kernel)
+    workspace = potential_workspace(problem.kernel)
     history: list[tuple[float, float]] = []
     anderson = _AndersonHistory(len(grid.nodes))
     mixed = False
@@ -680,7 +678,7 @@ def solve_continuation(config: SolverConfig) -> SolutionRecord:
         # solve with GridMismatch, there or when the record is built.
         v_field = RadialField._unchecked(grid, v_values)
         source, cv = source_with_normalization(v_field, config, log_K, u0_density)
-        g = potential_apply(kernel, source, workspace).values
+        g = potential_apply(problem.kernel, source, workspace).values
         f = g - v_values
         residual = float(np.abs(f).max())
         history.append((residual, cv))
@@ -706,14 +704,14 @@ def solve_continuation(config: SolverConfig) -> SolutionRecord:
             f"max_iter = {config.max_iter} exhausted "
             f"(last residual {history[-1][0]:.3e})"
         )
-    u_vals = -config.alpha * u0_vals - p_vals + v_kept + history[-1][1]
+    u_vals = -config.alpha * problem.u0.values - problem.p + v_kept + history[-1][1]
     return SolutionRecord(
         config=config,
         v=RadialField(grid=grid, values=v_kept),
         u=RadialField(grid=grid, values=u_vals),
         log_K=log_K,
         u0_density=u0_density,
-        u0=RadialField(grid=grid, values=u0_vals),
+        u0=problem.u0,
         history=tuple(history),
         failure_reason=failure_reason,
     )

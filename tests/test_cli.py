@@ -797,6 +797,11 @@ SOLUTION_CORRUPTIONS = {
     "nan-in-solution-csv": _nan_in_the_v_column,
     "nan-c_v": _with_result(c_v=float("nan")),
     "text-c_v": _with_result(c_v="abc"),
+    # JSON true and numeric text are not numbers, though float() takes them.
+    "bool-c_v": _with_result(c_v=True),
+    "numeric-text-c_v": _with_result(c_v="0.367"),
+    "bool-alpha": _with_result(alpha=True),
+    "numeric-text-alpha": _with_result(alpha="1.0"),
     "null-result": lambda meta, csv_text: ({**meta, "result": None}, csv_text),
     "meta-is-a-list": lambda meta, csv_text: ([meta], csv_text),
 }
@@ -913,16 +918,16 @@ def test_help_states_the_gates_the_solve_applies():
     assert tuple(map(float, values)) == gates
 
 
-def _run_with_closed_stdout(*argv):
-    """Run ``python -m qcurv.cli`` with the read end of its stdout pipe
-    already closed."""
+def _run_with_a_closed_stream(stream, *argv):
+    """Run ``python -m qcurv.cli`` with the read end of its ``stream``
+    ("stdout" or "stderr") pipe already closed, capturing the other."""
     read_end, write_end = os.pipe()
     os.close(read_end)
+    pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: write_end}
     try:
         return subprocess.run(
             [sys.executable, "-m", "qcurv.cli", *argv],
-            stdout=write_end,
-            stderr=subprocess.PIPE,
+            **pipes,
             text=True,
             timeout=120,
         )
@@ -943,11 +948,32 @@ def test_a_closed_stdout_changes_nothing_but_stdout(tmp_path):
         ["solve", "--config", str(path), "--out", str(out_dir)],
         ["pohozaev", "--solution", str(out_dir), "--radius", "20"],
     ):
-        closed = _run_with_closed_stdout(*argv)
+        closed = _run_with_a_closed_stream("stdout", *argv)
         if argv[0] == "solve":
             assert {p.name for p in out_dir.iterdir()} == SOLVE_FILES
         code, _, err = run_cli(argv)
         assert (closed.returncode, closed.stderr) == (code, err), argv
+
+
+def test_a_closed_stderr_changes_nothing_but_stderr(tmp_path):
+    # Each command that reports on stderr exits as it does with stderr
+    # open, and a solve that stops at max_iter still writes its report
+    # and manifest.
+    config, _ = _readme_solve_example()
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(config, max_iter=2)), encoding="utf-8")
+    out_dir = tmp_path / "run"
+    for argv, expected in (
+        (["solve", "--config", str(path), "--out", str(out_dir)], 2),
+        (["poly-check", "--poly", "x1^^2"], 4),
+        (["pohozaev", "--solution", str(tmp_path / "nope"), "--radius", "20"], 1),
+    ):
+        closed = _run_with_a_closed_stream("stderr", *argv)
+        if argv[0] == "solve":
+            assert {p.name for p in out_dir.iterdir()} == SOLVE_FILES - {"report.csv"}
+        code, out, err = run_cli(argv)
+        assert err
+        assert (closed.returncode, closed.stdout) == (code, out) == (expected, ""), argv
 
 
 def test_module_is_runnable_as_subprocess():

@@ -626,25 +626,28 @@ def test_a_new_grid_evaluates_u0_once(monkeypatch, kernel_builds):
 
     monkeypatch.setattr(qcurv.solver, "u0_eval", counted)
     cfg = quick_config(n_intervals=320)
-    grid, _, u0_density, u0_vals = qcurv.solver._discretization(cfg)
+    problem = qcurv.solver._problem(cfg)
     assert len(calls) == 1
     # The values and the density both come from that one evaluation.
-    values, density = evaluate(cfg.m, grid.nodes)
-    np.testing.assert_array_equal(u0_vals, values)
+    values, density = evaluate(cfg.m, problem.grid.nodes)
+    np.testing.assert_array_equal(problem.u0.values, values)
     np.testing.assert_array_equal(
-        u0_density.values, u0_density_field(grid, density).values
+        problem.u0_density.values, u0_density_field(problem.grid, density).values
     )
 
 
 def test_build_K_guards_against_non_negligible_tail():
     # A very weak profile on a short domain leaves the curvature kernel
     # fat at r_max, which would alias the truncated tail into the solve.
+    # The config's problem refuses it, so build_grid, build_K and the
+    # solve all raise.
     weak = Polynomial.from_text(
         "0.01 * x1^2 + 0.01 * x2^2 + 0.01 * x3^2 + 0.01 * x4^2"
     )
     cfg = quick_config(profile=weak, r_max=5.0)
-    with pytest.raises(ConfigError, match="enlarge r_max"):
-        build_K(cfg)
+    for build in (build_grid, build_K, solve_continuation):
+        with pytest.raises(ConfigError, match="enlarge r_max"):
+            build(cfg)
 
 
 def test_build_K_stays_finite_at_large_negative_volume():
@@ -930,6 +933,8 @@ def test_solves_on_one_grid_share_its_discretization(change, kernel_builds):
     assert len(kernel_builds) == 1
     assert second.grid is first.grid
     assert second.u0_density is first.u0_density
+    assert second.u0 is first.u0
+    assert not second.u0.values.flags.writeable
 
 
 @pytest.mark.parametrize(
@@ -976,13 +981,17 @@ def test_warm_solve_is_bit_identical_to_cold(kernel_builds):
 
 def test_shared_discretization_is_read_only(kernel_builds):
     cfg = quick_config()
-    grid, kernel, u0_density, u0_vals = qcurv.solver._discretization(cfg)
+    problem = qcurv.solver._problem(cfg)
+    grid, kernel = problem.grid, problem.kernel
     shared = (
         grid.nodes, grid.quad_weights, kernel.hat_moments, kernel.node_factors,
-        kernel.diagonal, u0_density.values, u0_vals, cfg.radial_coeffs,
+        kernel.diagonal, problem.u0_density.values, problem.u0.values,
+        problem.p, problem.log_K.values, cfg.radial_coeffs,
     )
     for arr in shared:
         assert not arr.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        problem.grid = grid
     # The paired moments and factors: below- and above-rows side by side.
     paired_shape = (cfg.m, len(grid.nodes), 2)
     assert kernel.hat_moments.shape == kernel.node_factors.shape == paired_shape
