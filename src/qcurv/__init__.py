@@ -44,7 +44,6 @@ from .potential import (
     RadialGrid,
     ball_volume,
     constants,
-    field_to_csv,
     kernel_matrix,
     make_grid,
     potential_apply,
@@ -56,7 +55,6 @@ from .solver import (
     SolverConfig,
     build_K,
     build_grid,
-    normalization_cv,
     solve_continuation,
     source_with_normalization,
     u0_density_field,
@@ -108,7 +106,6 @@ __all__ = [
     "RadialField",
     "KernelMatrix",
     "make_grid",
-    "field_to_csv",
     "ring_kernel_mean",
     "kernel_matrix",
     "potential_apply",
@@ -121,7 +118,6 @@ __all__ = [
     "build_grid",
     "build_K",
     "u0_density_field",
-    "normalization_cv",
     "source_with_normalization",
     # diagnostics
     "pde_residual",

@@ -32,7 +32,9 @@ Exit codes
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -65,8 +67,8 @@ from .solver import (
     SolverConfig,
     _problem,
     build_grid,
-    normalization_cv,
     solve_continuation,
+    source_with_normalization,
     u0_density_field,
 )
 
@@ -156,21 +158,11 @@ def _manifest_dict(command: str, config_path: str, out_dir: str) -> dict:
 
 
 def _solution_csv_text(record) -> str:
-    lines = ["r,v,u,log_abs_K,density"]
-    for i in range(len(record.grid.nodes)):
-        lines.append(
-            ",".join(
-                f"{x:.17g}"
-                for x in (
-                    record.grid.nodes[i],
-                    record.v.values[i],
-                    record.u.values[i],
-                    record.log_K.values[i],
-                    record.u0_density.values[i],
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    columns = (record.v, record.u, record.log_K, record.u0_density)
+    table = np.column_stack([record.grid.nodes] + [field.values for field in columns])
+    text = io.StringIO()
+    np.savetxt(text, table, "%.17g", ",", header="r,v,u,log_abs_K,density", comments="")
+    return text.getvalue()
 
 
 def _meta_dict(record) -> dict:
@@ -242,6 +234,10 @@ def run_solve(config_path: str, out_dir: str) -> tuple[int, list[str], list[str]
     errors = _make_output_dir(out_dir)
     if errors:
         return EXIT_CONFIG, [], errors
+    # A rerun into the same --out must not keep the last run's report.csv
+    # beside a report.json that has none.
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(out_dir, "report.csv"))
     record = solve_continuation(config)
 
     _write_atomic(os.path.join(out_dir, "solution.csv"), _solution_csv_text(record))
@@ -347,12 +343,12 @@ def _suite_oracles() -> list[tuple[str, bool, str]]:
         n_intervals=256,
     )
     log_k = RadialField(grid=(g := build_grid(config)), values=-(g.nodes**2))
-    v0 = RadialField(grid=g, values=np.zeros_like(g.nodes))
-    vs = RadialField(grid=g, values=np.full_like(g.nodes, 0.37))
-    shift = abs(
-        normalization_cv(log_k, vs, config)
-        - (normalization_cv(log_k, v0, config) - 0.37)
-    )
+
+    def c_v(level):
+        v = RadialField(grid=g, values=np.full_like(g.nodes, level))
+        return source_with_normalization(v, config, log_k, u0_density_field(g))[1]
+
+    shift = abs(c_v(0.37) - (c_v(0.0) - 0.37))
     checks.append(("normalization-shift", shift <= 1e-12, f"abs dev {shift:.3e}"))
     return checks
 

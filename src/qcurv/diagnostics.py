@@ -42,7 +42,14 @@ import numpy as np
 
 from .errors import GridMismatch, TailNotNegligible
 from .geometry import _polyharmonic_valid_nodes, radial_polyharmonic
-from .potential import RadialField, RadialGrid, _read_only, constants, sphere_area
+from .potential import (
+    RadialField,
+    RadialGrid,
+    _read_only,
+    constants,
+    sphere_area,
+    stencil_table,
+)
 
 if TYPE_CHECKING:
     from .solver import SolutionRecord
@@ -116,7 +123,7 @@ def pde_residual(u: RadialField, sign: int, exp_2mu: np.ndarray | None = None) -
     lhs = radial_polyharmonic(u, m).values[keep]
     if exp_2mu is None:
         exp_2mu = np.exp(2 * m * u.values)
-    rhs = sign * math.factorial(2 * m - 1) * exp_2mu[keep]
+    rhs = sign * constants(m).factorial_2m_minus_1 * exp_2mu[keep]
     floor = max(float(np.max(np.abs(rhs))), 1e-300)
     rel = np.abs(lhs - rhs) / (np.abs(rhs) + floor)
     return float(np.max(rel))
@@ -340,7 +347,7 @@ def _pohozaev_window(grid: RadialGrid, index: int) -> np.ndarray:
     end values are wrong but the error moves in by one node per stencil
     and never reaches its centre."""
     m = grid.m
-    table = grid.stencil.window(index - (m + 1), index + m + 2)
+    table = stencil_table(grid.nodes[index - (m + 1) : index + m + 2], grid.n)
     w_iter = [np.eye(2 * m + 3)]
     for _ in range(m):
         w_iter.append(table.laplacian(w_iter[-1]))

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, GridMismatch
-from .potential import RadialField
+from .potential import RadialField, constants
 
 
 def spherical_solution(m: int, lam: float, r) -> np.ndarray | float:
@@ -70,7 +70,7 @@ def u0_eval(m: int, r):
     value = 0.5 * np.log1p(rr * rr)
     density = (
         -0.5
-        * math.factorial(2 * m - 1)
+        * constants(m).factorial_2m_minus_1
         * (2.0 / (1.0 + rr * rr)) ** (2 * m)
     )
     if np.isscalar(r):

@@ -201,15 +201,6 @@ class StencilTable:
             out[..., 0] = self.n * a + (self.n - 1) / 3.0 * (b - a)
         return out
 
-    def window(self, lo: int, hi: int) -> "StencilTable":
-        """The table of ``nodes[lo:hi]``, as views of this one."""
-        inner = slice(lo, hi - 2)
-        return StencilTable(
-            self.n,
-            self.nodes[lo:hi],
-            *(getattr(self, name)[:, inner] for name in _STENCIL_ROWS),
-        )
-
 
 _STENCIL_ROWS = ("d1_rows", "d2_rows", "laplacian_rows")
 
@@ -244,8 +235,8 @@ def _hat_weights(nodes: np.ndarray, n: int) -> np.ndarray:
 
 
 def _check_nodes(nodes: np.ndarray) -> None:
-    if nodes[0] != 0.0 or np.any(np.diff(nodes) <= 0):
-        raise GridMismatch("nodes must start at 0 and increase strictly")
+    if not (nodes[0] == 0.0 and np.all(np.diff(nodes) > 0) and nodes[-1] < math.inf):
+        raise GridMismatch("nodes must be finite, start at 0 and increase strictly")
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,8 +260,8 @@ class RadialGrid:
         if len(nodes) < 65:
             raise GridMismatch(f"need at least 64 intervals, got {len(nodes) - 1}")
         _check_nodes(nodes)
-        if np.any(weights <= 0):
-            raise GridMismatch("quadrature weights must be positive")
+        if not np.all((weights > 0) & (weights < math.inf)):
+            raise GridMismatch("quadrature weights must be positive and finite")
         vol = ball_volume(self.n, float(nodes[-1]))
         if abs(weights.sum() / vol - 1.0) > 1e-10:
             raise GridMismatch("weights do not reproduce the ball volume")
@@ -396,14 +387,18 @@ def make_grid(
     if map_kind not in ("uniform", "sinh-clustered"):
         raise GridMismatch(f"unknown map_kind {map_kind!r}")
     xi = np.linspace(0.0, 1.0, n_intervals + 1)
-    if map_kind == "uniform":
-        nodes = r_max * xi
-    else:
-        nodes = r_max * np.sinh(sinh_strength * xi) / math.sinh(sinh_strength)
-    nodes[0], nodes[-1] = 0.0, r_max
-    _check_nodes(nodes)
-    weights = _hat_weights(nodes, 2 * m)
-    weights *= ball_volume(2 * m, r_max) / weights.sum()
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            if map_kind == "uniform":
+                nodes = r_max * xi
+            else:
+                nodes = r_max * np.sinh(sinh_strength * xi) / math.sinh(sinh_strength)
+            nodes[0], nodes[-1] = 0.0, r_max
+            _check_nodes(nodes)
+            weights = _hat_weights(nodes, 2 * m)
+            weights *= ball_volume(2 * m, r_max) / weights.sum()
+    except (OverflowError, FloatingPointError):
+        raise GridMismatch(f"r_max = {r_max:g} overflows the grid's weights") from None
     return RadialGrid(m=m, nodes=nodes, quad_weights=weights)
 
 
@@ -435,14 +430,6 @@ class RadialField:
         field = object.__new__(cls)
         field.__dict__.update(grid=grid, values=values)
         return field
-
-
-def field_to_csv(field: RadialField, path: str) -> None:
-    """Two-column full-precision CSV: header ``r,value``."""
-    with open(path, "w") as fh:
-        fh.write("r,value\n")
-        for r, v in zip(field.grid.nodes, field.values):
-            fh.write(f"{r:.17g},{v:.17g}\n")
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,7 @@ correction v:
     S(v) = sign e^{log|K| + 2m (v + c_v)} + alpha (-Delta)^m u0,
     log|K| = log (2m-1)! - 2m P - 2m alpha u0,
 
-where the normalization constant c_v (:func:`normalization_cv`) makes the
+where c_v, computed with S(v) by :func:`source_with_normalization`, makes the
 curvature integral match the prescribed volume, which is exactly the
 condition that S(v) has zero discrete mass, so its potential decays.
 The curvature factor is held as log|K| and c_v is taken by log-sum-exp:
@@ -170,6 +170,8 @@ class SolverConfig:
         cs = constants(self.m)
         if not 0 < self.volume < math.inf:
             raise ConfigError(f"volume must be positive and finite, got {self.volume}")
+        if not (math.isfinite(self.alpha) and math.isfinite(self._curvature_mass)):
+            raise ConfigError(f"volume {self.volume:g} overflows alpha or (2m-1)! V")
         if self.sign == 1 and self.volume >= cs.vol_sphere:
             raise ConfigError(
                 "sign = +1 requires V ∈ (0, vol(S^{2m})) = "
@@ -345,45 +347,6 @@ def build_K(config: SolverConfig) -> RadialField:
     return _problem(config).log_K
 
 
-def _shifted_exponentials(
-    log_K: RadialField, v: RadialField, two_m: float
-) -> tuple[np.ndarray, float, float]:
-    """e_i = exp(log|K_i| + 2m v_i - top), with top the largest exponent,
-    together with top and the weighted sum sum w_i e_i, which lies in
-    [min w, sum w]; e is a fresh array."""
-    log_K.grid.ensure_same(v.grid)
-    e = two_m * v.values
-    e += log_K.values
-    top = float(e.max())
-    e -= top
-    np.exp(e, out=e)
-    return e, top, float(log_K.grid.quad_weights @ e)
-
-
-def _cv(log_mass: float, top: float, total: float, two_m: float) -> float:
-    """c_v from log((2m-1)! V) and the log-sum-exp pieces top and
-    sum w e."""
-    return (log_mass - (top + math.log(total))) / two_m
-
-
-def normalization_cv(
-    log_K: RadialField, v: RadialField, config: SolverConfig
-) -> float:
-    """c_v = (log((2m-1)! V) - LSE_i(log w_i + log|K_i| + 2m v_i)) / 2m.
-
-    With this constant the discrete curvature integral
-    sum w_i K_i e^{2m(v_i + c_v)} equals alpha * gamma_m exactly (same
-    quadrature, exact arithmetic) — the zero-mass condition for S(v).
-    The log-sum-exp shifts by the largest log|K_i| + 2m v_i, so the
-    weighted sum it takes the log of lies in [min w, sum w] and c_v is
-    finite for every finite log|K| and v.  :func:`source_with_normalization`
-    takes its c_v from the same arithmetic, bit for bit.
-    """
-    two_m = 2.0 * config.m
-    _, top, total = _shifted_exponentials(log_K, v, two_m)
-    return _cv(config._log_curvature_mass, top, total, two_m)
-
-
 def source_with_normalization(
     v: RadialField,
     config: SolverConfig,
@@ -392,10 +355,17 @@ def source_with_normalization(
 ) -> tuple[RadialField, float]:
     """S(v) = sign e^{log|K| + 2m(v + c_v)} + alpha (-Delta)^m u0
     (rescaled density), together with the c_v that produced it (they
-    must be paired for the mass identity to hold exactly).
+    must be paired for the mass identity to hold exactly); the one place
+    c_v is computed.
 
-    The curvature term is formed from the log-sum-exp's own shifted
-    exponentials e_i = exp(log|K_i| + 2m v_i - top): since
+        c_v = (log((2m-1)! V) - LSE_i(log w_i + log|K_i| + 2m v_i)) / 2m
+
+    makes the discrete curvature integral sum w_i K_i e^{2m(v_i + c_v)}
+    equal alpha * gamma_m exactly (same quadrature, exact arithmetic).
+    The log-sum-exp shifts by top, the largest log|K_i| + 2m v_i, so the
+    weighted sum of the shifted exponentials
+    e_i = exp(log|K_i| + 2m v_i - top) lies in [min w, sum w] and c_v is
+    finite for every finite log|K| and v.  Since
     e^{2m c_v} = (2m-1)! V / (e^top sum w e),
 
         S(v) = sign e ((2m-1)! V / sum w e) + alpha (-Delta)^m u0,
@@ -407,15 +377,19 @@ def source_with_normalization(
     by (2m-1)! V over its quadrature weight, so S(v) is not re-checked for
     finiteness; a non-finite v gives a non-finite S(v).
     """
-    log_K.grid.ensure_same(u0_density.grid)
+    for other in (v, u0_density):
+        log_K.grid.ensure_same(other.grid)
     two_m = 2.0 * config.m
-    values, top, total = _shifted_exponentials(log_K, v, two_m)
+    values = two_m * v.values
+    values += log_K.values
+    top = float(values.max())
+    values -= top
+    np.exp(values, out=values)
+    total = float(log_K.grid.quad_weights @ values)
+    cv = (config._log_curvature_mass - (top + math.log(total))) / two_m
     values *= config.sign * config._curvature_mass / total
     values += config.alpha * u0_density.values
-    return (
-        RadialField._unchecked(v.grid, values),
-        _cv(config._log_curvature_mass, top, total, two_m),
-    )
+    return RadialField._unchecked(v.grid, values), cv
 
 
 # ----------------------------------------------------------------------

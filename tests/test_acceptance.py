@@ -26,7 +26,6 @@ from qcurv import (
     constants,
     kernel_matrix,
     make_grid,
-    normalization_cv,
     pde_residual,
     pm_membership,
     potential_apply,
@@ -267,8 +266,8 @@ def test_normalization_shift_mass_identity_and_determinism(square_profile_4d):
     v = RadialField(grid=grid, values=rng.uniform(-0.5, 0.5, len(grid.nodes)))
     shifted = RadialField(grid=grid, values=v.values + 0.37)
     shift_dev = abs(
-        normalization_cv(log_K, shifted, config)
-        - (normalization_cv(log_K, v, config) - 0.37)
+        source_with_normalization(shifted, config, log_K, u0_density)[1]
+        - (source_with_normalization(v, config, log_K, u0_density)[1] - 0.37)
     )
     assert shift_dev <= 1e-12
 
@@ -276,13 +275,12 @@ def test_normalization_shift_mass_identity_and_determinism(square_profile_4d):
     iterate = RadialField(grid=grid, values=np.zeros_like(grid.nodes))
     worst_mass = 0.0
     for _ in range(30):
-        c_v = normalization_cv(log_K, iterate, config)
+        source, c_v = source_with_normalization(iterate, config, log_K, u0_density)
         mass = float(
             grid.quad_weights
             @ (config.sign * np.exp(log_K.values + 4.0 * (iterate.values + c_v)))
         )
         worst_mass = max(worst_mass, abs(mass - target) / abs(target))
-        source, _ = source_with_normalization(iterate, config, log_K, u0_density)
         step = potential_apply(kernel, source)
         iterate = RadialField(
             grid=grid, values=0.5 * iterate.values + 0.5 * step.values

@@ -10,6 +10,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -176,6 +177,9 @@ def test_solve_rejects_malformed_json(tmp_path):
         ((), {"sign": -1, "volume": float("inf")}, "volume must be positive and"),
         ((), {"sinh_strength": 800.0}, "cannot build the grid: sinh(800.0) overflows"),
         ((), {"sinh_strength": 250.0, "n_intervals": 2048}, "cannot build the grid"),
+        ((), {"r_max": 1e65}, "cannot build the grid: r_max = 1e+65 overflows"),
+        ((), {"r_max": 1e80}, "cannot build the grid: r_max = 1e+80 overflows"),
+        ((), {"sign": -1, "volume": 1e308}, "volume 1e+308 overflows alpha"),
     ],
 )
 def test_solve_rejects_invalid_config_values(tmp_path, drop, overrides, fragment):
@@ -338,6 +342,57 @@ def test_solve_records_a_report_that_raises(tmp_path, monkeypatch):
     assert report == {"diagnostics_error": "tail mass not certified"}
 
 
+@pytest.mark.parametrize(
+    "failure, exit_code", [("not converged", 2), ("diagnostics error", 3)]
+)
+def test_a_failed_rerun_removes_the_previous_runs_report_csv(
+    solved_ok, tmp_path, monkeypatch, failure, exit_code
+):
+    # A failed solve writes no report.csv; one left by an earlier run into
+    # the same --out would sit beside a report.json that has no table.
+    out_dir = tmp_path / "run"
+    shutil.copytree(solved_ok.path, out_dir)
+    if failure == "not converged":
+        path = write_config(tmp_path, max_iter=2)
+    else:
+        path = write_config(tmp_path)
+
+        def raising(record):
+            raise TailNotNegligible("tail mass not certified")
+
+        monkeypatch.setattr(qcurv.cli, "build_report", raising)
+    code, _, err = run_cli(["solve", "--config", path, "--out", str(out_dir)])
+    assert code == exit_code
+    assert err.startswith(f"{failure}: ")
+    assert {p.name for p in out_dir.iterdir()} == SOLVE_FILES - {"report.csv"}
+
+
+def test_solution_csv_holds_each_value_as_its_17_digit_text():
+    # -0.0, the smallest subnormal, a value near the largest double and
+    # negatives each come out as their own %.17g text and read back bit
+    # for bit.
+    nodes = np.array([0.0, 0.25, 1.0, 40.0])
+    columns = {
+        "v": [-0.0, 5e-324, 1e308, -1.0 / 3.0],
+        "u": [-1e308, -5e-324, 0.1, -2.0],
+        "log_K": [math.pi, -math.e, -1e-300, 1.7976931348623157e308],
+        "u0_density": [-6.0, -0.0, -1.2345678901234567e-5, -7.0],
+    }
+    record = types.SimpleNamespace(
+        grid=types.SimpleNamespace(nodes=nodes),
+        **{name: types.SimpleNamespace(values=np.array(v)) for name, v in columns.items()},
+    )
+    text = qcurv.cli._solution_csv_text(record)
+    rows = zip(nodes, *columns.values())
+    assert text == "r,v,u,log_abs_K,density\n" + "".join(
+        ",".join(f"{x:.17g}" for x in row) + "\n" for row in rows
+    )
+    table = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1)
+    expected = np.column_stack([nodes, *columns.values()])
+    np.testing.assert_array_equal(table, expected)
+    np.testing.assert_array_equal(np.signbit(table), np.signbit(expected))
+
+
 def test_solve_writes_converged_record_for_large_negative_volume(tmp_path):
     # m = 6, sign -1, V = 31.7 vol(S^12), P = 2|x|^2: max|K| overflows
     # double precision, so this once escaped as a traceback.  In log form
@@ -440,7 +495,15 @@ def test_verify_unknown_suite_is_rejected():
         assert suite in err
 
 
-@pytest.mark.parametrize("suite", ["oracles", "kernel", "poly"])
+# Each suite and the command its manifest records.
+VERIFY_SUITES = {"oracles": "verify-oracles", "kernel": "kernel-test", "poly": "poly-check"}
+
+
+def test_verify_parametrization_covers_every_suite():
+    assert VERIFY_SUITES.keys() == qcurv.cli._SUITES.keys()
+
+
+@pytest.mark.parametrize("suite", list(VERIFY_SUITES))
 def test_verify_suites_all_pass(suite):
     code, out, _ = run_cli(["verify", "--suite", suite])
     assert code == 0
@@ -451,10 +514,7 @@ def test_verify_suites_all_pass(suite):
     assert int(summary.group(1)) > 0
 
 
-@pytest.mark.parametrize(
-    "suite, manifest_command",
-    [("oracles", "verify-oracles"), ("kernel", "kernel-test"), ("poly", "poly-check")],
-)
+@pytest.mark.parametrize("suite, manifest_command", list(VERIFY_SUITES.items()))
 def test_verify_writes_table_and_manifest(tmp_path, suite, manifest_command):
     out_dir = tmp_path / suite
     code, _, _ = run_cli(["verify", "--suite", suite, "--out", str(out_dir)])

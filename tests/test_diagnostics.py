@@ -40,7 +40,7 @@ from qcurv import (
     weighted_norm,
 )
 from qcurv.diagnostics import _angular_moment, check_report_grid
-from qcurv.potential import _STENCIL_ROWS, gauss_legendre
+from qcurv.potential import _STENCIL_ROWS, gauss_legendre, stencil_table
 from test_solver import radial_polynomial
 
 
@@ -545,7 +545,7 @@ def _boundary_chain_bounds(values, grid, idx):
     rule, whose nodes lie outside the window's dependence on its centre."""
     m, n = grid.m, grid.n
     lo, hi = idx - (m + 1), idx + m + 2
-    table = grid.stencil.window(lo, hi)
+    table = stencil_table(grid.nodes[lo:hi], n)
     d1_rows = np.abs(table.d1_rows)
     lap_rows = np.abs(table.d2_rows) + (n - 1) / table.nodes[1:-1] * d1_rows
 

@@ -8,9 +8,9 @@ import pytest
 from qcurv import (
     GridMismatch,
     RadialField,
+    RadialGrid,
     ball_volume,
     constants,
-    field_to_csv,
     kernel_matrix,
     make_grid,
     potential_apply,
@@ -102,6 +102,33 @@ def test_make_grid_validates_inputs():
         make_grid(m=2, r_max=10.0, n_intervals=128, sinh_strength=800.0)
     with pytest.raises(GridMismatch, match="weights"):
         make_grid(m=2, r_max=40.0, n_intervals=2048, sinh_strength=250.0)
+
+
+@pytest.mark.parametrize(
+    "m, r_max, map_kind",
+    [
+        (2, 1e65, "sinh-clustered"),
+        (2, 1e80, "sinh-clustered"),
+        (2, 1e80, "uniform"),
+        (6, 1e30, "sinh-clustered"),
+        (2, 1.5e308, "sinh-clustered"),
+    ],
+)
+def test_make_grid_names_r_max_when_the_grid_overflows(m, r_max, map_kind):
+    # r_max^n overflowed ball_volume as an OverflowError at 1e80, and at
+    # 1e65 the weights came out NaN, with RuntimeWarnings (errors here).
+    with pytest.raises(GridMismatch, match=r"^r_max = \S+ overflows"):
+        make_grid(m, r_max, 64, map_kind=map_kind)
+
+
+@pytest.mark.parametrize("name", ["nodes", "quad_weights"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_radial_grid_refuses_non_finite_nodes_or_weights(name, bad):
+    grid = make_grid(2, 10.0, 64)
+    arrays = {"nodes": grid.nodes.copy(), "quad_weights": grid.quad_weights.copy()}
+    arrays[name][-1] = bad
+    with pytest.raises(GridMismatch, match="finite"):
+        RadialGrid(m=2, **arrays)
 
 
 @pytest.mark.parametrize(
@@ -232,19 +259,6 @@ def test_radial_field_is_immutable_and_validated():
     bad[3] = np.nan
     with pytest.raises(GridMismatch):
         RadialField(grid=grid, values=bad)
-
-
-def test_field_csv_roundtrip(tmp_path):
-    grid = make_grid(m=2, r_max=10.0, n_intervals=128)
-    f = RadialField(grid=grid, values=np.exp(-grid.nodes) * math.pi)
-    path = str(tmp_path / "field.csv")
-    field_to_csv(f, path)
-    table = np.loadtxt(path, delimiter=",", skiprows=1)
-    # %.17g preserves doubles exactly through the text round-trip.
-    np.testing.assert_array_equal(table[:, 0], grid.nodes)
-    np.testing.assert_array_equal(table[:, 1], f.values)
-    with open(path) as fh:
-        assert fh.readline().strip() == "r,value"
 
 
 # ----------------------------------------------------------------------

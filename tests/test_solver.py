@@ -29,7 +29,6 @@ from qcurv import (
     eval_radial_profile,
     kernel_matrix,
     make_grid,
-    normalization_cv,
     pm_membership,
     potential_apply,
     radial_profile_coeffs,
@@ -122,6 +121,15 @@ def test_config_rejects_supercritical_volume_for_positive_sign():
         quick_config(volume=1.5 * cs.vol_sphere)
     # The same volume is fine for sign = -1.
     quick_config(sign=-1, volume=1.5 * cs.vol_sphere).validate()
+
+
+@pytest.mark.parametrize("volume", [1e308, 3e307], ids=["alpha", "curvature-mass"])
+def test_config_refuses_a_volume_whose_alpha_or_curvature_mass_overflows(volume):
+    # At m = 2, sign -1, alpha = -2 V / vol(S^4) overflows at V = 1e308; at
+    # V = 3e307 alpha is finite but 3! V is not.  Both were once refused
+    # only by the curvature tail check, the first as "weighted tail e^nan".
+    with pytest.raises(ConfigError, match=r"^volume \S+ overflows alpha"):
+        quick_config(sign=-1, volume=volume)
 
 
 def test_config_rejects_inadmissible_profiles():
@@ -672,7 +680,7 @@ def test_normalization_constant_pins_curvature_integral():
     v = RadialField(
         grid=grid, values=0.1 * rng.normal(size=grid.nodes.shape)
     )
-    cv = normalization_cv(log_K, v, cfg)
+    _, cv = source_with_normalization(v, cfg, log_K, u0_density_field(grid))
     integral = float(
         grid.quad_weights @ (cfg.sign * np.exp(log_K.values + 4.0 * (v.values + cv)))
     )
@@ -687,10 +695,11 @@ def test_normalization_is_shift_covariant_at_large_v():
     cfg = quick_config()
     grid = build_grid(cfg)
     log_K = build_K(cfg)
+    u0d = u0_density_field(grid)
     zero = RadialField(grid=grid, values=np.zeros_like(grid.nodes))
     huge = RadialField(grid=grid, values=np.full_like(grid.nodes, 300.0))
-    shift_dev = normalization_cv(log_K, huge, cfg) - (
-        normalization_cv(log_K, zero, cfg) - 300.0
+    shift_dev = source_with_normalization(huge, cfg, log_K, u0d)[1] - (
+        source_with_normalization(zero, cfg, log_K, u0d)[1] - 300.0
     )
     assert abs(shift_dev) <= 1e-12
 
@@ -739,7 +748,7 @@ def test_solve_converges_and_reconstructs_solution():
     np.testing.assert_array_equal(rec.u.values, expected_u)
     # The recorded c_v is the normalization of the recorded v, and the
     # history ends on that iterate's (residual, c_v).
-    assert rec.c_v == normalization_cv(rec.log_K, rec.v, cfg)
+    assert rec.c_v == source_with_normalization(rec.v, cfg, rec.log_K, rec.u0_density)[1]
     assert rec.history[-1] == (rec.final_update, rec.c_v)
 
 
@@ -1286,7 +1295,10 @@ def test_converged_v_is_the_image_of_the_previous_iterate(monkeypatch, config):
     assert rec.history[-2][0] <= config.tol
     np.testing.assert_array_equal(rec.v.values, images[-2])
     assert rec.final_update == float(np.max(np.abs(images[-1] - rec.v.values)))
-    assert rec.c_v == normalization_cv(rec.log_K, rec.v, config)
+    assert (
+        rec.c_v
+        == source_with_normalization(rec.v, config, rec.log_K, rec.u0_density)[1]
+    )
 
 
 @pytest.mark.parametrize(

@@ -22,6 +22,7 @@ import json
 import numpy as np
 import pytest
 
+import qcurv.diagnostics
 import qcurv.potential
 from qcurv import (
     Polynomial,
@@ -188,11 +189,14 @@ def test_stencils_on_the_pohozaev_window_match_their_inline_formulas(m, kind, R)
     grid, values = _grid_and_values(m, kind)
     idx = grid.nearest_index(R)
     lo, hi = idx - (m + 2), idx + m + 3
-    window = grid.stencil.window(lo, hi)
     nodes, part = grid.nodes[lo:hi], values[lo:hi]
-    np.testing.assert_array_equal(window.nodes, nodes)
+    window = stencil_table(nodes, grid.n)
     _assert_single_stencils_agree(window, nodes, part, grid.n)
-    # The window's rows are the full table's at the same nodes.
+    # The window's rows are the full table's at the same nodes, bit for bit.
+    for name in _STENCIL_ROWS:
+        np.testing.assert_array_equal(
+            getattr(window, name), getattr(grid.stencil, name)[:, lo : hi - 2]
+        )
     np.testing.assert_array_equal(
         window.d1(part)[1:-1], grid.stencil.d1(values)[lo + 1 : hi - 1]
     )
@@ -251,15 +255,17 @@ def _solve_on_a_grid_of_its_own(r_max):
 
 @pytest.fixture
 def table_builds(monkeypatch):
-    """The dimensions of the stencil tables built while the test runs."""
+    """The (node count, dimension) of each stencil table built while the
+    test runs: a grid's full table and its Pohozaev window's."""
     calls = []
     build = qcurv.potential.stencil_table
 
     def counted(nodes, n):
-        calls.append(n)
+        calls.append((len(nodes), n))
         return build(nodes, n)
 
-    monkeypatch.setattr(qcurv.potential, "stencil_table", counted)
+    for module in (qcurv.potential, qcurv.diagnostics):
+        monkeypatch.setattr(module, "stencil_table", counted)
     return calls
 
 
@@ -268,23 +274,23 @@ def test_stencil_table_is_read_only_and_built_once_per_grid(table_builds):
     assert table_builds == []
     build_report(record)
     build_report(record)
-    assert table_builds == [record.grid.n]
-    table = record.grid.stencil
-    for name in ("nodes",) + _STENCIL_ROWS:
-        array = getattr(table, name)
-        assert not array.flags.writeable
-        with pytest.raises(ValueError):
-            array[0] = 1.0
-    window = table.window(10, 20)
-    assert all(not getattr(window, name).flags.writeable for name in _STENCIL_ROWS)
+    n, m = record.grid.n, record.grid.m
+    assert sorted(table_builds) == [(2 * m + 3, n), (len(record.grid.nodes), n)]
+    window = stencil_table(record.grid.nodes[10:20], n)
+    for table in (record.grid.stencil, window):
+        for name in ("nodes",) + _STENCIL_ROWS:
+            array = getattr(table, name)
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
 
 
 def test_report_on_a_fresh_grid_equals_one_on_a_grid_with_its_table(table_builds):
     fresh = _solve_on_a_grid_of_its_own(41.5)
     first = json.dumps(build_report(fresh).to_json_dict())
-    assert len(table_builds) == 1  # built during the first report
+    assert len(table_builds) == 2  # the grid's and the window's, in the first report
     again = solve_continuation(fresh.config)
     assert again.grid is fresh.grid
     second = json.dumps(build_report(again).to_json_dict())
-    assert len(table_builds) == 1
+    assert len(table_builds) == 2
     assert first == second
