@@ -7,13 +7,13 @@ a polynomial's admissibility), and ``pohozaev`` (re-evaluate the
 Pohozaev balance of a written solution at a chosen radius).
 
 All commands are deterministic: identical invocations produce
-byte-identical outputs.  Output directories are populated with
-atomically-written files, ``manifest.json`` last, so a directory
-containing a manifest is complete (never a silent partial write).
-Each subcommand writes its files and returns its exit code and its
-stdout and stderr lines; ``main`` alone prints them, so no line on
-either stream comes before a file, and a closed stdout or stderr changes
-neither the files nor the exit code.
+byte-identical outputs.  ``solve`` is the only command that writes a
+directory.  It writes each file atomically, ``manifest.json`` last, so
+a directory containing a manifest is complete (never a silent partial
+write).  Each subcommand returns its exit code and its stdout and
+stderr lines; ``main`` alone prints them, so no line on either stream
+comes before a file, and a closed stdout or stderr changes neither the
+files nor the exit code.
 
 Exit codes
 ----------
@@ -117,7 +117,8 @@ config JSON fields (schema_version 2):
                   small enough that its sinh is finite (<= 710)
                   (default {_DEFAULT["sinh_strength"]})
   tol             bound on the fixed-point residual |T v - v|_inf at
-                  which the solve stops (default {_DEFAULT["tol"]})
+                  which the solve stops, > 0 and finite
+                  (default {_DEFAULT["tol"]})
   max_iter        cap on the total iterations (default {_DEFAULT["max_iter"]})
 
 hard gates applied by `solve` after convergence:
@@ -128,8 +129,8 @@ configs `solve` refuses before it creates --out (exit 1), besides the
 invalid values above:
   a grid on which the report cannot place its alpha-fit window
   [r_max/4, r_max/2] (it must start at r >= 5 and hold >= 20 nodes) or
-  its Pohozaev radius min(20, r_max/2), and a curvature tail at r_max
-  that is not negligible
+  its Pohozaev radius min(20, r_max/2), a P or alpha u0 that overflows
+  before r_max, and a curvature tail at r_max that is not negligible
 """
 
 
@@ -209,15 +210,6 @@ def _print_lines(lines: list[str], stream) -> None:
         os.close(devnull)
 
 
-def _make_output_dir(out_dir: str) -> list[str]:
-    """Create ``out_dir``; on failure, the stderr line that says why."""
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        return [f"cannot create output directory: {exc}"]
-    return []
-
-
 # ----------------------------------------------------------------------
 # solve
 # ----------------------------------------------------------------------
@@ -231,9 +223,10 @@ def run_solve(config_path: str, out_dir: str) -> tuple[int, list[str], list[str]
     except (ConfigError, GridMismatch, PolynomialFormatError) as exc:
         return EXIT_CONFIG, [], [f"config error: {exc}"]
 
-    errors = _make_output_dir(out_dir)
-    if errors:
-        return EXIT_CONFIG, [], errors
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        return EXIT_CONFIG, [], [f"cannot create output directory: {exc}"]
     # A rerun into the same --out must not keep the last run's report.csv
     # beside a report.json that has none.
     with contextlib.suppress(FileNotFoundError):
@@ -439,33 +432,11 @@ def _suite_poly() -> list[tuple[str, bool, str]]:
     return checks
 
 
-_SUITES = {
-    "oracles": (_suite_oracles, "verify-oracles"),
-    "kernel": (_suite_kernel, "kernel-test"),
-    "poly": (_suite_poly, "poly-check"),
-}
+_SUITES = {"oracles": _suite_oracles, "kernel": _suite_kernel, "poly": _suite_poly}
 
 
-def run_verify(suite: str, out_dir: str | None) -> tuple[int, list[str], list[str]]:
-    errors = [] if out_dir is None else _make_output_dir(out_dir)
-    if errors:
-        return EXIT_CONFIG, [], errors
-    runner, manifest_command = _SUITES[suite]
-    checks = runner()
-    if out_dir is not None:
-        payload = {
-            "suite": suite,
-            "checks": [
-                # bool() guards against numpy bools, which json refuses
-                {"name": name, "passed": bool(passed), "detail": detail}
-                for name, passed, detail in checks
-            ],
-        }
-        _write_atomic(os.path.join(out_dir, "verify.json"), _json_text(payload))
-        _write_atomic(
-            os.path.join(out_dir, "manifest.json"),
-            _json_text(_manifest_dict(manifest_command, f"suite:{suite}", out_dir)),
-        )
+def run_verify(suite: str) -> tuple[int, list[str], list[str]]:
+    checks = _SUITES[suite]()
     lines = [
         f"{'PASS' if passed else 'FAIL'}  {name:<36} {detail}"
         for name, passed, detail in checks
@@ -606,9 +577,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--suite", required=True, choices=sorted(_SUITES), help="suite name"
     )
-    p_verify.add_argument(
-        "--out", default=None, help="optional directory for verify.json"
-    )
 
     p_poly = sub.add_parser(
         "poly-check",
@@ -655,7 +623,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     code, out, err = {
         "solve": lambda: run_solve(args.config, args.out),
-        "verify": lambda: run_verify(args.suite, args.out),
+        "verify": lambda: run_verify(args.suite),
         "poly-check": lambda: run_poly_check(args.poly, args.m),
         "pohozaev": lambda: run_pohozaev(args.solution, args.radius),
     }[args.command]()

@@ -44,11 +44,7 @@ def spherical_solution(m: int, lam: float, r) -> np.ndarray | float:
 def eval_radial_profile(coeffs, r) -> np.ndarray:
     """sum_i coeffs[i] r^{2i}, by Horner's rule in r^2."""
     rr = np.asarray(r, dtype=float)
-    s = rr * rr
-    out = np.zeros_like(s)
-    for c in reversed(coeffs):
-        out = out * s + c
-    return out
+    return np.polynomial.polynomial.polyval(rr * rr, coeffs)
 
 
 # ----------------------------------------------------------------------

@@ -114,9 +114,15 @@ _TERM_RE = re.compile(
 _FACTOR_RE = re.compile(r"x(\d+)(?:\^(\d+))?")
 
 
+# The largest dimension any constructor accepts: far above the solver's
+# 2m <= 12 and the sampling screen's 16, and small enough that a text
+# naming x<huge> cannot ask for a huge exponent vector.
+MAX_DIM = 1024
+
+
 def _check_dim(dim: int) -> None:
-    if dim < 1:
-        raise DimensionMismatch(f"dim must be >= 1, got {dim}")
+    if not 1 <= dim <= MAX_DIM:
+        raise DimensionMismatch(f"dim must be in 1..{MAX_DIM}, got {dim}")
 
 
 @dataclass(frozen=True)
@@ -232,6 +238,7 @@ class Polynomial:
             raise DimensionMismatch(
                 f"text references x{max_index} but dim = {dim}"
             )
+        _check_dim(dim)
         terms = []
         for exps, coef in items:
             vec = [0] * dim

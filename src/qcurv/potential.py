@@ -473,23 +473,13 @@ def _ring_closed(n: int, s, r) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per
-    order and shared read-only."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
-
-
-@functools.lru_cache(maxsize=16)
 def _ring_panel_rule(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre rule on [0, pi] over dyadic panels
     [pi/2^{k+1}, pi/2^k] refined toward theta = 0, where the integrand
     develops its (integrable, logarithmic) singularity on the diagonal
     s = r.  Returns (theta, weights, sin(theta), sin^2(theta/2)), computed
     once per order and shared read-only."""
-    x, w = gauss_legendre(order)
+    x, w = np.polynomial.legendre.leggauss(order)
     thetas = []
     weights = []
     hi = math.pi
@@ -596,7 +586,7 @@ def _semi_separable(grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
     Rows ``:m`` are the below-functions and rows ``m:`` the above-functions,
     each ordered as in :class:`KernelMatrix`."""
     n, m, nodes = grid.n, grid.m, grid.nodes
-    xg, wg = gauss_legendre(_KERNEL_QUAD_ORDER)
+    xg, wg = np.polynomial.legendre.leggauss(_KERNEL_QUAD_ORDER)
     a, b = nodes[:-1, None], nodes[1:, None]
     half = 0.5 * (b - a)
     rho = 0.5 * (a + b) + half * xg

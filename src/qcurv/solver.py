@@ -193,8 +193,8 @@ class SolverConfig:
             rule = radial_admissibility_violation(self.radial_coeffs)
         if rule is not None:
             raise ConfigError(f"profile rejected by the admissibility screen: {rule}")
-        if not self.tol > 0:
-            raise ConfigError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < math.inf:
+            raise ConfigError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
         try:
@@ -302,16 +302,23 @@ class _Problem:
 def _problem(config: SolverConfig) -> _Problem:
     """The config's problem: the one place a config becomes a grid, a
     kernel, u0 and log|K|.  Raises ConfigError when no grid can be built,
-    or when the weighted tail value |K_N| w_N is not below 1e-12 of
-    max|K|."""
+    when P or log|K| overflows at a node, or when the weighted tail value
+    |K_N| w_N is not below 1e-12 of max|K|."""
     grid, kernel, u0_density, u0 = _build_discretization(
         config.m, config.r_max, config.n_intervals, config.sinh_strength
     )
-    p_vals = eval_radial_profile(config.radial_coeffs, grid.nodes)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            p_vals = eval_radial_profile(config.radial_coeffs, grid.nodes)
+            log_k = math.log(
+                constants(config.m).factorial_2m_minus_1
+            ) - 2.0 * config.m * (p_vals + config.alpha * u0.values)
+    except FloatingPointError as exc:
+        raise ConfigError(
+            "log|K| is not finite on this grid (P or alpha u0 overflows "
+            f"before r_max = {config.r_max:g}); lower r_max"
+        ) from exc
     p_vals.flags.writeable = False
-    log_k = math.log(constants(config.m).factorial_2m_minus_1) - 2.0 * config.m * (
-        p_vals + config.alpha * u0.values
-    )
     log_tail = log_k[-1] + math.log(grid.quad_weights[-1])
     log_peak = float(np.max(log_k))
     if not log_tail < math.log(1e-12) + log_peak:

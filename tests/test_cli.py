@@ -180,6 +180,7 @@ def test_solve_rejects_malformed_json(tmp_path):
         ((), {"r_max": 1e65}, "cannot build the grid: r_max = 1e+65 overflows"),
         ((), {"r_max": 1e80}, "cannot build the grid: r_max = 1e+80 overflows"),
         ((), {"sign": -1, "volume": 1e308}, "volume 1e+308 overflows alpha"),
+        ((), {"tol": float("inf")}, "tol must be positive and finite, got inf"),
     ],
 )
 def test_solve_rejects_invalid_config_values(tmp_path, drop, overrides, fragment):
@@ -202,6 +203,28 @@ def test_solve_process_reports_a_grid_it_cannot_build_in_one_line(tmp_path):
     assert result.returncode == 1
     assert result.stderr.startswith("config error: cannot build the grid")
     assert "Traceback" not in result.stderr
+
+
+# Each config passes validate, but P or alpha u0 overflows on its grid.
+OVERFLOWING_LOG_K = {
+    "alpha-u0": dict(sign=-1, volume=2.9e307, r_max=1e60),
+    "profile": dict(profile="1e300 * x1^2 + 1e300 * x2^2 + 1e300 * x3^2 + 1e300 * x4^2", r_max=1e5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING_LOG_K))
+def test_solve_refuses_an_overflowing_log_k_by_naming_r_max(tmp_path, name):
+    overrides = OVERFLOWING_LOG_K[name]
+    path = write_config(tmp_path, **overrides)
+    out_dir = tmp_path / "run"
+    result = _run_process("solve", "--config", path, "--out", str(out_dir))
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == (
+        "config error: log|K| is not finite on this grid (P or alpha u0 "
+        f"overflows before r_max = {overrides['r_max']:g}); lower r_max\n"
+    )
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize(
@@ -495,15 +518,25 @@ def test_verify_unknown_suite_is_rejected():
         assert suite in err
 
 
-# Each suite and the command its manifest records.
-VERIFY_SUITES = {"oracles": "verify-oracles", "kernel": "kernel-test", "poly": "poly-check"}
+# Every suite the CLI registers.
+VERIFY_SUITES = ("oracles", "kernel", "poly")
 
 
 def test_verify_parametrization_covers_every_suite():
-    assert VERIFY_SUITES.keys() == qcurv.cli._SUITES.keys()
+    assert set(VERIFY_SUITES) == qcurv.cli._SUITES.keys()
 
 
-@pytest.mark.parametrize("suite", list(VERIFY_SUITES))
+def test_verify_writes_nothing_and_refuses_out(tmp_path):
+    # solve is the only command that writes a directory.
+    out_dir = tmp_path / "verify"
+    code, out, err = run_cli(["verify", "--suite", "poly", "--out", str(out_dir)])
+    assert code == 2  # argparse refuses the option before the runner
+    assert out == ""
+    assert "--out" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("suite", VERIFY_SUITES)
 def test_verify_suites_all_pass(suite):
     code, out, _ = run_cli(["verify", "--suite", suite])
     assert code == 0
@@ -512,19 +545,6 @@ def test_verify_suites_all_pass(suite):
     assert summary is not None
     assert summary.group(1) == summary.group(2)
     assert int(summary.group(1)) > 0
-
-
-@pytest.mark.parametrize("suite, manifest_command", list(VERIFY_SUITES.items()))
-def test_verify_writes_table_and_manifest(tmp_path, suite, manifest_command):
-    out_dir = tmp_path / suite
-    code, _, _ = run_cli(["verify", "--suite", suite, "--out", str(out_dir)])
-    assert code == 0
-    payload = json.loads((out_dir / "verify.json").read_text())
-    assert payload["suite"] == suite
-    assert payload["checks"] and all(check["passed"] for check in payload["checks"])
-    manifest = json.loads((out_dir / "manifest.json").read_text())
-    assert manifest["command"] == manifest_command
-    assert manifest["config_path"] == f"suite:{suite}"
 
 
 # ---------------------------------------------------------------------------
@@ -635,6 +655,16 @@ def test_poly_check_refuses_a_dimension_above_16_in_one_line():
     )
 
 
+@pytest.mark.parametrize(
+    "poly", ["x1025^2", '{"dim": 1025, "terms": []}'], ids=["text", "json"]
+)
+def test_poly_check_refuses_a_dimension_above_the_bound_in_one_line(poly):
+    result = _run_process("poly-check", "--poly", poly)
+    assert result.returncode == 4
+    assert result.stdout == ""
+    assert result.stderr == "cannot parse polynomial: dim must be in 1..1024, got 1025\n"
+
+
 def test_poly_check_refuses_a_json_exponent_it_would_have_to_coerce():
     # x1^2.5 + x2^2 used to load as x1^2 + x2^2 and be Accepted.
     poly = Polynomial.from_text("x1^2 + x2^2").to_json_dict()
@@ -669,8 +699,10 @@ UNREADABLE_JSON = {
 
 
 def _run_process(*argv):
+    """Run ``qcurv`` in a fresh process that, like this suite, treats a
+    RuntimeWarning as an error."""
     return subprocess.run(
-        [sys.executable, "-m", "qcurv.cli", *argv],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "qcurv.cli", *argv],
         capture_output=True,
         text=True,
         timeout=120,
@@ -702,15 +734,12 @@ def test_poly_check_refuses_an_unreadable_file_in_one_line(tmp_path, name):
     assert lines[0].startswith("cannot parse polynomial: ")
 
 
-@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("command", ["solve"])
 def test_an_out_path_held_by_a_file_is_refused_in_one_line(tmp_path, command):
     taken = tmp_path / "taken"
     taken.write_text("", encoding="utf-8")
-    argv = {
-        "solve": ["solve", "--config", write_config(tmp_path)],
-        "verify": ["verify", "--suite", "oracles"],
-    }[command]
-    code, out, err = run_cli(argv + ["--out", str(taken)])
+    argv = [command, "--config", write_config(tmp_path), "--out", str(taken)]
+    code, out, err = run_cli(argv)
     assert code == 1
     assert out == ""
     lines = err.splitlines()

@@ -40,7 +40,7 @@ from qcurv import (
     weighted_norm,
 )
 from qcurv.diagnostics import _angular_moment, check_report_grid
-from qcurv.potential import _STENCIL_ROWS, gauss_legendre, stencil_table
+from qcurv.potential import _STENCIL_ROWS, stencil_table
 from test_solver import radial_polynomial
 
 
@@ -668,7 +668,7 @@ def _fit_by_lstsq(rec):
 def _pure_block_by_angular_rule(aniso, ratio, n, p):
     """The angular integral of |aniso w1^2 + ratio|^p over S^{n-1} by the
     64-node rule, formed out of place."""
-    x_gl, w_gl = gauss_legendre(64)
+    x_gl, w_gl = np.polynomial.legendre.leggauss(64)
     theta = 0.5 * math.pi * (x_gl + 1.0)
     cos2 = np.cos(theta) ** 2
     ring = sphere_area(n - 1) * 0.5 * math.pi * w_gl * np.sin(theta) ** (n - 2)

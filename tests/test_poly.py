@@ -416,6 +416,22 @@ def test_membership_refuses_dimensions_beyond_the_direction_set(dim, m):
         pm_membership(P, m=m)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Polynomial.from_text("x1025^2"),
+        lambda: Polynomial.from_text("x1^2", dim=1025),
+        lambda: Polynomial.from_json_dict({"dim": 1025, "terms": []}),
+        lambda: Polynomial.from_terms(1025, []),
+        lambda: Polynomial.zero(1025),
+    ],
+    ids=["text", "text-dim", "json", "terms", "zero"],
+)
+def test_every_constructor_refuses_a_dimension_above_the_bound(build):
+    with pytest.raises(DimensionMismatch, match=r"^dim must be in 1\.\.1024, got 1025$"):
+        build()
+
+
 def test_membership_screens_the_largest_covered_dimension():
     # 2 x1^2 makes P non-radial, so it is sampled; |x|^2 is decided exactly
     # in any dimension.

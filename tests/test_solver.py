@@ -389,6 +389,7 @@ def test_validate_accepts_an_eventually_coercive_profile(no_sampling_screen):
         (dict(sinh_strength=float("nan")), "sinh_strength"),
         (dict(r_max=float("inf")), "r_max must exceed 1 and be finite"),
         (dict(sign=-1, volume=float("inf")), "volume must be positive and finite"),
+        (dict(tol=math.inf), "tol must be positive and finite, got inf"),
     ],
 )
 def test_config_rejects_bad_parameters(overrides, fragment):
@@ -656,6 +657,29 @@ def test_build_K_guards_against_non_negligible_tail():
     for build in (build_grid, build_K, solve_continuation):
         with pytest.raises(ConfigError, match="enlarge r_max"):
             build(cfg)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(sign=-1, volume=2.9e307, r_max=1e60),
+        dict(profile=Polynomial.from_text(SQUARE_PROFILE_4D.replace("1.0", "1e300")), r_max=1e5),
+    ],
+    ids=["alpha-u0", "profile"],
+)
+def test_problem_refuses_an_overflowing_log_K_by_naming_r_max(overrides):
+    # Both configs pass validate: alpha and (2m-1)! V are finite, and so
+    # are P's coefficients, but alpha u0 or P overflows on the grid.  They
+    # were refused as "weighted tail e^nan" and "field values must be
+    # finite", after an overflow RuntimeWarning.
+    cfg = quick_config(**overrides)
+    for build in (build_grid, build_K, solve_continuation):
+        with pytest.raises(ConfigError) as info:
+            build(cfg)
+        assert str(info.value) == (
+            "log|K| is not finite on this grid (P or alpha u0 overflows "
+            f"before r_max = {cfg.r_max:g}); lower r_max"
+        )
 
 
 def test_build_K_stays_finite_at_large_negative_volume():
