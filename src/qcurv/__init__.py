@@ -51,10 +51,10 @@ from .potential import (
     sphere_area,
 )
 from .solver import (
+    Problem,
     SolutionRecord,
     SolverConfig,
-    build_K,
-    build_grid,
+    build_problem,
     solve_continuation,
     source_with_normalization,
     u0_density_field,
@@ -114,9 +114,9 @@ __all__ = [
     # solver
     "SolverConfig",
     "SolutionRecord",
+    "Problem",
+    "build_problem",
     "solve_continuation",
-    "build_grid",
-    "build_K",
     "u0_density_field",
     "source_with_normalization",
     # diagnostics

@@ -40,6 +40,7 @@ import math
 import os
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 
@@ -65,8 +66,7 @@ from .potential import (
 from .solver import (
     _REMOVED_KEYS,
     SolverConfig,
-    _problem,
-    build_grid,
+    build_problem,
     solve_continuation,
     source_with_normalization,
     u0_density_field,
@@ -142,15 +142,22 @@ def _json_text(obj) -> str:
 
 
 def _write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file, which is
+    removed again if the write or the rename fails."""
     tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
-def _manifest_dict(command: str, config_path: str, out_dir: str) -> dict:
+def _manifest_dict(config_path: str, out_dir: str) -> dict:
     return {
-        "command": command,
+        "command": "solve",
         "config_path": config_path,
         "output_dir": out_dir,
         "deterministic": True,
@@ -217,9 +224,9 @@ def run_solve(config_path: str, out_dir: str) -> tuple[int, list[str], list[str]
     try:
         config = _load_config(config_path)
         # The config alone fixes the grid and the curvature tail, so both
-        # are refused here, before --out exists: build_grid raises for
+        # are refused here, before --out exists: build_problem raises for
         # either.
-        check_report_grid(build_grid(config))
+        check_report_grid(build_problem(config).grid)
     except (ConfigError, GridMismatch, PolynomialFormatError) as exc:
         return EXIT_CONFIG, [], [f"config error: {exc}"]
 
@@ -227,15 +234,13 @@ def run_solve(config_path: str, out_dir: str) -> tuple[int, list[str], list[str]
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         return EXIT_CONFIG, [], [f"cannot create output directory: {exc}"]
-    # A rerun into the same --out must not keep the last run's report.csv
-    # beside a report.json that has none.
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(os.path.join(out_dir, "report.csv"))
     record = solve_continuation(config)
 
-    _write_atomic(os.path.join(out_dir, "solution.csv"), _solution_csv_text(record))
-    _write_atomic(os.path.join(out_dir, "meta.json"), _json_text(_meta_dict(record)))
-
+    # The files in the order they are written, manifest.json last.
+    files = {
+        "solution.csv": _solution_csv_text(record),
+        "meta.json": _json_text(_meta_dict(record)),
+    }
     status = EXIT_OK
     lines, errors = [], []
     if not record.converged:
@@ -264,9 +269,7 @@ def run_solve(config_path: str, out_dir: str) -> tuple[int, list[str], list[str]
             }
             report_obj = {"gates": gates, "report": report.to_json_dict()}
             header, row = report.csv_header_and_row()
-            _write_atomic(
-                os.path.join(out_dir, "report.csv"), header + "\n" + row + "\n"
-            )
+            files["report.csv"] = header + "\n" + row + "\n"
             lines = [
                 f"{'PASS' if gate['passed'] else 'FAIL'}  {name:<18} "
                 f"{gate['value']:.6e} (gate {gate['threshold']:g})"
@@ -275,11 +278,17 @@ def run_solve(config_path: str, out_dir: str) -> tuple[int, list[str], list[str]
             if not all(gate["passed"] for gate in gates.values()):
                 status = EXIT_DIAGNOSTICS
 
-    _write_atomic(os.path.join(out_dir, "report.json"), _json_text(report_obj))
-    _write_atomic(
-        os.path.join(out_dir, "manifest.json"),
-        _json_text(_manifest_dict("solve", config_path, out_dir)),
-    )
+    files["report.json"] = _json_text(report_obj)
+    files["manifest.json"] = _json_text(_manifest_dict(config_path, out_dir))
+    try:
+        # A rerun into the same --out must not keep the last run's
+        # report.csv beside a report.json that has none.
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, "report.csv"))
+        for name, text in files.items():
+            _write_atomic(os.path.join(out_dir, name), text)
+    except OSError as exc:
+        return EXIT_CONFIG, [], [f"cannot write output directory: {exc}"]
     if status == EXIT_OK:
         lines.append(
             f"converged in {record.iterations} iterations,"
@@ -335,7 +344,8 @@ def _suite_oracles() -> list[tuple[str, bool, str]]:
         r_max=20.0,
         n_intervals=256,
     )
-    log_k = RadialField(grid=(g := build_grid(config)), values=-(g.nodes**2))
+    g = build_problem(config).grid
+    log_k = RadialField(grid=g, values=-(g.nodes**2))
 
     def c_v(level):
         v = RadialField(grid=g, values=np.full_like(g.nodes, level))
@@ -488,8 +498,12 @@ def run_pohozaev(solution_dir: str, radius: float) -> tuple[int, list[str], list
     try:
         with open(meta_path, "r", encoding="utf-8") as handle:
             meta = json.load(handle)
-        table = np.loadtxt(csv_path, delimiter=",", skiprows=1)
-    except (OSError, ValueError) as exc:
+        # A table with no rows is refused here, not let through as
+        # numpy's warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            table = np.loadtxt(csv_path, delimiter=",", skiprows=1)
+    except (OSError, ValueError, UserWarning) as exc:
         return EXIT_CONFIG, [], [f"cannot read solution directory: {exc}"]
     try:
         config = SolverConfig.from_json_dict(meta["config"])
@@ -508,7 +522,7 @@ def run_pohozaev(solution_dir: str, radius: float) -> tuple[int, list[str], list
         # log|K| and u0's density come from the validated config, as in the
         # solve; only r and v are read from the table, whose fourth column
         # holds K itself in older solution directories.
-        problem = _problem(config)
+        problem = build_problem(config)
     except (KeyError, TypeError, ValueError, ConfigError, PolynomialFormatError) as exc:
         return EXIT_CONFIG, [], [f"invalid solution metadata: {exc}"]
     grid = problem.grid

@@ -638,21 +638,7 @@ def kernel_matrix(grid: RadialGrid) -> KernelMatrix:
     )
 
 
-def potential_workspace(
-    kernel: KernelMatrix,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scratch arrays for :func:`potential_apply` on ``kernel``: the paired
-    density (N + 1, 2), the weighted moments and their sums (m, N + 1, 2).
-    A solve allocates them once and passes them to every application."""
-    shape = kernel.hat_moments.shape
-    return np.empty(shape[1:]), np.empty(shape), np.empty(shape)
-
-
-def potential_apply(
-    kernel: KernelMatrix,
-    density: RadialField,
-    workspace: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> RadialField:
+def potential_apply(kernel: KernelMatrix, density: RadialField) -> RadialField:
     """Potential of a radial density:
     ``out_i = -(1/gamma_m) * integral Lambda_n(r_i, rho) density(rho) dmu``.
 
@@ -664,19 +650,18 @@ def potential_apply(
     inward, so the growing ``rho^{2j}`` and the decaying ``rho^{-2j}``
     terms are each summed smallest first and no sum is formed as a total
     minus a partial sum; node i's own hat enters through the kernel's
-    diagonal term.  ``workspace`` is :func:`potential_workspace`'s scratch
-    for the kernel, or None for fresh arrays; the result never aliases
-    it.  gamma_m is that of the kernel's own m.  The caller is responsible
-    for the density's discrete mass: a nonzero mass ``mu`` produces a
-    ``-(mu/gamma_m) log r`` tail, which is faithfully reproduced, not
-    corrected.
+    diagonal term.  gamma_m is that of the kernel's own m.  The caller is
+    responsible for the density's discrete mass: a nonzero mass ``mu``
+    produces a ``-(mu/gamma_m) log r`` tail, which is faithfully
+    reproduced, not corrected.
     """
     kernel.grid.ensure_same(density.grid)
     f = density.values
-    paired, weighted, sums = workspace or potential_workspace(kernel)
+    paired = np.empty((len(f), 2))
     paired[:, 0] = f
     paired[:, 1] = f[::-1]
-    np.multiply(kernel.hat_moments, paired, out=weighted)
+    weighted = kernel.hat_moments * paired
+    sums = np.empty_like(weighted)
     # Plane 0 of sums[:, j] is the sum strictly below node j, plane 1 the
     # sum strictly above node N - j.
     complex_sums = sums.view(np.complex128)[..., 0]

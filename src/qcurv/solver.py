@@ -70,7 +70,6 @@ from .potential import (
     kernel_matrix,
     make_grid,
     potential_apply,
-    potential_workspace,
 )
 
 _DIVERGENCE_GUARD = 1e3
@@ -284,9 +283,9 @@ def u0_density_field(
 
 
 @dataclass(frozen=True)
-class _Problem:
-    """One config's problem, built only by :func:`_problem`.  The grid,
-    kernel, u0's rescaled density and u0 depend only on (m, r_max,
+class Problem:
+    """One config's problem, built only by :func:`build_problem`.  The
+    grid, kernel, u0's rescaled density and u0 depend only on (m, r_max,
     n_intervals, sinh_strength), so configs with the same key share them,
     read-only.  ``p`` is P at the nodes and ``log_K`` is
     log|K| = log (2m-1)! - 2m P - 2m alpha u0, so K = sign e^{log_K}."""
@@ -299,7 +298,7 @@ class _Problem:
     log_K: RadialField
 
 
-def _problem(config: SolverConfig) -> _Problem:
+def build_problem(config: SolverConfig) -> Problem:
     """The config's problem: the one place a config becomes a grid, a
     kernel, u0 and log|K|.  Raises ConfigError when no grid can be built,
     when P or log|K| overflows at a node, or when the weighted tail value
@@ -326,7 +325,7 @@ def _problem(config: SolverConfig) -> _Problem:
             "curvature kernel tail is not negligible at r_max (weighted "
             f"tail e^{log_tail - log_peak:.3f} of max|K|); enlarge r_max"
         )
-    return _Problem(grid, kernel, u0_density, u0, p_vals, RadialField(grid, log_k))
+    return Problem(grid, kernel, u0_density, u0, p_vals, RadialField(grid, log_k))
 
 
 @functools.lru_cache(maxsize=_DISCRETIZATION_CACHE_SIZE, typed=True)
@@ -340,18 +339,6 @@ def _build_discretization(
     kernel = kernel_matrix(grid)
     u0_vals, density = u0_eval(m, grid.nodes)
     return grid, kernel, u0_density_field(grid, density), RadialField(grid, u0_vals)
-
-
-def build_grid(config: SolverConfig) -> RadialGrid:
-    """The grid of the config's problem, the object
-    :func:`solve_continuation` solves on; raises as :func:`_problem` does."""
-    return _problem(config).grid
-
-
-def build_K(config: SolverConfig) -> RadialField:
-    """log|K| of the config's problem (:func:`_problem`); K itself is
-    sign e^{log|K|}.  Always finite."""
-    return _problem(config).log_K
 
 
 def source_with_normalization(
@@ -642,13 +629,11 @@ def solve_continuation(config: SolverConfig) -> SolutionRecord:
     because the first residual grows like V.
 
     The grid, kernel moments, u0 and log|K| come from the config's
-    problem (:func:`_problem`), and the potential's scratch arrays are
-    built once per solve.
+    problem (:func:`build_problem`).
     """
-    problem = _problem(config)
+    problem = build_problem(config)
     grid, log_K, u0_density = problem.grid, problem.log_K, problem.u0_density
     v_values = np.zeros_like(grid.nodes)
-    workspace = potential_workspace(problem.kernel)
     history: list[tuple[float, float]] = []
     anderson = _AndersonHistory(len(grid.nodes))
     mixed = False
@@ -659,7 +644,7 @@ def solve_continuation(config: SolverConfig) -> SolutionRecord:
         # solve with GridMismatch, there or when the record is built.
         v_field = RadialField._unchecked(grid, v_values)
         source, cv = source_with_normalization(v_field, config, log_K, u0_density)
-        g = potential_apply(problem.kernel, source, workspace).values
+        g = potential_apply(problem.kernel, source).values
         f = g - v_values
         residual = float(np.abs(f).max())
         history.append((residual, cv))

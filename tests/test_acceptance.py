@@ -19,8 +19,7 @@ from qcurv import (
     RadialField,
     SolverConfig,
     a3_counterexample,
-    build_K,
-    build_grid,
+    build_problem,
     build_report,
     conformal_volume,
     constants,
@@ -257,8 +256,8 @@ def test_normalization_shift_mass_identity_and_determinism(square_profile_4d):
         profile=square_profile_4d,
         n_intervals=256,
     )
-    grid = build_grid(config)
-    log_K = build_K(config)
+    problem = build_problem(config)
+    grid, log_K = problem.grid, problem.log_K
     u0_density = u0_density_field(grid)
     kernel = kernel_matrix(grid)
 

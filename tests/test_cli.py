@@ -699,10 +699,10 @@ UNREADABLE_JSON = {
 
 
 def _run_process(*argv):
-    """Run ``qcurv`` in a fresh process that, like this suite, treats a
-    RuntimeWarning as an error."""
+    """Run ``qcurv`` in a fresh process that treats every warning as an
+    error, as CI's qcurv steps do."""
     return subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "qcurv.cli", *argv],
+        [sys.executable, "-W", "error", "-m", "qcurv.cli", *argv],
         capture_output=True,
         text=True,
         timeout=120,
@@ -746,6 +746,24 @@ def test_an_out_path_held_by_a_file_is_refused_in_one_line(tmp_path, command):
     assert len(lines) == 1
     assert lines[0].startswith("cannot create output directory: ")
     assert str(taken) in lines[0]
+
+
+@pytest.mark.parametrize("name", ["report.csv", "meta.json"])
+def test_a_file_that_cannot_be_written_is_refused_in_one_line(tmp_path, name):
+    # A directory in the file's place makes the removal of an earlier
+    # report.csv, or the rename onto meta.json, fail.
+    out_dir = tmp_path / "run"
+    (out_dir / name).mkdir(parents=True)
+    argv = ["solve", "--config", write_config(tmp_path), "--out", str(out_dir)]
+    code, out, err = run_cli(argv)
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("cannot write output directory: ")
+    assert str(out_dir / name) in lines[0]
+    names = {p.name for p in out_dir.iterdir()}
+    assert not [n for n in names if ".tmp" in n]
+    assert "manifest.json" not in names
 
 
 # ---------------------------------------------------------------------------
@@ -841,6 +859,22 @@ def test_pohozaev_rejects_missing_directory(tmp_path):
     )
     assert code == 1
     assert "cannot read solution directory" in err
+
+
+@pytest.mark.parametrize("content", ["header-only", "zero-byte"])
+def test_pohozaev_refuses_a_table_with_no_rows_in_one_line(
+    solved_ok, tmp_path, content
+):
+    header = (solved_ok.path / "solution.csv").read_text().splitlines()[0]
+    text = header + "\n" if content == "header-only" else ""
+    (tmp_path / "solution.csv").write_text(text, encoding="utf-8")
+    (tmp_path / "meta.json").write_bytes((solved_ok.path / "meta.json").read_bytes())
+    result = _run_process("pohozaev", "--solution", str(tmp_path), "--radius", "10")
+    assert result.returncode == 1
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("cannot read solution directory: ")
 
 
 def test_pohozaev_rejects_table_grid_mismatch(solved_ok, tmp_path):

@@ -22,7 +22,7 @@ from qcurv import (
     SolverConfig,
     TailNotNegligible,
     asymptotic_profile,
-    build_grid,
+    build_problem,
     build_report,
     conformal_volume,
     constants,
@@ -945,7 +945,7 @@ def test_each_layout_piece_is_built_once_per_grid(layout_builds):
         r_max=41.75,
         n_intervals=512,
     )
-    grid = build_grid(config)
+    grid = build_problem(config).grid
     check_report_grid(grid)
     assert layout_builds(grid) == dict.fromkeys(_LAYOUT, 0) | {
         "fit": 1,
@@ -1075,7 +1075,7 @@ def test_diagnostics_imports_nothing_from_the_solver_at_run_time():
 
 
 def test_build_grid_and_the_solve_share_one_grid_owner():
-    # One cache holds a config's grid for build_grid and the solve, so
+    # One cache holds a config's grid for build_problem and the solve, so
     # building more grids than it keeps evicts the grid from both at once.
     config = SolverConfig(
         m=2,
@@ -1086,10 +1086,10 @@ def test_build_grid_and_the_solve_share_one_grid_owner():
     )
     solve_continuation(config)
     for k in range(1, qcurv.solver._DISCRETIZATION_CACHE_SIZE + 2):
-        build_grid(replace(config, n_intervals=128 + k))
+        build_problem(replace(config, n_intervals=128 + k))
     record = solve_continuation(config)
-    assert build_grid(config) is record.grid
-    check_report_grid(build_grid(config))
+    assert build_problem(config).grid is record.grid
+    check_report_grid(build_problem(config).grid)
     layouts = dict(qcurv.diagnostics._layouts)
     build_report(record)
     assert dict(qcurv.diagnostics._layouts) == layouts

@@ -23,7 +23,6 @@ from qcurv.potential import (
     _hat_interval_weights,
     _ring_closed,
     _ring_panel_rule,
-    potential_workspace,
 )
 
 
@@ -360,36 +359,25 @@ def test_complex_prefix_sums_equal_two_real_cumsums(m, n_intervals):
     # One cumsum over the complex view of the paired moments must give the
     # exclusive prefix sums of the below-rows and the exclusive suffix sums
     # of the above-rows bit for bit as two real cumsum calls, each summed
-    # smallest first.
+    # smallest first; with the same contraction and diagonal term, the
+    # potential is then bit for bit the two-cumsum one.
     grid = make_grid(m=m, r_max=40.0, n_intervals=n_intervals)
     kern = kernel_matrix(grid)
     f = np.random.default_rng(m).standard_normal(grid.nodes.shape)
-    workspace = potential_workspace(kern)
-    potential_apply(kern, RadialField(grid=grid, values=f), workspace)
-    sums = workspace[2]
+    got = potential_apply(kern, RadialField(grid=grid, values=f))
     below = kern.hat_moments[..., 0] * f
     above = kern.hat_moments[..., 1][:, ::-1] * f  # back in node order
     expected_below = np.zeros_like(below)
     np.cumsum(below[:, :-1], axis=1, out=expected_below[:, 1:])
     expected_above = np.zeros_like(above)
     np.cumsum(above[:, :0:-1], axis=1, out=expected_above[:, -2::-1])
-    np.testing.assert_array_equal(sums[..., 0], expected_below)
-    np.testing.assert_array_equal(sums[..., 1][:, ::-1], expected_above)
-
-
-def test_potential_apply_with_a_workspace_equals_one_without(wide_grid, wide_kernel):
-    workspace = potential_workspace(wide_kernel)
-    rng = np.random.default_rng(5)
-    for _ in range(2):
-        density = RadialField(
-            grid=wide_grid, values=rng.standard_normal(wide_grid.nodes.shape)
-        )
-        reused = potential_apply(wide_kernel, density, workspace)
-        np.testing.assert_array_equal(
-            reused.values, potential_apply(wide_kernel, density).values
-        )
-        # The result owns its values: the next application does not touch it.
-        assert not any(np.shares_memory(reused.values, a) for a in workspace)
+    sums = np.empty_like(kern.hat_moments)
+    sums[..., 0] = expected_below
+    sums[..., 1] = expected_above[:, ::-1]
+    contracted = np.einsum("pjc,pjc->jc", kern.node_factors, sums)
+    expected = contracted[:, 0] + contracted[::-1, 1]
+    expected += kern.diagonal * f
+    np.testing.assert_array_equal(got.values, expected)
 
 
 # ----------------------------------------------------------------------

@@ -21,8 +21,7 @@ from qcurv import (
     RadialField,
     SolutionRecord,
     SolverConfig,
-    build_K,
-    build_grid,
+    build_problem,
     build_report,
     constants,
     eval_many,
@@ -587,7 +586,7 @@ def test_config_from_json_loads_integral_floats_as_ints_and_ints_as_floats():
 # ----------------------------------------------------------------------
 def test_u0_density_field_has_exact_discrete_mass():
     cfg = quick_config()
-    grid = build_grid(cfg)
+    grid = build_problem(cfg).grid
     cs = constants(2)
     dens = u0_density_field(grid)
     mass = float(grid.quad_weights @ dens.values)
@@ -595,14 +594,14 @@ def test_u0_density_field_has_exact_discrete_mass():
 
 
 def test_build_K_matches_closed_form():
-    # build_K returns log|K| = log 6 - 4 (P + alpha u0) for m = 2; the
+    # The problem's log|K| is log 6 - 4 (P + alpha u0) for m = 2; the
     # sign of K is the config's sign.
     for cfg in (
         quick_config(),
         quick_config(sign=-1, volume=2.0 * constants(2).vol_sphere),
     ):
-        grid = build_grid(cfg)
-        log_K = build_K(cfg)
+        problem = build_problem(cfg)
+        grid, log_K = problem.grid, problem.log_K
         u0_vals, _ = u0_eval(cfg.m, grid.nodes)
         expected = math.log(6.0) - 4.0 * (grid.nodes**2 + cfg.alpha * u0_vals)
         np.testing.assert_allclose(log_K.values, expected, rtol=1e-14, atol=1e-14)
@@ -612,7 +611,7 @@ def test_build_K_matches_closed_form():
 
 def test_build_K_reads_u0_from_the_config_discretization(monkeypatch):
     cfg = quick_config()
-    build_grid(cfg)
+    build_problem(cfg)
     calls = []
     evaluate = qcurv.solver.u0_eval
 
@@ -621,7 +620,7 @@ def test_build_K_reads_u0_from_the_config_discretization(monkeypatch):
         return evaluate(*args)
 
     monkeypatch.setattr(qcurv.solver, "u0_eval", counted)
-    build_K(cfg)
+    build_problem(cfg)
     assert calls == []
 
 
@@ -635,7 +634,7 @@ def test_a_new_grid_evaluates_u0_once(monkeypatch, kernel_builds):
 
     monkeypatch.setattr(qcurv.solver, "u0_eval", counted)
     cfg = quick_config(n_intervals=320)
-    problem = qcurv.solver._problem(cfg)
+    problem = build_problem(cfg)
     assert len(calls) == 1
     # The values and the density both come from that one evaluation.
     values, density = evaluate(cfg.m, problem.grid.nodes)
@@ -648,13 +647,13 @@ def test_a_new_grid_evaluates_u0_once(monkeypatch, kernel_builds):
 def test_build_K_guards_against_non_negligible_tail():
     # A very weak profile on a short domain leaves the curvature kernel
     # fat at r_max, which would alias the truncated tail into the solve.
-    # The config's problem refuses it, so build_grid, build_K and the
-    # solve all raise.
+    # The config's problem refuses it, so build_problem and the solve
+    # both raise.
     weak = Polynomial.from_text(
         "0.01 * x1^2 + 0.01 * x2^2 + 0.01 * x3^2 + 0.01 * x4^2"
     )
     cfg = quick_config(profile=weak, r_max=5.0)
-    for build in (build_grid, build_K, solve_continuation):
+    for build in (build_problem, solve_continuation):
         with pytest.raises(ConfigError, match="enlarge r_max"):
             build(cfg)
 
@@ -673,7 +672,7 @@ def test_problem_refuses_an_overflowing_log_K_by_naming_r_max(overrides):
     # were refused as "weighted tail e^nan" and "field values must be
     # finite", after an overflow RuntimeWarning.
     cfg = quick_config(**overrides)
-    for build in (build_grid, build_K, solve_continuation):
+    for build in (build_problem, solve_continuation):
         with pytest.raises(ConfigError) as info:
             build(cfg)
         assert str(info.value) == (
@@ -688,7 +687,7 @@ def test_build_K_stays_finite_at_large_negative_volume():
     # log|K| does, and the solve converges.
     cs = constants(2)
     cfg = quick_config(sign=-1, volume=150.0 * cs.vol_sphere)
-    log_K = build_K(cfg)
+    log_K = build_problem(cfg).log_K
     assert np.all(np.isfinite(log_K.values))
     assert float(np.max(log_K.values)) == pytest.approx(2412.16, abs=0.01)
     rec = solve_continuation(cfg)
@@ -698,8 +697,8 @@ def test_build_K_stays_finite_at_large_negative_volume():
 
 def test_normalization_constant_pins_curvature_integral():
     cfg = quick_config()
-    grid = build_grid(cfg)
-    log_K = build_K(cfg)
+    problem = build_problem(cfg)
+    grid, log_K = problem.grid, problem.log_K
     rng = np.random.default_rng(5)
     v = RadialField(
         grid=grid, values=0.1 * rng.normal(size=grid.nodes.shape)
@@ -717,8 +716,8 @@ def test_normalization_is_shift_covariant_at_large_v():
     # e^{2m v} = e^{1200} has no double; the log-sum-exp normalization
     # still gives c_v(300) = c_v(0) - 300.
     cfg = quick_config()
-    grid = build_grid(cfg)
-    log_K = build_K(cfg)
+    problem = build_problem(cfg)
+    grid, log_K = problem.grid, problem.log_K
     u0d = u0_density_field(grid)
     zero = RadialField(grid=grid, values=np.zeros_like(grid.nodes))
     huge = RadialField(grid=grid, values=np.full_like(grid.nodes, 300.0))
@@ -730,8 +729,8 @@ def test_normalization_is_shift_covariant_at_large_v():
 
 def test_source_term_has_zero_discrete_mass():
     cfg = quick_config()
-    grid = build_grid(cfg)
-    log_K = build_K(cfg)
+    problem = build_problem(cfg)
+    grid, log_K = problem.grid, problem.log_K
     u0d = u0_density_field(grid)
     rng = np.random.default_rng(6)
     v = RadialField(grid=grid, values=0.05 * rng.normal(size=grid.nodes.shape))
@@ -742,9 +741,9 @@ def test_source_term_has_zero_discrete_mass():
 
 def test_potential_of_source_decays_in_the_tail():
     cfg = quick_config()
-    grid = build_grid(cfg)
+    problem = build_problem(cfg)
+    grid, log_K = problem.grid, problem.log_K
     kern = kernel_matrix(grid)
-    log_K = build_K(cfg)
     u0d = u0_density_field(grid)
     v = RadialField(grid=grid, values=np.zeros_like(grid.nodes))
     S, _ = source_with_normalization(v, cfg, log_K, u0d)
@@ -780,7 +779,7 @@ def test_solve_lands_on_the_fixed_point():
     cfg = quick_config()
     rec = solve_continuation(cfg)
     kern = kernel_matrix(rec.grid)
-    log_K = build_K(cfg)
+    log_K = build_problem(cfg).log_K
     u0d = u0_density_field(rec.grid)
     S, _ = source_with_normalization(rec.v, cfg, log_K, u0d)
     tv = potential_apply(kern, S)
@@ -987,7 +986,7 @@ def test_each_key_field_gets_its_own_discretization(change, kernel_builds):
     second = solve_continuation(cfg)
     assert len(kernel_builds) == 2
     assert second.grid is not first.grid
-    # build_grid would return the solve's own grid, so build one afresh.
+    # build_problem would return the solve's own grid, so build one afresh.
     fresh = make_grid(cfg.m, cfg.r_max, cfg.n_intervals, sinh_strength=cfg.sinh_strength)
     assert fresh is not second.grid
     np.testing.assert_array_equal(second.grid.nodes, fresh.nodes)
@@ -1014,7 +1013,7 @@ def test_warm_solve_is_bit_identical_to_cold(kernel_builds):
 
 def test_shared_discretization_is_read_only(kernel_builds):
     cfg = quick_config()
-    problem = qcurv.solver._problem(cfg)
+    problem = build_problem(cfg)
     grid, kernel = problem.grid, problem.kernel
     shared = (
         grid.nodes, grid.quad_weights, kernel.hat_moments, kernel.node_factors,
@@ -1031,6 +1030,40 @@ def test_shared_discretization_is_read_only(kernel_builds):
     assert solve_continuation(cfg).grid is grid
 
 
+def test_solves_leave_the_shared_problem_untouched(kernel_builds):
+    # Two solves on one grid read the problem and its kernel and write
+    # into neither; each potential evaluation owns its result.
+    cfg = quick_config()
+    problem = build_problem(cfg)
+    kernel = problem.kernel
+    shared = {
+        "nodes": problem.grid.nodes,
+        "quad_weights": problem.grid.quad_weights,
+        "hat_moments": kernel.hat_moments,
+        "node_factors": kernel.node_factors,
+        "diagonal": kernel.diagonal,
+        "u0_density": problem.u0_density.values,
+        "u0": problem.u0.values,
+        "p": problem.p,
+        "log_K": problem.log_K.values,
+    }
+    before = {name: arr.copy() for name, arr in shared.items()}
+    first = solve_continuation(cfg)
+    second = solve_continuation(
+        quick_config(sign=-1, volume=3.0 * constants(2).vol_sphere)
+    )
+    assert len(kernel_builds) == 1
+    assert first.grid is second.grid is problem.grid
+    for name, arr in shared.items():
+        assert not arr.flags.writeable, name
+        np.testing.assert_array_equal(arr, before[name], err_msg=name)
+    one = potential_apply(kernel, first.u0_density)
+    two = potential_apply(kernel, second.u0_density)
+    assert not np.shares_memory(one.values, two.values)
+    for arr in shared.values():
+        assert not np.shares_memory(one.values, arr)
+
+
 def test_profile_coefficients_are_read_once_per_config(monkeypatch):
     calls = []
     read = qcurv.solver.radial_profile_coeffs
@@ -1043,7 +1076,7 @@ def test_profile_coefficients_are_read_once_per_config(monkeypatch):
     monkeypatch.setattr(qcurv.solver, "radial_profile_coeffs", counted)
     cfg = SolverConfig.from_json_dict(data)
     solve_continuation(cfg)
-    build_K(cfg)
+    build_problem(cfg)
     assert len(calls) == 1
 
 
@@ -1229,10 +1262,11 @@ def test_first_iterate_after_zero_is_the_image_of_zero(monkeypatch):
     monkeypatch.setattr(qcurv.solver, "source_with_normalization", recording)
     rec = solve_continuation(cfg)
     assert rec.iterations > 2
-    grid = build_grid(cfg)
+    problem = build_problem(cfg)
+    grid = problem.grid
     zero = RadialField(grid=grid, values=np.zeros_like(grid.nodes))
     S, _ = source_with_normalization(
-        zero, cfg, build_K(cfg), u0_density_field(grid)
+        zero, cfg, problem.log_K, u0_density_field(grid)
     )
     t_zero = potential_apply(kernel_matrix(grid), S)
     np.testing.assert_array_equal(iterates[0], zero.values)
@@ -1305,8 +1339,8 @@ def test_converged_v_is_the_image_of_the_previous_iterate(monkeypatch, config):
     images = []
     apply = qcurv.solver.potential_apply
 
-    def recording(*args):
-        out = apply(*args)
+    def recording(kernel, density):
+        out = apply(kernel, density)
         images.append(out.values)
         return out
 
@@ -1406,11 +1440,11 @@ def test_fixed_point_map_is_bit_identical_to_its_formulas(m, sign):
     cfg = _negative_curvature_config(m, 3.0, 1.3, 512)
     if sign == 1:
         cfg = replace(cfg, sign=1, volume=0.6 * constants(m).vol_sphere)
-    grid = build_grid(cfg)
+    problem = build_problem(cfg)
+    grid, log_K = problem.grid, problem.log_K
     kern = kernel_matrix(grid)
     moments, factors = qcurv.potential._semi_separable(grid)
     gamma_m = constants(m).gamma_m
-    log_K = build_K(cfg)
     u0d = u0_density_field(grid)
     rng = np.random.default_rng(m)
     for scale in (1e-3, 0.1, 3.0):
@@ -1454,8 +1488,8 @@ def test_one_exponential_source_matches_the_two_exponential_formula(
     # and L reaches 6e4 at alpha = -2000); c_v is the same arithmetic.
     cfg = _negative_curvature_config(m, volume_ratio, c, 512)
     cfg = replace(cfg, sign=sign)
-    grid = build_grid(cfg)
-    log_K = build_K(cfg)
+    problem = build_problem(cfg)
+    grid, log_K = problem.grid, problem.log_K
     background = cfg.alpha * u0_density_field(grid).values
     rng = np.random.default_rng(m)
     for scale in (0.0, 1e-3, 0.1, 3.0):
