@@ -22,11 +22,14 @@ Exit codes
 1  invalid configuration or input, message names the violated rule
    (verify: a check failed; poly-check: Rejected)
 2  solver failure: max_iter exhausted or divergence guard, partial
-   outputs are still written (poly-check: Inconclusive, for a non-radial
-   P only)
+   outputs are still written; also a usage error (a missing or unknown
+   subcommand or option, or a value outside its choices), which
+   argparse reports on stderr before any command runs, so nothing is
+   written
 3  solve converged but a hard diagnostic gate failed (pohozaev: defect
    above its gate)
 4  poly-check input that cannot be parsed or classified as a polynomial
+5  poly-check: Inconclusive, which only a non-radial P can read
 """
 
 from __future__ import annotations
@@ -77,6 +80,7 @@ EXIT_CONFIG = 1
 EXIT_SOLVER = 2
 EXIT_DIAGNOSTICS = 3
 EXIT_UNPARSEABLE = 4
+EXIT_INCONCLUSIVE = 5
 
 GATE_PDE_RESIDUAL = 5e-3
 GATE_VOLUME_REL = 5e-3
@@ -344,12 +348,11 @@ def _suite_oracles() -> list[tuple[str, bool, str]]:
         r_max=20.0,
         n_intervals=256,
     )
-    g = build_problem(config).grid
-    log_k = RadialField(grid=g, values=-(g.nodes**2))
+    problem = build_problem(config)
 
     def c_v(level):
-        v = RadialField(grid=g, values=np.full_like(g.nodes, level))
-        return source_with_normalization(v, config, log_k, u0_density_field(g))[1]
+        v = np.full_like(problem.grid.nodes, level)
+        return source_with_normalization(problem, v)[1]
 
     shift = abs(c_v(0.37) - (c_v(0.0) - 0.37))
     checks.append(("normalization-shift", shift <= 1e-12, f"abs dev {shift:.3e}"))
@@ -388,10 +391,10 @@ def _suite_kernel() -> list[tuple[str, bool, str]]:
     pot_grid = make_grid(2, 40.0, 1024)
     pot_kernel = kernel_matrix(pot_grid)
     u_sph = spherical_solution(2, 1.0, pot_grid.nodes)
-    density = RadialField(grid=pot_grid, values=6.0 * np.exp(4.0 * u_sph))
+    density = 6.0 * np.exp(4.0 * u_sph)
     pot = potential_apply(pot_kernel, density)
     window = pot_grid.nodes <= 20.0
-    std = float(np.std(pot.values[window] - u_sph[window]))
+    std = float(np.std(pot[window] - u_sph[window]))
     checks.append(("log-potential-oracle(m=2)", std <= 1e-3, f"node std {std:.3e}"))
     return checks
 
@@ -486,7 +489,12 @@ def run_poly_check(poly_arg: str, m: int | None) -> tuple[int, list[str], list[s
         lines.append(f"growth_exponent: {verdict.exponent:.6g}")
     if verdict.constant is not None:
         lines.append(f"growth_constant: {verdict.constant:.6g}")
-    return {"Accepted": 0, "Rejected": 1, "Inconclusive": 2}[verdict.status], lines, []
+    code = {
+        "Accepted": EXIT_OK,
+        "Rejected": EXIT_CONFIG,
+        "Inconclusive": EXIT_INCONCLUSIVE,
+    }[verdict.status]
+    return code, lines, []
 
 
 # ----------------------------------------------------------------------
@@ -596,8 +604,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "poly-check",
         help="classify a polynomial's admissibility as an asymptotic profile",
         description="Exit code is the verdict: 0 Accepted, 1 Rejected, "
-        "2 Inconclusive, 4 unparseable input.  The polynomial may be given "
-        "inline (canonical text like '1.0 * x1^2 + 1.0 * x2^2', or a JSON "
+        "5 Inconclusive, 4 unparseable input (2 is a usage error).  The "
+        "polynomial may be given inline (canonical text like "
+        "'1.0 * x1^2 + 1.0 * x2^2', or a JSON "
         "object) or as a path to a file containing either form.  A radial "
         "polynomial (in |x|^2) is decided exactly, by the rule solve "
         "applies; any other is screened by sampling, in at most 16 "

@@ -40,11 +40,12 @@ Paired layout
 -------------
 The kernel stores each below-row next to its above-row taken in reversed
 node order, as the two planes of an (m, N + 1, 2) array.  A suffix sum in
-node order is a prefix sum in reversed order, so one ``cumsum`` over the
-complex128 view of the weighted moments, whose real and imaginary parts
-are two independent IEEE sums, yields every exclusive prefix sum and
-every exclusive suffix sum at once, each accumulated smallest first and
-bit for bit as two real ``cumsum`` calls would.  Only the final
+node order is a prefix sum in reversed order, so one prefix sum
+(``np.add.accumulate``, which ``cumsum`` calls) over the complex128 view
+of the weighted moments, whose real and imaginary parts are two
+independent IEEE sums, yields every exclusive prefix sum and every
+exclusive suffix sum at once, each accumulated smallest first and bit
+for bit as two real ``cumsum`` calls would.  Only the final
 contraction groups the terms as (sum below) + (sum above).
 
 Stencils
@@ -419,18 +420,6 @@ class RadialField:
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
-    @classmethod
-    def _unchecked(cls, grid: RadialGrid, values: np.ndarray) -> "RadialField":
-        """A field holding the float array ``values`` as it is, without the
-        shape and finiteness checks, for the solver's per-iteration fields
-        whose shape is the grid's by construction and whose finiteness is
-        checked once per iteration elsewhere.  ``values`` becomes
-        read-only."""
-        values.flags.writeable = False
-        field = object.__new__(cls)
-        field.__dict__.update(grid=grid, values=values)
-        return field
-
 
 # ----------------------------------------------------------------------
 # ring kernel
@@ -638,14 +627,17 @@ def kernel_matrix(grid: RadialGrid) -> KernelMatrix:
     )
 
 
-def potential_apply(kernel: KernelMatrix, density: RadialField) -> RadialField:
-    """Potential of a radial density:
-    ``out_i = -(1/gamma_m) * integral Lambda_n(r_i, rho) density(rho) dmu``.
+def potential_apply(kernel: KernelMatrix, density: np.ndarray) -> np.ndarray:
+    """Potential of a radial density given by its values at the kernel's
+    grid nodes:
+    ``out_i = -(1/gamma_m) * integral Lambda_n(r_i, rho) density(rho) dmu``,
+    a new array.  Raises GridMismatch when ``density`` does not have the
+    grid's shape.
 
     The integral is taken against the density's piecewise-linear
     interpolant, i.e. it is exact up to the per-interval Gauss-Legendre
     error.  The density is paired with itself reversed, weighted by the
-    paired full-hat moments, and one ``cumsum`` over the complex view
+    paired full-hat moments, and one prefix sum over the complex view
     accumulates the nodes below ``r_i`` outward and those above it
     inward, so the growing ``rho^{2j}`` and the decaying ``rho^{-2j}``
     terms are each summed smallest first and no sum is formed as a total
@@ -655,8 +647,11 @@ def potential_apply(kernel: KernelMatrix, density: RadialField) -> RadialField:
     produces a ``-(mu/gamma_m) log r`` tail, which is faithfully
     reproduced, not corrected.
     """
-    kernel.grid.ensure_same(density.grid)
-    f = density.values
+    f = density
+    if f.shape != kernel.diagonal.shape:
+        raise GridMismatch(
+            f"density has shape {f.shape}, the kernel's grid {kernel.diagonal.shape}"
+        )
     paired = np.empty((len(f), 2))
     paired[:, 0] = f
     paired[:, 1] = f[::-1]
@@ -666,10 +661,10 @@ def potential_apply(kernel: KernelMatrix, density: RadialField) -> RadialField:
     # sum strictly above node N - j.
     complex_sums = sums.view(np.complex128)[..., 0]
     complex_sums[:, 0] = 0.0
-    np.cumsum(
+    np.add.accumulate(
         weighted.view(np.complex128)[:, :-1, 0], axis=1, out=complex_sums[:, 1:]
     )
     contracted = np.einsum("pjc,pjc->jc", kernel.node_factors, sums)
     values = contracted[:, 0] + contracted[::-1, 1]
     values += kernel.diagonal * f
-    return RadialField(grid=density.grid, values=values)
+    return values

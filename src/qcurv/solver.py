@@ -17,6 +17,11 @@ correction v:
 where c_v, computed with S(v) by :func:`source_with_normalization`, makes the
 curvature integral match the prescribed volume, which is exactly the
 condition that S(v) has zero discrete mass, so its potential decays.
+T is :meth:`Problem.apply`, on arrays of node values: :func:`build_problem`
+fixes a config's grid, kernel and log|K| and the terms that every
+evaluation reuses, and each evaluation is one call of
+:func:`source_with_normalization` and one of
+:func:`~qcurv.potential.potential_apply`.
 The curvature factor is held as log|K| and c_v is taken by log-sum-exp:
 for sign -1, |K| grows like (1 + r^2)^{m |alpha|} and leaves double
 precision at large V, while every normalized term of S(v) stays bounded
@@ -36,8 +41,9 @@ matrix restarts the history; once a mixed iterate meets the tolerance,
 the solve takes the plain step v <- T v and keeps that iterate if its
 own residual does, so a converged record is one evaluation of T.
 Divergence is judged relative to the first residual, which grows like V.
-Convergence is empirical; non-convergence is a first-class reported
-outcome, never silent.
+The loop wraps no array in a field: the record's fields are checked once,
+when it is built.  Convergence is empirical; non-convergence is a
+first-class reported outcome, never silent.
 """
 
 from __future__ import annotations
@@ -129,10 +135,6 @@ class SolverConfig:
     def _curvature_mass(self) -> float:
         """(2m-1)! V, the curvature integral sum w |K| e^{2m(v + c_v)}."""
         return constants(self.m).factorial_2m_minus_1 * self.volume
-
-    @functools.cached_property
-    def _log_curvature_mass(self) -> float:
-        return math.log(self._curvature_mass)
 
     @functools.cached_property
     def radial_coeffs(self) -> np.ndarray | None:
@@ -284,18 +286,36 @@ def u0_density_field(
 
 @dataclass(frozen=True)
 class Problem:
-    """One config's problem, built only by :func:`build_problem`.  The
-    grid, kernel, u0's rescaled density and u0 depend only on (m, r_max,
-    n_intervals, sinh_strength), so configs with the same key share them,
-    read-only.  ``p`` is P at the nodes and ``log_K`` is
-    log|K| = log (2m-1)! - 2m P - 2m alpha u0, so K = sign e^{log_K}."""
+    """One config's problem and its fixed-point map v -> T v, built only by
+    :func:`build_problem` from ``config``.  The grid, kernel, u0's rescaled
+    density and u0 depend only on (m, r_max, n_intervals, sinh_strength),
+    so configs with the same key share them, read-only.  ``p`` is P at the
+    nodes and ``log_K`` is log|K| = log (2m-1)! - 2m P - 2m alpha u0, so
+    K = sign e^{log_K}.  What T reuses in every evaluation is held here
+    once, read-only: ``background`` is alpha times u0's rescaled density,
+    and ``two_m``, ``log_mass`` and ``signed_mass`` are 2m,
+    log((2m-1)! V) and sign (2m-1)! V."""
 
+    config: SolverConfig
     grid: RadialGrid
     kernel: KernelMatrix
     u0_density: RadialField
     u0: RadialField
     p: np.ndarray
     log_K: RadialField
+    background: np.ndarray
+    two_m: float
+    log_mass: float
+    signed_mass: float
+
+    def apply(self, v: np.ndarray) -> tuple[np.ndarray, float]:
+        """(T v, c_v) for the node values ``v``: the potential of S(v), a
+        new array, and the c_v paired with S(v), through one call each of
+        :func:`source_with_normalization` and
+        :func:`~qcurv.potential.potential_apply`.  Raises GridMismatch
+        when ``v`` does not have the grid's shape."""
+        source, cv = source_with_normalization(self, v)
+        return potential_apply(self.kernel, source), cv
 
 
 def build_problem(config: SolverConfig) -> Problem:
@@ -317,7 +337,6 @@ def build_problem(config: SolverConfig) -> Problem:
             "log|K| is not finite on this grid (P or alpha u0 overflows "
             f"before r_max = {config.r_max:g}); lower r_max"
         ) from exc
-    p_vals.flags.writeable = False
     log_tail = log_k[-1] + math.log(grid.quad_weights[-1])
     log_peak = float(np.max(log_k))
     if not log_tail < math.log(1e-12) + log_peak:
@@ -325,7 +344,14 @@ def build_problem(config: SolverConfig) -> Problem:
             "curvature kernel tail is not negligible at r_max (weighted "
             f"tail e^{log_tail - log_peak:.3f} of max|K|); enlarge r_max"
         )
-    return Problem(grid, kernel, u0_density, u0, p_vals, RadialField(grid, log_k))
+    background = config.alpha * u0_density.values
+    for arr in (p_vals, background):
+        arr.flags.writeable = False
+    mass = config._curvature_mass
+    return Problem(
+        config, grid, kernel, u0_density, u0, p_vals, RadialField(grid, log_k),
+        background, 2.0 * config.m, math.log(mass), config.sign * mass,
+    )
 
 
 @functools.lru_cache(maxsize=_DISCRETIZATION_CACHE_SIZE, typed=True)
@@ -342,15 +368,14 @@ def _build_discretization(
 
 
 def source_with_normalization(
-    v: RadialField,
-    config: SolverConfig,
-    log_K: RadialField,
-    u0_density: RadialField,
-) -> tuple[RadialField, float]:
+    problem: Problem, v: np.ndarray
+) -> tuple[np.ndarray, float]:
     """S(v) = sign e^{log|K| + 2m(v + c_v)} + alpha (-Delta)^m u0
-    (rescaled density), together with the c_v that produced it (they
-    must be paired for the mass identity to hold exactly); the one place
-    c_v is computed.
+    (rescaled density) for the node values ``v`` of the problem's grid,
+    as a new array, together with the c_v that produced it (they must be
+    paired for the mass identity to hold exactly); the one place c_v is
+    computed.  Raises GridMismatch when ``v`` does not have the grid's
+    shape.
 
         c_v = (log((2m-1)! V) - LSE_i(log w_i + log|K_i| + 2m v_i)) / 2m
 
@@ -368,22 +393,24 @@ def source_with_normalization(
     the K term integrates to +alpha*gamma_m through the normalization, the
     density term to -alpha*gamma_m through its rescaling, so the potential
     T v of S(v) decays at the tail.  For finite v every term is bounded,
-    by (2m-1)! V over its quadrature weight, so S(v) is not re-checked for
+    by (2m-1)! V over its quadrature weight, so S(v) is not checked for
     finiteness; a non-finite v gives a non-finite S(v).
     """
-    for other in (v, u0_density):
-        log_K.grid.ensure_same(other.grid)
-    two_m = 2.0 * config.m
-    values = two_m * v.values
-    values += log_K.values
+    if v.shape != problem.background.shape:
+        raise GridMismatch(
+            f"v has shape {v.shape}, the problem's grid {problem.background.shape}"
+        )
+    two_m = problem.two_m
+    values = two_m * v
+    values += problem.log_K.values
     top = float(values.max())
     values -= top
     np.exp(values, out=values)
-    total = float(log_K.grid.quad_weights @ values)
-    cv = (config._log_curvature_mass - (top + math.log(total))) / two_m
-    values *= config.sign * config._curvature_mass / total
-    values += config.alpha * u0_density.values
-    return RadialField._unchecked(v.grid, values), cv
+    total = float(problem.grid.quad_weights @ values)
+    cv = (problem.log_mass - (top + math.log(total))) / two_m
+    values *= problem.signed_mass / total
+    values += problem.background
+    return values, cv
 
 
 # ----------------------------------------------------------------------
@@ -516,21 +543,23 @@ def _gram_solve(
     return x0 * s0, x1 * s1, x2 * s2
 
 
-# The Gram matrix of an empty history, padded to order 3 (see _gram_solve).
-_EMPTY_GRAM = np.eye(3)
-_EMPTY_GRAM.flags.writeable = False
+def _identity_gram() -> list[list[float]]:
+    """The Gram matrix of an empty history, padded to order 3 (see
+    :func:`_gram_solve`)."""
+    return [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 
 
 class _AndersonHistory:
     """The last ``_ANDERSON_DEPTH`` differences of f = T v - v and of
     g = T v between consecutive iterates, kept in place.
 
-    ``d_f`` and ``d_g`` are ring buffers of rows; ``gram[:count, :count]``
-    holds the dot products of the ``d_f`` rows, one row and column
-    refreshed per push, and the rest of the 3 x 3 ``gram`` is the
-    identity.  So the least-squares problem min ||f - d_f^T gamma||_2 is
-    solved through its ``count`` x ``count`` normal equations instead of
-    an (N+1) x ``count`` factorization, and those are scaled, tested and
+    ``d_f`` and ``d_g`` are ring buffers of rows; ``gram``, a 3 x 3 list
+    of rows of Python floats, holds the dot products of the first
+    ``count`` ``d_f`` rows in its leading ``count`` x ``count`` block, one
+    row and column refreshed per push, and the identity elsewhere.  So
+    the least-squares problem min ||f - d_f^T gamma||_2 is solved through
+    its ``count`` x ``count`` normal equations instead of an
+    (N+1) x ``count`` factorization, and those are scaled, tested and
     solved in Python floats by :func:`_gram_solve`: closed-form extreme
     eigenvalues and a Cholesky factorization, with no LAPACK call.  Row
     order does not matter: gamma weights each stored difference by its
@@ -540,7 +569,7 @@ class _AndersonHistory:
     def __init__(self, size: int) -> None:
         self.d_f = np.empty((_ANDERSON_DEPTH, size))
         self.d_g = np.empty((_ANDERSON_DEPTH, size))
-        self.gram = _EMPTY_GRAM.copy()
+        self.gram = _identity_gram()
         self.count = 0
         self._next = 0
         self._f_prev = self._g_prev = None
@@ -551,13 +580,14 @@ class _AndersonHistory:
         copied, so the caller must not modify them afterwards."""
         if self._f_prev is not None:
             slot = self._next
-            np.subtract(f, self._f_prev, out=self.d_f[slot])
+            d_f_slot = self.d_f[slot]
+            np.subtract(f, self._f_prev, out=d_f_slot)
             np.subtract(g, self._g_prev, out=self.d_g[slot])
             self._next = (slot + 1) % _ANDERSON_DEPTH
-            self.count = min(self.count + 1, _ANDERSON_DEPTH)
-            row = self.d_f[: self.count] @ self.d_f[slot]
-            self.gram[slot, : self.count] = row
-            self.gram[: self.count, slot] = row
+            count = self.count = min(self.count + 1, _ANDERSON_DEPTH)
+            gram = self.gram
+            for i, dot in enumerate((self.d_f[:count] @ d_f_slot).tolist()):
+                gram[slot][i] = gram[i][slot] = dot
         self._f_prev, self._g_prev = f, g
 
     def restart(self) -> None:
@@ -565,7 +595,7 @@ class _AndersonHistory:
         the last (f, g)."""
         self.count = 0
         self._next = 0
-        self.gram[...] = _EMPTY_GRAM
+        self.gram = _identity_gram()
 
     def coefficients(self, f: np.ndarray) -> np.ndarray | None:
         """gamma = argmin ||f - d_f^T gamma||_2 from the normal equations
@@ -580,19 +610,20 @@ class _AndersonHistory:
         if k == 0:
             return None
         rhs = (self.d_f[:k] @ f).tolist() + [0.0] * (3 - k)
-        gamma = _gram_solve(self.gram.tolist(), rhs)
+        gamma = _gram_solve(self.gram, rhs)
         if gamma is None:
             self.restart()
             return None
         return np.array(gamma[:k])
 
     def mix(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """The next iterate g - d_g^T gamma; the image g itself, not a
-        copy, with no usable history."""
+        """The next iterate g - d_g^T gamma, a new array; the image g
+        itself, not a copy, with no usable history."""
         gamma = self.coefficients(f)
         if gamma is None:
             return g
-        return g - gamma @ self.d_g[: self.count]
+        step = gamma @ self.d_g[: self.count]
+        return np.subtract(g, step, out=step)
 
 
 def solve_continuation(config: SolverConfig) -> SolutionRecord:
@@ -628,32 +659,31 @@ def solve_continuation(config: SolverConfig) -> SolutionRecord:
     assembled from the last evaluated iterate.  The guard is relative
     because the first residual grows like V.
 
-    The grid, kernel moments, u0 and log|K| come from the config's
-    problem (:func:`build_problem`).
+    T is the config's map :meth:`Problem.apply` (:func:`build_problem`),
+    evaluated on node arrays.  A non-finite T v raises GridMismatch.  f is
+    finite exactly where T v and v both are, so T v is tested on its own
+    only when the residual is not finite; a non-finite v that leaves T v
+    finite is refused when the record is built.
     """
     problem = build_problem(config)
-    grid, log_K, u0_density = problem.grid, problem.log_K, problem.u0_density
-    v_values = np.zeros_like(grid.nodes)
+    apply, tol, max_iter = problem.apply, config.tol, config.max_iter
+    v = np.zeros_like(problem.grid.nodes)
     history: list[tuple[float, float]] = []
-    anderson = _AndersonHistory(len(grid.nodes))
+    anderson = _AndersonHistory(len(v))
     mixed = False
     failure_reason = None
-    for _ in range(config.max_iter):
-        # RadialField's checks run once per iteration, on T v's field; a
-        # non-finite iterate (possible only by overflow) still ends the
-        # solve with GridMismatch, there or when the record is built.
-        v_field = RadialField._unchecked(grid, v_values)
-        source, cv = source_with_normalization(v_field, config, log_K, u0_density)
-        g = potential_apply(problem.kernel, source).values
-        f = g - v_values
+    for _ in range(max_iter):
+        g, cv = apply(v)
+        f = g - v
         residual = float(np.abs(f).max())
+        # A finite residual implies a finite T v (see the docstring).
+        if not math.isfinite(residual) and not np.isfinite(g).all():
+            raise GridMismatch("T v is not finite: field values must be finite")
         history.append((residual, cv))
-        v_kept = v_values
+        v_kept = v
         # A mixed iterate that meets tol is followed by its image, unless
         # the cap leaves no evaluation for it.
-        if residual <= config.tol and (
-            not mixed or len(history) == config.max_iter
-        ):
+        if residual <= tol and (not mixed or len(history) == max_iter):
             break
         if not residual <= _DIVERGENCE_GUARD * history[0][0]:
             failure_reason = (
@@ -663,20 +693,21 @@ def solve_continuation(config: SolverConfig) -> SolutionRecord:
             )
             break
         anderson.push(f, g)
-        mixed = residual > config.tol
-        v_values = anderson.mix(f, g) if mixed else g
+        mixed = residual > tol
+        v = anderson.mix(f, g) if mixed else g
     else:
         failure_reason = (
-            f"max_iter = {config.max_iter} exhausted "
+            f"max_iter = {max_iter} exhausted "
             f"(last residual {history[-1][0]:.3e})"
         )
+    grid = problem.grid
     u_vals = -config.alpha * problem.u0.values - problem.p + v_kept + history[-1][1]
     return SolutionRecord(
         config=config,
         v=RadialField(grid=grid, values=v_kept),
         u=RadialField(grid=grid, values=u_vals),
-        log_K=log_K,
-        u0_density=u0_density,
+        log_K=problem.log_K,
+        u0_density=problem.u0_density,
         u0=problem.u0,
         history=tuple(history),
         failure_reason=failure_reason,

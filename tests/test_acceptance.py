@@ -34,7 +34,6 @@ from qcurv import (
     solve_continuation,
     source_with_normalization,
     spherical_solution,
-    u0_density_field,
 )
 
 # Volume-certification grids per dimension: (r_max, n_intervals, sinh
@@ -102,10 +101,9 @@ def test_log_potential_reproduces_spherical_solution():
     grid = make_grid(2, 40.0, 2048)
     kernel = kernel_matrix(grid)
     u_sph = spherical_solution(2, 1.0, grid.nodes)
-    density = RadialField(grid=grid, values=6.0 * np.exp(4.0 * u_sph))
-    pot = potential_apply(kernel, density)
+    pot = potential_apply(kernel, 6.0 * np.exp(4.0 * u_sph))
     window = grid.nodes <= 20.0
-    std = float(np.std(pot.values[window] - u_sph[window]))
+    std = float(np.std(pot[window] - u_sph[window]))
     elapsed = time.perf_counter() - start
     assert std <= 1e-3
     assert elapsed < 30.0
@@ -258,32 +256,27 @@ def test_normalization_shift_mass_identity_and_determinism(square_profile_4d):
     )
     problem = build_problem(config)
     grid, log_K = problem.grid, problem.log_K
-    u0_density = u0_density_field(grid)
     kernel = kernel_matrix(grid)
 
     rng = np.random.default_rng(29)
-    v = RadialField(grid=grid, values=rng.uniform(-0.5, 0.5, len(grid.nodes)))
-    shifted = RadialField(grid=grid, values=v.values + 0.37)
+    v = rng.uniform(-0.5, 0.5, len(grid.nodes))
     shift_dev = abs(
-        source_with_normalization(shifted, config, log_K, u0_density)[1]
-        - (source_with_normalization(v, config, log_K, u0_density)[1] - 0.37)
+        source_with_normalization(problem, v + 0.37)[1]
+        - (source_with_normalization(problem, v)[1] - 0.37)
     )
     assert shift_dev <= 1e-12
 
     target = config.sign * 6.0 * config.volume  # alpha * gamma_m
-    iterate = RadialField(grid=grid, values=np.zeros_like(grid.nodes))
+    iterate = np.zeros_like(grid.nodes)
     worst_mass = 0.0
     for _ in range(30):
-        source, c_v = source_with_normalization(iterate, config, log_K, u0_density)
+        source, c_v = source_with_normalization(problem, iterate)
         mass = float(
             grid.quad_weights
-            @ (config.sign * np.exp(log_K.values + 4.0 * (iterate.values + c_v)))
+            @ (config.sign * np.exp(log_K.values + 4.0 * (iterate + c_v)))
         )
         worst_mass = max(worst_mass, abs(mass - target) / abs(target))
-        step = potential_apply(kernel, source)
-        iterate = RadialField(
-            grid=grid, values=0.5 * iterate.values + 0.5 * step.values
-        )
+        iterate = 0.5 * iterate + 0.5 * potential_apply(kernel, source)
     assert worst_mass <= 1e-10
 
     first = solve_continuation(config)

@@ -18,7 +18,6 @@ from qcurv import (
     ConfigError,
     GridMismatch,
     Polynomial,
-    RadialField,
     SolutionRecord,
     SolverConfig,
     build_problem,
@@ -700,12 +699,10 @@ def test_normalization_constant_pins_curvature_integral():
     problem = build_problem(cfg)
     grid, log_K = problem.grid, problem.log_K
     rng = np.random.default_rng(5)
-    v = RadialField(
-        grid=grid, values=0.1 * rng.normal(size=grid.nodes.shape)
-    )
-    _, cv = source_with_normalization(v, cfg, log_K, u0_density_field(grid))
+    v = 0.1 * rng.normal(size=grid.nodes.shape)
+    _, cv = source_with_normalization(problem, v)
     integral = float(
-        grid.quad_weights @ (cfg.sign * np.exp(log_K.values + 4.0 * (v.values + cv)))
+        grid.quad_weights @ (cfg.sign * np.exp(log_K.values + 4.0 * (v + cv)))
     )
     assert integral == pytest.approx(
         cfg.sign * 6.0 * cfg.volume, rel=1e-13
@@ -717,12 +714,9 @@ def test_normalization_is_shift_covariant_at_large_v():
     # still gives c_v(300) = c_v(0) - 300.
     cfg = quick_config()
     problem = build_problem(cfg)
-    grid, log_K = problem.grid, problem.log_K
-    u0d = u0_density_field(grid)
-    zero = RadialField(grid=grid, values=np.zeros_like(grid.nodes))
-    huge = RadialField(grid=grid, values=np.full_like(grid.nodes, 300.0))
-    shift_dev = source_with_normalization(huge, cfg, log_K, u0d)[1] - (
-        source_with_normalization(zero, cfg, log_K, u0d)[1] - 300.0
+    zero = np.zeros_like(problem.grid.nodes)
+    shift_dev = source_with_normalization(problem, zero + 300.0)[1] - (
+        source_with_normalization(problem, zero)[1] - 300.0
     )
     assert abs(shift_dev) <= 1e-12
 
@@ -730,26 +724,35 @@ def test_normalization_is_shift_covariant_at_large_v():
 def test_source_term_has_zero_discrete_mass():
     cfg = quick_config()
     problem = build_problem(cfg)
-    grid, log_K = problem.grid, problem.log_K
-    u0d = u0_density_field(grid)
+    grid = problem.grid
     rng = np.random.default_rng(6)
-    v = RadialField(grid=grid, values=0.05 * rng.normal(size=grid.nodes.shape))
-    S, _ = source_with_normalization(v, cfg, log_K, u0d)
-    mass = float(grid.quad_weights @ S.values)
+    S, _ = source_with_normalization(problem, 0.05 * rng.normal(size=grid.nodes.shape))
+    mass = float(grid.quad_weights @ S)
     assert abs(mass) < 1e-10 * constants(2).gamma_m
 
 
 def test_potential_of_source_decays_in_the_tail():
     cfg = quick_config()
     problem = build_problem(cfg)
-    grid, log_K = problem.grid, problem.log_K
-    kern = kernel_matrix(grid)
-    u0d = u0_density_field(grid)
-    v = RadialField(grid=grid, values=np.zeros_like(grid.nodes))
-    S, _ = source_with_normalization(v, cfg, log_K, u0d)
-    tv = potential_apply(kern, S)
+    grid = problem.grid
+    S, _ = source_with_normalization(problem, np.zeros_like(grid.nodes))
+    tv = potential_apply(kernel_matrix(grid), S)
     # Zero discrete mass kills the log tail; what remains decays.
-    assert abs(tv.values[-1]) < 0.02 * float(np.max(np.abs(tv.values)))
+    assert abs(tv[-1]) < 0.02 * float(np.max(np.abs(tv)))
+
+
+def test_the_map_refuses_node_values_of_another_grid():
+    # The two functions that make up T take node arrays with the object
+    # that fixes their grid, and refuse an array of another shape.
+    problem = build_problem(quick_config())
+    size = len(problem.grid.nodes)
+    for wrong in (np.zeros(size - 1), np.zeros(size + 1), np.zeros((2, size))):
+        with pytest.raises(GridMismatch, match="the problem's grid"):
+            source_with_normalization(problem, wrong)
+        with pytest.raises(GridMismatch, match="the problem's grid"):
+            problem.apply(wrong)
+        with pytest.raises(GridMismatch, match="the kernel's grid"):
+            potential_apply(problem.kernel, wrong)
 
 
 # ----------------------------------------------------------------------
@@ -771,19 +774,16 @@ def test_solve_converges_and_reconstructs_solution():
     np.testing.assert_array_equal(rec.u.values, expected_u)
     # The recorded c_v is the normalization of the recorded v, and the
     # history ends on that iterate's (residual, c_v).
-    assert rec.c_v == source_with_normalization(rec.v, cfg, rec.log_K, rec.u0_density)[1]
+    assert rec.c_v == source_with_normalization(build_problem(cfg), rec.v.values)[1]
     assert rec.history[-1] == (rec.final_update, rec.c_v)
 
 
 def test_solve_lands_on_the_fixed_point():
     cfg = quick_config()
     rec = solve_continuation(cfg)
-    kern = kernel_matrix(rec.grid)
-    log_K = build_problem(cfg).log_K
-    u0d = u0_density_field(rec.grid)
-    S, _ = source_with_normalization(rec.v, cfg, log_K, u0d)
-    tv = potential_apply(kern, S)
-    residual = float(np.max(np.abs(tv.values - rec.v.values)))
+    S, _ = source_with_normalization(build_problem(cfg), rec.v.values)
+    tv = potential_apply(kernel_matrix(rec.grid), S)
+    residual = float(np.max(np.abs(tv - rec.v.values)))
     assert residual == rec.final_update <= cfg.tol
 
 
@@ -1032,7 +1032,7 @@ def test_shared_discretization_is_read_only(kernel_builds):
 
 def test_solves_leave_the_shared_problem_untouched(kernel_builds):
     # Two solves on one grid read the problem and its kernel and write
-    # into neither; each potential evaluation owns its result.
+    # into neither; each evaluation of T owns its result.
     cfg = quick_config()
     problem = build_problem(cfg)
     kernel = problem.kernel
@@ -1046,8 +1046,20 @@ def test_solves_leave_the_shared_problem_untouched(kernel_builds):
         "u0": problem.u0.values,
         "p": problem.p,
         "log_K": problem.log_K.values,
+        "background": problem.background,
     }
     before = {name: arr.copy() for name, arr in shared.items()}
+    # The terms T reuses in every evaluation: alpha times u0's density and
+    # the normalization's scalars, fixed when the problem is built.
+    np.testing.assert_array_equal(
+        problem.background, cfg.alpha * problem.u0_density.values
+    )
+    mass = constants(cfg.m).factorial_2m_minus_1 * cfg.volume
+    scalars = (2.0 * cfg.m, math.log(mass), cfg.sign * mass)
+    assert (problem.two_m, problem.log_mass, problem.signed_mass) == scalars
+    for name in ("background", "two_m", "log_mass", "signed_mass", "config"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(problem, name, None)
     first = solve_continuation(cfg)
     second = solve_continuation(
         quick_config(sign=-1, volume=3.0 * constants(2).vol_sphere)
@@ -1057,11 +1069,13 @@ def test_solves_leave_the_shared_problem_untouched(kernel_builds):
     for name, arr in shared.items():
         assert not arr.flags.writeable, name
         np.testing.assert_array_equal(arr, before[name], err_msg=name)
-    one = potential_apply(kernel, first.u0_density)
-    two = potential_apply(kernel, second.u0_density)
-    assert not np.shares_memory(one.values, two.values)
-    for arr in shared.values():
-        assert not np.shares_memory(one.values, arr)
+    assert (problem.two_m, problem.log_mass, problem.signed_mass) == scalars
+    v = np.zeros_like(problem.grid.nodes)
+    (one, _), (two, _) = problem.apply(v), problem.apply(v)
+    np.testing.assert_array_equal(one, two)
+    assert not np.shares_memory(one, two)
+    for arr in [*shared.values(), v]:
+        assert not np.shares_memory(one, arr)
 
 
 def test_profile_coefficients_are_read_once_per_config(monkeypatch):
@@ -1119,7 +1133,9 @@ def test_gram_coefficients_match_least_squares(pushes):
     # The running Gram matrix is the Gram matrix of the stored rows.
     stored = history.d_f[: history.count]
     np.testing.assert_allclose(
-        history.gram[: history.count, : history.count], stored @ stored.T, rtol=1e-12
+        np.array(history.gram)[: history.count, : history.count],
+        stored @ stored.T,
+        rtol=1e-12,
     )
 
 
@@ -1172,7 +1188,7 @@ GRAM_RCOND_BAND = 1.1
 def _lapack_reciprocal_condition(history):
     """lambda_min / lambda_max of the Jacobi-scaled Gram matrix by
     np.linalg.eigvalsh; 0 for a zero difference."""
-    gram = history.gram[: history.count, : history.count]
+    gram = np.array(history.gram)[: history.count, : history.count]
     diag = gram.diagonal()
     if not diag.min() > 0:
         return 0.0
@@ -1255,22 +1271,19 @@ def test_first_iterate_after_zero_is_the_image_of_zero(monkeypatch):
     iterates = []
     source = qcurv.solver.source_with_normalization
 
-    def recording(v, *args):
-        iterates.append(v.values)
-        return source(v, *args)
+    def recording(problem, v):
+        iterates.append(v)
+        return source(problem, v)
 
     monkeypatch.setattr(qcurv.solver, "source_with_normalization", recording)
     rec = solve_continuation(cfg)
     assert rec.iterations > 2
     problem = build_problem(cfg)
-    grid = problem.grid
-    zero = RadialField(grid=grid, values=np.zeros_like(grid.nodes))
-    S, _ = source_with_normalization(
-        zero, cfg, problem.log_K, u0_density_field(grid)
-    )
-    t_zero = potential_apply(kernel_matrix(grid), S)
-    np.testing.assert_array_equal(iterates[0], zero.values)
-    np.testing.assert_array_equal(iterates[1], t_zero.values)
+    zero = np.zeros_like(problem.grid.nodes)
+    S, _ = source_with_normalization(problem, zero)
+    t_zero = potential_apply(kernel_matrix(problem.grid), S)
+    np.testing.assert_array_equal(iterates[0], zero)
+    np.testing.assert_array_equal(iterates[1], t_zero)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -1341,7 +1354,7 @@ def test_converged_v_is_the_image_of_the_previous_iterate(monkeypatch, config):
 
     def recording(kernel, density):
         out = apply(kernel, density)
-        images.append(out.values)
+        images.append(out)
         return out
 
     monkeypatch.setattr(qcurv.solver, "potential_apply", recording)
@@ -1353,10 +1366,7 @@ def test_converged_v_is_the_image_of_the_previous_iterate(monkeypatch, config):
     assert rec.history[-2][0] <= config.tol
     np.testing.assert_array_equal(rec.v.values, images[-2])
     assert rec.final_update == float(np.max(np.abs(images[-1] - rec.v.values)))
-    assert (
-        rec.c_v
-        == source_with_normalization(rec.v, config, rec.log_K, rec.u0_density)[1]
-    )
+    assert rec.c_v == source_with_normalization(build_problem(config), rec.v.values)[1]
 
 
 @pytest.mark.parametrize(
@@ -1390,10 +1400,10 @@ def test_each_iteration_calls_source_and_potential_once_through_the_module(
 
 
 def _source_formula(v, config, log_K, u0_density):
-    """The source S(v) and c_v from one set of shifted exponentials, one
-    temporary per operation."""
+    """The source S(v) and c_v for the node values ``v`` from one set of
+    shifted exponentials, one temporary per operation."""
     two_m = 2.0 * config.m
-    exponent = log_K.values + two_m * v.values
+    exponent = log_K.values + two_m * v
     top = float(np.max(exponent))
     shifted = np.exp(exponent - top)
     weighted = float(log_K.grid.quad_weights @ shifted)
@@ -1404,10 +1414,11 @@ def _source_formula(v, config, log_K, u0_density):
 
 
 def _two_exponential_curvature(v, config, log_K):
-    """The curvature term sign e^{log|K| + 2m(v + c_v)} exponentiated as
-    written, after the log-sum-exp's own exponential for c_v."""
+    """The curvature term sign e^{log|K| + 2m(v + c_v)} for the node values
+    ``v``, exponentiated as written, after the log-sum-exp's own
+    exponential for c_v."""
     two_m = 2.0 * config.m
-    exponent = log_K.values + two_m * v.values
+    exponent = log_K.values + two_m * v
     top = float(np.max(exponent))
     log_integral = top + math.log(
         float(log_K.grid.quad_weights @ np.exp(exponent - top))
@@ -1416,7 +1427,7 @@ def _two_exponential_curvature(v, config, log_K):
         math.log(constants(config.m).factorial_2m_minus_1 * config.volume)
         - log_integral
     ) / two_m
-    return config.sign * np.exp(log_K.values + two_m * (v.values + cv)), cv
+    return config.sign * np.exp(log_K.values + two_m * (v + cv)), cv
 
 
 def _potential_formula(moments, factors, f, gamma_m):
@@ -1448,11 +1459,11 @@ def test_fixed_point_map_is_bit_identical_to_its_formulas(m, sign):
     u0d = u0_density_field(grid)
     rng = np.random.default_rng(m)
     for scale in (1e-3, 0.1, 3.0):
-        v = RadialField(grid=grid, values=scale * rng.normal(size=grid.nodes.shape))
-        source, cv = source_with_normalization(v, cfg, log_K, u0d)
+        v = scale * rng.normal(size=grid.nodes.shape)
+        source, cv = source_with_normalization(problem, v)
         expected, expected_cv = _source_formula(v, cfg, log_K, u0d)
         assert cv == expected_cv
-        np.testing.assert_array_equal(source.values, expected)
+        np.testing.assert_array_equal(source, expected)
         # The node form sums the same terms in another grouping: folded
         # half-hats, factors divided by gamma_m before the products, the
         # diagonal term apart.  Each value is a sum of at most N + 2m + 8
@@ -1465,11 +1476,15 @@ def test_fixed_point_map_is_bit_identical_to_its_formulas(m, sign):
             )
         )
         bound = (len(grid.nodes) + 2 * m + 8) * np.finfo(float).eps * terms
-        deviation = np.abs(
-            potential_apply(kern, source).values
-            - _potential_formula(moments, factors, expected, gamma_m)
-        )
+        potential = _potential_formula(moments, factors, expected, gamma_m)
+        deviation = np.abs(potential_apply(kern, source) - potential)
         assert np.all(deviation <= bound)
+        # The problem's map is those two formulas composed: the same c_v
+        # and, bit for bit, the potential of the formula's source.
+        image, image_cv = problem.apply(v)
+        assert image_cv == expected_cv
+        np.testing.assert_array_equal(image, potential_apply(kern, expected))
+        assert np.all(np.abs(image - potential) <= bound)
 
 
 @pytest.mark.parametrize(
@@ -1493,16 +1508,16 @@ def test_one_exponential_source_matches_the_two_exponential_formula(
     background = cfg.alpha * u0_density_field(grid).values
     rng = np.random.default_rng(m)
     for scale in (0.0, 1e-3, 0.1, 3.0):
-        v = RadialField(grid=grid, values=scale * rng.normal(size=grid.nodes.shape))
-        source, cv = source_with_normalization(v, cfg, log_K, u0_density_field(grid))
+        v = scale * rng.normal(size=grid.nodes.shape)
+        source, cv = source_with_normalization(problem, v)
         curvature, expected_cv = _two_exponential_curvature(v, cfg, log_K)
         assert cv == expected_cv
         size = (
             np.abs(log_K.values).max()
-            + 2 * m * (np.abs(v.values).max() + abs(cv))
+            + 2 * m * (np.abs(v).max() + abs(cv))
         )
         bound = 4.0 * np.finfo(float).eps * (1.0 + size)
         assert np.all(
-            np.abs(source.values - (curvature + background))
+            np.abs(source - (curvature + background))
             <= bound * (np.abs(curvature) + np.abs(background))
         )
