@@ -61,17 +61,14 @@ from .solver import (
 )
 from .diagnostics import (
     DiagnosticsReport,
-    ExpIntegrability,
     PohozaevTerms,
     asymptotic_profile,
     build_report,
     conformal_volume,
-    exp_integrability_probe,
     pde_residual,
     pohozaev_terms,
     record_pohozaev_terms,
     tail_curvature_mass,
-    weighted_norm,
 )
 
 __version__ = "0.1.0"
@@ -127,9 +124,6 @@ __all__ = [
     "pohozaev_terms",
     "record_pohozaev_terms",
     "tail_curvature_mass",
-    "weighted_norm",
-    "ExpIntegrability",
-    "exp_integrability_probe",
     "DiagnosticsReport",
     "build_report",
 ]

@@ -9,24 +9,22 @@ shows only that the normalization was applied, not the quadrature
 error (ROADMAP item 1 replaces it with an independent rule).
 
 The 3-point stencils are the methods of the grid's
-:class:`~qcurv.potential.StencilTable`, built once per grid.  The
-weighted norms are L^2 norms, so every angular factor integrates in
-closed form.  The alpha fit reads the pieces the solver combined,
--alpha u0 + v + c_v, which equal u + P without forming that difference.
+:class:`~qcurv.potential.StencilTable`, built once per grid.  The alpha
+fit reads the pieces the solver combined, -alpha u0 + v + c_v, which
+equal u + P without forming that difference.
 
 What depends on the grid alone is built once per grid and kept
 read-only: the alpha fit's window, least-squares design and its
 pseudo-inverse, the volume check's tail window and its slope weights,
 the Pohozaev boundary terms' linear functional on the window around
-their node (the stencil chain run once on the window's unit vectors), the
-ball and annulus quadrature rules at a node, and the weighted norms'
-radial weights.  Each check reads these pieces for whatever window,
-radius or weight it is given, so a report on a grid seen before does only
-the work that depends on the solution, and its values are the same bits
-as on a fresh grid.  A grid's pieces live on one layout, which keeps a
-bounded number of each kind.  The layout lives and dies with its grid:
-it is built on the grid's first check, held only as long as the grid is,
-and freed with it.
+their node (the stencil chain run once on the window's unit vectors), and
+the ball and annulus quadrature rules at a node.  Each check reads these
+pieces for whatever window or radius it is given, so a report on a grid
+seen before does only the work that depends on the solution, and its
+values are the same bits as on a fresh grid.  A grid's pieces live on one
+layout, which keeps a bounded number of each kind.  The layout lives and
+dies with its grid: it is built on the grid's first check, held only as
+long as the grid is, and freed with it.
 """
 
 from __future__ import annotations
@@ -59,10 +57,10 @@ if TYPE_CHECKING:
 # skipped because there is no meaningful tail to certify.
 _DEGENERATE_LEVEL = -50.0
 
-# Per grid, a report reads one fit design, one Pohozaev window and one set
-# of norm weights, and snaps radii to, and takes ball rules at, up to seven
-# nodes.  A grid's layout keeps that many pieces of each kind for as long
-# as the grid lives.
+# Per grid, a report reads one fit design and one Pohozaev window, snaps
+# six radii to nodes, and takes the ball rule at one of them and annulus
+# rules at five.  A grid's layout keeps at least that many pieces of each
+# kind for as long as the grid lives.
 _NODES_PER_GRID = 8
 _WINDOWS_PER_GRID = 2
 
@@ -71,7 +69,7 @@ class _Layout:
     """The pieces of the checks that depend on one grid alone, each built
     on first use and kept read-only: the last ``_NODES_PER_GRID`` of each
     kind keyed by a radius or node, the last ``_WINDOWS_PER_GRID`` of each
-    kind keyed by a window or weight, and the volume check's tail window.
+    kind keyed by a window, and the volume check's tail window.
 
     The builders hold the grid through a weak proxy, so the layout never
     keeps its grid alive and is freed with it (:func:`_layout`)."""
@@ -85,7 +83,6 @@ class _Layout:
         self.weights_beyond = per_node(functools.partial(RadialGrid.weights_beyond, grid))
         self.fit = per_window(functools.partial(_fit_layout, grid))
         self.pohozaev_window = per_window(functools.partial(_pohozaev_window, grid))
-        self.norm_weights = per_window(functools.partial(_norm_weights, grid))
         self.tail_window = per_window(functools.partial(_tail_window, grid))
 
 
@@ -367,14 +364,12 @@ def pohozaev_terms(
     sign: int,
     alpha: float,
     R: float,
-    v_d1: np.ndarray | None = None,
     curvature: np.ndarray | None = None,
 ) -> PohozaevTerms:
     """The six terms of the Pohozaev balance of wbar = v + c_v (c_v finite,
     else GridMismatch) at the grid node nearest to R (R snapped to it).
-    ``v_d1`` is the grid stencil's first derivative of v, and
     ``curvature`` is |K| e^{2m wbar} at the nodes (:func:`_curvature_density`),
-    for a caller that already holds them.
+    for a caller that already holds it.
 
     The curvature factor enters as log|K| with K = sign e^{log_K}, so
     K e^{2m wbar} is sign times :func:`_curvature_density` and
@@ -405,7 +400,7 @@ def pohozaev_terms(
         curvature = _curvature_density(log_K, wbar)
     k_e_w = sign * curvature
     x_grad_log_k = nodes * st.d1(log_K.values)
-    x_grad_w = nodes * (st.d1(v.values) if v_d1 is None else v_d1)
+    x_grad_w = nodes * st.d1(v.values)
     t1 = float(w_in @ (x_grad_log_k * k_e_w))
     t2 = float(two_m * (w_in @ k_e_w))
     t3 = float(-two_m * alpha * (w_in @ (x_grad_w * u0_density.values)))
@@ -446,11 +441,10 @@ def pohozaev_terms(
 def record_pohozaev_terms(
     record: SolutionRecord,
     R: float,
-    v_d1: np.ndarray | None = None,
     curvature: np.ndarray | None = None,
 ) -> PohozaevTerms:
-    """Pohozaev terms of a finished solve at radius R; ``v_d1`` and
-    ``curvature`` as in :func:`pohozaev_terms`."""
+    """Pohozaev terms of a finished solve at radius R; ``curvature`` as in
+    :func:`pohozaev_terms`."""
     return pohozaev_terms(
         record.v,
         record.c_v,
@@ -459,7 +453,6 @@ def record_pohozaev_terms(
         record.config.sign,
         record.alpha,
         R,
-        v_d1,
         curvature,
     )
 
@@ -488,124 +481,6 @@ def _tail_mass(grid: RadialGrid, density: np.ndarray, index: int) -> float:
 
 
 # ----------------------------------------------------------------------
-# weighted norms
-# ----------------------------------------------------------------------
-@functools.lru_cache(maxsize=64)
-def _angular_moment(n: int, exponents: tuple[float, ...]) -> float:
-    """integral over S^{n-1} of prod |omega_i|^{a_i} d sigma, by the
-    Dirichlet formula 2 prod Gamma((a_i+1)/2) / Gamma((n + sum a)/2)
-    (unlisted coordinates contribute Gamma(1/2) = sqrt(pi))."""
-    total = sum(exponents)
-    value = 2.0 * math.pi ** ((n - len(exponents)) / 2.0)
-    for a in exponents:
-        value *= math.gamma((a + 1.0) / 2.0)
-    return value / math.gamma((n + total) / 2.0)
-
-
-def weighted_norm(f: RadialField, k: int, delta: float) -> float:
-    """Decay-weighted Sobolev norm
-    sum_{|beta| <= k} || (1+|x|^2)^{(delta+|beta|)/2} D^beta f ||_{L^2}
-    for radial f, with k <= 2.
-
-    Radial reduction: first derivatives are f'(r) omega_i, second
-    derivatives (f'' - f'/r) omega_i omega_j + delta_ij f'/r, so each
-    multi-index block is a 1-D integral times an exact angular moment.
-    The pure-second-derivative blocks have the angular integrand
-    (A omega_1^2 + B)^2 = A^2 omega_1^4 + 2AB omega_1^2 + B^2, which
-    integrates termwise in closed form.
-    """
-    if k not in (0, 1, 2):
-        raise GridMismatch(f"k must be 0, 1, or 2, got {k}")
-    return _weighted_norms(f, f.grid.stencil.d1(f.values), k, delta)[k]
-
-
-def _norm_weights(
-    grid: RadialGrid, delta: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The radial quadrature weights w / omega_{n-1} and the decay
-    weights (1 + r^2)^{delta + j}, j = 0, 1, 2, of the weighted norms."""
-    squares = 1.0 + grid.nodes**2
-    return (
-        _read_only(grid.quad_weights / sphere_area(grid.n)),
-        _read_only(squares**delta),
-        _read_only(squares ** (delta + 1.0)),
-        _read_only(squares ** (delta + 2.0)),
-    )
-
-
-def _weighted_norms(
-    f: RadialField, f1: np.ndarray, k: int, delta: float
-) -> list[float]:
-    """``weighted_norm(f, j, delta)`` for j = 0..k in one pass, given f's
-    stencil derivative ``f1``: the norm of order j is that of order j - 1
-    plus its own blocks."""
-    grid = f.grid
-    n = grid.n
-    nodes = grid.nodes
-    w_full = grid.quad_weights  # includes the omega_{n-1} r^{n-1} factor
-    w_radial, weight0, weight1, weight2 = _layout(grid).norm_weights(float(delta))
-    norms = [float(w_full @ (weight0 * f.values**2)) ** 0.5]
-    if k == 0:
-        return norms
-
-    block1 = float(_angular_moment(n, (2.0,)) * (w_radial @ (weight1 * f1**2)))
-    norms.append(norms[-1] + n * block1**0.5)
-    if k == 1:
-        return norms
-
-    f2 = grid.stencil.d2(f.values)
-    ratio = np.empty_like(f1)
-    ratio[1:] = f1[1:] / nodes[1:]
-    ratio[0] = f2[0]  # limit of f'/r at the origin
-    aniso = f2 - ratio  # coefficient of omega_i omega_j in D^2 f
-
-    mixed = float(_angular_moment(n, (2.0, 2.0)) * (w_radial @ (weight2 * aniso**2)))
-    norm = norms[-1] + (n * (n - 1) / 2.0) * mixed**0.5
-
-    # (A w1^2 + B)^2 = A^2 w1^4 + 2AB w1^2 + B^2, termwise exact.
-    angular = _angular_moment(n, (4.0,)) * aniso**2
-    angular += 2.0 * _angular_moment(n, (2.0,)) * aniso * ratio
-    angular += _angular_moment(n, ()) * ratio**2
-    pure = float(w_radial @ (weight2 * angular))
-    norms.append(norm + n * pure**0.5)
-    return norms
-
-
-# ----------------------------------------------------------------------
-# exponential integrability probe
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ExpIntegrability:
-    finite: bool
-    value: float
-    ratio: float  # value / R^{2m}
-
-
-def exp_integrability_probe(v: RadialField, p: float, R: float) -> ExpIntegrability:
-    """Quadrature of e^{2m p |v|} over B_R (R snapped to the grid) and
-    its ratio to R^{2m}.
-
-    The probe reports; it does not enforce the admissible range of p —
-    callers compare p against gamma_m over the driving density's L^1
-    mass.  Overflow is reported as finite = False.
-    """
-    if not p > 0:
-        raise GridMismatch(f"p must be positive, got {p}")
-    grid = v.grid
-    if R > grid.r_max:
-        raise GridMismatch(f"R = {R} exceeds r_max = {grid.r_max}")
-    idx = _layout(grid).nearest_index(R)
-    r_snap = float(grid.nodes[idx])
-    if r_snap <= 0:
-        raise GridMismatch("R snapped to the origin; probe undefined")
-    exponent = 2.0 * grid.m * p * np.abs(v.values)
-    if float(np.max(exponent)) > 700.0:
-        return ExpIntegrability(finite=False, value=math.inf, ratio=math.inf)
-    value = float(_layout(grid).weights_within(idx) @ np.exp(exponent))
-    return ExpIntegrability(finite=True, value=value, ratio=value / r_snap**grid.n)
-
-
-# ----------------------------------------------------------------------
 # aggregate report
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -622,8 +497,6 @@ class DiagnosticsReport:
     pohozaev_defect_rel: float
     pohozaev_radius: float
     tail_mass: tuple[tuple[float, float], ...]
-    weighted_norms: dict[str, float]
-    exp_integrability: dict[str, dict]
 
     def to_json_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -671,7 +544,6 @@ def build_report(record: SolutionRecord) -> DiagnosticsReport:
     checks."""
     config = record.config
     grid = record.grid
-    cs = constants(config.m)
     # e^{2mu}, shared by the PDE residual and the volume.
     exp_2mu = np.exp(2 * config.m * record.u.values)
     residual = pde_residual(record.u, config.sign, exp_2mu=exp_2mu)
@@ -680,13 +552,10 @@ def build_report(record: SolutionRecord) -> DiagnosticsReport:
     alpha_fit, c_fit, deviation = asymptotic_profile(
         RadialField(grid=grid, values=wbar - record.alpha * record.u0.values)
     )
-    # v', shared by Pohozaev's x . grad wbar and the weighted norms, and
-    # |K| e^{2m wbar}, shared by Pohozaev's volume terms, the tail masses
-    # and the source's L^1 mass.
-    v_d1 = grid.stencil.d1(record.v.values)
+    # |K| e^{2m wbar}, shared by Pohozaev's volume terms and the tail masses.
     curvature = _curvature_density(record.log_K, wbar)
     terms = record_pohozaev_terms(
-        record, _report_pohozaev_radius(grid), v_d1, curvature=curvature
+        record, _report_pohozaev_radius(grid), curvature=curvature
     )
 
     snapped = [
@@ -694,25 +563,6 @@ def build_report(record: SolutionRecord) -> DiagnosticsReport:
         for x in (0.0, grid.r_max / 8, grid.r_max / 4, grid.r_max / 2, 0.75 * grid.r_max)
     ]
     tail = [(float(grid.nodes[i]), _tail_mass(grid, curvature, i)) for i in snapped]
-
-    delta = -3.0
-    norms = {
-        f"k={k},delta={delta:g},p=2": norm
-        for k, norm in enumerate(_weighted_norms(record.v, v_d1, 2, delta))
-    }
-
-    curvature *= config.sign
-    curvature += record.alpha * record.u0_density.values
-    source_mass_l1 = float(grid.quad_weights @ np.abs(curvature))
-    probes = {}
-    for scale in (0.5, 1.0):
-        p_probe = scale * cs.gamma_m / source_mass_l1
-        result = exp_integrability_probe(record.v, p_probe, grid.r_max / 2.0)
-        probes[f"p={p_probe:.6g}"] = {
-            "finite": result.finite,
-            "value": result.value,
-            "ratio": result.ratio,
-        }
 
     return DiagnosticsReport(
         pde_residual_max_rel=residual,
@@ -724,6 +574,4 @@ def build_report(record: SolutionRecord) -> DiagnosticsReport:
         pohozaev_defect_rel=terms.defect,
         pohozaev_radius=terms.radius,
         tail_mass=tuple(tail),
-        weighted_norms=norms,
-        exp_integrability=probes,
     )

@@ -136,8 +136,9 @@ class StencilTable:
     where ``rows[0]`` holds c_- and ``rows[1]`` holds c_+ of each formula:
 
         d1_rows         f':              c_- = -hp / (hm hs), c_+ = hm / (hp hs),
-        d2_rows         f'':             c_- = 2 / (hm hs),   c_+ = 2 / (hp hs),
-        laplacian_rows  f'' + (n-1)/r f': d2_rows + (n-1)/r_i d1_rows.
+        laplacian_rows  f'' + (n-1)/r f': f'' rows + (n-1)/r_i d1_rows,
+
+    with the f'' rows c_- = 2 / (hm hs), c_+ = 2 / (hp hs).
 
     The difference form is exact on constants, which keeps the rounding
     of composed stencils at the scale of f's variation rather than of f.
@@ -150,7 +151,6 @@ class StencilTable:
     n: int
     nodes: np.ndarray
     d1_rows: np.ndarray
-    d2_rows: np.ndarray
     laplacian_rows: np.ndarray
 
     @staticmethod
@@ -177,16 +177,6 @@ class StencilTable:
         out[..., -1] = (values[..., -1] - values[..., -2]) / step
         return out
 
-    def d2(self, values: np.ndarray) -> np.ndarray:
-        """Second radial derivative: the interior formula, the first
-        secant at the origin (exact for quadratics), and the last node
-        copying its neighbor."""
-        out = np.empty_like(values)
-        self._interior(self.d2_rows, values, out[..., 1:-1])
-        out[..., 0] = self._origin_secant(values, 1)
-        out[..., -1] = out[..., -2]
-        return out
-
     def laplacian(self, values: np.ndarray, origin: bool = False) -> np.ndarray:
         """Radial Laplacian f'' + (n-1)/r f' on the interior nodes; the
         end entries are 0 and invalid.  With ``origin``, Delta f(0) =
@@ -203,7 +193,7 @@ class StencilTable:
         return out
 
 
-_STENCIL_ROWS = ("d1_rows", "d2_rows", "laplacian_rows")
+_STENCIL_ROWS = ("d1_rows", "laplacian_rows")
 
 
 def stencil_table(nodes: np.ndarray, n: int) -> StencilTable:
@@ -214,7 +204,7 @@ def stencil_table(nodes: np.ndarray, n: int) -> StencilTable:
     d1_rows = np.stack([-hp / (hm * hs), hm / (hp * hs)])
     d2_rows = np.stack([2.0 / (hm * hs), 2.0 / (hp * hs)])
     laplacian_rows = d2_rows + (n - 1) / nodes[1:-1] * d1_rows
-    table = StencilTable(n, nodes, d1_rows, d2_rows, laplacian_rows)
+    table = StencilTable(n, nodes, d1_rows, laplacian_rows)
     for name in _STENCIL_ROWS:
         getattr(table, name).flags.writeable = False
     return table

@@ -26,6 +26,7 @@ from conftest import SQUARE_PROFILE_4D
 import qcurv.cli
 import qcurv.solver
 from qcurv import (
+    DiagnosticsReport,
     Polynomial,
     SolverConfig,
     TailNotNegligible,
@@ -36,6 +37,19 @@ from qcurv import (
 from qcurv.cli import main
 
 SOLVE_FILES = {"solution.csv", "meta.json", "report.json", "report.csv", "manifest.json"}
+# The report's fields, in the order report.json writes them; all but
+# tail_mass are scalars and make report.csv's columns.
+REPORT_FIELDS = [
+    "pde_residual_max_rel",
+    "volume_achieved",
+    "volume_target",
+    "alpha_fitted",
+    "C_fitted",
+    "asymptotic_deviation",
+    "pohozaev_defect_rel",
+    "pohozaev_radius",
+    "tail_mass",
+]
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 # |x|^4 on R^4: radial, so it passes the shape check, but its degree is
@@ -319,6 +333,17 @@ def test_solve_success_report_and_manifest_contents(solved_ok):
     assert manifest["deterministic"] is True
     assert manifest["tool_version"] == __version__
     assert manifest["config_path"] == solved_ok.config_path
+
+
+def test_solve_report_json_keys_are_pinned(solved_ok):
+    # report.json's keys are a contract: adding, dropping or renaming a
+    # report field has to change REPORT_FIELDS too.
+    assert [field.name for field in dataclasses.fields(DiagnosticsReport)] == REPORT_FIELDS
+    written = json.loads((solved_ok.path / "report.json").read_text())
+    assert list(written) == ["gates", "report"]
+    assert list(written["report"]) == REPORT_FIELDS
+    header = (solved_ok.path / "report.csv").read_text().splitlines()[0]
+    assert header.split(",") == REPORT_FIELDS[:-1]
 
 
 def test_solve_gate_failure_keeps_full_record(solved_gate_fail):

@@ -1,5 +1,5 @@
 """Tests for the independent solution checks: PDE residual, volume,
-asymptotic fit, Pohozaev balance, weighted norms, and the report."""
+asymptotic fit, Pohozaev balance, tail masses, and the report."""
 
 import ast
 import gc
@@ -11,7 +11,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 import qcurv.diagnostics
 import qcurv.solver
@@ -26,7 +25,6 @@ from qcurv import (
     build_report,
     conformal_volume,
     constants,
-    exp_integrability_probe,
     make_grid,
     pde_residual,
     pohozaev_terms,
@@ -37,11 +35,11 @@ from qcurv import (
     tail_curvature_mass,
     u0_density_field,
     u0_eval,
-    weighted_norm,
 )
-from qcurv.diagnostics import _angular_moment, check_report_grid
-from qcurv.potential import _STENCIL_ROWS, stencil_table
+from qcurv.diagnostics import check_report_grid
+from qcurv.potential import _STENCIL_ROWS
 from test_solver import radial_polynomial
+from test_stencils import _abs_rows
 
 
 # ----------------------------------------------------------------------
@@ -317,156 +315,6 @@ def test_tail_curvature_mass_monotone_and_total(benchmark_positive):
 
 
 # ----------------------------------------------------------------------
-# weighted norms
-# ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def norm_grid():
-    return make_grid(2, 40.0, 4096, sinh_strength=4.0)
-
-
-def test_weighted_norm_order_zero_oracle(norm_grid):
-    om = sphere_area(4)
-    f = RadialField(grid=norm_grid, values=np.exp(-norm_grid.nodes**2))
-    got = weighted_norm(f, 0, -1.0)
-    exact = math.sqrt(
-        quad(
-            lambda r: (1 + r * r) ** (-1.0) * math.exp(-2 * r * r) * om * r**3,
-            0,
-            40,
-        )[0]
-    )
-    assert got == pytest.approx(exact, rel=1e-4)
-
-
-def test_weighted_norm_order_one_oracle(norm_grid):
-    om = sphere_area(4)
-    f = RadialField(grid=norm_grid, values=np.exp(-norm_grid.nodes**2))
-    got = weighted_norm(f, 1, -3.0)
-    t0 = math.sqrt(
-        quad(
-            lambda r: (1 + r * r) ** (-3.0) * math.exp(-2 * r * r) * om * r**3,
-            0,
-            40,
-        )[0]
-    )
-    a2 = _angular_moment(4, (2.0,))
-    t1 = 4.0 * math.sqrt(
-        a2
-        * quad(
-            lambda r: (1 + r * r) ** (-2.0)
-            * (2 * r * math.exp(-r * r)) ** 2
-            * r**3,
-            0,
-            40,
-        )[0]
-    )
-    assert got == pytest.approx(t0 + t1, rel=1e-4)
-
-
-def test_weighted_norm_order_two_oracle(norm_grid):
-    # f = r^4: f'' = 12 r^2, f'/r = 4 r^2, anisotropic part 8 r^2; every
-    # block reduces to closed 1-d integrals checked here with adaptive
-    # quadrature (an independent integration route).
-    om = sphere_area(4)
-    f = RadialField(grid=norm_grid, values=norm_grid.nodes**4)
-    got = weighted_norm(f, 2, -7.0)
-    w0 = math.sqrt(
-        quad(lambda r: (1 + r * r) ** (-7.0) * r**8 * om * r**3, 0, 40)[0]
-    )
-    a2 = _angular_moment(4, (2.0,))
-    w1 = 4.0 * math.sqrt(
-        a2 * quad(lambda r: (1 + r * r) ** (-6.0) * (4 * r**3) ** 2 * r**3, 0, 40)[0]
-    )
-    b2 = _angular_moment(4, (2.0, 2.0))
-    w2_mixed = 6.0 * math.sqrt(
-        b2
-        * quad(lambda r: (1 + r * r) ** (-5.0) * (8 * r * r) ** 2 * r**3, 0, 40)[0]
-    )
-
-    def angular(r):
-        return quad(
-            lambda th: abs(8 * r * r * math.cos(th) ** 2 + 4 * r * r) ** 2
-            * math.sin(th) ** 2
-            * sphere_area(3),
-            0,
-            math.pi,
-        )[0]
-
-    w2_pure = 4.0 * math.sqrt(
-        quad(
-            lambda r: (1 + r * r) ** (-5.0) * angular(r) * r**3,
-            0,
-            40,
-            limit=200,
-        )[0]
-    )
-    assert got == pytest.approx(w0 + w1 + w2_mixed + w2_pure, rel=1e-4)
-
-
-def test_weighted_norm_is_absolutely_homogeneous(norm_grid):
-    f = RadialField(grid=norm_grid, values=np.exp(-norm_grid.nodes**2))
-    g = RadialField(grid=norm_grid, values=2.5 * f.values)
-    for k in (0, 1, 2):
-        assert weighted_norm(g, k, -3.0) == pytest.approx(
-            2.5 * weighted_norm(f, k, -3.0), rel=1e-12
-        )
-
-
-def test_weighted_norm_satisfies_triangle_inequality(norm_grid):
-    rng = np.random.default_rng(23)
-    a = RadialField(grid=norm_grid, values=rng.normal(size=norm_grid.nodes.shape))
-    b = RadialField(grid=norm_grid, values=rng.normal(size=norm_grid.nodes.shape))
-    s = RadialField(grid=norm_grid, values=a.values + b.values)
-    for k in (0, 1, 2):
-        assert weighted_norm(s, k, -3.0) <= (
-            weighted_norm(a, k, -3.0) + weighted_norm(b, k, -3.0)
-        ) * (1 + 1e-12)
-
-
-def test_weighted_norm_validates_inputs(norm_grid):
-    f = RadialField(grid=norm_grid, values=np.zeros_like(norm_grid.nodes))
-    with pytest.raises(GridMismatch):
-        weighted_norm(f, 3, -3.0)
-
-
-# ----------------------------------------------------------------------
-# exponential integrability probe
-# ----------------------------------------------------------------------
-def test_exp_probe_matches_direct_quadrature():
-    grid = make_grid(2, 40.0, 512)
-    v = RadialField(grid=grid, values=np.sin(grid.nodes) / (1 + grid.nodes))
-    probe = exp_integrability_probe(v, 0.7, 20.0)
-    idx = grid.nearest_index(20.0)
-    direct = float(
-        grid.weights_within(idx) @ np.exp(4.0 * 0.7 * np.abs(v.values))
-    )
-    assert probe.finite
-    assert probe.value == pytest.approx(direct, rel=1e-13)
-    assert probe.ratio == pytest.approx(
-        direct / float(grid.nodes[idx]) ** 4, rel=1e-13
-    )
-
-
-def test_exp_probe_reports_overflow_as_infinite():
-    grid = make_grid(2, 40.0, 512)
-    v = RadialField(grid=grid, values=np.full_like(grid.nodes, 200.0))
-    probe = exp_integrability_probe(v, 1.0, 20.0)
-    assert not probe.finite
-    assert probe.value == math.inf
-
-
-def test_exp_probe_validates_inputs():
-    grid = make_grid(2, 40.0, 512)
-    v = RadialField(grid=grid, values=np.zeros_like(grid.nodes))
-    with pytest.raises(GridMismatch):
-        exp_integrability_probe(v, 0.0, 20.0)
-    with pytest.raises(GridMismatch):
-        exp_integrability_probe(v, 1.0, 41.0)
-    with pytest.raises(GridMismatch):
-        exp_integrability_probe(v, 1.0, 0.0)
-
-
-# ----------------------------------------------------------------------
 # aggregated report
 # ----------------------------------------------------------------------
 def test_build_report_on_quick_solve(quick_positive):
@@ -482,15 +330,6 @@ def test_build_report_on_quick_solve(quick_positive):
     masses = [mass for _, mass in report.tail_mass]
     assert radii == sorted(radii)
     assert all(a >= b for a, b in zip(masses, masses[1:]))
-    assert set(report.weighted_norms) == {
-        "k=0,delta=-3,p=2",
-        "k=1,delta=-3,p=2",
-        "k=2,delta=-3,p=2",
-    }
-    assert all(v > 0 for v in report.weighted_norms.values())
-    assert len(report.exp_integrability) == 2
-    for payload in report.exp_integrability.values():
-        assert payload["finite"] is True
 
 
 def test_report_serializes_to_json_and_csv(quick_positive):
@@ -543,11 +382,10 @@ def _boundary_chain_bounds(values, grid, idx):
     product adds 2m + 3 roundings, so the two routes differ by at most
     (20 (m + 2) + 2m + 3) u A.  The windowed chains never reach the origin
     rule, whose nodes lie outside the window's dependence on its centre."""
-    m, n = grid.m, grid.n
+    m = grid.m
     lo, hi = idx - (m + 1), idx + m + 2
-    table = stencil_table(grid.nodes[lo:hi], n)
-    d1_rows = np.abs(table.d1_rows)
-    lap_rows = np.abs(table.d2_rows) + (n - 1) / table.nodes[1:-1] * d1_rows
+    nodes = grid.nodes[lo:hi]
+    d1_rows, lap_rows = _abs_rows(nodes, grid.n)
 
     def absolute(rows, size):
         out = np.zeros_like(size)
@@ -559,7 +397,7 @@ def _boundary_chain_bounds(values, grid, idx):
     w_size = [np.abs(values[lo:hi])]
     for _ in range(m):
         w_size.append(absolute(lap_rows, w_size[-1]))
-    g_size = [table.nodes * absolute(d1_rows, w_size[0])]
+    g_size = [nodes * absolute(d1_rows, w_size[0])]
     for _ in range((m - 1) // 2):
         g_size.append(absolute(lap_rows, g_size[-1]))
     centre = m + 1
@@ -665,56 +503,6 @@ def _fit_by_lstsq(rec):
     return float(coef[0]), float(coef[1]), deviation
 
 
-def _pure_block_by_angular_rule(aniso, ratio, n, p):
-    """The angular integral of |aniso w1^2 + ratio|^p over S^{n-1} by the
-    64-node rule, formed out of place."""
-    x_gl, w_gl = np.polynomial.legendre.leggauss(64)
-    theta = 0.5 * math.pi * (x_gl + 1.0)
-    cos2 = np.cos(theta) ** 2
-    ring = sphere_area(n - 1) * 0.5 * math.pi * w_gl * np.sin(theta) ** (n - 2)
-    return (np.abs(aniso[:, None] * cos2[None, :] + ratio[:, None]) ** p) @ ring
-
-
-def _pure_block_in_closed_form(aniso, ratio, n, p):
-    """The same integral at p = 2 from the moments of w1^4, w1^2 and 1."""
-    assert p == 2.0
-    angular = _angular_moment(n, (4.0,)) * aniso**2
-    angular += 2.0 * _angular_moment(n, (2.0,)) * aniso * ratio
-    angular += _angular_moment(n, ()) * ratio**2
-    return angular
-
-
-def _weighted_norm_formula(f, k, delta, p, pure_block=_pure_block_by_angular_rule):
-    """weighted_norm as first written: each order recomputes the lower
-    ones, and the pure-second-derivative block is ``pure_block``."""
-    grid = f.grid
-    n, nodes = grid.n, grid.nodes
-    w_full = grid.quad_weights
-    w_radial = w_full / sphere_area(n)
-    weight0 = (1.0 + nodes**2) ** (delta * p / 2.0)
-    norm = float(w_full @ (weight0 * np.abs(f.values) ** p)) ** (1.0 / p)
-    if k == 0:
-        return norm
-    f1 = grid.stencil.d1(f.values)
-    weight1 = (1.0 + nodes**2) ** ((delta + 1.0) * p / 2.0)
-    block1 = float(_angular_moment(n, (p,)) * (w_radial @ (weight1 * np.abs(f1) ** p)))
-    norm += n * block1 ** (1.0 / p)
-    if k == 1:
-        return norm
-    f2 = grid.stencil.d2(f.values)
-    ratio = np.empty_like(f1)
-    ratio[1:] = f1[1:] / nodes[1:]
-    ratio[0] = f2[0]
-    aniso = f2 - ratio
-    weight2 = (1.0 + nodes**2) ** ((delta + 2.0) * p / 2.0)
-    mixed = float(
-        _angular_moment(n, (p, p)) * (w_radial @ (weight2 * np.abs(aniso) ** p))
-    )
-    norm += (n * (n - 1) / 2.0) * mixed ** (1.0 / p)
-    pure = float(w_radial @ (weight2 * pure_block(aniso, ratio, n, p)))
-    return norm + n * pure ** (1.0 / p)
-
-
 @pytest.fixture(scope="module")
 def report_records():
     """Solves for m = 2..6 and both signs at N = 512."""
@@ -746,31 +534,6 @@ def test_report_matches_its_full_grid_formulas(report_records):
             curvature = np.exp(rec.log_K.values + 2 * config.m * wbar.values)
             assert mass == float(w_out @ curvature)
             assert mass == tail_curvature_mass(rec.log_K, wbar, r_snap)
-        # The probes' exponents come from the source's L^1 mass.
-        source_mass_l1 = float(
-            grid.quad_weights
-            @ np.abs(
-                config.sign * np.exp(rec.log_K.values + 2 * config.m * wbar.values)
-                + rec.alpha * rec.u0_density.values
-            )
-        )
-        expected_probes = {}
-        for scale in (0.5, 1.0):
-            p_probe = scale * constants(config.m).gamma_m / source_mass_l1
-            probe = exp_integrability_probe(rec.v, p_probe, grid.r_max / 2.0)
-            expected_probes[f"p={p_probe:.6g}"] = {
-                "finite": probe.finite,
-                "value": probe.value,
-                "ratio": probe.ratio,
-            }
-        assert report.exp_integrability == expected_probes
-        # Weighted norms of order 0, 1, 2 from one pass, with the pure
-        # block in closed form.
-        for k in (0, 1, 2):
-            expected = _weighted_norm_formula(
-                rec.v, k, -3.0, 2.0, pure_block=_pure_block_in_closed_form
-            )
-            assert report.weighted_norms[f"k={k},delta=-3,p=2"] == expected
         # The alpha fit from the cached pseudo-inverse agrees with a fresh
         # lstsq.  Each of the two solves of the same least-squares problem
         # lands within about cond(design) eps |coef| of the exact
@@ -835,27 +598,6 @@ def test_pohozaev_boundary_terms_do_not_depend_on_the_level_c_v(report_records):
             assert (moved.b2, moved.b3) == (base.b2, base.b3)
 
 
-def test_pure_block_in_closed_form_agrees_with_the_angular_rule(report_records):
-    # At p = 2 the pure-second-derivative block is integrated over the
-    # sphere in closed form; the 64-node rule it replaces agrees to 1e-13.
-    for rec in report_records:
-        grid, v = rec.grid, rec.v
-        for delta in (-3.0, 0.5):
-            closed = _weighted_norm_formula(v, 2, delta, 2.0, _pure_block_in_closed_form)
-            by_rule = _weighted_norm_formula(v, 2, delta, 2.0)
-            assert weighted_norm(v, 2, delta) == closed
-            assert closed == pytest.approx(by_rule, rel=1e-13, abs=0.0)
-        f1, f2 = grid.stencil.d1(v.values), grid.stencil.d2(v.values)
-        ratio = np.append(f2[0], f1[1:] / grid.nodes[1:])
-        aniso = f2 - ratio
-        weight = grid.quad_weights * (1.0 + grid.nodes**2) ** -1.0
-        blocks = [
-            float(weight @ pure(aniso, ratio, grid.n, 2.0))
-            for pure in (_pure_block_in_closed_form, _pure_block_by_angular_rule)
-        ]
-        assert blocks[0] == pytest.approx(blocks[1], rel=1e-13, abs=0.0)
-
-
 def _sweep_design_configs():
     """The benchmark's ``sweep`` batch: one config per m = 2..6 and sign
     at N = 2048, V/vol(S^{2m}) and c of P = c |x|^2 at the centres of a
@@ -903,7 +645,6 @@ def test_report_fit_reuses_the_cached_profile_coefficients(monkeypatch):
 _LAYOUT = (
     "fit",
     "pohozaev_window",
-    "norm_weights",
     "weights_within",
     "weights_beyond",
     "nearest_index",
@@ -913,7 +654,6 @@ _LAYOUT = (
 
 def _clear_layout():
     qcurv.diagnostics._layouts.clear()
-    _angular_moment.cache_clear()
 
 
 @pytest.fixture
@@ -935,8 +675,9 @@ def test_report_on_a_cold_layout_equals_one_on_a_warm_layout(report_records):
 
 
 def test_each_layout_piece_is_built_once_per_grid(layout_builds):
-    # r_max = 41.75 puts the probes' radius r_max/2 on another node than
-    # the Pohozaev radius 20, so two ball rules are built.
+    # r_max = 41.75 puts the Pohozaev radius 20 on another node than the
+    # tail masses' radius r_max/2, so the report snaps six radii to six
+    # nodes: a ball rule at the Pohozaev node and annulus rules at five.
     config = SolverConfig(
         m=2,
         sign=1,
@@ -960,8 +701,7 @@ def test_each_layout_piece_is_built_once_per_grid(layout_builds):
     assert built == {
         "fit": 1,
         "pohozaev_window": 1,
-        "norm_weights": 1,
-        "weights_within": 2,
+        "weights_within": 1,
         "weights_beyond": 5,
         "nearest_index": 6,
         "tail_window": 1,
@@ -980,11 +720,10 @@ def _layout_on_many_radii(grid):
     diag = qcurv.diagnostics
     field = RadialField(grid=grid, values=-2.0 * np.log1p(grid.nodes**2))
     check_report_grid(grid)
-    weighted_norm(field, 2, -3.0)
     conformal_volume(field)
     for R in range(1, 2 * diag._NODES_PER_GRID):
         tail_curvature_mass(field, field, float(R))
-        exp_integrability_probe(field, 0.1, float(R))
+        pohozaev_terms(field, 0.0, field, field, 1, 1.0, float(R))
     return diag._layout(grid)
 
 
@@ -1000,7 +739,7 @@ def test_a_layout_lives_exactly_as_long_as_its_grid():
         assert diag._layout(grid) is layout
         for kind in ("nearest_index", "weights_within", "weights_beyond"):
             assert getattr(layout, kind).cache_info().currsize == diag._NODES_PER_GRID
-        for kind in ("fit", "pohozaev_window", "norm_weights", "tail_window"):
+        for kind in ("fit", "pohozaev_window", "tail_window"):
             info = getattr(layout, kind).cache_info()
             assert 1 <= info.currsize <= diag._WINDOWS_PER_GRID
     assert len(diag._layouts) == count
@@ -1107,7 +846,6 @@ def test_layout_pieces_are_read_only(report_records):
     _, slope_weights = layout.tail_window()
     arrays = [design, pseudo_inverse, slope_weights, layout.pohozaev_window(idx)]
     arrays += [layout.weights_within(idx), layout.weights_beyond(idx)]
-    arrays += layout.norm_weights(-3.0)
     arrays += [getattr(grid.stencil, name) for name in ("nodes",) + _STENCIL_ROWS]
     for array in arrays:
         assert not array.flags.writeable

@@ -62,14 +62,6 @@ def _d1_inline(nodes, values):
     return out
 
 
-def _d2_inline(nodes, values):
-    out = np.empty_like(values)
-    out[1:-1] = _interior(nodes, values)[1]
-    out[0] = 2.0 * (values[1] - values[0]) / nodes[1] ** 2
-    out[-1] = out[-2]
-    return out
-
-
 def _lap_interior_inline(nodes, values, n):
     out = np.zeros_like(values)
     d1, d2 = _interior(nodes, values)
@@ -86,7 +78,7 @@ def _lap_radial_inline(nodes, values, n):
 
 
 def _abs_rows(nodes, n):
-    """|c_-| and |c_+| of f', f'' and the Laplacian (|c''| + (n-1)/r |c'|)
+    """|c_-| and |c_+| of f' and of the Laplacian (|c''| + (n-1)/r |c'|)
     on the computed spacings, for the rounding bounds."""
     hm = nodes[1:-1] - nodes[:-2]
     hp = nodes[2:] - nodes[1:-1]
@@ -94,7 +86,7 @@ def _abs_rows(nodes, n):
     d1 = (hp / (hm * hs), hm / (hp * hs))
     d2 = (2.0 / (hm * hs), 2.0 / (hp * hs))
     radial = (n - 1) / nodes[1:-1]
-    return d1, d2, (d2[0] + radial * d1[0], d2[1] + radial * d1[1])
+    return d1, (d2[0] + radial * d1[0], d2[1] + radial * d1[1])
 
 
 def _abs_stencil(rows, size):
@@ -106,7 +98,7 @@ def _abs_stencil(rows, size):
 
 def _abs_radial_laplacian(nodes, size, n):
     """The absolute Laplacian with the origin rule's absolute value at 0."""
-    out = _abs_stencil(_abs_rows(nodes, n)[2], size)
+    out = _abs_stencil(_abs_rows(nodes, n)[1], size)
     a = 2.0 * (size[1] + size[0]) / nodes[1] ** 2
     b = 2.0 * (size[2] + size[0]) / nodes[2] ** 2
     out[0] = n * a + (n - 1) / 3.0 * (a + b)
@@ -119,14 +111,13 @@ def _assert_within(got, expected, bound):
 
 
 def _assert_single_stencils_agree(table, nodes, values, n):
-    """d1, d2 and the interior Laplacian of ``table`` against the inline
+    """d1 and the interior Laplacian of ``table`` against the inline
     formulas on ``nodes``, within 12 eps of the absolute stencils; the end
     entries, which both take from the same formula, exactly."""
-    d1_rows, d2_rows, lap_rows = _abs_rows(nodes, n)
+    d1_rows, lap_rows = _abs_rows(nodes, n)
     size = np.abs(values)
     for got, expected, rows in (
         (table.d1(values), _d1_inline(nodes, values), d1_rows),
-        (table.d2(values), _d2_inline(nodes, values), d2_rows),
         (table.laplacian(values), _lap_interior_inline(nodes, values, n), lap_rows),
     ):
         bound = 12 * EPS * _abs_stencil(rows, size)
@@ -210,7 +201,7 @@ def test_stencils_on_a_uniform_line_match_their_inline_formulas(m):
         values = np.exp(-nodes * nodes) + nodes**3
         table = stencil_table(nodes, n)
         _assert_single_stencils_agree(table, nodes, values, n)
-        lap_rows = _abs_rows(nodes, n)[2]
+        lap_rows = _abs_rows(nodes, n)[1]
         composed, expected, size = values, values, np.abs(values)
         for _ in range(k):
             composed = table.laplacian(composed)
@@ -226,7 +217,7 @@ def test_stencils_on_a_stack_of_fields_match_each_field_alone(m, kind):
     grid, _ = _grid_and_values(m, kind)
     stack = np.random.default_rng(m + 10).normal(size=(3, len(grid.nodes)))
     st = grid.stencil
-    for method in (st.d1, st.d2, st.laplacian, lambda f: st.laplacian(f, origin=True)):
+    for method in (st.d1, st.laplacian, lambda f: st.laplacian(f, origin=True)):
         rows = method(stack)
         for field, row in zip(stack, rows):
             np.testing.assert_array_equal(row, method(field))
