@@ -31,12 +31,6 @@ from .poly import (
     radial_derivative,
     radial_profile_coeffs,
 )
-from .geometry import (
-    eval_radial_profile,
-    radial_polyharmonic,
-    spherical_solution,
-    u0_eval,
-)
 from .potential import (
     Constants,
     KernelMatrix,
@@ -55,9 +49,11 @@ from .solver import (
     SolutionRecord,
     SolverConfig,
     build_problem,
+    eval_radial_profile,
     solve_continuation,
     source_with_normalization,
     u0_density_field,
+    u0_eval,
 )
 from .diagnostics import (
     DiagnosticsReport,
@@ -67,7 +63,9 @@ from .diagnostics import (
     conformal_volume,
     pde_residual,
     pohozaev_terms,
+    radial_polyharmonic,
     record_pohozaev_terms,
+    spherical_solution,
     tail_curvature_mass,
 )
 
@@ -91,12 +89,13 @@ __all__ = [
     "pm_membership",
     "radial_profile_coeffs",
     "a3_counterexample",
-    # geometry
+    # the exact oracle and the composed stencil live in qcurv.diagnostics,
+    # the background u0 and the radial profile's evaluation in qcurv.solver
     "spherical_solution",
     "u0_eval",
     "radial_polyharmonic",
     "eval_radial_profile",
-    # potential
+    # potential: constants, grids and the log-potential
     "Constants",
     "constants",
     "RadialGrid",
@@ -108,7 +107,7 @@ __all__ = [
     "potential_apply",
     "sphere_area",
     "ball_volume",
-    # solver
+    # solver: the config, the fixed-point map and the solve
     "SolverConfig",
     "SolutionRecord",
     "Problem",
@@ -116,7 +115,7 @@ __all__ = [
     "solve_continuation",
     "u0_density_field",
     "source_with_normalization",
-    # diagnostics
+    # diagnostics: the checks and their finite-difference stencils
     "pde_residual",
     "conformal_volume",
     "asymptotic_profile",

@@ -48,16 +48,22 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .diagnostics import build_report, check_report_grid, pde_residual, pohozaev_terms
+from .diagnostics import (
+    build_report,
+    check_report_grid,
+    pde_residual,
+    pohozaev_terms,
+    spherical_solution,
+)
 from .errors import (
     ConfigError,
     GridMismatch,
     PolynomialFormatError,
     QcurvError,
 )
-from .geometry import spherical_solution
 from .poly import Polynomial, a3_counterexample, json_number, pm_membership
 from .potential import (
+    _MAX_INTERVALS,
     RadialField,
     _ring_closed,
     constants,
@@ -116,7 +122,8 @@ config JSON fields (schema_version 2):
                   and exponents, finite coefficients); must pass the
                   admissibility check (radial, for the solver)
   r_max           grid radius, > 1 (default {_DEFAULT["r_max"]})
-  n_intervals     radial intervals, >= 64 (default {_DEFAULT["n_intervals"]})
+  n_intervals     radial intervals, in [64, {_MAX_INTERVALS}]
+                  (default {_DEFAULT["n_intervals"]})
   sinh_strength   clustering strength of the sinh node map, > 0 and
                   small enough that its sinh is finite (<= 710)
                   (default {_DEFAULT["sinh_strength"]})

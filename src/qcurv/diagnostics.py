@@ -1,4 +1,4 @@
-"""Checks of candidate solutions.
+"""Checks of candidate solutions, and the package's finite differences.
 
 Nothing here reuses the solver's fixed-point machinery: residuals come
 from finite-difference stencils, the Pohozaev identity from its own
@@ -8,8 +8,9 @@ normalizes c_v with, so its error is 0 to 1e-15 on every solve and
 shows only that the normalization was applied, not the quadrature
 error (ROADMAP item 1 replaces it with an independent rule).
 
-The 3-point stencils are the methods of the grid's
-:class:`~qcurv.potential.StencilTable`, built once per grid.  The alpha
+The 3-point stencils (:class:`StencilTable`), (-Delta)^k composed from
+them with its origin rule (:func:`radial_polyharmonic`) and their exact
+oracle, the spherical solutions, live here and nowhere else.  The alpha
 fit reads the pieces the solver combined, -alpha u0 + v + c_v, which
 equal u + P without forming that difference.
 
@@ -17,8 +18,9 @@ What depends on the grid alone is built once per grid and kept
 read-only: the alpha fit's window, least-squares design and its
 pseudo-inverse, the volume check's tail window and its slope weights,
 the Pohozaev boundary terms' linear functional on the window around
-their node (the stencil chain run once on the window's unit vectors), and
-the ball and annulus quadrature rules at a node.  Each check reads these
+their node (the stencil chain run once on the window's unit vectors),
+the ball and annulus quadrature rules at a node, and the grid's stencil
+table.  Each check reads these
 pieces for whatever window or radius it is given, so a report on a grid
 seen before does only the work that depends on the solution, and its
 values are the same bits as on a fresh grid.  A grid's pieces live on one
@@ -38,16 +40,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import GridMismatch, TailNotNegligible
-from .geometry import _polyharmonic_valid_nodes, radial_polyharmonic
-from .potential import (
-    RadialField,
-    RadialGrid,
-    _read_only,
-    constants,
-    sphere_area,
-    stencil_table,
-)
+from .errors import DimensionMismatch, GridMismatch, TailNotNegligible
+from .potential import RadialField, RadialGrid, _read_only, constants, sphere_area
 
 if TYPE_CHECKING:
     from .solver import SolutionRecord
@@ -69,7 +63,8 @@ class _Layout:
     """The pieces of the checks that depend on one grid alone, each built
     on first use and kept read-only: the last ``_NODES_PER_GRID`` of each
     kind keyed by a radius or node, the last ``_WINDOWS_PER_GRID`` of each
-    kind keyed by a window, and the volume check's tail window.
+    kind keyed by a window, the volume check's tail window and the grid's
+    :class:`StencilTable`.
 
     The builders hold the grid through a weak proxy, so the layout never
     keeps its grid alive and is freed with it (:func:`_layout`)."""
@@ -84,6 +79,9 @@ class _Layout:
         self.fit = per_window(functools.partial(_fit_layout, grid))
         self.pohozaev_window = per_window(functools.partial(_pohozaev_window, grid))
         self.tail_window = per_window(functools.partial(_tail_window, grid))
+        self.stencil = functools.lru_cache(maxsize=1)(
+            lambda: stencil_table(grid.nodes, grid.n)
+        )
 
 
 _layouts: weakref.WeakKeyDictionary[RadialGrid, _Layout] = weakref.WeakKeyDictionary()
@@ -94,6 +92,144 @@ def _layout(grid: RadialGrid) -> _Layout:
     if layout is None:
         layout = _layouts[grid] = _Layout(grid)
     return layout
+
+
+# ----------------------------------------------------------------------
+# the exact oracle
+# ----------------------------------------------------------------------
+def spherical_solution(m: int, lam: float, r) -> np.ndarray | float:
+    """The explicit solution u(r) = log(2 lambda) - log(1 + lambda^2 r^2).
+
+    Solves (-Delta)^m u = (2m-1)! e^{2mu} with conformal volume
+    vol(S^{2m}) for every lambda > 0; the family obeys the covariance
+    u_lambda(r) = u_1(lambda r) + log lambda.
+    """
+    if m < 1 or m > 6:
+        raise DimensionMismatch(f"m must be in 1..6, got {m}")
+    if not lam > 0:
+        raise DimensionMismatch(f"lambda must be positive, got {lam}")
+    rr = np.asarray(r, dtype=float)
+    if np.any(rr < 0):
+        raise DimensionMismatch("radius must be nonnegative")
+    out = math.log(2.0 * lam) - np.log1p((lam * rr) ** 2)
+    return float(out) if np.isscalar(r) else out
+
+
+# ----------------------------------------------------------------------
+# radial stencils
+# ----------------------------------------------------------------------
+@dataclass(frozen=True, eq=False)
+class StencilTable:
+    """The 3-point non-uniform difference formulas of ``nodes`` in
+    dimension ``n``, as per-node coefficient rows for the interior nodes
+    ``nodes[1:-1]``.  With ``hm = r_i - r_{i-1}``, ``hp = r_{i+1} - r_i``
+    and ``hs = hm + hp``, each formula is applied in difference form,
+
+        L f_i = c_-(f_{i-1} - f_i) + c_+(f_{i+1} - f_i),
+
+    where ``rows[0]`` holds c_- and ``rows[1]`` holds c_+ of each formula:
+
+        d1_rows         f':              c_- = -hp / (hm hs), c_+ = hm / (hp hs),
+        laplacian_rows  f'' + (n-1)/r f': f'' rows + (n-1)/r_i d1_rows,
+
+    with the f'' rows c_- = 2 / (hm hs), c_+ = 2 / (hp hs).
+
+    The difference form is exact on constants, which keeps the rounding
+    of composed stencils at the scale of f's variation rather than of f.
+    The rows are read-only.  The methods act along the last axis, so they
+    take one field or a stack of them.
+    """
+
+    n: int
+    nodes: np.ndarray
+    d1_rows: np.ndarray
+    laplacian_rows: np.ndarray
+
+    @staticmethod
+    def _interior(rows: np.ndarray, values: np.ndarray, out: np.ndarray) -> None:
+        """``out = c_-(f_{i-1} - f_i) + c_+(f_{i+1} - f_i)`` on the interior
+        nodes, in five array passes."""
+        centre = values[..., 1:-1]
+        np.subtract(values[..., :-2], centre, out=out)
+        out *= rows[0]
+        above = values[..., 2:] - centre
+        above *= rows[1]
+        out += above
+
+    def d1(self, values: np.ndarray) -> np.ndarray:
+        """First radial derivative: the interior formula, even-extension
+        zero at the origin, first-order backward at the last node."""
+        out = np.empty_like(values)
+        self._interior(self.d1_rows, values, out[..., 1:-1])
+        out[..., 0] = 0.0
+        step = self.nodes[-1] - self.nodes[-2]
+        out[..., -1] = (values[..., -1] - values[..., -2]) / step
+        return out
+
+    def laplacian(self, values: np.ndarray) -> np.ndarray:
+        """Radial Laplacian f'' + (n-1)/r f' on the interior nodes; the
+        end entries are 0 and invalid."""
+        out = np.empty_like(values)
+        self._interior(self.laplacian_rows, values, out[..., 1:-1])
+        out[..., 0] = out[..., -1] = 0.0
+        return out
+
+
+_STENCIL_ROWS = ("d1_rows", "laplacian_rows")
+
+
+def stencil_table(nodes: np.ndarray, n: int) -> StencilTable:
+    """The 3-point :class:`StencilTable` of ``nodes`` in dimension ``n``."""
+    hm = nodes[1:-1] - nodes[:-2]
+    hp = nodes[2:] - nodes[1:-1]
+    hs = hm + hp
+    d1_rows = np.stack([-hp / (hm * hs), hm / (hp * hs)])
+    d2_rows = np.stack([2.0 / (hm * hs), 2.0 / (hp * hs)])
+    laplacian_rows = d2_rows + (n - 1) / nodes[1:-1] * d1_rows
+    table = StencilTable(n, nodes, d1_rows, laplacian_rows)
+    for name in _STENCIL_ROWS:
+        getattr(table, name).flags.writeable = False
+    return table
+
+
+def _polyharmonic_valid_nodes(node_count: int, k: int) -> slice:
+    """The nodes on which k compositions of the radial stencil are
+    trusted: k - 1 ... node_count - 1 - k.
+
+    Each composition loses the outermost node, and for k >= 2 the first
+    k - 1 nodes go as well, because composing the origin rule k times
+    leaves an O(1) truncation remnant there (observed empirically; the
+    interior is clean second order)."""
+    return slice(k - 1, node_count - k)
+
+
+def radial_polyharmonic(f: RadialField, k: int) -> RadialField:
+    """Apply (-Delta)^k to a radial field by composing the grid's
+    second-order radial Laplacian k times.
+
+    A regular radial function is even, so at the origin its second
+    derivative is read from the secants a, b = 2 (f_i - f_0) / r_i^2 of
+    the two leading nodes, and Delta f(0) = n f''(0) is set to
+    n a + (n-1)/3 (b - a), a Richardson-style correction that restores
+    second-order accuracy of the composed operator near the origin.
+    Values outside :func:`_polyharmonic_valid_nodes` are stored as 0.
+    """
+    grid = f.grid
+    if k < 1 or k > grid.m:
+        raise GridMismatch(f"k must be in 1..{grid.m}, got {k}")
+    table = _layout(grid).stencil()
+    nodes, n = grid.nodes, grid.n
+    values = f.values
+    for _ in range(k):
+        a = 2.0 * (values[1] - values[0]) / nodes[1] ** 2
+        b = 2.0 * (values[2] - values[0]) / nodes[2] ** 2
+        values = table.laplacian(values)
+        values[0] = n * a + (n - 1) / 3.0 * (b - a)
+        np.negative(values, out=values)
+    keep = _polyharmonic_valid_nodes(len(values), k)
+    out = np.zeros_like(values)
+    out[keep] = values[keep]
+    return RadialField(grid=grid, values=out)
 
 
 # ----------------------------------------------------------------------
@@ -110,7 +246,7 @@ def pde_residual(u: RadialField, sign: int, exp_2mu: np.ndarray | None = None) -
     a pointwise-relative measure out there would report pure rounding
     noise; the peak scale is the one on which the equation lives.
     Only the nodes on which the composed stencil is trusted
-    (:func:`~qcurv.geometry.radial_polyharmonic`) are compared.
+    (:func:`radial_polyharmonic`) are compared.
     """
     grid = u.grid
     m = grid.m
@@ -390,7 +526,7 @@ def pohozaev_terms(
     m, n = grid.m, grid.n
     idx = _pohozaev_index(grid, R)
     r_snap = float(grid.nodes[idx])
-    nodes, st = grid.nodes, grid.stencil
+    nodes, st = grid.nodes, _layout(grid).stencil()
     w_in = _layout(grid).weights_within(idx)
     two_m = 2.0 * m
     om = sphere_area(n)

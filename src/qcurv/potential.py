@@ -47,12 +47,6 @@ independent IEEE sums, yields every exclusive prefix sum and every
 exclusive suffix sum at once, each accumulated smallest first and bit
 for bit as two real ``cumsum`` calls would.  Only the final
 contraction groups the terms as (sum below) + (sum above).
-
-Stencils
---------
-The grid's 3-point difference formulas are held per interior node as two
-off-centre coefficients and applied in difference form,
-``c_-(f_{i-1} - f_i) + c_+(f_{i+1} - f_i)``, which is exact on constants.
 """
 
 from __future__ import annotations
@@ -122,92 +116,6 @@ def _hat_interval_weights(a, b, n: int):
     i0 = (b**n - a**n) / n
     i1 = (b ** (n + 1) - a ** (n + 1)) / (n + 1)
     return om * (b * i0 - i1) / (b - a), om * (i1 - a * i0) / (b - a)
-
-
-@dataclass(frozen=True, eq=False)
-class StencilTable:
-    """The 3-point non-uniform difference formulas of ``nodes`` in
-    dimension ``n``, as per-node coefficient rows for the interior nodes
-    ``nodes[1:-1]``.  With ``hm = r_i - r_{i-1}``, ``hp = r_{i+1} - r_i``
-    and ``hs = hm + hp``, each formula is applied in difference form,
-
-        L f_i = c_-(f_{i-1} - f_i) + c_+(f_{i+1} - f_i),
-
-    where ``rows[0]`` holds c_- and ``rows[1]`` holds c_+ of each formula:
-
-        d1_rows         f':              c_- = -hp / (hm hs), c_+ = hm / (hp hs),
-        laplacian_rows  f'' + (n-1)/r f': f'' rows + (n-1)/r_i d1_rows,
-
-    with the f'' rows c_- = 2 / (hm hs), c_+ = 2 / (hp hs).
-
-    The difference form is exact on constants, which keeps the rounding
-    of composed stencils at the scale of f's variation rather than of f.
-    The rows are read-only.  At the origin a regular radial function is
-    even, and its second derivative is read from the secants
-    2 (f_i - f_0) / r_i^2.  The methods act along the last axis, so they
-    take one field or a stack of them.
-    """
-
-    n: int
-    nodes: np.ndarray
-    d1_rows: np.ndarray
-    laplacian_rows: np.ndarray
-
-    @staticmethod
-    def _interior(rows: np.ndarray, values: np.ndarray, out: np.ndarray) -> None:
-        """``out = c_-(f_{i-1} - f_i) + c_+(f_{i+1} - f_i)`` on the interior
-        nodes, in five array passes."""
-        centre = values[..., 1:-1]
-        np.subtract(values[..., :-2], centre, out=out)
-        out *= rows[0]
-        above = values[..., 2:] - centre
-        above *= rows[1]
-        out += above
-
-    def _origin_secant(self, values: np.ndarray, i: int) -> float:
-        return 2.0 * (values[..., i] - values[..., 0]) / self.nodes[i] ** 2
-
-    def d1(self, values: np.ndarray) -> np.ndarray:
-        """First radial derivative: the interior formula, even-extension
-        zero at the origin, first-order backward at the last node."""
-        out = np.empty_like(values)
-        self._interior(self.d1_rows, values, out[..., 1:-1])
-        out[..., 0] = 0.0
-        step = self.nodes[-1] - self.nodes[-2]
-        out[..., -1] = (values[..., -1] - values[..., -2]) / step
-        return out
-
-    def laplacian(self, values: np.ndarray, origin: bool = False) -> np.ndarray:
-        """Radial Laplacian f'' + (n-1)/r f' on the interior nodes; the
-        end entries are 0 and invalid.  With ``origin``, Delta f(0) =
-        n f''(0) is set from the two leading secants a, b as
-        n a + (n-1)/3 (b - a), a Richardson-style correction that restores
-        second-order accuracy of the composed operator near the origin."""
-        out = np.empty_like(values)
-        self._interior(self.laplacian_rows, values, out[..., 1:-1])
-        out[..., 0] = out[..., -1] = 0.0
-        if origin:
-            a = self._origin_secant(values, 1)
-            b = self._origin_secant(values, 2)
-            out[..., 0] = self.n * a + (self.n - 1) / 3.0 * (b - a)
-        return out
-
-
-_STENCIL_ROWS = ("d1_rows", "laplacian_rows")
-
-
-def stencil_table(nodes: np.ndarray, n: int) -> StencilTable:
-    """The 3-point :class:`StencilTable` of ``nodes`` in dimension ``n``."""
-    hm = nodes[1:-1] - nodes[:-2]
-    hp = nodes[2:] - nodes[1:-1]
-    hs = hm + hp
-    d1_rows = np.stack([-hp / (hm * hs), hm / (hp * hs)])
-    d2_rows = np.stack([2.0 / (hm * hs), 2.0 / (hp * hs)])
-    laplacian_rows = d2_rows + (n - 1) / nodes[1:-1] * d1_rows
-    table = StencilTable(n, nodes, d1_rows, laplacian_rows)
-    for name in _STENCIL_ROWS:
-        getattr(table, name).flags.writeable = False
-    return table
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -283,11 +191,6 @@ class RadialGrid:
         ):
             raise GridMismatch("fields live on different radial grids")
 
-    @functools.cached_property
-    def stencil(self) -> StencilTable:
-        """The grid's 3-point :class:`StencilTable`, built on first use."""
-        return stencil_table(self.nodes, self.n)
-
     def nearest_index(self, r: float) -> int:
         """Index of the node closest to radius ``r``, the lower one on an
         exact tie (as ``argmin(|nodes - r|)``), found by bisection."""
@@ -326,11 +229,17 @@ class RadialGrid:
         return _read_only(self.quad_weights - self.weights_within(index))
 
 
+# The most intervals a grid may have, 16 times the finest grid a study here
+# uses (65536): a config that asks for more is refused by this rule rather
+# than by a failed allocation.
+_MAX_INTERVALS = 2**20
+
+
 def check_grid_parameters(m, r_max, n_intervals, sinh_strength) -> None:
     """Raise GridMismatch naming the first argument that no grid is built
     from: m an int in 1..6, r_max a real number in (1, inf), n_intervals
-    an int >= 64, sinh_strength a real number in (0, inf) whose sinh is
-    finite.  Bools are refused."""
+    an int in 64..``_MAX_INTERVALS``, sinh_strength a real number in
+    (0, inf) whose sinh is finite.  Bools are refused."""
     for name, value, kind, noun in (
         ("m", m, int, "an int"),
         ("n_intervals", n_intervals, int, "an int"),
@@ -343,8 +252,10 @@ def check_grid_parameters(m, r_max, n_intervals, sinh_strength) -> None:
         raise GridMismatch(f"m must be in 1..6, got {m}")
     if not 1.0 < r_max < math.inf:
         raise GridMismatch(f"r_max must exceed 1 and be finite, got {r_max}")
-    if n_intervals < 64:
-        raise GridMismatch(f"n_intervals must be >= 64, got {n_intervals}")
+    if not 64 <= n_intervals <= _MAX_INTERVALS:
+        raise GridMismatch(
+            f"n_intervals must be in 64..{_MAX_INTERVALS}, got {n_intervals}"
+        )
     if not 0.0 < sinh_strength < math.inf:
         raise GridMismatch(
             f"sinh_strength must be positive and finite, got {sinh_strength}"

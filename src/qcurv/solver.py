@@ -6,9 +6,9 @@ The target equation on R^{2m} is
     V = integral e^{2mu} dx  prescribed,
     u(x) = -alpha log|x| - P(x) + C + o(1),   alpha = sign * 2V / vol(S^{2m}).
 
-Writing u = -alpha u0 - P + v + c_v, with u0 the background profile of
-:mod:`qcurv.geometry`, turns it into a fixed-point problem for the
-correction v:
+Writing u = -alpha u0 - P + v + c_v, with u0 = (1/2) log(1 + r^2) the
+background profile (:func:`u0_eval`), turns it into a fixed-point problem
+for the correction v:
 
     v = T v,      T v = potential of  S(v),
     S(v) = sign e^{log|K| + 2m (v + c_v)} + alpha (-Delta)^m u0,
@@ -22,6 +22,9 @@ fixes a config's grid, kernel and log|K| and the terms that every
 evaluation reuses, and each evaluation is one call of
 :func:`source_with_normalization` and one of
 :func:`~qcurv.potential.potential_apply`.
+u0 (:func:`u0_eval`) and P's node values (:func:`eval_radial_profile`)
+are built here; no finite difference enters T (they are the checks', in
+:mod:`qcurv.diagnostics`).
 The curvature factor is held as log|K| and c_v is taken by log-sum-exp:
 for sign -1, |K| grows like (1 + r^2)^{m |alpha|} and leaves double
 precision at large V, while every normalized term of S(v) stays bounded
@@ -56,7 +59,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, GridMismatch, PolynomialFormatError
-from .geometry import eval_radial_profile, u0_eval
 # pm_membership is not called here: perfbench counts sampling-screen calls
 # through qcurv.solver.pm_membership (now 0 per op).
 from .poly import (  # noqa: F401
@@ -148,6 +150,19 @@ class SolverConfig:
     def __post_init__(self) -> None:
         self.validate()
 
+    @staticmethod
+    def _check_m(m: int) -> None:
+        """Raise ConfigError unless the int ``m`` is in 2..6; m = 1 with
+        the reason it is refused."""
+        if m == 1:
+            raise ConfigError(
+                "m = 1 is not solvable: the admissible class is empty, "
+                "since deg P <= 2m - 2 = 0 forces P constant and then "
+                "x . grad P vanishes identically instead of growing"
+            )
+        if m < 2 or m > 6:
+            raise ConfigError(f"m must be an integer in 2..6, got {m}")
+
     def validate(self) -> None:
         """Raise ConfigError naming the violated rule, or return None.
 
@@ -158,14 +173,7 @@ class SolverConfig:
             value = getattr(self, f.name)
             if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
                 raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
-        if self.m == 1:
-            raise ConfigError(
-                "m = 1 is not solvable: the admissible class is empty, "
-                "since deg P <= 2m - 2 = 0 forces P constant and then "
-                "x . grad P vanishes identically instead of growing"
-            )
-        if self.m < 2 or self.m > 6:
-            raise ConfigError(f"m must be an integer in 2..6, got {self.m}")
+        self._check_m(self.m)
         if self.sign not in (1, -1):
             raise ConfigError(f"sign must be +1 or -1, got {self.sign}")
         cs = constants(self.m)
@@ -249,7 +257,9 @@ class SolverConfig:
             kind = fields[name].type
             if kind in ("int", "float"):
                 values[name] = json_number(name, kind, value, ConfigError)
+        # A text profile is parsed in dimension 2m, so m's rule comes first.
         m = values["m"]
+        cls._check_m(m)
         try:
             if isinstance(values["profile"], str):
                 values["profile"] = Polynomial.from_text(values["profile"], dim=2 * m)
@@ -263,12 +273,44 @@ class SolverConfig:
 # ----------------------------------------------------------------------
 # pieces of the fixed-point map
 # ----------------------------------------------------------------------
+def eval_radial_profile(coeffs, r) -> np.ndarray:
+    """sum_i coeffs[i] r^{2i}, by Horner's rule in r^2."""
+    rr = np.asarray(r, dtype=float)
+    return np.polynomial.polynomial.polyval(rr * rr, coeffs)
+
+
+def u0_eval(m: int, r):
+    """Value and polyharmonic density of the background profile
+    u0 = (1/2) log(1 + r^2), which is smooth and equals log r + o(1) at
+    infinity.
+
+    Returns ``(u0(r), ((-Delta)^m u0)(r))``, vectorized over ``r``; the
+    density -(1/2)(2m-1)! (2/(1+r^2))^{2m} has total mass exactly -gamma_m,
+    the Green constant of (-Delta)^m log(1/|x|)
+    (:func:`~qcurv.potential.constants`).
+    """
+    if m < 1 or m > 6:
+        raise DimensionMismatch(f"m must be in 1..6, got {m}")
+    rr = np.asarray(r, dtype=float)
+    if np.any(rr < 0):
+        raise DimensionMismatch("radius must be nonnegative")
+    value = 0.5 * np.log1p(rr * rr)
+    density = (
+        -0.5
+        * constants(m).factorial_2m_minus_1
+        * (2.0 / (1.0 + rr * rr)) ** (2 * m)
+    )
+    if np.isscalar(r):
+        return float(value), float(density)
+    return value, density
+
+
 def u0_density_field(
     grid: RadialGrid, density: np.ndarray | None = None
 ) -> RadialField:
     """The polyharmonic density of u0 = (1/2) log(1 + r^2) on the grid,
     rescaled so its discrete mass is exactly -gamma_m; ``density`` is
-    :func:`~qcurv.geometry.u0_eval`'s density at the grid's nodes, for a
+    :func:`u0_eval`'s density at the grid's nodes, for a
     caller that already holds it.
 
     The analytic mass is -gamma_m; truncation at R_max and quadrature

@@ -195,14 +195,29 @@ def test_solve_rejects_malformed_json(tmp_path):
         ((), {"r_max": 1e80}, "cannot build the grid: r_max = 1e+80 overflows"),
         ((), {"sign": -1, "volume": 1e308}, "volume 1e+308 overflows alpha"),
         ((), {"tol": float("inf")}, "tol must be positive and finite, got inf"),
+        # m's rule is read before the four-variable text profile is parsed
+        # in dimension 2m, and n_intervals' bound before a grid is built.
+        ((), {"m": 0}, "config error: m must be an integer in 2..6, got 0"),
+        ((), {"m": 1}, "config error: m = 1 is not solvable"),
+        ((), {"m": 600}, "config error: m must be an integer in 2..6, got 600"),
+        (
+            (),
+            {"n_intervals": 2**20 + 1},
+            "config error: cannot build the grid: "
+            "n_intervals must be in 64..1048576, got 1048577",
+        ),
+        ((), {"n_intervals": 10**12}, "n_intervals must be in 64..1048576"),
     ],
 )
 def test_solve_rejects_invalid_config_values(tmp_path, drop, overrides, fragment):
     path = write_config(tmp_path, drop=drop, **overrides)
-    code, _, err = run_cli(["solve", "--config", path, "--out", str(tmp_path / "run")])
+    out_dir = tmp_path / "run"
+    code, out, err = run_cli(["solve", "--config", path, "--out", str(out_dir)])
     assert code == 1
-    assert "config error:" in err
+    assert out == ""
+    assert err.startswith("config error:") and err.count("\n") == 1
     assert fragment in err
+    assert not out_dir.exists()
 
 
 def test_solve_process_reports_a_grid_it_cannot_build_in_one_line(tmp_path):

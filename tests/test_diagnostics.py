@@ -28,6 +28,7 @@ from qcurv import (
     make_grid,
     pde_residual,
     pohozaev_terms,
+    radial_polyharmonic,
     record_pohozaev_terms,
     solve_continuation,
     sphere_area,
@@ -36,10 +37,9 @@ from qcurv import (
     u0_density_field,
     u0_eval,
 )
-from qcurv.diagnostics import check_report_grid
-from qcurv.potential import _STENCIL_ROWS
+from qcurv.diagnostics import _STENCIL_ROWS, check_report_grid, stencil_table
 from test_solver import radial_polynomial
-from test_stencils import _abs_rows
+from test_stencils import _abs_rows, _grid_table, _origin_value
 
 
 # ----------------------------------------------------------------------
@@ -348,18 +348,29 @@ def test_report_serializes_to_json_and_csv(quick_positive):
 # ----------------------------------------------------------------------
 # the report's shared and windowed evaluations against full-grid formulas
 # ----------------------------------------------------------------------
+def _radial_laplacian(grid, values):
+    """The grid table's Laplacian of ``values`` with Delta f(0) set by the
+    origin rule's formula, which is radial_polyharmonic's origin value of
+    -(-Delta) f, bit for bit."""
+    out = _grid_table(grid).laplacian(values)
+    out[0] = _origin_value(grid.nodes, values, grid.n)
+    field = RadialField(grid=grid, values=values)
+    assert -radial_polyharmonic(field, 1).values[0] == out[0]
+    return out
+
+
 def _boundary_chain_on_the_full_grid(values, grid, idx):
     """At node idx, with every stencil applied to the whole grid: Delta^k
     of ``values`` for k = 0..m, their derivatives, then the same for
     g = x . grad ``values`` up to k = (m - 1) // 2, the order of the rows
     of the Pohozaev functional."""
-    m, st = grid.m, grid.stencil
+    m, st = grid.m, _grid_table(grid)
     w_iter = [np.array(values)]
     for _ in range(m):
-        w_iter.append(st.laplacian(w_iter[-1], origin=True))
+        w_iter.append(_radial_laplacian(grid, w_iter[-1]))
     g_iter = [grid.nodes * st.d1(values)]
     for _ in range((m - 1) // 2):
-        g_iter.append(st.laplacian(g_iter[-1], origin=True))
+        g_iter.append(_radial_laplacian(grid, g_iter[-1]))
     return (
         [arr[idx] for arr in w_iter]
         + [st.d1(arr)[idx] for arr in w_iter]
@@ -470,13 +481,14 @@ def _boundary_terms_on_the_full_grid(v, r_snap, idx):
 
 def _volume_terms_on_the_full_grid(rec, idx):
     """The Pohozaev volume terms t1, t2, t3 and b1 over a freshly built
-    ball rule, as first written."""
+    ball rule and stencil table, as first written."""
     grid, config = rec.grid, rec.config
     w_in = grid.weights_within(idx)
     two_m = 2.0 * config.m
     k_e_w = config.sign * np.exp(rec.log_K.values + two_m * (rec.v.values + rec.c_v))
-    x_grad_log_k = grid.nodes * grid.stencil.d1(rec.log_K.values)
-    x_grad_w = grid.nodes * grid.stencil.d1(rec.v.values)
+    table = stencil_table(grid.nodes, grid.n)
+    x_grad_log_k = grid.nodes * table.d1(rec.log_K.values)
+    x_grad_w = grid.nodes * table.d1(rec.v.values)
     r_snap = float(grid.nodes[idx])
     return (
         float(w_in @ (x_grad_log_k * k_e_w)),
@@ -649,6 +661,7 @@ _LAYOUT = (
     "weights_beyond",
     "nearest_index",
     "tail_window",
+    "stencil",
 )
 
 
@@ -705,6 +718,7 @@ def test_each_layout_piece_is_built_once_per_grid(layout_builds):
         "weights_beyond": 5,
         "nearest_index": 6,
         "tail_window": 1,
+        "stencil": 1,
     }
     other = solve_continuation(replace(config, sign=-1, volume=2.0 * config.volume))
     assert other.grid is grid
@@ -742,13 +756,16 @@ def test_a_layout_lives_exactly_as_long_as_its_grid():
         for kind in ("fit", "pohozaev_window", "tail_window"):
             info = getattr(layout, kind).cache_info()
             assert 1 <= info.currsize <= diag._WINDOWS_PER_GRID
+        assert layout.stencil.cache_info().currsize == 1
     assert len(diag._layouts) == count
-    refs = [weakref.ref(obj) for obj in grids + layouts]
+    tables = [layout.stencil() for layout in layouts]
+    refs = [weakref.ref(obj) for obj in grids + layouts + tables]
     gc.disable()
     try:
-        del grid, layout, grids, layouts
-        # Reference counting alone frees each grid and its layout.
-        assert [ref() for ref in refs] == [None] * (2 * count)
+        del grid, layout, grids, layouts, tables
+        # Reference counting alone frees each grid, its layout and the
+        # layout's stencil table.
+        assert [ref() for ref in refs] == [None] * (3 * count)
         assert len(diag._layouts) == 0
     finally:
         gc.enable()
@@ -846,7 +863,8 @@ def test_layout_pieces_are_read_only(report_records):
     _, slope_weights = layout.tail_window()
     arrays = [design, pseudo_inverse, slope_weights, layout.pohozaev_window(idx)]
     arrays += [layout.weights_within(idx), layout.weights_beyond(idx)]
-    arrays += [getattr(grid.stencil, name) for name in ("nodes",) + _STENCIL_ROWS]
+    table = layout.stencil()
+    arrays += [getattr(table, name) for name in ("nodes",) + _STENCIL_ROWS]
     for array in arrays:
         assert not array.flags.writeable
         with pytest.raises(ValueError):

@@ -406,6 +406,8 @@ def test_config_rejects_bad_parameters(overrides, fragment):
         ("r_max", 1.0),
         ("r_max", math.inf),
         ("n_intervals", 32),
+        ("n_intervals", 2**20 + 1),
+        ("n_intervals", 10**12),
         ("sinh_strength", -1.0),
         ("sinh_strength", 800.0),
     ],
@@ -420,6 +422,11 @@ def test_validate_reads_the_grid_rules_of_make_grid(key, value):
     with pytest.raises(ConfigError) as config_error:
         quick_config(**{key: value})
     assert str(config_error.value) == f"cannot build the grid: {grid_error.value}"
+
+
+def test_n_intervals_may_reach_its_bound():
+    limit = qcurv.potential._MAX_INTERVALS
+    assert quick_config(n_intervals=limit).n_intervals == limit == 2**20
 
 
 @pytest.mark.parametrize(
@@ -567,6 +574,24 @@ def test_config_from_json_rejects_a_number_it_would_have_to_coerce(key, value):
     good = quick_config().to_json_dict()
     with pytest.raises(ConfigError, match=f"{key} must be of type"):
         SolverConfig.from_json_dict(dict(good, **{key: value}))
+
+
+M_RULES = {
+    0: "m must be an integer in 2..6, got 0",
+    1: "m = 1 is not solvable: the admissible class is empty",
+    600: "m must be an integer in 2..6, got 600",
+}
+
+
+@pytest.mark.parametrize("m", sorted(M_RULES))
+def test_config_from_json_reads_m_before_parsing_a_text_profile(m):
+    # A text profile is parsed in dimension 2m: the four-variable profile
+    # would be refused for its variables (m = 0, 1) or its dim (m = 600)
+    # before m's own rule was read.
+    data = dict(quick_config().to_json_dict(), m=m, profile=SQUARE_PROFILE_4D)
+    with pytest.raises(ConfigError) as error:
+        SolverConfig.from_json_dict(data)
+    assert str(error.value).startswith(M_RULES[m])
 
 
 def test_config_from_json_loads_integral_floats_as_ints_and_ints_as_floats():

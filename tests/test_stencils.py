@@ -1,7 +1,8 @@
 """The per-grid 3-point stencil table: every formula that reads it against
 the same formula written inline on the nodes, on the full grid, on the
-Pohozaev window and on a uniform line; the table's sharing across reports;
-and reports that do not depend on whether the table existed already.
+Pohozaev window and on a uniform line; the origin rule of the composed
+operator against its formula; the table's sharing across reports; and
+reports that do not depend on whether the table existed already.
 
 The table applies each stencil in difference form, c_-(f_{i-1} - f_i) +
 c_+(f_{i+1} - f_i), and the inline formulas are the plain three-term
@@ -15,6 +16,8 @@ inline Laplacian 12 and the table's coefficient plus its application 9.
 The origin rule takes 6 on each side.  So one stencil's two forms differ
 by at most 24 u = 12 eps times the absolute stencil of |f|, and k composed
 stencils by at most 12 k eps times the k-fold absolute stencil of |f|.
+The origin rule itself is the same formula in both, so it agrees bit for
+bit.
 """
 
 import json
@@ -23,7 +26,6 @@ import numpy as np
 import pytest
 
 import qcurv.diagnostics
-import qcurv.potential
 from qcurv import (
     Polynomial,
     RadialField,
@@ -34,8 +36,7 @@ from qcurv import (
     radial_polyharmonic,
     solve_continuation,
 )
-from qcurv.geometry import _polyharmonic_valid_nodes
-from qcurv.potential import _STENCIL_ROWS, stencil_table
+from qcurv.diagnostics import _STENCIL_ROWS, _polyharmonic_valid_nodes, stencil_table
 
 GRIDS = [(m, kind) for m in range(2, 7) for kind in ("uniform", "sinh-clustered")]
 EPS = np.finfo(float).eps
@@ -69,11 +70,18 @@ def _lap_interior_inline(nodes, values, n):
     return out
 
 
+def _origin_value(nodes, values, n):
+    """Delta f(0) by the origin rule n a + (n - 1)/3 (b - a), with a and b
+    the secants 2 (f_i - f_0) / r_i^2 of the two leading nodes, along the
+    last axis."""
+    a = 2.0 * (values[..., 1] - values[..., 0]) / nodes[1] ** 2
+    b = 2.0 * (values[..., 2] - values[..., 0]) / nodes[2] ** 2
+    return n * a + (n - 1) / 3.0 * (b - a)
+
+
 def _lap_radial_inline(nodes, values, n):
     out = _lap_interior_inline(nodes, values, n)
-    a = 2.0 * (values[1] - values[0]) / nodes[1] ** 2
-    b = 2.0 * (values[2] - values[0]) / nodes[2] ** 2
-    out[0] = n * a + (n - 1) / 3.0 * (b - a)
+    out[0] = _origin_value(nodes, values, n)
     return out
 
 
@@ -141,6 +149,11 @@ def _valid_after_spreading(node_count, k):
     return valid
 
 
+def _grid_table(grid):
+    """The grid's table, as the checks' per-grid layout holds it."""
+    return qcurv.diagnostics._layout(grid).stencil()
+
+
 def _grid_and_values(m, kind):
     grid = make_grid(m, 40.0, 256, map_kind=kind)
     values = np.random.default_rng(m).normal(size=grid.nodes.shape)
@@ -153,24 +166,27 @@ def _grid_and_values(m, kind):
 @pytest.mark.parametrize("m, kind", GRIDS)
 def test_stencils_on_the_full_grid_match_their_inline_formulas(m, kind):
     grid, values = _grid_and_values(m, kind)
-    nodes, n, st = grid.nodes, grid.n, grid.stencil
+    nodes, n, st = grid.nodes, grid.n, _grid_table(grid)
     _assert_single_stencils_agree(st, nodes, values, n)
-    _assert_within(
-        st.laplacian(values, origin=True),
-        _lap_radial_inline(nodes, values, n),
-        12 * EPS * _abs_radial_laplacian(nodes, np.abs(values), n),
-    )
     field = RadialField(grid=grid, values=values)
-    expected, size = values, np.abs(values)
+    # The origin value of (-Delta) f is the rule's formula, bit for bit.
+    assert radial_polyharmonic(field, 1).values[0] == -_origin_value(nodes, values, n)
+    expected, size, chained = values, np.abs(values), values
     for k in range(1, m + 1):
         expected = -_lap_radial_inline(nodes, expected, n)
         size = _abs_radial_laplacian(nodes, size, n)
+        # The table's Laplacian with the origin rule's formula at r = 0.
+        origin = _origin_value(nodes, chained, n)
+        chained = st.laplacian(chained)
+        chained[0] = origin
+        chained = -chained
         got = radial_polyharmonic(field, k)
         keep = np.zeros(len(nodes), dtype=bool)
         keep[_polyharmonic_valid_nodes(len(nodes), k)] = True
         np.testing.assert_array_equal(keep, _valid_after_spreading(len(nodes), k))
         # The zeroed ends are exactly the complement of the kept nodes.
         np.testing.assert_array_equal(got.values == 0.0, ~keep)
+        np.testing.assert_array_equal(got.values[keep], chained[keep])
         _assert_within(got.values[keep], expected[keep], 12 * k * EPS * size[keep])
 
 
@@ -184,12 +200,13 @@ def test_stencils_on_the_pohozaev_window_match_their_inline_formulas(m, kind, R)
     window = stencil_table(nodes, grid.n)
     _assert_single_stencils_agree(window, nodes, part, grid.n)
     # The window's rows are the full table's at the same nodes, bit for bit.
+    full = _grid_table(grid)
     for name in _STENCIL_ROWS:
         np.testing.assert_array_equal(
-            getattr(window, name), getattr(grid.stencil, name)[:, lo : hi - 2]
+            getattr(window, name), getattr(full, name)[:, lo : hi - 2]
         )
     np.testing.assert_array_equal(
-        window.d1(part)[1:-1], grid.stencil.d1(values)[lo + 1 : hi - 1]
+        window.d1(part)[1:-1], full.d1(values)[lo + 1 : hi - 1]
     )
 
 
@@ -216,11 +233,17 @@ def test_stencils_on_a_stack_of_fields_match_each_field_alone(m, kind):
     # once; each row must come out as that field would alone.
     grid, _ = _grid_and_values(m, kind)
     stack = np.random.default_rng(m + 10).normal(size=(3, len(grid.nodes)))
-    st = grid.stencil
-    for method in (st.d1, st.laplacian, lambda f: st.laplacian(f, origin=True)):
+    st = _grid_table(grid)
+    for method in (st.d1, st.laplacian):
         rows = method(stack)
         for field, row in zip(stack, rows):
             np.testing.assert_array_equal(row, method(field))
+    # The origin rule, taken on the whole stack, is each field's origin
+    # value of (-Delta) f, bit for bit.
+    origins = _origin_value(grid.nodes, stack, grid.n)
+    for field, origin in zip(stack, origins):
+        got = radial_polyharmonic(RadialField(grid=grid, values=field), 1)
+        assert got.values[0] == -origin
 
 
 # ----------------------------------------------------------------------
@@ -249,14 +272,13 @@ def table_builds(monkeypatch):
     """The (node count, dimension) of each stencil table built while the
     test runs: a grid's full table and its Pohozaev window's."""
     calls = []
-    build = qcurv.potential.stencil_table
+    build = qcurv.diagnostics.stencil_table
 
     def counted(nodes, n):
         calls.append((len(nodes), n))
         return build(nodes, n)
 
-    for module in (qcurv.potential, qcurv.diagnostics):
-        monkeypatch.setattr(module, "stencil_table", counted)
+    monkeypatch.setattr(qcurv.diagnostics, "stencil_table", counted)
     return calls
 
 
@@ -268,7 +290,7 @@ def test_stencil_table_is_read_only_and_built_once_per_grid(table_builds):
     n, m = record.grid.n, record.grid.m
     assert sorted(table_builds) == [(2 * m + 3, n), (len(record.grid.nodes), n)]
     window = stencil_table(record.grid.nodes[10:20], n)
-    for table in (record.grid.stencil, window):
+    for table in (_grid_table(record.grid), window):
         for name in ("nodes",) + _STENCIL_ROWS:
             array = getattr(table, name)
             assert not array.flags.writeable
