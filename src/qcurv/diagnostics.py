@@ -104,8 +104,7 @@ def spherical_solution(m: int, lam: float, r) -> np.ndarray | float:
     vol(S^{2m}) for every lambda > 0; the family obeys the covariance
     u_lambda(r) = u_1(lambda r) + log lambda.
     """
-    if m < 1 or m > 6:
-        raise DimensionMismatch(f"m must be in 1..6, got {m}")
+    constants(m)  # refuses an m outside its rule
     if not lam > 0:
         raise DimensionMismatch(f"lambda must be positive, got {lam}")
     rr = np.asarray(r, dtype=float)

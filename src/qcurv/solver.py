@@ -89,7 +89,10 @@ if not 1 <= _ANDERSON_DEPTH <= 3:
 # Smallest reciprocal condition of the scaled Gram matrix kept for gamma.
 _GRAM_RCOND = 1e-12
 _SCHEMA_VERSION = 2
-# Grids whose discretization (_build_discretization) is kept for reuse.
+# Grids whose discretization (_build_discretization) is kept for reuse.  An
+# entry holds the grid, its KernelMatrix and two node fields: (4m + 5)(N + 1)
+# floats, 243 MB at m = 6 and N = 2**20 (the kernel alone 210 MB), so eight
+# entries at that size hold 1.9 GB.
 _DISCRETIZATION_CACHE_SIZE = 8
 # Schema-v1 keys that chose the iteration path rather than the problem;
 # v1 files still load, with these dropped.
@@ -289,15 +292,14 @@ def u0_eval(m: int, r):
     the Green constant of (-Delta)^m log(1/|x|)
     (:func:`~qcurv.potential.constants`).
     """
-    if m < 1 or m > 6:
-        raise DimensionMismatch(f"m must be in 1..6, got {m}")
+    factorial = constants(m).factorial_2m_minus_1
     rr = np.asarray(r, dtype=float)
     if np.any(rr < 0):
         raise DimensionMismatch("radius must be nonnegative")
     value = 0.5 * np.log1p(rr * rr)
     density = (
         -0.5
-        * constants(m).factorial_2m_minus_1
+        * factorial
         * (2.0 / (1.0 + rr * rr)) ** (2 * m)
     )
     if np.isscalar(r):

@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 
+import tracemalloc
+
 from qcurv import (
+    DimensionMismatch,
     GridMismatch,
     RadialField,
     RadialGrid,
@@ -18,10 +21,14 @@ from qcurv import (
     ring_kernel_mean,
     sphere_area,
     spherical_solution,
+    u0_eval,
 )
 from qcurv.potential import (
+    _KERNEL_BLOCK,
+    _KERNEL_QUAD_ORDER,
     _hat_interval_weights,
     _ring_closed,
+    _ring_closed_coeffs,
     _ring_panel_rule,
 )
 
@@ -52,6 +59,31 @@ def test_ball_volume_closed_values():
     assert ball_volume(4, 2.0) == pytest.approx(
         math.pi**2 * 16.0 / 2.0, rel=1e-15
     )
+
+
+def _grid_of_m(m):
+    grid = make_grid(2, 10.0, 64)
+    return RadialGrid(m=m, nodes=grid.nodes, quad_weights=grid.quad_weights)
+
+
+@pytest.mark.parametrize(
+    "reader",
+    [
+        constants,
+        lambda m: u0_eval(m, 1.0),
+        lambda m: spherical_solution(m, 1.0, 1.0),
+        _grid_of_m,
+    ],
+    ids=["constants", "u0_eval", "spherical_solution", "RadialGrid"],
+)
+@pytest.mark.parametrize("m", [0, 7, 2.5, True], ids=["0", "7", "2.5", "True"])
+def test_every_reader_of_m_refuses_what_constants_refuses(m, reader):
+    # constants states the rule (an int, not a bool, in 1..6) and the others
+    # read it from there: 2.5 and True passed u0_eval's and
+    # spherical_solution's own range checks, and RadialGrid(m=0) failed
+    # inside math.gamma.
+    with pytest.raises(DimensionMismatch, match=r"^m must be in 1\.\.6 and an int, got "):
+        reader(m)
 
 
 # ----------------------------------------------------------------------
@@ -299,6 +331,16 @@ def test_ring_kernel_validates_inputs():
         ring_kernel_mean(4, 0.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "n, s, r",
+    [(4, math.nan, 1.0), (4, math.inf, 1.0), (2, math.inf, math.inf), (6, 1.0, math.nan)],
+)
+def test_ring_kernel_refuses_non_finite_radii(n, s, r):
+    # They returned nan or inf, (2, inf, inf) with a RuntimeWarning.
+    with pytest.raises(GridMismatch, match="^radii must be finite and nonnegative"):
+        ring_kernel_mean(n, s, r)
+
+
 # ----------------------------------------------------------------------
 # closed-form ring kernel
 # ----------------------------------------------------------------------
@@ -378,6 +420,80 @@ def test_complex_prefix_sums_equal_two_real_cumsums(m, n_intervals):
     expected = contracted[:, 0] + contracted[::-1, 1]
     expected += kern.diagonal * f
     np.testing.assert_array_equal(got, expected)
+
+
+def _one_shot_kernel(grid):
+    """The kernel's node form assembled in one shot over every interval,
+    as before it was blocked: every moment function at every Gauss node,
+    folded into (2m, N + 1) rows and then paired."""
+    n, m, nodes = grid.n, grid.m, grid.nodes
+    xg, wg = np.polynomial.legendre.leggauss(_KERNEL_QUAD_ORDER)
+    a, b = nodes[:-1, None], nodes[1:, None]
+    half = 0.5 * (b - a)
+    rho = 0.5 * (a + b) + half * xg
+    meas = sphere_area(n) * rho ** (n - 1) * (half * wg)
+    hats = np.stack([meas * ((b - rho) / (b - a)), meas * ((rho - a) / (b - a))])
+    rho2 = rho**2
+    funcs = [rho2**j for j in range(m)] + [np.log(rho)]
+    funcs += [rho2 ** (-j) for j in range(1, m)]
+    falling, rising = np.einsum("hkq,pkq->hpk", hats, np.stack(funcs))
+    coefs = _ring_closed_coeffs(n)
+    factors = np.zeros((2 * m, len(nodes)))
+    factors[0, 1:] = np.log(nodes[1:])
+    factors[m] = 1.0
+    for j in range(1, m):
+        factors[j, 1:] = -coefs[2 * j] * nodes[1:] ** (-2 * j)
+        factors[m + j] = -coefs[2 * j] * nodes ** (2 * j)
+    factors /= -constants(m).gamma_m
+    hat_moments = np.zeros_like(factors)
+    hat_moments[:, :-1] = falling
+    hat_moments[:, 1:] += rising
+    diagonal = np.zeros(len(nodes))
+    diagonal[1:] = np.einsum("pk,pk->k", factors[:m, 1:], rising[:m])
+    diagonal[:-1] += np.einsum("pk,pk->k", factors[m:, :-1], falling[m:])
+
+    def paired(rows):
+        return np.stack([rows[:m], rows[m:, ::-1]], axis=-1)
+
+    return paired(hat_moments), paired(factors), diagonal
+
+
+@pytest.mark.parametrize("map_kind", ["uniform", "sinh-clustered"])
+@pytest.mark.parametrize(
+    "n_intervals",
+    [_KERNEL_BLOCK - 1, _KERNEL_BLOCK, _KERNEL_BLOCK + 1, 2 * _KERNEL_BLOCK + 1, 1000],
+)
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_blocked_kernel_is_bit_identical_to_the_one_shot_assembly(
+    m, n_intervals, map_kind
+):
+    # The sizes straddle the block boundaries: a last block of 255, 256 or
+    # 1 intervals, and 1000 = 3 * 256 + 232.  Bits are compared, so a zero's
+    # sign counts too.
+    grid = make_grid(m, 40.0, n_intervals, map_kind=map_kind)
+    kern = kernel_matrix(grid)
+    got = (kern.hat_moments, kern.node_factors, kern.diagonal)
+    for name, actual, expected in zip(
+        ("hat_moments", "node_factors", "diagonal"), got, _one_shot_kernel(grid)
+    ):
+        assert actual.shape == expected.shape, name
+        assert np.array_equal(actual.view(np.uint64), expected.view(np.uint64)), name
+
+
+def test_kernel_assembly_peaks_below_twice_the_kernel_it_returns():
+    # The one-shot assembly held every moment function at every Gauss node
+    # at once, 14.9 times the returned arrays here (97.8 MB against
+    # 6.55 MB); the blocked one holds one block beside them.
+    grid = make_grid(6, 40.0, 2**15)
+    tracemalloc.start()
+    try:
+        kern = kernel_matrix(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = kern.hat_moments.nbytes + kern.node_factors.nbytes + kern.diagonal.nbytes
+    assert returned == (4 * 6 + 1) * (2**15 + 1) * 8
+    assert peak <= 2 * returned
 
 
 # ----------------------------------------------------------------------

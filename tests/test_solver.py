@@ -1479,7 +1479,11 @@ def test_fixed_point_map_is_bit_identical_to_its_formulas(m, sign):
     problem = build_problem(cfg)
     grid, log_K = problem.grid, problem.log_K
     kern = kernel_matrix(grid)
-    moments, factors = qcurv.potential._semi_separable(grid)
+    # The per-interval moments in one run over every interval, and the
+    # undivided node factors unpaired into (2m, N + 1) rows.
+    ((_, moments),) = qcurv.potential._moment_blocks(grid, grid.n_intervals)
+    paired = qcurv.potential._node_factors(grid)
+    factors = np.concatenate([paired[..., 0], paired[:, ::-1, 1]])
     gamma_m = constants(m).gamma_m
     u0d = u0_density_field(grid)
     rng = np.random.default_rng(m)
